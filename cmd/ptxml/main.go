@@ -88,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	inject := fs.String("inject", "", "test aid: fail the Nth operation; format op:N:transient|permanent|internal (ops: query, node, eval)")
 	deltaPath := fs.String("delta", "", "replay a delta script (+fact/-fact/commit lines) or a WAL directory/segment through the incremental engine and print the final document")
 	deltaDB := fs.String("db", "", "with -delta on a WAL: replay only this database's records")
-	planFlag := fs.String("plan", "on", "compiled query plans: on or off (off = optimized interpreter, escape hatch)")
+	planFlag := fs.String("plan", "on", "compiled query plans: on or off (off = the naive reference evaluator, for differential debugging)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

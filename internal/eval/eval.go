@@ -11,6 +11,11 @@
 //
 // The active domain of an evaluation is adom(I) ∪ adom(registers) ∪
 // constants(φ), the standard finite relativization.
+//
+// Eval, EvalSentence and EvalQuery run compiled plans (internal/plan).
+// The evaluator in this package, reached through EvalNaive and
+// EvalQueryNaive, computes the semantics above literally; it is the
+// reference the plans are tested against.
 package eval
 
 import (
@@ -19,6 +24,7 @@ import (
 	"sync"
 
 	"ptx/internal/logic"
+	"ptx/internal/plan"
 	"ptx/internal/relation"
 	"ptx/internal/runctl"
 	"ptx/internal/value"
@@ -41,7 +47,7 @@ type Env struct {
 	// revalidated against the relation-level adom caches on each call
 	// (see Domain).
 	dom *domCache
-	// noPlan disables the compiled-plan fast path of EvalQuery; see
+	// noPlan routes EvalQuery to the reference evaluator; see
 	// WithoutPlanner.
 	noPlan bool
 }
@@ -94,9 +100,9 @@ func (e *Env) WithControl(ctl *runctl.Controller) *Env {
 }
 
 // WithoutPlanner returns a copy of the environment in which EvalQuery
-// skips the compiled-plan fast path and runs the optimized interpreter
-// instead — the escape hatch behind pt.Options.NoPlan and the CLIs'
-// -plan=off flag.
+// runs the reference evaluator (EvalQueryNaive) instead of a compiled
+// plan — what pt.Options.NoPlan and ptxml -plan=off set for
+// differential debugging.
 func (e *Env) WithoutPlanner() *Env {
 	ne := &Env{inst: e.inst, extra: e.extra, ctl: e.ctl, instAdom: e.instAdom, dom: e.dom, noPlan: true}
 	return ne
@@ -250,18 +256,28 @@ func (b *Bindings) varIndex() map[logic.Var]int {
 }
 
 // Eval evaluates formula f in environment env and returns its satisfying
-// assignments over FreeVars(f). The formula is first rewritten to
-// negation normal form so that negations evaluate as anti-join filters
-// instead of active-domain complements wherever possible.
+// assignments over FreeVars(f), in that order. It compiles a plan on
+// every call: callers such as internal/transduction build a fresh
+// formula per tuple, so a formula-keyed plan cache would grow without
+// bound.
 func Eval(f logic.Formula, env *Env) (*Bindings, error) {
-	ev := &evaluator{env: env, ctl: env.ctl, adom: env.Domain(logic.Constants(f))}
-	return ev.eval(pushNeg(f))
+	q := &logic.Query{ContentVars: logic.FreeVars(f), F: f}
+	p, err := plan.Compile(q)
+	if err != nil {
+		return nil, err
+	}
+	rel, err := p.Eval(env)
+	if err != nil {
+		return nil, err
+	}
+	return &Bindings{Vars: q.ContentVars, Rel: rel}, nil
 }
 
-// EvalNaive evaluates without the negation-pushdown and filter-join
-// optimizations — the ablation baseline (see BenchmarkAblationEval).
+// EvalNaive evaluates f on the textbook active-domain evaluator (¬ as a
+// complement, ∀ as ¬∃¬, ∧ as a natural join) — the reference Eval is
+// tested against and the ablation baseline (BenchmarkAblationEval).
 func EvalNaive(f logic.Formula, env *Env) (*Bindings, error) {
-	ev := &evaluator{env: env, ctl: env.ctl, adom: env.Domain(logic.Constants(f)), naive: true}
+	ev := &evaluator{env: env, ctl: env.ctl, adom: env.Domain(logic.Constants(f))}
 	return ev.eval(f)
 }
 
@@ -279,39 +295,33 @@ func EvalSentence(f logic.Formula, env *Env) (bool, error) {
 
 // EvalQuery evaluates a transducer query φ(x̄;ȳ) to a relation over the
 // head x̄·ȳ. Head variables that do not occur free in the formula range
-// over the active domain (standard relativized semantics).
+// over the active domain (standard relativized semantics). The query
+// runs on its compiled plan (planFor), or on EvalQueryNaive in an
+// environment built WithoutPlanner.
 func EvalQuery(q *logic.Query, env *Env) (*relation.Relation, error) {
-	return evalQueryWith(q, env, false)
-}
-
-// EvalQueryNaive is EvalQuery on the unoptimized evaluator (no negation
-// pushdown, no filter joins) — the differential baseline used by the
-// fuzz and cache-equivalence suites.
-func EvalQueryNaive(q *logic.Query, env *Env) (*relation.Relation, error) {
-	return evalQueryWith(q, env, true)
-}
-
-func evalQueryWith(q *logic.Query, env *Env, naive bool) (*relation.Relation, error) {
+	if env.noPlan {
+		return EvalQueryNaive(q, env)
+	}
 	// One OpEval fault checkpoint per actual evaluation: memo hits skip
 	// it, so seeded chaos plans can distinguish cached from fresh work.
 	if err := env.ctl.Fault(runctl.OpEval); err != nil {
 		return nil, err
 	}
-	// Compiled-plan fast path: the query's operator tree, join layouts
-	// and filter placements are resolved once (planCache) and reused for
-	// every evaluation. The naive evaluator stays the differential
-	// oracle; WithoutPlanner forces the optimized interpreter.
-	if !naive && !env.noPlan {
-		if p := planFor(q); p != nil {
-			return p.Eval(env)
-		}
+	p, err := planFor(q)
+	if err != nil {
+		return nil, err
 	}
-	ev := &evaluator{env: env, ctl: env.ctl, adom: env.Domain(logic.Constants(q.F)), naive: naive}
-	f := q.F
-	if !naive {
-		f = pushNeg(f)
+	return p.Eval(env)
+}
+
+// EvalQueryNaive is EvalQuery on the textbook evaluator (see EvalNaive)
+// — the differential oracle of the fuzz and cache-equivalence suites.
+func EvalQueryNaive(q *logic.Query, env *Env) (*relation.Relation, error) {
+	if err := env.ctl.Fault(runctl.OpEval); err != nil {
+		return nil, err
 	}
-	b, err := ev.eval(f)
+	ev := &evaluator{env: env, ctl: env.ctl, adom: env.Domain(logic.Constants(q.F))}
+	b, err := ev.eval(q.F)
 	if err != nil {
 		return nil, err
 	}
@@ -330,10 +340,9 @@ func evalQueryWith(q *logic.Query, env *Env, naive bool) (*relation.Relation, er
 }
 
 type evaluator struct {
-	env   *Env
-	ctl   *runctl.Controller
-	adom  []value.V
-	naive bool
+	env  *Env
+	ctl  *runctl.Controller
+	adom []value.V
 }
 
 func (ev *evaluator) eval(f logic.Formula) (*Bindings, error) {
@@ -353,20 +362,15 @@ func (ev *evaluator) eval(f logic.Formula) (*Bindings, error) {
 	case *logic.Neq:
 		return ev.evalEq(g.L, g.R, false)
 	case *logic.And:
-		if ev.naive {
-			l, err := ev.eval(g.L)
-			if err != nil {
-				return nil, err
-			}
-			r, err := ev.eval(g.R)
-			if err != nil {
-				return nil, err
-			}
-			return ev.join(l, r), nil
+		l, err := ev.eval(g.L)
+		if err != nil {
+			return nil, err
 		}
-		var conjuncts []logic.Formula
-		flattenConj(g, &conjuncts)
-		return ev.evalConj(conjuncts)
+		r, err := ev.eval(g.R)
+		if err != nil {
+			return nil, err
+		}
+		return ev.join(l, r), nil
 	case *logic.Or:
 		l, err := ev.eval(g.L)
 		if err != nil {
@@ -399,46 +403,22 @@ func (ev *evaluator) eval(f logic.Formula) (*Bindings, error) {
 		}
 		return ex, nil
 	case *logic.Forall:
-		if ev.naive {
-			// ∀x̄ φ ≡ ¬∃x̄ ¬φ over the active domain, computed by direct
-			// complementation.
-			inner, err := ev.eval(g.F)
-			if err != nil {
-				return nil, err
-			}
-			want := append(append([]logic.Var{}, logic.FreeVars(g.F)...), missingVars(g.Bound, logic.FreeVars(g.F))...)
-			inner, err = ev.expandTo(inner, want)
-			if err != nil {
-				return nil, err
-			}
-			neg, err := ev.complement(inner)
-			if err != nil {
-				return nil, err
-			}
-			exNeg := ev.projectOut(neg, g.Bound)
-			return ev.complement(exNeg)
-		}
-		// Optimized: ∀x̄ φ ≡ ¬∃x̄ ¬φ with the inner negation pushed to
-		// NNF, so only the final (low-arity) complement touches the
-		// active domain. Bound variables ¬φ does not mention must still
-		// range over the domain before being projected away — with an
-		// empty active domain, ∀x ψ is vacuously true even when ψ is
-		// false, which a bare column-drop ∃ gets wrong.
-		inner, err := ev.eval(negate(g.F))
+		// ∀x̄ φ ≡ ¬∃x̄ ¬φ over the active domain, computed by direct
+		// complementation.
+		inner, err := ev.eval(g.F)
 		if err != nil {
 			return nil, err
 		}
-		inner, err = ev.expandTo(inner, g.Bound)
+		want := append(append([]logic.Var{}, logic.FreeVars(g.F)...), missingVars(g.Bound, logic.FreeVars(g.F))...)
+		inner, err = ev.expandTo(inner, want)
 		if err != nil {
 			return nil, err
 		}
-		exNeg := ev.projectOut(inner, g.Bound)
-		free := logic.FreeVars(g)
-		exNeg, err = ev.expandTo(exNeg, free)
+		neg, err := ev.complement(inner)
 		if err != nil {
 			return nil, err
 		}
-		exNeg = ev.projectTo(exNeg, free)
+		exNeg := ev.projectOut(neg, g.Bound)
 		return ev.complement(exNeg)
 	case *logic.Fixpoint:
 		return ev.evalFixpoint(g)
@@ -799,191 +779,4 @@ func SortedVars(vs []logic.Var) []logic.Var {
 	out := append([]logic.Var{}, vs...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// projectTo reorders/restricts bindings to exactly the given variables
-// (which must all be present).
-func (ev *evaluator) projectTo(b *Bindings, vars []logic.Var) *Bindings {
-	idx := b.varIndex()
-	cols := make([]int, len(vars))
-	for i, v := range vars {
-		cols[i] = idx[v]
-	}
-	return &Bindings{Vars: append([]logic.Var{}, vars...), Rel: b.Rel.Project(cols...)}
-}
-
-// evalConj evaluates a flattened conjunction with a filter strategy:
-// positive conjuncts are joined in order; (in)equalities and negations
-// whose variables are already bound are applied as row filters or
-// anti-joins instead of being materialized over the active domain.
-func (ev *evaluator) evalConj(conjuncts []logic.Formula) (*Bindings, error) {
-	cur := unitBindings()
-	var pending []logic.Formula
-	for _, c := range conjuncts {
-		if isFilter(c) {
-			pending = append(pending, c)
-			continue
-		}
-		b, err := ev.eval(c)
-		if err != nil {
-			return nil, err
-		}
-		cur = ev.join(cur, b)
-	}
-	// Apply filters; a filter whose variables are not covered binds (=)
-	// or expands (≠, ¬) exactly the variables it is missing — it never
-	// materializes an |adom|² binding set the way the old generic-join
-	// fallback did (see coverFilter).
-	for len(pending) > 0 {
-		applied := false
-		var rest []logic.Formula
-		for _, f := range pending {
-			covered := true
-			idx := cur.varIndex()
-			for _, v := range logic.FreeVars(f) {
-				if _, ok := idx[v]; !ok {
-					covered = false
-					break
-				}
-			}
-			if !covered {
-				rest = append(rest, f)
-				continue
-			}
-			var err error
-			cur, err = ev.applyFilter(cur, f)
-			if err != nil {
-				return nil, err
-			}
-			applied = true
-		}
-		if !applied && len(rest) > 0 {
-			var err error
-			cur, err = ev.coverFilter(cur, rest[0])
-			if err != nil {
-				return nil, err
-			}
-			rest = rest[1:]
-		}
-		pending = rest
-	}
-	return cur, nil
-}
-
-// coverFilter applies a filter conjunct some of whose variables are not
-// bound by cur. An equality binds its unbound side to the other side's
-// value (row by row, or over the active domain when both sides are
-// unbound variables); ≠ and ¬ expand only their missing variables over
-// the active domain and then filter. The old fallback evaluated the
-// filter standalone — |adom|² tuples for a two-variable (in)equality —
-// and joined, which dominated evaluation on large domains.
-func (ev *evaluator) coverFilter(cur *Bindings, f logic.Formula) (*Bindings, error) {
-	if g, ok := f.(*logic.Eq); ok {
-		return ev.coverEq(cur, g)
-	}
-	cur, err := ev.expandTo(cur, logic.FreeVars(f))
-	if err != nil {
-		return nil, err
-	}
-	return ev.applyFilter(cur, f)
-}
-
-// coverEq makes both terms of an equality bound and then filters.
-func (ev *evaluator) coverEq(cur *Bindings, g *logic.Eq) (*Bindings, error) {
-	for {
-		idx := cur.varIndex()
-		isBound := func(t logic.Term) bool {
-			v, isVar := t.(logic.Var)
-			if !isVar {
-				return true
-			}
-			_, ok := idx[v]
-			return ok
-		}
-		lb, rb := isBound(g.L), isBound(g.R)
-		if lb && rb {
-			return ev.applyFilter(cur, g)
-		}
-		if lb != rb {
-			// Bind the unbound variable to the bound side's value.
-			var uv logic.Var
-			var src logic.Term
-			if lb {
-				uv, src = g.R.(logic.Var), g.L
-			} else {
-				uv, src = g.L.(logic.Var), g.R
-			}
-			out := newBindings(append(append([]logic.Var{}, cur.Vars...), uv))
-			cur.Rel.EachUnordered(func(row value.Tuple) bool {
-				var v value.V
-				switch u := src.(type) {
-				case logic.Const:
-					v = value.V(u)
-				case logic.Var:
-					v = row[idx[u]]
-				}
-				out.Rel.Add(value.Concat(row, value.Tuple{v}))
-				return true
-			})
-			cur = out
-			continue
-		}
-		// Both sides are unbound variables (x=x or x=y): expand the left
-		// over the active domain; the next round binds the right.
-		var err error
-		if cur, err = ev.expandTo(cur, []logic.Var{g.L.(logic.Var)}); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// applyFilter restricts cur by a covered filter conjunct.
-func (ev *evaluator) applyFilter(cur *Bindings, f logic.Formula) (*Bindings, error) {
-	idx := cur.varIndex()
-	valOf := func(t logic.Term, row value.Tuple) value.V {
-		switch u := t.(type) {
-		case logic.Const:
-			return value.V(u)
-		case logic.Var:
-			return row[idx[u]]
-		}
-		panic("eval: unknown term")
-	}
-	switch g := f.(type) {
-	case *logic.Eq:
-		out := &Bindings{Vars: cur.Vars, Rel: cur.Rel.Select(func(row value.Tuple) bool {
-			return valOf(g.L, row) == valOf(g.R, row)
-		})}
-		return out, nil
-	case *logic.Neq:
-		out := &Bindings{Vars: cur.Vars, Rel: cur.Rel.Select(func(row value.Tuple) bool {
-			return valOf(g.L, row) != valOf(g.R, row)
-		})}
-		return out, nil
-	case *logic.Not:
-		neg, err := ev.eval(g.F)
-		if err != nil {
-			return nil, err
-		}
-		if len(neg.Vars) == 0 {
-			// Sentence: ¬g drops everything when g holds.
-			if neg.Rel.Empty() {
-				return cur, nil
-			}
-			return &Bindings{Vars: cur.Vars, Rel: relation.New(len(cur.Vars))}, nil
-		}
-		cols := make([]int, len(neg.Vars))
-		for i, v := range neg.Vars {
-			cols[i] = idx[v]
-		}
-		out := &Bindings{Vars: cur.Vars, Rel: cur.Rel.Select(func(row value.Tuple) bool {
-			proj := make(value.Tuple, len(cols))
-			for i, c := range cols {
-				proj[i] = row[c]
-			}
-			return !neg.Rel.Contains(proj)
-		})}
-		return out, nil
-	}
-	return nil, fmt.Errorf("eval: %T is not a filter", f)
 }

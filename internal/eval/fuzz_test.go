@@ -113,12 +113,12 @@ func (d *fuzzDecoder) formula(depth int) logic.Formula {
 
 // FuzzDifferentialEval is the differential oracle of this package: on
 // every decoded (instance, formula) pair, the compiled-plan evaluator
-// (EvalQuery), the optimized interpreter (EvalQuery after
-// WithoutPlanner: NNF + filtered joins), the textbook active-domain
-// evaluator (EvalQueryNaive, ¬ via complement, ∀ via ¬∃¬) and the
-// memoized evaluator (EvalQueryMemo, twice — the second call exercising
-// the hit path) must agree exactly. The grammar includes fixpoints and
-// one decode path yields an entirely empty instance.
+// (EvalQuery, and Eval/EvalSentence at the formula level), the textbook
+// active-domain evaluator (EvalQueryNaive and EvalNaive, ¬ via
+// complement, ∀ via ¬∃¬) and the memoized evaluator (EvalQueryMemo,
+// twice — the second call exercising the hit path) must agree exactly.
+// The grammar includes fixpoints and one decode path yields an entirely
+// empty instance.
 func FuzzDifferentialEval(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 1, 2, 4, 0, 1, 1, 2, 2, 0, 0, 0, 1, 2, 3, 4, 5})
@@ -154,14 +154,7 @@ func FuzzDifferentialEval(f *testing.F) {
 			t.Fatalf("optimized and naive disagree on %s\n optimized %s\n naive     %s\n instance %s",
 				fla, opt, naive, inst)
 		}
-		interp, err := EvalQuery(q, env.WithoutPlanner())
-		if err != nil {
-			t.Fatalf("interpreter arm: %v on %s", err, fla)
-		}
-		if !interp.Equal(naive) {
-			t.Fatalf("interpreter and naive disagree on %s\n interp %s\n naive  %s\n instance %s",
-				fla, interp, naive, inst)
-		}
+		formulaArm(t, fla, env)
 
 		m := NewMemo(0)
 		cold, err := EvalQueryMemo(q, env, m)
@@ -179,4 +172,45 @@ func FuzzDifferentialEval(f *testing.F) {
 			t.Fatalf("second memo call should hit (hits=%d) on %s", hits, fla)
 		}
 	})
+}
+
+// formulaArm checks Eval against EvalNaive on fla — EvalSentence when
+// fla is a sentence — with the naive bindings aligned to Eval's
+// FreeVars column order. EvalNaive drops a free variable that occurs
+// only inside a fixpoint body, so its bindings are first expanded to
+// FreeVars over the active domain, the reading Eval's head gives it.
+func formulaArm(t *testing.T, fla logic.Formula, env *Env) {
+	t.Helper()
+	slow, err := EvalNaive(fla, env)
+	if err != nil {
+		t.Fatalf("EvalNaive: %v on %s", err, fla)
+	}
+	free := logic.FreeVars(fla)
+	ev := &evaluator{env: env, ctl: env.ctl, adom: env.Domain(logic.Constants(fla))}
+	if slow, err = ev.expandTo(slow, free); err != nil {
+		t.Fatalf("expand naive bindings: %v on %s", err, fla)
+	}
+	if len(free) == 0 {
+		ok, err := EvalSentence(fla, env)
+		if err != nil {
+			t.Fatalf("EvalSentence: %v on %s", err, fla)
+		}
+		if ok != !slow.Rel.Empty() {
+			t.Fatalf("EvalSentence = %v, naive %s on %s", ok, slow.Rel, fla)
+		}
+		return
+	}
+	fast, err := Eval(fla, env)
+	if err != nil {
+		t.Fatalf("Eval: %v on %s", err, fla)
+	}
+	idx := slow.varIndex()
+	cols := make([]int, len(free))
+	for i, v := range free {
+		cols[i] = idx[v]
+	}
+	if len(slow.Vars) != len(free) || !fast.Rel.Equal(slow.Rel.Project(cols...)) {
+		t.Fatalf("Eval and EvalNaive disagree on %s\n plan  %v %s\n naive %v %s",
+			fla, fast.Vars, fast.Rel, slow.Vars, slow.Rel)
+	}
 }

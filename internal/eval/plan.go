@@ -10,21 +10,18 @@ import (
 // planCache maps *logic.Query to its compiled plan. Transducer queries
 // are long-lived (built once per transducer, evaluated at thousands of
 // nodes), so pointer identity is the natural key and entries are never
-// evicted. A nil entry marks a query the planner cannot compile (e.g. a
-// head that does not cover the formula's free variables); EvalQuery
-// then stays on the interpreter.
+// evicted. A query that fails to compile is not stored; EvalQuery
+// returns the compile error.
 var planCache sync.Map
 
-func planFor(q *logic.Query) *plan.Plan {
+func planFor(q *logic.Query) (*plan.Plan, error) {
 	if v, ok := planCache.Load(q); ok {
-		p, _ := v.(*plan.Plan)
-		return p
+		return v.(*plan.Plan), nil
 	}
 	p, err := plan.Compile(q)
 	if err != nil {
-		p = nil
+		return nil, err
 	}
 	actual, _ := planCache.LoadOrStore(q, p)
-	ap, _ := actual.(*plan.Plan)
-	return ap
+	return actual.(*plan.Plan), nil
 }

@@ -198,8 +198,9 @@ func FuzzIncrementalEval(f *testing.F) {
 			opts.RebuildThreshold = -1
 		}
 		// Cross-evaluator oracle: alternate which side runs on compiled
-		// plans and which on the interpreter, so plan ≡ interpreter is
-		// asserted through the whole repair pipeline (not just EvalQuery).
+		// plans and which on the naive reference evaluator, so plan ≡
+		// naive is asserted through the whole repair pipeline (not just
+		// EvalQuery).
 		opts.Run.NoPlan = d.byte()%2 == 0
 		oracleOpts := pt.Options{MaxNodes: fuzzBudget, Cache: pt.CacheQueries, NoPlan: !opts.Run.NoPlan}
 		v, err := incr.NewView(context.Background(), tr, oracle.Clone(), opts)

@@ -1,9 +1,8 @@
 // Package plan compiles transducer queries (logic.Query) to executable
-// plans. The interpreter in internal/eval walks the formula AST afresh
-// on every evaluation, recomputing variable positions, join layouts and
-// negation rewrites per node visit; a publishing transducer evaluates
-// the same handful of rule queries at thousands to millions of nodes,
-// so this package does that analysis once:
+// plans, the one evaluator that runs queries. A publishing transducer
+// evaluates the same handful of rule queries at thousands to millions
+// of nodes, so this package resolves variable positions, join layouts
+// and negation rewrites once per query instead of per node visit:
 //
 //   - the formula is rewritten to negation normal form and lowered to
 //     an operator tree (scan, conj, union, project, complement,
@@ -23,10 +22,12 @@
 //     of length-prefixed strings, and scans with constant arguments go
 //     through the relation layer's secondary column indexes.
 //
-// Plans are differentially equal to eval.EvalQueryNaive — the fuzz
-// corpora (eval.FuzzDifferentialEval, incr.FuzzIncrementalEval) pin
-// the equivalence — and are wired in behind eval.EvalQuery, with
-// Env.WithoutPlanner as the escape hatch.
+// Plans run behind eval.EvalQuery (cached per query) and eval.Eval
+// (compiled per call). The other evaluator, eval.EvalQueryNaive, is
+// the reference they are tested against: the fuzz corpora
+// (eval.FuzzDifferentialEval, incr.FuzzIncrementalEval) pin plan ≡
+// naive, and Env.WithoutPlanner (ptxml -plan=off) runs a whole
+// transducer on it for differential debugging.
 package plan
 
 import (

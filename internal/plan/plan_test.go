@@ -37,7 +37,7 @@ func emptyInstance() *relation.Instance {
 }
 
 // diff evaluates q through the compiled plan and through the naive
-// interpreter and requires identical results (or both failing).
+// reference evaluator and requires identical results (or both failing).
 func diff(t *testing.T, q *logic.Query, env *eval.Env) {
 	t.Helper()
 	p, err := plan.Compile(q)
@@ -160,7 +160,7 @@ func TestPlanErrors(t *testing.T) {
 			if _, err := p.Eval(env); err == nil {
 				t.Fatal("expected evaluation error")
 			}
-			diff(t, q, env) // and the failure mode matches the interpreter
+			diff(t, q, env) // and the failure mode matches the naive evaluator
 		})
 	}
 }

@@ -171,3 +171,22 @@ func TestGroupByPrefixArityGuard(t *testing.T) {
 		t.Fatalf("GroupArityError = %+v, want {2 1}", ge)
 	}
 }
+
+// TestGroupByPrefixDistinctSpellings: "1" and "01" have one magnitude
+// but are distinct values, so they head distinct groups, each holding
+// all of its tuples, in domain order.
+func TestGroupByPrefixDistinctSpellings(t *testing.T) {
+	rel := relation.FromRows([]string{"1", "a"}, []string{"01", "b"}, []string{"1", "c"}, []string{"2", "d"})
+	groups, err := groupByPrefix(rel, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, g := range groups {
+		got = append(got, g.String())
+	}
+	want := []string{"{(01,b)}", "{(1,a),(1,c)}", "{(2,d)}"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("groups = %v, want %v", got, want)
+	}
+}

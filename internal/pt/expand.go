@@ -5,6 +5,7 @@ import (
 
 	"ptx/internal/eval"
 	"ptx/internal/relation"
+	"ptx/internal/value"
 )
 
 // ChildSpec is one ordered child a configuration generates: the exact
@@ -15,13 +16,15 @@ type ChildSpec struct {
 	Reg   *relation.Relation
 }
 
-// ExpandConfig evaluates the rule for (state, tag) with register reg
-// against base (an Env over the database instance) and returns the
-// ordered child specs, plus the number of queries actually evaluated
-// (memo hits are free). A missing or empty rule yields nil specs. The
-// ancestor stop condition is the CALLER's job — ExpandConfig only runs
-// the rule, which is what incremental repair needs when it re-derives
-// the children of a node whose rule queries read a mutated relation.
+// ExpandConfig performs one rule step of the transducer: it evaluates
+// the rule for (state, tag) with register reg against base (an Env over
+// the database instance) and returns the ordered child specs, plus the
+// number of queries actually evaluated. Each fresh evaluation is first
+// charged to base's run controller (cancellation, fault plan, query
+// budget); memo hits are free and charge nothing. A missing or empty
+// rule yields nil specs. The ancestor stop condition, subtree sharing
+// and node accounting are the CALLER's job — RunContext, StepRun and
+// incremental repair all expand configurations through this one step.
 func (t *Transducer) ExpandConfig(state, tag string, reg *relation.Relation, base *eval.Env, memo *eval.Memo) ([]ChildSpec, int, error) {
 	rule, ok := t.Rule(state, tag)
 	if !ok || len(rule.Items) == 0 {
@@ -42,12 +45,18 @@ func (t *Transducer) ExpandConfig(state, tag string, reg *relation.Relation, bas
 			}
 		}
 		if result == nil {
+			if err := base.Control().Query(); err != nil {
+				return nil, queries, err
+			}
 			queries++
 			rel, err := eval.EvalQuery(it.Query, env)
 			if err != nil {
 				return nil, queries, fmt.Errorf("pt %s: rule (%s,%s) item (%s,%s): %w",
 					t.Name, rule.State, rule.Tag, it.State, it.Tag, err)
 			}
+			// Memoizing before the caller commits the step is sound:
+			// entries are stored only after a successful evaluation, and
+			// determinism makes them valid whether or not it commits.
 			if memo != nil {
 				memo.Put(it.Query, regFP, rel)
 			}
@@ -63,4 +72,52 @@ func (t *Transducer) ExpandConfig(state, tag string, reg *relation.Relation, bas
 		}
 	}
 	return specs, queries, nil
+}
+
+// groupByPrefix splits a query result (columns x̄·ȳ) into the groups
+// S_1,…,S_m of the paper: one group per distinct x̄-prefix d̄, each
+// holding {d̄}×{ē | φ(d̄,ē)}, ordered by d̄ in the domain order.
+//
+// With k = 0 (|x̄| = 0) the whole nonempty result is a single group;
+// with k = arity (|ȳ| = 0) every group is a singleton tuple.
+//
+// k > result.Arity() — a grouping prefix wider than the tuples it would
+// be sliced from — returns a *GroupArityError. Transducer.Validate
+// rejects such rules statically, so hitting this at run time means the
+// result relation has the wrong width (a corrupted cache entry, or an
+// evaluator bug); the typed error keeps it diagnosable instead of a
+// slice-bounds panic deep in a worker.
+func groupByPrefix(result *relation.Relation, k int) ([]*relation.Relation, error) {
+	if k > result.Arity() {
+		return nil, &GroupArityError{GroupVars: k, Arity: result.Arity()}
+	}
+	if result.Empty() {
+		return nil, nil
+	}
+	if k == 0 {
+		return []*relation.Relation{result}, nil
+	}
+	// Each iterates in value.CompareTuples order, a lexicographic total
+	// order, so tuples sharing a k-prefix are adjacent and the prefixes
+	// arrive in domain order: a group ends where the prefix changes.
+	var out []*relation.Relation
+	var prev value.Tuple
+	result.Each(func(t value.Tuple) bool {
+		if len(out) == 0 || !samePrefix(prev, t, k) {
+			out = append(out, relation.New(result.Arity()))
+		}
+		out[len(out)-1].Add(t)
+		prev = t
+		return true
+	})
+	return out, nil
+}
+
+func samePrefix(a, b value.Tuple, k int) bool {
+	for i := 0; i < k; i++ {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -7,9 +7,10 @@ import (
 	"ptx/internal/relation"
 )
 
-// TestNoPlanEquivalence: the -plan=off escape hatch (Options.NoPlan)
-// must produce byte-identical documents on a transducer whose rule
-// queries exercise joins, filters and recursion.
+// TestNoPlanEquivalence: compiled plans and the reference evaluator
+// that Options.NoPlan (-plan=off) selects must produce byte-identical
+// documents on a transducer whose rule queries exercise joins, filters
+// and recursion.
 func TestNoPlanEquivalence(t *testing.T) {
 	s := relation.NewSchema().MustDeclare("E", 2)
 	tr := New("t", s, "q0", "r")
@@ -43,11 +44,11 @@ func TestNoPlanEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	interp, err := tr.Output(inst, Options{NoPlan: true})
+	oracle, err := tr.Output(inst, Options{NoPlan: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p, i := planned.Canonical(), interp.Canonical(); p != i {
-		t.Fatalf("NoPlan output differs:\nplan   %s\ninterp %s", p, i)
+	if p, o := planned.Canonical(), oracle.Canonical(); p != o {
+		t.Fatalf("NoPlan output differs:\nplan   %s\noracle %s", p, o)
 	}
 }

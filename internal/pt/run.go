@@ -3,14 +3,12 @@ package pt
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"ptx/internal/eval"
 	"ptx/internal/relation"
 	"ptx/internal/runctl"
-	"ptx/internal/value"
 	"ptx/internal/xmltree"
 )
 
@@ -66,15 +64,15 @@ type Options struct {
 	// cumulative counters, which with a shared memo include other runs'
 	// traffic.
 	Memo *eval.Memo
-	// NoPlan disables the compiled-query-plan fast path: every rule
-	// query runs on the optimized interpreter instead (eval.Env
-	// WithoutPlanner). Escape hatch surfaced as -plan=off in the CLIs;
-	// results are identical either way.
+	// NoPlan runs every rule query on the naive reference evaluator
+	// (eval.EvalQueryNaive, via eval.Env WithoutPlanner) instead of its
+	// compiled plan — the differential-debugging lever surfaced as
+	// ptxml -plan=off. Results are identical either way.
 	NoPlan bool
 }
 
 // baseEnv builds the run's root evaluation environment over inst,
-// honoring the NoPlan escape hatch.
+// honoring NoPlan.
 func (o Options) baseEnv(inst *relation.Instance, ctl *runctl.Controller) *eval.Env {
 	env := eval.NewEnv(inst).WithControl(ctl)
 	if o.NoPlan {
@@ -431,62 +429,13 @@ func (r *runner) expand(n *xmltree.Node, ancestors map[string]bool, own bool, de
 			}
 		}
 
-		rule, ok := r.t.Rule(n.State, n.Tag)
-		if !ok || len(rule.Items) == 0 {
-			// Empty right-hand side: finalize.
-			n.State = ""
-			dp.addLeaf(key)
-			return unwind()
+		specs, queries, err := r.t.ExpandConfig(n.State, n.Tag, n.Reg, r.base, r.memo)
+		r.queries.Add(int64(queries))
+		if err != nil {
+			return r.fail(err)
 		}
-
-		env := r.base.WithRelation(RegRel, n.Reg)
-		var regFP string
-		if r.memo != nil {
-			regFP = n.Reg.Key()
-		}
-		type childSpec struct {
-			state string
-			tag   string
-			reg   *relation.Relation
-		}
-		var specs []childSpec
-		for _, it := range rule.Items {
-			var result *relation.Relation
-			if r.memo != nil {
-				if rel, ok := r.memo.Get(it.Query, regFP); ok {
-					// Memo hit: the result is shared by reference and was
-					// stored only after a successful evaluation, so neither
-					// the query budget nor the fault plan is charged.
-					result = rel
-				}
-			}
-			if result == nil {
-				if err := r.ctl.Query(); err != nil {
-					return r.fail(err)
-				}
-				r.queries.Add(1)
-				rel, err := eval.EvalQuery(it.Query, env)
-				if err != nil {
-					return r.fail(fmt.Errorf("pt %s: rule (%s,%s) item (%s,%s): %w",
-						r.t.Name, rule.State, rule.Tag, it.State, it.Tag, err))
-				}
-				if r.memo != nil {
-					r.memo.Put(it.Query, regFP, rel)
-				}
-				result = rel
-			}
-			groups, err := groupByPrefix(result, len(it.Query.GroupVars))
-			if err != nil {
-				return r.fail(fmt.Errorf("pt %s: rule (%s,%s) item (%s,%s): %w",
-					r.t.Name, rule.State, rule.Tag, it.State, it.Tag, err))
-			}
-			for _, g := range groups {
-				specs = append(specs, childSpec{state: it.State, tag: it.Tag, reg: g})
-			}
-		}
-
 		if len(specs) == 0 {
-			// All forests empty: finalize.
+			// Missing or empty rule, or all forests empty: finalize.
 			n.State = ""
 			dp.addLeaf(key)
 			return unwind()
@@ -497,7 +446,7 @@ func (r *runner) expand(n *xmltree.Node, ancestors map[string]bool, own bool, de
 
 		n.Children = make([]*xmltree.Node, len(specs))
 		for i, s := range specs {
-			n.Children[i] = &xmltree.Node{Tag: s.tag, State: s.state, Reg: s.reg}
+			n.Children[i] = &xmltree.Node{Tag: s.Tag, State: s.State, Reg: s.Reg}
 		}
 		n.State = ""
 
@@ -634,58 +583,4 @@ func (r *runner) safeExpand(n *xmltree.Node, ancestors map[string]bool, depth in
 		}
 	}()
 	return r.expand(n, ancestors, false, depth, dp)
-}
-
-// groupByPrefix splits a query result (columns x̄·ȳ) into the groups
-// S_1,…,S_m of the paper: one group per distinct x̄-prefix d̄, each
-// holding {d̄}×{ē | φ(d̄,ē)}, ordered by d̄ in the domain order.
-//
-// With k = 0 (|x̄| = 0) the whole nonempty result is a single group;
-// with k = arity (|ȳ| = 0) every group is a singleton tuple.
-//
-// k > result.Arity() — a grouping prefix wider than the tuples it would
-// be sliced from — returns a *GroupArityError. Transducer.Validate
-// rejects such rules statically, so hitting this at run time means the
-// result relation has the wrong width (a corrupted cache entry, or an
-// evaluator bug); the typed error keeps it diagnosable instead of a
-// slice-bounds panic deep in a worker.
-func groupByPrefix(result *relation.Relation, k int) ([]*relation.Relation, error) {
-	if k > result.Arity() {
-		return nil, &GroupArityError{GroupVars: k, Arity: result.Arity()}
-	}
-	if result.Empty() {
-		return nil, nil
-	}
-	if k == 0 {
-		return []*relation.Relation{result}, nil
-	}
-	type group struct {
-		prefix value.Tuple
-		rel    *relation.Relation
-	}
-	byKey := make(map[string]*group)
-	var order []*group
-	result.Each(func(t value.Tuple) bool {
-		p := t[:k]
-		gk := value.Tuple(p).Key()
-		g, ok := byKey[gk]
-		if !ok {
-			g = &group{prefix: value.Tuple(p).Clone(), rel: relation.New(result.Arity())}
-			byKey[gk] = g
-			order = append(order, g)
-		}
-		g.rel.Add(t)
-		return true
-	})
-	// Order groups by the domain order on prefixes. Each iterates in the
-	// canonical sorted tuple order, so groups already appear in prefix
-	// order, but sort defensively.
-	sort.Slice(order, func(i, j int) bool {
-		return value.CompareTuples(order[i].prefix, order[j].prefix) < 0
-	})
-	out := make([]*relation.Relation, len(order))
-	for i, g := range order {
-		out[i] = g.rel
-	}
-	return out, nil
 }

@@ -291,56 +291,9 @@ func (s *StepRun) Step() (done bool, err error) {
 		s.stops++
 		return finalize(true), nil
 	}
-	rule, ok := s.t.Rule(n.State, n.Tag)
-	if !ok || len(rule.Items) == 0 {
-		return finalize(false), nil
-	}
-
-	env := s.base.WithRelation(RegRel, n.Reg)
-	var regFP string
-	if s.memo != nil {
-		regFP = n.Reg.Key()
-	}
-	type childSpec struct {
-		state string
-		tag   string
-		reg   *relation.Relation
-	}
-	var specs []childSpec
-	queriesRun := 0
-	for _, it := range rule.Items {
-		var result *relation.Relation
-		if s.memo != nil {
-			if rel, ok := s.memo.Get(it.Query, regFP); ok {
-				result = rel
-			}
-		}
-		if result == nil {
-			if err := s.ctl.Query(); err != nil {
-				return false, err
-			}
-			queriesRun++
-			rel, err := eval.EvalQuery(it.Query, env)
-			if err != nil {
-				return false, fmt.Errorf("pt %s: rule (%s,%s) item (%s,%s): %w",
-					s.t.Name, rule.State, rule.Tag, it.State, it.Tag, err)
-			}
-			// Memoizing before the step commits is sound: entries are
-			// stored only after a successful evaluation, and determinism
-			// makes them valid whether or not this step completes.
-			if s.memo != nil {
-				s.memo.Put(it.Query, regFP, rel)
-			}
-			result = rel
-		}
-		groups, err := groupByPrefix(result, len(it.Query.GroupVars))
-		if err != nil {
-			return false, fmt.Errorf("pt %s: rule (%s,%s) item (%s,%s): %w",
-				s.t.Name, rule.State, rule.Tag, it.State, it.Tag, err)
-		}
-		for _, g := range groups {
-			specs = append(specs, childSpec{state: it.State, tag: it.Tag, reg: g})
-		}
+	specs, queriesRun, err := s.t.ExpandConfig(n.State, n.Tag, n.Reg, s.base, s.memo)
+	if err != nil {
+		return false, err
 	}
 	if len(specs) == 0 {
 		s.queries += queriesRun
@@ -354,7 +307,7 @@ func (s *StepRun) Step() (done bool, err error) {
 	// configuration with theirs.
 	children := make([]*xmltree.Node, len(specs))
 	for i, sp := range specs {
-		children[i] = &xmltree.Node{Tag: sp.tag, State: sp.state, Reg: sp.reg}
+		children[i] = &xmltree.Node{Tag: sp.Tag, State: sp.State, Reg: sp.Reg}
 	}
 	n.Children = children
 	n.State = ""

@@ -242,8 +242,76 @@ func TestStepRunBudgetTyped(t *testing.T) {
 	if be.Kind != runctl.BudgetNodes || be.Observed <= be.Limit {
 		t.Fatalf("budget = %+v, want nodes kind with observed > limit", be)
 	}
-	if !sr.Done() == false && len(sr.Pending()) == 0 {
+	if sr.Done() || len(sr.Pending()) == 0 {
 		t.Fatal("budget failure must leave a resumable frontier")
+	}
+}
+
+// TestDriversCountQueriesAlike: RunContext and StepRun expand through
+// the same rule step, so an OpQuery fault or a query budget at every n
+// up to the run's uncached query count stops both after the same
+// number of charged queries. The sweep is quadratic in that count, so
+// under the race detector it samples every stride-th n.
+func TestDriversCountQueriesAlike(t *testing.T) {
+	tr := families.UnfoldTransducer()
+	inst := families.DiamondChain(6)
+	full, err := tr.Run(inst, pt.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := full.Stats.QueriesRun
+	if total == 0 {
+		t.Fatal("run evaluated no queries")
+	}
+	boom := errors.New("injected")
+	stepRun := func(opts pt.Options) error {
+		sr, err := tr.NewStepRun(context.Background(), inst, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sr.Close()
+		_, err = sr.Run()
+		return err
+	}
+	stride := 1
+	if pt.RaceEnabled {
+		stride = total/50 + 1
+	}
+	for n := 1; n <= total; n += stride {
+		if n+stride > total {
+			n = total // always check the exact-budget edge
+		}
+		var observed [2]int64
+		for i, drive := range []func(pt.Options) error{
+			func(o pt.Options) error { _, err := tr.Run(inst, o); return err },
+			stepRun,
+		} {
+			plan := &runctl.FaultPlan{Op: runctl.OpQuery, N: int64(n), Err: boom}
+			if err := drive(pt.Options{Workers: 1, Cache: pt.CacheOff, Faults: plan}); !errors.Is(err, boom) {
+				t.Fatalf("n=%d driver %d: fault did not stop the run: %v", n, i, err)
+			}
+			observed[i] = plan.ObservedOp(runctl.OpQuery)
+		}
+		if observed[0] != observed[1] {
+			t.Fatalf("n=%d: OpQuery observed Run %d, StepRun %d", n, observed[0], observed[1])
+		}
+
+		budget := pt.Options{Workers: 1, Limits: &runctl.Limits{MaxQueries: n}}
+		_, runErr := tr.Run(inst, budget)
+		stepErr := stepRun(budget)
+		if n == total {
+			if runErr != nil || stepErr != nil {
+				t.Fatalf("budget of exactly %d queries: Run %v, StepRun %v", n, runErr, stepErr)
+			}
+			continue
+		}
+		var rb, sb *runctl.ErrBudget
+		if !errors.As(runErr, &rb) || !errors.As(stepErr, &sb) {
+			t.Fatalf("n=%d: want *runctl.ErrBudget from both, got Run %v, StepRun %v", n, runErr, stepErr)
+		}
+		if rb.Kind != runctl.BudgetQueries || rb.Observed != sb.Observed {
+			t.Fatalf("n=%d: Run budget %+v, StepRun budget %+v", n, rb, sb)
+		}
 	}
 }
 

@@ -29,9 +29,12 @@ func (v V) Int() (int64, bool) {
 func Of(n int) V { return V(strconv.Itoa(n)) }
 
 // Compare orders two values: integers numerically first, then strings
-// lexicographically. It returns -1, 0 or +1. Numeric comparison is done
-// on the digit strings directly (arbitrary precision), avoiding integer
-// parsing in this extremely hot path.
+// lexicographically. It returns -1, 0 or +1, and 0 only for identical
+// values: integers of equal magnitude spelled differently ("1", "01")
+// are ordered by their text, so sorted relations have one order and
+// tuples sharing a prefix are adjacent (pt's grouping relies on it).
+// Numeric comparison is done on the digit strings directly (arbitrary
+// precision), avoiding integer parsing in this extremely hot path.
 func Compare(a, b V) int {
 	aneg, adig, aok := numParts(string(a))
 	bneg, bdig, bok := numParts(string(b))
@@ -45,7 +48,10 @@ func Compare(a, b V) int {
 		}
 		c := compareDigits(adig, bdig)
 		if aneg {
-			return -c
+			c = -c
+		}
+		if c == 0 {
+			return strings.Compare(string(a), string(b))
 		}
 		return c
 	case aok:
@@ -74,8 +80,8 @@ func numParts(s string) (neg bool, digits string, ok bool) {
 			return false, "", false
 		}
 	}
-	// Strip leading zeros for magnitude comparison; "0"/"-0" compare
-	// equal to "0".
+	// Strip leading zeros for magnitude comparison; "-0" has the
+	// magnitude and sign of "0".
 	i := 0
 	for i < len(s)-1 && s[i] == '0' {
 		i++

@@ -21,6 +21,12 @@ func TestCompareNumericBeforeString(t *testing.T) {
 		{"abc", "abd", -1},
 		{"", "a", -1},
 		{"a", "a", 0},
+		// Equal magnitudes spelled differently are distinct values and
+		// must not tie: they order by their text.
+		{"01", "1", -1},
+		{"1", "01", +1},
+		{"-0", "0", -1},
+		{"-01", "-1", -1},
 	}
 	for _, c := range cases {
 		if got := Compare(V(c.a), V(c.b)); got != c.want {
@@ -31,11 +37,14 @@ func TestCompareNumericBeforeString(t *testing.T) {
 
 func TestCompareIsTotalOrder(t *testing.T) {
 	// Property: antisymmetry and transitivity on random values.
-	vals := []V{"0", "1", "-5", "10", "2", "x", "abc", "", "zz", "007"}
+	vals := []V{"0", "1", "-5", "10", "2", "x", "abc", "", "zz", "007", "7", "-0", "01", "-05"}
 	for _, a := range vals {
 		for _, b := range vals {
 			if Compare(a, b) != -Compare(b, a) {
 				t.Errorf("antisymmetry fails for %q,%q", a, b)
+			}
+			if (Compare(a, b) == 0) != (a == b) {
+				t.Errorf("Compare(%q,%q) = %d: only identical values may tie", a, b, Compare(a, b))
 			}
 			for _, c := range vals {
 				if Compare(a, b) <= 0 && Compare(b, c) <= 0 && Compare(a, c) > 0 {
