@@ -115,8 +115,23 @@ func (r *Ring) Owner(key string) string {
 	return p[0]
 }
 
+// hash64 places a string on the ring: FNV-1a followed by murmur3's
+// 64-bit finalizer. Bare FNV-1a mixes the last bytes of its input into
+// the low bits only, so keys differing in one trailing byte (db names
+// "reg0".."reg5") land next to each other on the circle and mostly on
+// one member; the finalizer spreads every input bit over the whole
+// word.
 func hash64(s string) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(s))
-	return h.Sum64()
+	return fmix64(h.Sum64())
+}
+
+func fmix64(k uint64) uint64 {
+	k ^= k >> 33
+	k *= 0xff51afd7ed558ccd
+	k ^= k >> 33
+	k *= 0xc4ceb9fe1a85ec53
+	k ^= k >> 33
+	return k
 }

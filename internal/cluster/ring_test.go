@@ -49,6 +49,23 @@ func TestRingBalance(t *testing.T) {
 	}
 }
 
+// TestRingSpreadsTrailingByteKeys: keys that differ only in their last
+// byte — the mutate keys of databases reg0..reg5 — must not all route
+// to one member of the default ring.
+func TestRingSpreadsTrailingByteKeys(t *testing.T) {
+	r := NewRing(0)
+	for _, n := range []string{"node-0", "node-1", "node-2"} {
+		r.Add(n)
+	}
+	owners := map[string]bool{}
+	for i := 0; i < 6; i++ {
+		owners[r.Owner(fmt.Sprintf("mutate\x00reg%d", i))] = true
+	}
+	if len(owners) < 2 {
+		t.Fatalf("mutate keys of reg0..reg5 all route to %v", owners)
+	}
+}
+
 // TestRingStability: removing one node moves ONLY the keys it owned;
 // every other key keeps its owner. This is the property that makes
 // failover cheap — a kill invalidates one node's cache locality, not

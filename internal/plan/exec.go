@@ -14,9 +14,13 @@ import (
 // the active domain, the overlay of fixpoint stage relations shadowing
 // the environment, and a per-evaluation value interner so join keys and
 // dedup sets hash dense 4-byte ids instead of length-prefixed strings.
+// The domain, the overlay and the interner are built on first use: a
+// typical rule query (a register joined with base relations by index
+// probes) needs none of them.
 type exec struct {
 	env     Env
 	ctl     *runctl.Controller
+	consts  []value.V
 	adom    []value.V
 	overlay map[string]*relation.Relation
 	in      *value.Interner
@@ -30,67 +34,121 @@ func (x *exec) lookup(name string) (*relation.Relation, bool) {
 	return x.env.Lookup(name)
 }
 
-// key packs a tuple into interned ids; equal tuples of equal arity get
-// equal keys within one execution.
-func (x *exec) key(t value.Tuple) string {
-	x.kbuf = x.in.AppendTupleID(x.kbuf[:0], t)
-	return string(x.kbuf)
+// domain returns the active domain extended with the query's
+// constants. Only expand, complement and a vacuous ∃ read it.
+func (x *exec) domain() []value.V {
+	if x.adom == nil {
+		x.adom = x.env.Domain(x.consts)
+	}
+	return x.adom
 }
 
-// bset is a deduplicated set of assignments over a fixed variable order.
-// Rows are owned by the set once added and never mutated afterwards, so
-// derived sets may share them.
+func (x *exec) interner() *value.Interner {
+	if x.in == nil {
+		x.in = value.NewInterner()
+	}
+	return x.in
+}
+
+// pack encodes a tuple as interned ids into the shared key buffer;
+// equal tuples of equal arity get equal bytes within one execution.
+// The result is valid until the next pack.
+func (x *exec) pack(t value.Tuple) []byte {
+	x.kbuf = x.interner().AppendTupleID(x.kbuf[:0], t)
+	return x.kbuf
+}
+
+// bset is a set of assignments over a fixed variable order. Rows are
+// owned by the set once added and never mutated afterwards, so derived
+// sets may share them. Scans, joins, probes, filters, expansions and
+// complements produce distinct rows by construction and append them
+// directly; keys, the dedup index over the rows, is built only where
+// duplicates can arise (add, in project and union) or where rows are
+// looked up (has, for complements and ¬ probes).
 type bset struct {
 	vars []logic.Var
 	rows []value.Tuple
 	keys map[string]struct{}
 }
 
-func newBset(vars []logic.Var) *bset {
-	return &bset{vars: vars, keys: make(map[string]struct{})}
+func newBset(vars []logic.Var) *bset { return &bset{vars: vars} }
+
+func (b *bset) index(x *exec) {
+	b.keys = make(map[string]struct{}, len(b.rows))
+	for _, r := range b.rows {
+		b.keys[string(x.pack(r))] = struct{}{}
+	}
 }
 
+// add appends t unless an equal row is already present.
 func (b *bset) add(x *exec, t value.Tuple) {
-	k := x.key(t)
-	if _, ok := b.keys[k]; ok {
+	if b.keys == nil {
+		b.index(x)
+	}
+	k := x.pack(t)
+	if _, ok := b.keys[string(k)]; ok {
 		return
 	}
-	b.keys[k] = struct{}{}
+	b.keys[string(k)] = struct{}{}
 	b.rows = append(b.rows, t)
 }
 
-func unitBset(x *exec) *bset {
-	b := newBset(nil)
-	b.add(x, value.Tuple{})
-	return b
+// has reports whether t is a row of b.
+func (b *bset) has(x *exec, t value.Tuple) bool {
+	if b.keys == nil {
+		b.index(x)
+	}
+	_, ok := b.keys[string(x.pack(t))]
+	return ok
+}
+
+func unitBset() *bset { return &bset{rows: []value.Tuple{{}}} }
+
+// joinVars is the output variable order of a join: l's variables
+// followed by r's new ones.
+func joinVars(l, r []logic.Var) []logic.Var {
+	out := make([]logic.Var, 0, len(l)+len(r))
+	out = append(out, l...)
+	for _, v := range r {
+		if varPos(l, v) < 0 {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// varPos is v's column in vs, or -1. Binding sets carry a handful of
+// variables, so a linear search beats building an index map per call.
+func varPos(vs []logic.Var, v logic.Var) int {
+	for i, w := range vs {
+		if w == v {
+			return i
+		}
+	}
+	return -1
 }
 
 // join hash-joins two binding sets on their shared variables; output
-// variables are l's followed by r's new ones.
+// variables are l's followed by r's new ones. Rows of l and r are
+// distinct, so the joined rows are too.
 func (x *exec) join(l, r *bset) (*bset, error) {
-	lIdx := varIndex(l.vars)
 	var sharedL, sharedR, rOnlyCols []int
-	var rOnly []logic.Var
 	for i, v := range r.vars {
-		if li, ok := lIdx[v]; ok {
+		if li := varPos(l.vars, v); li >= 0 {
 			sharedL = append(sharedL, li)
 			sharedR = append(sharedR, i)
 		} else {
-			rOnly = append(rOnly, v)
 			rOnlyCols = append(rOnlyCols, i)
 		}
 	}
-	outVars := make([]logic.Var, 0, len(l.vars)+len(rOnly))
-	outVars = append(outVars, l.vars...)
-	outVars = append(outVars, rOnly...)
-	out := newBset(outVars)
-
+	out := newBset(joinVars(l.vars, r.vars))
+	in := x.interner()
 	build := make(map[string][]value.Tuple, len(r.rows))
 	var kb []byte
 	for _, rt := range r.rows {
 		kb = kb[:0]
 		for _, c := range sharedR {
-			kb = x.in.AppendID(kb, rt[c])
+			kb = in.AppendID(kb, rt[c])
 		}
 		build[string(kb)] = append(build[string(kb)], rt)
 	}
@@ -100,15 +158,15 @@ func (x *exec) join(l, r *bset) (*bset, error) {
 		}
 		kb = kb[:0]
 		for _, c := range sharedL {
-			kb = x.in.AppendID(kb, lt[c])
+			kb = in.AppendID(kb, lt[c])
 		}
 		for _, rt := range build[string(kb)] {
-			row := make(value.Tuple, 0, len(outVars))
+			row := make(value.Tuple, 0, len(out.vars))
 			row = append(row, lt...)
 			for _, c := range rOnlyCols {
 				row = append(row, rt[c])
 			}
-			out.add(x, row)
+			out.rows = append(out.rows, row)
 		}
 	}
 	return out, nil
@@ -124,6 +182,7 @@ func (x *exec) expand(b *bset, missing []logic.Var) (*bset, error) {
 	outVars = append(outVars, b.vars...)
 	outVars = append(outVars, missing...)
 	out := newBset(outVars)
+	adom := x.domain()
 	row := make(value.Tuple, len(outVars))
 	base := len(b.vars)
 	var rec func(i int) error
@@ -132,10 +191,10 @@ func (x *exec) expand(b *bset, missing []logic.Var) (*bset, error) {
 			if err := x.ctl.Tick(); err != nil {
 				return err
 			}
-			out.add(x, row.Clone())
+			out.rows = append(out.rows, row.Clone())
 			return nil
 		}
-		for _, d := range x.adom {
+		for _, d := range adom {
 			row[base+i] = d
 			if err := rec(i + 1); err != nil {
 				return err
@@ -155,6 +214,7 @@ func (x *exec) expand(b *bset, missing []logic.Var) (*bset, error) {
 // complement returns adom^k minus b, over the same variables.
 func (x *exec) complement(b *bset) (*bset, error) {
 	out := newBset(b.vars)
+	adom := x.domain()
 	k := len(b.vars)
 	cand := make(value.Tuple, k)
 	var rec func(i int) error
@@ -163,12 +223,12 @@ func (x *exec) complement(b *bset) (*bset, error) {
 			if err := x.ctl.Tick(); err != nil {
 				return err
 			}
-			if _, hit := b.keys[x.key(cand)]; !hit {
-				out.add(x, cand.Clone())
+			if !b.has(x, cand) {
+				out.rows = append(out.rows, cand.Clone())
 			}
 			return nil
 		}
-		for _, d := range x.adom {
+		for _, d := range adom {
 			cand[i] = d
 			if err := rec(i + 1); err != nil {
 				return err
@@ -182,15 +242,22 @@ func (x *exec) complement(b *bset) (*bset, error) {
 	return out, nil
 }
 
-// project restricts/reorders b to out via the given columns.
+// project restricts/reorders b to out via the given columns. Only a
+// projection that drops columns can merge rows; a reordering keeps
+// them distinct and skips the dedup set.
 func (x *exec) project(b *bset, cols []int, out []logic.Var) *bset {
 	nb := newBset(out)
+	dedup := len(cols) < len(b.vars)
 	for _, t := range b.rows {
 		row := make(value.Tuple, len(cols))
 		for i, c := range cols {
 			row[i] = t[c]
 		}
-		nb.add(x, row)
+		if dedup {
+			nb.add(x, row)
+		} else {
+			nb.rows = append(nb.rows, row)
+		}
 	}
 	return nb
 }
@@ -202,7 +269,7 @@ type nUnit struct{}
 
 func (*nUnit) vars() []logic.Var { return nil }
 
-func (*nUnit) exec(x *exec) (*bset, error) { return unitBset(x), nil }
+func (*nUnit) exec(x *exec) (*bset, error) { return unitBset(), nil }
 
 func (*nUnit) explain(sb *strings.Builder, d int) {
 	indent(sb, d)
@@ -231,7 +298,9 @@ type constCheck struct {
 // nScan reads one relation atom. Variable layout (first occurrences,
 // duplicate positions, constant checks) is resolved at compile time;
 // when the atom carries a constant, the scan goes through the
-// relation's secondary column index instead of the full extent.
+// relation's secondary column index instead of the full extent. Inside
+// a conjunction a scan may instead be joined by index probes (see
+// nConj), which reuse the same layout.
 type nScan struct {
 	rel      string
 	atom     *logic.Atom
@@ -241,11 +310,23 @@ type nScan struct {
 	consts   []constCheck
 	constCol int // column driving the index lookup, -1 if none
 	constVal value.V
+	// whole marks an atom of distinct variables only: each tuple is its
+	// own assignment and is shared with the relation, not copied.
+	whole bool
 }
 
 func (n *nScan) vars() []logic.Var { return n.out }
 
 func (n *nScan) exec(x *exec) (*bset, error) {
+	rel, err := n.resolve(x)
+	if err != nil {
+		return nil, err
+	}
+	return n.scan(x, rel)
+}
+
+// resolve looks the atom's relation up and checks its arity.
+func (n *nScan) resolve(x *exec) (*relation.Relation, error) {
 	rel, ok := x.lookup(n.rel)
 	if !ok {
 		return nil, fmt.Errorf("eval: unknown relation %q in atom %s", n.rel, n.atom)
@@ -254,41 +335,103 @@ func (n *nScan) exec(x *exec) (*bset, error) {
 		return nil, fmt.Errorf("eval: atom %s has %d args but relation %q has arity %d",
 			n.atom, len(n.atom.Args), n.rel, rel.Arity())
 	}
-	var rows []value.Tuple
+	return rel, nil
+}
+
+// candidates is what a scan of rel examines: the constant's index
+// bucket, or the whole extent.
+func (n *nScan) candidates(rel *relation.Relation) []value.Tuple {
 	if n.constCol >= 0 {
-		rows = rel.Lookup(n.constCol, n.constVal)
-	} else {
-		rows = rel.Sorted()
+		return rel.Lookup(n.constCol, n.constVal)
 	}
+	return rel.Sorted()
+}
+
+// extent is the number of tuples a scan of rel would examine, the
+// size the join order and the probe-or-scan choice compare.
+func (n *nScan) extent(rel *relation.Relation) int {
+	if n.constCol >= 0 {
+		return len(rel.Lookup(n.constCol, n.constVal))
+	}
+	return rel.Len()
+}
+
+// matches checks a tuple against the atom's constants and repeated
+// variables.
+func (n *nScan) matches(t value.Tuple) bool {
+	for _, c := range n.consts {
+		if t[c.pos] != c.v {
+			return false
+		}
+	}
+	for _, dp := range n.dups {
+		if t[dp[0]] != t[dp[1]] {
+			return false
+		}
+	}
+	return true
+}
+
+func (n *nScan) scan(x *exec, rel *relation.Relation) (*bset, error) {
 	out := newBset(n.out)
-	for _, t := range rows {
+	for _, t := range n.candidates(rel) {
 		if err := x.ctl.Tick(); err != nil {
 			return nil, err
 		}
-		match := true
-		for _, c := range n.consts {
-			if t[c.pos] != c.v {
-				match = false
-				break
-			}
-		}
-		if !match {
+		if !n.matches(t) {
 			continue
 		}
-		for _, dp := range n.dups {
-			if t[dp[0]] != t[dp[1]] {
-				match = false
-				break
-			}
-		}
-		if !match {
+		if n.whole {
+			out.rows = append(out.rows, t)
 			continue
 		}
 		asg := make(value.Tuple, len(n.out))
 		for i, p := range n.varFirst {
 			asg[i] = t[p]
 		}
-		out.add(x, asg)
+		out.rows = append(out.rows, asg)
+	}
+	return out, nil
+}
+
+// probe joins cur with the atom by index lookups: for each row of cur
+// it fetches the tuples of rel whose column col equals the row's value
+// at from, then checks the constants, the repeated variables and the
+// other shared variables on each fetched tuple. Output variables are
+// cur's followed by the atom's new ones.
+func (n *nScan) probe(x *exec, cur *bset, rel *relation.Relation, col, from int) (*bset, error) {
+	var checks [][2]int // (relation column, cur column) of the other shared variables
+	var newCols []int
+	for i, v := range n.out {
+		c := n.varFirst[i]
+		if ci := varPos(cur.vars, v); ci < 0 {
+			newCols = append(newCols, c)
+		} else if c != col {
+			checks = append(checks, [2]int{c, ci})
+		}
+	}
+	out := newBset(joinVars(cur.vars, n.out))
+	for _, lt := range cur.rows {
+	tuples:
+		for _, t := range rel.Lookup(col, lt[from]) {
+			if err := x.ctl.Tick(); err != nil {
+				return nil, err
+			}
+			if !n.matches(t) {
+				continue
+			}
+			for _, c := range checks {
+				if t[c[0]] != lt[c[1]] {
+					continue tuples
+				}
+			}
+			row := make(value.Tuple, 0, len(out.vars))
+			row = append(row, lt...)
+			for _, c := range newCols {
+				row = append(row, t[c])
+			}
+			out.rows = append(out.rows, row)
+		}
 	}
 	return out, nil
 }
@@ -331,11 +474,16 @@ func (f *filter) String() string {
 	return "not" + varList(f.frees)
 }
 
-// nConj joins its positive conjuncts greedily by actual cardinality
-// (smallest first, preferring joinable pairs over cross products) and
-// applies filters on bound prefixes the moment they are covered.
-// Filters still uncovered after all joins bind (for =) or expand over
-// the active domain (for ≠/¬) only the variables they mention.
+// nConj joins its positive conjuncts greedily by cardinality (smallest
+// first, preferring joinable pairs over cross products) and applies
+// filters on bound prefixes the moment they are covered. Atom
+// conjuncts are not scanned up front: each is sized by its extent, and
+// when the join order reaches one that shares a variable with a bound
+// prefix smaller than that extent, it is joined by probing the
+// relation's column index once per prefix row; otherwise it is scanned
+// and hash-joined. Filters still uncovered after all joins bind (for =)
+// or expand over the active domain (for ≠/¬) only the variables they
+// mention.
 type nConj struct {
 	out       []logic.Var
 	positives []node
@@ -344,20 +492,73 @@ type nConj struct {
 
 func (n *nConj) vars() []logic.Var { return n.out }
 
+// operand is a positive conjunct during execution: a materialized
+// binding set, or an atom whose scan is deferred until the join order
+// reaches it.
+type operand struct {
+	set  *bset
+	scan *nScan
+	rel  *relation.Relation
+	size int // rows of set, or the scan's extent
+}
+
+func (o *operand) vars() []logic.Var {
+	if o.set != nil {
+		return o.set.vars
+	}
+	return o.scan.out
+}
+
+// materialize runs a deferred scan.
+func (o *operand) materialize(x *exec) (*bset, error) {
+	if o.set != nil {
+		return o.set, nil
+	}
+	return o.scan.scan(x, o.rel)
+}
+
+// joinOperand joins cur with op: by index probes when op is a deferred
+// scan sharing a variable with cur and cur has fewer rows than the scan
+// would read, by scanning op and hash-joining otherwise.
+func (x *exec) joinOperand(cur *bset, op *operand) (*bset, error) {
+	if len(cur.rows) == 0 {
+		return newBset(joinVars(cur.vars, op.vars())), nil
+	}
+	if op.scan != nil && len(cur.rows) < op.size {
+		for i, v := range op.scan.out {
+			if from := varPos(cur.vars, v); from >= 0 {
+				return op.scan.probe(x, cur, op.rel, op.scan.varFirst[i], from)
+			}
+		}
+	}
+	r, err := op.materialize(x)
+	if err != nil {
+		return nil, err
+	}
+	return x.join(cur, r)
+}
+
 func (n *nConj) exec(x *exec) (*bset, error) {
-	sets := make([]*bset, len(n.positives))
+	ops := make([]operand, len(n.positives))
 	for i, p := range n.positives {
+		if s, ok := p.(*nScan); ok {
+			rel, err := s.resolve(x)
+			if err != nil {
+				return nil, err
+			}
+			ops[i] = operand{scan: s, rel: rel, size: s.extent(rel)}
+			continue
+		}
 		b, err := p.exec(x)
 		if err != nil {
 			return nil, err
 		}
-		sets[i] = b
+		ops[i] = operand{set: b, size: len(b.rows)}
 	}
 	applied := make([]bool, len(n.filters))
 	covered := func(cur *bset, f *filter) bool {
-		idx := varIndex(cur.vars)
 		for _, v := range f.frees {
-			if _, ok := idx[v]; !ok {
+			if varPos(cur.vars, v) < 0 {
 				return false
 			}
 		}
@@ -383,46 +584,47 @@ func (n *nConj) exec(x *exec) (*bset, error) {
 	}
 
 	var cur *bset
-	used := make([]bool, len(sets))
-	remaining := len(sets)
+	var err error
+	used := make([]bool, len(ops))
+	remaining := len(ops)
 	if remaining == 0 {
-		cur = unitBset(x)
+		cur = unitBset()
 	} else {
 		best := 0
-		for i := 1; i < len(sets); i++ {
-			if len(sets[i].rows) < len(sets[best].rows) {
+		for i := 1; i < len(ops); i++ {
+			if ops[i].size < ops[best].size {
 				best = i
 			}
 		}
-		cur = sets[best]
+		if cur, err = ops[best].materialize(x); err != nil {
+			return nil, err
+		}
 		used[best] = true
 		remaining--
 	}
-	var err error
 	if cur, err = applyCovered(cur); err != nil {
 		return nil, err
 	}
 	for ; remaining > 0; remaining-- {
-		curIdx := varIndex(cur.vars)
 		best, bestShares := -1, false
-		for i := range sets {
+		for i := range ops {
 			if used[i] {
 				continue
 			}
 			shares := false
-			for _, v := range sets[i].vars {
-				if _, ok := curIdx[v]; ok {
+			for _, v := range ops[i].vars() {
+				if varPos(cur.vars, v) >= 0 {
 					shares = true
 					break
 				}
 			}
 			if best < 0 || (shares && !bestShares) ||
-				(shares == bestShares && len(sets[i].rows) < len(sets[best].rows)) {
+				(shares == bestShares && ops[i].size < ops[best].size) {
 				best, bestShares = i, shares
 			}
 		}
 		used[best] = true
-		if cur, err = x.join(cur, sets[best]); err != nil {
+		if cur, err = x.joinOperand(cur, &ops[best]); err != nil {
 			return nil, err
 		}
 		if cur, err = applyCovered(cur); err != nil {
@@ -461,25 +663,36 @@ func (n *nConj) exec(x *exec) (*bset, error) {
 	return x.project(cur, proj, n.out), nil
 }
 
+// termCol resolves a covered term against a binding set's variables:
+// a variable's column, or -1 and a constant's value.
+func termCol(t logic.Term, vars []logic.Var) (int, value.V) {
+	switch u := t.(type) {
+	case logic.Const:
+		return -1, value.V(u)
+	case logic.Var:
+		return varPos(vars, u), ""
+	}
+	panic(fmt.Sprintf("plan: unknown term %T", t))
+}
+
 // applyFilter restricts cur by a covered filter.
 func (x *exec) applyFilter(cur *bset, f *filter) (*bset, error) {
-	idx := varIndex(cur.vars)
-	valOf := func(t logic.Term, row value.Tuple) value.V {
-		switch u := t.(type) {
-		case logic.Const:
-			return value.V(u)
-		case logic.Var:
-			return row[idx[u]]
-		}
-		panic(fmt.Sprintf("plan: unknown term %T", f.l))
-	}
 	switch f.kind {
 	case fEq, fNeq:
 		want := f.kind == fEq
+		lc, lv := termCol(f.l, cur.vars)
+		rc, rv := termCol(f.r, cur.vars)
 		out := newBset(cur.vars)
 		for _, row := range cur.rows {
-			if (valOf(f.l, row) == valOf(f.r, row)) == want {
-				out.add(x, row)
+			l, r := lv, rv
+			if lc >= 0 {
+				l = row[lc]
+			}
+			if rc >= 0 {
+				r = row[rc]
+			}
+			if (l == r) == want {
+				out.rows = append(out.rows, row)
 			}
 		}
 		return out, nil
@@ -497,7 +710,7 @@ func (x *exec) applyFilter(cur *bset, f *filter) (*bset, error) {
 		}
 		cols := make([]int, len(sub.vars))
 		for i, v := range sub.vars {
-			cols[i] = idx[v]
+			cols[i] = varPos(cur.vars, v)
 		}
 		out := newBset(cur.vars)
 		probe := make(value.Tuple, len(cols))
@@ -505,8 +718,8 @@ func (x *exec) applyFilter(cur *bset, f *filter) (*bset, error) {
 			for i, c := range cols {
 				probe[i] = row[c]
 			}
-			if _, hit := sub.keys[x.key(probe)]; !hit {
-				out.add(x, row)
+			if !sub.has(x, probe) {
+				out.rows = append(out.rows, row)
 			}
 		}
 		return out, nil
@@ -520,14 +733,9 @@ func (x *exec) applyFilter(cur *bset, f *filter) (*bset, error) {
 // then applies the filter.
 func (x *exec) coverEq(cur *bset, f *filter) (*bset, error) {
 	for {
-		idx := varIndex(cur.vars)
 		isBound := func(t logic.Term) bool {
 			v, isVar := t.(logic.Var)
-			if !isVar {
-				return true
-			}
-			_, ok := idx[v]
-			return ok
+			return !isVar || varPos(cur.vars, v) >= 0
 		}
 		lb, rb := isBound(f.l), isBound(f.r)
 		if lb && rb {
@@ -545,18 +753,16 @@ func (x *exec) coverEq(cur *bset, f *filter) (*bset, error) {
 			outVars = append(outVars, cur.vars...)
 			outVars = append(outVars, uv)
 			out := newBset(outVars)
+			sc, sv := termCol(src, cur.vars)
 			for _, row := range cur.rows {
-				var v value.V
-				switch u := src.(type) {
-				case logic.Const:
-					v = value.V(u)
-				case logic.Var:
-					v = row[idx[u]]
+				v := sv
+				if sc >= 0 {
+					v = row[sc]
 				}
 				nr := make(value.Tuple, 0, len(row)+1)
 				nr = append(nr, row...)
 				nr = append(nr, v)
-				out.add(x, nr)
+				out.rows = append(out.rows, nr)
 			}
 			cur = out
 			continue
@@ -657,7 +863,7 @@ func (n *nProject) exec(x *exec) (*bset, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n.vacuous && len(x.adom) == 0 {
+	if n.vacuous && len(x.domain()) == 0 {
 		return newBset(n.out), nil
 	}
 	return x.project(b, n.cols, n.out), nil
@@ -752,6 +958,9 @@ func (n *nFixpoint) vars() []logic.Var { return n.apply.out }
 
 func (n *nFixpoint) exec(x *exec) (*bset, error) {
 	stage := relation.New(len(n.fvars))
+	if x.overlay == nil {
+		x.overlay = make(map[string]*relation.Relation)
+	}
 	saved, had := x.overlay[n.rel]
 	x.overlay[n.rel] = stage
 	defer func() {

@@ -9,18 +9,21 @@
 //     forall, fixpoint) with every variable layout — scan output
 //     order, duplicate-variable checks, union alignments, head
 //     projections — resolved at compile time;
-//   - conjunctions evaluate their positive conjuncts and then hash-join
-//     them greedily by actual cardinality (smallest first, preferring
-//     joinable pairs over cross products), applying (in)equality and
-//     negation conjuncts as filters on the bound prefix the moment
-//     their variables are covered instead of materializing |adom|²
-//     binding sets;
+//   - conjunctions join their positive conjuncts greedily by
+//     cardinality (smallest first, preferring joinable pairs over
+//     cross products): an atom sharing a variable with a smaller bound
+//     prefix is joined by probing the relation's column index once per
+//     prefix row, anything else is scanned and hash-joined; (in)equality
+//     and negation conjuncts apply as filters on the bound prefix the
+//     moment their variables are covered instead of materializing
+//     |adom|² binding sets;
 //   - fixpoint bodies are compiled once and re-executed per iteration
 //     against the growing stage relation;
-//   - the executor interns data values to dense ids per evaluation, so
-//     join keys and deduplication sets hash 4-byte packed ids instead
-//     of length-prefixed strings, and scans with constant arguments go
-//     through the relation layer's secondary column indexes.
+//   - operators whose rows are distinct by construction skip hashing:
+//     only projections and unions deduplicate, interning data values
+//     to dense ids so keys are 4-byte packed ids instead of
+//     length-prefixed strings, and the active domain is computed only
+//     when an operator reads it.
 //
 // Plans run behind eval.EvalQuery (cached per query) and eval.Eval
 // (compiled per call). The other evaluator, eval.EvalQueryNaive, is
@@ -104,13 +107,7 @@ func (p *Plan) Eval(env Env) (*relation.Relation, error) {
 	if err := ctl.Canceled(); err != nil {
 		return nil, err
 	}
-	x := &exec{
-		env:     env,
-		ctl:     ctl,
-		adom:    env.Domain(p.consts),
-		overlay: make(map[string]*relation.Relation),
-		in:      value.NewInterner(),
-	}
+	x := &exec{env: env, ctl: ctl, consts: p.consts}
 	b, err := p.root.exec(x)
 	if err != nil {
 		return nil, err
@@ -301,6 +298,7 @@ func compileScan(a *logic.Atom) (*nScan, error) {
 			return nil, fmt.Errorf("plan: unknown term %T in atom %s", t, a)
 		}
 	}
+	s.whole = len(s.varFirst) == len(a.Args)
 	return s, nil
 }
 

@@ -2,6 +2,8 @@ package plan_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -29,6 +31,19 @@ func graphInstance() *relation.Instance {
 	inst.Add("E", "a", "a")
 	inst.Add("E", "c", "d")
 	return inst
+}
+
+// regEnv is the graph instance with the extra relations a rule query
+// sees at a node: a unary register Reg, a binary register Reg2 and a
+// ternary T, sized so that conjunctions over them exercise both the
+// index-probe and the hash-join paths of nConj.
+func regEnv() *eval.Env {
+	return eval.NewEnv(graphInstance()).
+		WithRelation("Reg", relation.FromRows([]string{"a"}, []string{"c"})).
+		WithRelation("Reg2", relation.FromRows([]string{"a", "c"}, []string{"c", "d"}, []string{"b", "b"})).
+		WithRelation("T", relation.FromRows(
+			[]string{"a", "b", "c"}, []string{"a", "c", "c"}, []string{"c", "a", "b"},
+			[]string{"c", "b", "c"}, []string{"b", "a", "a"}))
 }
 
 func emptyInstance() *relation.Instance {
@@ -121,10 +136,27 @@ func TestPlanDifferential(t *testing.T) {
 		{"fixpoint-const", logic.MustQuery(vs("y"), nil, tcFix("S", x(), y(), logic.Const("a"), y()))},
 		{"fixpoint-neg", logic.MustQuery(vs("x"), vs("y"),
 			logic.Conj(logic.R("A", x()), &logic.Not{F: tcFix("S", x(), y(), x(), y())}))},
+		// Index-probe joins: in the reg env, the register drives lookups
+		// into the larger relation's column index.
+		{"probe-reg", logic.MustQuery(vs("x"), vs("y"),
+			logic.Conj(logic.R("Reg", y()), logic.R("E", y(), x())))},
+		{"probe-two-shared", logic.MustQuery(vs("x", "y"), nil,
+			logic.Conj(logic.R("Reg2", x(), y()), logic.R("E", y(), x())))},
+		{"probe-dup-var", logic.MustQuery(vs("x"), nil,
+			logic.Conj(logic.R("Reg", x()), logic.R("E", x(), x())))},
+		{"probe-const", logic.MustQuery(vs("x"), vs("y"),
+			logic.Conj(logic.R("Reg", x()), logic.R("T", x(), y(), logic.Const("c"))))},
+		{"probe-empty-bucket", logic.MustQuery(vs("x"), vs("y", "z"),
+			logic.Conj(logic.R("Reg2", x(), y()), logic.R("E", y(), z())))},
+		{"probe-overlay", logic.MustQuery(vs("x"), nil,
+			&logic.Exists{Bound: vs("y"), F: logic.Conj(logic.R("Reg", y()), tcFix("S", y(), x(), y(), x()))})},
+		{"probe-then-hash", logic.MustQuery(vs("x"), vs("y"),
+			logic.Conj(logic.R("Reg", x()), logic.R("E", x(), y()), logic.R("A", y())))},
 	}
 	envs := map[string]*eval.Env{
 		"graph": eval.NewEnv(graphInstance()),
 		"empty": eval.NewEnv(emptyInstance()),
+		"reg":   regEnv(),
 	}
 	for _, tc := range cases {
 		for ename, env := range envs {
@@ -190,6 +222,72 @@ func TestPlanCancellation(t *testing.T) {
 	}
 	if _, err := p.Eval(env); err == nil {
 		t.Fatal("canceled context should abort evaluation")
+	}
+
+	// A probe join ticks per examined tuple, not per driver row: one
+	// register row hitting a 5,000-tuple bucket must still notice a
+	// cancellation that lands after evaluation started.
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	inst := relation.NewInstance(relation.NewSchema().MustDeclare("R", 2))
+	for i := 0; i < 5000; i++ {
+		inst.Add("R", "hub", fmt.Sprintf("v%d", i))
+	}
+	base := eval.NewEnv(inst).WithRelation("Reg", relation.FromRows([]string{"hub"})).
+		WithControl(runctl.New(ctx, runctl.Limits{}))
+	q = logic.MustQuery(vs("x"), nil,
+		&logic.Exists{Bound: vs("y"), F: logic.Conj(logic.R("Reg", y()), logic.R("R", y(), x()))})
+	if p, err = plan.Compile(q); err != nil {
+		t.Fatal(err)
+	}
+	_, err = p.Eval(cancelOnLookup{Env: base, cancel: cancel})
+	var ce *runctl.ErrCanceled
+	if !errors.As(err, &ce) {
+		t.Fatalf("probe over a 5,000-tuple bucket after cancellation: err = %v, want *runctl.ErrCanceled", err)
+	}
+}
+
+// cancelOnLookup cancels its context on the first relation lookup, so
+// the cancellation lands after Plan.Eval's up-front check.
+type cancelOnLookup struct {
+	*eval.Env
+	cancel context.CancelFunc
+}
+
+func (e cancelOnLookup) Lookup(name string) (*relation.Relation, bool) {
+	e.cancel()
+	return e.Env.Lookup(name)
+}
+
+// TestProbeAllocsIndependentOfRelation: a register-driven rule query
+// probes the base relation's column index instead of scanning it, so
+// once the index exists its allocations do not grow with the relation.
+func TestProbeAllocsIndependentOfRelation(t *testing.T) {
+	inst := relation.NewInstance(relation.NewSchema().MustDeclare("R", 2))
+	for i := 0; i < 5000; i++ {
+		inst.Add("R", fmt.Sprintf("v%d", i), fmt.Sprintf("v%d", i+1))
+	}
+	env := eval.NewEnv(inst).WithRelation("Reg", relation.FromRows([]string{"v42"}))
+	q := logic.MustQuery(vs("x"), nil,
+		&logic.Exists{Bound: vs("y"), F: logic.Conj(logic.R("Reg", y()), logic.R("R", y(), x()))})
+	p, err := plan.Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.Eval(env) // warm-up: builds R's column index
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := relation.FromRows([]string{"v43"}); !got.Equal(want) {
+		t.Fatalf("got %s, want %s", got, want)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := p.Eval(env); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 100 {
+		t.Fatalf("Eval allocated %.0f objects for a 1-row probe into a 5,000-tuple relation", allocs)
 	}
 }
 

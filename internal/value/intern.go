@@ -19,7 +19,7 @@ type Interner struct {
 
 // NewInterner returns an empty interner.
 func NewInterner() *Interner {
-	return &Interner{ids: make(map[V]uint32, 64)}
+	return &Interner{ids: make(map[V]uint32)}
 }
 
 // ID returns the dense id of v, assigning the next free id on first
