@@ -25,7 +25,10 @@ import (
 //   - one Memo serves evaluations over ONE immutable database instance
 //     (in pt, the memo is per-run and dropped with the run);
 //   - cached relations are returned by reference and must be treated as
-//     immutable by every caller;
+//     immutable by every caller, and so must everything derived and
+//     cached on them: pt regroups a hit through
+//     relation.GroupByPrefix, so every hit hands out the same child
+//     register objects;
 //   - failed evaluations are never stored (see EvalQueryMemo), so a
 //     canceled, budget-exhausted or fault-injected run cannot poison
 //     the cache for concurrently running siblings.
@@ -51,8 +54,9 @@ type Memo struct {
 }
 
 // DefaultMemoSize bounds a memo when the caller passes a non-positive
-// capacity. 64k entries keeps memory proportional to the number of
-// distinct (query, register) configurations, never to tree size.
+// capacity. The bound is not preallocated: a memo's memory is
+// proportional to the distinct (query, register) configurations it
+// has stored (at most 64k), never to tree size.
 const DefaultMemoSize = 1 << 16
 
 // NewMemo returns a memo holding at most capacity results (capacity ≤ 0

@@ -3,7 +3,8 @@
 // the subtree cache of internal/pt. Bounding by entry count keeps cache
 // memory proportional to the number of distinct configurations a run
 // visits, never to the (possibly doubly-exponential) size of the tree
-// being generated.
+// being generated. Nothing is preallocated: the map grows with the
+// entries actually stored, so a large capacity is only a bound.
 //
 // A Cache is NOT safe for concurrent use; callers that share one across
 // goroutines wrap it in their own mutex (both memo layers do).
@@ -34,7 +35,7 @@ func New[V any](capacity int, onEvict func(key string, v V)) *Cache[V] {
 	return &Cache[V]{
 		capacity: capacity,
 		onEvict:  onEvict,
-		entries:  make(map[string]*entry[V], capacity),
+		entries:  make(map[string]*entry[V]),
 	}
 }
 

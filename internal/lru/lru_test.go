@@ -113,3 +113,18 @@ func TestRemoveIf(t *testing.T) {
 		t.Fatal("cache unusable after full RemoveIf")
 	}
 }
+
+// TestNewDoesNotPreallocate: capacity is a bound, not a reservation —
+// a fresh cache with a 64k bound must cost a few hundred bytes, not a
+// 64k-slot map.
+func TestNewDoesNotPreallocate(t *testing.T) {
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			New[int](1<<16, nil)
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 4<<10 {
+		t.Errorf("New(1<<16) allocates %d B, want < 4 KiB", got)
+	}
+}

@@ -6,12 +6,15 @@
 package pt_test
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"ptx/internal/eval"
 	"ptx/internal/families"
 	"ptx/internal/parser"
 	"ptx/internal/pt"
@@ -100,31 +103,9 @@ func TestCacheEquivalenceFamilies(t *testing.T) {
 // TestCacheEquivalenceSpecs runs every checked-in example spec through
 // all cache modes and demands byte-identical XML.
 func TestCacheEquivalenceSpecs(t *testing.T) {
-	dir := filepath.Join("..", "..", "examples", "specs")
-	specs, err := filepath.Glob(filepath.Join(dir, "*.pt"))
-	if err != nil || len(specs) == 0 {
-		t.Skipf("no example specs found in %s", dir)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "registrar.db"))
-	if err != nil {
-		t.Skipf("no registrar.db: %v", err)
-	}
-	for _, path := range specs {
-		path := path
-		t.Run(filepath.Base(path), func(t *testing.T) {
-			src, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr, err := parser.ParseTransducer(string(src))
-			if err != nil {
-				t.Fatal(err)
-			}
-			inst, err := parser.ParseInstance(string(data), tr.Schema)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f := fixture{name: filepath.Base(path), tr: tr, inst: inst}
+	for _, f := range specFixtures(t) {
+		f := f
+		t.Run(f.name, func(t *testing.T) {
 			base, _ := output(t, f, pt.Options{})
 			for _, mode := range allModes[1:] {
 				for _, workers := range []int{1, 4} {
@@ -233,6 +214,133 @@ func TestCacheTinyCapacityStillCorrect(t *testing.T) {
 		}
 		if stats.CacheEvictions == 0 {
 			t.Errorf("cache=%v size=2: expected evictions, got stats %+v", mode, stats)
+		}
+	}
+}
+
+// specFixtures loads every checked-in example spec over registrar.db.
+func specFixtures(t *testing.T) []fixture {
+	t.Helper()
+	dir := filepath.Join("..", "..", "examples", "specs")
+	specs, err := filepath.Glob(filepath.Join(dir, "*.pt"))
+	if err != nil || len(specs) == 0 {
+		t.Skipf("no example specs found in %s", dir)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "registrar.db"))
+	if err != nil {
+		t.Skipf("no registrar.db: %v", err)
+	}
+	var out []fixture
+	for _, path := range specs {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := parser.ParseTransducer(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := parser.ParseInstance(string(data), tr.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, fixture{name: filepath.Base(path), tr: tr, inst: inst})
+	}
+	return out
+}
+
+// TestCacheEquivalenceWarmMemo is the warm arm: the second of two runs
+// sharing one query memo answers every rule query from it, so every
+// child register comes from a cached grouping shared with the first
+// run's tree. It must still match the cache-off baseline exactly.
+func TestCacheEquivalenceWarmMemo(t *testing.T) {
+	for _, f := range append(familyFixtures(), specFixtures(t)...) {
+		f := f
+		t.Run(f.name, func(t *testing.T) {
+			t.Parallel()
+			base, baseStats := output(t, f, pt.Options{})
+			for _, workers := range []int{1, 4} {
+				memo := eval.NewMemo(0)
+				opts := pt.Options{Cache: pt.CacheQueries, Memo: memo, Workers: workers}
+				output(t, f, opts)
+				got, stats := output(t, f, opts)
+				if got != base {
+					t.Errorf("warm workers=%d: output differs from cache-off baseline", workers)
+				}
+				if stats.Nodes != baseStats.Nodes || stats.MaxDepth != baseStats.MaxDepth ||
+					stats.StopsApplied != baseStats.StopsApplied {
+					t.Errorf("warm workers=%d: logical stats differ: got %+v want %+v",
+						workers, stats, baseStats)
+				}
+				if stats.QueriesRun != 0 {
+					t.Errorf("warm workers=%d: %d queries evaluated, want 0", workers, stats.QueriesRun)
+				}
+			}
+		})
+	}
+}
+
+// siblingSpec reaches one configuration X = (q, x, {(t)}) under each of
+// two sibling subtrees. X descends (it branches into y and z), so the
+// first sibling pushes it onto the ancestor path; the path must pop it
+// again, or the second sibling would wrongly stop on a configuration
+// that is not its ancestor. The a-nodes reach X by a single-child chain
+// step, X itself is a branching node: both push paths are exercised.
+const siblingSpec = `
+schema S/1, T/1
+transducer sib root r start q0
+tag a/1, x/1, y/1, z/1
+rule q0 r -> (q, a, [v;] S(v))
+rule q a -> (q, x, [u;] T(u))
+rule q x -> (q, y, [u;] Reg(u)), (q, z, [u;] Reg(u))
+`
+
+// TestSiblingsReachSameConfiguration: both siblings expand X in full,
+// in every cache mode and worker count, cold and warm, and StepRun
+// agrees.
+func TestSiblingsReachSameConfiguration(t *testing.T) {
+	tr, err := parser.ParseTransducer(siblingSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := relation.NewInstance(tr.Schema)
+	inst.Add("S", "s1")
+	inst.Add("S", "s2")
+	inst.Add("T", "t")
+	f := fixture{name: "siblings", tr: tr, inst: inst}
+
+	base, baseStats := output(t, f, pt.Options{})
+	// r, two a, two x, and y and z under each x.
+	if baseStats.Nodes != 9 || baseStats.StopsApplied != 0 || strings.Count(base, "<y") != 2 {
+		t.Fatalf("cache-off run stopped on a sibling's configuration: %+v\n%s", baseStats, base)
+	}
+	sr, err := tr.NewStepRun(context.Background(), inst, pt.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sr.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := res.Xi.Clone().Strip()
+	step.SpliceVirtual(tr.Virtual)
+	if step.XML() != base || res.Stats.Nodes != baseStats.Nodes || res.Stats.StopsApplied != 0 {
+		t.Fatalf("StepRun disagrees with Run: %+v\n%s\nwant\n%s", res.Stats, step.XML(), base)
+	}
+
+	for _, mode := range allModes {
+		for _, workers := range []int{1, 4} {
+			opts := pt.Options{Cache: mode, Workers: workers}
+			if mode != pt.CacheOff {
+				opts.Memo = eval.NewMemo(0)
+			}
+			for _, pass := range []string{"cold", "warm"} {
+				got, stats := output(t, f, opts)
+				if got != base || stats.Nodes != baseStats.Nodes || stats.StopsApplied != 0 {
+					t.Errorf("cache=%v workers=%d %s: got %+v\n%s\nwant\n%s",
+						mode, workers, pass, stats, got, base)
+				}
+			}
 		}
 	}
 }

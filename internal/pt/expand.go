@@ -5,7 +5,6 @@ import (
 
 	"ptx/internal/eval"
 	"ptx/internal/relation"
-	"ptx/internal/value"
 )
 
 // ChildSpec is one ordered child a configuration generates: the exact
@@ -30,7 +29,7 @@ func (t *Transducer) ExpandConfig(state, tag string, reg *relation.Relation, bas
 	if !ok || len(rule.Items) == 0 {
 		return nil, 0, nil
 	}
-	env := base.WithRelation(RegRel, reg)
+	var env *eval.Env // built on the first memo miss
 	var regFP string
 	if memo != nil {
 		regFP = reg.Key()
@@ -49,6 +48,9 @@ func (t *Transducer) ExpandConfig(state, tag string, reg *relation.Relation, bas
 				return nil, queries, err
 			}
 			queries++
+			if env == nil {
+				env = base.WithRelation(RegRel, reg)
+			}
 			rel, err := eval.EvalQuery(it.Query, env)
 			if err != nil {
 				return nil, queries, fmt.Errorf("pt %s: rule (%s,%s) item (%s,%s): %w",
@@ -76,10 +78,9 @@ func (t *Transducer) ExpandConfig(state, tag string, reg *relation.Relation, bas
 
 // groupByPrefix splits a query result (columns x̄·ȳ) into the groups
 // S_1,…,S_m of the paper: one group per distinct x̄-prefix d̄, each
-// holding {d̄}×{ē | φ(d̄,ē)}, ordered by d̄ in the domain order.
-//
-// With k = 0 (|x̄| = 0) the whole nonempty result is a single group;
-// with k = arity (|ȳ| = 0) every group is a singleton tuple.
+// holding {d̄}×{ē | φ(d̄,ē)}, ordered by d̄ in the domain order (see
+// relation.GroupByPrefix, which caches the grouping on the result, so
+// a memoized result yields the same child registers at every hit).
 //
 // k > result.Arity() — a grouping prefix wider than the tuples it would
 // be sliced from — returns a *GroupArityError. Transducer.Validate
@@ -91,33 +92,5 @@ func groupByPrefix(result *relation.Relation, k int) ([]*relation.Relation, erro
 	if k > result.Arity() {
 		return nil, &GroupArityError{GroupVars: k, Arity: result.Arity()}
 	}
-	if result.Empty() {
-		return nil, nil
-	}
-	if k == 0 {
-		return []*relation.Relation{result}, nil
-	}
-	// Each iterates in value.CompareTuples order, a lexicographic total
-	// order, so tuples sharing a k-prefix are adjacent and the prefixes
-	// arrive in domain order: a group ends where the prefix changes.
-	var out []*relation.Relation
-	var prev value.Tuple
-	result.Each(func(t value.Tuple) bool {
-		if len(out) == 0 || !samePrefix(prev, t, k) {
-			out = append(out, relation.New(result.Arity()))
-		}
-		out[len(out)-1].Add(t)
-		prev = t
-		return true
-	})
-	return out, nil
-}
-
-func samePrefix(a, b value.Tuple, k int) bool {
-	for i := 0; i < k; i++ {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return result.GroupByPrefix(k), nil
 }

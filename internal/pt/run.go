@@ -3,6 +3,7 @@ package pt
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -43,7 +44,8 @@ type Options struct {
 	// Cache selects the memoization level (see CacheMode). The zero
 	// value CacheOff preserves the historical behavior exactly. With
 	// CacheQueries and above, register relations in ξ may be shared
-	// between nodes and must be treated as immutable; with
+	// between nodes (and, through a shared Memo, between runs) and must
+	// be treated as immutable; with
 	// CacheSubtrees, ξ itself may be a DAG (shared subtrees) — Output
 	// preserves the sharing (and the streaming writers serialize the
 	// unfolding without materializing it), but callers walking
@@ -246,12 +248,11 @@ func (t *Transducer) RunContext(ctx context.Context, inst *relation.Instance, op
 		r.sem = make(chan struct{}, opts.Workers)
 	}
 	root := &xmltree.Node{Tag: t.RootTag, State: t.Start, Reg: relation.New(0)}
-	ancestors := map[string]bool{}
 	var rootDeps *subdeps
 	if mode == CacheSubtrees {
 		rootDeps = &subdeps{}
 	}
-	if err := r.expand(root, ancestors, true, 1, rootDeps); err != nil {
+	if err := r.expand(root, map[string]bool{}, 1, rootDeps); err != nil {
 		return nil, r.cause(err)
 	}
 	tree := &xmltree.Tree{Root: root}
@@ -340,21 +341,20 @@ func (t *Transducer) OutputRelationContext(ctx context.Context, inst *relation.I
 // expand realizes the step relation ⇒ repeatedly below node n, whose
 // (State, Tag, Reg) describe its current (q, a) labeling and register.
 // ancestors maps ancKey → true for every proper ancestor configuration
-// on the path from the root (the stop condition of Section 3). own
-// reports whether this call is the sole referent of the ancestors map
-// and may therefore extend it in place; when false the map may be
-// shared with siblings (or a concurrent worker) and is copied before
-// the first extension.
+// on the path from the root (the stop condition of Section 3). It is
+// the CURRENT PATH: expand pushes each configuration that descends and
+// pops it again when that subtree is done, on every return path, so
+// the caller's map is exactly as it was on return. One map serves a
+// whole sequential run; only a child handed to a new goroutine gets a
+// clone (see the parallel step).
 //
 // Single-child steps — the shape of the exponentially deep chains that
 // Proposition 1(4) licenses — are a LOOP, not a recursion: the node is
 // finalized, its configuration is pushed on a spine of pending
-// cache-insertions, and expansion descends in place. Combined with the
-// in-place ancestor extension this makes a depth-d chain cost O(d)
-// total (the recursive formulation paid O(d) stack frames and O(d²)
-// ancestor-map copying). Branching nodes still recurse per child, so
-// the Go stack depth is bounded by the number of BRANCHING ancestors,
-// not by tree depth.
+// cache-insertions, and expansion descends in place. With the path set
+// pushed and popped in place this makes a depth-d chain cost O(d)
+// total. Branching nodes still recurse per child, so the Go stack depth
+// is bounded by the number of BRANCHING ancestors, not by tree depth.
 //
 // dp, non-nil exactly in CacheSubtrees mode, is the caller's dependency
 // accumulator: this call merges into it the summary (logical size,
@@ -365,11 +365,13 @@ func (t *Transducer) OutputRelationContext(ctx context.Context, inst *relation.I
 // the run context canceled and abandon their subtrees; nothing is ever
 // inserted into a cache on an error path (the pending spine is dropped
 // on error for the same reason).
-func (r *runner) expand(n *xmltree.Node, ancestors map[string]bool, own bool, depth int, dp *subdeps) error {
-	// spine records single-child ancestors of the current node whose
-	// finish (subtree-cache insertion + summary promotion) is pending
-	// until their chain bottoms out; unwound deepest-first so each
-	// node's summary reaches its parent's accumulator.
+func (r *runner) expand(n *xmltree.Node, ancestors map[string]bool, depth int, dp *subdeps) error {
+	// spine records the ancestors this call pushed onto the path, in
+	// push order: the single-child chain and, last, a branching node.
+	// Their finish (subtree-cache insertion + summary promotion) is
+	// pending until the subtree below bottoms out; unwound
+	// deepest-first so each node's summary reaches its parent's
+	// accumulator.
 	type pendingFinish struct {
 		n   *xmltree.Node
 		key string
@@ -377,6 +379,11 @@ func (r *runner) expand(n *xmltree.Node, ancestors map[string]bool, own bool, de
 		dp  *subdeps
 	}
 	var spine []pendingFinish
+	defer func() {
+		for _, p := range spine {
+			delete(ancestors, p.key)
+		}
+	}()
 	unwind := func() error {
 		for i := len(spine) - 1; i >= 0; i-- {
 			p := spine[i]
@@ -444,9 +451,12 @@ func (r *runner) expand(n *xmltree.Node, ancestors map[string]bool, own bool, de
 			return r.fail(err)
 		}
 
+		// One allocation for all the children, not one per child.
+		slab := make([]xmltree.Node, len(specs))
 		n.Children = make([]*xmltree.Node, len(specs))
 		for i, s := range specs {
-			n.Children[i] = &xmltree.Node{Tag: s.Tag, State: s.State, Reg: s.Reg}
+			slab[i] = xmltree.Node{Tag: s.Tag, State: s.State, Reg: s.Reg}
+			n.Children[i] = &slab[i]
 		}
 		n.State = ""
 
@@ -457,55 +467,37 @@ func (r *runner) expand(n *xmltree.Node, ancestors map[string]bool, own bool, de
 			cd = &subdeps{}
 		}
 
+		// n descends: push its configuration onto the path. The deferred
+		// pop and the unwind both read it from the spine.
+		ancestors[key] = true
+		spine = append(spine, pendingFinish{n: n, key: key, cd: cd, dp: dp})
+
 		if len(n.Children) == 1 {
-			// Tail step: extend the ancestor set (in place when owned —
-			// nothing else will read this map once the chain is done)
-			// and descend without growing the Go stack.
-			if !own {
-				m := make(map[string]bool, len(ancestors)+1)
-				for k := range ancestors {
-					m[k] = true
-				}
-				ancestors = m
-				own = true
-			}
-			ancestors[key] = true
-			spine = append(spine, pendingFinish{n: n, key: key, cd: cd, dp: dp})
+			// Tail step: descend without growing the Go stack.
 			n = n.Children[0]
 			dp = cd
 			depth++
 			continue
 		}
 
-		// Branching step: one extended copy of the ancestor set, shared
-		// read-only by all children (each child copies again on its own
-		// first extension — copy-on-write keeps sibling subtrees
-		// independent, which the parallel path relies on).
-		childAnc := make(map[string]bool, len(ancestors)+1)
-		for k := range ancestors {
-			childAnc[k] = true
-		}
-		childAnc[key] = true
-
 		if r.sem == nil {
 			for _, c := range n.Children {
-				if err := r.expand(c, childAnc, false, depth+1, cd); err != nil {
+				if err := r.expand(c, ancestors, depth+1, cd); err != nil {
 					return err
 				}
-			}
-			if err := r.finish(n, key, cd, dp); err != nil {
-				return err
 			}
 			return unwind()
 		}
 
-		// Parallel expansion of independent subtrees. Each worker
-		// contains its own panics (a panic in a bare goroutine would
-		// kill the whole process) and the first failing child cancels
-		// the run context, so its siblings stop at their next checkpoint
-		// instead of expanding to completion. Each child records
-		// dependencies into its own accumulator; they are merged after
-		// the barrier.
+		// Parallel expansion of independent subtrees. A child handed to
+		// a new goroutine gets its own clone of the path (this call
+		// keeps pushing and popping the shared map for the children it
+		// expands inline). Each worker contains its own panics (a panic
+		// in a bare goroutine would kill the whole process) and the
+		// first failing child cancels the run context, so its siblings
+		// stop at their next checkpoint instead of expanding to
+		// completion. Each child records dependencies into its own
+		// accumulator; they are merged after the barrier.
 		errs := make([]error, len(n.Children))
 		var deps []*subdeps
 		if cd != nil {
@@ -525,13 +517,13 @@ func (r *runner) expand(n *xmltree.Node, ancestors map[string]bool, own bool, de
 			select {
 			case r.sem <- struct{}{}:
 				wg.Add(1)
-				go func(i int, c *xmltree.Node) {
+				go func(i int, c *xmltree.Node, anc map[string]bool) {
 					defer wg.Done()
 					defer func() { <-r.sem }()
-					errs[i] = r.safeExpand(c, childAnc, depth+1, childDeps(i))
-				}(i, c)
+					errs[i] = r.safeExpand(c, anc, depth+1, childDeps(i))
+				}(i, c, maps.Clone(ancestors))
 			default:
-				errs[i] = r.safeExpand(c, childAnc, depth+1, childDeps(i))
+				errs[i] = r.safeExpand(c, ancestors, depth+1, childDeps(i))
 			}
 		}
 		wg.Wait()
@@ -542,9 +534,6 @@ func (r *runner) expand(n *xmltree.Node, ancestors map[string]bool, own bool, de
 		}
 		for _, d := range deps {
 			cd.merge(d)
-		}
-		if err := r.finish(n, key, cd, dp); err != nil {
-			return err
 		}
 		return unwind()
 	}
@@ -582,5 +571,5 @@ func (r *runner) safeExpand(n *xmltree.Node, ancestors map[string]bool, depth in
 				fmt.Sprintf("pt %s: expand (%s,%s)", r.t.Name, n.State, n.Tag), p))
 		}
 	}()
-	return r.expand(n, ancestors, false, depth, dp)
+	return r.expand(n, ancestors, depth, dp)
 }

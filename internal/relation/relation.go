@@ -19,13 +19,13 @@ import (
 
 // Relation is a finite set of tuples of a fixed arity.
 //
-// Alongside the tuple store the relation maintains four lazily built,
+// Alongside the tuple store the relation maintains five lazily built,
 // mutation-invalidated acceleration structures: the canonical
 // fingerprint (Key), the canonical sorted order (Sorted/Tuples/Each),
-// the active domain (ActiveDomain) and a columnar copy of the sorted
-// order (Columns). They are atomic so that concurrent READERS (e.g.
-// parallel transducer workers evaluating over a shared register) are
-// race-free; mutation is not concurrency-safe, as for the rest of the
+// the active domain (ActiveDomain), a columnar copy of the sorted
+// order (Columns) and the prefix grouping (GroupByPrefix). They are
+// atomic so that concurrent READERS (e.g. parallel transducer workers
+// evaluating over a shared register) are race-free; mutation is not concurrency-safe, as for the rest of the
 // type. Secondary column→tuples indexes (Lookup) follow the same
 // contract and are maintained incrementally by every mutator,
 // including deltas applied through Instance.Apply.
@@ -43,6 +43,8 @@ type Relation struct {
 	adom atomic.Pointer[[]value.V]
 	// cols caches the columnar layout of the sorted order.
 	cols atomic.Pointer[[][]value.V]
+	// groups caches the last GroupByPrefix result.
+	groups atomic.Pointer[grouping]
 	// idx holds the per-column secondary indexes that have been built
 	// (nil slots = column not indexed yet). Readers build missing
 	// columns copy-on-write and publish with CompareAndSwap; mutators
@@ -56,6 +58,13 @@ type colIndex struct {
 	cols []map[value.V][]value.Tuple
 }
 
+// grouping is one cached GroupByPrefix result: the groups for prefix
+// width k.
+type grouping struct {
+	k      int
+	groups []*Relation
+}
+
 // touch invalidates every derived structure after a mutation except
 // the secondary indexes, which mutators maintain incrementally.
 func (r *Relation) touch() {
@@ -63,6 +72,7 @@ func (r *Relation) touch() {
 	r.sorted.Store(nil)
 	r.adom.Store(nil)
 	r.cols.Store(nil)
+	r.groups.Store(nil)
 }
 
 // New returns an empty relation of the given arity.
@@ -164,7 +174,7 @@ func (r *Relation) indexDelete(t value.Tuple) {
 // the ancestor stop condition and the memoization caches: it deliberately
 // forgets insertion order (registers are SETS — Section 2 of the paper),
 // while sibling order in the output tree is fixed separately by the
-// domain order ≤ on tuples at grouping time (see pt.groupByPrefix).
+// domain order ≤ on tuples at grouping time (see GroupByPrefix).
 // The fingerprint is cached until the next mutation; computing it is
 // O(n log n) in the number of tuples.
 func (r *Relation) Key() string {
@@ -258,6 +268,67 @@ func (r *Relation) Columns() [][]value.V {
 	}
 	r.cols.Store(&out)
 	return out
+}
+
+// GroupByPrefix splits r into one relation per distinct k-column
+// prefix, in the canonical order of the prefixes: each group holds the
+// tuples of r that share its prefix, at r's arity. k = 0 yields [r]
+// itself and an empty relation yields nil; k must not exceed the
+// arity. The result is cached until the next mutation (one prefix
+// width at a time) and shared between callers, groups included: the
+// slice and every group must be treated as immutable. Callers that
+// group the same relation repeatedly — the transducer regrouping a
+// memoized rule-query result — therefore get the same group objects,
+// fingerprints already cached, every time.
+func (r *Relation) GroupByPrefix(k int) []*Relation {
+	if k < 0 || k > r.arity {
+		panic(fmt.Sprintf("relation: group prefix %d out of range for arity %d", k, r.arity))
+	}
+	if len(r.tuples) == 0 {
+		return nil
+	}
+	if g := r.groups.Load(); g != nil && g.k == k {
+		return g.groups
+	}
+	out := []*Relation{r}
+	if k > 0 {
+		out = prefixRuns(r.Sorted(), r.arity, k)
+	}
+	r.groups.Store(&grouping{k: k, groups: out})
+	return out
+}
+
+// prefixRuns splits sorted tuples into one relation per run of equal
+// k-prefixes. The sorted order is lexicographic, so tuples sharing a
+// k-prefix are adjacent and the prefixes arrive in canonical order: a
+// group ends where the prefix changes. Each group's tuples are a run
+// of s, which becomes the group's own sorted cache.
+func prefixRuns(s []value.Tuple, arity, k int) []*Relation {
+	var out []*Relation
+	for i := 0; i < len(s); {
+		j := i + 1
+		for j < len(s) && samePrefix(s[i], s[j], k) {
+			j++
+		}
+		g := &Relation{arity: arity, tuples: make(map[string]value.Tuple, j-i)}
+		for _, t := range s[i:j] {
+			g.tuples[t.Key()] = t
+		}
+		run := s[i:j:j]
+		g.sorted.Store(&run)
+		out = append(out, g)
+		i = j
+	}
+	return out
+}
+
+func samePrefix(a, b value.Tuple, k int) bool {
+	for i := 0; i < k; i++ {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Lookup returns the tuples whose column col equals v, backed by a
