@@ -1,7 +1,9 @@
 package pt
 
 import (
+	"context"
 	"errors"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -188,5 +190,61 @@ func TestGroupByPrefixDistinctSpellings(t *testing.T) {
 	want := []string{"{(01,b)}", "{(1,a),(1,c)}", "{(2,d)}"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("groups = %v, want %v", got, want)
+	}
+}
+
+// combTransducerN builds a comb of depth n on {R1(v)}: every "a" level
+// emits the next "a" plus one "b" leaf, so each level is a branching
+// node and the frontier holds a pending leaf at every depth.
+func combTransducerN(n int) *Transducer {
+	tr := New("comb"+strconv.Itoa(n), unarySchema(), "q0", "r")
+	tr.DeclareTag("a", 1)
+	tr.DeclareTag("b", 1)
+	root := logic.MustQuery([]logic.Var{x}, nil, logic.R("R1", x))
+	step := logic.MustQuery([]logic.Var{x}, nil, logic.R(RegRel, x))
+	tr.AddRule("q0", "r", Item("q1", "a", root))
+	for i := 1; i < n; i++ {
+		tr.AddRule("q"+strconv.Itoa(i), "a", Item("q"+strconv.Itoa(i+1), "a", step), Item("leaf", "b", step))
+	}
+	return tr
+}
+
+// TestStepRunCombLinear: a stepwise run must cost O(1) per node on a
+// comb, as a plain Run does. Copying the ancestor set at every
+// branching node made it O(d) per node, so bytes per node grew with
+// depth.
+func TestStepRunCombLinear(t *testing.T) {
+	inst := chainInstance()
+	perNode := func(n int) float64 {
+		t.Helper()
+		tr := combTransducerN(n)
+		golden, err := tr.Run(inst, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sr, err := tr.NewStepRun(context.Background(), inst, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sr.Run()
+		sr.Close()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats != golden.Stats {
+			t.Fatalf("d=%d: StepRun stats %+v, Run stats %+v", n, res.Stats, golden.Stats)
+		}
+		if got, want := res.Xi.Publish(tr.Virtual).Canonical(), golden.Xi.Publish(tr.Virtual).Canonical(); got != want {
+			t.Fatalf("d=%d: StepRun output differs from Run", n)
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Stats.Nodes)
+	}
+	small, large := perNode(2_000), perNode(8_000)
+	t.Logf("bytes per node: %.0f at d=2000, %.0f at d=8000", small, large)
+	if large > 2*small {
+		t.Errorf("StepRun bytes per node grew %.1f× from d=2000 to d=8000, want ≤ 2×", large/small)
 	}
 }

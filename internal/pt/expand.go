@@ -22,8 +22,8 @@ type ChildSpec struct {
 // charged to base's run controller (cancellation, fault plan, query
 // budget); memo hits are free and charge nothing. A missing or empty
 // rule yields nil specs. The ancestor stop condition, subtree sharing
-// and node accounting are the CALLER's job — RunContext, StepRun and
-// incremental repair all expand configurations through this one step.
+// and node accounting are the run driver's job (driver.step); the only
+// other caller is incremental repair re-deriving a dirty node's specs.
 func (t *Transducer) ExpandConfig(state, tag string, reg *relation.Relation, base *eval.Env, memo *eval.Memo) ([]ChildSpec, int, error) {
 	rule, ok := t.Rule(state, tag)
 	if !ok || len(rule.Items) == 0 {

@@ -3,59 +3,32 @@ package pt
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
-	"ptx/internal/eval"
 	"ptx/internal/relation"
 	"ptx/internal/runctl"
 	"ptx/internal/xmltree"
 )
 
-// StepRun is an explicit-frontier, one-configuration-per-step execution
-// of the τ-transformation, built for checkpointing and resumption: the
-// paper's determinism argument (Proposition 1(1)) makes the frontier of
-// pending (state, tag, register) configurations a complete, restartable
+// StepRun is the run driver stepped by the caller, one configuration
+// per step, built for checkpointing and resumption: the paper's
+// determinism argument (Proposition 1(1)) makes the frontier of pending
+// (state, tag, register) configurations a complete, restartable
 // description of everything left to do, so a snapshot of (partial tree,
 // frontier) taken between steps resumes to the exact tree an
 // uninterrupted run would build.
 //
-// The step discipline is LIFO (document-order DFS), which both keeps
-// ancestor sets shareable the way the recursive expander does and makes
-// the operation numbering deterministic — "interrupt at the k-th step"
-// names the same cut point on every run. Expansion is serial, and the
-// cache mode is capped at CacheQueries: subtree sharing skips per-node
-// work in a way that has no stable per-step numbering. Full-speed
-// parallel/shared runs remain RunContext's job; StepRun trades their
-// throughput for a restartable frontier. The OUTPUT is identical either
+// RunContext drains the same frontier with the same step; the step
+// order is LIFO (document-order DFS), which makes the operation
+// numbering deterministic — "interrupt at the k-th step" names the same
+// cut point on every run. A StepRun is serial, and its cache mode is
+// capped at CacheQueries: subtree sharing skips per-node work in a way
+// that has no stable per-step numbering. The OUTPUT is identical either
 // way (the determinism invariant the cache-equivalence suite pins).
 type StepRun struct {
-	t      *Transducer
-	base   *eval.Env
-	ctl    *runctl.Controller
-	cancel context.CancelFunc
-	mode   CacheMode
-	memo   *eval.Memo
-
-	root     *xmltree.Node
-	frontier []*stepPending
-	observe  func(StepEvent)
-
-	ops      int64
-	queries  int
-	stops    int
-	nodes    int
-	maxDepth int
-}
-
-// stepPending is one frontier entry: an unexpanded node, the set of its
-// proper-ancestor configuration keys, and its depth. own reports that
-// this entry is the map's sole referent and may extend it in place (the
-// same copy-on-write discipline as the recursive expander).
-type stepPending struct {
-	node  *xmltree.Node
-	anc   map[string]bool
-	own   bool
-	depth int
+	d    *driver
+	root *xmltree.Node
+	ops  int64
 }
 
 // PendingConfig is the serializable view of one frontier entry, exposed
@@ -76,9 +49,8 @@ func (t *Transducer) NewStepRun(ctx context.Context, inst *relation.Instance, op
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	root := &xmltree.Node{Tag: t.RootTag, State: t.Start, Reg: relation.New(0)}
-	pending := []PendingConfig{{Node: root, Depth: 1}}
-	return t.restore(ctx, inst, opts, root, pending, Stats{Nodes: 1})
+	root, d := t.newRun(ctx, inst, opts, true).start()
+	return &StepRun{d: d, root: root}, nil
 }
 
 // RestoreStepRun reconstructs a stepwise run from a checkpoint: the
@@ -108,59 +80,19 @@ func (t *Transducer) RestoreStepRun(ctx context.Context, inst *relation.Instance
 			return nil, fmt.Errorf("pt: restore: pending[%d] depth %d < 1", i, p.Depth)
 		}
 	}
-	return t.restore(ctx, inst, opts, root, pending, prior)
-}
-
-func (t *Transducer) restore(ctx context.Context, inst *relation.Instance, opts Options, root *xmltree.Node, pending []PendingConfig, prior Stats) (*StepRun, error) {
-	limits := opts.limits()
-	ctx, cancel := limits.WithTimeout(ctx)
-	ctl := runctl.New(ctx, limits).WithFaults(opts.Faults)
-	mode := opts.Cache
-	if mode > CacheQueries {
-		mode = CacheQueries
-	}
-	s := &StepRun{
-		t:        t,
-		base:     opts.baseEnv(inst, ctl),
-		ctl:      ctl,
-		cancel:   cancel,
-		mode:     mode,
-		root:     root,
-		queries:  prior.QueriesRun,
-		stops:    prior.StopsApplied,
-		nodes:    prior.Nodes,
-		maxDepth: prior.MaxDepth,
-	}
-	if mode >= CacheQueries {
-		if opts.Memo != nil {
-			s.memo = opts.Memo
-		} else {
-			s.memo = eval.NewMemo(opts.CacheSize)
-		}
-	}
-	s.frontier = make([]*stepPending, len(pending))
-	for i, p := range pending {
-		anc := make(map[string]bool, len(p.Ancestors))
-		for _, k := range p.Ancestors {
-			anc[k] = true
-		}
-		s.frontier[i] = &stepPending{node: p.Node, anc: anc, own: true, depth: p.Depth}
-	}
-	return s, nil
+	d := t.newRun(ctx, inst, opts, true).driver(map[string]bool{}, 0)
+	d.seeds = slices.Clone(pending)
+	d.tally = tally{nodes: prior.Nodes, queries: prior.QueriesRun, stops: prior.StopsApplied, maxDepth: prior.MaxDepth}
+	return &StepRun{d: d, root: root}, nil
 }
 
 // Close releases the run's timeout resources. It is safe to call more
 // than once and must be called even after a completed or failed run.
-func (s *StepRun) Close() {
-	if s.cancel != nil {
-		s.cancel()
-		s.cancel = nil
-	}
-}
+func (s *StepRun) Close() { s.d.cancel() }
 
 // Done reports whether the frontier is empty (the transformation is
 // complete and Result may be called).
-func (s *StepRun) Done() bool { return len(s.frontier) == 0 }
+func (s *StepRun) Done() bool { return s.d.done() }
 
 // Ops returns the number of successfully completed steps of this runner
 // (a resumed runner starts again at zero).
@@ -169,18 +101,7 @@ func (s *StepRun) Ops() int64 { return s.ops }
 // Pending returns the serializable frontier, bottom of the stack first;
 // feeding it back to RestoreStepRun in this order reproduces the step
 // sequence exactly.
-func (s *StepRun) Pending() []PendingConfig {
-	out := make([]PendingConfig, len(s.frontier))
-	for i, p := range s.frontier {
-		keys := make([]string, 0, len(p.anc))
-		for k := range p.anc {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		out[i] = PendingConfig{Node: p.node, Ancestors: keys, Depth: p.depth}
-	}
-	return out
-}
+func (s *StepRun) Pending() []PendingConfig { return s.d.pending() }
 
 // Tree returns the partial (or, once Done, final) register-carrying
 // tree ξ. Frontier nodes still carry their State.
@@ -189,28 +110,13 @@ func (s *StepRun) Tree() *xmltree.Tree { return &xmltree.Tree{Root: s.root} }
 // StatsSoFar returns the counters accumulated so far (including any
 // prior counters a restore carried in). Unlike Result it is valid
 // mid-run, which is what checkpoints record.
-func (s *StepRun) StatsSoFar() Stats {
-	stats := Stats{
-		Nodes:        s.nodes,
-		QueriesRun:   s.queries,
-		StopsApplied: s.stops,
-		MaxDepth:     s.maxDepth,
-		CacheMode:    s.mode,
-	}
-	if s.memo != nil {
-		h, m, e := s.memo.Stats()
-		stats.CacheHits = int(h)
-		stats.CacheMisses = int(m)
-		stats.CacheEvictions = int(e)
-	}
-	return stats
-}
+func (s *StepRun) StatsSoFar() Stats { return s.d.stats(s.d.tally) }
 
 // Result returns the final tree and statistics; it errors if the
 // frontier is not empty.
 func (s *StepRun) Result() (*Result, error) {
 	if !s.Done() {
-		return nil, fmt.Errorf("pt: step run incomplete: %d configurations pending", len(s.frontier))
+		return nil, fmt.Errorf("pt: step run incomplete: %d configurations pending", len(s.d.frontier)+len(s.d.seeds))
 	}
 	return &Result{Xi: s.Tree(), Stats: s.StatsSoFar()}, nil
 }
@@ -241,109 +147,26 @@ type StepEvent struct {
 // Observe registers f to be called after every committed step; failed
 // steps emit nothing, preserving the atomic-step invariant. f runs on
 // the stepping goroutine and must not mutate the tree.
-func (s *StepRun) Observe(f func(StepEvent)) { s.observe = f }
+func (s *StepRun) Observe(f func(StepEvent)) { s.d.observe = f }
 
-// Step performs one operation: it takes the top frontier configuration
-// and either finalizes it (text leaf, ancestor stop, empty or missing
-// rule, all-empty forests) or evaluates its rule queries and pushes its
-// children. Steps are ATOMIC with respect to the run state: a failed
-// step — cancellation, budget, injected fault, query error, contained
-// panic — leaves the configuration on the frontier and the tree
-// untouched, so (tree, frontier) always describes exactly the remaining
-// work. This is the invariant checkpoints rely on. done reports whether
-// the frontier is empty after the step; errors are runctl-typed as in
-// RunContext.
+// Step performs one step of the run driver: it takes the top frontier
+// configuration and either finalizes it (text leaf, ancestor stop, empty
+// or missing rule, all-empty forests) or evaluates its rule queries and
+// pushes its children. Steps are ATOMIC with respect to the run state: a
+// failed step — cancellation, budget, injected fault, query error,
+// contained panic — leaves the configuration on the frontier and the
+// tree untouched, so (tree, frontier) always describes exactly the
+// remaining work. This is the invariant checkpoints rely on. done
+// reports whether the frontier is empty after the step; errors are
+// runctl-typed as in RunContext.
 func (s *StepRun) Step() (done bool, err error) {
 	defer runctl.Recover(&err, "pt.Step")
-	if len(s.frontier) == 0 {
+	if s.d.done() {
 		return true, nil
 	}
-	p := s.frontier[len(s.frontier)-1]
-	if err := s.ctl.Canceled(); err != nil {
+	if err := s.d.step(); err != nil {
 		return false, err
 	}
-	if err := s.ctl.Depth(p.depth); err != nil {
-		return false, err
-	}
-	n := p.node
-	state := n.State
-
-	// finalize commits a completed step that produced no children.
-	finalize := func(stopped bool) bool {
-		n.State = ""
-		s.frontier = s.frontier[:len(s.frontier)-1]
-		s.ops++
-		if p.depth > s.maxDepth {
-			s.maxDepth = p.depth
-		}
-		if s.observe != nil {
-			s.observe(StepEvent{Node: n, State: state, Depth: p.depth, Stopped: stopped})
-		}
-		return len(s.frontier) == 0
-	}
-
-	if n.Tag == xmltree.TextTag {
-		n.Text = xmltree.TextOfRegister(n.Reg)
-		return finalize(false), nil
-	}
-	key := ancKey(n.State, n.Tag, n.Reg)
-	if p.anc[key] {
-		s.stops++
-		return finalize(true), nil
-	}
-	specs, queriesRun, err := s.t.ExpandConfig(n.State, n.Tag, n.Reg, s.base, s.memo)
-	if err != nil {
-		return false, err
-	}
-	if len(specs) == 0 {
-		s.queries += queriesRun
-		return finalize(false), nil
-	}
-	if err := s.ctl.AddNodes(len(specs)); err != nil {
-		return false, err
-	}
-
-	// The step commits: materialize the children and replace this
-	// configuration with theirs.
-	children := make([]*xmltree.Node, len(specs))
-	for i, sp := range specs {
-		children[i] = &xmltree.Node{Tag: sp.Tag, State: sp.State, Reg: sp.Reg}
-	}
-	n.Children = children
-	n.State = ""
-	s.nodes += len(children)
-	s.queries += queriesRun
-	s.frontier = s.frontier[:len(s.frontier)-1]
 	s.ops++
-	if p.depth > s.maxDepth {
-		s.maxDepth = p.depth
-	}
-	if s.observe != nil {
-		s.observe(StepEvent{Node: n, State: state, Depth: p.depth})
-	}
-
-	if len(children) == 1 {
-		// Single-child chain: extend the ancestor set in place when owned
-		// (the depth-d chains of Proposition 1(4) then cost O(d) total
-		// instead of O(d²) map copying).
-		anc := p.anc
-		if !p.own {
-			anc = make(map[string]bool, len(p.anc)+1)
-			for k := range p.anc {
-				anc[k] = true
-			}
-		}
-		anc[key] = true
-		s.frontier = append(s.frontier, &stepPending{node: children[0], anc: anc, own: true, depth: p.depth + 1})
-		return false, nil
-	}
-	childAnc := make(map[string]bool, len(p.anc)+1)
-	for k := range p.anc {
-		childAnc[k] = true
-	}
-	childAnc[key] = true
-	for i := len(children) - 1; i >= 0; i-- {
-		s.frontier = append(s.frontier, &stepPending{node: children[i], anc: childAnc, own: false, depth: p.depth + 1})
-	}
-	return false, nil
+	return s.d.done(), nil
 }

@@ -1,7 +1,8 @@
-// Stepwise-runner tests: the explicit-frontier StepRun must agree with
-// the recursive expander byte-for-byte, and its checkpoint invariant —
-// (tree, frontier) fully describes the remaining work at every step —
-// must survive interruption at arbitrary cut points.
+// Stepwise-runner tests: StepRun, the run driver stepped by the caller,
+// must agree with RunContext's drain byte-for-byte and stat-for-stat,
+// and its checkpoint invariant — (tree, frontier) fully describes the
+// remaining work at every step — must survive interruption and restore
+// at arbitrary cut points.
 package pt_test
 
 import (
