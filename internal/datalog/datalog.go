@@ -16,12 +16,14 @@ package datalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"ptx/internal/cq"
 	"ptx/internal/eval"
 	"ptx/internal/logic"
+	"ptx/internal/plan"
 	"ptx/internal/relation"
 	"ptx/internal/value"
 )
@@ -239,8 +241,7 @@ func (p *Program) IsDeterministic() bool {
 }
 
 // Eval computes the program's fixpoint on inst by semi-naive iteration
-// and returns the output relation. SetNaive in Options switches to naive
-// evaluation (used by the ablation benchmark).
+// and returns the output relation; EvalNaive is the naive baseline.
 func (p *Program) Eval(inst *relation.Instance) (*relation.Relation, error) {
 	return p.eval(inst, false)
 }
@@ -251,6 +252,103 @@ func (p *Program) EvalNaive(inst *relation.Instance) (*relation.Relation, error)
 	return p.eval(inst, true)
 }
 
+// firing is a rule body compiled once for one Δ occurrence: a plan over
+// the head's distinct variables, and each head argument's column in its
+// result (−1 for a constant).
+type firing struct {
+	rule *Rule
+	plan *plan.Plan
+	cols []int
+	// direct is set when the plan's result already is the head relation.
+	direct bool
+}
+
+// compileFiring compiles r's body with body atom deltaOcc (none when
+// negative) read from its Δ relation.
+func compileFiring(r *Rule, deltaOcc int) (*firing, error) {
+	parts := make([]logic.Formula, 0, len(r.Body)+1+len(r.Guards))
+	f := &firing{rule: r, cols: make([]int, len(r.Head.Args)), direct: true}
+	for i, a := range r.Body {
+		if i == deltaOcc {
+			a = &logic.Atom{Rel: deltaPrefix + a.Rel, Args: a.Args}
+		}
+		parts = append(parts, a)
+	}
+	parts = append(parts, cq.ConstraintsFormula(r.Constraints))
+	parts = append(parts, r.Guards...)
+	body := logic.Conj(parts...)
+
+	var head []logic.Var
+	for i, arg := range r.Head.Args {
+		f.cols[i] = -1
+		if v, ok := arg.(logic.Var); ok {
+			f.cols[i] = slices.Index(head, v)
+			if f.cols[i] < 0 {
+				f.cols[i] = len(head)
+				head = append(head, v)
+			}
+		}
+		f.direct = f.direct && f.cols[i] == i
+	}
+	var hidden []logic.Var
+	for _, v := range logic.FreeVars(body) {
+		if !slices.Contains(head, v) {
+			hidden = append(hidden, v)
+		}
+	}
+	pl, err := plan.Compile(&logic.Query{ContentVars: head, F: logic.Ex(hidden, body)})
+	if err != nil {
+		return nil, fmt.Errorf("datalog: rule %s: %v", r, err)
+	}
+	f.plan = pl
+	return f, nil
+}
+
+// fire evaluates the firing against env and returns the head tuples.
+func (f *firing) fire(env plan.Env) (*relation.Relation, error) {
+	res, err := f.plan.Eval(env)
+	if err != nil {
+		return nil, fmt.Errorf("datalog: rule %s: %v", f.rule, err)
+	}
+	if f.direct {
+		return res, nil
+	}
+	out := relation.New(len(f.cols))
+	res.EachUnordered(func(t value.Tuple) bool {
+		h := make(value.Tuple, len(f.cols))
+		for i, c := range f.cols {
+			if c < 0 {
+				h[i] = value.V(f.rule.Head.Args[i].(logic.Const))
+			} else {
+				h[i] = t[c]
+			}
+		}
+		out.Add(h)
+		return true
+	})
+	return out, nil
+}
+
+// deltaPrefix names the Δ relation of an IDB predicate in a firing.
+const deltaPrefix = "Δ"
+
+// deltaEnv resolves Δ-prefixed names to the current round's deltas and
+// everything else through the IDB-extended environment. Its domain is
+// the environment's: every delta is a subset of its total.
+type deltaEnv struct {
+	*eval.Env
+	delta map[string]*relation.Relation
+}
+
+func (e deltaEnv) Lookup(name string) (*relation.Relation, bool) {
+	if n, ok := strings.CutPrefix(name, deltaPrefix); ok {
+		if r, ok := e.delta[n]; ok {
+			return r, true
+		}
+	}
+	return e.Env.Lookup(name)
+}
+
 func (p *Program) eval(inst *relation.Instance, naive bool) (*relation.Relation, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -259,71 +357,53 @@ func (p *Program) eval(inst *relation.Instance, naive bool) (*relation.Relation,
 	for _, r := range p.Rules {
 		arities[r.Head.Rel] = len(r.Head.Args)
 	}
+	// The totals are mutated in place, so one environment serves every
+	// round; the deltas are swapped in through deltaEnv.
 	total := make(map[string]*relation.Relation)
 	delta := make(map[string]*relation.Relation)
-	for n, a := range arities {
-		total[n] = relation.New(a)
-		delta[n] = relation.New(a)
+	base := eval.NewEnv(inst)
+	for _, n := range p.IDB() {
+		total[n] = relation.New(arities[n])
+		delta[n] = relation.New(arities[n])
+		base = base.WithRelation(n, total[n])
+	}
+	env := deltaEnv{base, delta}
+
+	// fire evaluates rule k with body occurrence occ (none when negative)
+	// read from its delta, compiling each (rule, occurrence) body on its
+	// first firing.
+	compiled := make(map[[2]int]*firing)
+	fire := func(k, occ int) (*relation.Relation, error) {
+		f := compiled[[2]int{k, occ}]
+		if f == nil {
+			var err error
+			if f, err = compileFiring(p.Rules[k], occ); err != nil {
+				return nil, err
+			}
+			compiled[[2]int{k, occ}] = f
+		}
+		return f.fire(env)
+	}
+	hasIDB := func(r *Rule) bool {
+		return slices.ContainsFunc(r.Body, func(a *logic.Atom) bool { _, ok := arities[a.Rel]; return ok })
 	}
 
-	// fire evaluates one rule; when deltaOcc >= 0 that body-atom
-	// occurrence is restricted to its delta relation (semi-naive).
-	fire := func(r *Rule, deltaOcc int) (*relation.Relation, error) {
-		env := eval.NewEnv(inst)
-		for n, rel := range total {
-			env = env.WithRelation(n, rel)
+	// Initial round: with the IDB empty only rules without IDB atoms can
+	// produce tuples; the naive baseline fires everything.
+	for k, r := range p.Rules {
+		if !naive && hasIDB(r) {
+			continue
 		}
-		var parts []logic.Formula
-		for i, a := range r.Body {
-			rel := a.Rel
-			if i == deltaOcc {
-				rel = "Δ" + a.Rel
-				env = env.WithRelation(rel, delta[a.Rel])
-			}
-			parts = append(parts, &logic.Atom{Rel: rel, Args: a.Args})
-		}
-		parts = append(parts, cq.ConstraintsFormula(r.Constraints))
-		parts = append(parts, r.Guards...)
-		body := logic.Conj(parts...)
-
-		b, err := eval.Eval(body, env)
-		if err != nil {
-			return nil, fmt.Errorf("datalog: rule %s: %v", r, err)
-		}
-		idx := make(map[logic.Var]int, len(b.Vars))
-		for i, v := range b.Vars {
-			idx[v] = i
-		}
-		out := relation.New(len(r.Head.Args))
-		b.Rel.Each(func(t value.Tuple) bool {
-			h := make(value.Tuple, len(r.Head.Args))
-			for i, arg := range r.Head.Args {
-				switch u := arg.(type) {
-				case logic.Const:
-					h[i] = value.V(u)
-				case logic.Var:
-					h[i] = t[idx[u]]
-				}
-			}
-			out.Add(h)
-			return true
-		})
-		return out, nil
-	}
-
-	// Initial round: rules fired with empty IDB (only EDB-only rules can
-	// produce tuples, but firing everything is simpler and correct).
-	for _, r := range p.Rules {
-		res, err := fire(r, -1)
+		res, err := fire(k, -1)
 		if err != nil {
 			return nil, err
 		}
-		for _, t := range res.Tuples() {
-			if !total[r.Head.Rel].Contains(t) {
-				total[r.Head.Rel].Add(t)
+		res.EachUnordered(func(t value.Tuple) bool {
+			if total[r.Head.Rel].Insert(t) {
 				delta[r.Head.Rel].Add(t)
 			}
-		}
+			return true
+		})
 	}
 
 	for {
@@ -332,10 +412,10 @@ func (p *Program) eval(inst *relation.Instance, naive bool) (*relation.Relation,
 			next[n] = relation.New(a)
 		}
 		grew := false
-		for _, r := range p.Rules {
+		for k, r := range p.Rules {
 			var results []*relation.Relation
 			if naive {
-				res, err := fire(r, -1)
+				res, err := fire(k, -1)
 				if err != nil {
 					return nil, err
 				}
@@ -344,28 +424,27 @@ func (p *Program) eval(inst *relation.Instance, naive bool) (*relation.Relation,
 				// Semi-naive: fire once per IDB body occurrence with a
 				// nonempty delta (other occurrences see the full total).
 				for i, a := range r.Body {
-					if p.isIDB(a.Rel) && !delta[a.Rel].Empty() {
-						res, err := fire(r, i)
-						if err != nil {
-							return nil, err
-						}
-						results = append(results, res)
+					if d, ok := delta[a.Rel]; !ok || d.Empty() {
+						continue
 					}
+					res, err := fire(k, i)
+					if err != nil {
+						return nil, err
+					}
+					results = append(results, res)
 				}
 			}
 			for _, res := range results {
-				for _, t := range res.Tuples() {
-					if !total[r.Head.Rel].Contains(t) && !next[r.Head.Rel].Contains(t) {
-						next[r.Head.Rel].Add(t)
+				res.EachUnordered(func(t value.Tuple) bool {
+					if !total[r.Head.Rel].Contains(t) && next[r.Head.Rel].Insert(t) {
 						grew = true
 					}
-				}
+					return true
+				})
 			}
 		}
 		for n, rel := range next {
-			for _, t := range rel.Tuples() {
-				total[n].Add(t)
-			}
+			total[n].UnionWith(rel)
 			delta[n] = rel
 		}
 		if !grew {

@@ -348,3 +348,45 @@ func TestLargerChainAgreement(t *testing.T) {
 		t.Fatalf("TC of 12-chain has %d pairs, want %d", out.Len(), 13*12/2)
 	}
 }
+
+// TestFromTransducerRegisterArguments covers the three shapes a Reg
+// atom's arguments take in the translation: distinct variables become
+// the parent atom's arguments with no equality left, while a repeated
+// variable or a constant keeps one. Each translation agrees with the
+// transducer's output relation.
+func TestFromTransducerRegisterArguments(t *testing.T) {
+	s := relation.NewSchema().MustDeclare("E", 2)
+	tr := pt.New("regargs", s, "q0", "r")
+	tr.DeclareTag("a", 2).DeclareTag("b", 1).DeclareTag("c", 1).DeclareTag("d", 1)
+	tr.AddRule("q0", "r", pt.Item("q", "a", logic.MustQuery([]logic.Var{x, y}, nil, logic.R("E", x, y))))
+	tr.AddRule("q", "a",
+		pt.Item("q", "b", logic.MustQuery([]logic.Var{x}, nil, logic.R(pt.RegRel, x, x))),
+		pt.Item("q", "c", logic.MustQuery([]logic.Var{y}, nil, logic.R(pt.RegRel, logic.Const("1"), y))),
+		pt.Item("q", "d", logic.MustQuery([]logic.Var{z}, nil,
+			logic.Ex([]logic.Var{x, y}, logic.Conj(logic.R(pt.RegRel, x, y), logic.R("E", y, z))))))
+	for label, wantEqs := range map[string]bool{"b": true, "c": true, "d": false} {
+		prog, err := FromTransducer(tr, label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range prog.Rules {
+			if r.Head.Rel == "P_q_"+label && (len(r.Constraints) > 0) != wantEqs {
+				t.Errorf("%s: rule %s, want equalities %v", label, r, wantEqs)
+			}
+		}
+		for seed := int64(0); seed < 10; seed++ {
+			inst := randomGraph(seed, 3, 5)
+			fromDl, err := prog.Eval(inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromTr, err := tr.OutputRelation(inst, label, pt.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !fromDl.Equal(fromTr) {
+				t.Fatalf("%s, seed %d: datalog %s vs transducer %s\n%v", label, seed, fromDl, fromTr, prog.Rules)
+			}
+		}
+	}
+}

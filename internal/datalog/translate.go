@@ -17,9 +17,11 @@ import (
 //
 //	P_q'_a'(x̄φ) ← P_q_a(z̄), body(φ)[Reg(t̄) ↦ t̄ = z̄], constraints(φ)
 //
-// which is sound and complete for the output relation Rτ because with
-// tuple stores every register is a single tuple and the stop condition
-// only prunes subtrees whose registers are already present.
+// (itemToRule solves the equalities t̄ = z̄ where t̄ holds distinct
+// variables), which is sound and complete for the output relation Rτ
+// because with tuple stores every register is a single tuple and the
+// stop condition only prunes subtrees whose registers are already
+// present.
 func FromTransducer(t *pt.Transducer, outLabel string) (*Program, error) {
 	cl := t.Classify()
 	if cl.Logic != logic.CQ {
@@ -105,27 +107,40 @@ func FromTransducer(t *pt.Transducer, outLabel string) (*Program, error) {
 	return prog, nil
 }
 
-// itemToRule converts one normalized item query into a linear rule:
-// the parent predicate binds fresh register variables z̄ and every
-// Reg(t̄) atom becomes component equalities t̄ = z̄.
+// itemToRule converts one normalized item query into a linear rule
+// whose parent atom P(z̄) stands for the register. The first Reg(t̄)
+// atom's variables become z̄ itself, so the parent binds them and
+// probes the EDB atoms directly instead of joining through
+// equalities; only a constant, a repeated variable or a later Reg atom
+// leaves a t = z constraint. Without a Reg atom z̄ is fresh.
 func itemToRule(nf *cq.NF, parentPred string, parentArity int, childPred string) (*Rule, error) {
 	zs := make([]logic.Term, parentArity)
-	for i := range zs {
-		zs[i] = logic.Var(fmt.Sprintf("z_reg%d", i))
-	}
 	rule := &Rule{Head: &logic.Atom{Rel: childPred, Args: logicTerms(nf.Head)}}
 	rule.Body = append(rule.Body, &logic.Atom{Rel: parentPred, Args: zs})
+	used := make(map[logic.Var]bool)
 	for _, a := range nf.Atoms {
-		if a.Rel == pt.RegRel {
-			if len(a.Args) != parentArity {
-				return nil, fmt.Errorf("datalog: Reg atom arity %d vs parent %d", len(a.Args), parentArity)
-			}
-			for i, t := range a.Args {
-				rule.Constraints = append(rule.Constraints, cq.Constraint{L: t, R: zs[i], Eq: true})
-			}
+		if a.Rel != pt.RegRel {
+			rule.Body = append(rule.Body, a)
 			continue
 		}
-		rule.Body = append(rule.Body, a)
+		if len(a.Args) != parentArity {
+			return nil, fmt.Errorf("datalog: Reg atom arity %d vs parent %d", len(a.Args), parentArity)
+		}
+		for i, t := range a.Args {
+			if v, ok := t.(logic.Var); ok && zs[i] == nil && !used[v] {
+				zs[i], used[v] = v, true
+				continue
+			}
+			if zs[i] == nil {
+				zs[i] = logic.Var(fmt.Sprintf("z_reg%d", i))
+			}
+			rule.Constraints = append(rule.Constraints, cq.Constraint{L: t, R: zs[i], Eq: true})
+		}
+	}
+	for i := range zs {
+		if zs[i] == nil {
+			zs[i] = logic.Var(fmt.Sprintf("z_reg%d", i))
+		}
 	}
 	rule.Constraints = append(rule.Constraints, nf.Constraints...)
 	return rule, nil

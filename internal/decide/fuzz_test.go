@@ -1,6 +1,7 @@
 package decide
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"ptx/internal/logic"
 	"ptx/internal/pt"
 	"ptx/internal/relation"
+	"ptx/internal/testutil"
 )
 
 // randomView builds a random two-level nonrecursive PT(CQ, tuple,
@@ -185,4 +187,44 @@ func TestOutputUCQFuzz(t *testing.T) {
 				trial, label, fromTr, fromU, tr, inst)
 		}
 	}
+}
+
+// FuzzOutputRelation checks pt.OutputRelation, which walks the
+// configuration graph, against the tree reference, which builds ξ and
+// unites its label registers, on random views over every E-instance on
+// a 3-element domain. recursive adds an unfolding item (q,a) → (q,a)
+// over the register's successors, so the ancestor stop fires and the
+// tree can repeat configurations the walk steps once.
+func FuzzOutputRelation(f *testing.F) {
+	for i := int64(0); i < 8; i++ {
+		f.Add(i, uint16(i*61), i%2 == 0, i%3 == 0)
+	}
+	insts := allInstances([]string{"0", "1", "2"})
+	x, y := logic.Var("x"), logic.Var("y")
+	succ := logic.MustQuery([]logic.Var{x}, nil,
+		logic.Ex([]logic.Var{y}, logic.Conj(logic.R(pt.RegRel, y), logic.R("E", y, x))))
+	f.Fuzz(func(t *testing.T, seed int64, pick uint16, recursive, useC bool) {
+		tr := randomView(rand.New(rand.NewSource(seed)))
+		if recursive {
+			r, _ := tr.Rule("q", "a")
+			r.Items = append(r.Items, pt.Item("q", "a", succ))
+		}
+		label := "a"
+		if _, ok := tr.Arities["c"]; ok && useC {
+			label = "c"
+		}
+		inst := insts[int(pick)%len(insts)]
+		opts := pt.Options{MaxNodes: 10000}
+		want, err := testutil.TreeRelation(context.Background(), tr, inst, label, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tr.OutputRelation(inst, label, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("label %s: OutputRelation %s, tree reference %s\n%s\ninstance %s", label, got, want, tr, inst)
+		}
+	})
 }

@@ -16,13 +16,15 @@ type Options struct {
 	// this many nodes; 0 means unlimited. The transformation always
 	// terminates (Proposition 1(1)) but relation-store transducers can
 	// legitimately produce doubly-exponential trees, so callers may want
-	// a guard.
+	// a guard. OutputRelation never builds the tree: there it caps the
+	// distinct configurations its walk reaches.
 	MaxNodes int
 	// MaxDepth aborts the transformation once the tree grows deeper than
 	// this many levels (the root is level 1); 0 means unlimited.
 	// Relation-store transducers can be deep as well as wide: the
 	// register grows along a path, so the ancestor stop condition may
-	// fire only after exponentially many levels.
+	// fire only after exponentially many levels. For OutputRelation it
+	// caps the BFS level of the configuration walk (the root is level 1).
 	MaxDepth int
 	// Workers > 1 expands independent subtrees concurrently. The output
 	// is identical to the sequential run: each subtree is uniquely
@@ -184,16 +186,33 @@ func (t *Transducer) OutputContext(ctx context.Context, inst *relation.Instance,
 	return res.Xi.Publish(t.Virtual), nil
 }
 
-// OutputRelation treats τ as a relational query (Section 6.1): it runs
-// the transformation and returns the union of the registers of all
-// nodes labeled label in the final ξ. label must not be virtual.
+// OutputRelation treats τ as a relational query (Section 6.1): it
+// returns Rτ(I), the union of the registers of all nodes labeled label
+// in the final ξ. label must not be virtual.
+//
+// It never builds ξ. As in the proof of Theorem 3(2), it walks the
+// configuration graph instead: breadth first from (Start, RootTag, ∅),
+// stepping each distinct (state, tag, register) configuration once
+// through ExpandConfig and uniting the registers of those tagged label.
+// Every node of ξ carries a reachable configuration, and a shortest
+// derivation of a reachable configuration repeats none, so the ancestor
+// stop never cuts it off: ξ carries exactly the reachable
+// configurations, and the graph can be exponentially smaller than the
+// tree (Proposition 1(3)).
+//
+// Budgets count the walk, not the tree: MaxNodes charges each distinct
+// configuration once, and MaxDepth bounds the BFS level, a
+// configuration's shortest distance from the root. Both are at most the
+// tree's figures, so a budget the tree run meets is met here too. The
+// walk is serial and reuses only the query memo: Workers and
+// CacheSubtrees have no effect.
 func (t *Transducer) OutputRelation(inst *relation.Instance, label string, opts Options) (*relation.Relation, error) {
 	return t.OutputRelationContext(context.Background(), inst, label, opts)
 }
 
 // OutputRelationContext is OutputRelation under a context (see
 // RunContext).
-func (t *Transducer) OutputRelationContext(ctx context.Context, inst *relation.Instance, label string, opts Options) (*relation.Relation, error) {
+func (t *Transducer) OutputRelationContext(ctx context.Context, inst *relation.Instance, label string, opts Options) (out *relation.Relation, err error) {
 	if t.Virtual[label] {
 		return nil, fmt.Errorf("pt: output label %q is virtual", label)
 	}
@@ -201,19 +220,52 @@ func (t *Transducer) OutputRelationContext(ctx context.Context, inst *relation.I
 	if !ok {
 		return nil, fmt.Errorf("pt: output label %q has no declared arity", label)
 	}
-	res, err := t.RunContext(ctx, inst, opts)
-	if err != nil {
+	defer runctl.Recover(&err, "pt.OutputRelation")
+	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	out := relation.New(a)
-	// Register union is idempotent, so each physically shared node needs
-	// visiting once: WalkShared keeps this linear in the size of the ξ
-	// DAG where Walk would traverse its (possibly exponential) unfolding.
-	res.Xi.WalkShared(func(n *xmltree.Node) bool {
-		if n.Tag == label && n.Reg != nil {
-			out.UnionWith(n.Reg)
+	r := t.newRun(ctx, inst, opts, true)
+	defer r.cancel()
+	out = relation.New(a)
+	level := []ChildSpec{{State: t.Start, Tag: t.RootTag, Reg: relation.New(0)}}
+	seen := map[string]bool{ConfigKey(t.Start, t.RootTag, level[0].Reg): true}
+	for depth := 1; len(level) > 0; depth++ {
+		var next []ChildSpec
+		for _, c := range level {
+			if err := r.ctl.Canceled(); err != nil {
+				return nil, err
+			}
+			if err := r.ctl.Depth(depth); err != nil {
+				return nil, err
+			}
+			if c.Tag == label {
+				out.UnionWith(c.Reg)
+			}
+			if c.Tag == xmltree.TextTag {
+				continue
+			}
+			specs, _, err := t.ExpandConfig(c.State, c.Tag, c.Reg, r.base, r.memo)
+			if err != nil {
+				return nil, err
+			}
+			// Charge once per expanding step, as the tree run does, so
+			// a node fault fires at no more steps than there.
+			if len(specs) == 0 {
+				continue
+			}
+			fresh := 0
+			for _, s := range specs {
+				if k := ConfigKey(s.State, s.Tag, s.Reg); !seen[k] {
+					seen[k] = true
+					next = append(next, s)
+					fresh++
+				}
+			}
+			if err := r.ctl.AddNodes(fresh); err != nil {
+				return nil, err
+			}
 		}
-		return true
-	})
+		level = next
+	}
 	return out, nil
 }
