@@ -378,22 +378,6 @@ func BenchmarkAblationSeminaive(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationParallel compares sequential and parallel subtree
-// expansion on the exponential diamond unfolding.
-func BenchmarkAblationParallel(b *testing.B) {
-	tr := families.UnfoldTransducer()
-	inst := families.DiamondChain(8)
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := tr.Output(inst, pt.Options{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- helpers --------------------------------------------------------------
 
 func tcProgram() *datalog.Program {

@@ -55,8 +55,8 @@ func TestGoldenSpecs(t *testing.T) {
 			}
 
 			// Every cache mode must reproduce the golden bytes. -cache
-			// subtree gets the budgets lifted so real sharing happens
-			// (under the default -max-nodes it silently degrades).
+			// subtree and -workers are accepted aliases and must change
+			// nothing, with or without budgets.
 			for _, args := range [][]string{
 				{"-cache", "query"},
 				{"-cache", "subtree"},
@@ -72,7 +72,7 @@ func TestGoldenSpecs(t *testing.T) {
 }
 
 // TestGoldenStatsLine pins the machine-readable -stats contract,
-// including the cache counters added with the memoization layer.
+// including the query-memo counters; -cache subtree reports as query.
 func TestGoldenStatsLine(t *testing.T) {
 	dir := filepath.Join("..", "..", "examples", "specs")
 	if _, err := os.Stat(filepath.Join(dir, "tau1.pt")); err != nil {
@@ -88,7 +88,7 @@ func TestGoldenStatsLine(t *testing.T) {
 		t.Fatalf("exit %d: %s", code, errBuf.String())
 	}
 	for _, field := range []string{"class=", "nodes=", "depth=", "queries=", "stops=",
-		"cache=subtree", "hits=", "misses=", "evictions=", "shared=", "shared-nodes=", "elapsed="} {
+		"cache=query", "hits=", "misses=", "evictions=", "elapsed="} {
 		if !bytes.Contains(errBuf.Bytes(), []byte(field)) {
 			t.Errorf("stats line missing %q: %s", field, errBuf.String())
 		}

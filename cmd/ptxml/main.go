@@ -3,14 +3,17 @@
 //
 // Usage:
 //
-//	ptxml -spec view.pt -data facts.db [-canonical] [-stats] [-workers N]
+//	ptxml -spec view.pt -data facts.db [-canonical] [-stats]
 //	      [-max-nodes N] [-max-depth N] [-timeout D]
-//	      [-cache off|query|subtree] [-cache-size N]
+//	      [-cache off|query] [-cache-size N]
 //	      [-retries N] [-backoff D] [-checkpoint FILE] [-resume FILE]
 //	      [-delta deltas.txt]
 //
 // The spec syntax is documented in internal/parser; the data file holds
 // one fact per line, e.g. course(CS401, Compilers, CS).
+//
+// Every run expands serially. -workers N is accepted for compatibility
+// and ignored, and -cache subtree is an alias of -cache query.
 //
 // With -delta the run goes through the incremental engine
 // (internal/incr): the document is built once, then each
@@ -74,13 +77,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dataPath := fs.String("data", "", "relational data file")
 	canonical := fs.Bool("canonical", false, "print the canonical one-line form instead of XML")
 	stats := fs.Bool("stats", false, "print run statistics to stderr")
-	workers := fs.Int("workers", 1, "parallel subtree expansion workers")
+	fs.Int("workers", 1, "ignored; accepted for compatibility (runs are serial)")
 	maxNodes := fs.Int("max-nodes", 1_000_000, "node budget (0 = unlimited)")
 	maxNodesOld := fs.Int("max", 0, "deprecated alias for -max-nodes")
 	maxDepth := fs.Int("max-depth", 0, "tree-depth budget (0 = unlimited)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the run (0 = unlimited)")
-	cacheFlag := fs.String("cache", "off", "memoization level: off, query or subtree (subtree needs -max-nodes 0 -max-depth 0)")
-	cacheSize := fs.Int("cache-size", 0, "cache capacity in entries (0 = default)")
+	cacheFlag := fs.String("cache", "off", "memoization level: off or query (subtree is an alias of query)")
+	cacheSize := fs.Int("cache-size", 0, "query memo capacity in entries (0 = default)")
 	retries := fs.Int("retries", 0, "retry transient failures up to N times; budgets are fresh per attempt and progress accumulates")
 	backoff := fs.Duration("backoff", 10*time.Millisecond, "base delay between retries (doubles per retry, capped at 2s)")
 	checkpointPath := fs.String("checkpoint", "", "write a resumable checkpoint to FILE when the run fails")
@@ -134,7 +137,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts := pt.Options{
 		MaxNodes:  *maxNodes,
 		MaxDepth:  *maxDepth,
-		Workers:   *workers,
 		Limits:    &runctl.Limits{Timeout: *timeout},
 		Cache:     cacheMode,
 		CacheSize: *cacheSize,
@@ -165,15 +167,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, err)
 	}
-	if cacheMode == pt.CacheSubtrees && res.Stats.CacheMode != pt.CacheSubtrees {
-		fmt.Fprintf(stderr, "ptxml: note: -cache subtree downgraded to %q (node/depth budgets and supervised runs disable subtree sharing; pass -max-nodes 0 -max-depth 0 without -retries/-checkpoint/-resume to enable it)\n",
-			res.Stats.CacheMode)
-	}
 
 	// Stream straight from ξ: the writers skip registers/states and
 	// splice virtual tags at emission, so no stripped/spliced copy of
-	// the tree is ever materialized — and when ξ is a subtree-shared
-	// DAG its unfolding goes to stdout without being built in memory.
+	// the tree is ever materialized.
 	if *canonical {
 		if err := res.Xi.WriteCanonicalVirtual(stdout, tr.Virtual); err != nil {
 			return fail(stderr, err)
@@ -186,10 +183,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *stats {
 		s := res.Stats
-		fmt.Fprintf(stderr, "class=%s nodes=%d depth=%d queries=%d stops=%d cache=%s hits=%d misses=%d evictions=%d shared=%d shared-nodes=%d attempts=%d elapsed=%v\n",
+		fmt.Fprintf(stderr, "class=%s nodes=%d depth=%d queries=%d stops=%d cache=%s hits=%d misses=%d evictions=%d attempts=%d elapsed=%v\n",
 			tr.Classify(), s.Nodes, s.MaxDepth, s.QueriesRun, s.StopsApplied,
 			s.CacheMode, s.CacheHits, s.CacheMisses, s.CacheEvictions,
-			s.SubtreesShared, s.NodesShared, attempts, time.Since(start).Round(time.Millisecond))
+			attempts, time.Since(start).Round(time.Millisecond))
 	}
 	return 0
 }

@@ -41,7 +41,7 @@ type Env struct {
 	ctl *runctl.Controller
 	// instAdom caches the instance's active domain; the instance is
 	// immutable for the lifetime of an Env chain (registers live in
-	// extra), and concurrent transducer workers share the cache.
+	// extra), and every Env derived from this one shares the cache.
 	instAdom *adomCache
 	// dom caches the merged inst∪extras active domain for this Env,
 	// revalidated against the relation-level adom caches on each call

@@ -177,7 +177,6 @@ func NewView(ctx context.Context, tr *pt.Transducer, inst *relation.Instance, op
 // caller budgets, view-owned cache.
 func (v *View) runOpts() pt.Options {
 	o := v.opts.Run
-	o.Workers = 0
 	o.Cache = pt.CacheQueries
 	o.CacheSize = 0
 	o.Memo = v.memo

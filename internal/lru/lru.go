@@ -1,13 +1,12 @@
-// Package lru provides the small string-keyed bounded LRU cache shared
-// by the memoization layers: the rule-query memo of internal/eval and
-// the subtree cache of internal/pt. Bounding by entry count keeps cache
+// Package lru provides the small string-keyed bounded LRU cache behind
+// the rule-query memo of internal/eval. Bounding by entry count keeps cache
 // memory proportional to the number of distinct configurations a run
 // visits, never to the (possibly doubly-exponential) size of the tree
 // being generated. Nothing is preallocated: the map grows with the
 // entries actually stored, so a large capacity is only a bound.
 //
 // A Cache is NOT safe for concurrent use; callers that share one across
-// goroutines wrap it in their own mutex (both memo layers do).
+// goroutines wrap it in their own mutex (eval.Memo does).
 package lru
 
 // Cache is a fixed-capacity map with least-recently-used eviction.

@@ -1,13 +1,6 @@
 package pt
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-
-	"ptx/internal/lru"
-	"ptx/internal/xmltree"
-)
+import "fmt"
 
 // CacheMode selects the memoization level of a run. A publishing
 // transducer is deterministic — the children emitted at a node are a
@@ -23,17 +16,8 @@ const (
 	CacheOff CacheMode = iota
 	// CacheQueries memoizes rule-query results on (query, register
 	// fingerprint): each distinct configuration evaluates its queries
-	// once, but the tree is still physically expanded node by node.
+	// once, but the tree is still expanded node by node.
 	CacheQueries
-	// CacheSubtrees additionally shares whole expanded subtrees between
-	// nodes with identical (state, tag, register) configurations whose
-	// ancestor stop-condition dependencies agree; the resulting ξ is a
-	// DAG whose unfolding is the tree a cache-off run would build.
-	// Downgraded to CacheQueries when the run carries node/depth budgets
-	// (sharing skips per-node budget accounting). Virtual tags are fine:
-	// Output publishes a stripped/spliced copy and the streaming writers
-	// splice at emission, so ξ is never mutated in place.
-	CacheSubtrees
 )
 
 func (m CacheMode) String() string {
@@ -42,263 +26,24 @@ func (m CacheMode) String() string {
 		return "off"
 	case CacheQueries:
 		return "query"
-	case CacheSubtrees:
-		return "subtree"
 	}
 	return fmt.Sprintf("CacheMode(%d)", int(m))
 }
 
-// ParseCacheMode parses the CLI spelling of a cache mode.
+// ParseCacheMode parses the CLI spelling of a cache mode. "subtree" and
+// "subtrees" are accepted as aliases of "query", so that scripts written
+// for the removed subtree cache keep working with identical output.
 func ParseCacheMode(s string) (CacheMode, error) {
 	switch s {
 	case "off":
 		return CacheOff, nil
-	case "query", "queries":
+	case "query", "queries", "subtree", "subtrees":
 		return CacheQueries, nil
-	case "subtree", "subtrees":
-		return CacheSubtrees, nil
 	}
-	return CacheOff, fmt.Errorf("pt: unknown cache mode %q (want off, query or subtree)", s)
+	return CacheOff, fmt.Errorf("pt: unknown cache mode %q (want off or query)", s)
 }
 
-// DefaultCacheSize bounds each cache level (entries) when Options
+// DefaultCacheSize bounds the query memo (entries) when Options
 // specifies none, keeping memory proportional to distinct
 // configurations rather than tree size.
 const DefaultCacheSize = 1 << 16
-
-// maxSubtreeDeps caps the ancestor-dependency sets recorded per cached
-// subtree. A subtree whose expansion touched more distinct
-// configurations than this is too entangled with its path to be worth
-// caching (validity checks would cost more than re-expansion saves), so
-// it is simply not inserted.
-const maxSubtreeDeps = 1 << 12
-
-type configSet map[string]struct{}
-
-// subdeps summarizes one or more expanded subtrees for the subtree
-// cache: logical size/height/stop counts, plus the ancestor-set
-// dependencies that make reuse sound.
-//
-// The stop condition makes a subtree a function of MORE than its root
-// configuration: a descendant finalizes early iff its configuration
-// occurs among its ancestors, including ancestors ABOVE the subtree
-// root. So during expansion we record, for every descendant test that
-// was resolved by the OUTER ancestor set (not by the path inside the
-// subtree), whether it hit (stopped) or missed (kept expanding):
-//
-//   - hits: configurations found in the outer ancestor set;
-//   - misses: configurations tested and absent from it.
-//
-// A cached subtree is reusable under another ancestor set A' iff
-// hits ⊆ A' and misses ∩ A' = ∅ — then every stop-condition test inside
-// the subtree resolves identically, and determinism (Proposition 1)
-// gives an identical expansion. A nil *subdeps (cache mode below
-// CacheSubtrees) makes every method a no-op.
-type subdeps struct {
-	size   int // logical nodes in the summarized subtrees
-	height int // max height among them (a leaf has height 1)
-	stops  int // stop-condition leaves among them
-	hits   configSet
-	misses configSet
-	// overflow marks a summary whose dependency sets exceeded
-	// maxSubtreeDeps; the sets are dropped and the subtree (and all its
-	// ancestors) become uncacheable, but size/height/stops stay exact.
-	overflow bool
-}
-
-func (d *subdeps) hit(key string) {
-	if d == nil || d.overflow {
-		return
-	}
-	if d.hits == nil {
-		d.hits = make(configSet)
-	}
-	d.hits[key] = struct{}{}
-	d.checkOverflow()
-}
-
-func (d *subdeps) miss(key string) {
-	if d == nil || d.overflow {
-		return
-	}
-	if d.misses == nil {
-		d.misses = make(configSet)
-	}
-	d.misses[key] = struct{}{}
-	d.checkOverflow()
-}
-
-func (d *subdeps) checkOverflow() {
-	if len(d.hits)+len(d.misses) > maxSubtreeDeps {
-		d.overflow = true
-		d.hits, d.misses = nil, nil
-	}
-}
-
-// addLeaf records a finalized leaf. key is the leaf's configuration key,
-// or "" for text leaves (which never test the stop condition).
-func (d *subdeps) addLeaf(key string) {
-	if d == nil {
-		return
-	}
-	d.size++
-	if d.height < 1 {
-		d.height = 1
-	}
-	if key != "" {
-		d.miss(key)
-	}
-}
-
-// addStop records a leaf finalized by the ancestor stop condition.
-func (d *subdeps) addStop(key string) {
-	if d == nil {
-		return
-	}
-	d.size++
-	if d.height < 1 {
-		d.height = 1
-	}
-	d.stops++
-	d.hit(key)
-}
-
-// addEntry records the reuse of a cached subtree (already validated
-// against the current ancestor set).
-func (d *subdeps) addEntry(e *subtreeEntry) {
-	if d == nil {
-		return
-	}
-	d.size += e.size
-	if e.height > d.height {
-		d.height = e.height
-	}
-	d.stops += e.stops
-	d.mergeSets(e.hits, e.misses, false)
-}
-
-// merge folds a sibling summary into the accumulator.
-func (d *subdeps) merge(o *subdeps) {
-	if d == nil || o == nil {
-		return
-	}
-	d.size += o.size
-	if o.height > d.height {
-		d.height = o.height
-	}
-	d.stops += o.stops
-	d.mergeSets(o.hits, o.misses, o.overflow)
-}
-
-func (d *subdeps) mergeSets(hits, misses configSet, overflow bool) {
-	if d.overflow {
-		return
-	}
-	if overflow {
-		d.overflow = true
-		d.hits, d.misses = nil, nil
-		return
-	}
-	for k := range hits {
-		d.hit(k)
-		if d.overflow {
-			return
-		}
-	}
-	for k := range misses {
-		d.miss(k)
-		if d.overflow {
-			return
-		}
-	}
-}
-
-// promote turns the accumulated summary of a node's children into the
-// summary of the node itself: the node adds one level and one logical
-// node, its own configuration becomes an outer miss (the node kept
-// expanding, so it was absent from its ancestors), and internal hits on
-// the node's own key stop being outer dependencies.
-func (d *subdeps) promote(key string) *subdeps {
-	d.size++
-	d.height++
-	if !d.overflow {
-		delete(d.hits, key)
-		d.miss(key)
-	}
-	return d
-}
-
-// subtreeEntry is one cached fully-expanded subtree. All fields are
-// immutable after insertion; children nodes are finalized and shared by
-// reference into every reusing parent.
-type subtreeEntry struct {
-	children []*xmltree.Node
-	size     int
-	height   int
-	stops    int
-	hits     configSet
-	misses   configSet
-}
-
-// valid reports whether the entry's recorded stop-condition
-// dependencies resolve identically under the ancestor set anc.
-func (e *subtreeEntry) valid(anc map[string]bool) bool {
-	for h := range e.hits {
-		if !anc[h] {
-			return false
-		}
-	}
-	for m := range e.misses {
-		if anc[m] {
-			return false
-		}
-	}
-	return true
-}
-
-// subtreeCache is the concurrency-safe bounded LRU of expanded subtrees,
-// keyed by configuration key (state, tag, register fingerprint). One
-// entry per key; a branch whose ancestor set invalidates the stored
-// entry recomputes and overwrites it.
-type subtreeCache struct {
-	mu  sync.Mutex
-	lru *lru.Cache[*subtreeEntry]
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-}
-
-func newSubtreeCache(capacity int) *subtreeCache {
-	if capacity <= 0 {
-		capacity = DefaultCacheSize
-	}
-	c := &subtreeCache{}
-	c.lru = lru.New[*subtreeEntry](capacity, func(string, *subtreeEntry) {
-		c.evictions.Add(1)
-	})
-	return c
-}
-
-// lookup returns the cached subtree for key when present and valid under
-// the given ancestor set.
-func (c *subtreeCache) lookup(key string, anc map[string]bool) (*subtreeEntry, bool) {
-	c.mu.Lock()
-	e, ok := c.lru.Get(key)
-	c.mu.Unlock()
-	if ok && e.valid(anc) {
-		c.hits.Add(1)
-		return e, true
-	}
-	c.misses.Add(1)
-	return nil, false
-}
-
-// insert stores a fully-expanded subtree. Callers must only insert
-// subtrees whose expansion completed without error: a canceled,
-// budget-exhausted or fault-injected expansion must never be cached.
-func (c *subtreeCache) insert(key string, e *subtreeEntry) {
-	c.mu.Lock()
-	c.lru.Put(key, e)
-	c.mu.Unlock()
-}

@@ -1,7 +1,6 @@
 // Cache-equivalence acceptance tests: every cache mode must produce
-// byte-identical output and identical logical-tree statistics on every
-// family, sequentially and in parallel, with and without injected
-// faults. These live in the external test package so they can drive the
+// byte-identical output and identical tree statistics on every family,
+// with and without injected faults. These live in the external test package so they can drive the
 // real paper families from internal/families.
 package pt_test
 
@@ -22,7 +21,7 @@ import (
 	"ptx/internal/runctl"
 )
 
-var allModes = []pt.CacheMode{pt.CacheOff, pt.CacheQueries, pt.CacheSubtrees}
+var allModes = []pt.CacheMode{pt.CacheOff, pt.CacheQueries}
 
 // fixture is one (transducer, instance) workload for the equivalence
 // suite.
@@ -71,8 +70,8 @@ func output(t *testing.T, f fixture, opts pt.Options) (string, pt.Stats) {
 }
 
 // TestCacheEquivalenceFamilies is the core soundness suite: for every
-// family, every cache mode and both sequential and parallel expansion
-// produce byte-identical XML and identical logical-tree statistics.
+// family, every cache mode produces byte-identical XML and identical
+// tree statistics.
 func TestCacheEquivalenceFamilies(t *testing.T) {
 	for _, f := range familyFixtures() {
 		f := f
@@ -80,20 +79,18 @@ func TestCacheEquivalenceFamilies(t *testing.T) {
 			t.Parallel()
 			base, baseStats := output(t, f, pt.Options{})
 			for _, mode := range allModes {
-				for _, workers := range []int{1, 4} {
-					got, stats := output(t, f, pt.Options{Cache: mode, Workers: workers})
-					if got != base {
-						t.Errorf("cache=%v workers=%d: output differs from cache-off baseline", mode, workers)
-					}
-					if stats.Nodes != baseStats.Nodes || stats.MaxDepth != baseStats.MaxDepth ||
-						stats.StopsApplied != baseStats.StopsApplied {
-						t.Errorf("cache=%v workers=%d: logical stats differ: got %+v want %+v",
-							mode, workers, stats, baseStats)
-					}
-					if mode != pt.CacheOff && stats.QueriesRun > baseStats.QueriesRun {
-						t.Errorf("cache=%v workers=%d: ran MORE queries (%d) than cache-off (%d)",
-							mode, workers, stats.QueriesRun, baseStats.QueriesRun)
-					}
+				got, stats := output(t, f, pt.Options{Cache: mode})
+				if got != base {
+					t.Errorf("cache=%v: output differs from cache-off baseline", mode)
+				}
+				if stats.Nodes != baseStats.Nodes || stats.MaxDepth != baseStats.MaxDepth ||
+					stats.StopsApplied != baseStats.StopsApplied {
+					t.Errorf("cache=%v: logical stats differ: got %+v want %+v",
+						mode, stats, baseStats)
+				}
+				if mode != pt.CacheOff && stats.QueriesRun > baseStats.QueriesRun {
+					t.Errorf("cache=%v: ran MORE queries (%d) than cache-off (%d)",
+						mode, stats.QueriesRun, baseStats.QueriesRun)
 				}
 			}
 		})
@@ -108,42 +105,11 @@ func TestCacheEquivalenceSpecs(t *testing.T) {
 		t.Run(f.name, func(t *testing.T) {
 			base, _ := output(t, f, pt.Options{})
 			for _, mode := range allModes[1:] {
-				for _, workers := range []int{1, 4} {
-					if got, _ := output(t, f, pt.Options{Cache: mode, Workers: workers}); got != base {
-						t.Errorf("cache=%v workers=%d: output differs from baseline", mode, workers)
-					}
+				if got, _ := output(t, f, pt.Options{Cache: mode}); got != base {
+					t.Errorf("cache=%v: output differs from baseline", mode)
 				}
 			}
 		})
-	}
-}
-
-// TestSubtreeSharingReducesQueries is the Proposition 1(3) acceptance
-// bound of this PR: on the exponential unfold family the subtree cache
-// must cut rule-query evaluations by at least 5× (it actually collapses
-// the 2ⁿ-leaf tree to one expansion per graph vertex).
-func TestSubtreeSharingReducesQueries(t *testing.T) {
-	tr := families.UnfoldTransducer()
-	inst := families.DiamondChain(10)
-	f := fixture{name: "unfold-diamond-10", tr: tr, inst: inst}
-
-	base, off := output(t, f, pt.Options{})
-	shared, sub := output(t, f, pt.Options{Cache: pt.CacheSubtrees})
-	if sub.CacheMode != pt.CacheSubtrees {
-		t.Fatalf("effective mode = %v, want subtree (no budgets, no virtual tags)", sub.CacheMode)
-	}
-	if shared != base {
-		t.Fatal("subtree-shared output differs from baseline")
-	}
-	if off.QueriesRun < 5*sub.QueriesRun {
-		t.Errorf("subtree sharing saved too little: %d queries off vs %d shared (want ≥5×)",
-			off.QueriesRun, sub.QueriesRun)
-	}
-	if sub.SubtreesShared == 0 || sub.NodesShared == 0 {
-		t.Errorf("no sharing recorded: %+v", sub)
-	}
-	if sub.Nodes != off.Nodes || sub.MaxDepth != off.MaxDepth {
-		t.Errorf("logical stats drifted: off %+v sub %+v", off, sub)
 	}
 }
 
@@ -164,11 +130,11 @@ func TestCacheFaultDoesNotPoison(t *testing.T) {
 		for _, n := range []int64{1, 5, 12} {
 			boom := errors.New("injected query fault")
 			plan := &runctl.FaultPlan{Op: runctl.OpQuery, N: n, Err: boom}
-			_, err := tr.Run(inst, pt.Options{Cache: mode, Workers: 4, Faults: plan})
+			_, err := tr.Run(inst, pt.Options{Cache: mode, Faults: plan})
 			if !errors.Is(err, boom) {
 				t.Fatalf("cache=%v fault@%d: got %v, want injected fault", mode, n, err)
 			}
-			if got, _ := output(t, f, pt.Options{Cache: mode, Workers: 4}); got != base {
+			if got, _ := output(t, f, pt.Options{Cache: mode}); got != base {
 				t.Errorf("cache=%v: clean rerun after fault@%d differs from baseline", mode, n)
 			}
 		}
@@ -176,9 +142,7 @@ func TestCacheFaultDoesNotPoison(t *testing.T) {
 }
 
 // TestCacheBudgetEquivalence: a node budget must abort the run with the
-// same typed error in every cache mode (CacheSubtrees silently degrades
-// to the query-level cache under tree-shaped budgets, so per-node
-// accounting is identical).
+// same typed error in every cache mode.
 func TestCacheBudgetEquivalence(t *testing.T) {
 	tr := families.CounterTransducer()
 	inst := families.CounterInstance(2)
@@ -189,19 +153,11 @@ func TestCacheBudgetEquivalence(t *testing.T) {
 			t.Fatalf("cache=%v: got (%v, %v), want nodes-budget error", mode, res, err)
 		}
 	}
-	// And the subtree mode must report its downgrade in Stats.
-	res, err := tr.Run(inst, pt.Options{Cache: pt.CacheSubtrees, MaxNodes: 2_000_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.CacheMode != pt.CacheQueries {
-		t.Errorf("subtree under MaxNodes should downgrade to query, got %v", res.Stats.CacheMode)
-	}
 }
 
-// TestCacheTinyCapacityStillCorrect forces heavy eviction (capacity 2 on
-// both levels) and checks the output is still byte-identical: the caches
-// are a pure optimization, never load-bearing.
+// TestCacheTinyCapacityStillCorrect forces heavy eviction (capacity 2)
+// and checks the output is still byte-identical: the query memo is a
+// pure optimization, never load-bearing.
 func TestCacheTinyCapacityStillCorrect(t *testing.T) {
 	tr := families.UnfoldTransducer()
 	inst := families.DiamondChain(8)
@@ -259,22 +215,19 @@ func TestCacheEquivalenceWarmMemo(t *testing.T) {
 		t.Run(f.name, func(t *testing.T) {
 			t.Parallel()
 			base, baseStats := output(t, f, pt.Options{})
-			for _, workers := range []int{1, 4} {
-				memo := eval.NewMemo(0)
-				opts := pt.Options{Cache: pt.CacheQueries, Memo: memo, Workers: workers}
-				output(t, f, opts)
-				got, stats := output(t, f, opts)
-				if got != base {
-					t.Errorf("warm workers=%d: output differs from cache-off baseline", workers)
-				}
-				if stats.Nodes != baseStats.Nodes || stats.MaxDepth != baseStats.MaxDepth ||
-					stats.StopsApplied != baseStats.StopsApplied {
-					t.Errorf("warm workers=%d: logical stats differ: got %+v want %+v",
-						workers, stats, baseStats)
-				}
-				if stats.QueriesRun != 0 {
-					t.Errorf("warm workers=%d: %d queries evaluated, want 0", workers, stats.QueriesRun)
-				}
+			memo := eval.NewMemo(0)
+			opts := pt.Options{Cache: pt.CacheQueries, Memo: memo}
+			output(t, f, opts)
+			got, stats := output(t, f, opts)
+			if got != base {
+				t.Errorf("warm: output differs from cache-off baseline")
+			}
+			if stats.Nodes != baseStats.Nodes || stats.MaxDepth != baseStats.MaxDepth ||
+				stats.StopsApplied != baseStats.StopsApplied {
+				t.Errorf("warm: logical stats differ: got %+v want %+v", stats, baseStats)
+			}
+			if stats.QueriesRun != 0 {
+				t.Errorf("warm: %d queries evaluated, want 0", stats.QueriesRun)
 			}
 		})
 	}
@@ -296,8 +249,7 @@ rule q x -> (q, y, [u;] Reg(u)), (q, z, [u;] Reg(u))
 `
 
 // TestSiblingsReachSameConfiguration: both siblings expand X in full,
-// in every cache mode and worker count, cold and warm, and StepRun
-// agrees.
+// in every cache mode, cold and warm, and StepRun agrees.
 func TestSiblingsReachSameConfiguration(t *testing.T) {
 	tr, err := parser.ParseTransducer(siblingSpec)
 	if err != nil {
@@ -329,17 +281,15 @@ func TestSiblingsReachSameConfiguration(t *testing.T) {
 	}
 
 	for _, mode := range allModes {
-		for _, workers := range []int{1, 4} {
-			opts := pt.Options{Cache: mode, Workers: workers}
-			if mode != pt.CacheOff {
-				opts.Memo = eval.NewMemo(0)
-			}
-			for _, pass := range []string{"cold", "warm"} {
-				got, stats := output(t, f, opts)
-				if got != base || stats.Nodes != baseStats.Nodes || stats.StopsApplied != 0 {
-					t.Errorf("cache=%v workers=%d %s: got %+v\n%s\nwant\n%s",
-						mode, workers, pass, stats, got, base)
-				}
+		opts := pt.Options{Cache: mode}
+		if mode != pt.CacheOff {
+			opts.Memo = eval.NewMemo(0)
+		}
+		for _, pass := range []string{"cold", "warm"} {
+			got, stats := output(t, f, opts)
+			if got != base || stats.Nodes != baseStats.Nodes || stats.StopsApplied != 0 {
+				t.Errorf("cache=%v %s: got %+v\n%s\nwant\n%s",
+					mode, pass, stats, got, base)
 			}
 		}
 	}

@@ -1,18 +1,16 @@
 package pt
 
 import (
-	"strconv"
 	"testing"
 
 	"ptx/internal/logic"
 	"ptx/internal/relation"
-	"ptx/internal/runctl"
 )
 
 func TestParseCacheMode(t *testing.T) {
 	cases := map[string]CacheMode{
 		"off": CacheOff, "query": CacheQueries, "queries": CacheQueries,
-		"subtree": CacheSubtrees, "subtrees": CacheSubtrees,
+		"subtree": CacheQueries, "subtrees": CacheQueries,
 	}
 	for in, want := range cases {
 		got, err := ParseCacheMode(in)
@@ -23,49 +21,8 @@ func TestParseCacheMode(t *testing.T) {
 	if _, err := ParseCacheMode("bogus"); err == nil {
 		t.Error("bogus mode should fail")
 	}
-	if CacheOff.String() != "off" || CacheQueries.String() != "query" || CacheSubtrees.String() != "subtree" {
+	if CacheOff.String() != "off" || CacheQueries.String() != "query" {
 		t.Error("String() spellings drifted from the CLI contract")
-	}
-}
-
-// TestSubtreeModeDowngrade: tree-shaped budgets must silently degrade
-// subtree sharing to the query-level cache, and the effective mode must
-// be visible in Stats. Virtual tags no longer downgrade: the output
-// path splices them at emission instead of mutating ξ, so a shared ξ
-// DAG is fine.
-func TestSubtreeModeDowngrade(t *testing.T) {
-	inst := relation.NewInstance(unarySchema())
-	inst.Add("R1", "v")
-
-	run := func(tr *Transducer, opts Options) CacheMode {
-		t.Helper()
-		opts.Cache = CacheSubtrees
-		res, err := tr.Run(inst, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Stats.CacheMode
-	}
-
-	if m := run(simple(), Options{}); m != CacheSubtrees {
-		t.Errorf("no budgets, no virtual: mode = %v, want subtree", m)
-	}
-	if m := run(simple(), Options{MaxNodes: 10}); m != CacheQueries {
-		t.Errorf("MaxNodes: mode = %v, want query", m)
-	}
-	if m := run(simple(), Options{MaxDepth: 10}); m != CacheQueries {
-		t.Errorf("MaxDepth: mode = %v, want query", m)
-	}
-	if m := run(simple(), Options{Limits: &runctl.Limits{MaxNodes: 10}}); m != CacheQueries {
-		t.Errorf("Limits.MaxNodes: mode = %v, want query", m)
-	}
-
-	virt := New("virt", unarySchema(), "q0", "r")
-	virt.DeclareTag("v", 1)
-	virt.MarkVirtual("v")
-	virt.AddRule("q0", "r", Item("q", "v", logic.MustQuery([]logic.Var{x}, nil, logic.R("R1", x))))
-	if m := run(virt, Options{}); m != CacheSubtrees {
-		t.Errorf("virtual tags: mode = %v, want subtree (downgrade lifted)", m)
 	}
 }
 
@@ -106,7 +63,7 @@ func TestChildrenOrderedByRegisterAcrossModes(t *testing.T) {
 		inst.Add("R1", v)
 	}
 	want := []string{"1", "2", "10"} // numeric order
-	for _, mode := range []CacheMode{CacheOff, CacheQueries, CacheSubtrees} {
+	for _, mode := range []CacheMode{CacheOff, CacheQueries} {
 		res, err := tr.Run(inst, Options{Cache: mode})
 		if err != nil {
 			t.Fatal(err)
@@ -116,63 +73,5 @@ func TestChildrenOrderedByRegisterAcrossModes(t *testing.T) {
 				t.Fatalf("cache=%v: child %d = %s, want %s", mode, i, got, want[i])
 			}
 		}
-	}
-}
-
-// TestSubdepsPromoteAndValidity exercises the dependency algebra the
-// subtree cache's soundness rests on.
-func TestSubdepsPromoteAndValidity(t *testing.T) {
-	// A node K whose children stopped on outer config H and probed M.
-	cd := &subdeps{}
-	cd.addStop("H")
-	cd.addLeaf("M")
-	mine := cd.promote("K")
-
-	if mine.size != 3 || mine.height != 2 || mine.stops != 1 {
-		t.Fatalf("summary = %+v", mine)
-	}
-	e := &subtreeEntry{hits: mine.hits, misses: mine.misses}
-	if !e.valid(map[string]bool{"H": true}) {
-		t.Error("H present, M/K absent: entry should be valid")
-	}
-	if e.valid(map[string]bool{}) {
-		t.Error("missing hit H: entry must be invalid")
-	}
-	if e.valid(map[string]bool{"H": true, "M": true}) {
-		t.Error("miss M present: entry must be invalid")
-	}
-	if e.valid(map[string]bool{"H": true, "K": true}) {
-		t.Error("own key K present: entry must be invalid")
-	}
-
-	// Internal hits on the node's own key are dropped by promote: they
-	// are resolved inside the subtree, not by the outer ancestor set.
-	cd2 := &subdeps{}
-	cd2.addStop("K2")
-	mine2 := cd2.promote("K2")
-	if _, ok := mine2.hits["K2"]; ok {
-		t.Error("promote must drop internal hits on the node's own key")
-	}
-	if _, ok := mine2.misses["K2"]; !ok {
-		t.Error("promote must record the node's own key as an outer miss")
-	}
-}
-
-func TestSubdepsOverflowDisablesCaching(t *testing.T) {
-	d := &subdeps{}
-	for i := 0; i <= maxSubtreeDeps; i++ {
-		d.miss("k" + strconv.Itoa(i))
-	}
-	if !d.overflow || d.hits != nil || d.misses != nil {
-		t.Fatalf("overflow not triggered: %+v", d)
-	}
-	// Size bookkeeping survives overflow, and overflow is contagious
-	// through merge.
-	d.size = 7
-	acc := &subdeps{}
-	acc.addLeaf("x")
-	acc.merge(d)
-	if !acc.overflow || acc.size != 8 {
-		t.Errorf("merge of overflowed summary: %+v", acc)
 	}
 }

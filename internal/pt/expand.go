@@ -21,9 +21,10 @@ type ChildSpec struct {
 // number of queries actually evaluated. Each fresh evaluation is first
 // charged to base's run controller (cancellation, fault plan, query
 // budget); memo hits are free and charge nothing. A missing or empty
-// rule yields nil specs. The ancestor stop condition, subtree sharing
-// and node accounting are the run driver's job (driver.step); the only
-// other caller is incremental repair re-deriving a dirty node's specs.
+// rule yields nil specs. The ancestor stop condition and node
+// accounting are the run driver's job (driver.step); the other callers
+// are OutputRelation's configuration walk and incremental repair
+// re-deriving a dirty node's specs.
 func (t *Transducer) ExpandConfig(state, tag string, reg *relation.Relation, base *eval.Env, memo *eval.Memo) ([]ChildSpec, int, error) {
 	rule, ok := t.Rule(state, tag)
 	if !ok || len(rule.Items) == 0 {

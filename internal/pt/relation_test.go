@@ -55,7 +55,6 @@ func TestOutputRelationMatchesTree(t *testing.T) {
 	}{
 		{"off", pt.Options{Cache: pt.CacheOff}},
 		{"query", pt.Options{Cache: pt.CacheQueries}},
-		{"subtree", pt.Options{Cache: pt.CacheSubtrees}},
 		{"noplan", pt.Options{NoPlan: true}},
 	}
 	ctx := context.Background()

@@ -26,11 +26,9 @@ type Options struct {
 	// fire only after exponentially many levels. For OutputRelation it
 	// caps the BFS level of the configuration walk (the root is level 1).
 	MaxDepth int
-	// Workers > 1 expands independent subtrees concurrently. The output
-	// is identical to the sequential run: each subtree is uniquely
-	// determined by its root's (state, tag, register) and the database
-	// (the paper's determinism argument), and children are ordered
-	// before recursion.
+	// Workers is accepted for compatibility and ignored: every run
+	// expands serially. Callers wanting concurrency run several
+	// transformations at once, as ptserve does.
 	Workers int
 	// Limits optionally carries the full run-control limit set (wall
 	// clock, query and fixpoint-iteration budgets). The MaxNodes and
@@ -41,18 +39,12 @@ type Options struct {
 	// runctl.FaultPlan); nil in production.
 	Faults *runctl.FaultPlan
 	// Cache selects the memoization level (see CacheMode). The zero
-	// value CacheOff preserves the historical behavior exactly. With
-	// CacheQueries and above, register relations in ξ may be shared
-	// between nodes (and, through a shared Memo, between runs) and must
-	// be treated as immutable; with
-	// CacheSubtrees, ξ itself may be a DAG (shared subtrees) — Output
-	// preserves the sharing (and the streaming writers serialize the
-	// unfolding without materializing it), but callers walking
-	// Result.Xi directly should expect shared nodes. The run's
-	// Stats.CacheMode reports the EFFECTIVE mode after the automatic
-	// subtree→query downgrade (node/depth budgets).
+	// value CacheOff evaluates every rule query at every node. With
+	// CacheQueries, register relations in ξ may be shared between nodes
+	// (and, through a shared Memo, between runs) and must be treated as
+	// immutable. ξ itself is always a tree.
 	Cache CacheMode
-	// CacheSize bounds each cache level in entries; 0 selects
+	// CacheSize bounds the query memo in entries; 0 selects
 	// DefaultCacheSize.
 	CacheSize int
 	// Memo, when non-nil and Cache ≥ CacheQueries, is used as the
@@ -97,22 +89,20 @@ func (o Options) limits() runctl.Limits {
 	return l
 }
 
-// Stats reports what a run did. Nodes, StopsApplied and MaxDepth always
-// describe the LOGICAL tree (the unfolding of ξ), so they are identical
-// across cache modes; QueriesRun counts evaluations actually performed,
-// which is exactly what the caches reduce.
+// Stats reports what a run did. Nodes, StopsApplied and MaxDepth
+// describe ξ, so they are identical across cache modes; QueriesRun
+// counts evaluations actually performed, which is exactly what the
+// query memo reduces.
 type Stats struct {
-	Nodes        int // logical nodes in the final ξ (before virtual splicing)
+	Nodes        int // nodes in the final ξ (before virtual splicing)
 	QueriesRun   int // rule queries evaluated
-	StopsApplied int // times the ancestor stop condition fired (logical)
+	StopsApplied int // times the ancestor stop condition fired
 	MaxDepth     int // depth of ξ
 
-	CacheMode      CacheMode // effective mode (subtree may downgrade to query)
+	CacheMode      CacheMode // the run's cache mode
 	CacheHits      int       // query-memo hits
 	CacheMisses    int       // query-memo misses
-	CacheEvictions int       // evictions across both cache levels
-	SubtreesShared int       // whole expanded subtrees reused by reference
-	NodesShared    int       // logical nodes covered by those reuses (roots excluded)
+	CacheEvictions int       // query-memo evictions
 }
 
 // Result bundles the raw register-carrying tree ξ and run statistics.
@@ -128,7 +118,7 @@ type Result struct {
 type ErrBudget = runctl.ErrBudget
 
 // ConfigKey identifies a (state, tag, register) configuration: the key
-// of the ancestor stop condition and of the subtree cache. relation.Key
+// of the ancestor stop condition. relation.Key
 // is order-insensitive (registers are sets); sibling order is fixed
 // earlier, at grouping time. By determinism (Proposition 1(1)) the key
 // identifies the subtree a configuration generates over a fixed
@@ -148,8 +138,8 @@ func (t *Transducer) Run(inst *relation.Instance, opts Options) (*Result, error)
 // RunContext executes the τ-transformation under ctx and the limits in
 // opts. Cancellation (and the Limits.Timeout deadline) is observed
 // between rule-query evaluations, inside quantifier expansion and
-// inside IFP fixpoint loops; on any failure all in-flight sibling
-// expansions are abandoned. Errors are runctl-typed: *runctl.ErrCanceled
+// inside IFP fixpoint loops; the run stops at the first failing step.
+// Errors are runctl-typed: *runctl.ErrCanceled
 // for cancellation/deadline, *runctl.ErrBudget for exhausted budgets,
 // *runctl.ErrInternal for contained panics.
 func (t *Transducer) RunContext(ctx context.Context, inst *relation.Instance, opts Options) (res *Result, err error) {
@@ -157,12 +147,13 @@ func (t *Transducer) RunContext(ctx context.Context, inst *relation.Instance, op
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	r := t.newRun(ctx, inst, opts, false)
+	r := t.newRun(ctx, inst, opts)
 	defer r.cancel()
 	root, d := r.start()
-	if d.drain() != nil {
-		// The first failure, not a sibling's derived cancellation.
-		return nil, r.firstErr
+	for !d.done() {
+		if err := d.step(); err != nil {
+			return nil, err
+		}
 	}
 	return &Result{Xi: &xmltree.Tree{Root: root}, Stats: r.stats(d.tally)}, nil
 }
@@ -173,11 +164,9 @@ func (t *Transducer) Output(inst *relation.Instance, opts Options) (*xmltree.Tre
 	return t.OutputContext(context.Background(), inst, opts)
 }
 
-// OutputContext is Output under a context (see RunContext). The result
-// preserves any subtree sharing in ξ: publishing a DAG costs its
-// physical size, and the streaming writers serialize its unfolding
-// without materializing it. Use Tree.WriteXMLVirtual/WriteCanonicalVirtual
-// on Result.Xi directly to skip even the publish copy.
+// OutputContext is Output under a context (see RunContext). Use
+// Tree.WriteXMLVirtual/WriteCanonicalVirtual on Result.Xi directly to
+// skip the publish copy.
 func (t *Transducer) OutputContext(ctx context.Context, inst *relation.Instance, opts Options) (*xmltree.Tree, error) {
 	res, err := t.RunContext(ctx, inst, opts)
 	if err != nil {
@@ -203,9 +192,7 @@ func (t *Transducer) OutputContext(ctx context.Context, inst *relation.Instance,
 // Budgets count the walk, not the tree: MaxNodes charges each distinct
 // configuration once, and MaxDepth bounds the BFS level, a
 // configuration's shortest distance from the root. Both are at most the
-// tree's figures, so a budget the tree run meets is met here too. The
-// walk is serial and reuses only the query memo: Workers and
-// CacheSubtrees have no effect.
+// tree's figures, so a budget the tree run meets is met here too.
 func (t *Transducer) OutputRelation(inst *relation.Instance, label string, opts Options) (*relation.Relation, error) {
 	return t.OutputRelationContext(context.Background(), inst, label, opts)
 }
@@ -224,7 +211,7 @@ func (t *Transducer) OutputRelationContext(ctx context.Context, inst *relation.I
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	r := t.newRun(ctx, inst, opts, true)
+	r := t.newRun(ctx, inst, opts)
 	defer r.cancel()
 	out = relation.New(a)
 	level := []ChildSpec{{State: t.Start, Tag: t.RootTag, Reg: relation.New(0)}}

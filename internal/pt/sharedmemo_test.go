@@ -82,7 +82,7 @@ func TestSharedMemoConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			opts := pt.Options{Cache: pt.CacheQueries, Memo: memo, Workers: 1 + i%3}
+			opts := pt.Options{Cache: pt.CacheQueries, Memo: memo}
 			if i%3 == 0 {
 				// Every third run fails its 2nd evaluated query; memo hits
 				// skip the fault checkpoint, so late runs may see no fault

@@ -21,10 +21,7 @@ import (
 // RunContext drains the same frontier with the same step; the step
 // order is LIFO (document-order DFS), which makes the operation
 // numbering deterministic — "interrupt at the k-th step" names the same
-// cut point on every run. A StepRun is serial, and its cache mode is
-// capped at CacheQueries: subtree sharing skips per-node work in a way
-// that has no stable per-step numbering. The OUTPUT is identical either
-// way (the determinism invariant the cache-equivalence suite pins).
+// cut point on every run.
 type StepRun struct {
 	d    *driver
 	root *xmltree.Node
@@ -42,14 +39,13 @@ type PendingConfig struct {
 
 // NewStepRun starts a stepwise run of the τ-transformation on inst.
 // Budgets and fault plans in opts apply exactly as in RunContext (the
-// wall-clock deadline starts now); Options.Cache above CacheQueries is
-// capped at CacheQueries. Callers must Close the run to release its
-// timeout resources.
+// wall-clock deadline starts now). Callers must Close the run to release
+// its timeout resources.
 func (t *Transducer) NewStepRun(ctx context.Context, inst *relation.Instance, opts Options) (*StepRun, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	root, d := t.newRun(ctx, inst, opts, true).start()
+	root, d := t.newRun(ctx, inst, opts).start()
 	return &StepRun{d: d, root: root}, nil
 }
 
@@ -80,7 +76,7 @@ func (t *Transducer) RestoreStepRun(ctx context.Context, inst *relation.Instance
 			return nil, fmt.Errorf("pt: restore: pending[%d] depth %d < 1", i, p.Depth)
 		}
 	}
-	d := t.newRun(ctx, inst, opts, true).driver(map[string]bool{}, 0)
+	d := &driver{run: t.newRun(ctx, inst, opts), anc: map[string]bool{}}
 	d.seeds = slices.Clone(pending)
 	d.tally = tally{nodes: prior.Nodes, queries: prior.QueriesRun, stops: prior.StopsApplied, maxDepth: prior.MaxDepth}
 	return &StepRun{d: d, root: root}, nil

@@ -62,7 +62,7 @@ func TestStepRunMatchesRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := canonicalOf(t, w.tr, golden)
-			for _, cache := range []pt.CacheMode{pt.CacheOff, pt.CacheQueries, pt.CacheSubtrees} {
+			for _, cache := range []pt.CacheMode{pt.CacheOff, pt.CacheQueries} {
 				sr, err := w.tr.NewStepRun(context.Background(), w.inst, pt.Options{Cache: cache})
 				if err != nil {
 					t.Fatal(err)
@@ -79,11 +79,6 @@ func TestStepRunMatchesRun(t *testing.T) {
 					res.Stats.MaxDepth != golden.Stats.MaxDepth ||
 					res.Stats.StopsApplied != golden.Stats.StopsApplied {
 					t.Errorf("cache=%v: stats diverged: step %+v vs run %+v", cache, res.Stats, golden.Stats)
-				}
-				// Stepwise caps at the query cache: subtree mode must
-				// report the effective (downgraded) mode.
-				if cache == pt.CacheSubtrees && res.Stats.CacheMode != pt.CacheQueries {
-					t.Errorf("subtree mode not capped: %v", res.Stats.CacheMode)
 				}
 			}
 		})
@@ -127,9 +122,9 @@ func TestStepRunResumeSweep(t *testing.T) {
 						t.Fatalf("k=%d step %d: %v", k, i, err)
 					}
 				}
-				// Capture through a sharing-preserving deep copy, the way a
-				// real checkpoint would, so the restored run cannot alias
-				// the interrupted one.
+				// Capture through a deep copy, the way a real checkpoint
+				// would, so the restored run cannot alias the interrupted
+				// one.
 				tree, remap := sr.Tree().CloneShared()
 				pending := sr.Pending()
 				for i := range pending {

@@ -199,22 +199,6 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	inst := DiamondInstance(5)
-	tr := Tau1()
-	seq, err := tr.Output(inst, pt.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := tr.Output(inst, pt.Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !seq.Equal(par) {
-		t.Fatal("parallel run produced a different tree")
-	}
-}
-
 func TestOutputRelation(t *testing.T) {
 	// Treat τ1 as a relational query with output label course: the union
 	// of all course registers is every CS course reachable through some

@@ -24,9 +24,9 @@ import (
 // fingerprint (Key), the canonical sorted order (Sorted/Tuples/Each),
 // the active domain (ActiveDomain), a columnar copy of the sorted
 // order (Columns) and the prefix grouping (GroupByPrefix). They are
-// atomic so that concurrent READERS (e.g. parallel transducer workers
-// evaluating over a shared register) are race-free; mutation is not concurrency-safe, as for the rest of the
-// type. Secondary column→tuples indexes (Lookup) follow the same
+// atomic so that concurrent READERS (e.g. concurrent runs whose trees
+// share registers through one query memo) are race-free; mutation is
+// not concurrency-safe, as for the rest of the type. Secondary column→tuples indexes (Lookup) follow the same
 // contract and are maintained incrementally by every mutator,
 // including deltas applied through Instance.Apply.
 type Relation struct {

@@ -21,7 +21,7 @@
 //     *ErrInternal instead of killing the process;
 //   - FaultPlan is a test-only deterministic fault injector ("fail the
 //     Nth query") used to prove that errors propagate cleanly through
-//     concurrent expansion.
+//     every layer.
 //
 // All Controller methods are safe on a nil receiver, which means
 // call sites can thread a controller unconditionally and pay nothing
@@ -69,17 +69,6 @@ type Limits struct {
 	MaxFixpointIters int
 }
 
-// BoundsTree reports whether the limit set constrains the SHAPE of the
-// generated tree (node or depth budgets) rather than just the work done
-// producing it. Optimizations that change how much of the tree is
-// physically expanded — pt's subtree sharing reuses whole expanded
-// subtrees without re-charging them node by node — must degrade to a
-// work-level cache under tree-shaped budgets so that budget semantics
-// stay identical across cache modes.
-func (l Limits) BoundsTree() bool {
-	return l.MaxNodes > 0 || l.MaxDepth > 0
-}
-
 // WithTimeout derives a context carrying the wall-clock budget. The
 // returned cancel func must always be called.
 func (l Limits) WithTimeout(ctx context.Context) (context.Context, context.CancelFunc) {
@@ -104,8 +93,8 @@ func (e *ErrCanceled) Unwrap() error { return e.Cause }
 // the interrupted computation is unknown ("undecided"), not negative.
 // Observed is the count actually reached when the budget tripped — at
 // least Limit+1 for counted budgets — so callers can tell a budget that
-// was barely exceeded from one that was swamped (concurrent workers may
-// overshoot before the first error propagates).
+// was barely exceeded from one that was swamped (one expansion step may
+// add many nodes at once).
 type ErrBudget struct {
 	Kind     BudgetKind
 	Limit    int

@@ -147,24 +147,6 @@ func TestTickEventuallySeesCancellation(t *testing.T) {
 	}
 }
 
-func TestBoundsTree(t *testing.T) {
-	cases := []struct {
-		l    Limits
-		want bool
-	}{
-		{Limits{}, false},
-		{Limits{Timeout: time.Second, MaxQueries: 5, MaxFixpointIters: 3}, false},
-		{Limits{MaxNodes: 1}, true},
-		{Limits{MaxDepth: 1}, true},
-		{Limits{MaxNodes: 10, MaxDepth: 10}, true},
-	}
-	for _, c := range cases {
-		if got := c.l.BoundsTree(); got != c.want {
-			t.Errorf("BoundsTree(%+v) = %v, want %v", c.l, got, c.want)
-		}
-	}
-}
-
 func TestTransientMarking(t *testing.T) {
 	if Transient(nil) != nil {
 		t.Fatal("Transient(nil) should be nil")

@@ -72,9 +72,6 @@ type Config struct {
 	DefaultMaxNodes int
 	// MaxRetries clamps per-request supervised retries (default 5).
 	MaxRetries int
-	// MaxRunWorkers clamps per-request parallel expansion workers
-	// (default 4).
-	MaxRunWorkers int
 
 	// DrainGrace is how long Drain waits for canceled stragglers after
 	// the drain deadline has expired (default 2s).
@@ -147,9 +144,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 5
-	}
-	if c.MaxRunWorkers <= 0 {
-		c.MaxRunWorkers = 4
 	}
 	if c.DrainGrace <= 0 {
 		c.DrainGrace = 2 * time.Second
@@ -335,7 +329,7 @@ type publishRequest struct {
 	DB        string         `json:"db"`
 	Canonical bool           `json:"canonical,omitempty"`
 	Cache     string         `json:"cache,omitempty"`
-	Workers   int            `json:"workers,omitempty"`
+	Workers   int            `json:"workers,omitempty"` // ignored: runs are serial; negative is rejected
 	Retries   int            `json:"retries,omitempty"`
 	Limits    limitsRequest  `json:"limits,omitempty"`
 	Inject    *injectRequest `json:"inject,omitempty"`
@@ -401,7 +395,6 @@ func (s *Server) validate(req publishRequest) (*admitted, error) {
 	if req.Workers < 0 {
 		return nil, Validationf("workers", "negative")
 	}
-	workers := min(req.Workers, s.cfg.MaxRunWorkers)
 	if req.Retries < 0 {
 		return nil, Validationf("retries", "negative")
 	}
@@ -464,15 +457,14 @@ func (s *Server) validate(req publishRequest) (*admitted, error) {
 	}
 
 	opts := pt.Options{
-		Workers: workers,
-		Limits:  &limits,
-		Cache:   cacheMode,
-		Faults:  faults,
+		Limits: &limits,
+		Cache:  cacheMode,
+		Faults: faults,
 	}
 	// The dedup key covers every run-relevant option — canonical-vs-XML
 	// rendering is per-request and deliberately excluded.
-	key := fmt.Sprintf("%s\x00%s\x00c=%d;w=%d;r=%d;t=%d;n=%d;d=%d;q=%d;i=%s",
-		req.Spec, req.DB, cacheMode, workers, retries,
+	key := fmt.Sprintf("%s\x00%s\x00c=%d;r=%d;t=%d;n=%d;d=%d;q=%d;i=%s",
+		req.Spec, req.DB, cacheMode, retries,
 		limits.Timeout, limits.MaxNodes, limits.MaxDepth, limits.MaxQueries, injectKey)
 	return &admitted{req: req, opts: opts, limits: limits, retries: retries, key: key}, nil
 }
@@ -614,10 +606,10 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	h.Set("X-Ptserve-Nodes", strconv.Itoa(res.Stats.Nodes))
 	h.Set("X-Ptserve-Queries", strconv.Itoa(res.Stats.QueriesRun))
 	h.Set("X-Ptserve-Cache", res.Stats.CacheMode.String())
-	// Stream straight from ξ (possibly a shared DAG): the writers
-	// splice virtual tags at emission and never materialize the
-	// unfolding. A write failure here means the client went away; the
-	// status line is already committed, so just stop.
+	// Stream straight from ξ: the writers splice virtual tags at
+	// emission and never materialize a copy. A write failure here means
+	// the client went away; the status line is already committed, so
+	// just stop.
 	if adm.req.Canonical {
 		if werr := res.Xi.WriteCanonicalVirtual(w, tr.Virtual); werr == nil {
 			_, _ = io.WriteString(w, "\n")

@@ -365,6 +365,30 @@ func TestPublishDedup(t *testing.T) {
 	if m.Succeeded != n {
 		t.Fatalf("Succeeded = %d, want %d", m.Succeeded, n)
 	}
+
+	// workers is accepted and ignored, and cache "subtree" is an alias of
+	// the default "query": such requests share one run with the default
+	// and return its bytes.
+	base, err := s.validate(publishRequest{Spec: "tiny", DB: "tinydb"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []publishRequest{
+		{Spec: "tiny", DB: "tinydb", Workers: 4},
+		{Spec: "tiny", DB: "tinydb", Cache: "subtree", Workers: 4},
+	} {
+		adm, err := s.validate(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if adm.key != base.key {
+			t.Errorf("%+v: dedup key %q, want the default's %q", req, adm.key, base.key)
+		}
+	}
+	status, _, body := post(t, ts, `{"spec":"tiny","db":"tinydb","cache":"subtree","workers":4}`)
+	if status != http.StatusOK || !bytes.Equal(body, want) {
+		t.Errorf("cache=subtree workers=4: status %d, bytes differ from golden: %s", status, body)
+	}
 }
 
 // TestErrorCodeTable pins the full kind↔status mapping — DESIGN.md §9's

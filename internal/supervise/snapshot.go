@@ -13,8 +13,8 @@
 // variable-width field strconv.Quote-d. Nodes are written in
 // post-order, children before parents, referencing each other by index;
 // a reference to a not-yet-defined node is a decode error, which makes
-// cycles structurally unrepresentable. Shared subtrees (the DAG the
-// subtree cache builds) encode once and decode back to shared pointers.
+// cycles structurally unrepresentable, and so is a second reference to
+// the same node, so a decoded tree is always a tree.
 package supervise
 
 import (
@@ -90,8 +90,8 @@ func Fingerprint(s string) string {
 }
 
 // Capture builds a Snapshot from a live stepwise run. The tree is
-// deep-copied (sharing-preserved) so the snapshot stays valid while the
-// run keeps mutating, which is what periodic checkpoints need.
+// deep-copied so the snapshot stays valid while the run keeps
+// mutating, which is what periodic checkpoints need.
 func Capture(tr *pt.Transducer, inst *relation.Instance, sr *pt.StepRun) *Snapshot {
 	tree, remap := sr.Tree().CloneShared()
 	pending := sr.Pending()
@@ -209,8 +209,7 @@ func (s *Snapshot) Encode(w io.Writer) error {
 	return raw.Flush()
 }
 
-// postOrder assigns ids in children-before-parents order over the
-// shared-node DAG (each physical node once), iteratively.
+// postOrder assigns ids in children-before-parents order, iteratively.
 func postOrder(root *xmltree.Node) (map[*xmltree.Node]int, []*xmltree.Node, error) {
 	if root == nil {
 		return nil, nil, fmt.Errorf("supervise: snapshot has nil tree root")
@@ -224,19 +223,13 @@ func postOrder(root *xmltree.Node) (map[*xmltree.Node]int, []*xmltree.Node, erro
 	stack := []frame{{root, 0}}
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
-		if _, done := ids[f.n]; done {
-			stack = stack[:len(stack)-1]
-			continue
-		}
 		if f.i < len(f.n.Children) {
 			c := f.n.Children[f.i]
 			f.i++
 			if c == nil {
 				return nil, nil, fmt.Errorf("supervise: nil child under %q", f.n.Tag)
 			}
-			if _, ok := ids[c]; !ok {
-				stack = append(stack, frame{c, 0})
-			}
+			stack = append(stack, frame{c, 0})
 			continue
 		}
 		ids[f.n] = len(order)
@@ -247,7 +240,8 @@ func postOrder(root *xmltree.Node) (map[*xmltree.Node]int, []*xmltree.Node, erro
 }
 
 // DecodeSnapshot reads and validates a snapshot. Structural guarantees
-// on success: node references are acyclic by construction, every
+// on success: node references are acyclic by construction, no node has
+// two parents, every
 // pending entry points at a reachable, unfinalized, register-carrying
 // node of the decoded tree, the counters are non-negative, and the
 // payload checksum matches — so truncation or bit flips anywhere in
@@ -346,20 +340,22 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	// Preallocation is capped: a bit-flipped count must fail on token
 	// exhaustion, not by provoking a huge up-front allocation.
 	nodes := make([]*xmltree.Node, 0, min(nNodes, 4096))
+	parented := make([]bool, 0, min(nNodes, 4096))
 	for i := 0; i < nNodes; i++ {
 		if l, err = line(); err != nil {
 			return nil, err
 		}
-		n, err := decodeNode(l, i, nodes)
+		n, err := decodeNode(l, i, nodes, parented)
 		if err != nil {
 			return nil, snapErrf("%v", err)
 		}
 		nodes = append(nodes, n)
+		parented = append(parented, false)
 	}
 	// Post-order emission puts the root last.
 	s.Tree = &xmltree.Tree{Root: nodes[nNodes-1]}
 	reach := make(map[*xmltree.Node]bool, nNodes)
-	s.Tree.WalkShared(func(n *xmltree.Node) bool {
+	s.Tree.Walk(func(n *xmltree.Node) bool {
 		reach[n] = true
 		return true
 	})
@@ -415,7 +411,9 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	return s, nil
 }
 
-func decodeNode(l string, i int, defined []*xmltree.Node) (*xmltree.Node, error) {
+// decodeNode decodes node i, whose children must be among defined and
+// not yet claimed in parented, which it updates.
+func decodeNode(l string, i int, defined []*xmltree.Node, parented []bool) (*xmltree.Node, error) {
 	tk := newTok(l)
 	if err := tk.literal("n"); err != nil {
 		return nil, fmt.Errorf("node %d: %w", i, err)
@@ -477,6 +475,12 @@ func decodeNode(l string, i int, defined []*xmltree.Node) (*xmltree.Node, error)
 		if id < 0 || id >= len(defined) {
 			return nil, fmt.Errorf("node %d references undefined node %d (only %d defined so far)", i, id, len(defined))
 		}
+		// A second parent would make the tree a DAG, and stepping a
+		// pending node inside it would change every occurrence at once.
+		if parented[id] {
+			return nil, fmt.Errorf("node %d: node %d already has a parent", i, id)
+		}
+		parented[id] = true
 		n.Children = append(n.Children, defined[id])
 	}
 	if err := tk.end(); err != nil {

@@ -2,8 +2,8 @@
 // supervision loop: attempts run stepwise (internal/pt.StepRun) so that
 // any failure — timeout, budget, injected fault, contained panic —
 // leaves a consistent (tree, frontier) checkpoint; transient failures
-// are retried with capped exponential backoff and an options
-// degradation ladder; and progress carries FORWARD across attempts, so
+// are retried with capped exponential backoff, the last ones cache-off;
+// and progress carries FORWARD across attempts, so
 // a sequence of budget-bounded attempts completes work no single budget
 // allows. Checkpoints serialize (snapshot.go) and resume across
 // processes with the same byte-for-byte output guarantee.
@@ -68,8 +68,7 @@ func (b Backoff) delay(n int, rng *rand.Rand) time.Duration {
 type Options struct {
 	// Run is the per-attempt transducer configuration. Budgets are FRESH
 	// each attempt (progress accumulates, so repeated bounded attempts
-	// converge); Cache above CacheQueries is capped by the stepwise
-	// runner and Workers is ignored (checkpointable runs are serial).
+	// converge).
 	Run pt.Options
 
 	// Retries is the number of retries after the first attempt; 0 means
@@ -99,8 +98,8 @@ type Options struct {
 	// loop stops rather than retrying into the same fence.
 	OnCheckpoint func(*Snapshot) error
 
-	// DisableDegrade turns off the options degradation ladder, retrying
-	// every attempt with Run unchanged.
+	// DisableDegrade keeps the query memo on for every attempt (see
+	// degrade), retrying with Run unchanged.
 	DisableDegrade bool
 
 	// Sleep replaces time.Sleep between attempts (tests and chaos runs
@@ -128,7 +127,7 @@ type Report struct {
 	// none was taken.
 	Snapshot *Snapshot
 	// FinalOptions is the per-attempt configuration the last attempt
-	// ran with — shows how far the degradation ladder went.
+	// ran with — shows whether the cache-off retries had begun.
 	FinalOptions pt.Options
 }
 
@@ -138,7 +137,8 @@ type Report struct {
 // expiry likewise. Explicit cancellation is an instruction to stop, and
 // anything untyped (spec bugs, validation failures) is permanent.
 // Internal errors (contained panics) are retryable because the
-// degradation ladder may route around the failing component.
+// cache-off retries (see degrade) may route around the failing
+// component.
 func Retryable(err error) bool {
 	if err == nil {
 		return false
@@ -158,19 +158,11 @@ func Retryable(err error) bool {
 	return errors.As(err, &internal)
 }
 
-// degrade is the options ladder: each rung gives up a performance
-// feature that could itself be implicated in the failure. attempt is
-// the 1-based attempt that just failed; the returned options configure
-// attempt+1. Rungs are cumulative: by the fourth retry the run is
-// serial and cache-free — the simplest configuration that can still
-// make progress.
+// degrade returns the options for attempt+1, where attempt is the
+// 1-based attempt that just failed. Attempts 1–4 run with the caller's
+// cache mode; from attempt 5 on the run is cache-off, giving up the
+// query memo in case it is implicated in the failure.
 func degrade(attempt int, o pt.Options) pt.Options {
-	if attempt >= 2 && o.Cache > pt.CacheQueries {
-		o.Cache = pt.CacheQueries
-	}
-	if attempt >= 3 {
-		o.Workers = 1
-	}
 	if attempt >= 4 {
 		o.Cache = pt.CacheOff
 	}

@@ -3,6 +3,8 @@ package supervise_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"runtime"
 	"strings"
@@ -97,7 +99,6 @@ func TestSnapshotResumeDifferential(t *testing.T) {
 			for _, cfg := range []pt.Options{
 				{},
 				{Cache: pt.CacheQueries},
-				{Cache: pt.CacheSubtrees, Workers: 4},
 			} {
 				for k := 0; k < total; k += 1 + total/8 {
 					sr, err := w.tr.NewStepRun(context.Background(), w.inst, cfg)
@@ -347,8 +348,8 @@ func TestBackoffDeterministic(t *testing.T) {
 	}
 }
 
-// TestDegradationLadder: with every query failing, the retry sequence
-// must walk the ladder — cache capped, then serial, then cache off.
+// TestDegradationLadder: with every query failing, attempts 1–4 keep
+// the caller's cache mode and attempt 5 runs cache-off.
 func TestDegradationLadder(t *testing.T) {
 	tr := families.UnfoldTransducer()
 	inst := families.DiamondChain(6)
@@ -356,7 +357,7 @@ func TestDegradationLadder(t *testing.T) {
 	var ladder []pt.Options
 	var delays []time.Duration
 	_, rep, err := supervise.Run(context.Background(), tr, inst, supervise.Options{
-		Run:     pt.Options{Cache: pt.CacheSubtrees, Workers: 4, Faults: plan},
+		Run:     pt.Options{Cache: pt.CacheQueries, Faults: plan},
 		Retries: 4,
 		Sleep:   noSleep(&delays),
 		OnRetry: func(attempt int, err error, next pt.Options) { ladder = append(ladder, next) },
@@ -367,17 +368,14 @@ func TestDegradationLadder(t *testing.T) {
 	if rep.Attempts != 5 || len(ladder) != 4 {
 		t.Fatalf("attempts=%d ladder=%d, want 5/4", rep.Attempts, len(ladder))
 	}
-	if ladder[0].Cache != pt.CacheSubtrees || ladder[0].Workers != 4 {
-		t.Errorf("retry 1 should be unchanged, got %+v", ladder[0])
+	// ladder[i] configures attempt i+2.
+	for i, next := range ladder[:3] {
+		if next.Cache != pt.CacheQueries {
+			t.Errorf("attempt %d should keep the caller's cache, got %+v", i+2, next)
+		}
 	}
-	if ladder[1].Cache != pt.CacheQueries {
-		t.Errorf("retry 2 should cap the cache, got %+v", ladder[1])
-	}
-	if ladder[2].Workers != 1 || ladder[2].Cache != pt.CacheQueries {
-		t.Errorf("retry 3 should go serial, got %+v", ladder[2])
-	}
-	if ladder[3].Cache != pt.CacheOff || ladder[3].Workers != 1 {
-		t.Errorf("retry 4 should turn caching off, got %+v", ladder[3])
+	if ladder[3].Cache != pt.CacheOff {
+		t.Errorf("attempt 5 should turn caching off, got %+v", ladder[3])
 	}
 	if rep.FinalOptions.Cache != pt.CacheOff {
 		t.Errorf("FinalOptions should reflect the last rung, got %+v", rep.FinalOptions)
@@ -454,11 +452,23 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 	good := buf.String()
 
+	// A node with two parents, re-signed so that only the structural
+	// checks stand between it and a successful decode.
+	payload := good[:strings.Index(good, "sum ")]
+	shared := strings.Replace(payload, "nodes 1\nn \"db\" \"q0\" \"\" 0 0 0\n",
+		"nodes 3\nn \"a\" \"q\" \"\" 0 0 0\nn \"b\" \"\" \"\" -1 0 1 0\nn \"db\" \"\" \"\" 0 0 2 0 1\n", 1)
+	if shared == payload {
+		t.Fatal("shared-node mutation did not apply")
+	}
+	sum := sha256.Sum256([]byte(shared))
+	shared += "sum " + hex.EncodeToString(sum[:]) + "\nend\n"
+
 	mutations := map[string]string{
 		"bad magic":     strings.Replace(good, "ptx-checkpoint 2", "ptx-checkpoint 9", 1),
 		"truncated":     good[:len(good)/2],
 		"no end marker": strings.TrimSuffix(good, "end\n"),
 		"negative node": strings.Replace(good, "nodes 1", "nodes -1", 1),
+		"shared node":   shared,
 	}
 	for name, bad := range mutations {
 		if _, err := supervise.DecodeSnapshot(strings.NewReader(bad)); err == nil {

@@ -29,10 +29,7 @@ func TreeRelation(ctx context.Context, t *pt.Transducer, inst *relation.Instance
 		return nil, err
 	}
 	out := relation.New(a)
-	// Register union is idempotent, so each physically shared node needs
-	// visiting once: WalkShared keeps this linear in the size of the ξ
-	// DAG where Walk would traverse its (possibly exponential) unfolding.
-	res.Xi.WalkShared(func(n *xmltree.Node) bool {
+	res.Xi.Walk(func(n *xmltree.Node) bool {
 		if n.Tag == label && n.Reg != nil {
 			out.UnionWith(n.Reg)
 		}

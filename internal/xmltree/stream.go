@@ -15,11 +15,6 @@ import (
 // children in its place — so callers can serialize a transducer's raw
 // ξ tree directly, without first mutating or copying it. Registers and
 // states are simply not emitted, so stripping is not required either.
-//
-// On a subtree-shared DAG the writers emit the full unfolding (that is
-// the document the DAG denotes) while holding only the emission stack
-// in memory: serializing a diamond-n DAG needs O(n) live memory even
-// though the document has 2^n leaves.
 
 // xmlEscaper escapes text payloads for XML. Beyond the four classic
 // metacharacters it escapes the apostrophe and the control characters
@@ -98,8 +93,7 @@ func (ind *indenter) bytes(depth int) []byte {
 
 // WriteXML streams the tree to w as an indented XML document,
 // byte-identical to XML(). Memory use is proportional to the tree's
-// depth, and shared (DAG) subtrees are emitted without being unfolded
-// in memory.
+// depth.
 func (t *Tree) WriteXML(w io.Writer) error {
 	return t.WriteXMLVirtual(w, nil)
 }

@@ -254,10 +254,19 @@ func diamondDAG(n int) *Tree {
 	return &Tree{Root: cur}
 }
 
+// physicalSize counts the distinct nodes reachable from the root.
 func physicalSize(t *Tree) int {
-	n := 0
-	t.WalkShared(func(*Node) bool { n++; return true })
-	return n
+	seen := map[*Node]bool{}
+	stack := []*Node{t.Root}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if !seen[n] {
+			seen[n] = true
+			stack = append(stack, n.Children...)
+		}
+	}
+	return len(seen)
 }
 
 func TestDiamondDAGStreaming(t *testing.T) {
@@ -298,73 +307,6 @@ type countWriter struct{ n int }
 func (c *countWriter) Write(p []byte) (int, error) {
 	c.n += len(p)
 	return len(p), nil
-}
-
-func TestWalkSharedVisitsPhysicalNodesOnce(t *testing.T) {
-	d := diamondDAG(30)
-	if got := physicalSize(d); got != 31 {
-		t.Fatalf("WalkShared visited %d nodes, want 31", got)
-	}
-	// Early stop aborts the whole walk, mirroring Walk's contract.
-	visited := 0
-	d.WalkShared(func(n *Node) bool {
-		visited++
-		return visited < 3
-	})
-	if visited != 3 {
-		t.Fatalf("early stop visited %d", visited)
-	}
-	// On a plain tree WalkShared is plain document order.
-	tr := MustParse("r(a(b),c)")
-	var order []string
-	tr.WalkShared(func(n *Node) bool {
-		order = append(order, n.Tag)
-		return true
-	})
-	if strings.Join(order, "") != "rabc" {
-		t.Fatalf("order = %v", order)
-	}
-}
-
-func TestPublishPreservesSharing(t *testing.T) {
-	d := diamondDAG(30)
-	d.Root.State = "q"
-	out := d.Publish(nil)
-	if got := physicalSize(out); got != 31 {
-		t.Fatalf("Publish unfolded the DAG: physical size %d", got)
-	}
-	if out.Root.State != "" {
-		t.Fatal("Publish kept the state")
-	}
-	if d.Root.State != "q" {
-		t.Fatal("Publish mutated the source")
-	}
-}
-
-func TestPublishSplicesSharedVirtual(t *testing.T) {
-	// A shared virtual node: v is referenced twice; its children must be
-	// spliced into both parents, still sharing the grandchildren.
-	g := &Node{Tag: "g"}
-	v := &Node{Tag: "v", Children: []*Node{g, g}}
-	root := &Node{Tag: "r", Children: []*Node{v, v, {Tag: "x"}}}
-	tr := &Tree{Root: root}
-	out := tr.Publish(map[string]bool{"v": true})
-	if got, want := out.Canonical(), "r(g,g,g,g,x)"; got != want {
-		t.Fatalf("Canonical = %q, want %q", got, want)
-	}
-	if got := physicalSize(out); got != 3 { // r, shared g, x
-		t.Fatalf("physical size %d, want 3", got)
-	}
-	// Deeply nested virtual chains splice iteratively.
-	deep := New("r")
-	cur := deep.Root
-	for i := 0; i < 50_000; i++ {
-		cur = cur.AddChild("v")
-	}
-	cur.AddChild("leaf")
-	if got := deep.Publish(map[string]bool{"v": true}).Canonical(); got != "r(leaf)" {
-		t.Fatalf("deep virtual chain = %q", got)
-	}
 }
 
 func TestParseDeepNesting(t *testing.T) {

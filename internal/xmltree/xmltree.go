@@ -6,14 +6,11 @@
 // children.
 //
 // Proposition 1(4) of the paper allows legitimately exponentially deep
-// and doubly-exponentially large outputs, and pt's subtree sharing
-// represents such outputs as DAGs whose unfolding is the logical tree.
-// Every traversal in this package is therefore ITERATIVE (explicit
-// stacks, no recursion), and the serializers stream to an io.Writer
-// instead of materializing whole documents; see stream.go. Walk, Size,
-// Depth, Equal and Clone keep their logical-tree semantics (a shared
-// node is visited once per occurrence); WalkShared visits each physical
-// node exactly once and is the right traversal for DAGs.
+// and doubly-exponentially large outputs. Every traversal in this
+// package is therefore ITERATIVE (explicit stacks, no recursion), and
+// the serializers stream to an io.Writer instead of materializing whole
+// documents; see stream.go. Clone, Publish, Strip and SpliceVirtual
+// assume a tree: no node is the child of two parents.
 package xmltree
 
 import (
@@ -40,9 +37,7 @@ type Node struct {
 	Children []*Node
 }
 
-// Tree is a rooted Σ-tree. Under pt's subtree sharing the structure may
-// be a DAG: several parents can reference one physical *Node, and the
-// tree it denotes is the unfolding.
+// Tree is a rooted Σ-tree; no node is the child of two parents.
 type Tree struct {
 	Root *Node
 }
@@ -62,8 +57,7 @@ func (n *Node) AddChild(tag string) *Node {
 // IsText reports whether the node is a text leaf.
 func (n *Node) IsText() bool { return n.Tag == TextTag }
 
-// Size returns the number of nodes in the subtree rooted at n (logical
-// count: shared nodes are counted once per occurrence).
+// Size returns the number of nodes in the subtree rooted at n.
 func (n *Node) Size() int {
 	s := 0
 	stack := []*Node{n}
@@ -105,9 +99,7 @@ func (t *Tree) Size() int { return t.Root.Size() }
 func (t *Tree) Depth() int { return t.Root.Depth() }
 
 // Walk visits every node in document order (pre-order); it stops the
-// entire walk as soon as f returns false. On a DAG a shared node is
-// visited once per logical occurrence; use WalkShared to visit each
-// physical node once.
+// entire walk as soon as f returns false.
 func (t *Tree) Walk(f func(*Node) bool) {
 	stack := []*Node{t.Root}
 	for len(stack) > 0 {
@@ -118,32 +110,6 @@ func (t *Tree) Walk(f func(*Node) bool) {
 		}
 		for i := len(n.Children) - 1; i >= 0; i-- {
 			stack = append(stack, n.Children[i])
-		}
-	}
-}
-
-// WalkShared visits each physically distinct node exactly once, in
-// document order of first occurrence; it stops the entire walk as soon
-// as f returns false. On a plain tree it is identical to Walk; on a
-// subtree-shared DAG it does work proportional to the DAG's physical
-// size rather than its (possibly exponential) unfolding.
-func (t *Tree) WalkShared(f func(*Node) bool) {
-	seen := make(map[*Node]bool)
-	stack := []*Node{t.Root}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		if !f(n) {
-			return
-		}
-		for i := len(n.Children) - 1; i >= 0; i-- {
-			if !seen[n.Children[i]] {
-				stack = append(stack, n.Children[i])
-			}
 		}
 	}
 }
@@ -163,7 +129,7 @@ func (t *Tree) CountTag(tag string) int {
 // Labels returns the set of tags used in the tree, sorted.
 func (t *Tree) Labels() []string {
 	set := make(map[string]bool)
-	t.WalkShared(func(nd *Node) bool {
+	t.Walk(func(nd *Node) bool {
 		set[nd.Tag] = true
 		return true
 	})
@@ -176,15 +142,32 @@ func (t *Tree) Labels() []string {
 }
 
 // Clone returns a deep copy of the tree (registers are cloned too).
-// Sharing is NOT preserved: cloning a DAG materializes its unfolding,
-// which can be exponentially larger than the DAG. Prefer Publish or the
-// streaming writers on shared trees.
 func (t *Tree) Clone() *Tree {
-	return &Tree{Root: cloneNode(t.Root)}
+	return &Tree{Root: cloneNode(t.Root, nil)}
 }
 
-func cloneNode(n *Node) *Node {
+// CloneShared is Clone that also returns the old→new node mapping, so
+// callers holding references into t (e.g. a checkpoint frontier) can
+// translate them into the copy.
+func (t *Tree) CloneShared() (*Tree, map[*Node]*Node) {
+	remap := make(map[*Node]*Node)
+	return &Tree{Root: cloneNode(t.Root, remap)}, remap
+}
+
+// cloneNode deep-copies the subtree rooted at n, recording each
+// old→new pair in remap when it is non-nil.
+func cloneNode(n *Node, remap map[*Node]*Node) *Node {
 	type pair struct{ src, dst *Node }
+	copyShallow := func(n *Node) *Node {
+		c := &Node{Tag: n.Tag, State: n.State, Text: n.Text}
+		if n.Reg != nil {
+			c.Reg = n.Reg.Clone()
+		}
+		if remap != nil {
+			remap[n] = c
+		}
+		return c
+	}
 	root := copyShallow(n)
 	stack := []pair{{n, root}}
 	for len(stack) > 0 {
@@ -203,67 +186,10 @@ func cloneNode(n *Node) *Node {
 	return root
 }
 
-func copyShallow(n *Node) *Node {
-	c := &Node{Tag: n.Tag, State: n.State, Text: n.Text}
-	if n.Reg != nil {
-		c.Reg = n.Reg.Clone()
-	}
-	return c
-}
-
-// SharedSize returns the number of physically distinct nodes reachable
-// from the root — the DAG's size, as opposed to Size, which counts the
-// (possibly exponential) unfolding. On a plain tree the two agree.
-func (t *Tree) SharedSize() int {
-	n := 0
-	t.WalkShared(func(*Node) bool {
-		n++
-		return true
-	})
-	return n
-}
-
-// CloneShared returns a deep copy of the tree that PRESERVES physical
-// sharing — a node referenced by k parents is copied once and referenced
-// by the k copied parents — along with the old→new node mapping, so
-// callers holding references into t (e.g. a checkpoint frontier) can
-// translate them into the copy. States, texts and registers are copied;
-// register relations are cloned. Cost is proportional to the physical
-// (DAG) size.
-func (t *Tree) CloneShared() (*Tree, map[*Node]*Node) {
-	memo := make(map[*Node]*Node)
-	mk := func(n *Node) *Node {
-		c := copyShallow(n)
-		memo[n] = c
-		return c
-	}
-	root := mk(t.Root)
-	stack := []*Node{t.Root}
-	for len(stack) > 0 {
-		src := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		dst := memo[src]
-		if len(src.Children) == 0 || dst.Children != nil {
-			continue
-		}
-		dst.Children = make([]*Node, len(src.Children))
-		for i, c := range src.Children {
-			cc, ok := memo[c]
-			if !ok {
-				cc = mk(c)
-				stack = append(stack, c)
-			}
-			dst.Children[i] = cc
-		}
-	}
-	return &Tree{Root: root}, memo
-}
-
 // Strip removes registers and states in place, producing the plain
-// Σ-tree output of a transformation. Each physical node is stripped
-// once, so stripping a shared DAG costs its physical size.
+// Σ-tree output of a transformation.
 func (t *Tree) Strip() *Tree {
-	t.WalkShared(func(n *Node) bool {
+	t.Walk(func(n *Node) bool {
 		n.Reg = nil
 		n.State = ""
 		return true
@@ -274,11 +200,8 @@ func (t *Tree) Strip() *Tree {
 // SpliceVirtual removes every node whose tag is in virtual, replacing
 // it by its children, repeatedly until no virtual tags remain. The root
 // is never virtual (enforced by the transducer definition). The splice
-// is in place and processes each physical node once; note that on a
-// shared DAG the splice mutates shared children lists for all parents
-// at once (which is the correct logical result, since every occurrence
-// of a shared node has the same subtree). Publish performs the same
-// splice on a copy, preserving the original.
+// is in place; Publish performs the same splice on a copy, preserving
+// the original.
 func (t *Tree) SpliceVirtual(virtual map[string]bool) *Tree {
 	if len(virtual) == 0 {
 		return t
@@ -287,17 +210,13 @@ func (t *Tree) SpliceVirtual(virtual map[string]bool) *Tree {
 		n *Node
 		i int
 	}
-	seen := map[*Node]bool{t.Root: true}
 	stack := []frame{{t.Root, 0}}
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		if f.i < len(f.n.Children) {
 			c := f.n.Children[f.i]
 			f.i++
-			if !seen[c] {
-				seen[c] = true
-				stack = append(stack, frame{c, 0})
-			}
+			stack = append(stack, frame{c, 0})
 			continue
 		}
 		// All descendants are spliced; rebuild this node's child list.
@@ -328,23 +247,17 @@ func (t *Tree) SpliceVirtual(virtual map[string]bool) *Tree {
 
 // Publish returns the output Σ-tree of a transformation: a copy of t
 // with registers and states stripped and virtual tags spliced out
-// (splice-at-copy, the original is untouched). Physical sharing is
-// preserved — a node shared by k parents in t is represented by one
-// shared node in the result — so publishing a subtree-shared DAG costs
-// its physical size, not its unfolding.
+// (splice-at-copy, the original is untouched).
 func (t *Tree) Publish(virtual map[string]bool) *Tree {
+	// Each frame copies the children of src into dst. A virtual child
+	// gets a frame of its own whose dst is its parent's copy, so its
+	// children land in its place, in order.
 	type frame struct {
 		src *Node
 		dst *Node
 		i   int
 	}
-	memo := make(map[*Node]*Node)
-	mk := func(n *Node) *Node {
-		d := &Node{Tag: n.Tag, Text: n.Text}
-		memo[n] = d
-		return d
-	}
-	root := mk(t.Root)
+	root := &Node{Tag: t.Root.Tag, Text: t.Root.Text}
 	stack := []frame{{t.Root, root, 0}}
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
@@ -353,30 +266,13 @@ func (t *Tree) Publish(virtual map[string]bool) *Tree {
 			continue
 		}
 		c := f.src.Children[f.i]
-		dst, done := memo[c]
-		if !done {
-			dst = mk(c)
-			// First occurrence: build c's copy. The pushed frame
-			// completes (fills dst.Children) before any second
-			// reference to c is reached — the structure is acyclic, so
-			// c cannot occur inside its own subtree, and DFS finishes a
-			// subtree before moving right. A virtual child is spliced
-			// (its finished children copied in place of itself), so its
-			// slot is revisited after the frame completes: leave f.i
-			// unchanged and the memo hit below does the splice.
-			if !virtual[c.Tag] {
-				f.dst.Children = append(f.dst.Children, dst)
-				f.i++
-			}
-			stack = append(stack, frame{c, dst, 0})
-			continue
-		}
 		f.i++
-		if virtual[c.Tag] {
-			f.dst.Children = append(f.dst.Children, dst.Children...)
-		} else {
+		dst := f.dst
+		if !virtual[c.Tag] {
+			dst = &Node{Tag: c.Tag, Text: c.Text}
 			f.dst.Children = append(f.dst.Children, dst)
 		}
+		stack = append(stack, frame{c, dst, 0})
 	}
 	return &Tree{Root: root}
 }
@@ -391,7 +287,7 @@ func (t *Tree) Equal(o *Tree) bool {
 		p := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if p.a == p.b {
-			continue // physically shared: trivially equal
+			continue // the same node: trivially equal
 		}
 		if p.a.Tag != p.b.Tag || p.a.Text != p.b.Text || len(p.a.Children) != len(p.b.Children) {
 			return false
@@ -407,7 +303,7 @@ func (t *Tree) Equal(o *Tree) bool {
 // tree: tag(child,child,…) with text leaves as tag="…". Two trees are
 // Equal iff their Canonical strings agree, so it doubles as a hash key.
 // Prefer WriteCanonical on large trees: this variant materializes the
-// whole document (and hence the full unfolding of a DAG) in memory.
+// whole document in memory.
 func (t *Tree) Canonical() string {
 	var sb strings.Builder
 	if err := t.WriteCanonical(&sb); err != nil {

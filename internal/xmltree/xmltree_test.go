@@ -87,6 +87,20 @@ func TestSpliceVirtual(t *testing.T) {
 	if tr2.Canonical() != "r" {
 		t.Fatalf("spliced = %s", tr2.Canonical())
 	}
+	// Deeply nested virtual chains splice iteratively, through Publish
+	// and in place.
+	deep := New("r")
+	cur := deep.Root
+	for i := 0; i < 50_000; i++ {
+		cur = cur.AddChild("v")
+	}
+	cur.AddChild("leaf")
+	if got := deep.Publish(map[string]bool{"v": true}).Canonical(); got != "r(leaf)" {
+		t.Fatalf("published deep virtual chain = %q", got)
+	}
+	if got := deep.SpliceVirtual(map[string]bool{"v": true}).Canonical(); got != "r(leaf)" {
+		t.Fatalf("spliced deep virtual chain = %q", got)
+	}
 }
 
 func TestCloneIndependence(t *testing.T) {
@@ -139,45 +153,5 @@ func TestWalkEarlyStop(t *testing.T) {
 	})
 	if visited != 2 { // r, a — stop before b and c
 		t.Errorf("visited = %d", visited)
-	}
-}
-
-// TestCloneSharedPreservesDAG: CloneShared must keep the sharing
-// structure (one physical copy per shared node) while Clone unfolds it
-// — checkpoint Capture depends on the former to stay small and to keep
-// resumed frontiers pointing into one copy of each subtree.
-func TestCloneSharedPreservesDAG(t *testing.T) {
-	tr := New("r")
-	shared := &Node{Tag: "s"}
-	shared.AddChild("leaf")
-	tr.Root.Children = []*Node{shared, shared, shared}
-
-	if got := tr.Size(); got != 7 {
-		t.Fatalf("logical Size = %d, want 7", got)
-	}
-	if got := tr.SharedSize(); got != 3 {
-		t.Fatalf("SharedSize = %d, want 3 physical nodes", got)
-	}
-
-	cp, remap := tr.CloneShared()
-	if cp.SharedSize() != 3 || cp.Size() != 7 {
-		t.Fatalf("clone sizes: shared=%d logical=%d, want 3/7", cp.SharedSize(), cp.Size())
-	}
-	if cp.Root.Children[0] != cp.Root.Children[1] || cp.Root.Children[1] != cp.Root.Children[2] {
-		t.Fatal("clone lost the sharing: occurrences no longer alias one node")
-	}
-	if remap[shared] != cp.Root.Children[0] {
-		t.Fatal("remap does not point the old shared node at its single copy")
-	}
-	// Mutating the clone must not reach the original.
-	cp.Root.Children[0].Tag = "mutated"
-	if shared.Tag != "s" {
-		t.Fatal("CloneShared aliases original nodes")
-	}
-	// A plain Clone of the same DAG unfolds: no aliasing between
-	// occurrences.
-	un := tr.Clone()
-	if un.Root.Children[0] == un.Root.Children[1] {
-		t.Fatal("Clone kept physical sharing; it must unfold")
 	}
 }
