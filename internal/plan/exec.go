@@ -244,10 +244,11 @@ func (x *exec) complement(b *bset) (*bset, error) {
 
 // project restricts/reorders b to out via the given columns. Only a
 // projection that drops columns can merge rows; a reordering keeps
-// them distinct and skips the dedup set.
-func (x *exec) project(b *bset, cols []int, out []logic.Var) *bset {
+// them distinct and skips the dedup set, and so does a projection whose
+// rows go straight to Plan.Eval's sort (keepDups).
+func (x *exec) project(b *bset, cols []int, out []logic.Var, keepDups bool) *bset {
 	nb := newBset(out)
-	dedup := len(cols) < len(b.vars)
+	dedup := !keepDups && len(cols) < len(b.vars)
 	for _, t := range b.rows {
 		row := make(value.Tuple, len(cols))
 		for i, c := range cols {
@@ -660,7 +661,7 @@ func (n *nConj) exec(x *exec) (*bset, error) {
 	if err != nil {
 		return nil, err
 	}
-	return x.project(cur, proj, n.out), nil
+	return x.project(cur, proj, n.out, false), nil
 }
 
 // termCol resolves a covered term against a binding set's variables:
@@ -806,6 +807,7 @@ type nUnion struct {
 	l, r         node
 	lMiss, rMiss []logic.Var
 	lProj, rProj []int
+	keepDups     bool // root operator: Plan.Eval deduplicates by sort
 }
 
 func (n *nUnion) vars() []logic.Var { return n.out }
@@ -829,7 +831,11 @@ func (n *nUnion) exec(x *exec) (*bset, error) {
 			for i, c := range side.proj {
 				row[i] = t[c]
 			}
-			out.add(x, row)
+			if n.keepDups {
+				out.rows = append(out.rows, row)
+			} else {
+				out.add(x, row)
+			}
 		}
 	}
 	return out, nil
@@ -850,10 +856,11 @@ func (n *nUnion) explain(sb *strings.Builder, d int) {
 // empty even when the child holds (with a nonempty domain, expanding
 // the missing vars and dropping them again is the identity).
 type nProject struct {
-	out     []logic.Var
-	child   node
-	cols    []int
-	vacuous bool
+	out      []logic.Var
+	child    node
+	cols     []int
+	vacuous  bool
+	keepDups bool // root operator: Plan.Eval deduplicates by sort
 }
 
 func (n *nProject) vars() []logic.Var { return n.out }
@@ -866,7 +873,7 @@ func (n *nProject) exec(x *exec) (*bset, error) {
 	if n.vacuous && len(x.domain()) == 0 {
 		return newBset(n.out), nil
 	}
-	return x.project(b, n.cols, n.out), nil
+	return x.project(b, n.cols, n.out, n.keepDups), nil
 }
 
 func (n *nProject) explain(sb *strings.Builder, d int) {
@@ -925,11 +932,11 @@ func (n *nForall) exec(x *exec) (*bset, error) {
 	if b, err = x.expand(b, n.boundMiss); err != nil {
 		return nil, err
 	}
-	b = x.project(b, n.exProj, n.exVars)
+	b = x.project(b, n.exProj, n.exVars, false)
 	if b, err = x.expand(b, n.miss); err != nil {
 		return nil, err
 	}
-	b = x.project(b, n.proj, n.out)
+	b = x.project(b, n.proj, n.out, false)
 	return x.complement(b)
 }
 

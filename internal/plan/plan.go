@@ -20,10 +20,11 @@
 //   - fixpoint bodies are compiled once and re-executed per iteration
 //     against the growing stage relation;
 //   - operators whose rows are distinct by construction skip hashing:
-//     only projections and unions deduplicate, interning data values
-//     to dense ids so keys are 4-byte packed ids instead of
-//     length-prefixed strings, and the active domain is computed only
-//     when an operator reads it.
+//     only nested projections and unions deduplicate, interning data
+//     values to dense ids so keys are 4-byte packed ids instead of
+//     length-prefixed strings; the result itself is deduplicated once,
+//     by the sort relation.Build does. The active domain is computed
+//     only when an operator reads it.
 //
 // Plans run behind eval.EvalQuery (cached per query) and eval.Eval
 // (compiled per call). The other evaluator, eval.EvalQueryNaive, is
@@ -95,11 +96,22 @@ func Compile(q *logic.Query) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The root's rows go to relation.Build, which deduplicates by sort,
+	// so a root projection or union skips its hash dedup. Nested ones
+	// keep it: it bounds the sizes of the joins above them.
+	switch n := root.(type) {
+	case *nProject:
+		n.keepDups = true
+	case *nUnion:
+		n.keepDups = true
+	}
 	return &Plan{head: head, consts: logic.Constants(q.F), root: root, missing: missing, proj: proj}, nil
 }
 
 // Eval executes the plan against env and returns the result relation
-// over the query head, identical to eval.EvalQueryNaive's.
+// over the query head, identical to eval.EvalQueryNaive's. The result
+// is sealed (relation.Build): its rows are deduplicated once, by the
+// sort that puts them in canonical order.
 func (p *Plan) Eval(env Env) (*relation.Relation, error) {
 	ctl := env.Control()
 	// Tick sampling means short evaluations may never probe the
@@ -116,15 +128,15 @@ func (p *Plan) Eval(env Env) (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := relation.New(len(p.head))
-	row := make(value.Tuple, len(p.head))
-	for _, t := range b.rows {
+	rows := make([]value.Tuple, len(b.rows))
+	for j, t := range b.rows {
+		row := make(value.Tuple, len(p.proj))
 		for i, c := range p.proj {
 			row[i] = t[c]
 		}
-		out.Add(row)
+		rows[j] = row
 	}
-	return out, nil
+	return relation.Build(len(p.head), rows), nil
 }
 
 // Explain renders the operator tree for diagnostics and golden tests.

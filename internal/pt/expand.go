@@ -37,7 +37,7 @@ func (t *Transducer) ExpandConfig(state, tag string, reg *relation.Relation, bas
 	}
 	var specs []ChildSpec
 	queries := 0
-	for _, it := range rule.Items {
+	for i, it := range rule.Items {
 		var result *relation.Relation
 		if memo != nil {
 			if rel, ok := memo.Get(it.Query, regFP); ok {
@@ -69,6 +69,9 @@ func (t *Transducer) ExpandConfig(state, tag string, reg *relation.Relation, bas
 		if err != nil {
 			return nil, queries, fmt.Errorf("pt %s: rule (%s,%s) item (%s,%s): %w",
 				t.Name, rule.State, rule.Tag, it.State, it.Tag, err)
+		}
+		if specs == nil && len(groups) > 0 {
+			specs = make([]ChildSpec, 0, len(groups)*(len(rule.Items)-i))
 		}
 		for _, g := range groups {
 			specs = append(specs, ChildSpec{State: it.State, Tag: it.Tag, Reg: g})

@@ -55,8 +55,8 @@ func TestWarmRunAllocsPerNode(t *testing.T) {
 	} else {
 		t.Logf("warm shared-memo run: %.2f allocs per node", got)
 	}
-	if got := perNode(pt.Options{}); got >= 50 {
-		t.Errorf("cache-off run: %.2f allocs per node, want < 50", got)
+	if got := perNode(pt.Options{}); got >= 30 {
+		t.Errorf("cache-off run: %.2f allocs per node, want < 30", got)
 	} else {
 		t.Logf("cache-off run: %.2f allocs per node", got)
 	}

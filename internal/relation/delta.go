@@ -129,20 +129,23 @@ func (d *Delta) String() string {
 }
 
 // Insert adds t to the relation and reports whether the relation changed
-// (false when the tuple was already present). A change invalidates the
-// cached fingerprint, sorted order, active domain and columnar layout —
-// so a post-mutation Key() or Sorted() never reuses a stale rendering —
-// and incrementally maintains every built secondary index.
+// (false when the tuple was already present). On a sealed relation it
+// first builds the hash set from the sorted slice. A change invalidates
+// the cached fingerprint, sorted order, active domain, columnar layout
+// and grouping — so a post-mutation Key() or Sorted() never reuses a
+// stale rendering — and incrementally maintains every built secondary
+// index.
 func (r *Relation) Insert(t value.Tuple) bool {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("relation: arity mismatch: tuple %v into arity-%d relation", t, r.arity))
 	}
+	set := r.set()
 	k := t.Key()
-	if _, ok := r.tuples[k]; ok {
+	if _, ok := set[k]; ok {
 		return false
 	}
 	c := t.Clone()
-	r.tuples[k] = c
+	set[k] = c
 	r.indexInsert(c)
 	r.touch()
 	return true
@@ -150,12 +153,13 @@ func (r *Relation) Insert(t value.Tuple) bool {
 
 // Delete removes t from the relation and reports whether it was present.
 func (r *Relation) Delete(t value.Tuple) bool {
+	set := r.set()
 	k := t.Key()
-	old, ok := r.tuples[k]
+	old, ok := set[k]
 	if !ok {
 		return false
 	}
-	delete(r.tuples, k)
+	delete(set, k)
 	r.indexDelete(old)
 	r.touch()
 	return true

@@ -1,0 +1,115 @@
+package relation
+
+import (
+	"math/rand"
+	"testing"
+
+	"ptx/internal/value"
+)
+
+// formsAlphabet holds the values the forms fuzzer draws from, including
+// the numeric spellings that are equal in magnitude but distinct values.
+var formsAlphabet = []value.V{"1", "01", "-0", "0", "2", "a", "b"}
+
+// FuzzRelationForms: a sealed relation (Build) and a hashed one
+// (FromTuples) over the same rows agree on every read, before and after
+// one seeded Insert/Delete sequence thaws the sealed one.
+func FuzzRelationForms(f *testing.F) {
+	f.Add([]byte{2, 0, 1, 1, 0, 0, 1, 2, 3, 3, 2, 0, 1}, int64(1))
+	f.Add([]byte{1, 0, 1, 2, 3, 0, 1}, int64(2))
+	f.Add([]byte{0, 0, 0}, int64(3))
+	f.Add([]byte{3}, int64(4))
+	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
+		if len(data) == 0 {
+			return
+		}
+		arity := int(data[0] % 4)
+		var rows []value.Tuple
+		for i := 1; i+arity <= len(data) && len(rows) < 64; i += max(arity, 1) {
+			row := make(value.Tuple, arity)
+			for c := range row {
+				row[c] = formsAlphabet[int(data[i+c])%len(formsAlphabet)]
+			}
+			rows = append(rows, row)
+		}
+		sealed := Build(arity, append([]value.Tuple(nil), rows...))
+		hashed := FromTuples(arity, rows...)
+		ref := make(map[string]bool)
+		for _, row := range rows {
+			ref[row.Key()] = true
+		}
+		rng := rand.New(rand.NewSource(seed))
+		checkForms(t, "built", sealed, hashed, ref, rng)
+
+		for i := 0; i < 8; i++ {
+			row := randomTuple(rng, arity)
+			if rng.Intn(2) == 0 {
+				if s, h := sealed.Insert(row), hashed.Insert(row); s != h || s == ref[row.Key()] {
+					t.Fatalf("Insert%v: sealed %v, hashed %v, was present %v", row, s, h, ref[row.Key()])
+				}
+				ref[row.Key()] = true
+			} else {
+				if s, h := sealed.Delete(row), hashed.Delete(row); s != h || s != ref[row.Key()] {
+					t.Fatalf("Delete%v: sealed %v, hashed %v, was present %v", row, s, h, ref[row.Key()])
+				}
+				delete(ref, row.Key())
+			}
+		}
+		checkForms(t, "mutated", sealed, hashed, ref, rng)
+	})
+}
+
+func randomTuple(rng *rand.Rand, arity int) value.Tuple {
+	t := make(value.Tuple, arity)
+	for c := range t {
+		t[c] = formsAlphabet[rng.Intn(len(formsAlphabet))]
+	}
+	return t
+}
+
+// checkForms asserts that a and b agree on every read and hold exactly
+// the tuples whose keys ref lists.
+func checkForms(t *testing.T, stage string, a, b *Relation, ref map[string]bool, rng *rand.Rand) {
+	t.Helper()
+	if a.Len() != len(ref) || b.Len() != len(ref) {
+		t.Fatalf("%s: Len %d and %d, want %d", stage, a.Len(), b.Len(), len(ref))
+	}
+	as, bs := a.Sorted(), b.Sorted()
+	for i := range as {
+		if !value.Equal(as[i], bs[i]) {
+			t.Fatalf("%s: Sorted differ at %d: %v vs %v", stage, i, as, bs)
+		}
+		if i > 0 && value.CompareTuples(as[i-1], as[i]) >= 0 {
+			t.Fatalf("%s: Sorted not strictly increasing: %v", stage, as)
+		}
+	}
+	if a.Key() != b.Key() {
+		t.Fatalf("%s: Key differ:\n %q\n %q", stage, a.Key(), b.Key())
+	}
+	if !a.Equal(b) || !b.Equal(a) {
+		t.Fatalf("%s: Equal is false between equal forms", stage)
+	}
+	probes := append([]value.Tuple(nil), as...)
+	for i := 0; i < 4; i++ {
+		probes = append(probes, randomTuple(rng, a.Arity()))
+	}
+	for _, p := range probes {
+		if a.Contains(p) != ref[p.Key()] || b.Contains(p) != ref[p.Key()] {
+			t.Fatalf("%s: Contains%v: %v and %v, want %v", stage, p, a.Contains(p), b.Contains(p), ref[p.Key()])
+		}
+	}
+	for k := 0; k <= a.Arity(); k++ {
+		if ga, gb := groupRows(a.GroupByPrefix(k)), groupRows(b.GroupByPrefix(k)); !sameGroups(ga, gb) {
+			t.Fatalf("%s: GroupByPrefix(%d): %v vs %v", stage, k, ga, gb)
+		}
+	}
+	for c := 0; c < a.Arity(); c++ {
+		for _, v := range formsAlphabet {
+			la := FromTuples(a.Arity(), a.Lookup(c, v)...)
+			lb := FromTuples(b.Arity(), b.Lookup(c, v)...)
+			if len(a.Lookup(c, v)) != la.Len() || !la.Equal(lb) {
+				t.Fatalf("%s: Lookup(%d, %q): %v vs %v", stage, c, v, la, lb)
+			}
+		}
+	}
+}

@@ -153,14 +153,19 @@ func TestGroupByPrefixInvalidation(t *testing.T) {
 
 // TestGroupByPrefixConcurrentFirstCalls: racing first calls (parallel
 // transducer workers regrouping one shared memoized result) are
-// race-free and agree.
+// race-free and agree, on hashed and on sealed (Build) inputs; odd
+// trials use the sealed form.
 func TestGroupByPrefixConcurrentFirstCalls(t *testing.T) {
-	for trial := 0; trial < 20; trial++ {
-		r := New(2)
-		for i := 0; i < 50; i++ {
-			r.Add(value.Tuple{value.V(string(rune('a' + i%7))), value.V(string(rune('a' + i)))})
+	for trial := 0; trial < 40; trial++ {
+		rows := make([]value.Tuple, 50)
+		for i := range rows {
+			rows[i] = value.Tuple{value.V(string(rune('a' + i%7))), value.V(string(rune('a' + i)))}
 		}
-		want := groupRows(FromTuples(2, r.Tuples()...).GroupByPrefix(1))
+		want := groupRows(FromTuples(2, rows...).GroupByPrefix(1))
+		r := FromTuples(2, rows...)
+		if trial%2 == 1 {
+			r = Build(2, rows)
+		}
 		var wg sync.WaitGroup
 		got := make([][][]string, 8)
 		for w := range got {
@@ -170,6 +175,7 @@ func TestGroupByPrefixConcurrentFirstCalls(t *testing.T) {
 				gs := r.GroupByPrefix(1)
 				for _, g := range gs {
 					g.Key()
+					g.Lookup(1, g.Sorted()[0][1])
 				}
 				got[w] = groupRows(gs)
 			}(w)

@@ -91,21 +91,29 @@ func TestKeyInvalidatedByMutation(t *testing.T) {
 
 // TestKeyConcurrentReaders: parallel transducer workers fingerprint
 // shared register relations concurrently; Key must be race-free for
-// concurrent readers (run under -race in CI).
+// concurrent readers (run under -race in CI), for a hashed relation
+// and for a sealed one, which has no hash set for readers to lean on.
 func TestKeyConcurrentReaders(t *testing.T) {
-	r := FromRows([]string{"a", "1"}, []string{"b", "2"}, []string{"c", "3"})
-	want := r.Key()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				if r.Key() != want {
-					panic("fingerprint changed under concurrent reads")
-				}
-			}
-		}()
+	rows := [][]string{{"c", "3"}, {"a", "1"}, {"b", "2"}, {"a", "1"}}
+	sealed := make([]value.Tuple, len(rows))
+	for i, row := range rows {
+		sealed[i] = value.Tuple{value.V(row[0]), value.V(row[1])}
 	}
-	wg.Wait()
+	for name, r := range map[string]*Relation{"hashed": FromRows(rows...), "sealed": Build(2, sealed)} {
+		want := FromRows(rows...).Key()
+		probe := value.Tuple{"b", "2"}
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 100; i++ {
+					if r.Key() != want || !r.Contains(probe) || r.Len() != 3 {
+						panic(name + ": fingerprint changed under concurrent reads")
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
 }

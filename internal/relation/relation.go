@@ -19,25 +19,31 @@ import (
 
 // Relation is a finite set of tuples of a fixed arity.
 //
-// Alongside the tuple store the relation maintains five lazily built,
-// mutation-invalidated acceleration structures: the canonical
-// fingerprint (Key), the canonical sorted order (Sorted/Tuples/Each),
-// the active domain (ActiveDomain), a columnar copy of the sorted
-// order (Columns) and the prefix grouping (GroupByPrefix). They are
-// atomic so that concurrent READERS (e.g. concurrent runs whose trees
-// share registers through one query memo) are race-free; mutation is
-// not concurrency-safe, as for the rest of the type. Secondary column→tuples indexes (Lookup) follow the same
-// contract and are maintained incrementally by every mutator,
-// including deltas applied through Instance.Apply.
+// Its canonical form is the sorted tuple slice (Sorted): the order ≤ of
+// the paper extended to tuples. A relation built in bulk (Build, and
+// every GroupByPrefix group) stores only that slice and is "sealed";
+// one built tuple by tuple (New, FromTuples, FromRows) stores a hash set
+// keyed by Tuple.Key. The hash set is built from the sorted slice on
+// the first mutation and never by a read, so every read works on
+// whichever form is present. Everything else — the fingerprint (Key),
+// the sorted slice of a hashed relation, the active domain, the
+// columnar layout, the prefix grouping and the per-column secondary
+// indexes (Lookup) — is built lazily and published atomically, so
+// concurrent READERS (runs whose trees share registers through one
+// query memo) are race-free. Mutation is not concurrency-safe: it
+// invalidates the derived structures and maintains built indexes in
+// place, including for deltas applied through Instance.Apply.
 type Relation struct {
-	arity  int
+	arity int
+	// tuples is the hash set; nil while the relation is sealed, in which
+	// case sorted holds the tuples. Only mutators (via set) build it.
 	tuples map[string]value.Tuple
 	// fp caches the canonical fingerprint of Key; nil means "not
 	// computed". Mutators clear it.
 	fp atomic.Pointer[string]
-	// sorted caches the canonical iteration order so Tuples/Each stop
-	// re-sorting per call; the cached slice is shared and never mutated
-	// after publication.
+	// sorted holds the canonical order: the contents of a sealed
+	// relation, or a cache over the hash set. The slice is shared and
+	// never mutated after publication.
 	sorted atomic.Pointer[[]value.Tuple]
 	// adom caches ActiveDomain.
 	adom atomic.Pointer[[]value.V]
@@ -75,12 +81,74 @@ func (r *Relation) touch() {
 	r.groups.Store(nil)
 }
 
+// set returns the hash set, building it from the sorted slice when the
+// relation is sealed. Only mutators call it.
+func (r *Relation) set() map[string]value.Tuple {
+	if r.tuples == nil {
+		s := *r.sorted.Load()
+		r.tuples = make(map[string]value.Tuple, len(s))
+		for _, t := range s {
+			r.tuples[t.Key()] = t
+		}
+	}
+	return r.tuples
+}
+
+// each calls f for every tuple in storage order — the hash set's when
+// it is built, the sorted slice's otherwise — and stops early if f
+// returns false. It builds nothing, so concurrent readers may use it.
+func (r *Relation) each(f func(value.Tuple) bool) {
+	if r.tuples == nil {
+		for _, t := range *r.sorted.Load() {
+			if !f(t) {
+				return
+			}
+		}
+		return
+	}
+	for _, t := range r.tuples {
+		if !f(t) {
+			return
+		}
+	}
+}
+
 // New returns an empty relation of the given arity.
 func New(arity int) *Relation {
 	if arity < 0 {
 		panic("relation: negative arity")
 	}
 	return &Relation{arity: arity, tuples: make(map[string]value.Tuple)}
+}
+
+// Build returns the sealed relation of the given arity holding rows.
+// It takes ownership of rows: the slice is sorted in place, adjacent
+// duplicates are dropped, and what remains becomes the relation's
+// sorted order, with no hash set until the first mutation. Callers
+// must never pass a slice shared with another relation (such as
+// another relation's Sorted), and must not modify rows or its tuples
+// afterwards.
+func Build(arity int, rows []value.Tuple) *Relation {
+	if arity < 0 {
+		panic("relation: negative arity")
+	}
+	for _, t := range rows {
+		if len(t) != arity {
+			panic(fmt.Sprintf("relation: arity mismatch: tuple %v into arity-%d relation", t, arity))
+		}
+	}
+	value.SortTuples(rows)
+	n := 0
+	for _, t := range rows {
+		if n == 0 || !value.Equal(rows[n-1], t) {
+			rows[n] = t
+			n++
+		}
+	}
+	rows = rows[:n:n]
+	r := &Relation{arity: arity}
+	r.sorted.Store(&rows)
+	return r
 }
 
 // FromTuples builds a relation of the given arity containing ts.
@@ -114,10 +182,15 @@ func FromRows(rows ...[]string) *Relation {
 func (r *Relation) Arity() int { return r.arity }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int { return len(r.tuples) }
+func (r *Relation) Len() int {
+	if r.tuples == nil {
+		return len(*r.sorted.Load())
+	}
+	return len(r.tuples)
+}
 
 // Empty reports whether the relation has no tuples.
-func (r *Relation) Empty() bool { return len(r.tuples) == 0 }
+func (r *Relation) Empty() bool { return r.Len() == 0 }
 
 // Add inserts t, which must match the relation's arity. Adding a tuple
 // that is already present is a no-op and keeps every cached structure
@@ -175,35 +248,44 @@ func (r *Relation) indexDelete(t value.Tuple) {
 // forgets insertion order (registers are SETS — Section 2 of the paper),
 // while sibling order in the output tree is fixed separately by the
 // domain order ≤ on tuples at grouping time (see GroupByPrefix).
-// The fingerprint is cached until the next mutation; computing it is
-// O(n log n) in the number of tuples.
+// It is the arity followed by the length-prefixed encoding of every
+// tuple (Tuple.AppendKey, each closed by ';') in the canonical sorted
+// order, so it is O(n) once the relation is sorted. The fingerprint is
+// cached until the next mutation.
 func (r *Relation) Key() string {
 	if p := r.fp.Load(); p != nil {
 		return *p
 	}
-	keys := make([]string, 0, len(r.tuples))
-	n := 0
-	for k := range r.tuples {
-		keys = append(keys, k)
-		n += len(k) + 1
+	s := r.Sorted()
+	n := 8
+	for _, t := range s {
+		for _, v := range t {
+			n += len(v) + 3
+		}
+		n++
 	}
-	sort.Strings(keys)
-	b := make([]byte, 0, n+8)
+	b := make([]byte, 0, n)
 	b = strconv.AppendInt(b, int64(r.arity), 10)
 	b = append(b, '|')
-	for _, k := range keys {
-		b = append(b, k...)
+	for _, t := range s {
+		b = t.AppendKey(b)
 		b = append(b, ';')
 	}
-	s := string(b)
-	r.fp.Store(&s)
-	return s
+	k := string(b)
+	r.fp.Store(&k)
+	return k
 }
 
-// Contains reports whether t is in the relation.
+// Contains reports whether t is in the relation: a hash lookup when the
+// hash set is built, a binary search of the sorted slice otherwise.
 func (r *Relation) Contains(t value.Tuple) bool {
-	_, ok := r.tuples[t.Key()]
-	return ok
+	if r.tuples != nil {
+		_, ok := r.tuples[t.Key()]
+		return ok
+	}
+	s := *r.sorted.Load()
+	i := sort.Search(len(s), func(i int) bool { return value.CompareTuples(s[i], t) >= 0 })
+	return i < len(s) && value.Equal(s[i], t)
 }
 
 // Remove deletes t if present.
@@ -218,6 +300,7 @@ func (r *Relation) Sorted() []value.Tuple {
 	if p := r.sorted.Load(); p != nil {
 		return *p
 	}
+	// Not sealed, so the hash set is built.
 	out := make([]value.Tuple, 0, len(r.tuples))
 	for _, t := range r.tuples {
 		out = append(out, t)
@@ -274,17 +357,18 @@ func (r *Relation) Columns() [][]value.V {
 // prefix, in the canonical order of the prefixes: each group holds the
 // tuples of r that share its prefix, at r's arity. k = 0 yields [r]
 // itself and an empty relation yields nil; k must not exceed the
-// arity. The result is cached until the next mutation (one prefix
-// width at a time) and shared between callers, groups included: the
-// slice and every group must be treated as immutable. Callers that
-// group the same relation repeatedly — the transducer regrouping a
-// memoized rule-query result — therefore get the same group objects,
-// fingerprints already cached, every time.
+// arity. Each group is sealed: its tuples are a run of r's sorted
+// slice, with no hash set. The result is cached until the next
+// mutation (one prefix width at a time) and shared between callers,
+// groups included: the slice and every group must be treated as
+// immutable. Callers that group the same relation repeatedly — the
+// transducer regrouping a memoized rule-query result — therefore get
+// the same group objects, fingerprints already cached, every time.
 func (r *Relation) GroupByPrefix(k int) []*Relation {
 	if k < 0 || k > r.arity {
 		panic(fmt.Sprintf("relation: group prefix %d out of range for arity %d", k, r.arity))
 	}
-	if len(r.tuples) == 0 {
+	if r.Empty() {
 		return nil
 	}
 	if g := r.groups.Load(); g != nil && g.k == k {
@@ -298,11 +382,11 @@ func (r *Relation) GroupByPrefix(k int) []*Relation {
 	return out
 }
 
-// prefixRuns splits sorted tuples into one relation per run of equal
-// k-prefixes. The sorted order is lexicographic, so tuples sharing a
-// k-prefix are adjacent and the prefixes arrive in canonical order: a
-// group ends where the prefix changes. Each group's tuples are a run
-// of s, which becomes the group's own sorted cache.
+// prefixRuns splits sorted tuples into one sealed relation per run of
+// equal k-prefixes. The sorted order is lexicographic, so tuples
+// sharing a k-prefix are adjacent and the prefixes arrive in canonical
+// order: a group ends where the prefix changes. Each group's sorted
+// slice is its run of s, so no tuple is copied or hashed.
 func prefixRuns(s []value.Tuple, arity, k int) []*Relation {
 	var out []*Relation
 	for i := 0; i < len(s); {
@@ -310,10 +394,7 @@ func prefixRuns(s []value.Tuple, arity, k int) []*Relation {
 		for j < len(s) && samePrefix(s[i], s[j], k) {
 			j++
 		}
-		g := &Relation{arity: arity, tuples: make(map[string]value.Tuple, j-i)}
-		for _, t := range s[i:j] {
-			g.tuples[t.Key()] = t
-		}
+		g := &Relation{arity: arity}
 		run := s[i:j:j]
 		g.sorted.Store(&run)
 		out = append(out, g)
@@ -354,10 +435,11 @@ func (r *Relation) Lookup(col int, v value.V) []value.Tuple {
 		if ix != nil {
 			copy(ni.cols, ix.cols)
 		}
-		m := make(map[value.V][]value.Tuple, len(r.tuples))
-		for _, t := range r.tuples {
+		m := make(map[value.V][]value.Tuple, r.Len())
+		r.each(func(t value.Tuple) bool {
 			m[t[col]] = append(m[t[col]], t)
-		}
+			return true
+		})
 		ni.cols[col] = m
 		if r.idx.CompareAndSwap(ix, ni) {
 			return m[v]
@@ -365,36 +447,23 @@ func (r *Relation) Lookup(col int, v value.V) []value.Tuple {
 	}
 }
 
-// EachUnordered calls f for every tuple in arbitrary (map) order; use it
+// EachUnordered calls f for every tuple in an unspecified order; use it
 // in order-insensitive hot paths such as joins and grouping.
-func (r *Relation) EachUnordered(f func(value.Tuple) bool) {
-	for _, t := range r.tuples {
-		if !f(t) {
-			return
-		}
-	}
-}
+func (r *Relation) EachUnordered(f func(value.Tuple) bool) { r.each(f) }
 
 // Clone returns an independent deep copy.
 func (r *Relation) Clone() *Relation {
 	c := New(r.arity)
-	for k, t := range r.tuples {
-		c.tuples[k] = t.Clone()
-	}
+	r.each(func(t value.Tuple) bool {
+		c.tuples[t.Key()] = t.Clone()
+		return true
+	})
 	return c
 }
 
 // Equal reports set equality of two relations of the same arity.
 func (r *Relation) Equal(o *Relation) bool {
-	if r.arity != o.arity || len(r.tuples) != len(o.tuples) {
-		return false
-	}
-	for k := range r.tuples {
-		if _, ok := o.tuples[k]; !ok {
-			return false
-		}
-	}
-	return true
+	return r.arity == o.arity && r.Len() == o.Len() && r.SubsetOf(o)
 }
 
 // SubsetOf reports whether every tuple of r is in o.
@@ -402,12 +471,12 @@ func (r *Relation) SubsetOf(o *Relation) bool {
 	if r.arity != o.arity {
 		return false
 	}
-	for k := range r.tuples {
-		if _, ok := o.tuples[k]; !ok {
-			return false
-		}
-	}
-	return true
+	ok := true
+	r.each(func(t value.Tuple) bool {
+		ok = o.Contains(t)
+		return ok
+	})
+	return ok
 }
 
 // UnionWith adds every tuple of o into r and reports whether r grew.
@@ -415,15 +484,18 @@ func (r *Relation) UnionWith(o *Relation) bool {
 	if r.arity != o.arity {
 		panic("relation: union of different arities")
 	}
+	set := r.set()
 	grew := false
-	for k, t := range o.tuples {
-		if _, ok := r.tuples[k]; !ok {
+	o.each(func(t value.Tuple) bool {
+		k := t.Key()
+		if _, ok := set[k]; !ok {
 			c := t.Clone()
-			r.tuples[k] = c
+			set[k] = c
 			r.indexInsert(c)
 			grew = true
 		}
-	}
+		return true
+	})
 	if grew {
 		r.touch()
 	}
@@ -442,13 +514,7 @@ func Intersect(r, o *Relation) *Relation {
 	if r.arity != o.arity {
 		panic("relation: intersection of different arities")
 	}
-	out := New(r.arity)
-	for k, t := range r.tuples {
-		if _, ok := o.tuples[k]; ok {
-			out.tuples[k] = t.Clone()
-		}
-	}
-	return out
+	return r.Select(o.Contains)
 }
 
 // Difference returns a fresh relation r \ o.
@@ -456,51 +522,52 @@ func Difference(r, o *Relation) *Relation {
 	if r.arity != o.arity {
 		panic("relation: difference of different arities")
 	}
-	out := New(r.arity)
-	for k, t := range r.tuples {
-		if _, ok := o.tuples[k]; !ok {
-			out.tuples[k] = t.Clone()
-		}
-	}
-	return out
+	return r.Select(func(t value.Tuple) bool { return !o.Contains(t) })
 }
 
 // Product returns the Cartesian product r × o.
 func Product(r, o *Relation) *Relation {
-	out := New(r.arity + o.arity)
-	for _, a := range r.tuples {
-		for _, b := range o.tuples {
-			out.Add(value.Concat(a, b))
-		}
-	}
-	return out
+	rows := make([]value.Tuple, 0, r.Len()*o.Len())
+	r.each(func(a value.Tuple) bool {
+		o.each(func(b value.Tuple) bool {
+			rows = append(rows, value.Concat(a, b))
+			return true
+		})
+		return true
+	})
+	return Build(r.arity+o.arity, rows)
 }
 
 // Project returns π_cols(r), keeping the listed column indices in order.
 func (r *Relation) Project(cols ...int) *Relation {
-	out := New(len(cols))
-	for _, t := range r.tuples {
+	for _, c := range cols {
+		if c < 0 || c >= r.arity {
+			panic(fmt.Sprintf("relation: projection column %d out of range for arity %d", c, r.arity))
+		}
+	}
+	rows := make([]value.Tuple, 0, r.Len())
+	r.each(func(t value.Tuple) bool {
 		p := make(value.Tuple, len(cols))
 		for i, c := range cols {
-			if c < 0 || c >= r.arity {
-				panic(fmt.Sprintf("relation: projection column %d out of range for arity %d", c, r.arity))
-			}
 			p[i] = t[c]
 		}
-		out.Add(p)
-	}
-	return out
+		rows = append(rows, p)
+		return true
+	})
+	return Build(len(cols), rows)
 }
 
-// Select returns σ_pred(r) for an arbitrary tuple predicate.
+// Select returns σ_pred(r) for an arbitrary tuple predicate. The
+// result shares r's tuples.
 func (r *Relation) Select(pred func(value.Tuple) bool) *Relation {
-	out := New(r.arity)
-	for _, t := range r.tuples {
+	var rows []value.Tuple
+	r.each(func(t value.Tuple) bool {
 		if pred(t) {
-			out.Add(t)
+			rows = append(rows, t)
 		}
-	}
-	return out
+		return true
+	})
+	return Build(r.arity, rows)
 }
 
 // SelectEqCols returns the tuples whose columns i and j agree.
@@ -521,11 +588,12 @@ func (r *Relation) ActiveDomain() []value.V {
 		return *p
 	}
 	seen := make(map[value.V]bool)
-	for _, t := range r.tuples {
+	r.each(func(t value.Tuple) bool {
 		for _, v := range t {
 			seen[v] = true
 		}
-	}
+		return true
+	})
 	out := make([]value.V, 0, len(seen))
 	for v := range seen {
 		out = append(out, v)

@@ -36,8 +36,12 @@ import (
 // version and changes on any incompatible layout change. Version 2
 // added the payload checksum line ("sum <sha256>") before the end
 // marker, so truncation and bit flips are detected even when they land
-// inside quoted data the structural checks cannot see.
-const snapshotMagic = "ptx-checkpoint 2"
+// inside quoted data the structural checks cannot see. Version 3
+// changed the byte order of relation.Key, which the pending
+// configurations' ancestor keys embed: a version-2 file would resume
+// with ancestor keys in the old order, and the stop condition could
+// silently miss a repeated configuration.
+const snapshotMagic = "ptx-checkpoint 3"
 
 // SnapshotError is the typed validation failure of the checkpoint
 // codec: the file is not a well-formed, internally consistent snapshot

@@ -460,19 +460,25 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if shared == payload {
 		t.Fatal("shared-node mutation did not apply")
 	}
-	sum := sha256.Sum256([]byte(shared))
-	shared += "sum " + hex.EncodeToString(sum[:]) + "\nend\n"
+	sign := func(payload string) string {
+		sum := sha256.Sum256([]byte(payload))
+		return payload + "sum " + hex.EncodeToString(sum[:]) + "\nend\n"
+	}
+	shared = sign(shared)
 
 	mutations := map[string]string{
-		"bad magic":     strings.Replace(good, "ptx-checkpoint 2", "ptx-checkpoint 9", 1),
+		"bad magic":     strings.Replace(good, "ptx-checkpoint 3", "ptx-checkpoint 9", 1),
+		"v2 file":       sign(strings.Replace(payload, "ptx-checkpoint 3", "ptx-checkpoint 2", 1)),
 		"truncated":     good[:len(good)/2],
 		"no end marker": strings.TrimSuffix(good, "end\n"),
 		"negative node": strings.Replace(good, "nodes 1", "nodes -1", 1),
 		"shared node":   shared,
 	}
 	for name, bad := range mutations {
-		if _, err := supervise.DecodeSnapshot(strings.NewReader(bad)); err == nil {
-			t.Errorf("%s: decode accepted corrupt snapshot", name)
+		_, err := supervise.DecodeSnapshot(strings.NewReader(bad))
+		var se *supervise.SnapshotError
+		if !errors.As(err, &se) {
+			t.Errorf("%s: decode returned %v, want a *SnapshotError", name, err)
 		}
 	}
 	// Forward/undefined node references must be rejected (cycle guard).

@@ -330,7 +330,7 @@ func TextOfRegister(r *relation.Relation) string {
 	if r == nil {
 		return ""
 	}
-	ts := r.Tuples()
+	ts := r.Sorted()
 	if len(ts) == 1 && len(ts[0]) == 1 {
 		return string(ts[0][0])
 	}
