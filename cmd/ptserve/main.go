@@ -6,7 +6,7 @@
 //
 //	ptserve -specs DIR [-addr :8080] [-workers N] [-queue N]
 //	        [-max-body BYTES] [-timeout D] [-max-timeout D]
-//	        [-drain D] [-checkpoint-dir DIR] [-allow-inject]
+//	        [-drain D] [-allow-inject]
 //	        [-node-id ID] [-store-dir DIR] [-join URL] [-advertise URL]
 //	        [-chaos SPEC]
 //
@@ -30,8 +30,9 @@
 // waiters; everything beyond that is rejected immediately with HTTP 429
 // and a typed JSON error body. SIGTERM/SIGINT triggers a graceful
 // drain: admissions stop, in-flight runs get -drain to finish, then
-// stragglers are canceled and terminate with typed errors (leaving
-// resumable checkpoints under -checkpoint-dir for supervised runs).
+// stragglers are canceled and terminate with typed errors (a run
+// routed with a handoff key leaves a resumable checkpoint in the
+// -store-dir store for its next owner).
 //
 // Cluster mode (see cmd/ptcoord): -node-id names this worker, -store-dir
 // points every worker at one shared checkpoint-handoff store, and -join
@@ -97,7 +98,6 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 	timeout := fs.Duration("timeout", 10*time.Second, "default per-request deadline (covers queue time)")
 	maxTimeout := fs.Duration("max-timeout", time.Minute, "cap on the per-request deadline a client may ask for (also caps /watch long-poll waits)")
 	drain := fs.Duration("drain", 10*time.Second, "how long a SIGTERM drain lets in-flight runs finish before canceling them")
-	checkpointDir := fs.String("checkpoint-dir", "", "persist failed supervised runs' checkpoints here (empty = off)")
 	allowInject := fs.Bool("allow-inject", false, "honor the \"inject\" request field (fault injection; chaos testing only)")
 	nodeID := fs.String("node-id", "", "stable cluster identity for this worker (required with -join)")
 	storeDir := fs.String("store-dir", "", "shared checkpoint-handoff store directory (cluster mode; all workers point at the same one)")
@@ -173,7 +173,6 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 		MaxBodyBytes:   *maxBody,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
-		CheckpointDir:  *checkpointDir,
 		AllowInject:    *allowInject,
 	}
 	meshName := *nodeID

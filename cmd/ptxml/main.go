@@ -32,12 +32,12 @@
 // segment (bit-flip, torn tail) is a typed diagnosis and exit 1:
 // offline inspection fails loudly where the live recovery path heals.
 //
-// With -retries, -checkpoint or -resume the run goes through the
-// supervision layer (internal/supervise): transient failures — budget
-// exhaustion, deadline expiry, contained panics — are retried with
-// capped exponential backoff, progress carries forward across attempts,
-// and a failed run can leave a checkpoint file that a later invocation
-// resumes with byte-identical output.
+// Every run goes through the supervision layer (internal/supervise):
+// with -retries, transient failures — budget exhaustion, deadline
+// expiry, contained panics — are retried with capped exponential
+// backoff and progress carries forward across attempts; with
+// -checkpoint a failed run leaves a checkpoint file that a later
+// invocation resumes (-resume) with byte-identical output.
 //
 // Exit codes: 0 success, 1 error, 2 usage, 4 resource budget exhausted,
 // 5 deadline exceeded / canceled. Budgets matter because relation-store
@@ -156,14 +156,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var res *pt.Result
-	attempts := 1
 	start := time.Now()
-	if supervised := *retries > 0 || *checkpointPath != "" || *resumePath != ""; supervised {
-		res, attempts, err = runSupervised(tr, inst, opts, *retries, *backoff, *checkpointPath, *resumePath, stderr)
-	} else {
-		res, err = tr.RunContext(context.Background(), inst, opts)
-	}
+	res, attempts, err := runSupervised(tr, inst, opts, *retries, *backoff, *checkpointPath, *resumePath, stderr)
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -292,15 +286,15 @@ func loadDeltas(tr *pt.Transducer, path, dbFilter string, stderr io.Writer) ([]*
 	return deltas, 0
 }
 
-// runSupervised routes the run through the supervision layer, loading
-// and saving checkpoint files as requested.
+// runSupervised runs through the supervision layer, loading and saving
+// checkpoint files as requested, and returns the attempt count.
 func runSupervised(tr *pt.Transducer, inst *relation.Instance, opts pt.Options, retries int, backoff time.Duration, checkpointPath, resumePath string, stderr io.Writer) (*pt.Result, int, error) {
 	sopts := supervise.Options{
 		Run:        opts,
 		Retries:    retries,
 		Backoff:    supervise.Backoff{Base: backoff},
 		Checkpoint: checkpointPath != "",
-		OnRetry: func(attempt int, err error, next pt.Options) {
+		OnRetry: func(attempt int, err error) {
 			fmt.Fprintf(stderr, "ptxml: attempt %d failed (%v); retrying\n", attempt, err)
 		},
 	}
@@ -321,21 +315,17 @@ func runSupervised(tr *pt.Transducer, inst *relation.Instance, opts pt.Options, 
 	} else {
 		res, rep, err = supervise.Run(context.Background(), tr, inst, sopts)
 	}
-	attempts := 1
-	if rep != nil {
-		attempts = rep.Attempts
-	}
-	if err != nil && checkpointPath != "" && rep != nil && rep.Snapshot != nil {
-		if saveErr := saveCheckpoint(checkpointPath, rep.Snapshot); saveErr != nil {
-			fmt.Fprintf(stderr, "ptxml: writing checkpoint: %v\n", saveErr)
+	if err != nil && checkpointPath != "" && rep.Snapshot != nil {
+		if writeErr := writeCheckpoint(checkpointPath, rep.Snapshot); writeErr != nil {
+			fmt.Fprintf(stderr, "ptxml: writing checkpoint: %v\n", writeErr)
 		} else {
 			fmt.Fprintf(stderr, "ptxml: checkpoint written to %s; resume with -resume %s\n", checkpointPath, checkpointPath)
 		}
 	}
-	return res, attempts, err
+	return res, rep.Attempts, err
 }
 
-func saveCheckpoint(path string, snap *supervise.Snapshot) error {
+func writeCheckpoint(path string, snap *supervise.Snapshot) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -32,11 +32,9 @@ type Config struct {
 	// ProbeInterval is the health-probe cadence (default 500ms; negative
 	// disables probing — forward-failure mark-down still works).
 	ProbeInterval time.Duration
-	// ProbeJitter spreads each probe tick by ±fraction (default 0.2) so
-	// a fleet of coordinators never thunders in phase; ProbeSeed makes
-	// the schedule reproducible.
-	ProbeJitter float64
-	ProbeSeed   int64
+	// ProbeSeed seeds the probe-tick jitter (±probeJitter), making the
+	// schedule reproducible.
+	ProbeSeed int64
 
 	// FailThreshold is how many CONSECUTIVE probe failures it takes to
 	// mark an up member down (default 3). One slow probe under load must
@@ -93,9 +91,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 500 * time.Millisecond
-	}
-	if c.ProbeJitter <= 0 {
-		c.ProbeJitter = 0.2
 	}
 	if c.FailThreshold <= 0 {
 		c.FailThreshold = 3

@@ -11,7 +11,7 @@ import (
 )
 
 // probeLoop is the coordinator's health prober: every ProbeInterval
-// (±ProbeJitter, seeded — a fleet of coordinators spreads out instead
+// (±probeJitter, seeded — a fleet of coordinators spreads out instead
 // of thundering in phase) it GETs each due member's /readyz. A failure
 // marks the member down (bumping the epoch so successors gain
 // checkpoint authority) and schedules its next probe with exponential
@@ -35,10 +35,14 @@ func (c *Coordinator) probeLoop() {
 	}
 }
 
-// jittered returns one probe-tick delay: interval ± jitter fraction.
+// probeJitter spreads each probe tick by ± this fraction of the
+// interval, so a fleet of coordinators never thunders in phase.
+const probeJitter = 0.2
+
+// jittered returns one probe-tick delay: interval ± probeJitter.
 func (c *Coordinator) jittered(rng *rand.Rand) time.Duration {
 	d := float64(c.cfg.ProbeInterval)
-	d *= 1 + c.cfg.ProbeJitter*(2*rng.Float64()-1)
+	d *= 1 + probeJitter*(2*rng.Float64()-1)
 	return time.Duration(d)
 }
 

@@ -1,20 +1,27 @@
-// Warm-run allocation guard: with every rule query answered by a
+// Warm-run allocation guards: with every rule query answered by a
 // shared memo, a run should allocate little beyond the output tree —
 // memoized results keep their grouped child registers, and the
-// ancestor set is one path map pushed and popped in place.
+// ancestor set is one path map pushed and popped in place — and
+// running it under supervision should add next to nothing.
 package pt_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"ptx/internal/eval"
 	"ptx/internal/parser"
 	"ptx/internal/pt"
+	"ptx/internal/relation"
+	"ptx/internal/supervise"
 )
 
-func TestWarmRunAllocsPerNode(t *testing.T) {
+// tau1Registrar loads the example τ1 spec and registrar.db.
+func tau1Registrar(t *testing.T) (*pt.Transducer, *relation.Instance) {
+	t.Helper()
 	dir := filepath.Join("..", "..", "examples", "specs")
 	src, err := os.ReadFile(filepath.Join(dir, "tau1.pt"))
 	if err != nil {
@@ -32,6 +39,11 @@ func TestWarmRunAllocsPerNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tr, inst
+}
+
+func TestWarmRunAllocsPerNode(t *testing.T) {
+	tr, inst := tau1Registrar(t)
 	perNode := func(opts pt.Options) float64 {
 		t.Helper()
 		res, err := tr.Run(inst, opts) // warm-up
@@ -59,5 +71,48 @@ func TestWarmRunAllocsPerNode(t *testing.T) {
 		t.Errorf("cache-off run: %.2f allocs per node, want < 30", got)
 	} else {
 		t.Logf("cache-off run: %.2f allocs per node", got)
+	}
+}
+
+// TestSupervisedFirstAttemptCost: servers and the CLI run every publish
+// through supervise.Run, so a first attempt that succeeds must cost
+// about what a bare RunContext does — under 1 KiB more per warm τ1 run.
+// A retry's backoff state (a seeded PRNG of a few KB) is only built
+// when a retry happens.
+func TestSupervisedFirstAttemptCost(t *testing.T) {
+	if pt.RaceEnabled {
+		t.Skip("the race detector inflates allocation figures")
+	}
+	tr, inst := tau1Registrar(t)
+	opts := pt.Options{Cache: pt.CacheQueries, Memo: eval.NewMemo(0)}
+	ctx := context.Background()
+	bytesPerRun := func(run func() error) float64 {
+		t.Helper()
+		if err := run(); err != nil { // warm-up
+			t.Fatal(err)
+		}
+		const n = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range n {
+			if err := run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / n
+	}
+	bare := bytesPerRun(func() error {
+		_, err := tr.RunContext(ctx, inst, opts)
+		return err
+	})
+	supervised := bytesPerRun(func() error {
+		_, _, err := supervise.Run(ctx, tr, inst, supervise.Options{Run: opts})
+		return err
+	})
+	if d := supervised - bare; d >= 1024 {
+		t.Errorf("supervise.Run first attempt: %.0f B/run vs RunContext %.0f B/run (+%.0f B), want < 1 KiB more", supervised, bare, d)
+	} else {
+		t.Logf("supervise.Run first attempt: %.0f B/run vs RunContext %.0f B/run (+%.0f B)", supervised, bare, d)
 	}
 }

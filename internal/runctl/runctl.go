@@ -137,11 +137,10 @@ func Recover(errp *error, op string) {
 }
 
 // ErrTransient marks an error as transient: the operation that failed
-// may succeed if simply retried (possibly under degraded options). The
-// supervision layer retries transient errors and treats everything
-// unmarked — spec bugs, validation failures — as permanent. Fault
-// injectors wrap their errors with Transient so chaos runs exercise the
-// retry path.
+// may succeed if simply retried. The supervision layer retries
+// transient errors and treats everything unmarked — spec bugs,
+// validation failures — as permanent. Fault injectors wrap their
+// errors with Transient so chaos runs exercise the retry path.
 type ErrTransient struct{ Cause error }
 
 func (e *ErrTransient) Error() string {

@@ -296,12 +296,8 @@ func (s *Server) liveViewFor(spec, db string) (*liveView, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxNodes := s.cfg.DefaultMaxNodes
-	if maxNodes < 0 {
-		maxNodes = 0
-	}
 	v, err := incr.NewView(s.baseCtx, tr, inst.Clone(), incr.Options{
-		Run: pt.Options{MaxNodes: maxNodes},
+		Run: pt.Options{MaxNodes: defaultMaxNodes},
 	})
 	if err != nil {
 		return nil, err

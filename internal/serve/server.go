@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"sort"
 	"strconv"
 	"sync"
@@ -67,21 +66,10 @@ type Config struct {
 	// 10s); MaxTimeout clamps what a request may ask for (default 60s).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// DefaultMaxNodes is the node budget when a request sets none
-	// (default 1e6). A request passes max_nodes: -1 for unlimited.
-	DefaultMaxNodes int
-	// MaxRetries clamps per-request supervised retries (default 5).
-	MaxRetries int
 
 	// DrainGrace is how long Drain waits for canceled stragglers after
 	// the drain deadline has expired (default 2s).
 	DrainGrace time.Duration
-
-	// CheckpointDir, when set, makes failed supervised runs persist
-	// their last checkpoint there (the drain protocol's "finish or
-	// checkpoint": a run canceled by shutdown leaves a resumable
-	// snapshot). Empty disables.
-	CheckpointDir string
 
 	// NodeID names this node in a cluster; it is echoed on every
 	// response as X-Ptserve-Node so a coordinator's failover decisions
@@ -115,13 +103,15 @@ type Config struct {
 	// to ring successors (default: a dedicated client with a 5s
 	// timeout — a dead successor must delay an ack, not hang it).
 	ReplicateClient *http.Client
-
-	// ReplicaBreaker parameterizes the per-replica circuit breakers on
-	// the replication push path: a replica that keeps failing is
-	// fail-fasted (still withholding the ack) instead of charging every
-	// mutation a full replication timeout. Zero value = defaults.
-	ReplicaBreaker breaker.Config
 }
+
+// Request-policy constants: the node budget of a request that sets none
+// (one passing max_nodes: -1 runs unlimited) and the clamp on a
+// request's supervised retries.
+const (
+	defaultMaxNodes = 1_000_000
+	maxRetries      = 5
+)
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -138,12 +128,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 60 * time.Second
-	}
-	if c.DefaultMaxNodes == 0 {
-		c.DefaultMaxNodes = 1_000_000
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 5
 	}
 	if c.DrainGrace <= 0 {
 		c.DrainGrace = 2 * time.Second
@@ -204,8 +188,11 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	// repBreakers holds one circuit breaker per replica id; the
-	// replication push path (replicateOut) feeds and respects them.
+	// repBreakers holds one circuit breaker per replica id, with the
+	// breaker defaults; the replication push path (replicateOut) feeds
+	// and respects them, so a replica that keeps failing is fail-fasted
+	// (still withholding the ack) instead of charging every mutation a
+	// full replication timeout.
 	repBreakers *breaker.Set
 
 	// liveMu serializes mutations and live-view creation; views maps
@@ -243,7 +230,7 @@ func New(cfg Config) (*Server, error) {
 		views:       make(map[string]*liveView),
 		baseCtx:     ctx,
 		baseCancel:  cancel,
-		repBreakers: breaker.NewSet(cfg.ReplicaBreaker),
+		repBreakers: breaker.NewSet(breaker.Config{}),
 	}, nil
 }
 
@@ -297,8 +284,8 @@ func (s *Server) Metrics() Metrics {
 // Drain gracefully shuts the server down: admissions stop (queued
 // waiters leave with ErrDraining, /readyz flips to 503), in-flight runs
 // get until ctx's deadline to finish, and any stragglers are then
-// canceled — they terminate with typed errors (and, with CheckpointDir
-// set and supervision on, a resumable checkpoint) within DrainGrace.
+// canceled — they terminate with typed errors (and, with a Store and a
+// run key, a resumable checkpoint in the store) within DrainGrace.
 // Drain returns nil for a clean shutdown, including the forced-cancel
 // path; it errors only if work survived cancellation.
 func (s *Server) Drain(ctx context.Context) error {
@@ -398,7 +385,7 @@ func (s *Server) validate(req publishRequest) (*admitted, error) {
 	if req.Retries < 0 {
 		return nil, Validationf("retries", "negative")
 	}
-	retries := min(req.Retries, s.cfg.MaxRetries)
+	retries := min(req.Retries, maxRetries)
 
 	l := req.Limits
 	if l.TimeoutMS < 0 || l.MaxDepth < 0 || l.MaxQueries < 0 || l.MaxNodes < -1 {
@@ -411,7 +398,7 @@ func (s *Server) validate(req publishRequest) (*admitted, error) {
 	maxNodes := l.MaxNodes
 	switch {
 	case maxNodes == 0:
-		maxNodes = s.cfg.DefaultMaxNodes
+		maxNodes = defaultMaxNodes
 	case maxNodes == -1:
 		maxNodes = 0 // explicit "unlimited"
 	}
@@ -553,10 +540,10 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, err)
 		return
 	}
-	if adm.opts.Cache >= pt.CacheQueries && adm.opts.Faults == nil && adm.retries == 0 && adm.runKey == "" {
-		// Warm-path sharing: the registry's per-(spec,db) memo. Faulted,
-		// supervised and handoff runs keep private memos — supervision's
-		// degradation ladder assumes it owns its caches.
+	if adm.opts.Cache >= pt.CacheQueries && adm.opts.Faults == nil {
+		// Warm-path sharing: the registry's per-(spec,db) memo. Faulted
+		// runs keep private memos, so a fault schedule never depends on
+		// how warm the memo is.
 		adm.opts.Memo = memo
 	}
 
@@ -619,70 +606,45 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// execute runs one admitted publish under the server's lifecycle
-// context — detached from the leader's own request so a client
-// disconnect cannot poison the shared result. Supervised runs (retries
-// requested) classify transient failures, retry with fresh budgets, and
-// leave a checkpoint file when CheckpointDir is set. Handoff runs
-// (runKey set, Store configured) take the clustered path instead.
+// execute runs one admitted publish under supervision and the server's
+// lifecycle context — detached from the leader's own request so a
+// client disconnect cannot poison the shared result. Transient failures
+// are retried with fresh budgets up to adm.retries times. A run with a
+// handoff key (adm.runKey, set only when a Store exists) also
+// checkpoints into the store under it, every write fenced by adm.epoch:
+// it resumes a predecessor's snapshot when one exists, deletes the
+// entry on success, and leaves its own last checkpoint on failure so
+// the run's NEXT owner picks up where this one stopped.
 func (s *Server) execute(tr *pt.Transducer, inst *relation.Instance, adm *admitted) (*pt.Result, int, bool, error) {
-	if adm.runKey != "" && s.cfg.Store != nil {
-		return s.executeHandoff(tr, inst, adm)
-	}
-	if adm.retries == 0 {
-		res, err := tr.RunContext(s.baseCtx, inst, adm.opts)
-		return res, 1, false, err
-	}
 	sopts := supervise.Options{
-		Run:        adm.opts,
-		Retries:    adm.retries,
-		Backoff:    supervise.Backoff{Base: 2 * time.Millisecond, Max: 250 * time.Millisecond},
-		Checkpoint: s.cfg.CheckpointDir != "",
+		Run:     adm.opts,
+		Retries: adm.retries,
+		Backoff: supervise.Backoff{Base: 2 * time.Millisecond, Max: 250 * time.Millisecond},
 	}
-	res, rep, err := supervise.Run(s.baseCtx, tr, inst, sopts)
-	attempts := 1
-	if rep != nil {
-		attempts = rep.Attempts
-	}
-	if err != nil && s.cfg.CheckpointDir != "" && rep != nil && rep.Snapshot != nil {
-		s.saveCheckpoint(rep.Snapshot)
-	}
-	return res, attempts, false, err
-}
-
-// executeHandoff is the clustered publish path: the run checkpoints
-// into the shared store under adm.runKey with every write fenced by
-// adm.epoch, resumes a predecessor's snapshot when one exists, deletes
-// the entry on success, and leaves its own last checkpoint behind on
-// failure so the run's NEXT owner picks up where this one stopped.
-func (s *Server) executeHandoff(tr *pt.Transducer, inst *relation.Instance, adm *admitted) (*pt.Result, int, bool, error) {
-	// A predecessor stored at a HIGHER epoch means this request was
-	// routed with stale ownership — a successor is already past us.
-	// Refuse before doing any work; the coordinator re-routes.
-	snap, storedEpoch, err := s.cfg.Store.Load(adm.runKey)
-	switch {
-	case err != nil:
-		// A corrupt entry is never resumed from — and never trusted
-		// again. Start fresh; our first fenced Save overwrites it.
-		snap = nil
-	case snap != nil && storedEpoch > adm.epoch:
-		s.fenced.Add(1)
-		return nil, 0, false, &supervise.ErrFenced{Key: adm.runKey, Epoch: adm.epoch, Stored: storedEpoch}
-	case snap != nil:
-		if snap.Verify(tr, inst) != nil {
+	var snap *supervise.Snapshot
+	if adm.runKey != "" {
+		// A predecessor stored at a HIGHER epoch means this request was
+		// routed with stale ownership — a successor is already past us.
+		// Refuse before doing any work; the coordinator re-routes.
+		var storedEpoch uint64
+		var err error
+		snap, storedEpoch, err = s.cfg.Store.Load(adm.runKey)
+		switch {
+		case err != nil:
+			// A corrupt entry is never resumed from — and never trusted
+			// again. Start fresh; our first fenced Save overwrites it.
+			snap = nil
+		case snap != nil && storedEpoch > adm.epoch:
+			s.fenced.Add(1)
+			return nil, 0, false, &supervise.ErrFenced{Key: adm.runKey, Epoch: adm.epoch, Stored: storedEpoch}
+		case snap != nil && snap.Verify(tr, inst) != nil:
 			// Snapshot from a different (spec, db) under a colliding key:
 			// resuming it would splice someone else's tree into ours.
 			snap = nil
 		}
-	}
-
-	sopts := supervise.Options{
-		Run:             adm.opts,
-		Retries:         adm.retries,
-		Backoff:         supervise.Backoff{Base: 2 * time.Millisecond, Max: 250 * time.Millisecond},
-		Checkpoint:      true,
-		CheckpointEvery: s.cfg.CheckpointEvery,
-		OnCheckpoint: func(ck *supervise.Snapshot) error {
+		sopts.Checkpoint = true
+		sopts.CheckpointEvery = s.cfg.CheckpointEvery
+		sopts.OnCheckpoint = func(ck *supervise.Snapshot) error {
 			err := s.cfg.Store.Save(adm.runKey, adm.epoch, ck)
 			var fe *supervise.ErrFenced
 			if errors.As(err, &fe) {
@@ -694,35 +656,31 @@ func (s *Server) executeHandoff(tr *pt.Transducer, inst *relation.Instance, adm 
 			// Other store failures (disk pressure, transient I/O) are
 			// best-effort: the run keeps going, durability degrades.
 			return nil
-		},
+		}
 	}
 
 	var res *pt.Result
 	var rep *supervise.Report
+	var err error
 	if snap != nil {
+		s.resumed.Add(1)
 		res, rep, err = supervise.Resume(s.baseCtx, tr, inst, snap, sopts)
 	} else {
 		res, rep, err = supervise.Run(s.baseCtx, tr, inst, sopts)
 	}
-	resumed := snap != nil
-	if resumed {
-		s.resumed.Add(1)
+	if adm.runKey != "" {
+		if err == nil {
+			// Fenced: a zombie finishing late must not erase its
+			// successor's progress.
+			_ = s.cfg.Store.Delete(adm.runKey, adm.epoch)
+		} else if rep.Snapshot != nil {
+			// The failure-time frontier is exactly the remaining work;
+			// leave it for the next owner (fenced — a successor may
+			// already have written past us, in which case theirs wins).
+			_ = s.cfg.Store.Save(adm.runKey, adm.epoch, rep.Snapshot)
+		}
 	}
-	attempts := 1
-	if rep != nil {
-		attempts = rep.Attempts
-	}
-	if err == nil {
-		_ = s.cfg.Store.Delete(adm.runKey)
-		return res, attempts, resumed, nil
-	}
-	if rep != nil && rep.Snapshot != nil {
-		// The failure-time frontier is exactly the remaining work; leave
-		// it for the next owner (fenced — a successor may already have
-		// written past us, in which case theirs wins).
-		_ = s.cfg.Store.Save(adm.runKey, adm.epoch, rep.Snapshot)
-	}
-	return nil, attempts, resumed, err
+	return res, rep.Attempts, snap != nil, err
 }
 
 // warmRequest is the wire schema of POST /warm: the coordinator's
@@ -761,22 +719,6 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(struct {
 		Warmed int `json:"warmed"`
 	}{n})
-}
-
-// saveCheckpoint persists a failed supervised run's snapshot; errors
-// are swallowed (checkpointing is best-effort salvage, never a reason
-// to turn a typed run error into an I/O error).
-func (s *Server) saveCheckpoint(snap *supervise.Snapshot) {
-	f, err := os.CreateTemp(s.cfg.CheckpointDir, "ptserve-*.checkpoint")
-	if err != nil {
-		return
-	}
-	if err := snap.Encode(f); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return
-	}
-	_ = f.Close()
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

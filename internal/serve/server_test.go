@@ -39,8 +39,10 @@ func TestPublishGolden(t *testing.T) {
 	}
 }
 
-// TestPublishSharedMemo: the second identical request must answer from
-// the pair's shared memo — zero fresh query evaluations.
+// TestPublishSharedMemo: after a warm-up, identical requests must
+// answer from the pair's shared memo — zero fresh query evaluations —
+// and so must a supervised one (retries requested): every publish
+// without injected faults shares the memo.
 func TestPublishSharedMemo(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	req := `{"spec":"tiny","db":"tinydb"}`
@@ -48,12 +50,14 @@ func TestPublishSharedMemo(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("warmup: %d %s", status, body)
 	}
-	status, hdr, body := post(t, ts, req)
-	if status != http.StatusOK {
-		t.Fatalf("second run: %d %s", status, body)
-	}
-	if got := hdr.Get("X-Ptserve-Queries"); got != "0" {
-		t.Fatalf("second identical publish ran %s queries, want 0 (shared memo)", got)
+	for _, req := range []string{req, `{"spec":"tiny","db":"tinydb","retries":2}`} {
+		status, hdr, body := post(t, ts, req)
+		if status != http.StatusOK {
+			t.Fatalf("%s: %d %s", req, status, body)
+		}
+		if got := hdr.Get("X-Ptserve-Queries"); got != "0" {
+			t.Fatalf("%s after warm-up ran %s queries, want 0 (shared memo)", req, got)
+		}
 	}
 }
 

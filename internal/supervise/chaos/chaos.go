@@ -258,7 +258,7 @@ func runCase(ctx context.Context, w Workload, opts supervise.Options, c Case) (*
 	single := opts
 	single.Retries = 0
 	res, rep, err := supervise.Run(ctx, w.Tr, w.Inst, single)
-	total := &supervise.Report{Attempts: rep.Attempts, Ops: rep.Ops, Errs: rep.Errs, Snapshot: rep.Snapshot, FinalOptions: rep.FinalOptions}
+	total := &supervise.Report{Attempts: rep.Attempts, Ops: rep.Ops, Errs: rep.Errs, Snapshot: rep.Snapshot}
 	for attempt := 1; err != nil && attempt <= c.Retries && supervise.Retryable(err) && rep.Snapshot != nil; attempt++ {
 		var buf strings.Builder
 		if encErr := rep.Snapshot.Encode(&buf); encErr != nil {

@@ -45,8 +45,11 @@ type CheckpointStore interface {
 	Load(key string) (*Snapshot, uint64, error)
 
 	// Delete removes the entry for key (a completed run's checkpoint).
-	// Deleting an absent key is not an error.
-	Delete(key string) error
+	// It fails with *ErrFenced, leaving the entry in place, when the
+	// entry was written at a HIGHER epoch: a zombie owner finishing its
+	// run must not erase its successor's progress. Deleting an absent
+	// key is not an error.
+	Delete(key string, epoch uint64) error
 }
 
 // ErrFenced reports a checkpoint write rejected by the ownership fence:
@@ -73,9 +76,12 @@ func (e *ErrFenced) Error() string {
 type DirStore struct {
 	dir string
 
-	// mu serializes same-process access per key so in-process callers
-	// never contend on the lock file against themselves.
-	mu sync.Mutex
+	// mu guards keys: one in-process mutex per key path with waiters,
+	// so in-process callers never contend on the lock file against
+	// themselves, and a stale lock file on one key never stalls writes
+	// to another.
+	mu   sync.Mutex
+	keys map[string]*keyLock
 
 	// LockTimeout bounds how long Save/Delete waits for a key's lock
 	// file before treating it as stale and breaking it (a crashed
@@ -88,7 +94,7 @@ func NewDirStore(dir string) (*DirStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("supervise: checkpoint store: %w", err)
 	}
-	return &DirStore{dir: dir, LockTimeout: 2 * time.Second}, nil
+	return &DirStore{dir: dir, keys: map[string]*keyLock{}, LockTimeout: 2 * time.Second}, nil
 }
 
 // path maps an opaque key to a filename: keys are hashed, so any byte
@@ -98,18 +104,45 @@ func (d *DirStore) path(key string) string {
 	return filepath.Join(d.dir, hex.EncodeToString(h[:16])+".ckpt")
 }
 
-// lock acquires the cross-process lock file for path, polling until
-// LockTimeout and then breaking the (presumed stale) lock.
+// keyLock is one key path's in-process mutex; refs counts its holders
+// and waiters, and the last one out drops it from DirStore.keys.
+type keyLock struct {
+	sync.Mutex
+	refs int
+}
+
+// lock acquires path's in-process mutex and then its cross-process
+// lock file, polling until LockTimeout and then breaking the (presumed
+// stale) lock file.
 func (d *DirStore) lock(path string) (release func(), err error) {
+	d.mu.Lock()
+	k := d.keys[path]
+	if k == nil {
+		k = &keyLock{}
+		d.keys[path] = k
+	}
+	k.refs++
+	d.mu.Unlock()
+	k.Lock()
+	unlock := func() {
+		k.Unlock()
+		d.mu.Lock()
+		if k.refs--; k.refs == 0 {
+			delete(d.keys, path)
+		}
+		d.mu.Unlock()
+	}
+
 	lockPath := path + ".lock"
 	deadline := time.Now().Add(d.LockTimeout)
 	for {
 		f, err := os.OpenFile(lockPath, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 		if err == nil {
 			f.Close()
-			return func() { os.Remove(lockPath) }, nil
+			return func() { os.Remove(lockPath); unlock() }, nil
 		}
 		if !os.IsExist(err) {
+			unlock()
 			return nil, fmt.Errorf("supervise: checkpoint lock: %w", err)
 		}
 		if time.Now().After(deadline) {
@@ -155,8 +188,6 @@ func parseEpochHeader(line string) (uint64, bool) {
 // key's lock: read the stored epoch, reject stale writers, then write
 // temp + rename so readers never observe a torn file.
 func (d *DirStore) Save(key string, epoch uint64, snap *Snapshot) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	path := d.path(key)
 	release, err := d.lock(path)
 	if err != nil {
@@ -215,34 +246,20 @@ func (d *DirStore) Load(key string) (*Snapshot, uint64, error) {
 	return snap, epoch, nil
 }
 
-// Delete implements CheckpointStore.
-func (d *DirStore) Delete(key string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// Delete implements CheckpointStore with the same fencing check as
+// Save, under the key's lock.
+func (d *DirStore) Delete(key string, epoch uint64) error {
 	path := d.path(key)
 	release, err := d.lock(path)
 	if err != nil {
 		return err
 	}
 	defer release()
+	if stored, ok := d.storedEpoch(path); ok && stored > epoch {
+		return &ErrFenced{Key: key, Epoch: epoch, Stored: stored}
+	}
 	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("supervise: checkpoint delete: %w", err)
 	}
 	return nil
-}
-
-// Keys lists the hashed filenames currently stored — observability and
-// tests; the opaque keys themselves are not recoverable from the hash.
-func (d *DirStore) Keys() ([]string, error) {
-	entries, err := os.ReadDir(d.dir)
-	if err != nil {
-		return nil, err
-	}
-	var keys []string
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".ckpt") {
-			keys = append(keys, strings.TrimSuffix(e.Name(), ".ckpt"))
-		}
-	}
-	return keys, nil
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"ptx/internal/pt"
 	"ptx/internal/registrar"
@@ -49,22 +50,22 @@ func TestDirStoreRoundTrip(t *testing.T) {
 	if err := got.Verify(registrar.Tau1(), registrar.SampleInstance()); err != nil {
 		t.Fatalf("loaded snapshot does not verify: %v", err)
 	}
-	if err := st.Delete("run-1"); err != nil {
+	if err := st.Delete("run-1", 3); err != nil {
 		t.Fatal(err)
 	}
 	if got, _, _ := st.Load("run-1"); got != nil {
 		t.Fatal("snapshot survived Delete")
 	}
-	if err := st.Delete("run-1"); err != nil {
+	if err := st.Delete("run-1", 3); err != nil {
 		t.Fatalf("double delete: %v", err)
 	}
 }
 
 // TestDirStoreFencing is the zombie-write contract: once a successor
-// has written at a higher epoch, the old owner's saves are rejected
-// with *ErrFenced and the successor's progress survives untouched;
-// same-epoch overwrites (one owner progressing) stay allowed, and a
-// successor may overwrite its predecessor.
+// has written at a higher epoch, the old owner's saves and deletes are
+// rejected with *ErrFenced and the successor's progress survives
+// untouched; same-epoch overwrites (one owner progressing) stay
+// allowed, and a successor may overwrite its predecessor.
 func TestDirStoreFencing(t *testing.T) {
 	st, err := supervise.NewDirStore(t.TempDir())
 	if err != nil {
@@ -92,6 +93,53 @@ func TestDirStoreFencing(t *testing.T) {
 	// The successor's entry is intact after the rejected write.
 	if _, epoch, err := st.Load("run"); err != nil || epoch != 2 {
 		t.Fatalf("after fenced write: Load epoch %d err %v, want 2 nil", epoch, err)
+	}
+	// A zombie whose run completes must not delete the successor's
+	// checkpoint either.
+	if err := st.Delete("run", 1); !errors.As(err, &fe) {
+		t.Fatalf("zombie delete: got %v, want *ErrFenced", err)
+	}
+	if snap, epoch, err := st.Load("run"); err != nil || snap == nil || epoch != 2 {
+		t.Fatalf("after fenced delete: Load = (%v, %d, %v), want the epoch-2 entry", snap, epoch, err)
+	}
+}
+
+// TestDirStoreStaleLockIsPerKey: a stale lock file left on one key
+// (its holder crashed mid-save) is waited out for LockTimeout before
+// being broken — but only by writers of THAT key. A save to another key
+// of the same store proceeds at once.
+func TestDirStoreStaleLockIsPerKey(t *testing.T) {
+	dir := t.TempDir()
+	st, err := supervise.NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.LockTimeout = time.Second
+	snap := testSnapshot(t)
+	// Find A's entry path by saving it once, then plant a stale lock.
+	if err := st.Save("A", 1, snap); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("store dir after one save: %v %v", entries, err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, entries[0].Name()+".lock"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	doneA := make(chan error, 1)
+	go func() { doneA <- st.Save("A", 1, snap) }()
+	time.Sleep(50 * time.Millisecond) // let Save("A") start waiting out the stale lock
+	start := time.Now()
+	if err := st.Save("B", 1, snap); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 250*time.Millisecond {
+		t.Fatalf("Save(B) took %v behind A's stale lock, want < 250ms", d)
+	}
+	if err := <-doneA; err != nil {
+		t.Fatalf("Save(A) after breaking the stale lock: %v", err)
 	}
 }
 

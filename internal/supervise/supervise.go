@@ -2,8 +2,8 @@
 // supervision loop: attempts run stepwise (internal/pt.StepRun) so that
 // any failure — timeout, budget, injected fault, contained panic —
 // leaves a consistent (tree, frontier) checkpoint; transient failures
-// are retried with capped exponential backoff, the last ones cache-off;
-// and progress carries FORWARD across attempts, so
+// are retried with capped exponential backoff, every attempt under the
+// caller's options; and progress carries FORWARD across attempts, so
 // a sequence of budget-bounded attempts completes work no single budget
 // allows. Checkpoints serialize (snapshot.go) and resume across
 // processes with the same byte-for-byte output guarantee.
@@ -31,6 +31,15 @@ type Backoff struct {
 	Factor float64       // growth per attempt; default 2
 	Jitter float64       // ± fraction of the delay; default 0 (none)
 	Seed   int64         // jitter PRNG seed
+}
+
+// rng returns the jitter PRNG, seeding it on the first retry: its
+// state is a few KB, which a run that never retries should not pay for.
+func (b Backoff) rng(r *rand.Rand) *rand.Rand {
+	if r == nil {
+		r = rand.New(rand.NewSource(b.Seed))
+	}
+	return r
 }
 
 // delay returns the wait before retry number n (1-based).
@@ -98,18 +107,13 @@ type Options struct {
 	// loop stops rather than retrying into the same fence.
 	OnCheckpoint func(*Snapshot) error
 
-	// DisableDegrade keeps the query memo on for every attempt (see
-	// degrade), retrying with Run unchanged.
-	DisableDegrade bool
-
 	// Sleep replaces time.Sleep between attempts (tests and chaos runs
 	// pass a recorder so schedules are checked without waiting).
 	Sleep func(time.Duration)
 
 	// OnRetry, when set, observes each retry decision: the attempt that
-	// failed (1-based), its error, and the options the next attempt will
-	// use.
-	OnRetry func(attempt int, err error, next pt.Options)
+	// failed (1-based) and its error.
+	OnRetry func(attempt int, err error)
 }
 
 // Report describes what the supervision loop did, whether or not it
@@ -126,9 +130,6 @@ type Report struct {
 	// Options.Checkpoint is set, else the last periodic one); nil when
 	// none was taken.
 	Snapshot *Snapshot
-	// FinalOptions is the per-attempt configuration the last attempt
-	// ran with — shows whether the cache-off retries had begun.
-	FinalOptions pt.Options
 }
 
 // Retryable classifies an error for the supervision loop: true means a
@@ -136,9 +137,9 @@ type Report struct {
 // attempts get fresh budgets while progress accumulates; deadline
 // expiry likewise. Explicit cancellation is an instruction to stop, and
 // anything untyped (spec bugs, validation failures) is permanent.
-// Internal errors (contained panics) are retryable because the
-// cache-off retries (see degrade) may route around the failing
-// component.
+// Internal errors (contained panics) are retryable: injected internal
+// faults fire per attempt, so the attempt that re-runs the failed step
+// can succeed.
 func Retryable(err error) bool {
 	if err == nil {
 		return false
@@ -158,19 +159,10 @@ func Retryable(err error) bool {
 	return errors.As(err, &internal)
 }
 
-// degrade returns the options for attempt+1, where attempt is the
-// 1-based attempt that just failed. Attempts 1–4 run with the caller's
-// cache mode; from attempt 5 on the run is cache-off, giving up the
-// query memo in case it is implicated in the failure.
-func degrade(attempt int, o pt.Options) pt.Options {
-	if attempt >= 4 {
-		o.Cache = pt.CacheOff
-	}
-	return o
-}
-
 // Run executes tr on inst under supervision and returns the final
-// result. The Report is non-nil in every case, including errors.
+// result. Every attempt runs o.Run unchanged: the query memo never
+// stores a failed evaluation, so a retry has no cache to distrust. The
+// Report is non-nil in every case, including errors.
 func Run(ctx context.Context, tr *pt.Transducer, inst *relation.Instance, o Options) (*pt.Result, *Report, error) {
 	return loop(ctx, tr, inst, o, nil)
 }
@@ -178,7 +170,7 @@ func Run(ctx context.Context, tr *pt.Transducer, inst *relation.Instance, o Opti
 // Resume continues a checkpointed run. The snapshot is verified against
 // tr and inst first; budgets in o.Run are fresh for the resumed
 // attempt. The combined output is byte-identical to an uninterrupted
-// run's.
+// run's. The Report is non-nil in every case, including errors.
 func Resume(ctx context.Context, tr *pt.Transducer, inst *relation.Instance, snap *Snapshot, o Options) (*pt.Result, *Report, error) {
 	if snap == nil {
 		return nil, &Report{}, errors.New("supervise: nil snapshot")
@@ -187,16 +179,6 @@ func Resume(ctx context.Context, tr *pt.Transducer, inst *relation.Instance, sna
 		return nil, &Report{}, err
 	}
 	return loop(ctx, tr, inst, o, snap)
-}
-
-// Output is Run followed by publishing (virtual-tag splicing +
-// register/state stripping), mirroring pt.Output.
-func Output(ctx context.Context, tr *pt.Transducer, inst *relation.Instance, o Options) (*xmltree.Tree, *Report, error) {
-	res, rep, err := Run(ctx, tr, inst, o)
-	if err != nil {
-		return nil, rep, err
-	}
-	return res.Xi.Publish(tr.Virtual), rep, nil
 }
 
 // Retry applies the supervision retry policy — transient
@@ -208,7 +190,7 @@ func Retry(ctx context.Context, retries int, b Backoff, sleep func(time.Duration
 	if sleep == nil {
 		sleep = time.Sleep
 	}
-	rng := rand.New(rand.NewSource(b.Seed))
+	var rng *rand.Rand
 	for attempt := 1; ; attempt++ {
 		err := f(attempt)
 		if err == nil {
@@ -217,18 +199,19 @@ func Retry(ctx context.Context, retries int, b Backoff, sleep func(time.Duration
 		if attempt > retries || !Retryable(err) || (ctx != nil && ctx.Err() != nil) {
 			return attempt, err
 		}
+		rng = b.rng(rng)
 		sleep(b.delay(attempt, rng))
 	}
 }
 
 // loop is the supervision engine shared by Run and Resume.
 func loop(ctx context.Context, tr *pt.Transducer, inst *relation.Instance, o Options, snap *Snapshot) (*pt.Result, *Report, error) {
-	rep := &Report{FinalOptions: o.Run}
+	rep := &Report{}
 	sleep := o.Sleep
 	if sleep == nil {
 		sleep = time.Sleep
 	}
-	rng := rand.New(rand.NewSource(o.Backoff.Seed))
+	var rng *rand.Rand
 
 	// Progress state threaded between attempts. A failed attempt's
 	// frontier becomes the next attempt's starting point.
@@ -240,17 +223,15 @@ func loop(ctx context.Context, tr *pt.Transducer, inst *relation.Instance, o Opt
 		root, pending, prior = snap.Tree.Root, snap.Pending, snap.Stats
 	}
 
-	cur := o.Run
 	for attempt := 1; ; attempt++ {
 		rep.Attempts = attempt
-		rep.FinalOptions = cur
 
 		var sr *pt.StepRun
 		var err error
 		if restored {
-			sr, err = tr.RestoreStepRun(ctx, inst, cur, root, pending, prior)
+			sr, err = tr.RestoreStepRun(ctx, inst, o.Run, root, pending, prior)
 		} else {
-			sr, err = tr.NewStepRun(ctx, inst, cur)
+			sr, err = tr.NewStepRun(ctx, inst, o.Run)
 		}
 		if err != nil {
 			// Setup failures (invalid spec, malformed frontier) are
@@ -280,14 +261,10 @@ func loop(ctx context.Context, tr *pt.Transducer, inst *relation.Instance, o Opt
 		if attempt > o.Retries || !Retryable(runErr) || ctx.Err() != nil {
 			return nil, rep, runErr
 		}
-		next := cur
-		if !o.DisableDegrade {
-			next = degrade(attempt, o.Run)
-		}
 		if o.OnRetry != nil {
-			o.OnRetry(attempt, runErr, next)
+			o.OnRetry(attempt, runErr)
 		}
-		cur = next
+		rng = o.Backoff.rng(rng)
 		sleep(o.Backoff.delay(attempt, rng))
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"ptx/internal/eval"
 	"ptx/internal/families"
 	"ptx/internal/pt"
 	"ptx/internal/registrar"
@@ -348,37 +349,38 @@ func TestBackoffDeterministic(t *testing.T) {
 	}
 }
 
-// TestDegradationLadder: with every query failing, attempts 1–4 keep
-// the caller's cache mode and attempt 5 runs cache-off.
-func TestDegradationLadder(t *testing.T) {
+// TestRetriesKeepCallerOptions: every attempt runs the caller's
+// options unchanged — with every query failing, each of the 5 attempts
+// still consults the caller's memo (its miss count grows during every
+// attempt), because the memo never stores a failed evaluation and so
+// is never a reason to retry without it.
+func TestRetriesKeepCallerOptions(t *testing.T) {
 	tr := families.UnfoldTransducer()
 	inst := families.DiamondChain(6)
 	plan := runctl.SeededPlan(7, runctl.Transient(errors.New("blip")), map[runctl.Op]float64{runctl.OpQuery: 1})
-	var ladder []pt.Options
+	memo := eval.NewMemo(0)
+	misses := func() int64 { _, m, _ := memo.Stats(); return m }
+	var after []int64 // memo misses at the end of each attempt
 	var delays []time.Duration
 	_, rep, err := supervise.Run(context.Background(), tr, inst, supervise.Options{
-		Run:     pt.Options{Cache: pt.CacheQueries, Faults: plan},
+		Run:     pt.Options{Cache: pt.CacheQueries, Memo: memo, Faults: plan},
 		Retries: 4,
 		Sleep:   noSleep(&delays),
-		OnRetry: func(attempt int, err error, next pt.Options) { ladder = append(ladder, next) },
+		OnRetry: func(attempt int, err error) { after = append(after, misses()) },
 	})
 	if err == nil {
 		t.Fatal("run with p=1 query faults succeeded")
 	}
-	if rep.Attempts != 5 || len(ladder) != 4 {
-		t.Fatalf("attempts=%d ladder=%d, want 5/4", rep.Attempts, len(ladder))
+	after = append(after, misses())
+	if rep.Attempts != 5 || len(after) != 5 {
+		t.Fatalf("attempts=%d observed=%d, want 5/5", rep.Attempts, len(after))
 	}
-	// ladder[i] configures attempt i+2.
-	for i, next := range ladder[:3] {
-		if next.Cache != pt.CacheQueries {
-			t.Errorf("attempt %d should keep the caller's cache, got %+v", i+2, next)
+	prev := int64(0)
+	for i, m := range after {
+		if m <= prev {
+			t.Errorf("attempt %d did not consult the caller's memo: misses %d → %d", i+1, prev, m)
 		}
-	}
-	if ladder[3].Cache != pt.CacheOff {
-		t.Errorf("attempt 5 should turn caching off, got %+v", ladder[3])
-	}
-	if rep.FinalOptions.Cache != pt.CacheOff {
-		t.Errorf("FinalOptions should reflect the last rung, got %+v", rep.FinalOptions)
+		prev = m
 	}
 }
 
