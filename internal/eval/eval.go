@@ -20,7 +20,9 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"ptx/internal/logic"
@@ -34,8 +36,11 @@ import (
 // relations (node registers and fixpoint stages), and the value domain
 // the quantifiers range over.
 type Env struct {
-	inst  *relation.Instance
-	extra map[string]*relation.Relation
+	inst *relation.Instance
+	// extra holds the extra relations sorted by name. It is never
+	// mutated in place (WithRelation copies it), so derived environments
+	// share it freely.
+	extra []namedRel
 	// ctl carries the run-control checkpoints (cancellation, fixpoint
 	// iteration budget) down into the evaluator; nil means unlimited.
 	ctl *runctl.Controller
@@ -51,6 +56,13 @@ type Env struct {
 	// WithoutPlanner.
 	noPlan bool
 }
+
+type namedRel struct {
+	name string
+	rel  *relation.Relation
+}
+
+func cmpNamed(n namedRel, name string) int { return strings.Compare(n.name, name) }
 
 type adomCache struct {
 	once sync.Once
@@ -74,7 +86,16 @@ type domCache struct {
 // other auxiliary relations, e.g. the "Reg" relation of the current
 // node) are added with WithRelation.
 func NewEnv(inst *relation.Instance) *Env {
-	return &Env{inst: inst, extra: make(map[string]*relation.Relation), instAdom: &adomCache{}, dom: &domCache{}}
+	return &Env{inst: inst, instAdom: &adomCache{}, dom: &domCache{}}
+}
+
+// derivedEnv is one allocation holding an Env made by WithRelation, its
+// domain cache and, for the usual one or two extras (a register and a
+// fixpoint stage), their storage.
+type derivedEnv struct {
+	env   Env
+	dom   domCache
+	extra [2]namedRel
 }
 
 // WithRelation returns a copy of the environment in which name resolves
@@ -82,13 +103,15 @@ func NewEnv(inst *relation.Instance) *Env {
 // environment gets its own domain cache (the extras changed) but keeps
 // the shared instance-adom cache.
 func (e *Env) WithRelation(name string, rel *relation.Relation) *Env {
-	ne := &Env{inst: e.inst, extra: make(map[string]*relation.Relation, len(e.extra)+1),
-		ctl: e.ctl, instAdom: e.instAdom, dom: &domCache{}, noPlan: e.noPlan}
-	for k, v := range e.extra {
-		ne.extra[k] = v
+	d := &derivedEnv{}
+	extra := append(d.extra[:0], e.extra...)
+	if i, ok := slices.BinarySearchFunc(extra, name, cmpNamed); ok {
+		extra[i].rel = rel
+	} else {
+		extra = slices.Insert(extra, i, namedRel{name, rel})
 	}
-	ne.extra[name] = rel
-	return ne
+	d.env = Env{inst: e.inst, extra: extra, ctl: e.ctl, instAdom: e.instAdom, dom: &d.dom, noPlan: e.noPlan}
+	return &d.env
 }
 
 // WithControl returns a copy of the environment whose evaluations check
@@ -113,8 +136,8 @@ func (e *Env) Control() *runctl.Controller { return e.ctl }
 
 // Lookup resolves a relation name: extra relations shadow the instance.
 func (e *Env) Lookup(name string) (*relation.Relation, bool) {
-	if r, ok := e.extra[name]; ok {
-		return r, true
+	if i, ok := slices.BinarySearchFunc(e.extra, name, cmpNamed); ok {
+		return e.extra[i].rel, true
 	}
 	if e.inst != nil && e.inst.Has(name) {
 		return e.inst.Rel(name), true
@@ -169,15 +192,8 @@ func (e *Env) domainBase() []value.V {
 			parts = append(parts, e.inst.ActiveDomain())
 		}
 	}
-	if len(e.extra) > 0 {
-		names := make([]string, 0, len(e.extra))
-		for n := range e.extra {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			parts = append(parts, e.extra[n].ActiveDomain())
-		}
+	for _, x := range e.extra {
+		parts = append(parts, x.rel.ActiveDomain())
 	}
 	if e.dom == nil {
 		return mergeDomainParts(parts)

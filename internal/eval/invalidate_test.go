@@ -118,3 +118,31 @@ func TestMemoInvalidateRelationsSelective(t *testing.T) {
 		t.Fatalf("E-query result has %d tuples after invalidation, want 2", r.Len())
 	}
 }
+
+// Invalidation matches a key's whole query id, not a prefix of it: with
+// ids 1 and 11 both live, dropping query 1 keeps every 11|… entry.
+func TestMemoInvalidateWholeIDs(t *testing.T) {
+	m := NewMemo(0)
+	qs := make([]*logic.Query, 11)
+	for i := range qs {
+		rel := "B"
+		if i == 0 {
+			rel = "A"
+		}
+		qs[i] = logic.MustQuery(nil, []logic.Var{x}, logic.R(rel, x))
+		for _, fp := range []string{"", "r1", "r2"} {
+			m.Put(qs[i], fp, relation.New(1)) // query i gets id i+1
+		}
+	}
+	if n := m.InvalidateRelations([]string{"A"}); n != 3 {
+		t.Fatalf("invalidated %d entries, want the 3 of id 1", n)
+	}
+	for _, fp := range []string{"", "r1", "r2"} {
+		if _, ok := m.Get(qs[0], fp); ok {
+			t.Errorf("id 1 entry %q survived", fp)
+		}
+		if _, ok := m.Get(qs[10], fp); !ok {
+			t.Errorf("id 11 entry %q was dropped", fp)
+		}
+	}
+}

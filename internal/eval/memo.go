@@ -113,14 +113,19 @@ func (m *Memo) syncLocked() bool {
 func (m *Memo) Invalidate(pred func(*logic.Query) bool) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := 0
+	dirty := make(map[string]bool)
 	for q, id := range m.ids {
-		if !pred(q) {
-			continue
+		if pred(q) {
+			dirty[strconv.FormatInt(id, 10)] = true
 		}
-		prefix := strconv.FormatInt(id, 10) + "|"
-		n += m.lru.RemoveIf(func(k string) bool { return strings.HasPrefix(k, prefix) })
 	}
+	if len(dirty) == 0 {
+		return 0
+	}
+	n := m.lru.RemoveIf(func(k string) bool {
+		id, _, _ := strings.Cut(k, "|")
+		return dirty[id]
+	})
 	m.invalidated.Add(int64(n))
 	return n
 }
@@ -206,36 +211,24 @@ func (m *Memo) InvalidationStats() (entries, flushes int64) {
 
 // extraFingerprint canonically fingerprints the environment's extra
 // relations (registers, fixpoint stages) — the only evaluation inputs
-// that vary across nodes of one run. Names are sorted so the encoding
-// is deterministic; each component is self-delimiting.
+// that vary across nodes of one run. The extras are kept sorted by
+// name, so the encoding is deterministic; each component is
+// self-delimiting.
 func (e *Env) extraFingerprint() string {
 	if len(e.extra) == 0 {
 		return ""
 	}
-	names := make([]string, 0, len(e.extra))
-	for n := range e.extra {
-		names = append(names, n)
-	}
-	sortStrings(names)
 	var b []byte
-	for _, n := range names {
-		b = strconv.AppendInt(b, int64(len(n)), 10)
+	for _, x := range e.extra {
+		b = strconv.AppendInt(b, int64(len(x.name)), 10)
 		b = append(b, ':')
-		b = append(b, n...)
-		k := e.extra[n].Key()
+		b = append(b, x.name...)
+		k := x.rel.Key()
 		b = strconv.AppendInt(b, int64(len(k)), 10)
 		b = append(b, ':')
 		b = append(b, k...)
 	}
 	return string(b)
-}
-
-func sortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
 }
 
 // EvalQueryMemo is EvalQuery through a memo: it returns the cached

@@ -2,6 +2,8 @@ package logic
 
 import (
 	"fmt"
+	"reflect"
+	"strconv"
 	"strings"
 )
 
@@ -92,4 +94,40 @@ func varStrings(vs []Var) []string {
 		out[i] = string(v)
 	}
 	return out
+}
+
+// Key is an injective structural encoding of the query: two queries
+// share a key iff they have the same split x̄;ȳ and the same formula
+// tree. String would not do, as it prints constants unescaped:
+// R('a','b','c') is both R(a','b, c) and R(a, b','c). Key walks the AST
+// by reflection, tags every interface value with its dynamic type and
+// length-prefixes every string and list.
+func (q *Query) Key() string { return string(appendKey(nil, reflect.ValueOf(*q))) }
+
+func appendKey(b []byte, v reflect.Value) []byte {
+	switch v.Kind() {
+	case reflect.Interface, reflect.Pointer:
+		if v.IsNil() {
+			return append(b, '_')
+		}
+		if v.Kind() == reflect.Interface {
+			b = appendKey(b, reflect.ValueOf(v.Elem().Type().String()))
+		}
+		return appendKey(b, v.Elem())
+	case reflect.Struct:
+		for i := range v.NumField() {
+			b = appendKey(b, v.Field(i))
+		}
+	case reflect.Slice:
+		b = strconv.AppendInt(append(b, '['), int64(v.Len()), 10)
+		for i := range v.Len() {
+			b = appendKey(b, v.Index(i))
+		}
+	case reflect.String:
+		b = strconv.AppendInt(append(b, '"'), int64(v.Len()), 10)
+		b = append(append(b, ':'), v.String()...)
+	default: // scalars (Truth's bool): their rendering, length-prefixed
+		b = appendKey(b, reflect.ValueOf(fmt.Sprint(v)))
+	}
+	return b
 }

@@ -11,8 +11,9 @@ import "fmt"
 type CacheMode int
 
 const (
-	// CacheOff evaluates every rule query at every node (the zero value;
-	// the historical behavior).
+	// CacheOff evaluates each distinct rule query at every node (the
+	// zero value): nothing is cached across nodes, and items of one rule
+	// carrying the same query share its result (see ExpandConfig).
 	CacheOff CacheMode = iota
 	// CacheQueries memoizes rule-query results on (query, register
 	// fingerprint): each distinct configuration evaluates its queries

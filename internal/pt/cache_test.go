@@ -26,9 +26,10 @@ func TestParseCacheMode(t *testing.T) {
 	}
 }
 
-// TestQueryMemoSharesDuplicateItems: two rule items referencing the same
-// query object against the same register must evaluate once under the
-// query-level cache.
+// TestQueryMemoSharesDuplicateItems: two items of one rule carrying the same
+// query against the same register spawn the same groups (Definition
+// 3.1), so the rule step evaluates that query once in every cache mode,
+// and under the memo it is one miss with no hit.
 func TestQueryMemoSharesDuplicateItems(t *testing.T) {
 	q := logic.MustQuery([]logic.Var{x}, nil, logic.R("R1", x))
 	tr := New("dup", unarySchema(), "q0", "r")
@@ -45,11 +46,14 @@ func TestQueryMemoSharesDuplicateItems(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off.Stats.QueriesRun != 2 || memo.Stats.QueriesRun != 1 {
-		t.Errorf("queries: off=%d memo=%d, want 2 and 1", off.Stats.QueriesRun, memo.Stats.QueriesRun)
+	if off.Stats.QueriesRun != 1 || memo.Stats.QueriesRun != 1 {
+		t.Errorf("queries: off=%d memo=%d, want 1 and 1", off.Stats.QueriesRun, memo.Stats.QueriesRun)
 	}
-	if memo.Stats.CacheHits != 1 || memo.Stats.CacheMisses != 1 {
-		t.Errorf("memo stats = %+v, want 1 hit / 1 miss", memo.Stats)
+	if memo.Stats.CacheHits != 0 || memo.Stats.CacheMisses != 1 {
+		t.Errorf("memo stats = %+v, want 0 hits / 1 miss", memo.Stats)
+	}
+	if off.Stats.Nodes != 3 || memo.Stats.Nodes != 3 {
+		t.Errorf("nodes: off=%d memo=%d, want 3 (root, a, b)", off.Stats.Nodes, memo.Stats.Nodes)
 	}
 }
 

@@ -2,6 +2,7 @@ package pt
 
 import (
 	"fmt"
+	"slices"
 
 	"ptx/internal/eval"
 	"ptx/internal/relation"
@@ -18,13 +19,18 @@ type ChildSpec struct {
 // ExpandConfig performs one rule step of the transducer: it evaluates
 // the rule for (state, tag) with register reg against base (an Env over
 // the database instance) and returns the ordered child specs, plus the
-// number of queries actually evaluated. Each fresh evaluation is first
-// charged to base's run controller (cancellation, fault plan, query
-// budget); memo hits are free and charge nothing. A missing or empty
-// rule yields nil specs. The ancestor stop condition and node
-// accounting are the run driver's job (driver.step); the other callers
-// are OutputRelation's configuration walk and incremental repair
-// re-deriving a dirty node's specs.
+// number of queries actually evaluated. The children of an item
+// (qᵢ, aᵢ, φᵢ) depend only on φᵢ and reg (Definition 3.1), so each
+// distinct query of the rule (AddRule interns identical ones to one
+// object) is evaluated once, and an item repeating an earlier item's
+// query, as the a and a2 copies of Proposition 1(4)'s counter do,
+// reuses that result and its groups. Each fresh evaluation
+// is first charged to base's run controller (cancellation, fault plan,
+// query budget); memo hits and repeats are free and charge nothing. A
+// missing or empty rule yields nil specs. The ancestor stop condition
+// and node accounting are the run driver's job (driver.step); the other
+// callers are OutputRelation's configuration walk and incremental
+// repair re-deriving a dirty node's specs.
 func (t *Transducer) ExpandConfig(state, tag string, reg *relation.Relation, base *eval.Env, memo *eval.Memo) ([]ChildSpec, int, error) {
 	rule, ok := t.Rule(state, tag)
 	if !ok || len(rule.Items) == 0 {
@@ -36,10 +42,14 @@ func (t *Transducer) ExpandConfig(state, tag string, reg *relation.Relation, bas
 		regFP = reg.Key()
 	}
 	var specs []ChildSpec
+	var buf [8]*relation.Relation
+	results := buf[:0] // results[i]: item i's query result
 	queries := 0
 	for i, it := range rule.Items {
 		var result *relation.Relation
-		if memo != nil {
+		if j := slices.IndexFunc(rule.Items[:i], func(p RHS) bool { return p.Query == it.Query }); j >= 0 {
+			result = results[j]
+		} else if memo != nil {
 			if rel, ok := memo.Get(it.Query, regFP); ok {
 				result = rel
 			}
@@ -65,6 +75,7 @@ func (t *Transducer) ExpandConfig(state, tag string, reg *relation.Relation, bas
 			}
 			result = rel
 		}
+		results = append(results, result)
 		groups, err := groupByPrefix(result, len(it.Query.GroupVars))
 		if err != nil {
 			return nil, queries, fmt.Errorf("pt %s: rule (%s,%s) item (%s,%s): %w",

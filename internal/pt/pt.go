@@ -19,6 +19,7 @@ package pt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -57,8 +58,9 @@ type Transducer struct {
 	Arities map[string]int  // Θ: tag → register arity (Θ(r)=0)
 	Virtual map[string]bool // Σe: virtual tags (never the root)
 
-	rules map[ruleKey]*Rule
-	tags  []string
+	rules   map[ruleKey]*Rule
+	tags    []string
+	queries map[string]*logic.Query // interned rule queries, by logic.Query.Key
 }
 
 // New returns an empty transducer skeleton for schema, with start state
@@ -72,6 +74,7 @@ func New(name string, schema *relation.Schema, start, rootTag string) *Transduce
 		Arities: map[string]int{rootTag: 0},
 		Virtual: make(map[string]bool),
 		rules:   make(map[ruleKey]*Rule),
+		queries: make(map[string]*logic.Query),
 	}
 	t.tags = []string{rootTag}
 	return t
@@ -105,11 +108,27 @@ func (t *Transducer) MarkVirtual(tags ...string) *Transducer {
 }
 
 // AddRule installs the unique rule for (state, tag); duplicate
-// installation panics (δ is a function).
+// installation panics (δ is a function). Each item's query is replaced
+// by the transducer's canonical copy of an identical query (same x̄;ȳ,
+// same formula; see logic.Query.Key), so one query has one compiled
+// plan, one memo identity, and one evaluation per rule step (see
+// ExpandConfig) wherever it occurs.
 func (t *Transducer) AddRule(state, tag string, items ...RHS) *Transducer {
 	k := ruleKey{state, tag}
 	if _, ok := t.rules[k]; ok {
 		panic(fmt.Sprintf("pt: duplicate rule for (%s,%s)", state, tag))
+	}
+	items = slices.Clone(items)
+	for i, it := range items {
+		if it.Query == nil {
+			continue
+		}
+		key := it.Query.Key()
+		if c, ok := t.queries[key]; ok {
+			items[i].Query = c
+		} else {
+			t.queries[key] = it.Query
+		}
 	}
 	t.rules[k] = &Rule{State: state, Tag: tag, Items: items}
 	return t

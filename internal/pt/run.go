@@ -39,10 +39,11 @@ type Options struct {
 	// runctl.FaultPlan); nil in production.
 	Faults *runctl.FaultPlan
 	// Cache selects the memoization level (see CacheMode). The zero
-	// value CacheOff evaluates every rule query at every node. With
-	// CacheQueries, register relations in ξ may be shared between nodes
-	// (and, through a shared Memo, between runs) and must be treated as
-	// immutable. ξ itself is always a tree.
+	// value CacheOff evaluates each distinct rule query at every node.
+	// Register relations in ξ may be shared between sibling items of a
+	// rule and, with CacheQueries, between nodes (and, through a shared
+	// Memo, between runs), so they must be treated as immutable. ξ
+	// itself is always a tree.
 	Cache CacheMode
 	// CacheSize bounds the query memo in entries; 0 selects
 	// DefaultCacheSize.
@@ -91,11 +92,12 @@ func (o Options) limits() runctl.Limits {
 
 // Stats reports what a run did. Nodes, StopsApplied and MaxDepth
 // describe ξ, so they are identical across cache modes; QueriesRun
-// counts evaluations actually performed, which is exactly what the
-// query memo reduces.
+// counts evaluations actually performed — at most one per distinct
+// query of a rule per node — which is exactly what the query memo
+// reduces.
 type Stats struct {
 	Nodes        int // nodes in the final ξ (before virtual splicing)
-	QueriesRun   int // rule queries evaluated
+	QueriesRun   int // distinct rule queries evaluated, summed over steps
 	StopsApplied int // times the ancestor stop condition fired
 	MaxDepth     int // depth of ξ
 

@@ -62,7 +62,9 @@ type Limits struct {
 	// MaxDepth caps the depth of the generated tree (the root is at
 	// depth 1).
 	MaxDepth int
-	// MaxQueries caps the number of rule-query evaluations.
+	// MaxQueries caps the number of rule-query evaluations. A rule step
+	// evaluates each distinct query of its rule once, so items sharing
+	// a query are charged once.
 	MaxQueries int
 	// MaxFixpointIters caps the iterations of any single inflationary
 	// fixpoint loop.

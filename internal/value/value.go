@@ -11,7 +11,7 @@
 package value
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -105,9 +105,6 @@ func compareDigits(a, b string) int {
 	return strings.Compare(a, b)
 }
 
-// Less reports whether a precedes b in the domain order.
-func Less(a, b V) bool { return Compare(a, b) < 0 }
-
 // Tuple is a fixed-arity sequence of values.
 type Tuple []V
 
@@ -181,11 +178,7 @@ func (t Tuple) String() string {
 }
 
 // SortTuples sorts ts in place in the canonical tuple order.
-func SortTuples(ts []Tuple) {
-	sort.Slice(ts, func(i, j int) bool { return CompareTuples(ts[i], ts[j]) < 0 })
-}
+func SortTuples(ts []Tuple) { slices.SortFunc(ts, CompareTuples) }
 
 // SortValues sorts vs in place in the domain order.
-func SortValues(vs []V) {
-	sort.Slice(vs, func(i, j int) bool { return Less(vs[i], vs[j]) })
-}
+func SortValues(vs []V) { slices.SortFunc(vs, Compare) }
