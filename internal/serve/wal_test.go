@@ -229,12 +229,19 @@ func TestMutateZombieEpochFenced(t *testing.T) {
 // TestReplicateProtocol pins the receiver's three answers: a fresh
 // record applies, a duplicate is skipped without error, and a record
 // past the high-water mark is a gap answered with the mark (HTTP 200 —
-// the gap is the protocol working, not a failure).
+// the gap is the protocol working, not a failure). It then supersedes a
+// record: the same seq at a newer epoch replaces the local suffix, and
+// both the publish and a live view opened beforehand serve the new
+// history, the view after exactly one more report.
 func TestReplicateProtocol(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	sendRec := func(seq uint64, val string) replicateResponse {
+	s, ts := newTestServer(t, Config{})
+	var wr watchResponse
+	if code := getJSON(t, http.DefaultClient, ts.URL+"/watch?spec=tiny&db=tinydb", &wr); code != http.StatusOK || wr.Version != 1 {
+		t.Fatalf("opening the live view: status %d, %+v", code, wr)
+	}
+	sendRec := func(seq, epoch uint64, val string) replicateResponse {
 		t.Helper()
-		body := fmt.Sprintf(`{"db":"tinydb","records":[{"seq":%d,"epoch":1,"ops":[{"op":"insert","rel":"R","tuple":[%q]}]}]}`, seq, val)
+		body := fmt.Sprintf(`{"db":"tinydb","records":[{"seq":%d,"epoch":%d,"ops":[{"op":"insert","rel":"R","tuple":[%q]}]}]}`, seq, epoch, val)
 		resp, raw := postJSON(t, http.DefaultClient, ts.URL+"/replicate", body)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("replicate seq %d: status %d: %s", seq, resp.StatusCode, raw)
@@ -245,13 +252,13 @@ func TestReplicateProtocol(t *testing.T) {
 		}
 		return rr
 	}
-	if rr := sendRec(1, "d"); rr.Applied != 1 || rr.Have != 1 || rr.Gap {
+	if rr := sendRec(1, 1, "d"); rr.Applied != 1 || rr.Have != 1 || rr.Gap {
 		t.Fatalf("fresh record: %+v, want applied=1 have=1", rr)
 	}
-	if rr := sendRec(1, "d"); rr.Applied != 0 || rr.Have != 1 || rr.Gap {
+	if rr := sendRec(1, 1, "d"); rr.Applied != 0 || rr.Have != 1 || rr.Gap {
 		t.Fatalf("duplicate record: %+v, want applied=0 have=1", rr)
 	}
-	if rr := sendRec(5, "z"); rr.Applied != 0 || rr.Have != 1 || !rr.Gap {
+	if rr := sendRec(5, 1, "z"); rr.Applied != 0 || rr.Have != 1 || !rr.Gap {
 		t.Fatalf("gapped record: %+v, want gap=true have=1", rr)
 	}
 	// The replicated (not gapped) delta is serving.
@@ -259,6 +266,32 @@ func TestReplicateProtocol(t *testing.T) {
 	status, _, got := post(t, ts, `{"spec":"tiny","db":"tinydb"}`)
 	if status != http.StatusOK || string(got) != string(want) {
 		t.Fatalf("publish after replicate: status %d\n got %q\nwant %q", status, got, want)
+	}
+
+	// Supersede: seq 2 from epoch 1, then seq 2 again from epoch 2.
+	if rr := sendRec(2, 1, "e"); rr.Applied != 1 || rr.Have != 2 || rr.Gap {
+		t.Fatalf("epoch-1 seq 2: %+v, want applied=1 have=2", rr)
+	}
+	lv, err := s.liveViewFor("tiny", "tinydb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := lv.view.Version()
+	if rr := sendRec(2, 2, "f"); rr.Applied != 1 || rr.Have != 2 || rr.Gap {
+		t.Fatalf("superseding seq 2: %+v, want applied=1 have=2", rr)
+	}
+	want = goldenXML(t, tinySpec, tinyDB+"R(d)\nR(f)\n", true)
+	status, _, got = post(t, ts, `{"spec":"tiny","db":"tinydb","canonical":true}`)
+	if status != http.StatusOK || string(got) != string(want) {
+		t.Fatalf("publish after supersede: status %d\n got %q\nwant %q", status, got, want)
+	}
+	snap, _, err := lv.view.Snapshot(true)
+	if err != nil || string(snap)+"\n" != string(want) {
+		t.Fatalf("live view after supersede: err %v\n got %q\nwant %q", err, snap, want)
+	}
+	url := fmt.Sprintf("%s/watch?spec=tiny&db=tinydb&after=%d", ts.URL, before)
+	if code := getJSON(t, http.DefaultClient, url, &wr); code != http.StatusOK || len(wr.Changes) != 1 || wr.Version != before+1 {
+		t.Fatalf("watch after supersede: status %d, %+v, want one report at version %d", code, wr, before+1)
 	}
 }
 
