@@ -35,6 +35,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"strconv"
 	"sync"
 
@@ -229,6 +230,45 @@ func (v *View) rebuild(ctx context.Context) error {
 func (v *View) Apply(ctx context.Context, d *relation.Delta) (*Report, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	return v.applyLocked(ctx, d)
+}
+
+// Reconcile moves the view to target's contents, which it only reads:
+// under the view's lock it applies, as one Apply, the delta that turns
+// the view's own instance into target. It catches a view up when its
+// history was rewritten rather than extended. An equal target emits no
+// report and leaves the version unchanged.
+func (v *View) Reconcile(ctx context.Context, target *relation.Instance) (*Report, error) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	d := &relation.Delta{}
+	names := append(v.inst.Schema().Names(), target.Schema().Names()...)
+	sort.Strings(names)
+	for i, n := range names {
+		if i == 0 || names[i-1] != n {
+			missing(d, false, n, v.inst, target)
+			missing(d, true, n, target, v.inst)
+		}
+	}
+	return v.applyLocked(ctx, d)
+}
+
+// missing appends to d, as inserts or deletes, the tuples of from's
+// relation n that other lacks (a relation absent from a schema reads as
+// empty).
+func missing(d *relation.Delta, insert bool, n string, from, other *relation.Instance) {
+	if !from.Has(n) {
+		return
+	}
+	for _, t := range from.Rel(n).Sorted() {
+		if !other.Has(n) || !other.Rel(n).Contains(t) {
+			d.Ops = append(d.Ops, relation.DeltaOp{Insert: insert, Rel: n, Tuple: t})
+		}
+	}
+}
+
+// applyLocked is Apply's body; the caller holds v.mu.
+func (v *View) applyLocked(ctx context.Context, d *relation.Delta) (*Report, error) {
 	eff, err := v.inst.Apply(d)
 	if err != nil {
 		return nil, err

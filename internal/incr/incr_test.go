@@ -328,3 +328,54 @@ func TestChangesAndNotify(t *testing.T) {
 		t.Fatal("watcher beyond the history ring not told to resync")
 	}
 }
+
+// TestReconcile: a view whose history was rewritten (it applied A then
+// B, but the history is now A then C) reconciles to the target in one
+// report and renders exactly what a fresh view over the target does. A
+// target equal to the view's contents emits nothing.
+func TestReconcile(t *testing.T) {
+	tr := registrar.Tau1()
+	base := registrar.SampleInstance()
+	a := (&relation.Delta{}).Insert("course", "CS500", "Distributed Systems", "CS")
+	b := (&relation.Delta{}).Insert("prereq", "CS500", "CS401").Delete("prereq", "CS401", "CS301")
+	c := (&relation.Delta{}).Insert("prereq", "CS301", "CS500")
+	v := newView(t, tr, base, incr.Options{})
+	for _, d := range []*relation.Delta{a, b} {
+		if _, err := v.Apply(context.Background(), d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	target := base.Clone()
+	for _, d := range []*relation.Delta{a, c} {
+		if _, err := target.Apply(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := viewCanonical(t, newView(t, tr, target, incr.Options{}))
+	before := v.Version()
+	rep, err := v.Reconcile(context.Background(), target)
+	if err != nil {
+		t.Fatalf("Reconcile: %v", err)
+	}
+	if got := viewCanonical(t, v); got != want {
+		t.Fatalf("reconciled view differs from a fresh view over the target\ngot:  %s\nwant: %s", got, want)
+	}
+	if rep.Version != before+1 || v.Version() != before+1 {
+		t.Fatalf("version %d -> %d (report %d), want one step", before, v.Version(), rep.Version)
+	}
+	if reports, _, _ := v.Changes(before); len(reports) != 1 || reports[0] != rep {
+		t.Fatalf("Reconcile emitted %d reports, want exactly its own", len(reports))
+	}
+
+	// Reconciling to what the view already holds is a no-op.
+	rep, err = v.Reconcile(context.Background(), target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Effective != 0 || v.Version() != before+1 {
+		t.Fatalf("equal target: effective=%d version=%d, want 0 and %d", rep.Effective, v.Version(), before+1)
+	}
+	if reports, _, _ := v.Changes(before + 1); len(reports) != 0 {
+		t.Fatalf("equal target emitted %d reports", len(reports))
+	}
+}

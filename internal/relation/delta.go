@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -200,4 +201,21 @@ func (i *Instance) Apply(d *Delta) (*Delta, error) {
 		i.version.Add(1)
 	}
 	return eff, nil
+}
+
+// Derive returns the instance d moves i to and the effective delta, as
+// Apply would, without mutating i: relations d does not touch are shared
+// with i by pointer, and touched ones are cloned before the ops apply.
+// On a validation error it returns nil and the error.
+func (i *Instance) Derive(d *Delta) (*Instance, *Delta, error) {
+	if err := d.Validate(i.schema); err != nil {
+		return nil, nil, err
+	}
+	next := &Instance{schema: i.schema, rels: maps.Clone(i.rels)}
+	for _, n := range d.Rels() {
+		next.rels[n] = i.Rel(n).Clone()
+	}
+	next.version.Store(i.version.Load())
+	eff, err := next.Apply(d)
+	return next, eff, err
 }

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"ptx/internal/value"
@@ -129,5 +130,92 @@ func TestCloneCarriesVersion(t *testing.T) {
 	}
 	if c.Version() == inst.Version() {
 		t.Fatal("clone mutation bumped (or failed to bump past) original version")
+	}
+}
+
+// deriveBase is a three-relation instance for the Derive tests; the
+// delta below touches e and a and leaves f alone.
+func deriveBase() *Instance {
+	inst := NewInstance(NewSchema().MustDeclare("e", 2).MustDeclare("a", 1).MustDeclare("f", 1))
+	inst.Add("e", "1", "2")
+	inst.Add("e", "2", "3")
+	inst.Add("a", "x")
+	inst.Add("f", "k")
+	return inst
+}
+
+func deriveDelta() *Delta {
+	return (&Delta{}).Insert("e", "3", "4").Delete("a", "x").Insert("e", "1", "2")
+}
+
+// TestDerive: Derive leaves its receiver unchanged, shares every
+// untouched relation by pointer, and agrees with Clone()+Apply on both
+// the new instance and the effective delta. A validation error returns
+// nil and leaves the receiver intact.
+func TestDerive(t *testing.T) {
+	base := deriveBase()
+	before, v0 := base.String(), base.Version()
+	next, eff, err := base.Derive(deriveDelta())
+	if err != nil {
+		t.Fatalf("Derive: %v", err)
+	}
+	if base.String() != before || base.Version() != v0 {
+		t.Fatal("Derive mutated its receiver")
+	}
+	if next.Rel("f") != base.Rel("f") {
+		t.Fatal("untouched relation f is not shared by pointer")
+	}
+	if next.Rel("e") == base.Rel("e") || next.Rel("a") == base.Rel("a") {
+		t.Fatal("touched relations must be cloned, not shared")
+	}
+	want := base.Clone()
+	wantEff, err := want.Apply(deriveDelta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !next.Equal(want) || next.Version() != want.Version() {
+		t.Fatalf("Derive = %s (v%d), Clone()+Apply = %s (v%d)", next, next.Version(), want, want.Version())
+	}
+	if eff.String() != wantEff.String() || eff.String() != "+e(3,4) -a(x)" {
+		t.Fatalf("effective delta %v, Clone()+Apply says %v", eff, wantEff)
+	}
+
+	bad, beff, err := base.Derive((&Delta{}).Insert("a", "y").Insert("zzz", "1"))
+	if err == nil || bad != nil || beff != nil {
+		t.Fatalf("invalid delta: got (%v, %v, %v), want (nil, nil, error)", bad, beff, err)
+	}
+	if base.String() != before || base.Version() != v0 {
+		t.Fatal("failed Derive mutated its receiver")
+	}
+}
+
+// TestDeriveConcurrentReaders: readers of version n keep running while
+// version n+1 is derived from it (run under -race in CI), and they read
+// version n throughout.
+func TestDeriveConcurrentReaders(t *testing.T) {
+	base := deriveBase()
+	want := base.String()
+	probe := value.Tuple{"1", "2"}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				e := base.Rel("e")
+				if !e.Contains(probe) || e.Len() != 2 || len(e.Lookup(0, "2")) != 1 || base.Rel("a").Key() == "" {
+					panic("version n changed under a concurrent Derive")
+				}
+			}
+		}()
+	}
+	for i := 0; i < 20; i++ {
+		if _, _, err := base.Derive(deriveDelta()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	if base.String() != want {
+		t.Fatal("Derive mutated version n")
 	}
 }

@@ -2,9 +2,9 @@
 // registered database and incrementally repairs every live view over
 // it; GET /watch exposes the resulting change feed as a long-poll or an
 // SSE stream. The coherence contract is before-or-after, never torn:
-// publishes resolve an immutable (instance, memo) pair (swapped whole
-// by Registry.MutateDB), views repair under their own write lock, and
-// watchers only ever see committed repair reports.
+// publishes resolve an immutable (instance, memo) version (a commit
+// derives the next, see Registry.MutateDB), views repair under their
+// own write lock, and watchers only see committed repair reports.
 package serve
 
 import (
@@ -24,16 +24,14 @@ import (
 )
 
 // liveView pairs a spec name with the incr.View maintaining its tree.
-// The view owns a cloned instance; repairs are serialized by the
+// The view owns a clone of the pair's instance, whose schema decides,
+// as for the pair, which deltas apply; repairs are serialized by the
 // server's liveMu, so mutation order IS the version order watchers see.
-// inst shadows the view's relational state so a log supersede (see
-// Registry.ApplyAt) can diff it against the reconciled history and
-// repair the view with one compensating delta.
 type liveView struct {
-	spec string
-	db   string
-	view *incr.View
-	inst *relation.Instance
+	spec   string
+	db     string
+	view   *incr.View
+	schema *relation.Schema
 }
 
 // mutateRequest is the wire schema of POST /mutate. Unknown fields are
@@ -51,9 +49,10 @@ type mutateOp struct {
 }
 
 // mutateResponse reports what one mutation did: the sequence number the
-// delta committed at, the registry refresh, one repair report per live
-// view over the database, and (when the request named replicas) how
-// many of them confirmed the delta before the ack.
+// delta committed at, how many cached (spec, db) pairs moved to the new
+// instance version (PairsDropped), one repair report per live view over
+// the database, and (when the request named replicas) how many of them
+// confirmed the delta before the ack.
 type mutateResponse struct {
 	DB           string       `json:"db"`
 	Seq          uint64       `json:"seq"`
@@ -222,7 +221,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
-// mutate is the serialized mutation path: liveMu makes (registry swap,
+// mutate is the serialized mutation path: liveMu makes (registry commit,
 // view repairs) atomic with respect to view creation, so a view can
 // never be born pre-delta yet miss the repair pass. The registry commit
 // inside is durable-first — when MutateDB returns nil the delta is
@@ -230,13 +229,11 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 func (s *Server) mutate(db string, d *relation.Delta, epoch uint64) (*mutateResponse, error) {
 	s.liveMu.Lock()
 	defer s.liveMu.Unlock()
-	dropped, seq, err := s.reg.MutateDB(db, d, epoch)
+	moved, seq, err := s.reg.MutateDB(db, d, epoch)
 	if err != nil {
 		return nil, err
 	}
-	resp := &mutateResponse{DB: db, Seq: seq, Delta: d.String(), PairsDropped: dropped, Views: []viewRepair{}}
-	resp.Views = s.repairViews(db, d)
-	return resp, nil
+	return &mutateResponse{DB: db, Seq: seq, Delta: d.String(), PairsDropped: moved, Views: s.repairViews(db, d)}, nil
 }
 
 // repairViews applies d to every live view over db and returns the
@@ -248,13 +245,9 @@ func (s *Server) repairViews(db string, d *relation.Delta) []viewRepair {
 			continue
 		}
 		vr := viewRepair{Spec: lv.spec}
-		// A spec whose vocabulary rejects the delta is untouched by it
-		// (the registry replay skips it for the same reason).
-		if lv.view != nil {
-			if verr := d.Validate(s.viewSchema(lv)); verr != nil {
-				views = append(views, vr)
-				continue
-			}
+		// A schema that rejects the delta is untouched by it (the
+		// registry's pair skips it for the same reason).
+		if d.Validate(lv.schema) == nil {
 			rep, aerr := lv.view.Apply(s.baseCtx, d)
 			if aerr != nil {
 				s.failed.Add(1)
@@ -263,26 +256,15 @@ func (s *Server) repairViews(db string, d *relation.Delta) []viewRepair {
 				s.repaired.Add(1)
 				vr.Report = rep
 			}
-			if lv.inst != nil {
-				_, _ = lv.inst.Apply(d)
-			}
 		}
 		views = append(views, vr)
 	}
 	return views
 }
 
-func (s *Server) viewSchema(lv *liveView) *relation.Schema {
-	tr, err := s.reg.Spec(lv.spec)
-	if err != nil {
-		return relation.NewSchema() // spec vanished: validate against nothing
-	}
-	return tr.Schema
-}
-
 // liveViewFor returns the live view for (spec, db), creating it on
-// first use from the registry's CURRENT pair state. Creation runs under
-// liveMu: a concurrent mutation either precedes it (the pair replay
+// first use from the registry's CURRENT pair version. Creation runs
+// under liveMu: a concurrent mutation either precedes it (the version
 // already carries the delta) or follows it (the repair pass covers this
 // view) — no window where a fresh view silently misses a delta.
 func (s *Server) liveViewFor(spec, db string) (*liveView, error) {
@@ -302,78 +284,35 @@ func (s *Server) liveViewFor(spec, db string) (*liveView, error) {
 	if err != nil {
 		return nil, err
 	}
-	lv := &liveView{spec: spec, db: db, view: v, inst: inst.Clone()}
+	lv := &liveView{spec: spec, db: db, view: v, schema: inst.Schema()}
 	s.views[key] = lv
 	return lv, nil
 }
 
-// resyncViews reconciles every live view over db with the registry's
-// delta log after a supersede rewrote its tail: the view applied deltas
+// resyncViews reconciles every live view over db with the registry
+// after a supersede rewrote the log's tail: the view applied deltas
 // that are no longer history, so the per-delta repair stream can't get
-// it there. Each view's shadow instance is diffed against a fresh
-// replay of the reconciled log and the difference is applied as ONE
-// compensating delta — watchers see a single coherent repair, never a
-// torn intermediate. Caller holds liveMu.
+// it there. Each view re-resolves its pair (the supersede deleted the
+// cached versions, so this replays the reconciled log) and reconciles
+// to it with one compensating delta — watchers see a single coherent
+// repair, never a torn intermediate. Caller holds liveMu.
 func (s *Server) resyncViews(db string) {
 	for _, lv := range s.views {
-		if lv.db != db || lv.view == nil || lv.inst == nil {
+		if lv.db != db {
 			continue
 		}
-		target, err := s.reg.replayInstance(lv.spec, db, s.reg.DeltaRecords(db))
+		_, target, _, err := s.reg.Pair(lv.spec, db)
 		if err != nil {
 			s.failed.Add(1)
 			continue
 		}
-		comp := diffDelta(lv.inst, target)
-		if comp.Empty() {
-			continue
-		}
-		if _, aerr := lv.view.Apply(s.baseCtx, comp); aerr != nil {
+		rep, err := lv.view.Reconcile(s.baseCtx, target)
+		if err != nil {
 			s.failed.Add(1)
-			continue
-		}
-		_, _ = lv.inst.Apply(comp)
-		s.repaired.Add(1)
-	}
-}
-
-// diffDelta returns the delta transforming instance old into target:
-// deletes for tuples old holds that target lacks, inserts for the
-// reverse. Relations are compared across both schemas' vocabularies
-// (a name absent from one side reads as empty).
-func diffDelta(old, target *relation.Instance) *relation.Delta {
-	d := &relation.Delta{}
-	names := map[string]bool{}
-	for _, n := range old.Schema().Names() {
-		names[n] = true
-	}
-	for _, n := range target.Schema().Names() {
-		names[n] = true
-	}
-	for n := range names {
-		var or, tr *relation.Relation
-		if old.Has(n) {
-			or = old.Rel(n)
-		}
-		if target.Has(n) {
-			tr = target.Rel(n)
-		}
-		if or != nil {
-			for _, t := range or.Sorted() {
-				if tr == nil || !tr.Contains(t) {
-					d.Ops = append(d.Ops, relation.DeltaOp{Rel: n, Tuple: t})
-				}
-			}
-		}
-		if tr != nil {
-			for _, t := range tr.Sorted() {
-				if or == nil || !or.Contains(t) {
-					d.Ops = append(d.Ops, relation.DeltaOp{Insert: true, Rel: n, Tuple: t})
-				}
-			}
+		} else if rep.Effective > 0 {
+			s.repaired.Add(1)
 		}
 	}
-	return d
 }
 
 // watchResponse is the long-poll reply: the view's current version, the

@@ -23,8 +23,10 @@ import (
 // a request can never be the first thing to discover a bad spec.
 // Database sources are stored as text and parsed lazily per (spec, db)
 // pair, because an instance is only meaningful against a concrete
-// spec's schema; parsed instances and their query memos are cached so
-// repeated publishes of the same pair share warm state.
+// spec's schema. Each resolved pair caches its current instance version
+// and that version's query memo, so repeated publishes share warm
+// state; a committed delta moves every resolved pair over its database
+// to the next version (see MutateDB).
 //
 // All methods are safe for concurrent use.
 type Registry struct {
@@ -32,12 +34,12 @@ type Registry struct {
 	specs map[string]*pt.Transducer
 	dbs   map[string]string // name → source text
 
-	pairs map[string]*pairEntry // spec\x00db → parsed instance + shared memo
+	pairs map[string]map[string]*pairEntry // db → spec → current version
 
 	// logs is the per-database mutation log: every delta accepted by
 	// MutateDB (or replicated in via ApplyAt), in sequence order. A pair
-	// parsed AFTER mutations replays the log so all pairs over one
-	// database agree on its current contents. Each log carries the
+	// resolved AFTER mutations replays the log once, so all pairs over
+	// one database agree on its current contents. Each log carries the
 	// database's sequence counter and its epoch high-water mark — the
 	// fencing state that rejects a zombie owner's stale writes.
 	log  *wal.Log
@@ -110,14 +112,16 @@ func (e *GapError) Error() string {
 	return fmt.Sprintf("serve: replication gap on %q: have seq %d, got %d", e.DB, e.Have, e.Got)
 }
 
-// pairEntry caches what one (spec, db) pair shares across requests: the
-// parsed instance (immutable once served) and the query memo
-// (concurrency-safe; sound because it is scoped to exactly this pair).
+// pairEntry caches what one (spec, db) pair shares across requests: its
+// current instance version (immutable once served) and that version's
+// query memo (concurrency-safe; sound because it is scoped to exactly
+// this version). inst and memo are nil until once's first resolution
+// succeeds; they are read and replaced under Registry.mu.
 type pairEntry struct {
 	once sync.Once
+	err  error
 	inst *relation.Instance
 	memo *eval.Memo
-	err  error
 }
 
 // NewRegistry returns an empty registry.
@@ -125,7 +129,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		specs: make(map[string]*pt.Transducer),
 		dbs:   make(map[string]string),
-		pairs: make(map[string]*pairEntry),
+		pairs: make(map[string]map[string]*pairEntry),
 		logs:  make(map[string]*dbLog),
 	}
 }
@@ -146,9 +150,9 @@ func (r *Registry) AttachWAL(l *wal.Log) int {
 			n++
 		}
 	}
-	// Replayed history invalidates anything parsed pre-attach.
-	for key := range r.pairs {
-		delete(r.pairs, key)
+	// Replayed history invalidates anything resolved pre-attach.
+	for _, specs := range r.pairs {
+		clear(specs)
 	}
 	return n
 }
@@ -223,6 +227,7 @@ func (r *Registry) RegisterDB(name, src string) error {
 		return Validationf("db", "duplicate registration of %q", name)
 	}
 	r.dbs[name] = src
+	r.pairs[name] = make(map[string]*pairEntry)
 	return nil
 }
 
@@ -238,56 +243,89 @@ func (r *Registry) Spec(name string) (*pt.Transducer, error) {
 	return tr, nil
 }
 
-// Pair resolves a (spec, db) pair to the transducer, the parsed
-// instance and the pair's shared query memo. Unknown names are typed
-// validation errors; a database that does not parse against the spec's
-// schema likewise (cached, so a hopeless pair fails fast forever).
+// Pair resolves a (spec, db) pair to the transducer, the pair's current
+// instance version and that version's shared query memo. A resolved
+// pair costs one read lock. The first resolution — and the first after
+// AttachWAL or a supersede (see ApplyAt) — parses the source and
+// replays the database's log. Unknown names are typed validation
+// errors; a database that does not parse against the spec's schema
+// likewise (cached, so a hopeless pair fails fast forever).
 func (r *Registry) Pair(spec, db string) (*pt.Transducer, *relation.Instance, *eval.Memo, error) {
-	tr, err := r.Spec(spec)
-	if err != nil {
+	r.mu.RLock()
+	tr, e := r.specs[spec], r.pairs[db][spec]
+	src, dbOK := r.dbs[db]
+	if e != nil && e.inst != nil {
+		defer r.mu.RUnlock()
+		return tr, e.inst, e.memo, nil
+	}
+	r.mu.RUnlock()
+	if tr == nil {
+		_, err := r.Spec(spec)
 		return nil, nil, nil, err
 	}
-	r.mu.RLock()
-	src, ok := r.dbs[db]
-	r.mu.RUnlock()
-	if !ok {
+	if !dbOK {
 		return nil, nil, nil, Validationf("db", "unknown database %q (have: %s)", db, strings.Join(r.DBNames(), ", "))
 	}
-
-	key := spec + "\x00" + db
 	r.mu.Lock()
-	e, ok := r.pairs[key]
-	if !ok {
+	if e = r.pairs[db][spec]; e == nil {
 		e = &pairEntry{}
-		r.pairs[key] = e
+		r.pairs[db][spec] = e
 	}
 	r.mu.Unlock()
-	e.once.Do(func() {
-		e.inst, e.err = parseInstance(spec, db, src, tr)
-		if e.err == nil {
-			// Replay the database's mutation log so a pair parsed after
-			// mutations agrees with pairs that lived through them. Deltas
-			// another spec's vocabulary rejects are skipped: they concern
-			// relations this schema does not publish.
-			for _, rec := range r.DeltaRecords(db) {
-				if rec.Delta.Validate(e.inst.Schema()) == nil {
-					_, _ = e.inst.Apply(rec.Delta)
-				}
-			}
-			e.memo = eval.NewMemo(0)
-		}
-	})
+	e.once.Do(func() { e.err = r.resolve(e, tr, spec, db, src) })
 	if e.err != nil {
 		return nil, nil, nil, e.err
 	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	return tr, e.inst, e.memo, nil
 }
 
-// parseInstance parses a database source against a spec's schema with
-// panic containment, typing parse failures as validation errors.
+// resolve builds e's first version. The parse and the replay of the log
+// run outside the lock; records committed meanwhile (a commit skips an
+// entry still resolving) are replayed under it before the version is
+// installed. If AttachWAL or a supersede removed e meanwhile, its
+// version only serves the requests already waiting on it. Apply skips
+// the deltas the pair's schema rejects: they concern relations this
+// pair does not hold.
+func (r *Registry) resolve(e *pairEntry, tr *pt.Transducer, spec, db, src string) error {
+	inst, err := parseInstance(spec, db, src, tr)
+	if err != nil {
+		return err
+	}
+	replay := func(recs []DeltaRecord) {
+		for _, rec := range recs {
+			_, _ = inst.Apply(rec.Delta)
+		}
+	}
+	var done []DeltaRecord
+	r.mu.RLock()
+	if lg := r.logs[db]; lg != nil {
+		done = lg.recs
+	}
+	r.mu.RUnlock()
+	replay(done)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if lg := r.logs[db]; lg != nil && r.pairs[db][spec] == e {
+		replay(lg.recs[len(done):])
+	}
+	e.inst, e.memo = inst, eval.NewMemo(0)
+	return nil
+}
+
+// parseInstance parses a database source with panic containment,
+// typing parse failures as validation errors. The parser declares every
+// relation the source mentions, so it gets a private copy of the spec's
+// shared schema.
 func parseInstance(spec, db, src string, tr *pt.Transducer) (inst *relation.Instance, err error) {
 	defer runctl.Recover(&err, "serve.parseInstance")
-	inst, perr := parser.ParseInstance(src, tr.Schema)
+	schema := relation.NewSchema()
+	for _, n := range tr.Schema.Names() {
+		a, _ := tr.Schema.Arity(n)
+		schema.MustDeclare(n, a)
+	}
+	inst, perr := parser.ParseInstance(src, schema)
 	if perr != nil {
 		return nil, Validationf("db", "%q does not parse against spec %q: %v", db, spec, perr)
 	}
@@ -297,13 +335,16 @@ func parseInstance(spec, db, src string, tr *pt.Transducer) (inst *relation.Inst
 // MutateDB applies a delta to a registered database: the delta is
 // appended (durably first, when a WAL is attached — the record is
 // fsynced BEFORE anything in memory changes, so an acknowledged delta
-// survives a crash) to the database's mutation log and every cached
-// (spec, db) pair over it is dropped, so the next Pair call re-parses
-// the source and replays the full log into a fresh instance with a
-// fresh memo.
+// survives a crash) to the database's mutation log, and every resolved
+// (spec, db) pair over it moves to its next instance version with a
+// fresh memo. The next version shares every relation the delta does
+// not touch with the previous one and clones the touched ones before
+// applying the delta (relation.Instance.Derive). A pair whose schema
+// rejects the delta, or on which it has no effect, keeps its version
+// and its memo.
 //
-// Dropping instead of mutating in place is the concurrency contract:
-// a publish in flight keeps the (instance, memo) pair it resolved —
+// Deriving instead of mutating in place is the concurrency contract:
+// a publish in flight keeps the (instance, memo) version it resolved —
 // internally consistent, pre-delta — while every later resolution sees
 // post-delta state. Readers observe before-or-after, never torn.
 //
@@ -312,11 +353,12 @@ func parseInstance(spec, db, src string, tr *pt.Transducer) (inst *relation.Inst
 // database's high-water mark is a zombie owner's and is refused with a
 // typed *supervise.ErrFenced (HTTP 409) before any state is touched.
 //
-// It returns the number of cached pairs refreshed and the sequence
-// number assigned to the delta. Unknown databases are typed validation
-// errors; a WAL append failure is a typed *wal.StorageError and the
-// delta is atomically absent. Per-schema validation happens at replay
-// (and, for the caller's schema, before calling — see Server.mutate).
+// It returns the number of cached pairs moved to a new version and the
+// sequence number assigned to the delta. Unknown databases are typed
+// validation errors; a WAL append failure is a typed *wal.StorageError
+// and the delta is atomically absent. Per-schema validation happens per
+// pair (and, for the caller's schema, before calling — see
+// Server.handleMutate).
 func (r *Registry) MutateDB(db string, d *relation.Delta, epoch uint64) (int, uint64, error) {
 	if d == nil || d.Empty() {
 		return 0, 0, Validationf("delta", "empty delta")
@@ -331,11 +373,11 @@ func (r *Registry) MutateDB(db string, d *relation.Delta, epoch uint64) (int, ui
 		return 0, 0, &supervise.ErrFenced{Key: "mutate\x00" + db, Epoch: epoch, Stored: lg.epoch}
 	}
 	seq := lg.seq + 1
-	dropped, err := r.commitLocked(db, lg, DeltaRecord{Seq: seq, Epoch: epoch, Delta: d})
+	moved, err := r.commitLocked(db, lg, DeltaRecord{Seq: seq, Epoch: epoch, Delta: d})
 	if err != nil {
 		return 0, 0, err
 	}
-	return dropped, seq, nil
+	return moved, seq, nil
 }
 
 // ApplyAt installs a REPLICATED record at its original sequence number.
@@ -351,75 +393,47 @@ func (r *Registry) MutateDB(db string, d *relation.Delta, epoch uint64) (int, ui
 // local records were written by a deposed owner and were never
 // acknowledged (an acknowledged record reaches every up member before
 // its ack, so its sequence number is never reassigned) — the new
-// regime's history wins, the stale suffix is truncated, and superseded
-// reports true so the caller can resynchronize live views against the
-// reconciled log.
-func (r *Registry) ApplyAt(db string, rec DeltaRecord) (dropped int, applied, superseded bool, err error) {
+// regime's history wins: the stale suffix is truncated, the database's
+// cached pairs are deleted (their versions carry the stale records, so
+// the next Pair re-resolves them from the reconciled log), and
+// superseded reports true so the caller can reconcile live views
+// against those re-resolved versions.
+func (r *Registry) ApplyAt(db string, rec DeltaRecord) (applied, superseded bool, err error) {
 	if rec.Delta == nil || rec.Delta.Empty() {
-		return 0, false, false, Validationf("delta", "empty delta")
+		return false, false, Validationf("delta", "empty delta")
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.dbs[db]; !ok {
-		return 0, false, false, Validationf("db", "unknown database %q (have: %s)", db, strings.Join(r.dbNamesLocked(), ", "))
+		return false, false, Validationf("db", "unknown database %q (have: %s)", db, strings.Join(r.dbNamesLocked(), ", "))
 	}
 	lg := r.logsLocked(db)
 	if rec.Epoch > 0 && rec.Epoch < lg.epoch {
-		return 0, false, false, &supervise.ErrFenced{Key: "mutate\x00" + db, Epoch: rec.Epoch, Stored: lg.epoch}
+		return false, false, &supervise.ErrFenced{Key: "mutate\x00" + db, Epoch: rec.Epoch, Stored: lg.epoch}
 	}
 	switch {
 	case rec.Seq <= lg.seq:
 		idx, ok := lg.indexOf(rec.Seq)
 		if !ok || rec.Epoch <= lg.recs[idx].Epoch {
-			return 0, false, false, nil
+			return false, false, nil
 		}
 		lg.recs = append([]DeltaRecord(nil), lg.recs[:idx]...)
 		lg.seq = rec.Seq - 1
-		dropped, err = r.commitLocked(db, lg, rec)
-		if err != nil {
-			return 0, false, false, err
-		}
-		return dropped, true, true, nil
+		clear(r.pairs[db])
+		superseded = true
 	case rec.Seq > lg.seq+1:
-		return 0, false, false, &GapError{DB: db, Have: lg.seq, Got: rec.Seq}
+		return false, false, &GapError{DB: db, Have: lg.seq, Got: rec.Seq}
 	}
-	dropped, err = r.commitLocked(db, lg, rec)
-	if err != nil {
-		return 0, false, false, err
+	if _, err := r.commitLocked(db, lg, rec); err != nil {
+		return false, false, err
 	}
-	return dropped, true, false, nil
-}
-
-// replayInstance parses db's base source against spec's schema and
-// replays recs into it (schema-rejected deltas skipped) — the same view
-// of history Pair serves, computed fresh and uncached. Used to rebuild
-// live-view state after a supersede rewrote the log's tail.
-func (r *Registry) replayInstance(spec, db string, recs []DeltaRecord) (*relation.Instance, error) {
-	tr, err := r.Spec(spec)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.RLock()
-	src, ok := r.dbs[db]
-	r.mu.RUnlock()
-	if !ok {
-		return nil, Validationf("db", "unknown database %q", db)
-	}
-	inst, err := parseInstance(spec, db, src, tr)
-	if err != nil {
-		return nil, err
-	}
-	for _, rec := range recs {
-		if rec.Delta.Validate(inst.Schema()) == nil {
-			_, _ = inst.Apply(rec.Delta)
-		}
-	}
-	return inst, nil
+	return true, superseded, nil
 }
 
 // commitLocked makes one record durable (WAL append + fsync first),
-// then commits it in memory and invalidates cached pairs. Caller holds
-// r.mu and has already fenced and sequenced the record.
+// then commits it in memory and moves every resolved pair over db to
+// its next version. It returns how many pairs moved. Caller holds r.mu
+// and has already fenced and sequenced the record.
 func (r *Registry) commitLocked(db string, lg *dbLog, rec DeltaRecord) (int, error) {
 	if r.log != nil {
 		if err := r.log.Append(wal.Record{DB: db, Seq: rec.Seq, Epoch: rec.Epoch, Delta: rec.Delta}); err != nil {
@@ -431,15 +445,19 @@ func (r *Registry) commitLocked(db string, lg *dbLog, rec DeltaRecord) (int, err
 	if rec.Epoch > lg.epoch {
 		lg.epoch = rec.Epoch
 	}
-	dropped := 0
-	suffix := "\x00" + db
-	for key := range r.pairs {
-		if strings.HasSuffix(key, suffix) {
-			delete(r.pairs, key)
-			dropped++
+	moved := 0
+	for _, e := range r.pairs[db] {
+		if e.inst == nil {
+			continue // unresolved: resolve catches up under this lock
 		}
+		next, eff, err := e.inst.Derive(rec.Delta)
+		if err != nil || eff.Empty() {
+			continue
+		}
+		e.inst, e.memo = next, eval.NewMemo(0)
+		moved++
 	}
-	return dropped, nil
+	return moved, nil
 }
 
 // Seq returns the database's last committed sequence number.
@@ -463,12 +481,6 @@ func (r *Registry) EpochHighWater(db string) uint64 {
 	return 0
 }
 
-// DeltaRecords returns the database's full mutation history in
-// sequence order.
-func (r *Registry) DeltaRecords(db string) []DeltaRecord {
-	return r.RecordsSince(db, 0)
-}
-
 // RecordsSince returns the records with sequence numbers strictly
 // after `after` — the resend tail for replication gap repair.
 func (r *Registry) RecordsSince(db string, after uint64) []DeltaRecord {
@@ -483,16 +495,6 @@ func (r *Registry) RecordsSince(db string, after uint64) []DeltaRecord {
 		if rec.Seq > after {
 			out = append(out, rec)
 		}
-	}
-	return out
-}
-
-// DeltaLog returns the database's mutation log (most recent last).
-func (r *Registry) DeltaLog(db string) []*relation.Delta {
-	recs := r.DeltaRecords(db)
-	out := make([]*relation.Delta, len(recs))
-	for i, rec := range recs {
-		out[i] = rec.Delta
 	}
 	return out
 }

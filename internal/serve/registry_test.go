@@ -2,13 +2,17 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"ptx/internal/relation"
 	"ptx/internal/runctl"
+	"ptx/internal/value"
 )
 
 // TestRegistryErrorPaths table-drives every registration and lookup
@@ -150,6 +154,191 @@ func TestRegistryPairCaching(t *testing.T) {
 	}
 	if inst1 != inst2 || memo1 != memo2 {
 		t.Fatal("pair instance/memo must be cached, got fresh values")
+	}
+}
+
+// TestPairAdvancesOnWrite: a write moves a cached pair to its next
+// instance version instead of dropping it. Relations the delta does not
+// touch are shared with the previous version, the previous version (a
+// publish in flight may still hold it) keeps reading pre-delta, and one
+// write plus the next resolution costs the same however long the
+// database's log has grown.
+func TestPairAdvancesOnWrite(t *testing.T) {
+	spec, db := exampleSources(t)
+	newReg := func() *Registry {
+		t.Helper()
+		reg := NewRegistry()
+		if err := reg.RegisterSpec("tau1", spec); err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.RegisterDB("registrar", db); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := reg.Pair("tau1", "registrar"); err != nil {
+			t.Fatal(err)
+		}
+		return reg
+	}
+	edge := value.Tuple{"MA101", "CS201"}
+	ins := (&relation.Delta{}).InsertTuple("prereq", edge)
+	del := (&relation.Delta{}).DeleteTuple("prereq", edge)
+
+	reg := newReg()
+	_, inst0, memo0, _ := reg.Pair("tau1", "registrar")
+	if moved, seq, err := reg.MutateDB("registrar", ins, 0); err != nil || moved != 1 || seq != 1 {
+		t.Fatalf("MutateDB = (%d, %d, %v), want one pair moved at seq 1", moved, seq, err)
+	}
+	_, inst1, memo1, err := reg.Pair("tau1", "registrar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inst1 == inst0 || memo1 == memo0 {
+		t.Fatal("the write did not move the pair to a new (instance, memo) version")
+	}
+	if inst1.Rel("course") != inst0.Rel("course") {
+		t.Fatal("course is untouched by the delta but was not shared with the previous version")
+	}
+	if inst0.Rel("prereq").Contains(edge) || !inst1.Rel("prereq").Contains(edge) {
+		t.Fatal("prereq: the previous version must read pre-delta and the new one post-delta")
+	}
+
+	// First resolutions racing writes: a write skips a pair still
+	// resolving, so the resolution must catch up on it before it
+	// installs its version.
+	for round := 0; round < 10; round++ {
+		reg := NewRegistry()
+		const specs = 6
+		for i := 0; i < specs; i++ {
+			if err := reg.RegisterSpec(fmt.Sprintf("s%d", i), spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := reg.RegisterDB("registrar", db); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 100; k++ {
+				d := (&relation.Delta{}).Insert("course", fmt.Sprintf("X%d", k), "T", "CS")
+				if _, _, err := reg.MutateDB("registrar", d, 0); err != nil {
+					panic(err)
+				}
+			}
+		}()
+		for i := 0; i < specs; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				for j := 0; j < i*20; j++ {
+					reg.Seq("registrar")
+				}
+				if _, _, _, err := reg.Pair(fmt.Sprintf("s%d", i), "registrar"); err != nil {
+					panic(err)
+				}
+			}(i)
+		}
+		wg.Wait()
+		tr, _ := reg.Spec("s0")
+		want, err := parseInstance("s0", "registrar", db, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range reg.RecordsSince("registrar", 0) {
+			if _, err := want.Apply(rec.Delta); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < specs; i++ {
+			if _, inst, _, _ := reg.Pair(fmt.Sprintf("s%d", i), "registrar"); !inst.Equal(want) {
+				t.Fatalf("round %d: s%d resolved while writes committed and missed some of them", round, i)
+			}
+		}
+	}
+
+	// Allocations of one write + resolve cycle at two log lengths. A
+	// read that replayed the log would grow with it.
+	allocsAt := func(logLen int) float64 {
+		reg := newReg()
+		n := 0
+		cycle := func() {
+			d := ins
+			if n%2 == 1 {
+				d = del
+			}
+			n++
+			if _, _, err := reg.MutateDB("registrar", d, 0); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, err := reg.Pair("tau1", "registrar"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for n < logLen {
+			cycle()
+		}
+		return testing.AllocsPerRun(100, cycle)
+	}
+	short, long := allocsAt(10), allocsAt(10000)
+	if long > short+8 {
+		t.Fatalf("write+resolve allocations grow with the log: %.0f at 10 records, %.0f at 10,000", short, long)
+	}
+}
+
+// TestPairKeepsSpecSchema: resolving a pair parses the database against
+// a private copy of the spec's schema. Relations a database mentions
+// beyond the spec must not leak into the registered spec (where they
+// would let /mutate deltas on them validate) or into other pairs, and
+// concurrent first resolutions must be race-free.
+func TestPairKeepsSpecSchema(t *testing.T) {
+	spec, db := exampleSources(t)
+	reg := NewRegistry()
+	if err := reg.RegisterSpec("tau1", spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.RegisterDB("plain", db); err != nil {
+		t.Fatal(err)
+	}
+	const extras = 8
+	for i := 0; i < extras; i++ {
+		src := db + fmt.Sprintf("enroll(s1, c1)\nnote%d(x)\n", i)
+		if err := reg.RegisterDB(fmt.Sprintf("extra%d", i), src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, extras)
+	for i := 0; i < extras; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, inst, _, err := reg.Pair("tau1", fmt.Sprintf("extra%d", i))
+			if err == nil && !inst.Has("enroll") {
+				err = fmt.Errorf("extra%d: the database's own enroll relation is missing", i)
+			}
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr, _ := reg.Spec("tau1")
+	if names := tr.Schema.Names(); len(names) != 2 {
+		t.Fatalf("resolving pairs changed tau1's schema: %v, want [course prereq]", names)
+	}
+	if err := (&relation.Delta{}).Insert("enroll", "s2", "c1").Validate(tr.Schema); err == nil {
+		t.Fatal("a delta on enroll validates against tau1, which does not declare it")
+	}
+	_, inst, _, err := reg.Pair("tau1", "plain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inst.Has("enroll") {
+		t.Fatal("(tau1, plain) gained another database's enroll relation")
 	}
 }
 

@@ -144,8 +144,8 @@ func (s *Server) hasDB(db string) bool {
 // and a gap stops the batch with the current high-water mark for the
 // sender to resume from. A record that SUPERSEDES local history (same
 // seq, newer epoch — see Registry.ApplyAt) invalidates the per-delta
-// repair stream, so views are resynchronized against the reconciled
-// log once the batch settles, whatever exit path it takes.
+// repair stream, so views are reconciled with the re-resolved pairs
+// once the batch settles, whatever exit path it takes.
 func (s *Server) applyRecords(db string, recs []wireRecord) (applied int, have uint64, gap bool, err error) {
 	s.liveMu.Lock()
 	defer s.liveMu.Unlock()
@@ -160,7 +160,7 @@ func (s *Server) applyRecords(db string, recs []wireRecord) (applied int, have u
 		if derr != nil {
 			return applied, s.reg.Seq(db), false, derr
 		}
-		_, ok, superseded, aerr := s.reg.ApplyAt(db, DeltaRecord{Seq: wr.Seq, Epoch: wr.Epoch, Delta: d})
+		ok, superseded, aerr := s.reg.ApplyAt(db, DeltaRecord{Seq: wr.Seq, Epoch: wr.Epoch, Delta: d})
 		if aerr != nil {
 			var ge *GapError
 			if errors.As(aerr, &ge) {
