@@ -137,31 +137,47 @@ func TestClusterFailover(t *testing.T) {
 }
 
 // TestClusterDrainingNodeFailsOver: a node answering 503/draining is
-// treated exactly like a dead one — the request moves to a successor
-// and still returns golden bytes, not the draining error.
+// treated exactly like a dead one — a publish or a watch moves to a
+// successor and still gets a real answer (golden bytes, a live stream),
+// not the draining error.
 func TestClusterDrainingNodeFailsOver(t *testing.T) {
-	coord, cts, nodes := newTestCluster(t, 3, Config{ProbeInterval: -1})
 	want := goldenXML(t)
-
-	owner := coord.ring.Owner("tiny\x00tinydb")
-	for _, n := range nodes {
-		if n.id == owner {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			if err := n.srv.Drain(ctx); err != nil {
-				t.Fatalf("draining owner: %v", err)
+	for _, path := range []string{"/publish", "/watch"} {
+		t.Run(strings.TrimPrefix(path, "/"), func(t *testing.T) {
+			coord, cts, nodes := newTestCluster(t, 3, Config{ProbeInterval: -1})
+			owner := coord.ring.Owner("tiny\x00tinydb")
+			for _, n := range nodes {
+				if n.id == owner {
+					ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+					if err := n.srv.Drain(ctx); err != nil {
+						t.Fatalf("draining owner: %v", err)
+					}
+					cancel()
+				}
 			}
-			cancel()
-		}
-	}
-	status, hdr, body := postCluster(t, cts, `{"spec":"tiny","db":"tinydb"}`)
-	if status != http.StatusOK {
-		t.Fatalf("status %d after owner drain: %s", status, body)
-	}
-	if !bytes.Equal(body, want) {
-		t.Fatal("drain-failover bytes differ from golden")
-	}
-	if got := hdr.Get("X-Ptserve-Node"); got == owner {
-		t.Fatal("draining owner still served the request")
+			var (
+				status int
+				hdr    http.Header
+				body   []byte
+			)
+			if path == "/publish" {
+				status, hdr, body = postCluster(t, cts, `{"spec":"tiny","db":"tinydb"}`)
+			} else {
+				status, hdr, body = getWatch(t, cts, "spec=tiny&db=tinydb")
+			}
+			if status != http.StatusOK {
+				t.Fatalf("%s status %d after owner drain: %s", path, status, body)
+			}
+			if path == "/publish" && !bytes.Equal(body, want) {
+				t.Fatal("drain-failover bytes differ from golden")
+			}
+			if got := hdr.Get("X-Ptserve-Node"); got == owner || got == "" {
+				t.Fatalf("%s served by %q, want a successor of draining owner %q", path, got, owner)
+			}
+			if hdr.Get("X-Ptcoord-Failover") != "true" {
+				t.Fatalf("%s answered without X-Ptcoord-Failover (attempts %q)", path, hdr.Get("X-Ptcoord-Attempts"))
+			}
+		})
 	}
 }
 

@@ -379,53 +379,68 @@ func TestSlowLorisPublishBoundedByDeadline(t *testing.T) {
 	}
 }
 
-// TestWatchHedgesAroundPartition: a hedged watch CONNECT masks a
-// black-holed primary — the watcher gets its stream from the next
-// preference-list member after the hedge delay, not after a timeout.
+// TestWatchHedgesAroundPartition: a hedged attempt masks a black-holed
+// primary on both idempotent routes — a publish gets its bytes and a
+// watch CONNECT gets its stream from the next preference-list member
+// after the hedge delay, not after a timeout.
 func TestWatchHedgesAroundPartition(t *testing.T) {
-	mesh := netchaos.NewMesh(13)
-	coord, cts, nodes := newTestCluster(t, 2, Config{
-		ProbeInterval: -1,
-		ForwardBudget: 2 * time.Second, // hedge auto-delay = budget/4 = 500ms
-		Client:        &http.Client{Transport: mesh.Transport("coord", nil)},
-	})
+	for _, tc := range []struct {
+		name string
+		do   func(*testing.T, *httptest.Server) (int, http.Header, []byte)
+	}{
+		{"publish", func(t *testing.T, cts *httptest.Server) (int, http.Header, []byte) {
+			return postCluster(t, cts, `{"spec":"tiny","db":"tinydb"}`)
+		}},
+		{"watch", func(t *testing.T, cts *httptest.Server) (int, http.Header, []byte) {
+			return getWatch(t, cts, "spec=tiny&db=tinydb")
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mesh := netchaos.NewMesh(13)
+			coord, cts, nodes := newTestCluster(t, 2, Config{
+				ProbeInterval: -1,
+				ForwardBudget: 2 * time.Second, // hedge auto-delay = budget/4 = 500ms
+				Client:        &http.Client{Transport: mesh.Transport("coord", nil)},
+			})
 
-	// Learn which node owns the (tiny, tinydb) watch route.
-	status, hdr, body := getWatch(t, cts, "spec=tiny&db=tinydb")
-	if status != http.StatusOK {
-		t.Fatalf("clean watch: status %d: %s", status, body)
-	}
-	ownerID := hdr.Get("X-Ptserve-Node")
-	var ownerHost string
-	for _, n := range nodes {
-		if n.id == ownerID {
-			ownerHost = hostOf(t, n.url())
-		}
-	}
-	if ownerHost == "" {
-		t.Fatalf("owner %q not among nodes", ownerID)
-	}
+			// Learn which node owns the (tiny, tinydb) route.
+			status, hdr, body := tc.do(t, cts)
+			if status != http.StatusOK {
+				t.Fatalf("clean %s: status %d: %s", tc.name, status, body)
+			}
+			ownerID := hdr.Get("X-Ptserve-Node")
+			var ownerHost string
+			for _, n := range nodes {
+				if n.id == ownerID {
+					ownerHost = hostOf(t, n.url())
+				}
+			}
+			if ownerHost == "" {
+				t.Fatalf("owner %q not among nodes", ownerID)
+			}
 
-	mesh.Partition("coord", ownerHost)
-	start := time.Now()
-	status, hdr, body = getWatch(t, cts, "spec=tiny&db=tinydb")
-	elapsed := time.Since(start)
-	if status != http.StatusOK {
-		t.Fatalf("hedged watch: status %d: %s", status, body)
+			mesh.Partition("coord", ownerHost)
+			start := time.Now()
+			status, hdr, body = tc.do(t, cts)
+			elapsed := time.Since(start)
+			if status != http.StatusOK {
+				t.Fatalf("hedged %s: status %d: %s", tc.name, status, body)
+			}
+			if hdr.Get("X-Ptcoord-Hedged") != "true" {
+				t.Fatalf("%s succeeded without the hedge marker (served by %s in %v)", tc.name, hdr.Get("X-Ptserve-Node"), elapsed)
+			}
+			if got := hdr.Get("X-Ptserve-Node"); got == ownerID {
+				t.Fatalf("partitioned owner %q somehow served the %s", got, tc.name)
+			}
+			if elapsed > 1500*time.Millisecond {
+				t.Fatalf("hedged %s took %v, want ~hedge delay (500ms)", tc.name, elapsed)
+			}
+			if m := coord.Metrics(); m.Hedges == 0 || m.HedgeWins == 0 {
+				t.Fatalf("hedge counters not advanced: %+v", m)
+			}
+			mesh.HealAll()
+		})
 	}
-	if hdr.Get("X-Ptcoord-Hedged") != "true" {
-		t.Fatalf("watch succeeded without the hedge marker (served by %s in %v)", hdr.Get("X-Ptserve-Node"), elapsed)
-	}
-	if got := hdr.Get("X-Ptserve-Node"); got == ownerID {
-		t.Fatalf("partitioned owner %q somehow served the watch", got)
-	}
-	if elapsed > 1500*time.Millisecond {
-		t.Fatalf("hedged watch took %v, want ~hedge delay (500ms)", elapsed)
-	}
-	if m := coord.Metrics(); m.Hedges == 0 || m.HedgeWins == 0 {
-		t.Fatalf("hedge counters not advanced: %+v", m)
-	}
-	mesh.HealAll()
 }
 
 // TestProberRespectsOpenBreaker pins satellite #2: once a member's
