@@ -20,6 +20,7 @@
 package breaker
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"sync"
@@ -186,6 +187,19 @@ func (s *Set) Failure(id string) {
 	}
 	cd = time.Duration(float64(cd) * (1 + s.cfg.Jitter*(2*s.rng.Float64()-1)))
 	e.until = time.Now().Add(cd)
+}
+
+// Observe records one call's outcome under the evidence rule every
+// caller shares: a nil err is a Success; an err that arrived after ctx
+// was done records nothing, because the caller's budget died, not the
+// peer; any other err is a Failure.
+func (s *Set) Observe(ctx context.Context, id string, err error) {
+	switch {
+	case err == nil:
+		s.Success(id)
+	case ctx.Err() == nil:
+		s.Failure(id)
+	}
 }
 
 // State peeks at a peer's current state without transitioning it (the

@@ -1,6 +1,8 @@
 package breaker
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -130,5 +132,28 @@ func TestBreakerIndependentPeers(t *testing.T) {
 	}
 	if st := s.State("b"); st != Closed {
 		t.Fatalf("b: want closed, got %v", st)
+	}
+}
+
+// TestObserve pins the evidence rule: success closes, a failure under a
+// live context counts, and a failure after the context died (the
+// caller's budget ran out) counts for nothing.
+func TestObserve(t *testing.T) {
+	s := NewSet(Config{Threshold: 1, Cooldown: time.Hour, Seed: 1})
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	boom := errors.New("boom")
+
+	s.Observe(dead, "a", boom)
+	if st := s.State("a"); st != Closed || s.Opens() != 0 {
+		t.Fatalf("failure after the budget died: state %v, opens %d; want closed, 0", st, s.Opens())
+	}
+	s.Observe(context.Background(), "a", boom)
+	if st := s.State("a"); st != Open {
+		t.Fatalf("failure under a live context: state %v, want open", st)
+	}
+	s.Observe(dead, "a", nil)
+	if st := s.State("a"); st != Closed {
+		t.Fatalf("success: state %v, want closed", st)
 	}
 }

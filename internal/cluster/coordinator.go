@@ -200,9 +200,10 @@ type Coordinator struct {
 
 	// breakers holds one circuit breaker per member, shared by the
 	// publish forward path, the mutation route, the watch proxy and the
-	// health prober: every path contributes evidence, every path honors
-	// the verdict (except mutations, which must reach their one owner
-	// and therefore only FEED the breaker, never skip on it).
+	// health prober: every request path contributes evidence through
+	// judge, every path honors the verdict (except mutations, which must
+	// reach their one owner and therefore only FEED the breaker, never
+	// skip on it).
 	breakers *breaker.Set
 
 	routed    atomic.Int64
@@ -492,7 +493,7 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 		URL string `json:"url"`
 	}
 	if err := dec.Decode(&req); err != nil {
-		serve.WriteError(w, serve.Validationf("body", "%v", err))
+		serve.WriteError(w, serve.BodyError(err))
 		return
 	}
 	if err := c.Join(req.ID, req.URL); err != nil {
@@ -545,59 +546,65 @@ func (c *Coordinator) anyUp() bool {
 	return false
 }
 
-// coordFlight is the coordinator-level singleflight: concurrent
-// byte-identical requests share one routed execution (and therefore one
-// worker-side run), so a thundering herd cannot amplify through the
-// proxy. The shared value is the fully buffered upstream response.
-type coordFlight struct {
-	done   chan struct{}
+// upstream is one member's fully buffered answer.
+type upstream struct {
 	status int
 	header http.Header
 	body   []byte
 }
 
-func (c *Coordinator) handlePublish(w http.ResponseWriter, r *http.Request) {
+// coordFlight is the coordinator-level singleflight: concurrent
+// byte-identical requests share one routed execution (and therefore one
+// worker-side run), so a thundering herd cannot amplify through the
+// proxy. The shared value is the fully buffered upstream response.
+type coordFlight struct {
+	done chan struct{}
+	upstream
+}
+
+// readPost admits one proxied POST: the method, the drain state, the
+// size-capped body and its time budget, resolved BEFORE routing — an
+// upstream hop's X-Ptx-Deadline wins (we are mid-chain and must only
+// ever shrink), then the body's own limits.timeout_ms, then
+// ForwardBudget. On failure it has already answered.
+func (c *Coordinator) readPost(w http.ResponseWriter, r *http.Request) ([]byte, time.Duration, bool) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
+		return nil, 0, false
 	}
 	if c.draining.Load() {
 		serve.WriteError(w, serve.ErrDraining)
-		return
+		return nil, 0, false
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			serve.WriteError(w, mbe)
-			return
+		serve.WriteError(w, serve.BodyError(err))
+		return nil, 0, false
+	}
+	budget, hasHdr, err := serve.ParseDeadline(r.Header)
+	if err != nil {
+		serve.WriteError(w, err)
+		return nil, 0, false
+	}
+	if !hasHdr {
+		budget = c.cfg.ForwardBudget
+		if _, _, ms := routingPair(body); ms > 0 {
+			budget = time.Duration(ms) * time.Millisecond
 		}
-		serve.WriteError(w, serve.Validationf("body", "%v", err))
+	}
+	return body, budget, true
+}
+
+func (c *Coordinator) handlePublish(w http.ResponseWriter, r *http.Request) {
+	body, budget, ok := c.readPost(w, r)
+	if !ok {
 		return
 	}
-
 	// The run key doubles as the dedup key: byte-identical bodies are
 	// one logical run, cluster-wide.
 	sum := sha256.Sum256(body)
 	runKey := hex.EncodeToString(sum[:])
-
-	// Resolve the request's time budget BEFORE routing: an upstream
-	// hop's X-Ptx-Deadline wins (we are mid-chain and must only ever
-	// shrink), then the body's own limits.timeout_ms, then the default.
-	hdrBudget, hasHdr, derr := serve.ParseDeadline(r.Header)
-	if derr != nil {
-		serve.WriteError(w, derr)
-		return
-	}
-	_, _, bodyMS := routingPair(body)
-	budget := c.cfg.ForwardBudget
-	switch {
-	case hasHdr:
-		budget = hdrBudget
-	case bodyMS > 0:
-		budget = time.Duration(bodyMS) * time.Millisecond
-	}
 
 	c.mu.Lock()
 	if f, ok := c.flights[runKey]; ok {
@@ -619,7 +626,7 @@ func (c *Coordinator) handlePublish(w http.ResponseWriter, r *http.Request) {
 	// worker gets the budget (via the propagated deadline header), the
 	// extra grace covers relaying an answer that was typed at the wire.
 	ctx, cancel := context.WithDeadline(c.baseCtx, time.Now().Add(budget+c.cfg.DeadlineGrace))
-	f.status, f.header, f.body = c.forward(ctx, time.Now().Add(budget), body, runKey)
+	f.upstream = c.forward(ctx, time.Now().Add(budget), body, runKey)
 	cancel()
 	c.mu.Lock()
 	delete(c.flights, runKey)
@@ -637,37 +644,43 @@ func (c *Coordinator) reply(w http.ResponseWriter, f *coordFlight, shared bool) 
 	_, _ = w.Write(f.body)
 }
 
-// attempt forwards the body to one member, stamping the handoff
-// coordinates. The epoch is read per-attempt: a failover bumps it, so
-// the successor's request carries strictly more authority than the
-// attempt that just failed. The remaining budget rides along as the
+// attempt POSTs body to one member's path, stamping the handoff
+// coordinates plus hdr. The epoch is read per-attempt: a failover bumps
+// it, so the successor's request carries strictly more authority than
+// the attempt that just failed. The remaining budget rides along as the
 // propagated deadline, and the response is integrity-checked against
 // the worker's checksum trailer — corruption or truncation surfaces
 // here as a transport error, which is precisely what lets the caller
-// fail over instead of relaying wrong bytes.
-func (c *Coordinator) attempt(ctx context.Context, m MemberStatus, body []byte, runKey string, budgetDeadline time.Time) (int, http.Header, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, m.URL+"/publish", bytes.NewReader(body))
+// fail over instead of relaying wrong bytes. A draining node's 503
+// comes back as errDraining.
+func (c *Coordinator) attempt(ctx context.Context, m MemberStatus, path string, body []byte, budgetDeadline time.Time, hdr http.Header) (upstream, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, m.URL+path, bytes.NewReader(body))
 	if err != nil {
-		return 0, nil, nil, err
+		return upstream{}, err
+	}
+	for k, vs := range hdr {
+		req.Header[k] = vs
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(serve.HeaderRunKey, runKey)
 	req.Header.Set(serve.HeaderEpoch, strconv.FormatUint(c.epoch.Load(), 10))
 	req.Header.Set(serve.HeaderDeadline, serve.FormatDeadline(time.Until(budgetDeadline)))
 	req.Header.Set(serve.HeaderWantSum, "1")
 	resp, err := c.cfg.Client.Do(req)
 	if err != nil {
-		return 0, nil, nil, err
+		return upstream{}, err
 	}
 	defer resp.Body.Close()
 	respBody, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return 0, nil, nil, err
+		return upstream{}, err
 	}
 	if err := serve.VerifySum(resp, respBody); err != nil {
-		return 0, nil, nil, err
+		return upstream{}, err
 	}
-	return resp.StatusCode, resp.Header.Clone(), respBody, nil
+	if resp.StatusCode == http.StatusServiceUnavailable && errorKind(respBody) == serve.KindDraining {
+		return upstream{}, errDraining
+	}
+	return upstream{resp.StatusCode, resp.Header, respBody}, nil
 }
 
 // rlockWithin acquires the membership write barrier's read side, but
@@ -853,10 +866,10 @@ func errorKind(body []byte) string {
 
 // buffered renders a coordinator-origin error through the same stable
 // schema the workers use.
-func buffered(err error) (int, http.Header, []byte) {
+func buffered(err error) upstream {
 	rec := newRecorder()
 	serve.WriteError(rec, err)
-	return rec.status, rec.header, rec.buf.Bytes()
+	return upstream{rec.status, rec.header, rec.buf.Bytes()}
 }
 
 // recorder is a minimal ResponseWriter for rendering error bodies into

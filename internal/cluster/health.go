@@ -16,8 +16,8 @@ import (
 // marks the member down (bumping the epoch so successors gain
 // checkpoint authority) and schedules its next probe with exponential
 // backoff capped at 8 intervals; a success resets the backoff and marks
-// it up, which also re-warms it. Forward failures mark nodes down
-// faster than the prober can (see forward); the prober's job is
+// it up, which also re-warms it. Request failures mark nodes down
+// faster than the prober can (see judge); the prober's job is
 // RECOVERY — a restarted node is back in rotation within one interval.
 func (c *Coordinator) probeLoop() {
 	defer close(c.probeDone)

@@ -17,15 +17,9 @@ import (
 	"ptx/internal/serve"
 )
 
-// attemptResult is one member's answer in a hedged forward race.
-type attemptResult struct {
-	m      MemberStatus
-	status int
-	header http.Header
-	body   []byte
-	err    error
-	hedged bool
-}
+// errDraining marks a member call answered by a draining node: a
+// routing fact, not a network failure (see judge).
+var errDraining = errors.New("cluster: member draining")
 
 // hedgeAfter resolves the hedge delay for a request whose budget runs
 // out at budgetDeadline: configured value, or a quarter of the
@@ -48,20 +42,161 @@ func (c *Coordinator) hedgeAfter(budgetDeadline time.Time) time.Duration {
 	return d
 }
 
-// forward routes one body along its preference list: the key's owner
-// first, then ring successors. Members whose circuit breaker is open
-// are skipped — a request's deadline budget is too precious to spend
-// re-proving a known-bad peer. A transport failure (including an
-// integrity-check failure on the response body) marks the node down,
-// feeds its breaker, and moves on — the NEXT attempt carries the
-// bumped epoch, which is exactly the authority the successor needs to
-// overwrite the dead node's checkpoints. While the primary attempt is
+// judge applies the breaker evidence rule to one member call made
+// under ctx. A draining reply proves the network fine, so the breaker
+// hears a success, but the member's keys belong to its successors now,
+// so it is marked down. Any other failure while ctx is live is evidence
+// on both counts; a failure after ctx died is the budget's, and blames
+// nobody.
+func (c *Coordinator) judge(ctx context.Context, id string, err error) {
+	if errors.Is(err, errDraining) {
+		c.breakers.Observe(ctx, id, nil)
+		c.markDown(id)
+		return
+	}
+	c.breakers.Observe(ctx, id, err)
+	if err != nil && ctx.Err() == nil {
+		c.markDown(id)
+	}
+}
+
+// race runs one idempotent call along its preference list: the key's
+// owner first, then ring successors. Members whose circuit breaker is
+// open are skipped — a request's deadline budget is too precious to
+// spend re-proving a known-bad peer. A failed attempt is judged (a
+// transport failure marks the node down and feeds its breaker) and the
+// next member is tried once nothing is in flight; the NEXT attempt
+// carries the bumped epoch, which is exactly the authority a successor
+// needs to overwrite the dead node's checkpoints. While an attempt is
 // in flight, one hedged attempt may fire at the next member after the
-// hedge delay; the first usable answer wins and every other attempt is
-// canceled. Any real response, success or typed error, is returned
-// verbatim: the single-node error schema survives the cluster tier
-// untouched.
-func (c *Coordinator) forward(ctx context.Context, budgetDeadline time.Time, body []byte, runKey string) (int, http.Header, []byte) {
+// hedge delay (negative: never).
+//
+// Every attempt runs under its own context. The first success wins: it
+// is returned with its context's cancel, which the caller calls once
+// done with the value. Every other attempt is canceled, and a late
+// success among them is handed to release (nil: nothing to release).
+// attempts counts the winner and the failures before it; hedged reports
+// whether the hedged attempt won. When no member answers, race returns
+// ErrNoReady, or a canceled error if ctx died first.
+func race[T any](c *Coordinator, ctx context.Context, prefs []MemberStatus, hedge time.Duration,
+	try func(context.Context, MemberStatus) (T, error), release func(T)) (won T, cancel context.CancelFunc, attempts int, hedged bool, err error) {
+	type result struct {
+		m      MemberStatus
+		idx    int
+		v      T
+		err    error
+		hedged bool
+		ctx    context.Context
+	}
+	results := make(chan result, len(prefs))
+	var cancels []context.CancelFunc // index = launch order
+	next, inflight, fails := 0, 0, 0
+	launch := func(hedged bool) bool {
+		for next < len(prefs) {
+			m := prefs[next]
+			next++
+			if !c.breakers.Allow(m.ID) {
+				continue
+			}
+			inflight++
+			if hedged {
+				c.hedges.Add(1)
+			}
+			actx, cancel := context.WithCancel(ctx)
+			idx := len(cancels)
+			cancels = append(cancels, cancel)
+			go func() {
+				v, err := try(actx, m)
+				results <- result{m: m, idx: idx, v: v, err: err, hedged: hedged, ctx: actx}
+			}()
+			return true
+		}
+		return false
+	}
+	// abandon cancels every attempt but keep (-1: none) and hands the
+	// late successes of those still in flight to release.
+	abandon := func(keep int) {
+		for i, cancel := range cancels {
+			if i != keep {
+				cancel()
+			}
+		}
+		if release == nil || inflight == 0 {
+			return
+		}
+		go func(n int) {
+			for ; n > 0; n-- {
+				if r := <-results; r.err == nil {
+					release(r.v)
+				}
+			}
+		}(inflight)
+	}
+	if !launch(false) {
+		c.noReady.Add(1)
+		return won, nil, 0, false, ErrNoReady
+	}
+	var hedgeC <-chan time.Time
+	if hedge >= 0 {
+		t := time.NewTimer(hedge)
+		defer t.Stop()
+		hedgeC = t.C
+	}
+	for inflight > 0 {
+		select {
+		case <-hedgeC:
+			// One hedge per request: a storm of speculative retries is
+			// its own outage.
+			hedgeC = nil
+			launch(true)
+		case r := <-results:
+			inflight--
+			c.judge(r.ctx, r.m.ID, r.err)
+			if r.err == nil {
+				if r.hedged {
+					c.hedgeWins.Add(1)
+				}
+				abandon(r.idx)
+				return r.v, cancels[r.idx], fails + 1, r.hedged, nil
+			}
+			cancels[r.idx]()
+			if ctx.Err() != nil {
+				// The BUDGET died, not the node: the request outlived
+				// its deadline.
+				abandon(-1)
+				return won, nil, fails, false, &runctl.ErrCanceled{Cause: context.DeadlineExceeded}
+			}
+			fails++
+			c.failovers.Add(1)
+			if inflight == 0 {
+				launch(false)
+			}
+		case <-ctx.Done():
+			abandon(-1)
+			return won, nil, fails, false, &runctl.ErrCanceled{Cause: context.DeadlineExceeded}
+		}
+	}
+	c.noReady.Add(1)
+	return won, nil, fails, false, ErrNoReady
+}
+
+// stampAttempts marks a relayed answer with how many members it took
+// and whether it needed a failover or the hedge.
+func stampAttempts(h http.Header, attempts int, hedged bool) {
+	if hedged {
+		h.Set("X-Ptcoord-Hedged", "true")
+	}
+	if attempts > 1 {
+		h.Set("X-Ptcoord-Failover", "true")
+	}
+	h.Set("X-Ptcoord-Attempts", strconv.Itoa(attempts))
+}
+
+// forward routes one publish body through race and returns the winning
+// member's buffered answer. Any real response, success or typed error,
+// is returned verbatim: the single-node error schema survives the
+// cluster tier untouched.
+func (c *Coordinator) forward(ctx context.Context, budgetDeadline time.Time, body []byte, runKey string) upstream {
 	spec, db, _ := routingPair(body)
 	prefs := c.preference(spec + "\x00" + db)
 	if len(prefs) == 0 {
@@ -72,210 +207,15 @@ func (c *Coordinator) forward(ctx context.Context, budgetDeadline time.Time, bod
 	if c.cfg.Replicas > 0 && c.cfg.Replicas < len(prefs) {
 		prefs = prefs[:c.cfg.Replicas]
 	}
-
-	actx, cancelAll := context.WithCancel(ctx)
-	defer cancelAll()
-	results := make(chan attemptResult, len(prefs))
-	next, inflight, fails := 0, 0, 0
-	launch := func(hedged bool) bool {
-		for next < len(prefs) {
-			m := prefs[next]
-			next++
-			if !c.breakers.Allow(m.ID) {
-				continue
-			}
-			inflight++
-			if hedged {
-				c.hedges.Add(1)
-			}
-			go func(m MemberStatus, hedged bool) {
-				status, header, respBody, err := c.attempt(actx, m, body, runKey, budgetDeadline)
-				results <- attemptResult{m: m, status: status, header: header, body: respBody, err: err, hedged: hedged}
-			}(m, hedged)
-			return true
-		}
-		return false
+	hdr := http.Header{serve.HeaderRunKey: {runKey}}
+	up, cancel, attempts, hedged, err := race(c, ctx, prefs, c.hedgeAfter(budgetDeadline),
+		func(actx context.Context, m MemberStatus) (upstream, error) {
+			return c.attempt(actx, m, "/publish", body, budgetDeadline, hdr)
+		}, nil)
+	if err != nil {
+		return buffered(err)
 	}
-	if !launch(false) {
-		c.noReady.Add(1)
-		return buffered(ErrNoReady)
-	}
-	var hedgeC <-chan time.Time
-	if d := c.hedgeAfter(budgetDeadline); d >= 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-
-	for inflight > 0 {
-		select {
-		case <-hedgeC:
-			// One hedge per request: a storm of speculative retries is
-			// its own outage.
-			hedgeC = nil
-			launch(true)
-		case res := <-results:
-			inflight--
-			if res.err != nil {
-				if ctx.Err() != nil {
-					// The BUDGET died, not the node: this is not
-					// evidence against the member, it is the request
-					// outliving its deadline. Fail typed.
-					return buffered(&runctl.ErrCanceled{Cause: context.DeadlineExceeded})
-				}
-				fails++
-				c.breakers.Failure(res.m.ID)
-				c.markDown(res.m.ID)
-				c.failovers.Add(1)
-				if inflight == 0 && !launch(false) {
-					c.noReady.Add(1)
-					return buffered(ErrNoReady)
-				}
-				continue
-			}
-			c.breakers.Success(res.m.ID)
-			if res.status == http.StatusServiceUnavailable && errorKind(res.body) == serve.KindDraining {
-				// The node is shutting down; its successors own its
-				// keys now. The network is fine, so the breaker heard
-				// a success — only membership changes.
-				fails++
-				c.markDown(res.m.ID)
-				c.failovers.Add(1)
-				if inflight == 0 && !launch(false) {
-					c.noReady.Add(1)
-					return buffered(ErrNoReady)
-				}
-				continue
-			}
-			if res.hedged {
-				c.hedgeWins.Add(1)
-				res.header.Set("X-Ptcoord-Hedged", "true")
-			}
-			if fails > 0 {
-				res.header.Set("X-Ptcoord-Failover", "true")
-			}
-			res.header.Set("X-Ptcoord-Attempts", strconv.Itoa(fails+1))
-			return res.status, res.header, res.body
-		case <-ctx.Done():
-			return buffered(&runctl.ErrCanceled{Cause: context.DeadlineExceeded})
-		}
-	}
-	c.noReady.Add(1)
-	return buffered(ErrNoReady)
-}
-
-// errWatchDraining marks a watch connect that reached a draining node:
-// a routing fact, not a network failure, so it moves to the next member
-// without feeding the breaker.
-var errWatchDraining = errors.New("cluster: watch target draining")
-
-// watchResult is one member's answer in a hedged watch-connect race.
-// The winner's resp is a live stream; cancel must outlive the proxying.
-type watchResult struct {
-	m      MemberStatus
-	idx    int
-	resp   *http.Response
-	cancel context.CancelFunc
-	err    error
-	hedged bool
-}
-
-// hedgedWatch races the CONNECT phase of a watch proxy across prefs:
-// the stream itself cannot be hedged (it is long-lived and stateful),
-// but the connect is idempotent until the first byte is relayed.
-// connect must honor its context and return a response ready to
-// stream. Returns the winning result, the attempt count for the
-// X-Ptcoord-Attempts stamp, and ok=false when no member connected.
-func (c *Coordinator) hedgedWatch(ctx context.Context, prefs []MemberStatus, connect func(context.Context, MemberStatus) (*http.Response, error)) (watchResult, int, bool) {
-	results := make(chan watchResult, len(prefs))
-	var cancels []context.CancelFunc // mutated only by the loop below
-	next, inflight, fails := 0, 0, 0
-	launch := func(hedged bool) bool {
-		for next < len(prefs) {
-			m := prefs[next]
-			next++
-			if !c.breakers.Allow(m.ID) {
-				continue
-			}
-			inflight++
-			if hedged {
-				c.hedges.Add(1)
-			}
-			cctx, cancel := context.WithCancel(ctx)
-			cancels = append(cancels, cancel)
-			idx := len(cancels) - 1
-			go func(m MemberStatus, hedged bool) {
-				resp, err := connect(cctx, m)
-				results <- watchResult{m: m, idx: idx, resp: resp, cancel: cancel, err: err, hedged: hedged}
-			}(m, hedged)
-			return true
-		}
-		return false
-	}
-	// abandon cancels every launched attempt except keep (-1 = none)
-	// and drains their results async, closing any stream that raced in.
-	abandon := func(keep, inflight int) {
-		for i, cancel := range cancels {
-			if i != keep {
-				cancel()
-			}
-		}
-		if inflight == 0 {
-			return
-		}
-		go func() {
-			for i := 0; i < inflight; i++ {
-				if res := <-results; res.resp != nil {
-					res.resp.Body.Close()
-				}
-			}
-		}()
-	}
-	if !launch(false) {
-		return watchResult{}, fails, false
-	}
-	var hedgeC <-chan time.Time
-	if d := c.hedgeAfter(time.Now().Add(c.cfg.ForwardBudget)); d >= 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-	for inflight > 0 {
-		select {
-		case <-hedgeC:
-			hedgeC = nil
-			launch(true)
-		case res := <-results:
-			inflight--
-			if res.err != nil {
-				res.cancel()
-				if ctx.Err() != nil {
-					// The watcher hung up (or the coordinator is
-					// draining); stop quietly.
-					abandon(-1, inflight)
-					return watchResult{}, fails, false
-				}
-				fails++
-				if !errors.Is(res.err, errWatchDraining) {
-					c.breakers.Failure(res.m.ID)
-				}
-				c.markDown(res.m.ID)
-				c.failovers.Add(1)
-				if inflight == 0 && !launch(false) {
-					return watchResult{}, fails, false
-				}
-				continue
-			}
-			c.breakers.Success(res.m.ID)
-			if res.hedged {
-				c.hedgeWins.Add(1)
-			}
-			abandon(res.idx, inflight)
-			return res, fails, true
-		case <-ctx.Done():
-			abandon(-1, inflight)
-			return watchResult{}, fails, false
-		}
-	}
-	return watchResult{}, fails, false
+	cancel()
+	stampAttempts(up.header, attempts, hedged)
+	return up
 }

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -65,34 +64,10 @@ func (c *Coordinator) replicasHeader(prefs []MemberStatus) string {
 }
 
 func (c *Coordinator) handleMutate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
+	// The coordinator waits budget+grace; the owner hears the raw budget.
+	body, budget, ok := c.readPost(w, r)
+	if !ok {
 		return
-	}
-	if c.draining.Load() {
-		serve.WriteError(w, serve.ErrDraining)
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			serve.WriteError(w, mbe)
-			return
-		}
-		serve.WriteError(w, serve.Validationf("body", "%v", err))
-		return
-	}
-	// Resolve the mutation's deadline budget: the upstream hop's header
-	// if it sent one, else the configured default. The coordinator
-	// waits budget+grace; the owner hears the raw budget.
-	budget := c.cfg.ForwardBudget
-	if d, ok, derr := serve.ParseDeadline(r.Header); derr != nil {
-		serve.WriteError(w, derr)
-		return
-	} else if ok {
-		budget = d
 	}
 	budgetDeadline := time.Now().Add(budget)
 	ctx, cancel := context.WithDeadline(c.baseCtx, budgetDeadline.Add(c.cfg.DeadlineGrace))
@@ -123,59 +98,27 @@ func (c *Coordinator) handleMutate(w http.ResponseWriter, r *http.Request) {
 	// ownership. The owner's breaker is FED here but never consulted to
 	// skip: there is no second node a mutation may safely try.
 	owner := prefs[0]
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, owner.URL+"/mutate", bytes.NewReader(body))
-	if err != nil {
-		serve.WriteError(w, err)
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(serve.HeaderEpoch, strconv.FormatUint(c.epoch.Load(), 10))
-	req.Header.Set(serve.HeaderDeadline, serve.FormatDeadline(time.Until(budgetDeadline)))
-	req.Header.Set(serve.HeaderWantSum, "1")
+	var hdr http.Header
 	if reps := c.replicasHeader(prefs); reps != "" {
-		req.Header.Set(serve.HeaderReplicas, reps)
+		hdr = http.Header{serve.HeaderReplicas: {reps}}
 	}
-	resp, err := c.cfg.Client.Do(req)
+	up, err := c.attempt(ctx, owner, "/mutate", body, budgetDeadline, hdr)
+	c.judge(ctx, owner.ID, err)
 	if err != nil {
-		if ctx.Err() != nil {
-			// The budget died, not the owner: no evidence against the
-			// node, and the delta's fate is unknown — fail typed so the
-			// client decides whether to retry.
+		if ctx.Err() != nil && !errors.Is(err, errDraining) {
+			// The budget died, not the owner: the delta's fate is
+			// unknown, so fail typed and let the client decide.
 			serve.WriteError(w, &runctl.ErrCanceled{Cause: context.DeadlineExceeded})
 			return
 		}
-		c.breakers.Failure(owner.ID)
-		c.markDown(owner.ID)
-		serve.WriteError(w, ErrOwnerDown)
-		return
-	}
-	defer resp.Body.Close()
-	respBody, err := io.ReadAll(resp.Body)
-	if err == nil {
-		err = serve.VerifySum(resp, respBody)
-	}
-	if err != nil {
-		if ctx.Err() != nil {
-			serve.WriteError(w, &runctl.ErrCanceled{Cause: context.DeadlineExceeded})
-			return
-		}
-		c.breakers.Failure(owner.ID)
-		c.markDown(owner.ID)
-		serve.WriteError(w, ErrOwnerDown)
-		return
-	}
-	c.breakers.Success(owner.ID)
-	if resp.StatusCode == http.StatusServiceUnavailable && errorKind(respBody) == serve.KindDraining {
-		// The owner is shutting down and never applied the delta; its
-		// successor owns the database now, so the retry story is the
-		// same as a transport death.
-		c.markDown(owner.ID)
+		// The owner is dead, or draining and never applied the delta;
+		// either way its successor owns the database now.
 		serve.WriteError(w, ErrOwnerDown)
 		return
 	}
 	// A replica that failed to confirm is suspect: mark it down so the
 	// prober re-admits it only through the catch-up sync.
-	if failed := resp.Header.Get(serve.HeaderReplicaFailed); failed != "" {
+	if failed := up.header.Get(serve.HeaderReplicaFailed); failed != "" {
 		for _, id := range strings.Split(failed, ",") {
 			c.markDown(id)
 		}
@@ -183,18 +126,18 @@ func (c *Coordinator) handleMutate(w http.ResponseWriter, r *http.Request) {
 	// A 200 means the delta is durable on the owner AND confirmed on
 	// every named successor: its sequence number becomes the database's
 	// acked high-water mark, the convergence bar for rejoining nodes.
-	if resp.StatusCode == http.StatusOK {
+	if up.status == http.StatusOK {
 		var ack struct {
 			Seq uint64 `json:"seq"`
 		}
-		if json.Unmarshal(respBody, &ack) == nil && ack.Seq > 0 {
+		if json.Unmarshal(up.body, &ack) == nil && ack.Seq > 0 {
 			c.recordAck(db, ack.Seq)
 		}
 	}
-	copyProxyHeaders(w.Header(), resp.Header)
-	w.Header().Set("X-Ptcoord-Attempts", "1")
-	w.WriteHeader(resp.StatusCode)
-	_, _ = w.Write(respBody)
+	copyProxyHeaders(w.Header(), up.header)
+	stampAttempts(w.Header(), 1, false)
+	w.WriteHeader(up.status)
+	_, _ = w.Write(up.body)
 }
 
 func (c *Coordinator) handleWatch(w http.ResponseWriter, r *http.Request) {
@@ -228,10 +171,10 @@ func (c *Coordinator) handleWatch(w http.ResponseWriter, r *http.Request) {
 	if c.cfg.Replicas > 0 && c.cfg.Replicas < len(prefs) {
 		prefs = prefs[:c.cfg.Replicas]
 	}
-	// The CONNECT phase is hedged (idempotent until the first byte is
-	// relayed); the stream itself is not. A draining node is reported
-	// through errWatchDraining so the race moves on without blaming the
-	// network; any other 503 is a real answer the watcher should see.
+	// The CONNECT phase races (idempotent until the first byte is
+	// relayed); the stream itself does not. A draining node is reported
+	// as errDraining so the race moves on; any other 503 is a real
+	// answer the watcher should see.
 	connect := func(cctx context.Context, m MemberStatus) (*http.Response, error) {
 		req, err := http.NewRequestWithContext(cctx, http.MethodGet, m.URL+"/watch?"+r.URL.RawQuery, nil)
 		if err != nil {
@@ -248,38 +191,34 @@ func (c *Coordinator) handleWatch(w http.ResponseWriter, r *http.Request) {
 			b, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 			resp.Body.Close()
 			if errorKind(b) == serve.KindDraining {
-				return nil, errWatchDraining
+				return nil, errDraining
 			}
 			resp.Body = io.NopCloser(bytes.NewReader(b))
 			resp.ContentLength = int64(len(b))
 		}
 		return resp, nil
 	}
-	res, fails, ok := c.hedgedWatch(ctx, prefs, connect)
-	if !ok {
-		if ctx.Err() != nil {
-			// The watcher hung up or the coordinator is draining; the
-			// nodes did nothing wrong.
-			return
+	resp, done, attempts, hedged, err := race(c, ctx, prefs, c.hedgeAfter(time.Now().Add(c.cfg.ForwardBudget)),
+		connect, func(resp *http.Response) { resp.Body.Close() })
+	if err != nil {
+		if errors.Is(err, ErrNoReady) {
+			serve.WriteError(w, err)
 		}
-		c.noReady.Add(1)
-		serve.WriteError(w, ErrNoReady)
+		// Otherwise the watcher hung up or the coordinator is
+		// draining; the nodes did nothing wrong.
 		return
 	}
-	defer res.cancel()
-	if res.hedged {
-		w.Header().Set("X-Ptcoord-Hedged", "true")
-	}
-	c.streamReply(w, res.resp, fails+1)
+	defer done()
+	streamReply(w, resp, attempts, hedged)
 }
 
 // streamReply proxies an upstream response without buffering, flushing
 // after every chunk so proxied SSE events reach the watcher as they
 // happen rather than when the stream ends.
-func (c *Coordinator) streamReply(w http.ResponseWriter, resp *http.Response, attempts int) {
+func streamReply(w http.ResponseWriter, resp *http.Response, attempts int, hedged bool) {
 	defer resp.Body.Close()
 	copyProxyHeaders(w.Header(), resp.Header)
-	c.stampAttempts(w.Header(), attempts)
+	stampAttempts(w.Header(), attempts, hedged)
 	w.WriteHeader(resp.StatusCode)
 	fl, _ := w.(http.Flusher)
 	if fl != nil {
@@ -302,13 +241,6 @@ func (c *Coordinator) streamReply(w http.ResponseWriter, resp *http.Response, at
 			return
 		}
 	}
-}
-
-func (c *Coordinator) stampAttempts(h http.Header, attempts int) {
-	if attempts > 1 {
-		h.Set("X-Ptcoord-Failover", "true")
-	}
-	h.Set("X-Ptcoord-Attempts", strconv.Itoa(attempts))
 }
 
 // copyProxyHeaders forwards upstream headers minus the hop-by-hop and

@@ -88,6 +88,17 @@ type errorBody struct {
 	Error ErrorInfo `json:"error"`
 }
 
+// BodyError types a failure to read or decode a request body: an
+// oversized body keeps its *http.MaxBytesError (413 too_large); any
+// other failure is a validation error on the body (400).
+func BodyError(err error) error {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return mbe
+	}
+	return Validationf("body", "%v", err)
+}
+
 // Classify maps any error surfaced by the publish path to its HTTP
 // status and wire-schema ErrorInfo. The order is deliberate:
 // admission and validation classes first (they are this package's own

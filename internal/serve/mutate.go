@@ -10,7 +10,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -105,18 +104,10 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, ErrDraining)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
 	var req mutateRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := s.decodeBody(w, r, &req); err != nil {
 		s.rejected.Add(1)
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			WriteError(w, mbe)
-			return
-		}
-		WriteError(w, Validationf("body", "%v", err))
+		WriteError(w, err)
 		return
 	}
 	if req.Spec == "" {

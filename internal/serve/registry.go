@@ -482,21 +482,25 @@ func (r *Registry) EpochHighWater(db string) uint64 {
 }
 
 // RecordsSince returns the records with sequence numbers strictly
-// after `after` — the resend tail for replication gap repair.
+// after `after` — the resend tail for replication gap repair. The
+// result shares the log's storage (records are only ever appended, and
+// a truncation copies), so it costs no copy; callers must not modify it.
 func (r *Registry) RecordsSince(db string, after uint64) []DeltaRecord {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	lg, ok := r.logs[db]
-	if !ok {
+	if !ok || len(lg.recs) == 0 {
 		return nil
 	}
-	out := make([]DeltaRecord, 0, len(lg.recs))
-	for _, rec := range lg.recs {
-		if rec.Seq > after {
-			out = append(out, rec)
+	from := 0
+	if after >= lg.recs[0].Seq {
+		idx, ok := lg.indexOf(after + 1)
+		if !ok {
+			return nil
 		}
+		from = idx
 	}
-	return out
+	return lg.recs[from:len(lg.recs):len(lg.recs)]
 }
 
 // SpecNames lists the registered specs, sorted.

@@ -13,6 +13,7 @@ import (
 	"ptx/internal/relation"
 	"ptx/internal/runctl"
 	"ptx/internal/value"
+	"ptx/internal/wal"
 )
 
 // TestRegistryErrorPaths table-drives every registration and lookup
@@ -291,6 +292,89 @@ func TestPairAdvancesOnWrite(t *testing.T) {
 // beyond the spec must not leak into the registered spec (where they
 // would let /mutate deltas on them validate) or into other pairs, and
 // concurrent first resolutions must be race-free.
+// walRegistry returns a tiny/tinydb registry whose tinydb log holds
+// records first..last, replayed from a WAL — so first > 1 is the shape
+// a compacted WAL base leaves.
+func walRegistry(t testing.TB, first, last uint64) *Registry {
+	t.Helper()
+	l, err := wal.Open(t.TempDir(), wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	for seq := first; seq <= last; seq++ {
+		d := (&relation.Delta{}).Insert("R", fmt.Sprint(seq))
+		if err := l.Append(wal.Record{DB: "tinydb", Seq: seq, Epoch: 1, Delta: d}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := NewRegistry()
+	if err := reg.RegisterSpec("tiny", tinySpec); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.RegisterDB("tinydb", tinyDB); err != nil {
+		t.Fatal(err)
+	}
+	reg.AttachWAL(l)
+	return reg
+}
+
+// recordsSink keeps the benchmarked RecordsSince call from being
+// optimized away.
+var recordsSink []DeltaRecord
+
+// TestRecordsSince: the resend tail is the records strictly after the
+// cursor wherever the cursor falls, and reading it costs the same
+// however long the log has grown.
+func TestRecordsSince(t *testing.T) {
+	reg := walRegistry(t, 5, 14)
+	for _, tc := range []struct {
+		name        string
+		after       uint64
+		first, last uint64 // want first..last; first > last = none
+	}{
+		{"before the compacted base", 2, 5, 14},
+		{"at the base", 4, 5, 14},
+		{"inside the log", 9, 10, 14},
+		{"one before the head", 13, 14, 14},
+		{"at the head", 14, 1, 0},
+		{"past the head", 40, 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := reg.RecordsSince("tinydb", tc.after)
+			var seqs []uint64
+			for _, rec := range got {
+				seqs = append(seqs, rec.Seq)
+			}
+			var want []uint64
+			for seq := tc.first; seq <= tc.last; seq++ {
+				want = append(want, seq)
+			}
+			if fmt.Sprint(seqs) != fmt.Sprint(want) {
+				t.Fatalf("RecordsSince(%d) = %v, want %v", tc.after, seqs, want)
+			}
+		})
+	}
+	if got := reg.RecordsSince("nodb", 0); got != nil {
+		t.Fatalf("unknown db: %d records, want none", len(got))
+	}
+
+	// The replication hot path asks for the newest record only; its
+	// cost must not grow with the log.
+	perOp := func(n uint64) int64 {
+		reg := walRegistry(t, 1, n)
+		return testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				recordsSink = reg.RecordsSince("tinydb", n-1)
+			}
+		}).AllocedBytesPerOp()
+	}
+	if small, large := perOp(10), perOp(10000); small != large {
+		t.Fatalf("RecordsSince of one record allocates %d B/op at 10 records but %d B/op at 10,000", small, large)
+	}
+}
+
 func TestPairKeepsSpecSchema(t *testing.T) {
 	spec, db := exampleSources(t)
 	reg := NewRegistry()

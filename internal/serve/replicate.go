@@ -196,13 +196,10 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, ErrDraining)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
 	var req replicateRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := s.decodeBody(w, r, &req); err != nil {
 		s.rejected.Add(1)
-		WriteError(w, Validationf("body", "%v", err))
+		WriteError(w, err)
 		return
 	}
 	if req.DB == "" {
@@ -287,13 +284,10 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, ErrDraining)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
 	var req syncRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := s.decodeBody(w, r, &req); err != nil {
 		s.rejected.Add(1)
-		WriteError(w, Validationf("body", "%v", err))
+		WriteError(w, err)
 		return
 	}
 	if req.DB == "" || req.Peer == "" {
@@ -413,12 +407,15 @@ func (s *Server) replicateOut(ctx context.Context, db string, seq uint64, replic
 		if err == nil && resp.Gap {
 			resp, err = s.pushRecords(ctx, rep.url, db, s.reg.RecordsSince(db, resp.Have))
 		}
-		if err != nil || resp.Have < seq {
-			s.repBreakers.Failure(rep.id)
+		if err == nil && resp.Have < seq {
+			err = fmt.Errorf("serve: replica %s holds seq %d, want %d", rep.id, resp.Have, seq)
+		}
+		// A push cut off by the mutation's own deadline blames nobody.
+		s.repBreakers.Observe(ctx, rep.id, err)
+		if err != nil {
 			failed = append(failed, rep.id)
 			continue
 		}
-		s.repBreakers.Success(rep.id)
 		ok++
 	}
 	return ok, failed

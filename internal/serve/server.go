@@ -473,18 +473,10 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 
 	// Untrusted input path: size cap, strict JSON, full validation —
 	// all before any admission or evaluation work.
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
 	var req publishRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := s.decodeBody(w, r, &req); err != nil {
 		s.rejected.Add(1)
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			WriteError(w, mbe)
-			return
-		}
-		WriteError(w, Validationf("body", "%v", err))
+		WriteError(w, err)
 		return
 	}
 	// Deadline propagation: an upstream hop's remaining budget clamps
@@ -691,6 +683,17 @@ type warmRequest struct {
 	Pairs [][2]string `json:"pairs"`
 }
 
+// decodeBody strictly decodes r's JSON body into v: capped at
+// MaxBodyBytes, unknown fields rejected, failures typed by BodyError.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return BodyError(err)
+	}
+	return nil
+}
+
 // handleWarm primes the registry's per-(spec,db) state. Unknown pairs
 // are skipped, not errors: a hint can outlive a registry change, and a
 // stale hint must never fail a rebalance.
@@ -700,12 +703,9 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
 	var req warmRequest
-	if err := dec.Decode(&req); err != nil {
-		WriteError(w, Validationf("body", "%v", err))
+	if err := s.decodeBody(w, r, &req); err != nil {
+		WriteError(w, err)
 		return
 	}
 	n := 0

@@ -111,12 +111,19 @@ func TestPublishValidation(t *testing.T) {
 	})
 }
 
+// TestPublishBodyTooLarge: every JSON endpoint answers a body over
+// MaxBodyBytes with 413 too_large, never with a 400 that hides the cap.
 func TestPublishBodyTooLarge(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBodyBytes: 64})
-	status, _, body := post(t, ts, `{"spec":"tiny","db":"tinydb","cache":"`+strings.Repeat("x", 200)+`"}`)
-	info := decodeError(t, status, body)
-	if info.Kind != KindTooLarge {
-		t.Fatalf("kind %q, want %q", info.Kind, KindTooLarge)
+	big := `{"spec":"tiny","db":"tinydb","cache":"` + strings.Repeat("x", 200) + `"}`
+	for _, path := range []string{"/publish", "/mutate", "/replicate", "/sync", "/warm"} {
+		t.Run(strings.TrimPrefix(path, "/"), func(t *testing.T) {
+			resp, body := postJSON(t, http.DefaultClient, ts.URL+path, big)
+			info := decodeError(t, resp.StatusCode, body)
+			if info.Kind != KindTooLarge {
+				t.Fatalf("%s: kind %q, want %q", path, info.Kind, KindTooLarge)
+			}
+		})
 	}
 }
 

@@ -351,6 +351,45 @@ func TestSyncBidirectional(t *testing.T) {
 	}
 }
 
+// TestMutateReplicaDeadline: a replica push cut off by the mutation's
+// own deadline withholds the ack but is no evidence against the
+// replica, so however often the budget runs out its breaker never
+// opens.
+func TestMutateReplicaDeadline(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Drain the body first: only then does the server notice the
+		// sender hanging up and end the request.
+		_, _ = io.Copy(io.Discard, r.Body)
+		<-r.Context().Done()
+	}))
+	defer hung.Close()
+	for i := 0; i < 3; i++ {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/mutate", strings.NewReader(tinyMutate("insert", fmt.Sprintf("d%d", i))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set(HeaderReplicas, "h="+hung.URL)
+		req.Header.Set(HeaderDeadline, "50")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if info := decodeError(t, resp.StatusCode, body); info.Kind != KindTransient {
+			t.Fatalf("mutate %d: kind %q, want transient: %s", i, info.Kind, body)
+		}
+		if got := resp.Header.Get(HeaderReplicaFailed); got != "h" {
+			t.Fatalf("mutate %d: %s = %q, want \"h\"", i, HeaderReplicaFailed, got)
+		}
+	}
+	if m := s.Metrics(); m.BreakerOpens != 0 {
+		t.Fatalf("replica breaker opened %d times on budget deaths (open: %v)", m.BreakerOpens, m.BreakerOpen)
+	}
+}
+
 // TestMutateReplicasHeader: a mutation naming replicas is confirmed on
 // every reachable one before the ack; an unreachable replica is
 // reported in X-Ptserve-Replica-Failed, never silently dropped.
