@@ -86,7 +86,6 @@ func race[T any](c *Coordinator, ctx context.Context, prefs []MemberStatus, hedg
 		v      T
 		err    error
 		hedged bool
-		ctx    context.Context
 	}
 	results := make(chan result, len(prefs))
 	var cancels []context.CancelFunc // index = launch order
@@ -107,7 +106,7 @@ func race[T any](c *Coordinator, ctx context.Context, prefs []MemberStatus, hedg
 			cancels = append(cancels, cancel)
 			go func() {
 				v, err := try(actx, m)
-				results <- result{m: m, idx: idx, v: v, err: err, hedged: hedged, ctx: actx}
+				results <- result{m: m, idx: idx, v: v, err: err, hedged: hedged}
 			}()
 			return true
 		}
@@ -151,7 +150,9 @@ func race[T any](c *Coordinator, ctx context.Context, prefs []MemberStatus, hedg
 			launch(true)
 		case r := <-results:
 			inflight--
-			c.judge(r.ctx, r.m.ID, r.err)
+			// No attempt is canceled before its result lands here, so
+			// its context died only if ctx did.
+			c.judge(ctx, r.m.ID, r.err)
 			if r.err == nil {
 				if r.hedged {
 					c.hedgeWins.Add(1)
