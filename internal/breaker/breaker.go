@@ -123,7 +123,7 @@ func (s *Set) peer(id string) *entry {
 // breaker always allows. An open breaker refuses until its cooldown
 // elapses, then transitions to half-open and admits exactly one probe;
 // further calls are refused until that probe resolves via Success or
-// Failure.
+// Failure, or is handed back by an Observe without evidence.
 func (s *Set) Allow(id string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -193,12 +193,23 @@ func (s *Set) Failure(id string) {
 // caller shares: a nil err is a Success; an err that arrived after ctx
 // was done records nothing, because the caller's budget died, not the
 // peer; any other err is a Failure.
+//
+// A call without evidence may still hold the half-open probe slot its
+// Allow took. Observe hands that slot back (the breaker stays half-open
+// with its history intact), or the breaker would refuse every later
+// call with nothing left to resolve the probe.
 func (s *Set) Observe(ctx context.Context, id string, err error) {
 	switch {
 	case err == nil:
 		s.Success(id)
 	case ctx.Err() == nil:
 		s.Failure(id)
+	default:
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if e := s.peer(id); e.state == HalfOpen {
+			e.probing = false
+		}
 	}
 }
 

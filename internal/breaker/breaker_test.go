@@ -137,7 +137,8 @@ func TestBreakerIndependentPeers(t *testing.T) {
 
 // TestObserve pins the evidence rule: success closes, a failure under a
 // live context counts, and a failure after the context died (the
-// caller's budget ran out) counts for nothing.
+// caller's budget ran out) counts for nothing but hands back a held
+// half-open probe slot.
 func TestObserve(t *testing.T) {
 	s := NewSet(Config{Threshold: 1, Cooldown: time.Hour, Seed: 1})
 	dead, cancel := context.WithCancel(context.Background())
@@ -155,5 +156,24 @@ func TestObserve(t *testing.T) {
 	s.Observe(dead, "a", nil)
 	if st := s.State("a"); st != Closed {
 		t.Fatalf("success: state %v, want closed", st)
+	}
+
+	// A half-open probe cut off by its caller's budget hands the probe
+	// slot back: the breaker stays half-open, and the next call may probe.
+	q := NewSet(Config{Threshold: 1, Cooldown: time.Millisecond, Seed: 1})
+	q.Failure("a")
+	time.Sleep(5 * time.Millisecond)
+	if !q.Allow("a") {
+		t.Fatal("cooldown elapsed but the probe was refused")
+	}
+	q.Observe(dead, "a", boom)
+	if st := q.State("a"); st != HalfOpen || q.Opens() != 1 {
+		t.Fatalf("probe cut by the budget: state %v, opens %d; want half-open, 1", st, q.Opens())
+	}
+	if !q.Allow("a") {
+		t.Fatal("probe slot not handed back after a budget death")
+	}
+	if q.Allow("a") {
+		t.Fatal("second concurrent probe admitted")
 	}
 }

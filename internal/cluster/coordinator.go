@@ -563,10 +563,9 @@ type coordFlight struct {
 }
 
 // readPost admits one proxied POST: the method, the drain state, the
-// size-capped body and its time budget, resolved BEFORE routing — an
-// upstream hop's X-Ptx-Deadline wins (we are mid-chain and must only
-// ever shrink), then the body's own limits.timeout_ms, then
-// ForwardBudget. On failure it has already answered.
+// size-capped body and the budget an upstream hop's X-Ptx-Deadline
+// propagated (0: none; we are mid-chain and must only ever shrink it).
+// On failure it has already answered.
 func (c *Coordinator) readPost(w http.ResponseWriter, r *http.Request) ([]byte, time.Duration, bool) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -582,16 +581,10 @@ func (c *Coordinator) readPost(w http.ResponseWriter, r *http.Request) ([]byte, 
 		serve.WriteError(w, serve.BodyError(err))
 		return nil, 0, false
 	}
-	budget, hasHdr, err := serve.ParseDeadline(r.Header)
+	budget, _, err := serve.ParseDeadline(r.Header)
 	if err != nil {
 		serve.WriteError(w, err)
 		return nil, 0, false
-	}
-	if !hasHdr {
-		budget = c.cfg.ForwardBudget
-		if _, _, ms := routingPair(body); ms > 0 {
-			budget = time.Duration(ms) * time.Millisecond
-		}
 	}
 	return body, budget, true
 }
@@ -600,6 +593,14 @@ func (c *Coordinator) handlePublish(w http.ResponseWriter, r *http.Request) {
 	body, budget, ok := c.readPost(w, r)
 	if !ok {
 		return
+	}
+	// Resolve the time budget BEFORE routing: the propagated header
+	// wins, then the body's own limits.timeout_ms, then ForwardBudget.
+	if budget == 0 {
+		budget = c.cfg.ForwardBudget
+		if _, _, ms := routingPair(body); ms > 0 {
+			budget = time.Duration(ms) * time.Millisecond
+		}
 	}
 	// The run key doubles as the dedup key: byte-identical bodies are
 	// one logical run, cluster-wide.

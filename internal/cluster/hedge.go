@@ -73,8 +73,9 @@ func (c *Coordinator) judge(ctx context.Context, id string, err error) {
 //
 // Every attempt runs under its own context. The first success wins: it
 // is returned with its context's cancel, which the caller calls once
-// done with the value. Every other attempt is canceled, and a late
-// success among them is handed to release (nil: nothing to release).
+// done with the value. Every other attempt is canceled and its late
+// result still judged; a late success among them is handed to release
+// (nil: nothing to release).
 // attempts counts the winner and the failures before it; hedged reports
 // whether the hedged attempt won. When no member answers, race returns
 // ErrNoReady, or a canceled error if ctx died first.
@@ -83,6 +84,7 @@ func race[T any](c *Coordinator, ctx context.Context, prefs []MemberStatus, hedg
 	type result struct {
 		m      MemberStatus
 		idx    int
+		ctx    context.Context // the attempt's own
 		v      T
 		err    error
 		hedged bool
@@ -106,26 +108,31 @@ func race[T any](c *Coordinator, ctx context.Context, prefs []MemberStatus, hedg
 			cancels = append(cancels, cancel)
 			go func() {
 				v, err := try(actx, m)
-				results <- result{m: m, idx: idx, v: v, err: err, hedged: hedged}
+				results <- result{m: m, idx: idx, ctx: actx, v: v, err: err, hedged: hedged}
 			}()
 			return true
 		}
 		return false
 	}
-	// abandon cancels every attempt but keep (-1: none) and hands the
-	// late successes of those still in flight to release.
+	// abandon cancels every attempt but keep (-1: none). The late
+	// results of those still in flight are judged under their own,
+	// now canceled, contexts: a late failure blames nobody but hands
+	// back the half-open probe slot its Allow may hold. A late success
+	// is handed to release.
 	abandon := func(keep int) {
 		for i, cancel := range cancels {
 			if i != keep {
 				cancel()
 			}
 		}
-		if release == nil || inflight == 0 {
+		if inflight == 0 {
 			return
 		}
 		go func(n int) {
 			for ; n > 0; n-- {
-				if r := <-results; r.err == nil {
+				r := <-results
+				c.judge(r.ctx, r.m.ID, r.err)
+				if r.err == nil && release != nil {
 					release(r.v)
 				}
 			}

@@ -64,10 +64,14 @@ func (c *Coordinator) replicasHeader(prefs []MemberStatus) string {
 }
 
 func (c *Coordinator) handleMutate(w http.ResponseWriter, r *http.Request) {
-	// The coordinator waits budget+grace; the owner hears the raw budget.
+	// The budget is the propagated header's, else ForwardBudget. The
+	// coordinator waits budget+grace; the owner hears the raw budget.
 	body, budget, ok := c.readPost(w, r)
 	if !ok {
 		return
+	}
+	if budget == 0 {
+		budget = c.cfg.ForwardBudget
 	}
 	budgetDeadline := time.Now().Add(budget)
 	ctx, cancel := context.WithDeadline(c.baseCtx, budgetDeadline.Add(c.cfg.DeadlineGrace))

@@ -443,6 +443,39 @@ func TestWatchHedgesAroundPartition(t *testing.T) {
 	}
 }
 
+// TestHedgeLoserReleasesProbe: an attempt that holds its member's
+// half-open probe slot and loses the race to the hedge is canceled and
+// still judged, so its budget-less failure hands the slot back instead
+// of locking the member out of every later race and probe.
+func TestHedgeLoserReleasesProbe(t *testing.T) {
+	coord := New(Config{
+		ProbeInterval: -1,
+		Breaker:       breaker.Config{Threshold: 1, Cooldown: time.Millisecond},
+	})
+	t.Cleanup(coord.Close)
+	coord.breakers.Failure("a")
+	time.Sleep(5 * time.Millisecond) // past the cooldown: a's next call is the probe
+	prefs := []MemberStatus{{ID: "a"}, {ID: "b"}}
+	_, cancel, attempts, hedged, err := race(coord, context.Background(), prefs, time.Millisecond,
+		func(ctx context.Context, m MemberStatus) (int, error) {
+			if m.ID == "a" {
+				<-ctx.Done() // the probe dawdles until the race abandons it
+				return 0, ctx.Err()
+			}
+			return 1, nil
+		}, nil)
+	if err != nil || !hedged || attempts != 1 {
+		t.Fatalf("race: attempts %d, hedged %v, err %v; want a hedge win", attempts, hedged, err)
+	}
+	cancel()
+	waitFor(t, "the abandoned probe's slot to be handed back", func() bool {
+		return coord.breakers.Allow("a")
+	})
+	if st := coord.breakers.State("a"); st != breaker.HalfOpen {
+		t.Fatalf("a's breaker is %v after a canceled probe, want half-open", st)
+	}
+}
+
 // TestProberRespectsOpenBreaker pins satellite #2: once a member's
 // breaker opens, the health prober probes it on the breaker's half-open
 // schedule instead of every ProbeInterval — and the half-open probe is

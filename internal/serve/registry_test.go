@@ -287,11 +287,6 @@ func TestPairAdvancesOnWrite(t *testing.T) {
 	}
 }
 
-// TestPairKeepsSpecSchema: resolving a pair parses the database against
-// a private copy of the spec's schema. Relations a database mentions
-// beyond the spec must not leak into the registered spec (where they
-// would let /mutate deltas on them validate) or into other pairs, and
-// concurrent first resolutions must be race-free.
 // walRegistry returns a tiny/tinydb registry whose tinydb log holds
 // records first..last, replayed from a WAL — so first > 1 is the shape
 // a compacted WAL base leaves.
@@ -375,6 +370,11 @@ func TestRecordsSince(t *testing.T) {
 	}
 }
 
+// TestPairKeepsSpecSchema: resolving a pair parses the database against
+// a private copy of the spec's schema. Relations a database mentions
+// beyond the spec must not leak into the registered spec (where they
+// would let /mutate deltas on them validate) or into other pairs, and
+// concurrent first resolutions must be race-free.
 func TestPairKeepsSpecSchema(t *testing.T) {
 	spec, db := exampleSources(t)
 	reg := NewRegistry()

@@ -15,7 +15,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"ptx/internal/breaker"
 	"ptx/internal/runctl"
 	"ptx/internal/wal"
 )
@@ -387,6 +389,54 @@ func TestMutateReplicaDeadline(t *testing.T) {
 	}
 	if m := s.Metrics(); m.BreakerOpens != 0 {
 		t.Fatalf("replica breaker opened %d times on budget deaths (open: %v)", m.BreakerOpens, m.BreakerOpen)
+	}
+}
+
+// TestMutateReplicaDeadlineReleasesProbe: a half-open replica whose
+// probe push is cut off by the mutation's deadline is not locked out.
+// The probe slot is handed back, so the next mutation pushes to the
+// replica again, and once it answers the ack goes out.
+func TestMutateReplicaDeadlineReleasesProbe(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	_, live := newTestServer(t, Config{})
+	s.repBreakers = breaker.NewSet(breaker.Config{Threshold: 1, Cooldown: time.Millisecond})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		<-r.Context().Done()
+	}))
+	defer hung.Close()
+	s.repBreakers.Failure("h")
+	time.Sleep(5 * time.Millisecond) // past the cooldown: h's next push is the probe
+
+	mutate := func(val, url, deadline string) (*http.Response, []byte) {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/mutate", strings.NewReader(tinyMutate("insert", val)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set(HeaderReplicas, "h="+url)
+		if deadline != "" {
+			req.Header.Set(HeaderDeadline, deadline)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp, body
+	}
+	resp, body := mutate("d0", hung.URL, "50")
+	if info := decodeError(t, resp.StatusCode, body); info.Kind != KindTransient || resp.Header.Get(HeaderReplicaFailed) != "h" {
+		t.Fatalf("probe cut by the deadline: kind %q, %s = %q: %s", info.Kind, HeaderReplicaFailed, resp.Header.Get(HeaderReplicaFailed), body)
+	}
+	// h answers again: the next push is the re-admitted probe, not a
+	// fast failure behind a probe slot nobody will ever release.
+	if resp, body = mutate("d1", live.URL, ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("mutate after the canceled probe: status %d (%s = %q): %s", resp.StatusCode, HeaderReplicaFailed, resp.Header.Get(HeaderReplicaFailed), body)
+	}
+	if st := s.repBreakers.State("h"); st != breaker.Closed {
+		t.Fatalf("replica breaker %v after a confirmed push, want closed", st)
 	}
 }
 
