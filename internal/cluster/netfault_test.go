@@ -118,41 +118,38 @@ func TestPartitionStorm(t *testing.T) {
 		goldens[true] = canon
 	}
 
-	// The partitioner: seeded asymmetric link chaos while the storm
-	// runs. Each window picks one directional (from, to) link and either
-	// hard-partitions it (black hole), makes it refuse (fast-fail), or
-	// mangles its response bodies; after a short hold the link heals.
-	stopChaos := make(chan struct{})
-	chaosDone := make(chan struct{})
-	go func() {
-		defer close(chaosDone)
-		rng := rand.New(rand.NewSource(777))
-		for {
-			select {
-			case <-stopChaos:
-				mesh.HealAll()
-				return
-			case <-time.After(time.Duration(8+rng.Intn(12)) * time.Millisecond):
-			}
-			from := froms[rng.Intn(len(froms))]
-			to := hosts[rng.Intn(len(hosts))]
-			kind := rng.Intn(3)
-			switch kind {
-			case 0:
-				mesh.Partition(from, to)
-			case 1:
-				mesh.SetLink(from, to, netchaos.Faults{Refuse: 1})
-			case 2:
-				mesh.SetLink(from, to, netchaos.Faults{Reset: 0.4, Corrupt: 0.3, Truncate: 0.3})
-			}
-			select {
-			case <-stopChaos:
-			case <-time.After(time.Duration(8+rng.Intn(15)) * time.Millisecond):
-			}
-			mesh.Heal(from, to)
-			mesh.ClearLink(from, to)
+	// The partitioner: seeded asymmetric link chaos driven by the
+	// request schedule, not the wall clock, so it bites however fast the
+	// storm runs. Each window picks one directional (from, to) link and
+	// either hard-partitions it (black hole), makes it refuse
+	// (fast-fail), or mangles its response bodies; the next window heals
+	// it. The first window is installed before any client starts, and
+	// every windowEvery-th started request moves to the next one.
+	const windowEvery = 4
+	rng := rand.New(rand.NewSource(777))
+	var chaosMu sync.Mutex
+	var cut [2]string // the current window's link
+	nextWindow := func() {
+		chaosMu.Lock()
+		defer chaosMu.Unlock()
+		if cut[0] != "" {
+			mesh.Heal(cut[0], cut[1])
+			mesh.ClearLink(cut[0], cut[1])
 		}
-	}()
+		from := froms[rng.Intn(len(froms))]
+		to := hosts[rng.Intn(len(hosts))]
+		switch rng.Intn(3) {
+		case 0:
+			mesh.Partition(from, to)
+		case 1:
+			mesh.SetLink(from, to, netchaos.Faults{Refuse: 1})
+		case 2:
+			mesh.SetLink(from, to, netchaos.Faults{Reset: 0.4, Corrupt: 0.3, Truncate: 0.3})
+		}
+		cut = [2]string{from, to}
+	}
+	nextWindow()
+	var started atomic.Int64
 
 	type tally struct {
 		ok, mutOK, typed int
@@ -173,6 +170,9 @@ func TestPartitionStorm(t *testing.T) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			time.Sleep(time.Duration(1+seed%6) * time.Millisecond)
+			if started.Add(1)%windowEvery == 0 {
+				nextWindow()
+			}
 
 			mutation := seed%3 == 0
 			var path, body string
@@ -238,8 +238,7 @@ func TestPartitionStorm(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	close(stopChaos)
-	<-chaosDone
+	mesh.HealAll()
 
 	// Dual-ack check: a sequence number acked twice means two nodes both
 	// believed they were the database's sequence authority — the exact

@@ -2,7 +2,9 @@ package plan
 
 import (
 	"fmt"
+	"hash/maphash"
 	"strings"
+	"sync"
 
 	"ptx/internal/logic"
 	"ptx/internal/relation"
@@ -12,19 +14,145 @@ import (
 
 // exec is the transient state of one plan evaluation: the environment,
 // the active domain, the overlay of fixpoint stage relations shadowing
-// the environment, and a per-evaluation value interner so join keys and
-// dedup sets hash dense 4-byte ids instead of length-prefixed strings.
-// The domain, the overlay and the interner are built on first use: a
-// typical rule query (a register joined with base relations by index
-// probes) needs none of them.
+// the environment, and the scratch the operators carve their binding
+// sets, rows, column lists and hash indexes from. The domain and the
+// overlay are built on first use: a typical rule query (a register
+// joined with base relations by index probes) needs neither.
+//
+// The scratch is pooled. Plan.Eval takes an exec from execPool and
+// hands it back reset, so an evaluation in steady state allocates only
+// its result. The reuse rests on two invariants:
+//
+//   - Nothing carved from the scratch escapes its evaluation.
+//     Plan.Eval copies the result rows into a fresh slab before it
+//     returns, and nFixpoint's stage.Insert clones every row the stage
+//     keeps, so no binding set, row or index outlives the Eval (or the
+//     fixpoint iteration) that carved it.
+//   - An exec serves one evaluation at a time: the pool hands each Eval
+//     its own, so a Plan stays immutable and safe for concurrent Eval,
+//     and no two evaluations ever share scratch.
 type exec struct {
 	env     Env
 	ctl     *runctl.Controller
 	consts  []value.V
 	adom    []value.V
 	overlay map[string]*relation.Relation
-	in      *value.Interner
-	kbuf    []byte
+
+	vals  arena[value.V]   // row cells
+	vars  arena[logic.Var] // variable orders decided at run time
+	ints  arena[int]       // column lists and odometer digits
+	ops   arena[operand]   // nConj operands
+	flags arena[bool]      // nConj's applied and used marks
+	sets  []*bset          // binding sets, handed out in order
+	nsets int              // sets in use
+	build hindex           // the hash join's build side
+}
+
+var execPool = sync.Pool{New: func() any { return new(exec) }}
+
+// keepScratch caps, in elements, each buffer an exec keeps when it goes
+// back to the pool; a larger one, grown by an unusually big evaluation,
+// is dropped so the pool does not pin it.
+const keepScratch = 1 << 12
+
+func newExec(env Env, ctl *runctl.Controller, consts []value.V) *exec {
+	x := execPool.Get().(*exec)
+	x.env, x.ctl, x.consts = env, ctl, consts
+	return x
+}
+
+// release resets x and returns it to the pool. Every buffer is cleared
+// up to its used length, so a pooled exec pins no rows or relations.
+func (x *exec) release() {
+	x.env, x.ctl, x.consts, x.adom = nil, nil, nil, nil
+	clear(x.overlay)
+	x.vals.reset()
+	x.vars.reset()
+	x.ints.reset()
+	x.ops.reset()
+	x.flags.reset()
+	for _, b := range x.sets {
+		b.reset(nil)
+	}
+	x.nsets = 0
+	x.build.reset()
+	execPool.Put(x)
+}
+
+// arena hands out slices carved from one growing buffer. A full buffer
+// is replaced by a fresh one of twice the capacity, not copied: slices
+// already carved keep the old array alive for as long as they are used.
+type arena[T any] []T
+
+// take returns n elements, not necessarily zeroed, with capacity n.
+func (a *arena[T]) take(n int) []T {
+	b := *a
+	if len(b)+n > cap(b) {
+		b = make([]T, 0, max(2*cap(b), n, 64))
+	}
+	s := len(b)
+	*a = b[:s+n]
+	return b[s : s+n : s+n]
+}
+
+// spot is an arena position: the length in use and the capacity that
+// identifies the buffer.
+type spot struct{ n, cap int }
+
+func (a *arena[T]) spot() spot { return spot{len(*a), cap(*a)} }
+
+// rewind releases what was taken since p, unless the arena has moved
+// to a new buffer since (the old one then simply goes unused).
+func (a *arena[T]) rewind(p spot) {
+	if cap(*a) == p.cap {
+		clear((*a)[p.n:])
+		*a = (*a)[:p.n]
+	}
+}
+
+func (a *arena[T]) reset() {
+	clear(*a)
+	*a = (*a)[:0]
+	if cap(*a) > keepScratch {
+		*a = nil
+	}
+}
+
+// mark is a position of the whole scratch; rewinding to it releases
+// every set and slice handed out since.
+type mark struct {
+	nsets                        int
+	vals, vars, ints, ops, flags spot
+}
+
+func (x *exec) mark() mark {
+	return mark{x.nsets, x.vals.spot(), x.vars.spot(), x.ints.spot(), x.ops.spot(), x.flags.spot()}
+}
+
+func (x *exec) rewind(m mark) {
+	x.nsets = m.nsets
+	x.vals.rewind(m.vals)
+	x.vars.rewind(m.vars)
+	x.ints.rewind(m.ints)
+	x.ops.rewind(m.ops)
+	x.flags.rewind(m.flags)
+}
+
+// row returns a row of width w carved from the scratch.
+func (x *exec) row(w int) value.Tuple { return x.vals.take(w) }
+
+// cols returns an empty column list with room for n columns.
+func (x *exec) cols(n int) []int { return x.ints.take(n)[:0] }
+
+// set hands out an empty binding set over vars.
+func (x *exec) set(vars []logic.Var) *bset {
+	if x.nsets == len(x.sets) {
+		x.sets = append(x.sets, new(bset))
+	}
+	b := x.sets[x.nsets]
+	x.nsets++
+	b.reset(vars)
+	return b
 }
 
 func (x *exec) lookup(name string) (*relation.Relation, bool) {
@@ -43,71 +171,144 @@ func (x *exec) domain() []value.V {
 	return x.adom
 }
 
-func (x *exec) interner() *value.Interner {
-	if x.in == nil {
-		x.in = value.NewInterner()
-	}
-	return x.in
+// hindex is a hash index over a list of rows: rows whose key columns
+// hash alike are chained, newest first, and a lookup walks the chain
+// comparing the key columns, so a collision costs a comparison, never
+// a wrong answer. Its map is cleared, not remade, between uses.
+type hindex struct {
+	head map[uint64]int32 // hash → 1 + the newest row entered under it
+	next []int32          // row i → 1 + the previous row under its hash; 0 ends
 }
 
-// pack encodes a tuple as interned ids into the shared key buffer;
-// equal tuples of equal arity get equal bytes within one execution.
-// The result is valid until the next pack.
-func (x *exec) pack(t value.Tuple) []byte {
-	x.kbuf = x.interner().AppendTupleID(x.kbuf[:0], t)
-	return x.kbuf
+func (h *hindex) reset() {
+	if len(h.head) > keepScratch {
+		h.head = nil
+	}
+	if h.head == nil {
+		h.head = make(map[uint64]int32)
+	}
+	clear(h.head)
+	h.next = h.next[:0]
+	if cap(h.next) > keepScratch {
+		h.next = nil
+	}
+}
+
+// add enters the next row (rows are entered in order 0, 1, …) under
+// hash k.
+func (h *hindex) add(k uint64) {
+	h.next = append(h.next, h.head[k])
+	h.head[k] = int32(len(h.next))
+}
+
+var hashSeed = maphash.MakeSeed()
+
+const hashInit = 0xcbf29ce484222325
+
+func mix(h uint64, v value.V) uint64 {
+	return (h ^ maphash.String(hashSeed, string(v))) * 0x100000001b3
+}
+
+func hashRow(t value.Tuple) uint64 {
+	h := uint64(hashInit)
+	for _, v := range t {
+		h = mix(h, v)
+	}
+	return h
+}
+
+// hashCols hashes t's values at cols.
+func hashCols(t value.Tuple, cols []int) uint64 {
+	h := uint64(hashInit)
+	for _, c := range cols {
+		h = mix(h, t[c])
+	}
+	return h
+}
+
+func sameRow(a, b value.Tuple) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // bset is a set of assignments over a fixed variable order. Rows are
 // owned by the set once added and never mutated afterwards, so derived
 // sets may share them. Scans, joins, probes, filters, expansions and
 // complements produce distinct rows by construction and append them
-// directly; keys, the dedup index over the rows, is built only where
+// directly; idx, the dedup index over the rows, is built only where
 // duplicates can arise (add, in project and union) or where rows are
 // looked up (has, for complements and ¬ probes).
 type bset struct {
-	vars []logic.Var
-	rows []value.Tuple
-	keys map[string]struct{}
+	vars    []logic.Var
+	rows    []value.Tuple
+	idx     hindex
+	indexed bool
 }
 
-func newBset(vars []logic.Var) *bset { return &bset{vars: vars} }
-
-func (b *bset) index(x *exec) {
-	b.keys = make(map[string]struct{}, len(b.rows))
-	for _, r := range b.rows {
-		b.keys[string(x.pack(r))] = struct{}{}
+func (b *bset) reset(vars []logic.Var) {
+	clear(b.rows)
+	b.vars, b.rows, b.indexed = vars, b.rows[:0], false
+	if cap(b.rows) > keepScratch {
+		b.rows = nil
 	}
+	if len(b.idx.head) > keepScratch {
+		b.idx = hindex{}
+	}
+}
+
+func (b *bset) index() {
+	b.idx.reset()
+	for _, r := range b.rows {
+		b.idx.add(hashRow(r))
+	}
+	b.indexed = true
+}
+
+// find reports whether a row equal to t, hashed to h, is in b.
+func (b *bset) find(t value.Tuple, h uint64) bool {
+	for i := b.idx.head[h]; i != 0; i = b.idx.next[i-1] {
+		if sameRow(b.rows[i-1], t) {
+			return true
+		}
+	}
+	return false
 }
 
 // add appends t unless an equal row is already present.
-func (b *bset) add(x *exec, t value.Tuple) {
-	if b.keys == nil {
-		b.index(x)
+func (b *bset) add(t value.Tuple) {
+	if !b.indexed {
+		b.index()
 	}
-	k := x.pack(t)
-	if _, ok := b.keys[string(k)]; ok {
+	h := hashRow(t)
+	if b.find(t, h) {
 		return
 	}
-	b.keys[string(k)] = struct{}{}
+	b.idx.add(h)
 	b.rows = append(b.rows, t)
 }
 
 // has reports whether t is a row of b.
-func (b *bset) has(x *exec, t value.Tuple) bool {
-	if b.keys == nil {
-		b.index(x)
+func (b *bset) has(t value.Tuple) bool {
+	if !b.indexed {
+		b.index()
 	}
-	_, ok := b.keys[string(x.pack(t))]
-	return ok
+	return b.find(t, hashRow(t))
 }
 
-func unitBset() *bset { return &bset{rows: []value.Tuple{{}}} }
+func (x *exec) unit() *bset {
+	b := x.set(nil)
+	b.rows = append(b.rows, value.Tuple{})
+	return b
+}
 
 // joinVars is the output variable order of a join: l's variables
 // followed by r's new ones.
-func joinVars(l, r []logic.Var) []logic.Var {
-	out := make([]logic.Var, 0, len(l)+len(r))
+func (x *exec) joinVars(l, r []logic.Var) []logic.Var {
+	out := x.vars.take(len(l) + len(r))[:0]
 	out = append(out, l...)
 	for _, v := range r {
 		if varPos(l, v) < 0 {
@@ -132,44 +333,54 @@ func varPos(vs []logic.Var, v logic.Var) int {
 // variables are l's followed by r's new ones. Rows of l and r are
 // distinct, so the joined rows are too.
 func (x *exec) join(l, r *bset) (*bset, error) {
-	var sharedL, sharedR, rOnlyCols []int
+	sharedL, sharedR, rOnly := x.cols(len(r.vars)), x.cols(len(r.vars)), x.cols(len(r.vars))
 	for i, v := range r.vars {
 		if li := varPos(l.vars, v); li >= 0 {
 			sharedL = append(sharedL, li)
 			sharedR = append(sharedR, i)
 		} else {
-			rOnlyCols = append(rOnlyCols, i)
+			rOnly = append(rOnly, i)
 		}
 	}
-	out := newBset(joinVars(l.vars, r.vars))
-	in := x.interner()
-	build := make(map[string][]value.Tuple, len(r.rows))
-	var kb []byte
+	out := x.set(x.joinVars(l.vars, r.vars))
+	w := len(out.vars)
+	x.build.reset()
 	for _, rt := range r.rows {
-		kb = kb[:0]
-		for _, c := range sharedR {
-			kb = in.AppendID(kb, rt[c])
-		}
-		build[string(kb)] = append(build[string(kb)], rt)
+		x.build.add(hashCols(rt, sharedR))
 	}
 	for _, lt := range l.rows {
 		if err := x.ctl.Tick(); err != nil {
 			return nil, err
 		}
-		kb = kb[:0]
-		for _, c := range sharedL {
-			kb = in.AppendID(kb, lt[c])
-		}
-		for _, rt := range build[string(kb)] {
-			row := make(value.Tuple, 0, len(out.vars))
-			row = append(row, lt...)
-			for _, c := range rOnlyCols {
-				row = append(row, rt[c])
+	chain:
+		for i := x.build.head[hashCols(lt, sharedL)]; i != 0; i = x.build.next[i-1] {
+			rt := r.rows[i-1]
+			for j, c := range sharedR {
+				if rt[c] != lt[sharedL[j]] {
+					continue chain
+				}
+			}
+			row := x.row(w)
+			n := copy(row, lt)
+			for j, c := range rOnly {
+				row[n+j] = rt[c]
 			}
 			out.rows = append(out.rows, row)
 		}
 	}
 	return out, nil
+}
+
+// odometer steps digits, each in [0, n), to the next combination, the
+// last digit fastest, and reports false after the last one.
+func odometer(digits []int, n int) bool {
+	for i := len(digits) - 1; i >= 0; i-- {
+		if digits[i]++; digits[i] < n {
+			return true
+		}
+		digits[i] = 0
+	}
+	return false
 }
 
 // expand extends every row with all assignments of the missing
@@ -178,34 +389,27 @@ func (x *exec) expand(b *bset, missing []logic.Var) (*bset, error) {
 	if len(missing) == 0 {
 		return b, nil
 	}
-	outVars := make([]logic.Var, 0, len(b.vars)+len(missing))
-	outVars = append(outVars, b.vars...)
-	outVars = append(outVars, missing...)
-	out := newBset(outVars)
+	outVars := x.vars.take(len(b.vars) + len(missing))
+	copy(outVars[copy(outVars, b.vars):], missing)
+	out := x.set(outVars)
 	adom := x.domain()
-	row := make(value.Tuple, len(outVars))
-	base := len(b.vars)
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(missing) {
-			if err := x.ctl.Tick(); err != nil {
-				return err
-			}
-			out.rows = append(out.rows, row.Clone())
-			return nil
-		}
-		for _, d := range adom {
-			row[base+i] = d
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-		}
-		return nil
+	if len(adom) == 0 {
+		return out, nil
 	}
+	base := len(b.vars)
+	digits := x.ints.take(len(missing))
 	for _, t := range b.rows {
-		copy(row, t)
-		if err := rec(0); err != nil {
-			return nil, err
+		clear(digits)
+		for more := true; more; more = odometer(digits, len(adom)) {
+			if err := x.ctl.Tick(); err != nil {
+				return nil, err
+			}
+			row := x.row(len(outVars))
+			copy(row, t)
+			for i, d := range digits {
+				row[base+i] = adom[d]
+			}
+			out.rows = append(out.rows, row)
 		}
 	}
 	return out, nil
@@ -213,31 +417,27 @@ func (x *exec) expand(b *bset, missing []logic.Var) (*bset, error) {
 
 // complement returns adom^k minus b, over the same variables.
 func (x *exec) complement(b *bset) (*bset, error) {
-	out := newBset(b.vars)
+	out := x.set(b.vars)
 	adom := x.domain()
 	k := len(b.vars)
-	cand := make(value.Tuple, k)
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == k {
-			if err := x.ctl.Tick(); err != nil {
-				return err
-			}
-			if !b.has(x, cand) {
-				out.rows = append(out.rows, cand.Clone())
-			}
-			return nil
-		}
-		for _, d := range adom {
-			cand[i] = d
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-		}
-		return nil
+	if k > 0 && len(adom) == 0 {
+		return out, nil
 	}
-	if err := rec(0); err != nil {
-		return nil, err
+	digits := x.ints.take(k)
+	clear(digits)
+	cand := x.row(k)
+	for more := true; more; more = odometer(digits, len(adom)) {
+		if err := x.ctl.Tick(); err != nil {
+			return nil, err
+		}
+		for i, d := range digits {
+			cand[i] = adom[d]
+		}
+		if !b.has(cand) {
+			row := x.row(k)
+			copy(row, cand)
+			out.rows = append(out.rows, row)
+		}
 	}
 	return out, nil
 }
@@ -247,15 +447,15 @@ func (x *exec) complement(b *bset) (*bset, error) {
 // them distinct and skips the dedup set, and so does a projection whose
 // rows go straight to Plan.Eval's sort (keepDups).
 func (x *exec) project(b *bset, cols []int, out []logic.Var, keepDups bool) *bset {
-	nb := newBset(out)
+	nb := x.set(out)
 	dedup := !keepDups && len(cols) < len(b.vars)
 	for _, t := range b.rows {
-		row := make(value.Tuple, len(cols))
+		row := x.row(len(cols))
 		for i, c := range cols {
 			row[i] = t[c]
 		}
 		if dedup {
-			nb.add(x, row)
+			nb.add(row)
 		} else {
 			nb.rows = append(nb.rows, row)
 		}
@@ -270,7 +470,7 @@ type nUnit struct{}
 
 func (*nUnit) vars() []logic.Var { return nil }
 
-func (*nUnit) exec(x *exec) (*bset, error) { return unitBset(), nil }
+func (*nUnit) exec(x *exec) (*bset, error) { return x.unit(), nil }
 
 func (*nUnit) explain(sb *strings.Builder, d int) {
 	indent(sb, d)
@@ -282,7 +482,7 @@ type nEmpty struct{}
 
 func (*nEmpty) vars() []logic.Var { return nil }
 
-func (*nEmpty) exec(x *exec) (*bset, error) { return newBset(nil), nil }
+func (*nEmpty) exec(x *exec) (*bset, error) { return x.set(nil), nil }
 
 func (*nEmpty) explain(sb *strings.Builder, d int) {
 	indent(sb, d)
@@ -328,7 +528,11 @@ func (n *nScan) exec(x *exec) (*bset, error) {
 
 // resolve looks the atom's relation up and checks its arity.
 func (n *nScan) resolve(x *exec) (*relation.Relation, error) {
-	rel, ok := x.lookup(n.rel)
+	return n.check(x.lookup(n.rel))
+}
+
+// check reports a failed lookup or an arity mismatch.
+func (n *nScan) check(rel *relation.Relation, ok bool) (*relation.Relation, error) {
 	if !ok {
 		return nil, fmt.Errorf("eval: unknown relation %q in atom %s", n.rel, n.atom)
 	}
@@ -374,7 +578,7 @@ func (n *nScan) matches(t value.Tuple) bool {
 }
 
 func (n *nScan) scan(x *exec, rel *relation.Relation) (*bset, error) {
-	out := newBset(n.out)
+	out := x.set(n.out)
 	for _, t := range n.candidates(rel) {
 		if err := x.ctl.Tick(); err != nil {
 			return nil, err
@@ -386,7 +590,7 @@ func (n *nScan) scan(x *exec, rel *relation.Relation) (*bset, error) {
 			out.rows = append(out.rows, t)
 			continue
 		}
-		asg := make(value.Tuple, len(n.out))
+		asg := x.row(len(n.out))
 		for i, p := range n.varFirst {
 			asg[i] = t[p]
 		}
@@ -401,17 +605,19 @@ func (n *nScan) scan(x *exec, rel *relation.Relation) (*bset, error) {
 // other shared variables on each fetched tuple. Output variables are
 // cur's followed by the atom's new ones.
 func (n *nScan) probe(x *exec, cur *bset, rel *relation.Relation, col, from int) (*bset, error) {
-	var checks [][2]int // (relation column, cur column) of the other shared variables
-	var newCols []int
+	// checks holds (relation column, cur column) pairs of the other
+	// shared variables.
+	checks, newCols := x.cols(2*len(n.out)), x.cols(len(n.out))
 	for i, v := range n.out {
 		c := n.varFirst[i]
 		if ci := varPos(cur.vars, v); ci < 0 {
 			newCols = append(newCols, c)
 		} else if c != col {
-			checks = append(checks, [2]int{c, ci})
+			checks = append(checks, c, ci)
 		}
 	}
-	out := newBset(joinVars(cur.vars, n.out))
+	out := x.set(x.joinVars(cur.vars, n.out))
+	w := len(out.vars)
 	for _, lt := range cur.rows {
 	tuples:
 		for _, t := range rel.Lookup(col, lt[from]) {
@@ -421,15 +627,15 @@ func (n *nScan) probe(x *exec, cur *bset, rel *relation.Relation, col, from int)
 			if !n.matches(t) {
 				continue
 			}
-			for _, c := range checks {
-				if t[c[0]] != lt[c[1]] {
+			for i := 0; i < len(checks); i += 2 {
+				if t[checks[i]] != lt[checks[i+1]] {
 					continue tuples
 				}
 			}
-			row := make(value.Tuple, 0, len(out.vars))
-			row = append(row, lt...)
-			for _, c := range newCols {
-				row = append(row, t[c])
+			row := x.row(w)
+			k := copy(row, lt)
+			for i, c := range newCols {
+				row[k+i] = t[c]
 			}
 			out.rows = append(out.rows, row)
 		}
@@ -523,7 +729,7 @@ func (o *operand) materialize(x *exec) (*bset, error) {
 // would read, by scanning op and hash-joining otherwise.
 func (x *exec) joinOperand(cur *bset, op *operand) (*bset, error) {
 	if len(cur.rows) == 0 {
-		return newBset(joinVars(cur.vars, op.vars())), nil
+		return x.set(x.joinVars(cur.vars, op.vars())), nil
 	}
 	if op.scan != nil && len(cur.rows) < op.size {
 		for i, v := range op.scan.out {
@@ -540,7 +746,7 @@ func (x *exec) joinOperand(cur *bset, op *operand) (*bset, error) {
 }
 
 func (n *nConj) exec(x *exec) (*bset, error) {
-	ops := make([]operand, len(n.positives))
+	ops := x.ops.take(len(n.positives))
 	for i, p := range n.positives {
 		if s, ok := p.(*nScan); ok {
 			rel, err := s.resolve(x)
@@ -556,7 +762,8 @@ func (n *nConj) exec(x *exec) (*bset, error) {
 		}
 		ops[i] = operand{set: b, size: len(b.rows)}
 	}
-	applied := make([]bool, len(n.filters))
+	applied := x.flags.take(len(n.filters))
+	clear(applied)
 	covered := func(cur *bset, f *filter) bool {
 		for _, v := range f.frees {
 			if varPos(cur.vars, v) < 0 {
@@ -586,10 +793,11 @@ func (n *nConj) exec(x *exec) (*bset, error) {
 
 	var cur *bset
 	var err error
-	used := make([]bool, len(ops))
+	used := x.flags.take(len(ops))
+	clear(used)
 	remaining := len(ops)
 	if remaining == 0 {
-		cur = unitBset()
+		cur = x.unit()
 	} else {
 		best := 0
 		for i := 1; i < len(ops); i++ {
@@ -657,9 +865,11 @@ func (n *nConj) exec(x *exec) (*bset, error) {
 	if varsEqual(cur.vars, n.out) {
 		return cur, nil
 	}
-	proj, err := projection(cur.vars, n.out)
-	if err != nil {
-		return nil, err
+	proj := x.ints.take(len(n.out))
+	for i, v := range n.out {
+		// Every output variable is bound by now: a positive conjunct or
+		// a filter binds each.
+		proj[i] = varPos(cur.vars, v)
 	}
 	return x.project(cur, proj, n.out, false), nil
 }
@@ -683,7 +893,7 @@ func (x *exec) applyFilter(cur *bset, f *filter) (*bset, error) {
 		want := f.kind == fEq
 		lc, lv := termCol(f.l, cur.vars)
 		rc, rv := termCol(f.r, cur.vars)
-		out := newBset(cur.vars)
+		out := x.set(cur.vars)
 		for _, row := range cur.rows {
 			l, r := lv, rv
 			if lc >= 0 {
@@ -707,19 +917,19 @@ func (x *exec) applyFilter(cur *bset, f *filter) (*bset, error) {
 			if len(sub.rows) == 0 {
 				return cur, nil
 			}
-			return newBset(cur.vars), nil
+			return x.set(cur.vars), nil
 		}
-		cols := make([]int, len(sub.vars))
+		cols := x.ints.take(len(sub.vars))
 		for i, v := range sub.vars {
 			cols[i] = varPos(cur.vars, v)
 		}
-		out := newBset(cur.vars)
-		probe := make(value.Tuple, len(cols))
+		out := x.set(cur.vars)
+		probe := x.row(len(cols))
 		for _, row := range cur.rows {
 			for i, c := range cols {
 				probe[i] = row[c]
 			}
-			if !sub.has(x, probe) {
+			if !sub.has(probe) {
 				out.rows = append(out.rows, row)
 			}
 		}
@@ -750,19 +960,17 @@ func (x *exec) coverEq(cur *bset, f *filter) (*bset, error) {
 			} else {
 				uv, src = f.l.(logic.Var), f.r
 			}
-			outVars := make([]logic.Var, 0, len(cur.vars)+1)
-			outVars = append(outVars, cur.vars...)
-			outVars = append(outVars, uv)
-			out := newBset(outVars)
+			outVars := x.vars.take(len(cur.vars) + 1)
+			outVars[copy(outVars, cur.vars)] = uv
+			out := x.set(outVars)
 			sc, sv := termCol(src, cur.vars)
 			for _, row := range cur.rows {
 				v := sv
 				if sc >= 0 {
 					v = row[sc]
 				}
-				nr := make(value.Tuple, 0, len(row)+1)
-				nr = append(nr, row...)
-				nr = append(nr, v)
+				nr := x.row(len(row) + 1)
+				nr[copy(nr, row)] = v
 				out.rows = append(out.rows, nr)
 			}
 			cur = out
@@ -813,7 +1021,7 @@ type nUnion struct {
 func (n *nUnion) vars() []logic.Var { return n.out }
 
 func (n *nUnion) exec(x *exec) (*bset, error) {
-	out := newBset(n.out)
+	out := x.set(n.out)
 	for _, side := range []struct {
 		child node
 		miss  []logic.Var
@@ -827,14 +1035,14 @@ func (n *nUnion) exec(x *exec) (*bset, error) {
 			return nil, err
 		}
 		for _, t := range b.rows {
-			row := make(value.Tuple, len(side.proj))
+			row := x.row(len(side.proj))
 			for i, c := range side.proj {
 				row[i] = t[c]
 			}
 			if n.keepDups {
 				out.rows = append(out.rows, row)
 			} else {
-				out.add(x, row)
+				out.add(row)
 			}
 		}
 	}
@@ -871,7 +1079,7 @@ func (n *nProject) exec(x *exec) (*bset, error) {
 		return nil, err
 	}
 	if n.vacuous && len(x.domain()) == 0 {
-		return newBset(n.out), nil
+		return x.set(n.out), nil
 	}
 	return x.project(b, n.cols, n.out, n.keepDups), nil
 }
@@ -977,7 +1185,7 @@ func (n *nFixpoint) exec(x *exec) (*bset, error) {
 			delete(x.overlay, n.rel)
 		}
 	}()
-	row := make(value.Tuple, len(n.fvars))
+	row := x.row(len(n.fvars))
 	for iter := 1; ; iter++ {
 		// Termination over the finite active domain is guaranteed, but
 		// the iteration count is only bounded by |adom|^k — enforce the
@@ -985,6 +1193,7 @@ func (n *nFixpoint) exec(x *exec) (*bset, error) {
 		if err := x.ctl.FixpointIter(iter); err != nil {
 			return nil, err
 		}
+		m := x.mark()
 		b, err := n.body.exec(x)
 		if err != nil {
 			return nil, err
@@ -1001,6 +1210,9 @@ func (n *nFixpoint) exec(x *exec) (*bset, error) {
 				grew = true
 			}
 		}
+		// The stage cloned every row it kept, so the iteration's scratch
+		// is free for the next one.
+		x.rewind(m)
 		if !grew {
 			break
 		}

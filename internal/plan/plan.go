@@ -20,11 +20,19 @@
 //   - fixpoint bodies are compiled once and re-executed per iteration
 //     against the growing stage relation;
 //   - operators whose rows are distinct by construction skip hashing:
-//     only nested projections and unions deduplicate, interning data
-//     values to dense ids so keys are 4-byte packed ids instead of
-//     length-prefixed strings; the result itself is deduplicated once,
-//     by the sort relation.Build does. The active domain is computed
-//     only when an operator reads it.
+//     only nested projections and unions deduplicate; the result itself
+//     is deduplicated once, by the sort relation.Build does. The active
+//     domain is computed only when an operator reads it;
+//   - operators work in pooled per-evaluation scratch (see exec): binding
+//     sets, a row arena, hash-join and dedup indexes and operand lists
+//     are reused across evaluations, and no row carved from the scratch
+//     outlives its evaluation, so an evaluation allocates only its
+//     result, one exact-size slab of rows;
+//   - a query that is one atom of distinct variables, possibly under a
+//     non-vacuous ∃, with every head variable in the atom (τ1's
+//     register items, the counter's root rule) compiles to the
+//     single-atom operator: a copy of the head columns of the relation's
+//     sorted tuples, never the relation itself.
 //
 // Plans run behind eval.EvalQuery (cached per query) and eval.Eval
 // (compiled per call). The other evaluator, eval.EvalQueryNaive, is
@@ -65,6 +73,11 @@ type Plan struct {
 	root    node
 	missing []logic.Var // head variables the root does not produce
 	proj    []int       // head-order columns into root.vars ++ missing
+	// atom, when set, replaces root: the query is one atom of distinct
+	// variables, possibly under a non-vacuous ∃, with every head
+	// variable in it, so the result is the head columns (proj, into the
+	// relation) of the atom's relation.
+	atom *nScan
 }
 
 // node is one operator of the compiled tree. vars() is the fixed
@@ -82,11 +95,15 @@ func Compile(q *logic.Query) (*Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	root, err := compileNode(logic.NNF(q.F))
+	f := logic.NNF(q.F)
+	head := q.Head()
+	if s, cols := singleAtom(f, head); s != nil {
+		return &Plan{head: head, atom: s, proj: cols}, nil
+	}
+	root, err := compileNode(f)
 	if err != nil {
 		return nil, err
 	}
-	head := q.Head()
 	rv := root.vars()
 	missing := varsMissing(head, rv)
 	all := make([]logic.Var, 0, len(rv)+len(missing))
@@ -111,7 +128,9 @@ func Compile(q *logic.Query) (*Plan, error) {
 // Eval executes the plan against env and returns the result relation
 // over the query head, identical to eval.EvalQueryNaive's. The result
 // is sealed (relation.Build): its rows are deduplicated once, by the
-// sort that puts them in canonical order.
+// sort that puts them in canonical order. The operators work in
+// pooled scratch (see exec), so the result — its rows copied into one
+// slab — is all an evaluation allocates once the pool is warm.
 func (p *Plan) Eval(env Env) (*relation.Relation, error) {
 	ctl := env.Control()
 	// Tick sampling means short evaluations may never probe the
@@ -119,30 +138,84 @@ func (p *Plan) Eval(env Env) (*relation.Relation, error) {
 	if err := ctl.Canceled(); err != nil {
 		return nil, err
 	}
-	x := &exec{env: env, ctl: ctl, consts: p.consts}
+	if p.atom != nil {
+		// A copy, never the relation itself: instance relations mutate
+		// (Instance.Apply) and results outlive the run in the memo.
+		rel, err := p.atom.check(env.Lookup(p.atom.rel))
+		if err != nil {
+			return nil, err
+		}
+		return result(ctl, rel.Sorted(), p.proj)
+	}
+	x := newExec(env, ctl, p.consts)
+	defer x.release()
 	b, err := p.root.exec(x)
 	if err != nil {
 		return nil, err
 	}
-	b, err = x.expand(b, p.missing)
-	if err != nil {
+	if b, err = x.expand(b, p.missing); err != nil {
 		return nil, err
 	}
-	rows := make([]value.Tuple, len(b.rows))
-	for j, t := range b.rows {
-		row := make(value.Tuple, len(p.proj))
-		for i, c := range p.proj {
+	return result(ctl, b.rows, p.proj)
+}
+
+// result copies the cols of rows into one exact-size slab and seals
+// them as a relation.
+func result(ctl *runctl.Controller, rows []value.Tuple, cols []int) (*relation.Relation, error) {
+	w := len(cols)
+	slab := make([]value.V, len(rows)*w)
+	out := make([]value.Tuple, len(rows))
+	for j, t := range rows {
+		if err := ctl.Tick(); err != nil {
+			return nil, err
+		}
+		row := slab[j*w : (j+1)*w : (j+1)*w]
+		for i, c := range cols {
 			row[i] = t[c]
 		}
-		rows[j] = row
+		out[j] = row
 	}
-	return relation.Build(len(p.head), rows), nil
+	return relation.Build(w, out), nil
+}
+
+// singleAtom recognizes a formula (in NNF) that is one atom, possibly
+// under ∃, with no constants, no repeated variables, every ∃-bound
+// variable in the atom (a vacuous ∃ depends on the active domain) and
+// every head variable free in it. It returns the atom's scan and the
+// head's columns in the atom's relation, or nil.
+func singleAtom(f logic.Formula, head []logic.Var) (*nScan, []int) {
+	var bound []logic.Var
+	for e, ok := f.(*logic.Exists); ok; e, ok = f.(*logic.Exists) {
+		bound = append(bound, e.Bound...)
+		f = e.F
+	}
+	a, ok := f.(*logic.Atom)
+	if !ok {
+		return nil, nil
+	}
+	s, err := compileScan(a)
+	if err != nil || !s.whole || len(varsMissing(bound, s.out)) > 0 {
+		return nil, nil
+	}
+	cols := make([]int, len(head))
+	for i, v := range head {
+		// s.whole: each variable's column is its position in s.out.
+		if cols[i] = varPos(s.out, v); cols[i] < 0 || varPos(bound, v) >= 0 {
+			return nil, nil
+		}
+	}
+	return s, cols
 }
 
 // Explain renders the operator tree for diagnostics and golden tests.
 func (p *Plan) Explain() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "plan head=%s\n", varList(p.head))
+	if p.atom != nil {
+		indent(&sb, 1)
+		fmt.Fprintf(&sb, "single-atom %s -> columns %v\n", p.atom.atom, p.proj)
+		return sb.String()
+	}
 	p.root.explain(&sb, 1)
 	if len(p.missing) > 0 {
 		indent(&sb, 1)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"ptx/internal/plan"
 	"ptx/internal/relation"
 	"ptx/internal/runctl"
+	"ptx/internal/value"
 )
 
 func x() logic.Var                   { return logic.Var("x") }
@@ -354,5 +356,211 @@ func TestPlanExplain(t *testing.T) {
 	}
 	if out := p2.Explain(); !strings.Contains(out, "[index col 0]") {
 		t.Fatalf("constant scan not index-backed:\n%s", out)
+	}
+}
+
+// TestSingleAtomDifferential: a query that is one atom of distinct
+// variables, possibly under a non-vacuous ∃, compiles to the
+// single-atom operator, a column copy of the relation; every other
+// shape falls back to the general plan. Both agree with the naive
+// evaluator.
+func TestSingleAtomDifferential(t *testing.T) {
+	cases := []struct {
+		name   string
+		q      *logic.Query
+		single bool
+	}{
+		{"identity", logic.MustQuery(vs("x", "y"), nil, logic.R("Reg2", x(), y())), true},
+		{"prefix", logic.MustQuery(vs("x"), nil,
+			&logic.Exists{Bound: vs("y"), F: logic.R("Reg2", x(), y())}), true},
+		{"suffix", logic.MustQuery(vs("y"), nil,
+			&logic.Exists{Bound: vs("x"), F: logic.R("Reg2", x(), y())}), true},
+		{"reorder", logic.MustQuery(vs("y"), vs("x"), logic.R("Reg2", x(), y())), true},
+		{"nested-exists", logic.MustQuery(vs("z"), nil,
+			&logic.Exists{Bound: vs("x"), F: &logic.Exists{Bound: vs("y"), F: logic.R("T", x(), z(), y())}}), true},
+		{"base-relation", logic.MustQuery(vs("x"), vs("y"), logic.R("E", x(), y())), true},
+		{"constant", logic.MustQuery(vs("x"), nil, logic.R("Reg2", x(), logic.Const("c"))), false},
+		{"repeated-var", logic.MustQuery(vs("x"), nil, logic.R("E", x(), x())), false},
+		{"missing-head-var", logic.MustQuery(vs("x", "y"), nil, logic.R("A", x())), false},
+		{"vacuous-exists", logic.MustQuery(vs("x", "y"), nil,
+			&logic.Exists{Bound: vs("z"), F: logic.R("E", x(), y())}), false},
+	}
+	envs := map[string]*eval.Env{
+		"reg": regEnv(),
+		// Every relation is empty and so is the active domain: the
+		// single-atom copy yields nothing, and a vacuous ∃ is false.
+		"empty": eval.NewEnv(emptyInstance()).
+			WithRelation("Reg2", relation.New(2)).
+			WithRelation("T", relation.New(3)),
+	}
+	for _, tc := range cases {
+		p, err := plan.Compile(tc.q)
+		if err != nil {
+			t.Fatalf("compile %s: %v", tc.q, err)
+		}
+		if got := strings.Contains(p.Explain(), "single-atom"); got != tc.single {
+			t.Errorf("%s: single-atom operator = %v, want %v:\n%s", tc.name, got, tc.single, p.Explain())
+		}
+		for ename, env := range envs {
+			t.Run(tc.name+"/"+ename, func(t *testing.T) { diff(t, tc.q, env) })
+		}
+	}
+}
+
+// TestSingleAtomCopiesRelation: the single-atom operator returns a copy,
+// never the looked-up relation, so mutating the instance afterwards
+// (Instance.Apply, as live views do) leaves an earlier result as it was.
+func TestSingleAtomCopiesRelation(t *testing.T) {
+	inst := graphInstance()
+	q := logic.MustQuery(vs("x", "y"), nil, logic.R("E", x(), y()))
+	p, err := plan.Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.Eval(eval.NewEnv(inst))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == inst.Rel("E") {
+		t.Fatal("Eval returned the instance's relation itself")
+	}
+	before := got.String()
+	d := (&relation.Delta{}).Insert("E", "d", "d").Delete("E", "a", "b")
+	if _, err := inst.Apply(d); err != nil {
+		t.Fatal(err)
+	}
+	if after := got.String(); after != before {
+		t.Fatalf("result changed under an instance delta: %s, was %s", after, before)
+	}
+}
+
+// TestSingleAtomAllocsConstant: the single-atom operator copies the
+// register's columns into one slab, so its allocations do not grow
+// with the register.
+func TestSingleAtomAllocsConstant(t *testing.T) {
+	q := logic.MustQuery(vs("x"), nil, &logic.Exists{Bound: vs("y"), F: logic.R("Reg2", x(), y())})
+	p, err := plan.Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(n int) float64 {
+		rows := make([]value.Tuple, n)
+		for i := range rows {
+			rows[i] = value.Tuple{value.V(fmt.Sprintf("c%04d", i)), value.V(fmt.Sprintf("t%d", i))}
+		}
+		env := eval.NewEnv(emptyInstance()).WithRelation("Reg2", relation.Build(2, rows))
+		got, err := p.Eval(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != n {
+			t.Fatalf("n=%d: %d result rows", n, got.Len())
+		}
+		return testing.AllocsPerRun(50, func() {
+			if _, err := p.Eval(env); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, thousand := allocs(1), allocs(1000)
+	t.Logf("single-atom Eval: %.0f allocs at n=1, %.0f at n=1000", one, thousand)
+	if one != thousand {
+		t.Errorf("single-atom Eval allocates %.0f objects at n=1 but %.0f at n=1000", one, thousand)
+	}
+}
+
+// TestPlanConcurrentScratch: concurrent evaluations of one plan each
+// get their own pooled scratch. Run under -race, with plans that use
+// every kind of scratch: hash joins, dedup sets, complements, fixpoint
+// stages and the single-atom copy.
+func TestPlanConcurrentScratch(t *testing.T) {
+	env := regEnv()
+	qs := []*logic.Query{
+		logic.MustQuery(vs("x"), vs("y", "z"),
+			logic.Conj(logic.R("E", x(), y()), logic.R("E", y(), z()), logic.NeqT(x(), z()))),
+		logic.MustQuery(vs("x"), nil, &logic.Exists{Bound: vs("y", "w"),
+			F: logic.Conj(logic.R("Reg", y()), logic.R("T", y(), x(), logic.Var("w")), logic.R("A", logic.Var("w")))}),
+		logic.MustQuery(vs("x"), vs("y"),
+			logic.Conj(logic.R("A", x()), &logic.Not{F: tcFix("S", x(), y(), x(), y())})),
+		logic.MustQuery(vs("y"), vs("x"), logic.R("Reg2", x(), y())),
+	}
+	for _, q := range qs {
+		p, err := plan.Compile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := eval.EvalQueryNaive(q, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, 8)
+		for i := range errs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				for range 50 {
+					got, err := p.Eval(env)
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					if !got.Equal(want) {
+						errs[i] = fmt.Errorf("%s: got %s, want %s", q, got, want)
+						return
+					}
+				}
+			}(i)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestPlanFreshScratch: an evaluation that starts on fresh scratch
+// (two garbage collections empty the pool) agrees with the naive
+// evaluator too. Fresh scratch hands out nil column lists where warm
+// scratch hands out empty ones, so a hash join with a zero-width right
+// side (a sentence or ⊤ joined after a one-row atom) as the
+// evaluation's first use of the scratch is a case of its own.
+func TestPlanFreshScratch(t *testing.T) {
+	env := eval.NewEnv(graphInstance()).WithRelation("One", relation.FromRows([]string{"a"}))
+	for _, q := range []*logic.Query{
+		logic.MustQuery(nil, nil, &logic.Exists{Bound: vs("x"), F: logic.Conj(logic.R("One", x()), logic.True)}),
+		logic.MustQuery(vs("x"), nil,
+			logic.Conj(logic.R("One", x()), &logic.Exists{Bound: vs("y"), F: logic.R("E", y(), y())})),
+		logic.MustQuery(vs("x"), vs("y"), logic.Conj(logic.R("A", x()), logic.R("A", y()))),
+	} {
+		runtime.GC()
+		runtime.GC()
+		diff(t, q, env)
+	}
+}
+
+// TestPlanFixpointScratchReuse: each fixpoint iteration hands its
+// scratch back to the next, and a fixpoint nested in another operator
+// rewinds only its own. A 40-node path needs 40 stages.
+func TestPlanFixpointScratchReuse(t *testing.T) {
+	s := relation.NewSchema().MustDeclare("A", 1).MustDeclare("E", 2)
+	inst := relation.NewInstance(s)
+	for i := 0; i < 40; i++ {
+		inst.Add("E", fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1))
+	}
+	for _, n := range []string{"n0", "n7", "n39"} {
+		inst.Add("A", n)
+	}
+	env := eval.NewEnv(inst)
+	for _, q := range []*logic.Query{
+		logic.MustQuery(vs("x"), vs("y"), tcFix("S", x(), y(), x(), y())),
+		logic.MustQuery(vs("y"), nil, &logic.Exists{Bound: vs("x"),
+			F: logic.Conj(logic.R("A", x()), tcFix("S", x(), y(), x(), y()))}),
+		logic.MustQuery(vs("x"), vs("y"),
+			logic.Conj(logic.R("A", x()), logic.R("A", y()), &logic.Not{F: tcFix("S", x(), y(), x(), y())})),
+	} {
+		diff(t, q, env)
 	}
 }

@@ -67,8 +67,15 @@ func TestWarmRunAllocsPerNode(t *testing.T) {
 	} else {
 		t.Logf("warm shared-memo run: %.2f allocs per node", got)
 	}
-	if got := perNode(pt.Options{}); got >= 30 {
-		t.Errorf("cache-off run: %.2f allocs per node, want < 30", got)
+	// Cache off, every rule query is evaluated (9.1 allocs per node
+	// measured). Under -race sync.Pool drops a random quarter of what
+	// is put back, so the pooled plan scratch is rebuilt more often.
+	coldBound := 10.0
+	if pt.RaceEnabled {
+		coldBound = 14
+	}
+	if got := perNode(pt.Options{}); got >= coldBound {
+		t.Errorf("cache-off run: %.2f allocs per node, want < %.0f", got, coldBound)
 	} else {
 		t.Logf("cache-off run: %.2f allocs per node", got)
 	}

@@ -129,26 +129,3 @@ func TestLookupIndexMaintenance(t *testing.T) {
 		t.Fatalf("Lookup(0,nope) = %v", got)
 	}
 }
-
-// TestInterner: dense ids are stable per value and packed tuple keys
-// are injective for a fixed arity.
-func TestInterner(t *testing.T) {
-	in := value.NewInterner()
-	a := in.ID("a")
-	if in.ID("a") != a {
-		t.Fatal("re-interning changed the id")
-	}
-	b := in.ID("b")
-	if a == b {
-		t.Fatal("distinct values share an id")
-	}
-	if in.Val(a) != "a" || in.Val(b) != "b" || in.Len() != 2 {
-		t.Fatalf("round-trip broken: %v %v len=%d", in.Val(a), in.Val(b), in.Len())
-	}
-	k1 := string(in.AppendTupleID(nil, value.Tuple{"a", "b"}))
-	k2 := string(in.AppendTupleID(nil, value.Tuple{"b", "a"}))
-	k3 := string(in.AppendTupleID(nil, value.Tuple{"a", "b"}))
-	if k1 == k2 || k1 != k3 {
-		t.Fatalf("packed keys not injective/stable: %q %q %q", k1, k2, k3)
-	}
-}

@@ -145,10 +145,17 @@ func Build(arity int, rows []value.Tuple) *Relation {
 			n++
 		}
 	}
-	rows = rows[:n:n]
-	r := &Relation{arity: arity}
-	r.sorted.Store(&rows)
-	return r
+	// One object holds the relation and its sorted slice header.
+	s := &sealed{rows: rows[:n:n]}
+	s.arity = arity
+	s.sorted.Store(&s.rows)
+	return &s.Relation
+}
+
+// sealed is the allocation behind a Build relation.
+type sealed struct {
+	Relation
+	rows []value.Tuple
 }
 
 // FromTuples builds a relation of the given arity containing ts.
@@ -355,10 +362,11 @@ func (r *Relation) Columns() [][]value.V {
 
 // GroupByPrefix splits r into one relation per distinct k-column
 // prefix, in the canonical order of the prefixes: each group holds the
-// tuples of r that share its prefix, at r's arity. k = 0 yields [r]
-// itself and an empty relation yields nil; k must not exceed the
-// arity. Each group is sealed: its tuples are a run of r's sorted
-// slice, with no hash set. The result is cached until the next
+// tuples of r that share its prefix, at r's arity. When every tuple
+// shares one k-prefix (always when k = 0) the result is [r] itself, an
+// empty relation yields nil, and k must not exceed the arity. Every
+// other group is sealed: its tuples are a run of r's sorted slice,
+// with no hash set. The result is cached until the next
 // mutation (one prefix width at a time) and shared between callers,
 // groups included: the slice and every group must be treated as
 // immutable. Callers that group the same relation repeatedly — the
@@ -374,9 +382,12 @@ func (r *Relation) GroupByPrefix(k int) []*Relation {
 	if g := r.groups.Load(); g != nil && g.k == k {
 		return g.groups
 	}
+	// The sorted order is lexicographic, so when the first and last
+	// tuples share the prefix every tuple does: r is its only group.
+	s := r.Sorted()
 	out := []*Relation{r}
-	if k > 0 {
-		out = prefixRuns(r.Sorted(), r.arity, k)
+	if !samePrefix(s[0], s[len(s)-1], k) {
+		out = prefixRuns(s, r.arity, k)
 	}
 	r.groups.Store(&grouping{k: k, groups: out})
 	return out
@@ -386,18 +397,27 @@ func (r *Relation) GroupByPrefix(k int) []*Relation {
 // equal k-prefixes. The sorted order is lexicographic, so tuples
 // sharing a k-prefix are adjacent and the prefixes arrive in canonical
 // order: a group ends where the prefix changes. Each group's sorted
-// slice is its run of s, so no tuple is copied or hashed.
+// slice is its run of s, so no tuple is copied or hashed, and the
+// groups and their run headers are two slabs, not one object each.
 func prefixRuns(s []value.Tuple, arity, k int) []*Relation {
-	var out []*Relation
-	for i := 0; i < len(s); {
+	n := 1
+	for i := 1; i < len(s); i++ {
+		if !samePrefix(s[i-1], s[i], k) {
+			n++
+		}
+	}
+	groups := make([]Relation, n)
+	runs := make([][]value.Tuple, n)
+	out := make([]*Relation, n)
+	for g, i := 0, 0; i < len(s); g++ {
 		j := i + 1
 		for j < len(s) && samePrefix(s[i], s[j], k) {
 			j++
 		}
-		g := &Relation{arity: arity}
-		run := s[i:j:j]
-		g.sorted.Store(&run)
-		out = append(out, g)
+		runs[g] = s[i:j:j]
+		groups[g].arity = arity
+		groups[g].sorted.Store(&runs[g])
+		out[g] = &groups[g]
 		i = j
 	}
 	return out
