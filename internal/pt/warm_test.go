@@ -72,7 +72,7 @@ func TestWarmRunAllocsPerNode(t *testing.T) {
 	// is put back, so the pooled plan scratch is rebuilt more often.
 	coldBound := 10.0
 	if pt.RaceEnabled {
-		coldBound = 14
+		coldBound = 12
 	}
 	if got := perNode(pt.Options{}); got >= coldBound {
 		t.Errorf("cache-off run: %.2f allocs per node, want < %.0f", got, coldBound)
