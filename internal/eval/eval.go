@@ -37,9 +37,9 @@ import (
 // the quantifiers range over.
 type Env struct {
 	inst *relation.Instance
-	// extra holds the extra relations sorted by name. It is never
-	// mutated in place (WithRelation copies it), so derived environments
-	// share it freely.
+	// extra holds the extra relations sorted by name. WithRelation
+	// copies it; only Rebind, on an Env its caller owns, writes it in
+	// place.
 	extra []namedRel
 	// ctl carries the run-control checkpoints (cancellation, fixpoint
 	// iteration budget) down into the evaluator; nil means unlimited.
@@ -112,6 +112,22 @@ func (e *Env) WithRelation(name string, rel *relation.Relation) *Env {
 	}
 	d.env = Env{inst: e.inst, extra: extra, ctl: e.ctl, instAdom: e.instAdom, dom: &d.dom, noPlan: e.noPlan}
 	return &d.env
+}
+
+// Rebind re-points name, which must already be an extra relation of e
+// (bound by WithRelation), at rel in place, so that a caller stepping
+// through many registers reuses one Env instead of deriving one per
+// register. It is valid only on an Env its caller owns alone: no
+// evaluation may be running on e, and Envs derived from e by
+// WithControl or WithoutPlanner see the new binding too. The domain
+// cache revalidates by the identity of each source's active-domain
+// slice, so a register with a different domain forces a re-merge.
+func (e *Env) Rebind(name string, rel *relation.Relation) {
+	i, ok := slices.BinarySearchFunc(e.extra, name, cmpNamed)
+	if !ok {
+		panic("eval: Rebind of unbound relation " + name)
+	}
+	e.extra[i].rel = rel
 }
 
 // WithControl returns a copy of the environment whose evaluations check

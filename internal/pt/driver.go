@@ -12,7 +12,8 @@ import (
 )
 
 // run is what every driver of one τ-run shares: the transducer, the
-// evaluation environment and its controller, and the query memo.
+// evaluation environment and its controller, the query memo, and the
+// expander every step of the run evaluates rules through.
 type run struct {
 	t      *Transducer
 	base   *eval.Env
@@ -22,6 +23,7 @@ type run struct {
 	// mode is the run's cache mode; memo is nil below CacheQueries.
 	mode CacheMode
 	memo *eval.Memo
+	x    expander
 }
 
 // newRun sets up a run of t over inst under ctx and opts. The caller
@@ -37,6 +39,7 @@ func (t *Transducer) newRun(ctx context.Context, inst *relation.Instance, opts O
 			r.memo = eval.NewMemo(opts.CacheSize)
 		}
 	}
+	r.x = expander{t: t, base: r.base, memo: r.memo}
 	return r
 }
 
@@ -73,26 +76,28 @@ type entry struct {
 // through StepRun incremental repair and supervision — expands through
 // it.
 //
-// The ancestor set of the stop condition is the CURRENT PATH: path holds
-// the configuration keys of the expanded nodes from just below baseDepth
-// down to the parent of the newest frontier entries, and anc holds
-// baseAnc plus path. Stepping an entry at depth d first unwinds the path
-// to depth d−1, so anc is then exactly that entry's proper ancestors. A
-// depth-d chain or comb therefore costs O(1) per node, with no
-// per-entry ancestor copies.
+// The ancestor set of the stop condition is the CURRENT PATH plus a
+// base: anc.path holds the configurations of the expanded nodes from
+// just below baseDepth down to the parent of the newest frontier
+// entries. Stepping an entry at depth d first unwinds the path to
+// depth d−1, so base and path are then exactly that entry's proper
+// ancestors. A depth-d chain or comb therefore costs O(1) per node,
+// with no per-entry ancestor copies. Path membership is a hash probe
+// confirmed by equality (configSet); no configuration key is built.
 //
 // Entries given to RestoreStepRun (seeds) carry their ancestors
-// explicitly, because incremental repair restores entries from
-// unrelated branches: stepping one unwinds the whole path and makes its
-// list the new base. Seeds lie below the frontier, so a seed is stepped
-// only once every entry pushed after it is done.
+// explicitly, as ConfigKey strings, because incremental repair restores
+// entries from unrelated branches: stepping one unwinds the whole path
+// and makes its list the new base. Only a non-empty base costs a
+// ConfigKey per step. Seeds lie below the frontier, so a seed is
+// stepped only once every entry pushed after it is done.
 type driver struct {
 	*run
 	frontier  []entry
 	seeds     []PendingConfig
-	path      []string
-	anc       map[string]bool
+	anc       configSet
 	baseAnc   []string
+	baseKeys  map[string]bool // baseAnc as a set; empty when baseAnc is
 	baseDepth int
 	observe   func(StepEvent)
 	tally
@@ -102,7 +107,7 @@ type driver struct {
 // depth 1, counted as the first node.
 func (r *run) start() (*xmltree.Node, *driver) {
 	root := &xmltree.Node{Tag: r.t.RootTag, State: r.t.Start, Reg: relation.New(0)}
-	d := &driver{run: r, anc: map[string]bool{}}
+	d := &driver{run: r, anc: newConfigSet()}
 	d.frontier = append(d.frontier, entry{root, 1})
 	d.nodes = 1
 	return root, d
@@ -137,13 +142,13 @@ func (d *driver) step() error {
 		return nil
 	}
 	// Stop condition (1): an ancestor repeats state, tag and register.
-	key := ConfigKey(state, n.Tag, n.Reg)
-	if d.anc[key] {
+	c := newConfig(state, n.Tag, n.Reg)
+	if d.anc.contains(c) || len(d.baseKeys) > 0 && d.baseKeys[ConfigKey(state, n.Tag, n.Reg)] {
 		d.stops++
 		d.commit(e, state, true)
 		return nil
 	}
-	specs, queries, err := d.t.ExpandConfig(state, n.Tag, n.Reg, d.base, d.memo)
+	specs, queries, err := d.x.expand(state, n.Tag, n.Reg)
 	if err != nil {
 		return err
 	}
@@ -165,7 +170,7 @@ func (d *driver) step() error {
 		n.Children[i] = &slab[i]
 	}
 	d.commit(e, state, false)
-	d.push(n, key, e.depth)
+	d.push(n, c, e.depth)
 	return nil
 }
 
@@ -180,22 +185,20 @@ func (d *driver) commit(e entry, state string, stopped bool) {
 	}
 }
 
-// push puts n, just expanded at depth under configuration key, on the
-// path and its children on the frontier, last child first so they are
+// push puts n, just expanded at depth in configuration c, on the path
+// and its children on the frontier, last child first so they are
 // stepped in document order.
-func (d *driver) push(n *xmltree.Node, key string, depth int) {
-	d.anc[key] = true
-	d.path = append(d.path, key)
+func (d *driver) push(n *xmltree.Node, c config, depth int) {
+	d.anc.push(c)
 	for i := len(n.Children) - 1; i >= 0; i-- {
 		d.frontier = append(d.frontier, entry{n.Children[i], depth + 1})
 	}
 }
 
-// unwind pops every path key deeper than depth off the ancestor set.
+// unwind pops every path configuration deeper than depth.
 func (d *driver) unwind(depth int) {
-	for len(d.path) > depth-d.baseDepth {
-		delete(d.anc, d.path[len(d.path)-1])
-		d.path = d.path[:len(d.path)-1]
+	for len(d.anc.path) > depth-d.baseDepth {
+		d.anc.pop()
 	}
 }
 
@@ -205,10 +208,13 @@ func (d *driver) unwind(depth int) {
 func (d *driver) reseed() {
 	s := d.seeds[len(d.seeds)-1]
 	d.seeds = d.seeds[:len(d.seeds)-1]
-	d.path = d.path[:0]
-	clear(d.anc)
+	d.anc.reset()
+	clear(d.baseKeys)
+	if len(s.Ancestors) > 0 && d.baseKeys == nil {
+		d.baseKeys = make(map[string]bool, len(s.Ancestors))
+	}
 	for _, k := range s.Ancestors {
-		d.anc[k] = true
+		d.baseKeys[k] = true
 	}
 	d.baseAnc, d.baseDepth = s.Ancestors, s.Depth-1
 	d.frontier = append(d.frontier, entry{s.Node, s.Depth})
@@ -216,8 +222,13 @@ func (d *driver) reseed() {
 
 // pending is the serializable frontier, bottom first: the seeds with
 // their own ancestors, then the frontier entries, whose ancestors are
-// the base plus the path above their depth.
+// the base plus the path above their depth. Each path configuration's
+// ConfigKey is built once per call.
 func (d *driver) pending() []PendingConfig {
+	path := make([]string, len(d.anc.path))
+	for i, c := range d.anc.path {
+		path[i] = ConfigKey(c.state, c.tag, c.reg)
+	}
 	out := make([]PendingConfig, 0, len(d.seeds)+len(d.frontier))
 	for _, s := range d.seeds {
 		keys := slices.Clone(s.Ancestors)
@@ -226,7 +237,7 @@ func (d *driver) pending() []PendingConfig {
 	}
 	for _, e := range d.frontier {
 		keys := append(make([]string, 0, len(d.baseAnc)+e.depth), d.baseAnc...)
-		keys = append(keys, d.path[:e.depth-1-d.baseDepth]...)
+		keys = append(keys, path[:e.depth-1-d.baseDepth]...)
 		sort.Strings(keys)
 		out = append(out, PendingConfig{Node: e.node, Ancestors: keys, Depth: e.depth})
 	}

@@ -28,20 +28,43 @@ type ChildSpec struct {
 // is first charged to base's run controller (cancellation, fault plan,
 // query budget); memo hits and repeats are free and charge nothing. A
 // missing or empty rule yields nil specs. The ancestor stop condition
-// and node accounting are the run driver's job (driver.step); the other
-// callers are OutputRelation's configuration walk and incremental
-// repair re-deriving a dirty node's specs.
+// and node accounting are the run driver's job (driver.step). The
+// driver and OutputRelation's configuration walk perform this step
+// through their run's expander; ExpandConfig, which incremental repair
+// calls to re-derive a dirty node's specs, builds a fresh register Env
+// and spec slice on every call.
 func (t *Transducer) ExpandConfig(state, tag string, reg *relation.Relation, base *eval.Env, memo *eval.Memo) ([]ChildSpec, int, error) {
+	x := expander{t: t, base: base, memo: memo}
+	return x.expand(state, tag, reg)
+}
+
+// expander performs ExpandConfig's rule step for one caller. A run
+// keeps one expander for all its steps: the register Env, built from
+// base on the first memo miss, is re-pointed at each later register in
+// place (eval.Env.Rebind; the run owns it alone), and the specs buffer
+// is reused, so the specs expand returns are valid only until its next
+// call and callers copy them out. ExpandConfig uses a fresh expander
+// per call.
+type expander struct {
+	t     *Transducer
+	base  *eval.Env
+	memo  *eval.Memo
+	env   *eval.Env
+	specs []ChildSpec
+}
+
+func (x *expander) expand(state, tag string, reg *relation.Relation) ([]ChildSpec, int, error) {
+	t := x.t
 	rule, ok := t.Rule(state, tag)
 	if !ok || len(rule.Items) == 0 {
 		return nil, 0, nil
 	}
-	var env *eval.Env // built on the first memo miss
+	bound := false // x.env binds RegRel to reg
 	var regFP string
-	if memo != nil {
+	if x.memo != nil {
 		regFP = reg.Key()
 	}
-	var specs []ChildSpec
+	specs := x.specs[:0]
 	var buf [8]*relation.Relation
 	results := buf[:0] // results[i]: item i's query result
 	queries := 0
@@ -49,20 +72,23 @@ func (t *Transducer) ExpandConfig(state, tag string, reg *relation.Relation, bas
 		var result *relation.Relation
 		if j := slices.IndexFunc(rule.Items[:i], func(p RHS) bool { return p.Query == it.Query }); j >= 0 {
 			result = results[j]
-		} else if memo != nil {
-			if rel, ok := memo.Get(it.Query, regFP); ok {
+		} else if x.memo != nil {
+			if rel, ok := x.memo.Get(it.Query, regFP); ok {
 				result = rel
 			}
 		}
 		if result == nil {
-			if err := base.Control().Query(); err != nil {
+			if err := x.base.Control().Query(); err != nil {
 				return nil, queries, err
 			}
 			queries++
-			if env == nil {
-				env = base.WithRelation(RegRel, reg)
+			if x.env == nil {
+				x.env = x.base.WithRelation(RegRel, reg)
+			} else if !bound {
+				x.env.Rebind(RegRel, reg)
 			}
-			rel, err := eval.EvalQuery(it.Query, env)
+			bound = true
+			rel, err := eval.EvalQuery(it.Query, x.env)
 			if err != nil {
 				return nil, queries, fmt.Errorf("pt %s: rule (%s,%s) item (%s,%s): %w",
 					t.Name, rule.State, rule.Tag, it.State, it.Tag, err)
@@ -70,8 +96,8 @@ func (t *Transducer) ExpandConfig(state, tag string, reg *relation.Relation, bas
 			// Memoizing before the caller commits the step is sound:
 			// entries are stored only after a successful evaluation, and
 			// determinism makes them valid whether or not it commits.
-			if memo != nil {
-				memo.Put(it.Query, regFP, rel)
+			if x.memo != nil {
+				x.memo.Put(it.Query, regFP, rel)
 			}
 			result = rel
 		}
@@ -88,6 +114,7 @@ func (t *Transducer) ExpandConfig(state, tag string, reg *relation.Relation, bas
 			specs = append(specs, ChildSpec{State: it.State, Tag: it.Tag, Reg: g})
 		}
 	}
+	x.specs = specs
 	return specs, queries, nil
 }
 

@@ -119,13 +119,16 @@ type Result struct {
 // from either package with errors.As.
 type ErrBudget = runctl.ErrBudget
 
-// ConfigKey identifies a (state, tag, register) configuration: the key
-// of the ancestor stop condition. relation.Key
+// ConfigKey identifies a (state, tag, register) configuration: the
+// persisted form of the ancestor stop condition's key, which checkpoints
+// (PendingConfig.Ancestors) and incremental repair use. relation.Key
 // is order-insensitive (registers are sets); sibling order is fixed
 // earlier, at grouping time. By determinism (Proposition 1(1)) the key
 // identifies the subtree a configuration generates over a fixed
 // database, which lets incremental repair (internal/incr) reuse an old
-// subtree whenever its key survives a delta unchanged.
+// subtree whenever its key survives a delta unchanged. Runs test
+// identity in memory by hash and equality instead (configSet), and
+// build ConfigKey only for a checkpoint or a restored entry's ancestors.
 func ConfigKey(state, tag string, reg *relation.Relation) string {
 	return state + "\x00" + tag + "\x00" + reg.Key()
 }
@@ -217,7 +220,8 @@ func (t *Transducer) OutputRelationContext(ctx context.Context, inst *relation.I
 	defer r.cancel()
 	out = relation.New(a)
 	level := []ChildSpec{{State: t.Start, Tag: t.RootTag, Reg: relation.New(0)}}
-	seen := map[string]bool{ConfigKey(t.Start, t.RootTag, level[0].Reg): true}
+	seen := newConfigSet() // pushed, never popped
+	seen.push(newConfig(t.Start, t.RootTag, level[0].Reg))
 	for depth := 1; len(level) > 0; depth++ {
 		var next []ChildSpec
 		for _, c := range level {
@@ -233,7 +237,7 @@ func (t *Transducer) OutputRelationContext(ctx context.Context, inst *relation.I
 			if c.Tag == xmltree.TextTag {
 				continue
 			}
-			specs, _, err := t.ExpandConfig(c.State, c.Tag, c.Reg, r.base, r.memo)
+			specs, _, err := r.x.expand(c.State, c.Tag, c.Reg)
 			if err != nil {
 				return nil, err
 			}
@@ -244,8 +248,8 @@ func (t *Transducer) OutputRelationContext(ctx context.Context, inst *relation.I
 			}
 			fresh := 0
 			for _, s := range specs {
-				if k := ConfigKey(s.State, s.Tag, s.Reg); !seen[k] {
-					seen[k] = true
+				if k := newConfig(s.State, s.Tag, s.Reg); !seen.contains(k) {
+					seen.push(k)
 					next = append(next, s)
 					fresh++
 				}

@@ -76,7 +76,7 @@ func (t *Transducer) RestoreStepRun(ctx context.Context, inst *relation.Instance
 			return nil, fmt.Errorf("pt: restore: pending[%d] depth %d < 1", i, p.Depth)
 		}
 	}
-	d := &driver{run: t.newRun(ctx, inst, opts), anc: map[string]bool{}}
+	d := &driver{run: t.newRun(ctx, inst, opts), anc: newConfigSet()}
 	d.seeds = slices.Clone(pending)
 	d.tally = tally{nodes: prior.Nodes, queries: prior.QueriesRun, stops: prior.StopsApplied, maxDepth: prior.MaxDepth}
 	return &StepRun{d: d, root: root}, nil

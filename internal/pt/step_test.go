@@ -389,3 +389,48 @@ func TestStepRunObserver(t *testing.T) {
 		})
 	}
 }
+
+// TestRestoredSeedStopsOnBaseAncestor: a restored entry's ancestors
+// arrive as ConfigKey strings, not on the driver's path. An entry whose
+// list holds its own key stops at once; the same entry restored
+// without it expands.
+func TestRestoredSeedStopsOnBaseAncestor(t *testing.T) {
+	tr, inst := registrar.Tau1(), registrar.SampleInstance()
+	restored := func(withSelf bool) (*pt.StepRun, *xmltree.Node) {
+		t.Helper()
+		sr, err := tr.NewStepRun(context.Background(), inst, pt.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sr.Close()
+		if _, err := sr.Step(); err != nil { // expand the root
+			t.Fatal(err)
+		}
+		pending := sr.Pending()
+		p := pending[len(pending)-1] // the next entry to step
+		if withSelf {
+			p.Ancestors = append(p.Ancestors, pt.ConfigKey(p.Node.State, p.Node.Tag, p.Node.Reg))
+		}
+		rs, err := tr.RestoreStepRun(context.Background(), inst, pt.Options{}, sr.Tree().Root, []pt.PendingConfig{p}, sr.StatsSoFar())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rs.Step(); err != nil {
+			t.Fatal(err)
+		}
+		return rs, p.Node
+	}
+
+	rs, n := restored(false)
+	defer rs.Close()
+	if len(n.Children) == 0 || rs.StatsSoFar().StopsApplied != 0 {
+		t.Fatalf("control: entry (%s) got %d children and %d stops, want children and no stop",
+			n.Tag, len(n.Children), rs.StatsSoFar().StopsApplied)
+	}
+	rs, n = restored(true)
+	defer rs.Close()
+	if len(n.Children) != 0 || rs.StatsSoFar().StopsApplied != 1 || !rs.Done() {
+		t.Fatalf("entry (%s) with its own key among its ancestors: %d children, %d stops, done %v; want a stop",
+			n.Tag, len(n.Children), rs.StatsSoFar().StopsApplied, rs.Done())
+	}
+}

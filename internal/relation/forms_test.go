@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ptx/internal/value"
@@ -19,6 +20,11 @@ func FuzzRelationForms(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 2, 3, 0, 1}, int64(2))
 	f.Add([]byte{0, 0, 0}, int64(3))
 	f.Add([]byte{3}, int64(4))
+	// Sealed and hashed pairs with several groups and near-equal
+	// neighbours, so Equal's sorted fast path meets unequal relations.
+	f.Add([]byte{1, 0, 1, 2, 3, 4, 5, 6}, int64(5))
+	f.Add([]byte{2, 5, 0, 5, 1, 6, 0, 6, 1, 0, 0}, int64(6))
+	f.Add([]byte{3, 0, 1, 2, 0, 1, 3, 2, 1, 0}, int64(7))
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
 		if len(data) == 0 {
 			return
@@ -88,6 +94,26 @@ func checkForms(t *testing.T, stage string, a, b *Relation, ref map[string]bool,
 	}
 	if !a.Equal(b) || !b.Equal(a) {
 		t.Fatalf("%s: Equal is false between equal forms", stage)
+	}
+	if a.Hash() != b.Hash() {
+		t.Fatalf("%s: Hash differ: %x vs %x", stage, a.Hash(), b.Hash())
+	}
+	// Equal against SubsetOf, on neighbours that may differ: the groups
+	// of a 1-prefix grouping, and sealed copies missing the first or the
+	// last tuple.
+	var others []*Relation
+	if len(as) > 0 {
+		others = append(a.GroupByPrefix(min(1, a.Arity())),
+			Build(a.Arity(), slices.Clone(as[1:])), Build(a.Arity(), slices.Clone(as[:len(as)-1])))
+	}
+	for i, o := range others {
+		for _, x := range []*Relation{a, b} {
+			want := x.SubsetOf(o) && o.SubsetOf(x)
+			if x.Equal(o) != want || o.Equal(x) != want || want != (x.Hash() == o.Hash()) {
+				t.Fatalf("%s: neighbour %d %v vs %v: Equal %v/%v, Hash equal %v, want %v",
+					stage, i, x, o, x.Equal(o), o.Equal(x), x.Hash() == o.Hash(), want)
+			}
+		}
 	}
 	probes := append([]value.Tuple(nil), as...)
 	for i := 0; i < 4; i++ {

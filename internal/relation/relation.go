@@ -9,6 +9,8 @@ package relation
 
 import (
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -26,11 +28,11 @@ import (
 // keyed by Tuple.Key. The hash set is built from the sorted slice on
 // the first mutation and never by a read, so every read works on
 // whichever form is present. Everything else — the fingerprint (Key),
-// the sorted slice of a hashed relation, the active domain, the
-// columnar layout, the prefix grouping and the per-column secondary
-// indexes (Lookup) — is built lazily and published atomically, so
-// concurrent READERS (runs whose trees share registers through one
-// query memo) are race-free. Mutation is not concurrency-safe: it
+// the hash (Hash), the sorted slice of a hashed relation, the active
+// domain, the columnar layout, the prefix grouping and the per-column
+// secondary indexes (Lookup) — is built lazily and published
+// atomically, so concurrent READERS (runs whose trees share registers
+// through one query memo) are race-free. Mutation is not concurrency-safe: it
 // invalidates the derived structures and maintains built indexes in
 // place, including for deltas applied through Instance.Apply.
 type Relation struct {
@@ -41,6 +43,8 @@ type Relation struct {
 	// fp caches the canonical fingerprint of Key; nil means "not
 	// computed". Mutators clear it.
 	fp atomic.Pointer[string]
+	// hash caches Hash; 0 means "not computed". Mutators clear it.
+	hash atomic.Uint64
 	// sorted holds the canonical order: the contents of a sealed
 	// relation, or a cache over the hash set. The slice is shared and
 	// never mutated after publication.
@@ -65,16 +69,19 @@ type colIndex struct {
 }
 
 // grouping is one cached GroupByPrefix result: the groups for prefix
-// width k.
+// width k. When r is its own only group, groups is one[:], so the
+// grouping is a single object.
 type grouping struct {
 	k      int
 	groups []*Relation
+	one    [1]*Relation
 }
 
 // touch invalidates every derived structure after a mutation except
 // the secondary indexes, which mutators maintain incrementally.
 func (r *Relation) touch() {
 	r.fp.Store(nil)
+	r.hash.Store(0)
 	r.sorted.Store(nil)
 	r.adom.Store(nil)
 	r.cols.Store(nil)
@@ -250,8 +257,10 @@ func (r *Relation) indexDelete(t value.Tuple) {
 // regardless of insertion order. Two relations r, o of any arities
 // satisfy r.Key() == o.Key() iff r.Equal(o).
 //
-// This is the register fingerprint used by the transducer run loop for
-// the ancestor stop condition and the memoization caches: it deliberately
+// This is the string register fingerprint: checkpoints and
+// incremental repair key configurations with it (pt.ConfigKey), and the
+// query memo keys results with it; a run tests configuration identity
+// in memory with Hash and Equal instead. It deliberately
 // forgets insertion order (registers are SETS — Section 2 of the paper),
 // while sibling order in the output tree is fixed separately by the
 // domain order ≤ on tuples at grouping time (see GroupByPrefix).
@@ -281,6 +290,43 @@ func (r *Relation) Key() string {
 	k := string(b)
 	r.fp.Store(&k)
 	return k
+}
+
+// hashSeed seeds every Hash. It is drawn once per process, so hashes
+// compare within a process and are never persisted (Key is the
+// persisted form).
+var hashSeed = maphash.MakeSeed()
+
+// Hash returns a 64-bit hash of the relation's arity and tuple set:
+// Key's injective length-prefixed encoding fed to hash/maphash instead
+// of a buffer. Equal relations hash equally regardless of insertion
+// order; unequal ones collide with probability about 2⁻⁶⁴, so a caller
+// that needs identity confirms a match with Equal. The hash is cached
+// until the next mutation. It allocates nothing on a sealed relation
+// or once Sorted is cached.
+func (r *Relation) Hash() uint64 {
+	if h := r.hash.Load(); h != 0 {
+		return h
+	}
+	var mh maphash.Hash
+	mh.SetSeed(hashSeed)
+	var num [20]byte
+	mh.Write(strconv.AppendInt(num[:0], int64(r.arity), 10))
+	mh.WriteByte('|')
+	for _, t := range r.Sorted() {
+		for _, v := range t {
+			mh.Write(strconv.AppendInt(num[:0], int64(len(v)), 10))
+			mh.WriteByte(':')
+			mh.WriteString(string(v))
+		}
+		mh.WriteByte(';')
+	}
+	h := mh.Sum64()
+	if h == 0 {
+		h = 1 // 0 marks an empty cache
+	}
+	r.hash.Store(h)
+	return h
 }
 
 // Contains reports whether t is in the relation: a hash lookup when the
@@ -385,12 +431,15 @@ func (r *Relation) GroupByPrefix(k int) []*Relation {
 	// The sorted order is lexicographic, so when the first and last
 	// tuples share the prefix every tuple does: r is its only group.
 	s := r.Sorted()
-	out := []*Relation{r}
-	if !samePrefix(s[0], s[len(s)-1], k) {
-		out = prefixRuns(s, r.arity, k)
+	g := &grouping{k: k}
+	if samePrefix(s[0], s[len(s)-1], k) {
+		g.one[0] = r
+		g.groups = g.one[:]
+	} else {
+		g.groups = prefixRuns(s, r.arity, k)
 	}
-	r.groups.Store(&grouping{k: k, groups: out})
-	return out
+	r.groups.Store(g)
+	return g.groups
 }
 
 // prefixRuns splits sorted tuples into one sealed relation per run of
@@ -481,9 +530,17 @@ func (r *Relation) Clone() *Relation {
 	return c
 }
 
-// Equal reports set equality of two relations of the same arity.
+// Equal reports set equality of two relations of the same arity. When
+// both sorted forms are present (always for sealed relations) it
+// compares them element-wise; otherwise it probes one in the other.
 func (r *Relation) Equal(o *Relation) bool {
-	return r.arity == o.arity && r.Len() == o.Len() && r.SubsetOf(o)
+	if r.arity != o.arity {
+		return false
+	}
+	if rs, os := r.sorted.Load(), o.sorted.Load(); rs != nil && os != nil {
+		return slices.EqualFunc(*rs, *os, slices.Equal[value.Tuple])
+	}
+	return r.Len() == o.Len() && r.SubsetOf(o)
 }
 
 // SubsetOf reports whether every tuple of r is in o.
