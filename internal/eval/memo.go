@@ -2,7 +2,6 @@ package eval
 
 import (
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -34,7 +33,7 @@ import (
 //     the cache for concurrently running siblings.
 type Memo struct {
 	mu  sync.Mutex
-	lru *lru.Cache[*relation.Relation]
+	lru *lru.Cache[memoKey, *relation.Relation]
 	ids map[*logic.Query]int64
 	nid int64
 	cap int
@@ -66,7 +65,7 @@ func NewMemo(capacity int) *Memo {
 		capacity = DefaultMemoSize
 	}
 	m := &Memo{ids: make(map[*logic.Query]int64), cap: capacity}
-	m.lru = lru.New[*relation.Relation](capacity, func(string, *relation.Relation) {
+	m.lru = lru.New[memoKey, *relation.Relation](capacity, func(memoKey, *relation.Relation) {
 		m.evictions.Add(1)
 	})
 	return m
@@ -99,7 +98,7 @@ func (m *Memo) syncLocked() bool {
 	}
 	m.invalidated.Add(int64(m.lru.Len()))
 	m.flushes.Add(1)
-	m.lru = lru.New[*relation.Relation](m.cap, func(string, *relation.Relation) {
+	m.lru = lru.New[memoKey, *relation.Relation](m.cap, func(memoKey, *relation.Relation) {
 		m.evictions.Add(1)
 	})
 	m.instVer = v
@@ -113,19 +112,16 @@ func (m *Memo) syncLocked() bool {
 func (m *Memo) Invalidate(pred func(*logic.Query) bool) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	dirty := make(map[string]bool)
+	dirty := make(map[int64]bool)
 	for q, id := range m.ids {
 		if pred(q) {
-			dirty[strconv.FormatInt(id, 10)] = true
+			dirty[id] = true
 		}
 	}
 	if len(dirty) == 0 {
 		return 0
 	}
-	n := m.lru.RemoveIf(func(k string) bool {
-		id, _, _ := strings.Cut(k, "|")
-		return dirty[id]
-	})
+	n := m.lru.RemoveIf(func(k memoKey) bool { return dirty[k.id] })
 	m.invalidated.Add(int64(n))
 	return n
 }
@@ -151,18 +147,26 @@ func (m *Memo) InvalidateRelations(names []string) int {
 	})
 }
 
+// memoKey is a cache key: a query's identity and a register
+// fingerprint, compared field by field, so building one allocates
+// nothing.
+type memoKey struct {
+	id  int64
+	reg string
+}
+
 // key builds the cache key for (query identity, register fingerprint).
 // Queries are identified by pointer: within one run the rule set is
 // fixed, so pointer identity is stable and cheaper than hashing the
 // formula rendering. Must be called with mu held.
-func (m *Memo) key(q *logic.Query, regFP string) string {
+func (m *Memo) key(q *logic.Query, regFP string) memoKey {
 	id, ok := m.ids[q]
 	if !ok {
 		m.nid++
 		id = m.nid
 		m.ids[q] = id
 	}
-	return strconv.FormatInt(id, 10) + "|" + regFP
+	return memoKey{id, regFP}
 }
 
 // Get returns the cached result of q against a register with the given

@@ -9,7 +9,7 @@
 // its rule queries, so a rule whose queries never mention a mutated
 // relation produces the same children as before (its register and the
 // untouched relations are its only inputs), and a child whose
-// configuration key survives a dirty parent's re-expansion unchanged
+// configuration survives a dirty parent's re-expansion unchanged
 // roots a subtree identical to what a full rebuild would generate —
 // every ancestor configuration on its path is also unchanged, so the
 // ancestor stop condition resolves identically too. Repair therefore:
@@ -18,7 +18,8 @@
 //     mention a relation the effective delta touched;
 //  2. walks the tree top-down, re-expanding only nodes governed by
 //     dirty rules, matching the new child specs against the old
-//     children by configuration key to reuse surviving subtrees;
+//     children by configuration (state, tag, register hash, confirmed
+//     by equality) to reuse surviving subtrees;
 //  3. expands genuinely new children through pt.RestoreStepRun with the
 //     view's memo, which still holds every result whose query the
 //     delta could not have changed (eval.Memo.InvalidateRelations).
@@ -35,8 +36,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
-	"strconv"
 	"sync"
 
 	"ptx/internal/eval"
@@ -77,14 +79,14 @@ type Options struct {
 	Run pt.Options
 }
 
-type ruleKey struct{ state, tag string }
-
 // nodeMeta is the per-node bookkeeping the tree itself cannot carry:
 // finalization erases State, and the stop condition's verdict is not
 // recorded anywhere else. stopped nodes never re-expand (their verdict
-// depends only on path configurations, which reuse preserves).
+// depends only on path configurations, which reuse preserves). rule is
+// an expandable node's rule (nil if none).
 type nodeMeta struct {
 	state   string
+	rule    *pt.Rule
 	stopped bool
 }
 
@@ -126,10 +128,10 @@ type View struct {
 
 	tree   *xmltree.Tree
 	meta   map[*xmltree.Node]nodeMeta
-	counts map[ruleKey]int // live expandable nodes per (state, tag)
-	total  int             // Σ counts
+	counts map[*pt.Rule]int // live expandable nodes per rule
+	total  int              // Σ counts
 
-	relRules map[string][]ruleKey // base relation → rules whose queries mention it
+	relRules map[string][]*pt.Rule // base relation → rules whose queries mention it
 
 	version uint64
 	queries int64
@@ -150,20 +152,16 @@ func NewView(ctx context.Context, tr *pt.Transducer, inst *relation.Instance, op
 		inst:     inst,
 		memo:     eval.NewMemo(opts.CacheSize),
 		opts:     opts,
-		relRules: make(map[string][]ruleKey),
+		relRules: make(map[string][]*pt.Rule),
 		notify:   make(chan struct{}),
 	}
 	v.memo.BindInstance(inst)
 	for _, r := range tr.Rules() {
-		rk := ruleKey{r.State, r.Tag}
-		seen := make(map[string]bool)
 		for _, it := range r.Items {
 			for _, rel := range logic.Relations(it.Query.F) {
-				if rel == pt.RegRel || seen[rel] {
-					continue
+				if rel != pt.RegRel && !slices.Contains(v.relRules[rel], r) {
+					v.relRules[rel] = append(v.relRules[rel], r)
 				}
-				seen[rel] = true
-				v.relRules[rel] = append(v.relRules[rel], rk)
 			}
 		}
 	}
@@ -172,6 +170,18 @@ func NewView(ctx context.Context, tr *pt.Transducer, inst *relation.Instance, op
 	}
 	v.version = 1
 	return v, nil
+}
+
+// record enters a node a run just finalized into meta and, if the node
+// is expandable, into counts and total.
+func (v *View) record(meta map[*xmltree.Node]nodeMeta, counts map[*pt.Rule]int, total *int, ev pt.StepEvent) {
+	m := nodeMeta{state: ev.State, stopped: ev.Stopped}
+	if ev.Node.Tag != xmltree.TextTag && !ev.Stopped {
+		m.rule, _ = v.tr.Rule(ev.State, ev.Node.Tag)
+		counts[m.rule]++
+		*total++
+	}
+	meta[ev.Node] = m
 }
 
 // runOpts derives the pt options for builds and frontier expansions:
@@ -184,13 +194,6 @@ func (v *View) runOpts() pt.Options {
 	return o
 }
 
-func (v *View) threshold() float64 {
-	if v.opts.RebuildThreshold == 0 {
-		return DefaultRebuildThreshold
-	}
-	return v.opts.RebuildThreshold
-}
-
 // rebuild re-derives the whole tree from the current instance. The new
 // tree and bookkeeping are committed only on success, so a failed
 // rebuild leaves the previous (possibly broken) state for the caller to
@@ -201,16 +204,8 @@ func (v *View) rebuild(ctx context.Context) error {
 		return err
 	}
 	defer sr.Close()
-	meta := make(map[*xmltree.Node]nodeMeta)
-	counts := make(map[ruleKey]int)
-	total := 0
-	sr.Observe(func(ev pt.StepEvent) {
-		meta[ev.Node] = nodeMeta{state: ev.State, stopped: ev.Stopped}
-		if ev.Node.Tag != xmltree.TextTag && !ev.Stopped {
-			counts[ruleKey{ev.State, ev.Node.Tag}]++
-			total++
-		}
-	})
+	meta, counts, total := make(map[*xmltree.Node]nodeMeta), make(map[*pt.Rule]int), 0
+	sr.Observe(func(ev pt.StepEvent) { v.record(meta, counts, &total, ev) })
 	res, err := sr.Run()
 	if err != nil {
 		return err
@@ -284,17 +279,20 @@ func (v *View) applyLocked(ctx context.Context, d *relation.Delta) (*Report, err
 	v.memo.BindInstance(v.inst)
 
 	rep := &Report{Delta: eff.String(), Effective: eff.Len()}
-	dirty := make(map[ruleKey]bool)
+	var dirty []*pt.Rule
+	est := 0
 	for _, rel := range eff.Rels() {
-		for _, rk := range v.relRules[rel] {
-			dirty[rk] = true
+		for _, r := range v.relRules[rel] {
+			if !slices.Contains(dirty, r) {
+				dirty = append(dirty, r)
+				est += v.counts[r]
+			}
 		}
 	}
-	est := 0
-	for rk := range dirty {
-		est += v.counts[rk]
+	th := v.opts.RebuildThreshold
+	if th == 0 {
+		th = DefaultRebuildThreshold
 	}
-	th := v.threshold()
 	full := v.broken ||
 		(th >= 0 && v.total > 0 && float64(est) > th*float64(v.total))
 	if !full && len(dirty) > 0 {
@@ -311,11 +309,8 @@ func (v *View) applyLocked(ctx context.Context, d *relation.Delta) (*Report, err
 			v.broken = true
 			return nil, fmt.Errorf("incr: rebuild after delta %s: %w", eff, err)
 		}
-		rep.FullRebuild = true
-		rep.Dirty, rep.Fresh, rep.Dropped = 0, 0, 0
-		rep.QueriesRun = int(v.queries - before)
-		rep.Paths = []string{v.rootPath()}
-		rep.Truncated = false
+		*rep = Report{Delta: rep.Delta, Effective: rep.Effective, FullRebuild: true,
+			QueriesRun: int(v.queries - before), Paths: []string{"/" + v.tree.Root.Tag + "[1]"}}
 	} else {
 		v.queries += int64(rep.QueriesRun)
 	}
@@ -331,103 +326,75 @@ func (v *View) applyLocked(ctx context.Context, d *relation.Delta) (*Report, err
 	return rep, nil
 }
 
-func (v *View) rootPath() string {
-	return "/" + v.tree.Root.Tag + "[1]"
+// frame is a node on the repair walk's path, with its state, its next
+// child to visit and its ConfigKey once a fresh descendant needed it.
+type frame struct {
+	n          *xmltree.Node
+	state, key string
+	next       int
 }
 
-func addPath(rep *Report, path string) {
-	if len(rep.Paths) >= maxReportPaths {
-		rep.Truncated = true
-		return
-	}
-	rep.Paths = append(rep.Paths, path)
+// walk is one repair's state. path is the DFS stack itself: the visited
+// node's ancestors. old and slot are reexpand's reused matching buffers.
+type walk struct {
+	v       *View
+	dirty   []*pt.Rule // a handful at most: scanned, not hashed
+	base    *eval.Env
+	rep     *Report
+	path    []frame
+	pending []pt.PendingConfig
+	old     []oldChild
+	slot    []int32 // hash bucket → first unused old index, or -1
+}
+
+type oldChild struct {
+	n     *xmltree.Node
+	state string
+	h     uint64 // register hash
+	next  int32  // next unused old index in the bucket, or -1
 }
 
 // repair is the surgical path: a top-down walk that re-expands exactly
 // the nodes governed by dirty rules, reusing every child whose
-// configuration key survives and collecting genuinely new children as a
-// frontier for RestoreStepRun.
-func (v *View) repair(ctx context.Context, dirty map[ruleKey]bool, rep *Report) error {
+// configuration survives and collecting genuinely new children as a
+// frontier for RestoreStepRun. A clean node costs a metadata lookup.
+func (v *View) repair(ctx context.Context, dirty []*pt.Rule, rep *Report) error {
 	ctl := runctl.New(ctx, runctl.Limits{})
 	base := eval.NewEnv(v.inst).WithControl(ctl)
 	if v.opts.Run.NoPlan {
 		base = base.WithoutPlanner()
 	}
-	anc := make(map[string]bool)
-	fresh := make(map[*xmltree.Node]bool)
-	var pending []pt.PendingConfig
-
-	// Iterative DFS: exit items pop the configuration key off the
-	// ancestor set, so the walk survives the depth-10⁶ regime.
-	type item struct {
-		n     *xmltree.Node
-		depth int
-		path  string
-		key   string // exit items: key to remove from anc
-		exit  bool
+	w := &walk{v: v, dirty: dirty, base: base, rep: rep}
+	if err := w.visit(v.tree.Root); err != nil {
+		return err
 	}
-	stack := []item{{n: v.tree.Root, depth: 1, path: v.rootPath()}}
-	steps := 0
-	for len(stack) > 0 {
-		it := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if it.exit {
-			delete(anc, it.key)
+	// Iterative (the depth-10⁶ regime), in document order.
+	for steps := 1; len(w.path) > 0; steps++ {
+		top := &w.path[len(w.path)-1]
+		if top.next == len(top.n.Children) {
+			w.path = w.path[:len(w.path)-1]
 			continue
 		}
-		if steps++; steps%1024 == 0 {
+		top.next++
+		if steps%1024 == 0 {
 			if err := ctl.Canceled(); err != nil {
 				return err
 			}
 		}
-		n := it.n
-		if n.Tag == xmltree.TextTag || fresh[n] {
-			continue
-		}
-		m, ok := v.meta[n]
-		if !ok {
-			return fmt.Errorf("incr: node <%s> at %s has no metadata", n.Tag, it.path)
-		}
-		if m.stopped {
-			continue
-		}
-		key := pt.ConfigKey(m.state, n.Tag, n.Reg)
-		if dirty[ruleKey{m.state, n.Tag}] {
-			changed, err := v.reexpand(n, m, key, it.depth, base, anc, fresh, &pending, rep)
-			if err != nil {
-				return err
-			}
-			if changed {
-				addPath(rep, it.path)
-			}
-		}
-		if len(n.Children) == 0 {
-			continue
-		}
-		anc[key] = true
-		stack = append(stack, item{exit: true, key: key})
-		// Children are pushed in reverse so the walk visits them in
-		// document order, keeping report paths deterministic.
-		paths := childPaths(it.path, n.Children)
-		for i := len(n.Children) - 1; i >= 0; i-- {
-			stack = append(stack, item{n: n.Children[i], depth: it.depth + 1, path: paths[i]})
+		if err := w.visit(top.n.Children[top.next-1]); err != nil {
+			return err
 		}
 	}
-
-	if len(pending) == 0 {
+	if len(w.pending) == 0 {
 		return nil
 	}
-	sr, err := v.tr.RestoreStepRun(ctx, v.inst, v.runOpts(), v.tree.Root, pending, pt.Stats{})
+	sr, err := v.tr.RestoreStepRun(ctx, v.inst, v.runOpts(), v.tree.Root, w.pending, pt.Stats{})
 	if err != nil {
 		return err
 	}
 	defer sr.Close()
 	sr.Observe(func(ev pt.StepEvent) {
-		v.meta[ev.Node] = nodeMeta{state: ev.State, stopped: ev.Stopped}
-		if ev.Node.Tag != xmltree.TextTag && !ev.Stopped {
-			v.counts[ruleKey{ev.State, ev.Node.Tag}]++
-			v.total++
-		}
+		v.record(v.meta, v.counts, &v.total, ev)
 		rep.Fresh++
 	})
 	res, err := sr.Run()
@@ -438,85 +405,124 @@ func (v *View) repair(ctx context.Context, dirty map[ruleKey]bool, rep *Report) 
 	return nil
 }
 
-// childPaths computes the canonical /tag[i] path of each child (index
-// counts same-tag siblings, 1-based, in document order).
-func childPaths(parent string, children []*xmltree.Node) []string {
-	idx := make(map[string]int, len(children))
-	out := make([]string, len(children))
-	for i, c := range children {
-		idx[c.Tag]++
-		out[i] = parent + "/" + c.Tag + "[" + strconv.Itoa(idx[c.Tag]) + "]"
+// visit re-expands n if a dirty rule governs it and pushes it if it has
+// children (a stopped node has neither). It skips text leaves and fresh
+// children, the only nodes still carrying a State (finalizing clears it).
+func (w *walk) visit(n *xmltree.Node) error {
+	if n.Tag == xmltree.TextTag || n.State != "" {
+		return nil
 	}
-	return out
+	m, ok := w.v.meta[n]
+	if !ok {
+		return fmt.Errorf("incr: node <%s> at %s has no metadata", n.Tag, w.pathTo())
+	}
+	if m.rule != nil && slices.Contains(w.dirty, m.rule) {
+		changed, err := w.reexpand(n, m)
+		if err != nil {
+			return err
+		}
+		if changed && len(w.rep.Paths) < maxReportPaths {
+			w.rep.Paths = append(w.rep.Paths, w.pathTo())
+		} else if changed {
+			w.rep.Truncated = true
+		}
+	}
+	if len(n.Children) > 0 {
+		w.path = append(w.path, frame{n: n, state: m.state})
+	}
+	return nil
 }
 
-// reexpand re-derives the children of a dirty node and reports whether
-// the child list actually changed. Old children are matched by
-// configuration key and reused by reference (sound by determinism —
-// see the package comment); unmatched specs become frontier entries for
-// the follow-up StepRun; unmatched old children are dropped.
-func (v *View) reexpand(n *xmltree.Node, m nodeMeta, key string, depth int, base *eval.Env, anc map[string]bool, fresh map[*xmltree.Node]bool, pending *[]pt.PendingConfig, rep *Report) (bool, error) {
-	specs, q, err := v.tr.ExpandConfig(m.state, n.Tag, n.Reg, base, v.memo)
+// pathTo builds the canonical /tag[i] path (i counts same-tag siblings,
+// 1-based) of the node being visited, the end of the path's frames.
+func (w *walk) pathTo() string {
+	b := []byte("/" + w.v.tree.Root.Tag + "[1]")
+	for _, f := range w.path {
+		c, k := f.n.Children[f.next-1], 1
+		for _, s := range f.n.Children[:f.next-1] {
+			if s.Tag == c.Tag {
+				k++
+			}
+		}
+		b = fmt.Appendf(b, "/%s[%d]", c.Tag, k)
+	}
+	return string(b)
+}
+
+// reexpand re-derives a dirty node's children and reports whether they
+// changed. Each spec reuses by reference the first unused old child, in
+// document order, with its configuration (sound by determinism — see the
+// package comment); the other specs become fresh frontier entries, and
+// unmatched old children are dropped. A list is rewritten in place if
+// its length holds, so an unchanged one costs no allocation.
+func (w *walk) reexpand(n *xmltree.Node, m nodeMeta) (bool, error) {
+	v, rep, old := w.v, w.rep, n.Children
+	specs, q, err := v.tr.ExpandConfig(m.state, n.Tag, n.Reg, w.base, v.memo)
 	rep.QueriesRun += q
 	if err != nil {
 		return false, err
 	}
 	rep.Dirty++
-	old := n.Children
-	if len(specs) == 0 && len(old) == 0 {
-		return false, nil
+	// Hash-bucket the old children into over twice as many slots, each
+	// chaining its entries in document order: N children match in O(N).
+	size := 2 << bits.Len(uint(len(old)))
+	w.slot = slices.Grow(w.slot[:0], size)[:size]
+	for i := range w.slot {
+		w.slot[i] = -1
 	}
-	oldByKey := make(map[string][]*xmltree.Node, len(old))
-	for _, c := range old {
-		cm, ok := v.meta[c]
+	w.old = slices.Grow(w.old[:0], len(old))[:len(old)]
+	for j := len(old) - 1; j >= 0; j-- {
+		cm, ok := v.meta[old[j]]
 		if !ok {
-			return false, fmt.Errorf("incr: child <%s> of <%s> has no metadata", c.Tag, n.Tag)
+			return false, fmt.Errorf("incr: child <%s> of <%s> has no metadata", old[j].Tag, n.Tag)
 		}
-		ck := pt.ConfigKey(cm.state, c.Tag, c.Reg)
-		oldByKey[ck] = append(oldByKey[ck], c)
+		h := old[j].Reg.Hash()
+		b := &w.slot[h&uint64(size-1)]
+		w.old[j], *b = oldChild{old[j], cm.state, h, *b}, int32(j)
 	}
-
-	// Ancestor key set for fresh children: the walk's current set plus
-	// this node's own key.
-	var ancKeys []string
-	lazyAnc := func() []string {
-		if ancKeys == nil {
-			ancKeys = make([]string, 0, len(anc)+1)
-			for k := range anc {
-				ancKeys = append(ancKeys, k)
-			}
-			ancKeys = append(ancKeys, key)
-		}
-		return ancKeys
+	changed, children := len(specs) != len(old), old
+	if changed {
+		children = make([]*xmltree.Node, len(specs))
 	}
-
-	changed := len(specs) != len(old)
-	children := make([]*xmltree.Node, 0, len(specs))
+	var anc []string // the fresh children's persisted ancestors: the path's keys and n's
 	for i, sp := range specs {
-		sk := pt.ConfigKey(sp.State, sp.Tag, sp.Reg)
-		if q := oldByKey[sk]; len(q) > 0 {
-			c := q[0]
-			oldByKey[sk] = q[1:]
-			children = append(children, c)
-			if i >= len(old) || old[i] != c {
-				changed = true
-			}
+		if j := w.take(sp); j >= 0 {
+			children[i], changed = w.old[j].n, changed || j != i
 			continue
 		}
-		f := &xmltree.Node{Tag: sp.Tag, State: sp.State, Reg: sp.Reg}
-		fresh[f] = true
-		*pending = append(*pending, pt.PendingConfig{Node: f, Ancestors: lazyAnc(), Depth: depth + 1})
-		children = append(children, f)
-		changed = true
+		if anc == nil {
+			for k := range w.path {
+				if f := &w.path[k]; f.key == "" {
+					f.key = pt.ConfigKey(f.state, f.n.Tag, f.n.Reg)
+				}
+				anc = append(anc, w.path[k].key)
+			}
+			anc = append(anc, pt.ConfigKey(m.state, n.Tag, n.Reg))
+		}
+		children[i], changed = &xmltree.Node{Tag: sp.Tag, State: sp.State, Reg: sp.Reg}, true
+		w.pending = append(w.pending, pt.PendingConfig{Node: children[i], Ancestors: anc, Depth: len(w.path) + 2})
 	}
-	for _, q := range oldByKey {
-		for _, c := range q {
-			v.dropSubtree(c, rep)
-			changed = true
+	for _, j := range w.slot { // what is still linked was not reused
+		for ; j >= 0; j = w.old[j].next {
+			v.dropSubtree(w.old[j].n, rep)
 		}
 	}
 	n.Children = children
 	return changed, nil
+}
+
+// take unlinks and returns the first old child in sp's bucket with sp's
+// configuration, or -1: a hash match is confirmed by state, tag, Equal.
+func (w *walk) take(sp pt.ChildSpec) int {
+	h := sp.Reg.Hash()
+	for link := &w.slot[h&uint64(len(w.slot)-1)]; *link >= 0; link = &w.old[*link].next {
+		j := *link
+		if o := &w.old[j]; o.h == h && o.state == sp.State && o.n.Tag == sp.Tag && o.n.Reg.Equal(sp.Reg) {
+			*link = o.next
+			return int(j)
+		}
+	}
+	return -1
 }
 
 // dropSubtree forgets a discarded subtree's bookkeeping so the meta map
@@ -528,7 +534,7 @@ func (v *View) dropSubtree(root *xmltree.Node, rep *Report) {
 		stack = stack[:len(stack)-1]
 		if m, ok := v.meta[n]; ok {
 			if n.Tag != xmltree.TextTag && !m.stopped {
-				v.counts[ruleKey{m.state, n.Tag}]--
+				v.counts[m.rule]--
 				v.total--
 			}
 			delete(v.meta, n)
@@ -570,13 +576,11 @@ func (v *View) Snapshot(canonical bool) ([]byte, uint64, error) {
 		return nil, v.version, ErrBroken
 	}
 	var buf bytes.Buffer
-	var err error
+	write := v.tree.WriteXMLVirtual
 	if canonical {
-		err = v.tree.WriteCanonicalVirtual(&buf, v.tr.Virtual)
-	} else {
-		err = v.tree.WriteXMLVirtual(&buf, v.tr.Virtual)
+		write = v.tree.WriteCanonicalVirtual
 	}
-	if err != nil {
+	if err := write(&buf, v.tr.Virtual); err != nil {
 		return nil, v.version, err
 	}
 	return buf.Bytes(), v.version, nil
@@ -595,15 +599,11 @@ func (v *View) Changes(after uint64) (reports []*Report, wait <-chan struct{}, c
 	if after < 1 {
 		after = 1
 	}
-	complete = true
+	oldest := v.version + 1
 	if len(v.history) > 0 {
-		oldest := v.history[0].Version
-		if after+1 < oldest && after < v.version {
-			complete = false
-		}
-	} else if after < v.version && v.version > 1 {
-		complete = false
+		oldest = v.history[0].Version
 	}
+	complete = after+1 >= oldest || after >= v.version
 	for _, r := range v.history {
 		if r.Version > after {
 			reports = append(reports, r)

@@ -1,4 +1,4 @@
-// Package lru provides the small string-keyed bounded LRU cache behind
+// Package lru provides the small bounded LRU cache behind
 // the rule-query memo of internal/eval. Bounding by entry count keeps cache
 // memory proportional to the number of distinct configurations a run
 // visits, never to the (possibly doubly-exponential) size of the tree
@@ -9,40 +9,41 @@
 // goroutines wrap it in their own mutex (eval.Memo does).
 package lru
 
-// Cache is a fixed-capacity map with least-recently-used eviction.
-type Cache[V any] struct {
+// Cache is a fixed-capacity map from K to V with least-recently-used
+// eviction.
+type Cache[K comparable, V any] struct {
 	capacity int
-	onEvict  func(key string, v V)
-	entries  map[string]*entry[V]
+	onEvict  func(key K, v V)
+	entries  map[K]*entry[K, V]
 	// Intrusive doubly-linked recency list; head is most recent.
-	head, tail *entry[V]
+	head, tail *entry[K, V]
 }
 
-type entry[V any] struct {
-	key        string
+type entry[K comparable, V any] struct {
+	key        K
 	val        V
-	prev, next *entry[V]
+	prev, next *entry[K, V]
 }
 
 // New returns a cache holding at most capacity entries; capacity must be
 // positive. onEvict, if non-nil, observes each evicted entry (it is not
 // called for Put-updates of an existing key).
-func New[V any](capacity int, onEvict func(key string, v V)) *Cache[V] {
+func New[K comparable, V any](capacity int, onEvict func(key K, v V)) *Cache[K, V] {
 	if capacity <= 0 {
 		panic("lru: capacity must be positive")
 	}
-	return &Cache[V]{
+	return &Cache[K, V]{
 		capacity: capacity,
 		onEvict:  onEvict,
-		entries:  make(map[string]*entry[V]),
+		entries:  make(map[K]*entry[K, V]),
 	}
 }
 
 // Len returns the number of entries currently cached.
-func (c *Cache[V]) Len() int { return len(c.entries) }
+func (c *Cache[K, V]) Len() int { return len(c.entries) }
 
 // Get returns the value for key and marks it most recently used.
-func (c *Cache[V]) Get(key string) (V, bool) {
+func (c *Cache[K, V]) Get(key K) (V, bool) {
 	e, ok := c.entries[key]
 	if !ok {
 		var zero V
@@ -54,13 +55,13 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 
 // Put inserts or updates key, marking it most recently used, and evicts
 // the least recently used entry if the cache is over capacity.
-func (c *Cache[V]) Put(key string, v V) {
+func (c *Cache[K, V]) Put(key K, v V) {
 	if e, ok := c.entries[key]; ok {
 		e.val = v
 		c.moveToFront(e)
 		return
 	}
-	e := &entry[V]{key: key, val: v}
+	e := &entry[K, V]{key: key, val: v}
 	c.entries[key] = e
 	c.pushFront(e)
 	if len(c.entries) > c.capacity {
@@ -76,7 +77,7 @@ func (c *Cache[V]) Put(key string, v V) {
 // RemoveIf removes every entry whose key satisfies pred and returns how
 // many were removed. onEvict is NOT called: removal is invalidation by
 // the owner, not capacity pressure.
-func (c *Cache[V]) RemoveIf(pred func(key string) bool) int {
+func (c *Cache[K, V]) RemoveIf(pred func(key K) bool) int {
 	n := 0
 	for k, e := range c.entries {
 		if !pred(k) {
@@ -89,7 +90,7 @@ func (c *Cache[V]) RemoveIf(pred func(key string) bool) int {
 	return n
 }
 
-func (c *Cache[V]) pushFront(e *entry[V]) {
+func (c *Cache[K, V]) pushFront(e *entry[K, V]) {
 	e.prev = nil
 	e.next = c.head
 	if c.head != nil {
@@ -101,7 +102,7 @@ func (c *Cache[V]) pushFront(e *entry[V]) {
 	}
 }
 
-func (c *Cache[V]) unlink(e *entry[V]) {
+func (c *Cache[K, V]) unlink(e *entry[K, V]) {
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {
@@ -115,7 +116,7 @@ func (c *Cache[V]) unlink(e *entry[V]) {
 	e.prev, e.next = nil, nil
 }
 
-func (c *Cache[V]) moveToFront(e *entry[V]) {
+func (c *Cache[K, V]) moveToFront(e *entry[K, V]) {
 	if c.head == e {
 		return
 	}

@@ -4,7 +4,7 @@ import "testing"
 
 func TestGetPutEvictOrder(t *testing.T) {
 	var evicted []string
-	c := New[int](3, func(k string, v int) { evicted = append(evicted, k) })
+	c := New[string, int](3, func(k string, v int) { evicted = append(evicted, k) })
 	c.Put("a", 1)
 	c.Put("b", 2)
 	c.Put("c", 3)
@@ -31,7 +31,7 @@ func TestGetPutEvictOrder(t *testing.T) {
 
 func TestPutUpdateDoesNotEvict(t *testing.T) {
 	evictions := 0
-	c := New[int](2, func(string, int) { evictions++ })
+	c := New[string, int](2, func(string, int) { evictions++ })
 	c.Put("a", 1)
 	c.Put("b", 2)
 	c.Put("a", 10) // update, not insert
@@ -52,7 +52,7 @@ func TestPutUpdateDoesNotEvict(t *testing.T) {
 }
 
 func TestCapacityOne(t *testing.T) {
-	c := New[string](1, nil)
+	c := New[string, string](1, nil)
 	for i, k := range []string{"x", "y", "z"} {
 		c.Put(k, k)
 		if c.Len() != 1 {
@@ -73,12 +73,12 @@ func TestZeroCapacityPanics(t *testing.T) {
 			t.Fatal("capacity 0 should panic")
 		}
 	}()
-	New[int](0, nil)
+	New[string, int](0, nil)
 }
 
 func TestRemoveIf(t *testing.T) {
 	evicted := 0
-	c := New[int](8, func(string, int) { evicted++ })
+	c := New[string, int](8, func(string, int) { evicted++ })
 	for _, k := range []string{"1|a", "1|b", "2|a", "3|c"} {
 		c.Put(k, 1)
 	}
@@ -121,7 +121,7 @@ func TestNewDoesNotPreallocate(t *testing.T) {
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			New[int](1<<16, nil)
+			New[string, int](1<<16, nil)
 		}
 	})
 	if got := res.AllocedBytesPerOp(); got >= 4<<10 {

@@ -121,14 +121,15 @@ type ErrBudget = runctl.ErrBudget
 
 // ConfigKey identifies a (state, tag, register) configuration: the
 // persisted form of the ancestor stop condition's key, which checkpoints
-// (PendingConfig.Ancestors) and incremental repair use. relation.Key
-// is order-insensitive (registers are sets); sibling order is fixed
-// earlier, at grouping time. By determinism (Proposition 1(1)) the key
-// identifies the subtree a configuration generates over a fixed
-// database, which lets incremental repair (internal/incr) reuse an old
-// subtree whenever its key survives a delta unchanged. Runs test
-// identity in memory by hash and equality instead (configSet), and
-// build ConfigKey only for a checkpoint or a restored entry's ancestors.
+// (PendingConfig.Ancestors) use. relation.Key is order-insensitive
+// (registers are sets); sibling order is fixed earlier, at grouping
+// time. By determinism (Proposition 1(1)) the key identifies the
+// subtree a configuration generates over a fixed database. Runs test
+// identity in memory by hash and equality instead (configSet), and so
+// does incremental repair (internal/incr) when it matches a dirty
+// node's old children; ConfigKey is built only for a checkpoint, a
+// restored entry's ancestors, and the ancestors incr hands
+// RestoreStepRun with a fresh child.
 func ConfigKey(state, tag string, reg *relation.Relation) string {
 	return state + "\x00" + tag + "\x00" + reg.Key()
 }

@@ -257,10 +257,11 @@ func (r *Relation) indexDelete(t value.Tuple) {
 // regardless of insertion order. Two relations r, o of any arities
 // satisfy r.Key() == o.Key() iff r.Equal(o).
 //
-// This is the string register fingerprint: checkpoints and
-// incremental repair key configurations with it (pt.ConfigKey), and the
-// query memo keys results with it; a run tests configuration identity
-// in memory with Hash and Equal instead. It deliberately
+// This is the string register fingerprint: checkpoints key
+// configurations with it (pt.ConfigKey), as does incremental repair,
+// but only for a fresh child's ancestors, and the query memo keys
+// results with it; a run, and repair when it matches old children,
+// test configuration identity in memory with Hash and Equal. It deliberately
 // forgets insertion order (registers are SETS — Section 2 of the paper),
 // while sibling order in the output tree is fixed separately by the
 // domain order ≤ on tuples at grouping time (see GroupByPrefix).
@@ -298,35 +299,40 @@ func (r *Relation) Key() string {
 var hashSeed = maphash.MakeSeed()
 
 // Hash returns a 64-bit hash of the relation's arity and tuple set:
-// Key's injective length-prefixed encoding fed to hash/maphash instead
-// of a buffer. Equal relations hash equally regardless of insertion
-// order; unequal ones collide with probability about 2⁻⁶⁴, so a caller
-// that needs identity confirms a match with Equal. The hash is cached
-// until the next mutation. It allocates nothing on a sealed relation
-// or once Sorted is cached.
+// every value of the canonical sorted order hashed on its own by
+// hash/maphash and folded into a running word, with the arity folded
+// first and a marker after each tuple, so neither a value boundary
+// (fixed by the arity) nor a tuple boundary can shift. Equal relations
+// hash equally regardless of insertion order; unequal ones collide with
+// probability about 2⁻⁶⁴, so a caller that needs identity confirms a
+// match with Equal. The hash is cached until the next mutation. It
+// allocates nothing on a sealed relation or once Sorted is cached.
 func (r *Relation) Hash() uint64 {
 	if h := r.hash.Load(); h != 0 {
 		return h
 	}
-	var mh maphash.Hash
-	mh.SetSeed(hashSeed)
-	var num [20]byte
-	mh.Write(strconv.AppendInt(num[:0], int64(r.arity), 10))
-	mh.WriteByte('|')
+	const tupleEnd = 0x2545f4914f6cdd1d
+	h := foldHash(0, uint64(r.arity))
 	for _, t := range r.Sorted() {
 		for _, v := range t {
-			mh.Write(strconv.AppendInt(num[:0], int64(len(v)), 10))
-			mh.WriteByte(':')
-			mh.WriteString(string(v))
+			h = foldHash(h, maphash.String(hashSeed, string(v)))
 		}
-		mh.WriteByte(';')
+		h = foldHash(h, tupleEnd)
 	}
-	h := mh.Sum64()
 	if h == 0 {
 		h = 1 // 0 marks an empty cache
 	}
 	r.hash.Store(h)
 	return h
+}
+
+// foldHash folds the word x into the running hash h. Each step is a
+// bijection of h for a fixed x, and the xor-shift spreads the high
+// bits of the product back down, so the order of the folded words
+// matters.
+func foldHash(h, x uint64) uint64 {
+	h = (h ^ x) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
 }
 
 // Contains reports whether t is in the relation: a hash lookup when the
@@ -534,6 +540,9 @@ func (r *Relation) Clone() *Relation {
 // both sorted forms are present (always for sealed relations) it
 // compares them element-wise; otherwise it probes one in the other.
 func (r *Relation) Equal(o *Relation) bool {
+	if r == o {
+		return true
+	}
 	if r.arity != o.arity {
 		return false
 	}
