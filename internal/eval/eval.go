@@ -171,26 +171,14 @@ func (e *Env) Domain(extraConsts []value.V) []value.V {
 	if len(extraConsts) == 0 {
 		return base
 	}
-	seen := make(map[value.V]bool, len(base)+len(extraConsts))
-	for _, v := range base {
-		seen[v] = true
-	}
-	grew := false
 	for _, v := range extraConsts {
-		if !seen[v] {
-			seen[v] = true
-			grew = true
+		if _, ok := slices.BinarySearchFunc(base, v, value.Compare); !ok {
+			consts := slices.Clone(extraConsts)
+			value.SortValues(consts)
+			return value.Union(base, slices.Compact(consts))
 		}
 	}
-	if !grew {
-		return base
-	}
-	out := make([]value.V, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	value.SortValues(out)
-	return out
+	return base
 }
 
 // domainBase returns the merged active domain of the instance and the
@@ -212,14 +200,14 @@ func (e *Env) domainBase() []value.V {
 		parts = append(parts, x.rel.ActiveDomain())
 	}
 	if e.dom == nil {
-		return mergeDomainParts(parts)
+		return value.Union(parts...)
 	}
 	e.dom.mu.Lock()
 	defer e.dom.mu.Unlock()
 	if e.dom.ok && sameDomainParts(e.dom.parts, parts) {
 		return e.dom.base
 	}
-	base := mergeDomainParts(parts)
+	base := value.Union(parts...)
 	e.dom.ok = true
 	e.dom.parts = parts
 	e.dom.base = base
@@ -239,25 +227,6 @@ func sameDomainParts(a, b [][]value.V) bool {
 		}
 	}
 	return true
-}
-
-func mergeDomainParts(parts [][]value.V) []value.V {
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	seen := make(map[value.V]bool, n)
-	out := make([]value.V, 0, n)
-	for _, p := range parts {
-		for _, v := range p {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
-	}
-	value.SortValues(out)
-	return out
 }
 
 // Bindings is a set of assignments: a relation whose columns are the

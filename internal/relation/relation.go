@@ -833,18 +833,11 @@ func (i *Instance) Size() int {
 // ActiveDomain returns the sorted set of values occurring anywhere in
 // the instance.
 func (i *Instance) ActiveDomain() []value.V {
-	seen := make(map[value.V]bool)
+	parts := make([][]value.V, 0, len(i.rels))
 	for _, r := range i.rels {
-		for _, v := range r.ActiveDomain() {
-			seen[v] = true
-		}
+		parts = append(parts, r.ActiveDomain())
 	}
-	out := make([]value.V, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	value.SortValues(out)
-	return out
+	return value.Union(parts...)
 }
 
 // Equal reports whether two instances of the same schema hold the same

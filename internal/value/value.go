@@ -177,6 +177,33 @@ func (t Tuple) String() string {
 	return "(" + strings.Join(parts, ",") + ")"
 }
 
+// Union returns the sorted union of lists that are each sorted, as
+// SortValues orders them, and free of duplicates. It merges them in one
+// pass each and allocates only the result; Compare is 0 only for
+// identical values, so the merge drops exactly the duplicates.
+func Union(lists ...[]V) []V {
+	var out []V
+	for _, b := range lists {
+		if len(b) == 0 {
+			continue
+		}
+		a := out
+		out = make([]V, 0, len(a)+len(b))
+		for len(a) > 0 && len(b) > 0 {
+			switch c := Compare(a[0], b[0]); {
+			case c < 0:
+				out, a = append(out, a[0]), a[1:]
+			case c > 0:
+				out, b = append(out, b[0]), b[1:]
+			default:
+				out, a, b = append(out, a[0]), a[1:], b[1:]
+			}
+		}
+		out = append(append(out, a...), b...)
+	}
+	return out
+}
+
 // SortTuples sorts ts in place in the canonical tuple order.
 func SortTuples(ts []Tuple) { slices.SortFunc(ts, CompareTuples) }
 

@@ -2,6 +2,7 @@ package value
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -162,6 +163,35 @@ func TestIntRejectsNonNumbers(t *testing.T) {
 	for _, s := range []string{"", "a", "1.5", "1e3", "0x10"} {
 		if _, ok := V(s).Int(); ok {
 			t.Errorf("%q parsed as int", s)
+		}
+	}
+}
+
+// TestUnionMatchesSetAndSort: merging sorted, duplicate-free lists gives
+// exactly what collecting them in a set and sorting does, including
+// numerals spelled alike ("1", "01", "-0") that Compare keeps apart.
+func TestUnionMatchesSetAndSort(t *testing.T) {
+	pool := []V{"0", "-0", "1", "01", "2", "10", "-3", "a", "b", "ab", ""}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		lists := make([][]V, rng.Intn(4))
+		seen := map[V]bool{}
+		for i := range lists {
+			for _, v := range pool {
+				if rng.Intn(3) == 0 {
+					lists[i] = append(lists[i], v)
+					seen[v] = true
+				}
+			}
+			SortValues(lists[i])
+		}
+		var want []V
+		for v := range seen {
+			want = append(want, v)
+		}
+		SortValues(want)
+		if got := Union(lists...); !slices.Equal(got, want) {
+			t.Fatalf("Union(%q) = %q, want %q", lists, got, want)
 		}
 	}
 }
