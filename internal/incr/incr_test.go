@@ -151,6 +151,38 @@ func TestViewMatchesFullRunUnfold(t *testing.T) {
 	}
 }
 
+// TestRepairMatchesStateAndTag: siblings from different items can carry
+// equal registers, so a child is reused only for a spec with its state
+// and tag too. Moving a value between A, B and C turns an (qa, a) child
+// into an (qa, b) or a (qb, a) one with the same register, whose subtree
+// differs: a leaf, a text child, or a u child.
+func TestRepairMatchesStateAndTag(t *testing.T) {
+	x := logic.Var("x")
+	schema := relation.NewSchema().MustDeclare("A", 1).MustDeclare("B", 1).MustDeclare("C", 1)
+	of := func(rel string) *logic.Query { return logic.MustQuery([]logic.Var{x}, nil, logic.R(rel, x)) }
+	tr := pt.New("moves", schema, "q0", "r")
+	tr.DeclareTag("a", 1).DeclareTag("b", 1).DeclareTag("u", 1).DeclareTag("text", 1)
+	tr.AddRule("q0", "r", pt.Item("qa", "a", of("A")), pt.Item("qa", "b", of("B")), pt.Item("qb", "a", of("C")))
+	tr.AddRule("qa", "a")
+	tr.AddRule("qa", "b", pt.Item("q", "text", of(pt.RegRel)))
+	tr.AddRule("qb", "a", pt.Item("q", "u", of(pt.RegRel)))
+	tr.AddRule("q", "u")
+	tr.AddRule("q", "text")
+	oracle := relation.NewInstance(schema)
+	oracle.Add("A", "v")
+	oracle.Add("B", "w")
+	v := newView(t, tr, oracle, incr.Options{RebuildThreshold: -1})
+	for _, d := range []*relation.Delta{
+		(&relation.Delta{}).Delete("A", "v").Insert("B", "v"),
+		(&relation.Delta{}).Delete("B", "v").Insert("C", "v"),
+		(&relation.Delta{}).Delete("C", "v").Insert("A", "v").Insert("C", "w"),
+	} {
+		if rep := applyBoth(t, v, tr, oracle, d); rep.Fresh == 0 || rep.Dropped == 0 {
+			t.Fatalf("%s: Fresh=%d Dropped=%d, want a child replaced", d, rep.Fresh, rep.Dropped)
+		}
+	}
+}
+
 func TestViewMatchesFullRunCatalog(t *testing.T) {
 	tr := catalogTransducer()
 	oracle := catalogInstance(20, 2)

@@ -261,8 +261,8 @@ func (r *Relation) indexDelete(t value.Tuple) {
 // configurations with it (pt.ConfigKey), as does incremental repair,
 // but only for a fresh child's ancestors, and the query memo keys
 // results with it; a run, and repair when it matches old children,
-// test configuration identity in memory with Hash and Equal. It deliberately
-// forgets insertion order (registers are SETS — Section 2 of the paper),
+// test configuration identity in memory with Hash and Equal. It
+// deliberately forgets insertion order (registers are SETS — Section 2 of the paper),
 // while sibling order in the output tree is fixed separately by the
 // domain order ≤ on tuples at grouping time (see GroupByPrefix).
 // It is the arity followed by the length-prefixed encoding of every
