@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -35,8 +36,11 @@ type Memo struct {
 	mu  sync.Mutex
 	lru *lru.Cache[memoKey, *relation.Relation]
 	ids map[*logic.Query]int64
-	nid int64
-	cap int
+	// rels[id-1] is the relation set of the query with that id, recorded
+	// once when key assigns the id, so invalidation never re-walks a
+	// formula.
+	rels [][]string
+	cap  int
 
 	// Staleness guard (see BindInstance): when bound, any version drift
 	// of the instance flushes the table before the next Get or Put, so a
@@ -105,46 +109,32 @@ func (m *Memo) syncLocked() bool {
 	return false
 }
 
-// Invalidate removes every cached entry whose query satisfies pred and
-// returns how many entries were dropped. Use it after a database delta
-// with pred matching the queries that reference mutated relations;
-// entries for untouched queries survive and keep their hit rate.
-func (m *Memo) Invalidate(pred func(*logic.Query) bool) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	dirty := make(map[int64]bool)
-	for q, id := range m.ids {
-		if pred(q) {
-			dirty[id] = true
-		}
-	}
-	if len(dirty) == 0 {
-		return 0
-	}
-	n := m.lru.RemoveIf(func(k memoKey) bool { return dirty[k.id] })
-	m.invalidated.Add(int64(n))
-	return n
-}
-
 // InvalidateRelations drops every entry whose query mentions one of the
 // named relations (the sound over-approximation of "result may have
-// changed" for a delta touching exactly those relations).
+// changed" for a delta touching exactly those relations) and returns
+// how many entries were dropped. Entries for untouched queries survive
+// and keep their hit rate.
 func (m *Memo) InvalidateRelations(names []string) int {
 	if len(names) == 0 {
 		return 0
 	}
-	dirty := make(map[string]bool, len(names))
-	for _, n := range names {
-		dirty[n] = true
-	}
-	return m.Invalidate(func(q *logic.Query) bool {
-		for _, rel := range logic.Relations(q.F) {
-			if dirty[rel] {
-				return true
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var dirty []bool // dirty[id-1]: the query with that id reads a named relation
+	for i, rels := range m.rels {
+		if slices.ContainsFunc(rels, func(r string) bool { return slices.Contains(names, r) }) {
+			if dirty == nil {
+				dirty = make([]bool, len(m.rels))
 			}
+			dirty[i] = true
 		}
-		return false
-	})
+	}
+	if dirty == nil {
+		return 0
+	}
+	n := m.lru.RemoveIf(func(k memoKey) bool { return dirty[k.id-1] })
+	m.invalidated.Add(int64(n))
+	return n
 }
 
 // memoKey is a cache key: a query's identity and a register
@@ -162,8 +152,8 @@ type memoKey struct {
 func (m *Memo) key(q *logic.Query, regFP string) memoKey {
 	id, ok := m.ids[q]
 	if !ok {
-		m.nid++
-		id = m.nid
+		m.rels = append(m.rels, logic.Relations(q.F))
+		id = int64(len(m.rels))
 		m.ids[q] = id
 	}
 	return memoKey{id, regFP}

@@ -36,6 +36,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/bits"
 	"slices"
 	"sort"
@@ -335,11 +336,12 @@ type frame struct {
 }
 
 // walk is one repair's state. path is the DFS stack itself: the visited
-// node's ancestors. old and slot are reexpand's reused matching buffers.
+// node's ancestors. x is the rule step every dirty node re-expands
+// through; old and slot are reexpand's reused matching buffers.
 type walk struct {
 	v       *View
 	dirty   []*pt.Rule // a handful at most: scanned, not hashed
-	base    *eval.Env
+	x       *pt.Expander
 	rep     *Report
 	path    []frame
 	pending []pt.PendingConfig
@@ -364,7 +366,7 @@ func (v *View) repair(ctx context.Context, dirty []*pt.Rule, rep *Report) error 
 	if v.opts.Run.NoPlan {
 		base = base.WithoutPlanner()
 	}
-	w := &walk{v: v, dirty: dirty, base: base, rep: rep}
+	w := &walk{v: v, dirty: dirty, x: v.tr.NewExpander(base, v.memo), rep: rep}
 	if err := w.visit(v.tree.Root); err != nil {
 		return err
 	}
@@ -457,7 +459,7 @@ func (w *walk) pathTo() string {
 // its length holds, so an unchanged one costs no allocation.
 func (w *walk) reexpand(n *xmltree.Node, m nodeMeta) (bool, error) {
 	v, rep, old := w.v, w.rep, n.Children
-	specs, q, err := v.tr.ExpandConfig(m.state, n.Tag, n.Reg, w.base, v.memo)
+	specs, q, err := w.x.Expand(m.state, n.Tag, n.Reg)
 	rep.QueriesRun += q
 	if err != nil {
 		return false, err
@@ -570,20 +572,33 @@ func (v *View) Stats() ViewStats {
 // to. Rendering holds the read lock, so the bytes are never torn across
 // a concurrent Apply.
 func (v *View) Snapshot(canonical bool) ([]byte, uint64, error) {
+	var buf bytes.Buffer
+	version, _, err := v.Render(&buf, canonical)
+	if err != nil {
+		return nil, version, err
+	}
+	return buf.Bytes(), version, nil
+}
+
+// Render writes what Snapshot returns to w and reports the version and
+// the node count (pt.Stats.Nodes of a run over the view's instance) of
+// the tree it wrote, all read under one hold of the read lock. The lock
+// is held while w is written, blocking Apply, so w should be a buffer,
+// not a network connection.
+func (v *View) Render(w io.Writer, canonical bool) (version uint64, nodes int, err error) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	if v.broken {
-		return nil, v.version, ErrBroken
+		return v.version, 0, ErrBroken
 	}
-	var buf bytes.Buffer
 	write := v.tree.WriteXMLVirtual
 	if canonical {
 		write = v.tree.WriteCanonicalVirtual
 	}
-	if err := write(&buf, v.tr.Virtual); err != nil {
-		return nil, v.version, err
+	if err := write(w, v.tr.Virtual); err != nil {
+		return v.version, 0, err
 	}
-	return buf.Bytes(), v.version, nil
+	return v.version, len(v.meta), nil
 }
 
 // Changes returns the buffered reports with Version > after, a channel

@@ -13,7 +13,7 @@ type CacheMode int
 const (
 	// CacheOff evaluates each distinct rule query at every node (the
 	// zero value): nothing is cached across nodes, and items of one rule
-	// carrying the same query share its result (see ExpandConfig).
+	// carrying the same query share its result (see Expander).
 	CacheOff CacheMode = iota
 	// CacheQueries memoizes rule-query results on (query, register
 	// fingerprint): each distinct configuration evaluates its queries

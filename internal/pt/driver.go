@@ -23,7 +23,7 @@ type run struct {
 	// mode is the run's cache mode; memo is nil below CacheQueries.
 	mode CacheMode
 	memo *eval.Memo
-	x    expander
+	x    Expander
 }
 
 // newRun sets up a run of t over inst under ctx and opts. The caller
@@ -39,7 +39,7 @@ func (t *Transducer) newRun(ctx context.Context, inst *relation.Instance, opts O
 			r.memo = eval.NewMemo(opts.CacheSize)
 		}
 	}
-	r.x = expander{t: t, base: r.base, memo: r.memo}
+	r.x = Expander{t: t, base: r.base, memo: r.memo}
 	return r
 }
 
@@ -117,8 +117,8 @@ func (d *driver) done() bool { return len(d.frontier) == 0 && len(d.seeds) == 0 
 
 // step performs one operation on the top frontier entry: it finalizes
 // the node (text leaf, ancestor stop, empty or missing rule, all-empty
-// forests) or evaluates its rule through ExpandConfig, attaches its
-// children and pushes them. Steps are ATOMIC: a failed step —
+// forests) or evaluates its rule through the run's Expander, attaches
+// its children and pushes them. Steps are ATOMIC: a failed step —
 // cancellation, budget, injected fault, query error — leaves the entry
 // on the frontier and the tree untouched, so (tree, frontier) always
 // describes exactly the remaining work.
@@ -148,7 +148,7 @@ func (d *driver) step() error {
 		d.commit(e, state, true)
 		return nil
 	}
-	specs, queries, err := d.x.expand(state, n.Tag, n.Reg)
+	specs, queries, err := d.x.Expand(state, n.Tag, n.Reg)
 	if err != nil {
 		return err
 	}

@@ -16,36 +16,29 @@ type ChildSpec struct {
 	Reg   *relation.Relation
 }
 
-// ExpandConfig performs one rule step of the transducer: it evaluates
-// the rule for (state, tag) with register reg against base (an Env over
-// the database instance) and returns the ordered child specs, plus the
-// number of queries actually evaluated. The children of an item
-// (qᵢ, aᵢ, φᵢ) depend only on φᵢ and reg (Definition 3.1), so each
-// distinct query of the rule (AddRule interns identical ones to one
-// object) is evaluated once, and an item repeating an earlier item's
-// query, as the a and a2 copies of Proposition 1(4)'s counter do,
-// reuses that result and its groups. Each fresh evaluation
-// is first charged to base's run controller (cancellation, fault plan,
-// query budget); memo hits and repeats are free and charge nothing. A
-// missing or empty rule yields nil specs. The ancestor stop condition
-// and node accounting are the run driver's job (driver.step). The
-// driver and OutputRelation's configuration walk perform this step
-// through their run's expander; ExpandConfig, which incremental repair
-// calls to re-derive a dirty node's specs, builds a fresh register Env
-// and spec slice on every call.
-func (t *Transducer) ExpandConfig(state, tag string, reg *relation.Relation, base *eval.Env, memo *eval.Memo) ([]ChildSpec, int, error) {
-	x := expander{t: t, base: base, memo: memo}
-	return x.expand(state, tag, reg)
-}
-
-// expander performs ExpandConfig's rule step for one caller. A run
-// keeps one expander for all its steps: the register Env, built from
-// base on the first memo miss, is re-pointed at each later register in
-// place (eval.Env.Rebind; the run owns it alone), and the specs buffer
-// is reused, so the specs expand returns are valid only until its next
-// call and callers copy them out. ExpandConfig uses a fresh expander
-// per call.
-type expander struct {
+// Expander performs one rule step of the transducer for one caller:
+// Expand evaluates the rule for (state, tag) with register reg against
+// base (an Env over the database instance) and returns the ordered
+// child specs, plus the number of queries actually evaluated. The
+// children of an item (qᵢ, aᵢ, φᵢ) depend only on φᵢ and reg
+// (Definition 3.1), so each distinct query of the rule (AddRule interns
+// identical ones to one object) is evaluated once, and an item
+// repeating an earlier item's query, as the a and a2 copies of
+// Proposition 1(4)'s counter do, reuses that result and its groups.
+// Each fresh evaluation is first charged to base's run controller
+// (cancellation, fault plan, query budget); memo hits and repeats are
+// free and charge nothing. A missing or empty rule yields nil specs.
+// The ancestor stop condition and node accounting are the run driver's
+// job (driver.step).
+//
+// A caller keeps one Expander for all its steps: the register Env,
+// built from base on the first memo miss, is re-pointed at each later
+// register in place (eval.Env.Rebind; the Expander owns it alone), and
+// the specs buffer is reused, so the specs Expand returns are valid
+// only until its next call and callers copy them out. An Expander is
+// not safe for concurrent use. The run driver, OutputRelation's
+// configuration walk and incremental repair each keep one.
+type Expander struct {
 	t     *Transducer
 	base  *eval.Env
 	memo  *eval.Memo
@@ -53,7 +46,15 @@ type expander struct {
 	specs []ChildSpec
 }
 
-func (x *expander) expand(state, tag string, reg *relation.Relation) ([]ChildSpec, int, error) {
+// NewExpander returns an Expander stepping t's rules against base,
+// through memo when it is non-nil.
+func (t *Transducer) NewExpander(base *eval.Env, memo *eval.Memo) *Expander {
+	return &Expander{t: t, base: base, memo: memo}
+}
+
+// Expand performs the rule step for (state, tag) with register reg.
+// The specs it returns are valid until its next call.
+func (x *Expander) Expand(state, tag string, reg *relation.Relation) ([]ChildSpec, int, error) {
 	t := x.t
 	rule, ok := t.Rule(state, tag)
 	if !ok || len(rule.Items) == 0 {

@@ -112,7 +112,7 @@ func (t *Transducer) MarkVirtual(tags ...string) *Transducer {
 // by the transducer's canonical copy of an identical query (same x̄;ȳ,
 // same formula; see logic.Query.Key), so one query has one compiled
 // plan, one memo identity, and one evaluation per rule step (see
-// ExpandConfig) wherever it occurs.
+// Expander) wherever it occurs.
 func (t *Transducer) AddRule(state, tag string, items ...RHS) *Transducer {
 	k := ruleKey{state, tag}
 	if _, ok := t.rules[k]; ok {

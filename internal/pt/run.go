@@ -188,7 +188,7 @@ func (t *Transducer) OutputContext(ctx context.Context, inst *relation.Instance,
 // It never builds ξ. As in the proof of Theorem 3(2), it walks the
 // configuration graph instead: breadth first from (Start, RootTag, ∅),
 // stepping each distinct (state, tag, register) configuration once
-// through ExpandConfig and uniting the registers of those tagged label.
+// through the run's Expander and uniting the registers of those tagged label.
 // Every node of ξ carries a reachable configuration, and a shortest
 // derivation of a reachable configuration repeats none, so the ancestor
 // stop never cuts it off: ξ carries exactly the reachable
@@ -238,7 +238,7 @@ func (t *Transducer) OutputRelationContext(ctx context.Context, inst *relation.I
 			if c.Tag == xmltree.TextTag {
 				continue
 			}
-			specs, _, err := r.x.expand(c.State, c.Tag, c.Reg)
+			specs, _, err := r.x.Expand(c.State, c.Tag, c.Reg)
 			if err != nil {
 				return nil, err
 			}

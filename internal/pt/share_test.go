@@ -1,5 +1,5 @@
 // Rule-level query sharing: AddRule interns identical rule queries per
-// transducer, and ExpandConfig evaluates each distinct query of a rule
+// transducer, and an Expander evaluates each distinct query of a rule
 // once per node, handing its result to every item that repeats it.
 package pt_test
 
@@ -128,13 +128,14 @@ func TestInternKeyInjective(t *testing.T) {
 	}
 }
 
-// TestExpandConfigMatchesPerItemNaive is the differential twin of the
+// TestExpanderMatchesPerItemNaive is the differential twin of the
 // shared rule step: for every rule of τ1, τ2v, τ3, unfold and the
-// parsed counter, over seeded registers, ExpandConfig (with and without
-// a memo) returns exactly the specs of evaluating every item on its
-// own with the reference evaluator and grouping its result, after one
-// evaluation per distinct query of the rule.
-func TestExpandConfigMatchesPerItemNaive(t *testing.T) {
+// parsed counter, over seeded registers, one reused Expander per
+// fixture (with and without a memo) returns exactly the specs of
+// evaluating every item on its own with the reference evaluator and
+// grouping its result, after one evaluation per distinct query of the
+// rule.
+func TestExpanderMatchesPerItemNaive(t *testing.T) {
 	fixtures := specFixtures(t)
 	fixtures = append(fixtures,
 		fixture{"unfold-diamond-4", families.UnfoldTransducer(), families.DiamondChain(4)},
@@ -144,6 +145,7 @@ func TestExpandConfigMatchesPerItemNaive(t *testing.T) {
 		adom := append(f.inst.ActiveDomain(), "zz")
 		base := eval.NewEnv(f.inst)
 		memo := eval.NewMemo(0)
+		plain, memoized := f.tr.NewExpander(base, nil), f.tr.NewExpander(base, memo)
 		for _, rule := range f.tr.Rules() {
 			distinct := map[string]bool{}
 			for _, it := range rule.Items {
@@ -152,16 +154,16 @@ func TestExpandConfigMatchesPerItemNaive(t *testing.T) {
 			for n := 0; n < 6; n++ {
 				reg := randomRegister(rng, f.tr.Arity(rule.Tag), adom)
 				want := naiveSpecs(t, rule, reg, base)
-				for _, m := range []*eval.Memo{nil, memo} {
-					got, queries, err := f.tr.ExpandConfig(rule.State, rule.Tag, reg, base, m)
+				for _, x := range []*pt.Expander{plain, memoized} {
+					got, queries, err := x.Expand(rule.State, rule.Tag, reg)
 					if err != nil {
 						t.Fatalf("%s (%s,%s): %v", f.name, rule.State, rule.Tag, err)
 					}
 					if s := specsString(got); s != want {
 						t.Fatalf("%s (%s,%s) memo=%v reg=%s:\n got %s\nwant %s",
-							f.name, rule.State, rule.Tag, m != nil, reg.Key(), s, want)
+							f.name, rule.State, rule.Tag, x == memoized, reg.Key(), s, want)
 					}
-					if m == nil && queries != len(distinct) {
+					if x == plain && queries != len(distinct) {
 						t.Errorf("%s (%s,%s): %d queries, want %d (one per distinct query)",
 							f.name, rule.State, rule.Tag, queries, len(distinct))
 					}

@@ -11,9 +11,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"ptx/internal/incr"
@@ -26,11 +28,27 @@ import (
 // The view owns a clone of the pair's instance, whose schema decides,
 // as for the pair, which deltas apply; repairs are serialized by the
 // server's liveMu, so mutation order IS the version order watchers see.
+//
+// mirror is the registry's instance version of the pair whose tree the
+// view holds, or nil while that is in doubt: during a repair, after a
+// failed one, or after a delta the view's schema rejected. It is
+// written only under liveMu — cleared before the view changes, set once
+// it has — and read without any lock by publishes (see serveView).
 type liveView struct {
 	spec   string
 	db     string
 	view   *incr.View
 	schema *relation.Schema
+	mirror atomic.Pointer[relation.Instance]
+}
+
+// pairKey indexes the live views by (spec, db).
+type pairKey struct{ spec, db string }
+
+// liveView returns the live view for (spec, db), or nil. It reads the
+// copy-on-write index and never waits on liveMu.
+func (s *Server) liveView(spec, db string) *liveView {
+	return (*s.views.Load())[pairKey{spec, db}]
 }
 
 // mutateRequest is the wire schema of POST /mutate. Unknown fields are
@@ -228,14 +246,16 @@ func (s *Server) mutate(db string, d *relation.Delta, epoch uint64) (*mutateResp
 }
 
 // repairViews applies d to every live view over db and returns the
-// per-view reports. Caller holds liveMu.
+// per-view reports. A view mirrors the pair's new version only after a
+// successful repair. Caller holds liveMu.
 func (s *Server) repairViews(db string, d *relation.Delta) []viewRepair {
 	views := []viewRepair{}
-	for _, lv := range s.views {
+	for _, lv := range *s.views.Load() {
 		if lv.db != db {
 			continue
 		}
 		vr := viewRepair{Spec: lv.spec}
+		lv.mirror.Store(nil)
 		// A schema that rejects the delta is untouched by it (the
 		// registry's pair skips it for the same reason).
 		if d.Validate(lv.schema) == nil {
@@ -246,11 +266,21 @@ func (s *Server) repairViews(db string, d *relation.Delta) []viewRepair {
 			} else {
 				s.repaired.Add(1)
 				vr.Report = rep
+				s.remirror(lv)
 			}
 		}
 		views = append(views, vr)
 	}
 	return views
+}
+
+// remirror points lv's mirror at its pair's current version, which the
+// view was just repaired to: under liveMu no commit can move the pair
+// in between. Caller holds liveMu.
+func (s *Server) remirror(lv *liveView) {
+	if _, cur, _, err := s.reg.Pair(lv.spec, lv.db); err == nil {
+		lv.mirror.Store(cur)
+	}
 }
 
 // liveViewFor returns the live view for (spec, db), creating it on
@@ -259,10 +289,9 @@ func (s *Server) repairViews(db string, d *relation.Delta) []viewRepair {
 // already carries the delta) or follows it (the repair pass covers this
 // view) — no window where a fresh view silently misses a delta.
 func (s *Server) liveViewFor(spec, db string) (*liveView, error) {
-	key := spec + "\x00" + db
 	s.liveMu.Lock()
 	defer s.liveMu.Unlock()
-	if lv, ok := s.views[key]; ok {
+	if lv := s.liveView(spec, db); lv != nil {
 		return lv, nil
 	}
 	tr, inst, _, err := s.reg.Pair(spec, db)
@@ -276,7 +305,12 @@ func (s *Server) liveViewFor(spec, db string) (*liveView, error) {
 		return nil, err
 	}
 	lv := &liveView{spec: spec, db: db, view: v, schema: inst.Schema()}
-	s.views[key] = lv
+	lv.mirror.Store(inst)
+	// Copy on write: a publish reading the old index misses the view and
+	// runs, which is what it would have done a moment earlier.
+	views := maps.Clone(*s.views.Load())
+	views[pairKey{spec, db}] = lv
+	s.views.Store(&views)
 	return lv, nil
 }
 
@@ -286,12 +320,14 @@ func (s *Server) liveViewFor(spec, db string) (*liveView, error) {
 // it there. Each view re-resolves its pair (the supersede deleted the
 // cached versions, so this replays the reconciled log) and reconciles
 // to it with one compensating delta — watchers see a single coherent
-// repair, never a torn intermediate. Caller holds liveMu.
+// repair, never a torn intermediate. A view mirrors the re-resolved
+// version only once it is reconciled to it. Caller holds liveMu.
 func (s *Server) resyncViews(db string) {
-	for _, lv := range s.views {
+	for _, lv := range *s.views.Load() {
 		if lv.db != db {
 			continue
 		}
+		lv.mirror.Store(nil)
 		_, target, _, err := s.reg.Pair(lv.spec, db)
 		if err != nil {
 			s.failed.Add(1)
@@ -300,9 +336,12 @@ func (s *Server) resyncViews(db string) {
 		rep, err := lv.view.Reconcile(s.baseCtx, target)
 		if err != nil {
 			s.failed.Add(1)
-		} else if rep.Effective > 0 {
+			continue
+		}
+		if rep.Effective > 0 {
 			s.repaired.Add(1)
 		}
+		lv.mirror.Store(target)
 	}
 }
 

@@ -156,7 +156,7 @@ func TestMutateRepairsLiveViewAndPublish(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, goldenAlt) {
 		t.Fatalf("post-delta publish: status %d, alt-golden match %v", resp.StatusCode, bytes.Equal(body, goldenAlt))
 	}
-	viewBytes, ver, err := s.views["tau1\x00registrar"].view.Snapshot(true)
+	viewBytes, ver, err := s.liveView("tau1", "registrar").view.Snapshot(true)
 	if err != nil || ver != 2 {
 		t.Fatalf("view snapshot: version %d, err %v", ver, err)
 	}

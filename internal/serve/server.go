@@ -29,12 +29,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -156,6 +158,10 @@ type Metrics struct {
 	Repaired  int64 `json:"repaired"` // successful live-view repairs
 	Watched   int64 `json:"watched"`  // /watch requests served (poll + SSE)
 
+	// ViewServed counts the Succeeded publishes answered from a live
+	// view's tree instead of a run (see serveView).
+	ViewServed int64 `json:"view_served"`
+
 	// Durability counters (zero without an attached WAL): Appended and
 	// Fsyncs come from the write-ahead log, Recovered is how many
 	// records startup replay restored, Replicated counts records this
@@ -195,10 +201,12 @@ type Server struct {
 	// full replication timeout.
 	repBreakers *breaker.Set
 
-	// liveMu serializes mutations and live-view creation; views maps
-	// spec\x00db to the live view serving its change feed (mutate.go).
+	// liveMu serializes mutations and live-view creation (mutate.go).
+	// views indexes the live views by (spec, db); it is replaced, never
+	// changed, under liveMu, so a publish reads it without the lock,
+	// which a mutation holds across its WAL fsync.
 	liveMu sync.Mutex
-	views  map[string]*liveView
+	views  atomic.Pointer[map[pairKey]*liveView]
 
 	admitted   atomic.Int64
 	shed       atomic.Int64
@@ -212,6 +220,7 @@ type Server struct {
 	mutated    atomic.Int64
 	repaired   atomic.Int64
 	watched    atomic.Int64
+	viewServed atomic.Int64
 	replicated atomic.Int64
 }
 
@@ -222,16 +231,17 @@ func New(cfg Config) (*Server, error) {
 	}
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{
+	s := &Server{
 		cfg:         cfg,
 		reg:         cfg.Registry,
 		adm:         NewAdmission(cfg.Workers, cfg.Queue),
 		flights:     newFlightGroup(),
-		views:       make(map[string]*liveView),
 		baseCtx:     ctx,
 		baseCancel:  cancel,
 		repBreakers: breaker.NewSet(breaker.Config{}),
-	}, nil
+	}
+	s.views.Store(&map[pairKey]*liveView{})
+	return s, nil
 }
 
 // Handler returns the server's routes: POST /publish, POST /mutate,
@@ -273,6 +283,7 @@ func (s *Server) Metrics() Metrics {
 		Fsyncs:    wm.Fsyncs,
 		Recovered: wm.Recovered,
 
+		ViewServed:   s.viewServed.Load(),
 		Replicated:   s.replicated.Load(),
 		BreakerOpens: s.repBreakers.Opens(),
 		BreakerOpen:  s.repBreakers.OpenPeers(),
@@ -362,6 +373,14 @@ const (
 	HeaderEpoch  = "X-Ptx-Epoch"
 )
 
+// appendField appends s to a dedup key, length-prefixed so that no
+// field can run into the next.
+func appendField(b []byte, s string) []byte {
+	b = strconv.AppendInt(b, int64(len(s)), 10)
+	b = append(b, ':')
+	return append(b, s...)
+}
+
 // validate turns the wire request into run options, or a typed
 // *ValidationError. No evaluation work happens here.
 func (s *Server) validate(req publishRequest) (*admitted, error) {
@@ -409,8 +428,20 @@ func (s *Server) validate(req publishRequest) (*admitted, error) {
 		MaxQueries: l.MaxQueries,
 	}
 
+	// The dedup key covers every run-relevant option — canonical-vs-XML
+	// rendering is per-request and deliberately excluded. Names are
+	// length-prefixed and every number ends in ';', so two keys are
+	// equal only if every field is.
+	key := make([]byte, 0, 64+len(req.Spec)+len(req.DB))
+	key = appendField(key, req.Spec)
+	key = appendField(key, req.DB)
+	for _, n := range [...]int64{int64(cacheMode), int64(retries), int64(limits.Timeout),
+		int64(limits.MaxNodes), int64(limits.MaxDepth), int64(limits.MaxQueries)} {
+		key = strconv.AppendInt(key, n, 10)
+		key = append(key, ';')
+	}
+
 	var faults *runctl.FaultPlan
-	injectKey := ""
 	if req.Inject != nil {
 		if !s.cfg.AllowInject {
 			return nil, Validationf("inject", "fault injection is disabled on this server")
@@ -419,13 +450,7 @@ func (s *Server) validate(req publishRequest) (*admitted, error) {
 		names := make([]string, 0, len(req.Inject.Probs))
 		for name, p := range req.Inject.Probs {
 			op := runctl.Op(name)
-			known := false
-			for _, k := range runctl.Ops() {
-				if op == k {
-					known = true
-				}
-			}
-			if !known {
+			if !slices.Contains(runctl.Ops(), op) {
 				return nil, Validationf("inject", "unknown op %q", name)
 			}
 			if p < 0 || p > 1 {
@@ -435,10 +460,17 @@ func (s *Server) validate(req publishRequest) (*admitted, error) {
 			names = append(names, name)
 		}
 		sort.Strings(names)
+		// The fault schedule: its seed, then each op (a fixed vocabulary
+		// of plain names) with its probability, in name order.
+		key = append(key, "i="...)
+		key = strconv.AppendInt(key, req.Inject.Seed, 10)
 		for _, n := range names {
-			injectKey += fmt.Sprintf("%s=%g;", n, probs[runctl.Op(n)])
+			key = append(key, ';')
+			key = append(key, n...)
+			key = append(key, '=')
+			key = strconv.AppendFloat(key, probs[runctl.Op(n)], 'g', -1, 64)
 		}
-		injectKey = fmt.Sprintf("seed=%d;%s", req.Inject.Seed, injectKey)
+		key = append(key, ';')
 		faults = runctl.SeededPlan(req.Inject.Seed,
 			runctl.Transient(fmt.Errorf("injected fault (seed %d)", req.Inject.Seed)), probs)
 	}
@@ -448,12 +480,7 @@ func (s *Server) validate(req publishRequest) (*admitted, error) {
 		Cache:  cacheMode,
 		Faults: faults,
 	}
-	// The dedup key covers every run-relevant option — canonical-vs-XML
-	// rendering is per-request and deliberately excluded.
-	key := fmt.Sprintf("%s\x00%s\x00c=%d;r=%d;t=%d;n=%d;d=%d;q=%d;i=%s",
-		req.Spec, req.DB, cacheMode, retries,
-		limits.Timeout, limits.MaxNodes, limits.MaxDepth, limits.MaxQueries, injectKey)
-	return &admitted{req: req, opts: opts, limits: limits, retries: retries, key: key}, nil
+	return &admitted{req: req, opts: opts, limits: limits, retries: retries, key: string(key)}, nil
 }
 
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
@@ -523,7 +550,9 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		if adm.runKey != "" {
 			// Epoch-scoped dedup: a flight fenced under an old epoch must
 			// not hand its failure to a request routed under a newer one.
-			adm.key += fmt.Sprintf("\x00rk=%s;ep=%d", adm.runKey, adm.epoch)
+			key := append([]byte(adm.key), "rk="...)
+			key = strconv.AppendUint(key, adm.epoch, 10)
+			adm.key = string(appendField(key, adm.runKey))
 		}
 	}
 	tr, inst, memo, err := s.reg.Pair(req.Spec, req.DB)
@@ -561,6 +590,9 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	s.admitted.Add(1)
+	if adm.viewEligible() && s.serveView(w, adm, inst) {
+		return
+	}
 
 	res, attempts, resumed, shared, err := s.flights.do(reqCtx, adm.key, func() (*pt.Result, int, bool, error) {
 		return s.execute(tr, inst, adm)
@@ -596,6 +628,70 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	} else {
 		_ = res.Xi.WriteXMLVirtual(w, tr.Virtual)
 	}
+}
+
+// viewEligible reports whether the request may be answered from a live
+// view: it injects no faults, carries no handoff run key, uses the
+// default cache mode and sets no budget but its timeout. Under those
+// options a successful run returns exactly the view's tree, so only
+// its node and query counts could tell the two apart.
+func (adm *admitted) viewEligible() bool {
+	l := adm.req.Limits
+	return adm.opts.Faults == nil && adm.runKey == "" && adm.opts.Cache == pt.CacheQueries &&
+		l.MaxNodes == 0 && l.MaxDepth == 0 && l.MaxQueries == 0
+}
+
+// renderBufs recycles serveView's buffers; one that grew past
+// maxPooledRender is left to the collector.
+var renderBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledRender = 1 << 20
+
+// serveView answers a publish from the live view over its pair when the
+// view mirrors inst, the instance version the request resolved, and
+// reports whether it did; on false nothing has been written and the
+// caller runs the publish. By Proposition 1(1) τ(inst) is a function of
+// inst, and a view mirroring inst holds τ(inst), so the bytes are the
+// run's bytes.
+//
+// The mirror is read before and after the render, seqlock-style. A
+// repair clears it before touching the view and sets it to the new
+// version only after the repair, and the render holds the view's read
+// lock, which excludes the repair: if both reads still see inst, no
+// repair overlapped the render. Versions are fresh pointers, so a
+// mirror cannot leave inst and come back to it. The render goes to a
+// buffer, and the network write happens after the lock is released, so
+// a slow client never stalls a repair.
+func (s *Server) serveView(w http.ResponseWriter, adm *admitted, inst *relation.Instance) bool {
+	lv := s.liveView(adm.req.Spec, adm.req.DB)
+	if lv == nil || lv.mirror.Load() != inst {
+		return false
+	}
+	buf := renderBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledRender {
+			buf.Reset()
+			renderBufs.Put(buf)
+		}
+	}()
+	_, nodes, err := lv.view.Render(buf, adm.req.Canonical)
+	if err != nil || lv.mirror.Load() != inst {
+		return false
+	}
+	if adm.req.Canonical {
+		buf.WriteByte('\n')
+	}
+	s.succeeded.Add(1)
+	s.viewServed.Add(1)
+	h := w.Header()
+	h.Set("Content-Type", "application/xml; charset=utf-8")
+	h.Set("X-Ptserve-Attempts", "1")
+	h.Set("X-Ptserve-Shared", "false")
+	h.Set("X-Ptserve-Nodes", strconv.Itoa(nodes))
+	h.Set("X-Ptserve-Queries", "0")
+	h.Set("X-Ptserve-Cache", adm.opts.Cache.String())
+	_, _ = w.Write(buf.Bytes())
+	return true
 }
 
 // execute runs one admitted publish under supervision and the server's
