@@ -558,7 +558,8 @@ type upstream struct {
 // worker-side run), so a thundering herd cannot amplify through the
 // proxy. The shared value is the fully buffered upstream response.
 type coordFlight struct {
-	done chan struct{}
+	done    chan struct{}
+	joiners int // followers waiting on done; guarded by Coordinator.mu
 	upstream
 }
 
@@ -609,6 +610,7 @@ func (c *Coordinator) handlePublish(w http.ResponseWriter, r *http.Request) {
 
 	c.mu.Lock()
 	if f, ok := c.flights[runKey]; ok {
+		f.joiners++
 		c.mu.Unlock()
 		select {
 		case <-f.done:
@@ -634,6 +636,17 @@ func (c *Coordinator) handlePublish(w http.ResponseWriter, r *http.Request) {
 	c.mu.Unlock()
 	close(f.done)
 	c.reply(w, f, false)
+}
+
+// joined reports how many followers have joined the flight in progress
+// for runKey (0 when none is).
+func (c *Coordinator) joined(runKey string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if f, ok := c.flights[runKey]; ok {
+		return f.joiners
+	}
+	return 0
 }
 
 // reply writes a (possibly shared) buffered upstream response.

@@ -7,7 +7,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"ptx/internal/serve"
 	"ptx/internal/supervise"
 )
 
@@ -17,7 +19,8 @@ import (
 // request, exactly one retry — the new leader — lands on the surviving
 // node, and every caller in the herd receives byte-identical golden
 // output. The kill is deterministic (the victim hijacks and severs the
-// connection on its first publish), the concurrency is not.
+// connection on its first publish), and so is the herd: the victim
+// holds that publish until the other members have joined its flight.
 func TestFailoverSingleflightRace(t *testing.T) {
 	// Choose ids so the victim OWNS the pair's key — the herd must hit
 	// the dying node first, not by luck but by construction.
@@ -31,11 +34,23 @@ func TestFailoverSingleflightRace(t *testing.T) {
 	}
 	survivor := newTestNode(t, survivorID, store, nil)
 
+	const herd = 8
+	var coord *Coordinator
 	var victimHits atomic.Int64
 	victim := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/publish":
 			victimHits.Add(1)
+			// Hold the leader's request until every other herd member has
+			// joined its flight, so none can arrive after the flight ended
+			// and start a second one.
+			for deadline := time.Now().Add(10 * time.Second); coord.joined(r.Header.Get(serve.HeaderRunKey)) < herd-1; {
+				if time.Now().After(deadline) {
+					t.Errorf("only %d of %d followers joined the flight", coord.joined(r.Header.Get(serve.HeaderRunKey)), herd-1)
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
 			hj, ok := w.(http.Hijacker)
 			if !ok {
 				t.Error("test server does not support hijacking")
@@ -53,7 +68,7 @@ func TestFailoverSingleflightRace(t *testing.T) {
 	}))
 	defer victim.Close()
 
-	coord := New(Config{ProbeInterval: -1})
+	coord = New(Config{ProbeInterval: -1})
 	defer coord.Close()
 	if err := coord.Join(victimID, victim.URL); err != nil {
 		t.Fatal(err)
@@ -67,7 +82,6 @@ func TestFailoverSingleflightRace(t *testing.T) {
 	want := goldenXML(t)
 	epochBefore := coord.Epoch()
 
-	const herd = 8
 	var wg sync.WaitGroup
 	var shared atomic.Int64
 	for i := 0; i < herd; i++ {

@@ -119,6 +119,34 @@ func TestMemoInvalidateRelationsSelective(t *testing.T) {
 	}
 }
 
+// A query that ranges over the active domain reads every relation: ¬A(x)
+// names only A, yet an insert into E adds c to the domain and so to its
+// answer, and the entry must not survive the E delta.
+func TestMemoInvalidateDomainReader(t *testing.T) {
+	inst := graphInstance([2]string{"a", "b"})
+	inst.Schema().MustDeclare("A", 1)
+	inst.SetRel("A", relation.New(1))
+	inst.Add("A", "a")
+
+	qn := logic.MustQuery(nil, []logic.Var{x}, &logic.Not{F: logic.R("A", x)})
+	m := NewMemo(0)
+	m.BindInstance(inst)
+	if r, err := EvalQueryMemo(qn, NewEnv(inst), m); err != nil || r.Len() != 1 {
+		t.Fatalf("pre-delta: %v, err %v; want {b}", r, err)
+	}
+	eff, err := inst.Apply((&relation.Delta{}).Insert("E", "b", "c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := m.InvalidateRelations(eff.Rels()); n != 1 {
+		t.Fatalf("invalidated %d entries, want the domain reader", n)
+	}
+	m.BindInstance(inst)
+	if r, err := EvalQueryMemo(qn, NewEnv(inst), m); err != nil || r.Len() != 2 {
+		t.Fatalf("post-delta: %v, err %v; want {b, c}", r, err)
+	}
+}
+
 // Invalidation matches a key's whole query id, not a prefix of it: with
 // ids 1 and 11 both live, dropping query 1 keeps every 11|… entry.
 func TestMemoInvalidateWholeIDs(t *testing.T) {

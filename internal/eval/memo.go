@@ -36,11 +36,11 @@ type Memo struct {
 	mu  sync.Mutex
 	lru *lru.Cache[memoKey, *relation.Relation]
 	ids map[*logic.Query]int64
-	// rels[id-1] is the relation set of the query with that id, recorded
-	// once when key assigns the id, so invalidation never re-walks a
-	// formula.
-	rels [][]string
-	cap  int
+	// reads[id-1] is what the result of the query with that id depends
+	// on, recorded once when key assigns the id, so invalidation never
+	// re-walks a formula.
+	reads []queryReads
+	cap   int
 
 	// Staleness guard (see BindInstance): when bound, any version drift
 	// of the instance flushes the table before the next Get or Put, so a
@@ -109,11 +109,21 @@ func (m *Memo) syncLocked() bool {
 	return false
 }
 
-// InvalidateRelations drops every entry whose query mentions one of the
+// queryReads is what a query's result depends on besides its register:
+// the relations it names and, if domain is set, the whole instance's
+// active domain, which a write to any relation can change
+// (logic.Query.ReadsDomain).
+type queryReads struct {
+	rels   []string
+	domain bool
+}
+
+// InvalidateRelations drops every entry whose query reads one of the
 // named relations (the sound over-approximation of "result may have
 // changed" for a delta touching exactly those relations) and returns
-// how many entries were dropped. Entries for untouched queries survive
-// and keep their hit rate.
+// how many entries were dropped. A query that reads the active domain
+// reads every relation. Entries for untouched queries survive and keep
+// their hit rate.
 func (m *Memo) InvalidateRelations(names []string) int {
 	if len(names) == 0 {
 		return 0
@@ -121,10 +131,10 @@ func (m *Memo) InvalidateRelations(names []string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var dirty []bool // dirty[id-1]: the query with that id reads a named relation
-	for i, rels := range m.rels {
-		if slices.ContainsFunc(rels, func(r string) bool { return slices.Contains(names, r) }) {
+	for i, rd := range m.reads {
+		if rd.domain || slices.ContainsFunc(rd.rels, func(r string) bool { return slices.Contains(names, r) }) {
 			if dirty == nil {
-				dirty = make([]bool, len(m.rels))
+				dirty = make([]bool, len(m.reads))
 			}
 			dirty[i] = true
 		}
@@ -152,8 +162,8 @@ type memoKey struct {
 func (m *Memo) key(q *logic.Query, regFP string) memoKey {
 	id, ok := m.ids[q]
 	if !ok {
-		m.rels = append(m.rels, logic.Relations(q.F))
-		id = int64(len(m.rels))
+		m.reads = append(m.reads, queryReads{logic.Relations(q.F), q.ReadsDomain()})
+		id = int64(len(m.reads))
 		m.ids[q] = id
 	}
 	return memoKey{id, regFP}

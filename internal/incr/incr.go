@@ -8,14 +8,16 @@
 // generates. A delta leaves a node's subtree untouchable only through
 // its rule queries, so a rule whose queries never mention a mutated
 // relation produces the same children as before (its register and the
-// untouched relations are its only inputs), and a child whose
+// untouched relations are its only inputs) — unless a query reads the
+// active domain (logic.Query.ReadsDomain), which any write can move;
+// such a rule is dirty under every effective delta. A child whose
 // configuration survives a dirty parent's re-expansion unchanged
 // roots a subtree identical to what a full rebuild would generate —
 // every ancestor configuration on its path is also unchanged, so the
 // ancestor stop condition resolves identically too. Repair therefore:
 //
 //  1. computes the DIRTY RULES — (state, tag) pairs whose item queries
-//     mention a relation the effective delta touched;
+//     read a relation the effective delta touched, or the domain;
 //  2. walks the tree top-down, re-expanding only nodes governed by
 //     dirty rules, matching the new child specs against the old
 //     children by configuration (state, tag, register hash, confirmed
@@ -132,7 +134,8 @@ type View struct {
 	counts map[*pt.Rule]int // live expandable nodes per rule
 	total  int              // Σ counts
 
-	relRules map[string][]*pt.Rule // base relation → rules whose queries mention it
+	relRules map[string][]*pt.Rule // base relation → rules whose queries read it
+	domRules []*pt.Rule            // rules with a query that reads the active domain
 
 	version uint64
 	queries int64
@@ -159,6 +162,9 @@ func NewView(ctx context.Context, tr *pt.Transducer, inst *relation.Instance, op
 	v.memo.BindInstance(inst)
 	for _, r := range tr.Rules() {
 		for _, it := range r.Items {
+			if it.Query.ReadsDomain() && !slices.Contains(v.domRules, r) {
+				v.domRules = append(v.domRules, r)
+			}
 			for _, rel := range logic.Relations(it.Query.F) {
 				if rel != pt.RegRel && !slices.Contains(v.relRules[rel], r) {
 					v.relRules[rel] = append(v.relRules[rel], r)
@@ -282,12 +288,21 @@ func (v *View) applyLocked(ctx context.Context, d *relation.Delta) (*Report, err
 	rep := &Report{Delta: eff.String(), Effective: eff.Len()}
 	var dirty []*pt.Rule
 	est := 0
+	mark := func(r *pt.Rule) {
+		if !slices.Contains(dirty, r) {
+			dirty = append(dirty, r)
+			est += v.counts[r]
+		}
+	}
+	if !eff.Empty() {
+		// A write to any relation can move the active domain.
+		for _, r := range v.domRules {
+			mark(r)
+		}
+	}
 	for _, rel := range eff.Rels() {
 		for _, r := range v.relRules[rel] {
-			if !slices.Contains(dirty, r) {
-				dirty = append(dirty, r)
-				est += v.counts[r]
-			}
+			mark(r)
 		}
 	}
 	th := v.opts.RebuildThreshold

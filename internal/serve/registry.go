@@ -24,12 +24,17 @@ import (
 // Database sources are stored as text and parsed lazily per (spec, db)
 // pair, because an instance is only meaningful against a concrete
 // spec's schema. Each resolved pair caches its current instance version
-// and that version's query memo, so repeated publishes share warm
-// state; a committed delta moves every resolved pair over its database
-// to the next version (see MutateDB).
+// with that version's query memo and rendered documents, so repeated
+// publishes share warm state; a committed delta moves every resolved
+// pair over its database to the next version (see MutateDB).
 //
 // All methods are safe for concurrent use.
 type Registry struct {
+	// wmu sequences the writers (MutateDB, ApplyAt, AttachWAL): it is
+	// held across the WAL append and fsync, so mu is held only for the
+	// in-memory commit and a publish's Pair never waits on the disk.
+	// Every change to the logs and to log happens under both.
+	wmu   sync.Mutex
 	mu    sync.RWMutex
 	specs map[string]*pt.Transducer
 	dbs   map[string]string // name → source text
@@ -113,15 +118,39 @@ func (e *GapError) Error() string {
 }
 
 // pairEntry caches what one (spec, db) pair shares across requests: its
-// current instance version (immutable once served) and that version's
-// query memo (concurrency-safe; sound because it is scoped to exactly
-// this version). inst and memo are nil until once's first resolution
-// succeeds; they are read and replaced under Registry.mu.
+// current version, zero until once's first resolution succeeds, and
+// read and replaced under Registry.mu.
 type pairEntry struct {
 	once sync.Once
 	err  error
+	pairVersion
+}
+
+// pairVersion is one instance version of a pair (immutable once served)
+// with what is cached for it: the query memo (concurrency-safe; sound
+// because it is scoped to exactly this instance) and, per output form,
+// the rendered document of τ(inst) once an eligible run has produced it
+// (see keepDocument). A commit replaces the whole version, so a memo or
+// document never outlives the instance it was computed from.
+type pairVersion struct {
 	inst *relation.Instance
 	memo *eval.Memo
+	docs [2]*document // indexed by docForm
+}
+
+// document is τ(inst) rendered in one output form, with the node count
+// of the run that built it. Its bytes are never modified.
+type document struct {
+	body  []byte
+	nodes int
+}
+
+// docForm indexes pairVersion.docs: 0 for XML, 1 for canonical form.
+func docForm(canonical bool) int {
+	if canonical {
+		return 1
+	}
+	return 0
 }
 
 // NewRegistry returns an empty registry.
@@ -141,6 +170,8 @@ func NewRegistry() *Registry {
 // ack-after-durable contract. Returns the number of records replayed.
 func (r *Registry) AttachWAL(l *wal.Log) int {
 	recs := l.Records()
+	r.wmu.Lock()
+	defer r.wmu.Unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.log = l
@@ -251,20 +282,27 @@ func (r *Registry) Spec(name string) (*pt.Transducer, error) {
 // errors; a database that does not parse against the spec's schema
 // likewise (cached, so a hopeless pair fails fast forever).
 func (r *Registry) Pair(spec, db string) (*pt.Transducer, *relation.Instance, *eval.Memo, error) {
+	tr, v, err := r.version(spec, db)
+	return tr, v.inst, v.memo, err
+}
+
+// version is Pair returning the whole current version, documents
+// included, read under one lock.
+func (r *Registry) version(spec, db string) (*pt.Transducer, pairVersion, error) {
 	r.mu.RLock()
 	tr, e := r.specs[spec], r.pairs[db][spec]
 	src, dbOK := r.dbs[db]
 	if e != nil && e.inst != nil {
 		defer r.mu.RUnlock()
-		return tr, e.inst, e.memo, nil
+		return tr, e.pairVersion, nil
 	}
 	r.mu.RUnlock()
 	if tr == nil {
 		_, err := r.Spec(spec)
-		return nil, nil, nil, err
+		return nil, pairVersion{}, err
 	}
 	if !dbOK {
-		return nil, nil, nil, Validationf("db", "unknown database %q (have: %s)", db, strings.Join(r.DBNames(), ", "))
+		return nil, pairVersion{}, Validationf("db", "unknown database %q (have: %s)", db, strings.Join(r.DBNames(), ", "))
 	}
 	r.mu.Lock()
 	if e = r.pairs[db][spec]; e == nil {
@@ -274,11 +312,28 @@ func (r *Registry) Pair(spec, db string) (*pt.Transducer, *relation.Instance, *e
 	r.mu.Unlock()
 	e.once.Do(func() { e.err = r.resolve(e, tr, spec, db, src) })
 	if e.err != nil {
-		return nil, nil, nil, e.err
+		return nil, pairVersion{}, e.err
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return tr, e.inst, e.memo, nil
+	return tr, e.pairVersion, nil
+}
+
+// keepDocument stores doc as the rendered document, in the given form,
+// of the pair's version inst, and releases that version's memo: every
+// later eligible publish of the version is served from the document, so
+// the memo would only pin results no run reads. Runs in flight keep the
+// memo they hold, and a later ineligible run of the version starts
+// cold, as the first run after a write does. Nothing is stored if inst
+// is no longer the pair's current version (versions are fresh
+// pointers, so an instance cannot come back).
+func (r *Registry) keepDocument(spec, db string, inst *relation.Instance, canonical bool, doc *document) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e := r.pairs[db][spec]; e != nil && e.inst == inst {
+		e.docs[docForm(canonical)] = doc
+		e.memo = eval.NewMemo(0)
+	}
 }
 
 // resolve builds e's first version. The parse and the replay of the log
@@ -310,7 +365,7 @@ func (r *Registry) resolve(e *pairEntry, tr *pt.Transducer, spec, db, src string
 	if lg := r.logs[db]; lg != nil && r.pairs[db][spec] == e {
 		replay(lg.recs[len(done):])
 	}
-	e.inst, e.memo = inst, eval.NewMemo(0)
+	e.pairVersion = pairVersion{inst: inst, memo: eval.NewMemo(0)}
 	return nil
 }
 
@@ -337,11 +392,13 @@ func parseInstance(spec, db, src string, tr *pt.Transducer) (inst *relation.Inst
 // fsynced BEFORE anything in memory changes, so an acknowledged delta
 // survives a crash) to the database's mutation log, and every resolved
 // (spec, db) pair over it moves to its next instance version with a
-// fresh memo. The next version shares every relation the delta does
-// not touch with the previous one and clones the touched ones before
-// applying the delta (relation.Instance.Derive). A pair whose schema
-// rejects the delta, or on which it has no effect, keeps its version
-// and its memo.
+// fresh memo and no documents. Writers are sequenced by wmu, and mu is
+// taken only after the append, for the in-memory commit, so the fsync
+// never blocks a publish's Pair. The next version shares every
+// relation the delta does not touch with the previous one and clones
+// the touched ones before applying the delta (relation.Instance.Derive).
+// A pair whose schema rejects the delta, or on which it has no effect,
+// keeps its version, its memo and its documents.
 //
 // Deriving instead of mutating in place is the concurrency contract:
 // a publish in flight keeps the (instance, memo) version it resolved —
@@ -363,21 +420,22 @@ func (r *Registry) MutateDB(db string, d *relation.Delta, epoch uint64) (int, ui
 	if d == nil || d.Empty() {
 		return 0, 0, Validationf("delta", "empty delta")
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.dbs[db]; !ok {
-		return 0, 0, Validationf("db", "unknown database %q (have: %s)", db, strings.Join(r.dbNamesLocked(), ", "))
-	}
-	lg := r.logsLocked(db)
-	if epoch > 0 && epoch < lg.epoch {
-		return 0, 0, &supervise.ErrFenced{Key: "mutate\x00" + db, Epoch: epoch, Stored: lg.epoch}
-	}
-	seq := lg.seq + 1
-	moved, err := r.commitLocked(db, lg, DeltaRecord{Seq: seq, Epoch: epoch, Delta: d})
+	r.wmu.Lock()
+	defer r.wmu.Unlock()
+	head, err := r.logHead(db)
 	if err != nil {
 		return 0, 0, err
 	}
-	return moved, seq, nil
+	if epoch > 0 && epoch < head.epoch {
+		return 0, 0, &supervise.ErrFenced{Key: "mutate\x00" + db, Epoch: epoch, Stored: head.epoch}
+	}
+	rec := DeltaRecord{Seq: head.seq + 1, Epoch: epoch, Delta: d}
+	if err := r.appendWAL(db, rec); err != nil {
+		return 0, 0, err
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.commitLocked(db, rec), rec.Seq, nil
 }
 
 // ApplyAt installs a REPLICATED record at its original sequence number.
@@ -393,53 +451,81 @@ func (r *Registry) MutateDB(db string, d *relation.Delta, epoch uint64) (int, ui
 // local records were written by a deposed owner and were never
 // acknowledged (an acknowledged record reaches every up member before
 // its ack, so its sequence number is never reassigned) — the new
-// regime's history wins: the stale suffix is truncated, the database's
-// cached pairs are deleted (their versions carry the stale records, so
-// the next Pair re-resolves them from the reconciled log), and
-// superseded reports true so the caller can reconcile live views
-// against those re-resolved versions.
+// regime's history wins: once the record is durable, the stale suffix
+// is truncated, the database's cached pairs are deleted (their versions
+// carry the stale records, so the next Pair re-resolves them from the
+// reconciled log), and superseded reports true so the caller can
+// reconcile live views against those re-resolved versions.
 func (r *Registry) ApplyAt(db string, rec DeltaRecord) (applied, superseded bool, err error) {
 	if rec.Delta == nil || rec.Delta.Empty() {
 		return false, false, Validationf("delta", "empty delta")
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.dbs[db]; !ok {
-		return false, false, Validationf("db", "unknown database %q (have: %s)", db, strings.Join(r.dbNamesLocked(), ", "))
+	r.wmu.Lock()
+	defer r.wmu.Unlock()
+	head, err := r.logHead(db)
+	if err != nil {
+		return false, false, err
 	}
-	lg := r.logsLocked(db)
-	if rec.Epoch > 0 && rec.Epoch < lg.epoch {
-		return false, false, &supervise.ErrFenced{Key: "mutate\x00" + db, Epoch: rec.Epoch, Stored: lg.epoch}
+	if rec.Epoch > 0 && rec.Epoch < head.epoch {
+		return false, false, &supervise.ErrFenced{Key: "mutate\x00" + db, Epoch: rec.Epoch, Stored: head.epoch}
 	}
+	idx := 0
 	switch {
-	case rec.Seq <= lg.seq:
-		idx, ok := lg.indexOf(rec.Seq)
-		if !ok || rec.Epoch <= lg.recs[idx].Epoch {
+	case rec.Seq <= head.seq:
+		var ok bool
+		idx, ok = head.indexOf(rec.Seq)
+		if !ok || rec.Epoch <= head.recs[idx].Epoch {
 			return false, false, nil
 		}
+		superseded = true
+	case rec.Seq > head.seq+1:
+		return false, false, &GapError{DB: db, Have: head.seq, Got: rec.Seq}
+	}
+	if err := r.appendWAL(db, rec); err != nil {
+		return false, false, err
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if superseded {
+		lg := r.logs[db]
 		lg.recs = append([]DeltaRecord(nil), lg.recs[:idx]...)
 		lg.seq = rec.Seq - 1
 		clear(r.pairs[db])
-		superseded = true
-	case rec.Seq > lg.seq+1:
-		return false, false, &GapError{DB: db, Have: lg.seq, Got: rec.Seq}
 	}
-	if _, err := r.commitLocked(db, lg, rec); err != nil {
-		return false, false, err
-	}
+	r.commitLocked(db, rec)
 	return true, superseded, nil
 }
 
-// commitLocked makes one record durable (WAL append + fsync first),
-// then commits it in memory and moves every resolved pair over db to
-// its next version. It returns how many pairs moved. Caller holds r.mu
-// and has already fenced and sequenced the record.
-func (r *Registry) commitLocked(db string, lg *dbLog, rec DeltaRecord) (int, error) {
-	if r.log != nil {
-		if err := r.log.Append(wal.Record{DB: db, Seq: rec.Seq, Epoch: rec.Epoch, Delta: rec.Delta}); err != nil {
-			return 0, err
-		}
+// logHead returns a copy of db's log header, or a typed validation error
+// for an unknown database. Its recs share the log's storage. Under wmu
+// the log cannot change until the caller commits.
+func (r *Registry) logHead(db string) (dbLog, error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if _, ok := r.dbs[db]; !ok {
+		return dbLog{}, Validationf("db", "unknown database %q (have: %s)", db, strings.Join(r.dbNamesLocked(), ", "))
 	}
+	if lg := r.logs[db]; lg != nil {
+		return *lg, nil
+	}
+	return dbLog{}, nil
+}
+
+// appendWAL makes one fenced, sequenced record durable (append and
+// fsync) when a log is attached. Caller holds wmu and not mu, so
+// publishes keep resolving pairs while the disk works.
+func (r *Registry) appendWAL(db string, rec DeltaRecord) error {
+	if r.log == nil {
+		return nil
+	}
+	return r.log.Append(wal.Record{DB: db, Seq: rec.Seq, Epoch: rec.Epoch, Delta: rec.Delta})
+}
+
+// commitLocked commits one durable record in memory and moves every
+// resolved pair over db to its next version. It returns how many pairs
+// moved. Caller holds wmu and mu.
+func (r *Registry) commitLocked(db string, rec DeltaRecord) int {
+	lg := r.logsLocked(db)
 	lg.recs = append(lg.recs, rec)
 	lg.seq = rec.Seq
 	if rec.Epoch > lg.epoch {
@@ -454,10 +540,10 @@ func (r *Registry) commitLocked(db string, lg *dbLog, rec DeltaRecord) (int, err
 		if err != nil || eff.Empty() {
 			continue
 		}
-		e.inst, e.memo = next, eval.NewMemo(0)
+		e.pairVersion = pairVersion{inst: next, memo: eval.NewMemo(0)}
 		moved++
 	}
-	return moved, nil
+	return moved
 }
 
 // Seq returns the database's last committed sequence number.

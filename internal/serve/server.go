@@ -20,8 +20,9 @@
 //     server is busy" from "your document hit its budget";
 //   - deduplication — identical in-flight (spec, db, options) requests
 //     share one transducer run and its caches (singleflight.go), and
-//     repeated runs of one (spec, db) pair share a query memo through
-//     the registry;
+//     repeated publishes of one (spec, db) pair version share its query
+//     memo or, once an eligible run has rendered it, its document
+//     through the registry;
 //   - graceful drain — Drain stops admissions, lets in-flight runs
 //     finish within a deadline, then cancels the stragglers so they
 //     terminate with typed errors; /healthz and /readyz expose the
@@ -159,8 +160,10 @@ type Metrics struct {
 	Watched   int64 `json:"watched"`  // /watch requests served (poll + SSE)
 
 	// ViewServed counts the Succeeded publishes answered from a live
-	// view's tree instead of a run (see serveView).
+	// view's tree instead of a run (see serveView); DocServed those
+	// answered from their pair version's stored document.
 	ViewServed int64 `json:"view_served"`
+	DocServed  int64 `json:"doc_served"`
 
 	// Durability counters (zero without an attached WAL): Appended and
 	// Fsyncs come from the write-ahead log, Recovered is how many
@@ -221,6 +224,7 @@ type Server struct {
 	repaired   atomic.Int64
 	watched    atomic.Int64
 	viewServed atomic.Int64
+	docServed  atomic.Int64
 	replicated atomic.Int64
 }
 
@@ -284,6 +288,7 @@ func (s *Server) Metrics() Metrics {
 		Recovered: wm.Recovered,
 
 		ViewServed:   s.viewServed.Load(),
+		DocServed:    s.docServed.Load(),
 		Replicated:   s.replicated.Load(),
 		BreakerOpens: s.repBreakers.Opens(),
 		BreakerOpen:  s.repBreakers.OpenPeers(),
@@ -555,7 +560,7 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 			adm.key = string(appendField(key, adm.runKey))
 		}
 	}
-	tr, inst, memo, err := s.reg.Pair(req.Spec, req.DB)
+	tr, ver, err := s.reg.version(req.Spec, req.DB)
 	if err != nil {
 		s.rejected.Add(1)
 		WriteError(w, err)
@@ -565,7 +570,7 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		// Warm-path sharing: the registry's per-(spec,db) memo. Faulted
 		// runs keep private memos, so a fault schedule never depends on
 		// how warm the memo is.
-		adm.opts.Memo = memo
+		adm.opts.Memo = ver.memo
 	}
 
 	// The request's wall clock starts now and covers queue time: a
@@ -590,12 +595,21 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	s.admitted.Add(1)
-	if adm.viewEligible() && s.serveView(w, adm, inst) {
-		return
+	servable := adm.servable()
+	if servable {
+		if doc := ver.docs[docForm(adm.req.Canonical)]; doc != nil {
+			s.docServed.Add(1)
+			s.writeServed(w, adm, doc.nodes, doc.body)
+			return
+		}
+		if s.serveView(w, adm, ver.inst) {
+			return
+		}
 	}
 
-	res, attempts, resumed, shared, err := s.flights.do(reqCtx, adm.key, func() (*pt.Result, int, bool, error) {
-		return s.execute(tr, inst, adm)
+	f, shared, err := s.flights.do(reqCtx, adm.key, func(f *flight) {
+		f.inst = ver.inst
+		f.res, f.attempts, f.resumed, f.err = s.execute(tr, ver.inst, adm)
 	})
 	if shared {
 		s.deduped.Add(1)
@@ -607,16 +621,21 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	}
 	s.succeeded.Add(1)
 
+	res := f.res
 	h := w.Header()
 	h.Set("Content-Type", "application/xml; charset=utf-8")
-	h.Set("X-Ptserve-Attempts", strconv.Itoa(attempts))
+	h.Set("X-Ptserve-Attempts", strconv.Itoa(f.attempts))
 	h.Set("X-Ptserve-Shared", strconv.FormatBool(shared))
 	if adm.runKey != "" {
-		h.Set("X-Ptserve-Resumed", strconv.FormatBool(resumed))
+		h.Set("X-Ptserve-Resumed", strconv.FormatBool(f.resumed))
 	}
 	h.Set("X-Ptserve-Nodes", strconv.Itoa(res.Stats.Nodes))
 	h.Set("X-Ptserve-Queries", strconv.Itoa(res.Stats.QueriesRun))
 	h.Set("X-Ptserve-Cache", res.Stats.CacheMode.String())
+	if servable {
+		_, _ = w.Write(s.fill(tr, f, adm).body)
+		return
+	}
 	// Stream straight from ξ: the writers splice virtual tags at
 	// emission and never materialize a copy. A write failure here means
 	// the client went away; the status line is already committed, so
@@ -630,22 +649,80 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// viewEligible reports whether the request may be answered from a live
-// view: it injects no faults, carries no handoff run key, uses the
-// default cache mode and sets no budget but its timeout. Under those
-// options a successful run returns exactly the view's tree, so only
-// its node and query counts could tell the two apart.
-func (adm *admitted) viewEligible() bool {
+// servable reports whether the request may be answered without a run
+// of its own, from its version's document or a live view: it injects
+// no faults, carries no handoff run key, uses the default cache mode
+// and sets no budget but its timeout. Under those options a successful
+// run returns exactly τ(inst), so only its node and query counts could
+// tell the answers apart.
+func (adm *admitted) servable() bool {
 	l := adm.req.Limits
 	return adm.opts.Faults == nil && adm.runKey == "" && adm.opts.Cache == pt.CacheQueries &&
 		l.MaxNodes == 0 && l.MaxDepth == 0 && l.MaxQueries == 0
 }
 
-// renderBufs recycles serveView's buffers; one that grew past
-// maxPooledRender is left to the collector.
+// renderBufs recycles the render buffers of serveView and fill; one
+// that grew past maxPooledRender is left to the collector. A document
+// longer than maxPooledRender is not kept either (see fill).
 var renderBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledRender = 1 << 20
+
+func putRenderBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledRender {
+		buf.Reset()
+		renderBufs.Put(buf)
+	}
+}
+
+// fill returns the document of f's successful run in the request's
+// output form, rendering it once per flight: every servable member of
+// the flight shares the bytes. A document of at most maxPooledRender
+// bytes is kept, as an exact-size copy, on the pair version the run
+// resolved (Registry.keepDocument, which also releases that version's
+// memo), so later publishes of the version are served from it. A
+// longer one, or a failed render, is only shared within the flight,
+// and its version keeps its memo.
+func (s *Server) fill(tr *pt.Transducer, f *flight, adm *admitted) *document {
+	slot := &f.docs[docForm(adm.req.Canonical)]
+	slot.once.Do(func() {
+		buf := renderBufs.Get().(*bytes.Buffer)
+		var err error
+		if adm.req.Canonical {
+			if err = f.res.Xi.WriteCanonicalVirtual(buf, tr.Virtual); err == nil {
+				buf.WriteByte('\n')
+			}
+		} else {
+			err = f.res.Xi.WriteXMLVirtual(buf, tr.Virtual)
+		}
+		doc := &document{nodes: f.res.Stats.Nodes}
+		if err != nil || buf.Len() > maxPooledRender {
+			doc.body = buf.Bytes()
+			slot.doc = doc
+			return
+		}
+		doc.body = bytes.Clone(buf.Bytes())
+		putRenderBuf(buf)
+		s.reg.keepDocument(adm.req.Spec, adm.req.DB, f.inst, adm.req.Canonical, doc)
+		slot.doc = doc
+	})
+	return slot.doc
+}
+
+// writeServed answers an admitted publish that needed no run of its own
+// with body, the bytes of τ(inst) for the version it resolved, and the
+// node count of the tree they render.
+func (s *Server) writeServed(w http.ResponseWriter, adm *admitted, nodes int, body []byte) {
+	s.succeeded.Add(1)
+	h := w.Header()
+	h.Set("Content-Type", "application/xml; charset=utf-8")
+	h.Set("X-Ptserve-Attempts", "1")
+	h.Set("X-Ptserve-Shared", "false")
+	h.Set("X-Ptserve-Nodes", strconv.Itoa(nodes))
+	h.Set("X-Ptserve-Queries", "0")
+	h.Set("X-Ptserve-Cache", adm.opts.Cache.String())
+	_, _ = w.Write(body)
+}
 
 // serveView answers a publish from the live view over its pair when the
 // view mirrors inst, the instance version the request resolved, and
@@ -668,12 +745,7 @@ func (s *Server) serveView(w http.ResponseWriter, adm *admitted, inst *relation.
 		return false
 	}
 	buf := renderBufs.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledRender {
-			buf.Reset()
-			renderBufs.Put(buf)
-		}
-	}()
+	defer putRenderBuf(buf)
 	_, nodes, err := lv.view.Render(buf, adm.req.Canonical)
 	if err != nil || lv.mirror.Load() != inst {
 		return false
@@ -681,16 +753,8 @@ func (s *Server) serveView(w http.ResponseWriter, adm *admitted, inst *relation.
 	if adm.req.Canonical {
 		buf.WriteByte('\n')
 	}
-	s.succeeded.Add(1)
 	s.viewServed.Add(1)
-	h := w.Header()
-	h.Set("Content-Type", "application/xml; charset=utf-8")
-	h.Set("X-Ptserve-Attempts", "1")
-	h.Set("X-Ptserve-Shared", "false")
-	h.Set("X-Ptserve-Nodes", strconv.Itoa(nodes))
-	h.Set("X-Ptserve-Queries", "0")
-	h.Set("X-Ptserve-Cache", adm.opts.Cache.String())
-	_, _ = w.Write(buf.Bytes())
+	s.writeServed(w, adm, nodes, buf.Bytes())
 	return true
 }
 

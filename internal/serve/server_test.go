@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"ptx/internal/pt"
 	"ptx/internal/runctl"
 	"ptx/internal/supervise"
 	"ptx/internal/testutil"
@@ -312,9 +311,9 @@ func TestDrainCancelsStragglers(t *testing.T) {
 	}
 	flightDone := make(chan error, 1)
 	go func() {
-		_, _, _, _, err := s.flights.do(context.Background(), "stuck", func() (*pt.Result, int, bool, error) {
+		_, _, err := s.flights.do(context.Background(), "stuck", func(f *flight) {
 			<-s.baseCtx.Done()
-			return nil, 1, false, &runctl.ErrCanceled{Cause: s.baseCtx.Err()}
+			f.attempts, f.err = 1, &runctl.ErrCanceled{Cause: s.baseCtx.Err()}
 		})
 		release()
 		flightDone <- err

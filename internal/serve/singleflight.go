@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"ptx/internal/pt"
+	"ptx/internal/relation"
 	"ptx/internal/runctl"
 )
 
@@ -14,7 +15,8 @@ import (
 // herd on one view costs one transformation. The shared value is the
 // raw *pt.Result — serialization stays per-request (writers are
 // read-only over the tree, and canonical-vs-XML rendering may differ
-// between duplicates of one run).
+// between duplicates of one run) — plus, for eligible runs, one
+// rendered document per output form (see Server.fill).
 //
 // The leader executes under the SERVER's lifecycle context, not its own
 // request's, so one impatient client disconnecting cannot poison the
@@ -25,12 +27,20 @@ type flightGroup struct {
 	m  map[string]*flight
 }
 
+// flight is one execution. The leader's fn sets every field but done
+// and docs before done is closed; after that they are read-only.
 type flight struct {
 	done     chan struct{} // closed when the leader finishes
+	inst     *relation.Instance
 	res      *pt.Result
 	attempts int
 	resumed  bool
 	err      error
+
+	docs [2]struct { // indexed by docForm
+		once sync.Once
+		doc  *document
+	}
 }
 
 func newFlightGroup() *flightGroup {
@@ -38,28 +48,29 @@ func newFlightGroup() *flightGroup {
 }
 
 // do runs fn for key, or waits for the in-flight execution of the same
-// key. shared reports whether this caller was a follower. A follower
-// whose ctx expires stops waiting with a typed *runctl.ErrCanceled; the
+// key, and returns the flight with its error. shared reports whether
+// this caller was a follower. A follower whose ctx expires stops
+// waiting with a nil flight and a typed *runctl.ErrCanceled; the
 // leader's run is unaffected.
-func (g *flightGroup) do(ctx context.Context, key string, fn func() (*pt.Result, int, bool, error)) (res *pt.Result, attempts int, resumed, shared bool, err error) {
+func (g *flightGroup) do(ctx context.Context, key string, fn func(f *flight)) (f *flight, shared bool, err error) {
 	g.mu.Lock()
 	if f, ok := g.m[key]; ok {
 		g.mu.Unlock()
 		select {
 		case <-f.done:
-			return f.res, f.attempts, f.resumed, true, f.err
+			return f, true, f.err
 		case <-ctx.Done():
-			return nil, 0, false, true, &runctl.ErrCanceled{Cause: ctx.Err()}
+			return nil, true, &runctl.ErrCanceled{Cause: ctx.Err()}
 		}
 	}
-	f := &flight{done: make(chan struct{})}
+	f = &flight{done: make(chan struct{})}
 	g.m[key] = f
 	g.mu.Unlock()
 
-	f.res, f.attempts, f.resumed, f.err = fn()
+	fn(f)
 	g.mu.Lock()
 	delete(g.m, key)
 	g.mu.Unlock()
 	close(f.done)
-	return f.res, f.attempts, f.resumed, false, f.err
+	return f, false, f.err
 }

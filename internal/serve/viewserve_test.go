@@ -304,3 +304,37 @@ func TestViewServedAfterSupersede(t *testing.T) {
 		}
 	}
 }
+
+// domSpec's root query ranges over the active domain: it names only S,
+// yet an insert into R changes its answer.
+const domSpec = `
+schema R/1, S/1
+transducer dom root root start q0
+tag item/1, text/1
+rule q0 root -> (q1, item, [x;] !S(x))
+rule q1 item -> (q2, text, [x;] Reg(x))
+rule q2 text -> .
+`
+
+// TestViewServedDomainDependent: after a delta to a relation a
+// domain-reading query does not name, the view-served publish returns
+// the post-delta golden, the bytes a forced run returns.
+func TestViewServedDomainDependent(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	if err := s.reg.RegisterSpec("dom", domSpec); err != nil {
+		t.Fatal(err)
+	}
+	const db = "R(a)\nS(b)\n"
+	if err := s.reg.RegisterDB("domdb", db); err != nil {
+		t.Fatal(err)
+	}
+	openView(t, ts, "dom", "domdb")
+	mutateOK(t, ts, `{"spec":"dom","db":"domdb","ops":[{"op":"insert","rel":"R","tuple":["c"]}]}`)
+	want := goldenXML(t, domSpec, db+"R(c)\n", false)
+	if _, got, fromView := publishVia(t, ts, `{"spec":"dom","db":"domdb"}`); !fromView || !bytes.Equal(got, want) {
+		t.Fatalf("view-served publish: from view %v, golden match %v\n got %q\nwant %q", fromView, bytes.Equal(got, want), got, want)
+	}
+	if _, got, fromView := publishVia(t, ts, `{"spec":"dom","db":"domdb","limits":{"max_depth":1000}}`); fromView || !bytes.Equal(got, want) {
+		t.Fatalf("forced run: from view %v, golden match %v", fromView, bytes.Equal(got, want))
+	}
+}
