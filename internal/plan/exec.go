@@ -499,7 +499,8 @@ type constCheck struct {
 // nScan reads one relation atom. Variable layout (first occurrences,
 // duplicate positions, constant checks) is resolved at compile time;
 // when the atom carries a constant, the scan goes through the
-// relation's secondary column index instead of the full extent. Inside
+// relation's secondary column index instead of the full extent, unless
+// the relation is small (see probeTuples). Inside
 // a conjunction a scan may instead be joined by index probes (see
 // nConj), which reuse the same layout.
 type nScan struct {
@@ -544,10 +545,11 @@ func (n *nScan) check(rel *relation.Relation, ok bool) (*relation.Relation, erro
 }
 
 // candidates is what a scan of rel examines: the constant's index
-// bucket, or the whole extent.
+// bucket (see probeTuples), or the whole extent. matches checks every
+// constant either way.
 func (n *nScan) candidates(rel *relation.Relation) []value.Tuple {
 	if n.constCol >= 0 {
-		return rel.Lookup(n.constCol, n.constVal)
+		return probeTuples(rel, n.constCol, n.constVal)
 	}
 	return rel.Sorted()
 }
@@ -556,7 +558,7 @@ func (n *nScan) candidates(rel *relation.Relation) []value.Tuple {
 // size the join order and the probe-or-scan choice compare.
 func (n *nScan) extent(rel *relation.Relation) int {
 	if n.constCol >= 0 {
-		return len(rel.Lookup(n.constCol, n.constVal))
+		return len(n.candidates(rel))
 	}
 	return rel.Len()
 }
@@ -601,18 +603,18 @@ func (n *nScan) scan(x *exec, rel *relation.Relation) (*bset, error) {
 
 // probe joins cur with the atom by index lookups: for each row of cur
 // it fetches the tuples of rel whose column col equals the row's value
-// at from, then checks the constants, the repeated variables and the
-// other shared variables on each fetched tuple. Output variables are
-// cur's followed by the atom's new ones.
+// at from (see probeTuples), then checks the constants, the repeated
+// variables and the other shared variables on each fetched tuple.
+// Output variables are cur's followed by the atom's new ones.
 func (n *nScan) probe(x *exec, cur *bset, rel *relation.Relation, col, from int) (*bset, error) {
-	// checks holds (relation column, cur column) pairs of the other
-	// shared variables.
+	// checks holds (relation column, cur column) pairs of the shared
+	// variables, col included: probeTuples may return a whole relation.
 	checks, newCols := x.cols(2*len(n.out)), x.cols(len(n.out))
 	for i, v := range n.out {
 		c := n.varFirst[i]
 		if ci := varPos(cur.vars, v); ci < 0 {
 			newCols = append(newCols, c)
-		} else if c != col {
+		} else {
 			checks = append(checks, c, ci)
 		}
 	}
@@ -620,7 +622,7 @@ func (n *nScan) probe(x *exec, cur *bset, rel *relation.Relation, col, from int)
 	w := len(out.vars)
 	for _, lt := range cur.rows {
 	tuples:
-		for _, t := range rel.Lookup(col, lt[from]) {
+		for _, t := range probeTuples(rel, col, lt[from]) {
 			if err := x.ctl.Tick(); err != nil {
 				return nil, err
 			}
@@ -643,11 +645,14 @@ func (n *nScan) probe(x *exec, cur *bset, rel *relation.Relation, col, from int)
 	return out, nil
 }
 
-func (n *nScan) explain(sb *strings.Builder, d int) {
+func (n *nScan) explain(sb *strings.Builder, d int) { n.explainAs(sb, d, "index", n.constCol) }
+
+// explainAs renders the scan, noting how it reads column col, if any.
+func (n *nScan) explainAs(sb *strings.Builder, d int, how string, col int) {
 	indent(sb, d)
 	fmt.Fprintf(sb, "scan %s -> %s", n.atom, varList(n.out))
-	if n.constCol >= 0 {
-		fmt.Fprintf(sb, " [index col %d]", n.constCol)
+	if col >= 0 {
+		fmt.Fprintf(sb, " [%s col %d]", how, col)
 	}
 	sb.WriteString("\n")
 }
@@ -988,13 +993,7 @@ func (x *exec) coverEq(cur *bset, f *filter) (*bset, error) {
 func (n *nConj) explain(sb *strings.Builder, d int) {
 	indent(sb, d)
 	fmt.Fprintf(sb, "conj -> %s", varList(n.out))
-	if len(n.filters) > 0 {
-		parts := make([]string, len(n.filters))
-		for i, f := range n.filters {
-			parts[i] = f.String()
-		}
-		fmt.Fprintf(sb, " filters[%s]", strings.Join(parts, " "))
-	}
+	writeFilters(sb, n.filters)
 	sb.WriteString("\n")
 	for _, p := range n.positives {
 		p.explain(sb, d+1)
@@ -1003,6 +1002,16 @@ func (n *nConj) explain(sb *strings.Builder, d int) {
 		if f.sub != nil {
 			f.sub.explain(sb, d+1)
 		}
+	}
+}
+
+func writeFilters(sb *strings.Builder, fs []*filter) {
+	if len(fs) > 0 {
+		parts := make([]string, len(fs))
+		for i, f := range fs {
+			parts[i] = f.String()
+		}
+		fmt.Fprintf(sb, " filters[%s]", strings.Join(parts, " "))
 	}
 }
 

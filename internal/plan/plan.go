@@ -9,14 +9,24 @@
 //     forall, fixpoint) with every variable layout — scan output
 //     order, duplicate-variable checks, union alignments, head
 //     projections — resolved at compile time;
-//   - conjunctions join their positive conjuncts greedily by
+//   - a query that is a conjunction of 2–8 atoms sharing variables,
+//     possibly under a non-vacuous ∃, with (in)equalities over the
+//     variables the atoms bind and every head variable in an atom (the
+//     PT(CQ) rule queries: a register joined with base relations)
+//     compiles to the chain operator: one depth-first nested loop over
+//     variable slots, starting at the atom with the smallest extent and
+//     probing each later atom with a slot bound before it, with a step
+//     order precomputed for every start atom (see nChain);
+//   - other conjunctions join their positive conjuncts greedily by
 //     cardinality (smallest first, preferring joinable pairs over
 //     cross products): an atom sharing a variable with a smaller bound
 //     prefix is joined by probing the relation's column index once per
 //     prefix row, anything else is scanned and hash-joined; (in)equality
 //     and negation conjuncts apply as filters on the bound prefix the
 //     moment their variables are covered instead of materializing
-//     |adom|² binding sets;
+//     |adom|² binding sets. Probes into a relation of at most 8 tuples
+//     (a per-node register) scan it instead, so it never gets a column
+//     index built;
 //   - fixpoint bodies are compiled once and re-executed per iteration
 //     against the growing stage relation;
 //   - operators whose rows are distinct by construction skip hashing:
@@ -100,9 +110,12 @@ func Compile(q *logic.Query) (*Plan, error) {
 	if s, cols := singleAtom(f, head); s != nil {
 		return &Plan{head: head, atom: s, proj: cols}, nil
 	}
-	root, err := compileNode(f)
-	if err != nil {
-		return nil, err
+	root := compileChain(f, head)
+	if root == nil {
+		var err error
+		if root, err = compileNode(f); err != nil {
+			return nil, err
+		}
 	}
 	rv := root.vars()
 	missing := varsMissing(head, rv)
