@@ -78,7 +78,7 @@ func TestDeepChainCLICacheModes(t *testing.T) {
 		{nil, xmlSpec, xmlData},
 	} {
 		var base []byte
-		for _, cache := range []string{"off", "query", "subtree"} {
+		for _, cache := range []string{"off", "query"} {
 			var out, errBuf bytes.Buffer
 			args := append([]string{"-spec", tc.spec, "-data", tc.data,
 				"-cache", cache, "-max-nodes", "0", "-max-depth", "0"}, tc.format...)

@@ -54,14 +54,11 @@ func TestGoldenSpecs(t *testing.T) {
 				t.Errorf("output drifted from %s\n got:\n%s\n want:\n%s", golden, got, want)
 			}
 
-			// Every cache mode must reproduce the golden bytes. -cache
-			// subtree and -workers are accepted aliases and must change
-			// nothing, with or without budgets.
+			// Every cache mode must reproduce the golden bytes, with or
+			// without budgets.
 			for _, args := range [][]string{
 				{"-cache", "query"},
-				{"-cache", "subtree"},
-				{"-cache", "subtree", "-max-nodes", "0"},
-				{"-cache", "subtree", "-max-nodes", "0", "-workers", "4"},
+				{"-cache", "query", "-max-nodes", "0"},
 			} {
 				if cached := runCLI(args...); !bytes.Equal(cached, want) {
 					t.Errorf("ptxml %v: output differs from golden bytes", args)
@@ -72,7 +69,7 @@ func TestGoldenSpecs(t *testing.T) {
 }
 
 // TestGoldenStatsLine pins the machine-readable -stats contract,
-// including the query-memo counters; -cache subtree reports as query.
+// including the query-memo counters.
 func TestGoldenStatsLine(t *testing.T) {
 	dir := filepath.Join("..", "..", "examples", "specs")
 	if _, err := os.Stat(filepath.Join(dir, "tau1.pt")); err != nil {
@@ -82,7 +79,7 @@ func TestGoldenStatsLine(t *testing.T) {
 	code := run([]string{
 		"-spec", filepath.Join(dir, "tau1.pt"),
 		"-data", filepath.Join(dir, "registrar.db"),
-		"-stats", "-cache", "subtree", "-max-nodes", "0",
+		"-stats", "-cache", "query", "-max-nodes", "0",
 	}, &out, &errBuf)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errBuf.String())
@@ -95,10 +92,18 @@ func TestGoldenStatsLine(t *testing.T) {
 	}
 }
 
-// TestCacheFlagValidation: a bogus -cache value is a usage error.
+// TestCacheFlagValidation: a bogus -cache value is a usage error, and
+// so are the removed spellings -cache subtree, -workers and -max.
 func TestCacheFlagValidation(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	if code := run([]string{"-spec", "x", "-data", "y", "-cache", "bogus"}, &out, &errBuf); code != 2 {
-		t.Fatalf("bogus -cache: exit %d, want 2 (stderr: %s)", code, errBuf.String())
+	for _, args := range [][]string{
+		{"-cache", "bogus"},
+		{"-cache", "subtree"},
+		{"-workers", "4"},
+		{"-max", "5"},
+	} {
+		var out, errBuf bytes.Buffer
+		if code := run(append([]string{"-spec", "x", "-data", "y"}, args...), &out, &errBuf); code != 2 {
+			t.Fatalf("%v: exit %d, want 2 (stderr: %s)", args, code, errBuf.String())
+		}
 	}
 }

@@ -12,9 +12,6 @@
 // The spec syntax is documented in internal/parser; the data file holds
 // one fact per line, e.g. course(CS401, Compilers, CS).
 //
-// Every run expands serially. -workers N is accepted for compatibility
-// and ignored, and -cache subtree is an alias of -cache query.
-//
 // With -delta the run goes through the incremental engine
 // (internal/incr): the document is built once, then each
 // commit-separated batch of +fact(…)/-fact(…) lines is applied as a
@@ -77,12 +74,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dataPath := fs.String("data", "", "relational data file")
 	canonical := fs.Bool("canonical", false, "print the canonical one-line form instead of XML")
 	stats := fs.Bool("stats", false, "print run statistics to stderr")
-	fs.Int("workers", 1, "ignored; accepted for compatibility (runs are serial)")
 	maxNodes := fs.Int("max-nodes", 1_000_000, "node budget (0 = unlimited)")
-	maxNodesOld := fs.Int("max", 0, "deprecated alias for -max-nodes")
 	maxDepth := fs.Int("max-depth", 0, "tree-depth budget (0 = unlimited)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the run (0 = unlimited)")
-	cacheFlag := fs.String("cache", "off", "memoization level: off or query (subtree is an alias of query)")
+	cacheFlag := fs.String("cache", "off", "memoization level: off or query")
 	cacheSize := fs.Int("cache-size", 0, "query memo capacity in entries (0 = default)")
 	retries := fs.Int("retries", 0, "retry transient failures up to N times; budgets are fresh per attempt and progress accumulates")
 	backoff := fs.Duration("backoff", 10*time.Millisecond, "base delay between retries (doubles per retry, capped at 2s)")
@@ -107,9 +102,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *specPath == "" || *dataPath == "" {
 		fmt.Fprintln(stderr, "usage: ptxml -spec view.pt -data facts.db [-timeout 1s] [-max-nodes N] [-max-depth N] [-retries N] [-checkpoint ck] [-resume ck]")
 		return 2
-	}
-	if *maxNodesOld > 0 {
-		*maxNodes = *maxNodesOld
 	}
 	faults, err := runctl.ParseInject(*inject)
 	if err != nil {

@@ -79,7 +79,7 @@ func TestCLITimeoutOnDivergentSpec(t *testing.T) {
 	start := time.Now()
 	code := run([]string{
 		"-spec", spec, "-data", data,
-		"-timeout", "100ms", "-workers", "4", "-max-nodes", "0",
+		"-timeout", "100ms", "-max-nodes", "0",
 	}, &stdout, &stderr)
 	elapsed := time.Since(start)
 	if code != 5 {

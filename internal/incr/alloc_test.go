@@ -34,15 +34,16 @@ func toggleAllocs(t *testing.T, v *incr.View, on, off *relation.Delta) float64 {
 
 // TestViewApplyAllocs: one prerequisite flip on τ1 over a layered
 // registrar re-expands ~220 dirty prereq nodes and walks ~1,400 clean
-// ones. Keying every visited node and child by its ConfigKey string and
+// ones. Keying every visited node and child by a configuration string and
 // every child by its report path cost 4,573 allocations per Apply
 // (go1.24, amd64); walking the path stack and matching by register hash
 // cost 576. Re-expanding every dirty node through one reused
 // pt.Expander, instead of a fresh register Env and spec slice per node,
 // and invalidating the memo from relation sets recorded once per query
-// cost 442, nearly all of them the dirty nodes' rule queries. The bound
-// sits between the last two counts, so a walk that builds its rule
-// step per node again fails it.
+// cost 442, nearly all of them the dirty nodes' rule queries. Handing
+// fresh children their ancestors as configurations, not key strings,
+// cost 434. The bound sits between 576 and these counts, so a walk
+// that builds its rule step per node again fails it.
 func TestViewApplyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -67,7 +68,7 @@ func TestViewApplyAllocs(t *testing.T) {
 // TestViewApplyAllocsWideNode: a product delta dirties the catalog root,
 // whose children are every product. Matching them against the new child
 // specs must stay linear: allocations at 4,000 products within 5× of
-// those at 1,000. Keying children by ConfigKey cost 10,985 and 44,013;
+// those at 1,000. Keying children by configuration strings cost 10,985 and 44,013;
 // hash matching costs 63 at both widths.
 func TestViewApplyAllocsWideNode(t *testing.T) {
 	if raceEnabled {

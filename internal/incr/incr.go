@@ -342,12 +342,12 @@ func (v *View) applyLocked(ctx context.Context, d *relation.Delta) (*Report, err
 	return rep, nil
 }
 
-// frame is a node on the repair walk's path, with its state, its next
-// child to visit and its ConfigKey once a fresh descendant needed it.
+// frame is a node on the repair walk's path, with its state and its
+// next child to visit.
 type frame struct {
-	n          *xmltree.Node
-	state, key string
-	next       int
+	n     *xmltree.Node
+	state string
+	next  int
 }
 
 // walk is one repair's state. path is the DFS stack itself: the visited
@@ -501,20 +501,18 @@ func (w *walk) reexpand(n *xmltree.Node, m nodeMeta) (bool, error) {
 	if changed {
 		children = make([]*xmltree.Node, len(specs))
 	}
-	var anc []string // the fresh children's persisted ancestors: the path's keys and n's
+	var anc []pt.Config // the fresh children's ancestors: the path's configurations and n's
 	for i, sp := range specs {
 		if j := w.take(sp); j >= 0 {
 			children[i], changed = w.old[j].n, changed || j != i
 			continue
 		}
 		if anc == nil {
-			for k := range w.path {
-				if f := &w.path[k]; f.key == "" {
-					f.key = pt.ConfigKey(f.state, f.n.Tag, f.n.Reg)
-				}
-				anc = append(anc, w.path[k].key)
+			anc = make([]pt.Config, 0, len(w.path)+1)
+			for _, f := range w.path {
+				anc = append(anc, pt.NewConfig(f.state, f.n.Tag, f.n.Reg))
 			}
-			anc = append(anc, pt.ConfigKey(m.state, n.Tag, n.Reg))
+			anc = append(anc, pt.NewConfig(m.state, n.Tag, n.Reg))
 		}
 		children[i], changed = &xmltree.Node{Tag: sp.Tag, State: sp.State, Reg: sp.Reg}, true
 		w.pending = append(w.pending, pt.PendingConfig{Node: children[i], Ancestors: anc, Depth: len(w.path) + 2})

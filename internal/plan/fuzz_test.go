@@ -21,13 +21,18 @@ var conjPairs = [][]string{
 }
 
 // conjInstance is the fixed base data: E has a hub (a), a self-loop and
-// a sink (d); T has repeated and constant-heavy columns.
+// a sink (d); T has repeated and constant-heavy columns, and more than
+// 8 tuples, so a probe into it goes through a column index where one
+// into E or Reg scans.
 func conjInstance() *relation.Instance {
 	inst := relation.NewInstance(relation.NewSchema().MustDeclare("E", 2).MustDeclare("T", 3))
 	for _, e := range [][]string{{"a", "b"}, {"a", "c"}, {"a", "d"}, {"a", "a"}, {"b", "c"}, {"c", "a"}, {"c", "d"}} {
 		inst.Add("E", e[0], e[1])
 	}
-	for _, tr := range [][]string{{"a", "b", "c"}, {"a", "a", "b"}, {"b", "b", "b"}, {"c", "a", "c"}, {"d", "c", "a"}, {"a", "c", "c"}} {
+	for _, tr := range [][]string{
+		{"a", "b", "c"}, {"a", "a", "b"}, {"b", "b", "b"}, {"c", "a", "c"}, {"d", "c", "a"}, {"a", "c", "c"},
+		{"b", "d", "a"}, {"c", "c", "c"}, {"d", "a", "b"}, {"b", "a", "d"}, {"d", "d", "c"}, {"c", "b", "a"},
+	} {
 		inst.Add("T", tr[0], tr[1], tr[2])
 	}
 	return inst

@@ -31,14 +31,12 @@ func (m CacheMode) String() string {
 	return fmt.Sprintf("CacheMode(%d)", int(m))
 }
 
-// ParseCacheMode parses the CLI spelling of a cache mode. "subtree" and
-// "subtrees" are accepted as aliases of "query", so that scripts written
-// for the removed subtree cache keep working with identical output.
+// ParseCacheMode parses the CLI spelling of a cache mode.
 func ParseCacheMode(s string) (CacheMode, error) {
 	switch s {
 	case "off":
 		return CacheOff, nil
-	case "query", "queries", "subtree", "subtrees":
+	case "query", "queries":
 		return CacheQueries, nil
 	}
 	return CacheOff, fmt.Errorf("pt: unknown cache mode %q (want off or query)", s)

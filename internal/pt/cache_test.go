@@ -10,7 +10,6 @@ import (
 func TestParseCacheMode(t *testing.T) {
 	cases := map[string]CacheMode{
 		"off": CacheOff, "query": CacheQueries, "queries": CacheQueries,
-		"subtree": CacheQueries, "subtrees": CacheQueries,
 	}
 	for in, want := range cases {
 		got, err := ParseCacheMode(in)
@@ -18,8 +17,10 @@ func TestParseCacheMode(t *testing.T) {
 			t.Errorf("ParseCacheMode(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseCacheMode("bogus"); err == nil {
-		t.Error("bogus mode should fail")
+	for _, bad := range []string{"bogus", "subtree", "subtrees"} {
+		if _, err := ParseCacheMode(bad); err == nil {
+			t.Errorf("mode %q should fail", bad)
+		}
 	}
 	if CacheOff.String() != "off" || CacheQueries.String() != "query" {
 		t.Error("String() spellings drifted from the CLI contract")

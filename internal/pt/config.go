@@ -6,29 +6,32 @@ import (
 	"ptx/internal/relation"
 )
 
-// configSeed seeds the state and tag hashes of a config.
+// configSeed seeds the state and tag hashes of a Config.
 var configSeed = maphash.MakeSeed()
 
-// config is one (state, tag, register) configuration with its hash h.
-// Equal configurations have equal hashes; a hash match is confirmed by
-// same, so a collision never makes two configurations one.
-type config struct {
-	state, tag string
-	reg        *relation.Relation
+// Config is one (state, tag, register) configuration: by determinism
+// (Proposition 1(1)) what identifies a node's subtree in a run, a repair
+// and a checkpoint. Build one with NewConfig, which hashes it (a literal
+// matches nothing); a hash match is confirmed by equality, so a
+// collision never makes two configurations one.
+type Config struct {
+	State, Tag string
+	Reg        *relation.Relation
 	h          uint64
 }
 
-func newConfig(state, tag string, reg *relation.Relation) config {
+// NewConfig returns the configuration (state, tag, reg) with its hash.
+func NewConfig(state, tag string, reg *relation.Relation) Config {
 	const mix = 0x9e3779b97f4a7c15
 	h := reg.Hash()
 	h = h*mix ^ maphash.String(configSeed, state)
 	h = h*mix ^ maphash.String(configSeed, tag)
-	return config{state: state, tag: tag, reg: reg, h: h}
+	return Config{State: state, Tag: tag, Reg: reg, h: h}
 }
 
 // same reports whether c and o are the same configuration.
-func (c config) same(o config) bool {
-	return c.h == o.h && c.state == o.state && c.tag == o.tag && c.reg.Equal(o.reg)
+func (c Config) same(o Config) bool {
+	return c.h == o.h && c.State == o.State && c.Tag == o.Tag && c.Reg.Equal(o.Reg)
 }
 
 // configSet is a stack of configurations with a membership test: the
@@ -39,14 +42,14 @@ func (c config) same(o config) bool {
 // whose hash matches — one, barring collisions, since an expanded
 // configuration never repeats on a path.
 type configSet struct {
-	path []config
+	path []Config
 	prev []int32
 	top  map[uint64]int32
 }
 
 func newConfigSet() configSet { return configSet{top: map[uint64]int32{}} }
 
-func (s *configSet) push(c config) {
+func (s *configSet) push(c Config) {
 	p, ok := s.top[c.h]
 	if !ok {
 		p = -1
@@ -64,7 +67,7 @@ func (s *configSet) pop() {
 	} else {
 		delete(s.top, s.path[i].h)
 	}
-	s.path[i] = config{} // drop the register reference
+	s.path[i] = Config{} // drop the register reference
 	s.path, s.prev = s.path[:i], s.prev[:i]
 }
 
@@ -76,7 +79,7 @@ func (s *configSet) reset() {
 }
 
 // contains reports whether an entry is the same configuration as c.
-func (s *configSet) contains(c config) bool {
+func (s *configSet) contains(c Config) bool {
 	i, ok := s.top[c.h]
 	for ok && i >= 0 {
 		if s.path[i].same(c) {

@@ -16,12 +16,12 @@ func TestAncestorSetExactUnderCollisions(t *testing.T) {
 	const h = 42
 	regA, regB := relation.FromRows([]string{"a"}), relation.FromRows([]string{"b"})
 	sealedA := relation.FromRows([]string{"a"}).GroupByPrefix(0)[0]
-	cfgs := []config{
-		{state: "q", tag: "t", reg: regA, h: h},
-		{state: "q", tag: "t", reg: regB, h: h},            // other register
-		{state: "p", tag: "t", reg: regA, h: h},            // other state
-		{state: "q", tag: "u", reg: regA, h: h},            // other tag
-		{state: "q", tag: "t", reg: relation.New(1), h: h}, // empty register
+	cfgs := []Config{
+		{State: "q", Tag: "t", Reg: regA, h: h},
+		{State: "q", Tag: "t", Reg: regB, h: h},            // other register
+		{State: "p", Tag: "t", Reg: regA, h: h},            // other state
+		{State: "q", Tag: "u", Reg: regA, h: h},            // other tag
+		{State: "q", Tag: "t", Reg: relation.New(1), h: h}, // empty register
 	}
 	s := newConfigSet()
 	for i, c := range cfgs {
@@ -33,11 +33,11 @@ func TestAncestorSetExactUnderCollisions(t *testing.T) {
 		s.push(c)
 	}
 	// An equal register in another form is the same configuration.
-	if !s.contains(config{state: "q", tag: "t", reg: sealedA, h: h}) {
+	if !s.contains(Config{State: "q", Tag: "t", Reg: sealedA, h: h}) {
 		t.Fatal("an equal sealed register was not recognized")
 	}
 	// A configuration whose hash differs is absent whatever its fields.
-	if s.contains(config{state: "q", tag: "t", reg: regA, h: h + 1}) {
+	if s.contains(Config{State: "q", Tag: "t", Reg: regA, h: h + 1}) {
 		t.Fatal("a configuration with another hash was found")
 	}
 	for i := len(cfgs) - 1; i >= 0; i-- {
@@ -54,7 +54,7 @@ func TestAncestorSetExactUnderCollisions(t *testing.T) {
 
 	// Interleaved hashes: popping one chain leaves the other intact.
 	s.push(cfgs[0])
-	other := config{state: "q", tag: "t", reg: regB, h: h + 1}
+	other := Config{State: "q", Tag: "t", Reg: regB, h: h + 1}
 	s.push(other)
 	s.push(cfgs[2])
 	s.pop()
@@ -63,22 +63,22 @@ func TestAncestorSetExactUnderCollisions(t *testing.T) {
 	}
 }
 
-// TestNewConfigIdentity: newConfig hashes equal configurations equally
+// TestNewConfigIdentity: NewConfig hashes equal configurations equally
 // across register forms and separates state, tag and register.
 func TestNewConfigIdentity(t *testing.T) {
 	reg := relation.FromRows([]string{"a"}, []string{"b"})
 	sealed := relation.FromRows([]string{"a"}, []string{"b"}).GroupByPrefix(0)[0]
-	c := newConfig("q", "t", reg)
-	if d := newConfig("q", "t", sealed); d.h != c.h || !d.same(c) {
+	c := NewConfig("q", "t", reg)
+	if d := NewConfig("q", "t", sealed); d.h != c.h || !d.same(c) {
 		t.Fatal("equal configurations differ")
 	}
-	for _, d := range []config{
-		newConfig("t", "q", reg), // state and tag swapped
-		newConfig("q", "t", relation.FromRows([]string{"a"})),
-		newConfig("q", "u", reg),
+	for _, d := range []Config{
+		NewConfig("t", "q", reg), // state and tag swapped
+		NewConfig("q", "t", relation.FromRows([]string{"a"})),
+		NewConfig("q", "u", reg),
 	} {
 		if d.same(c) || d.h == c.h {
-			t.Fatalf("(%s,%s,%v) matches (q,t,%v)", d.state, d.tag, d.reg, reg)
+			t.Fatalf("(%s,%s,%v) matches (q,t,%v)", d.State, d.Tag, d.Reg, reg)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package pt
 import (
 	"context"
 	"slices"
-	"sort"
 
 	"ptx/internal/eval"
 	"ptx/internal/relation"
@@ -76,28 +75,25 @@ type entry struct {
 // through StepRun incremental repair and supervision — expands through
 // it.
 //
-// The ancestor set of the stop condition is the CURRENT PATH plus a
-// base: anc.path holds the configurations of the expanded nodes from
-// just below baseDepth down to the parent of the newest frontier
-// entries. Stepping an entry at depth d first unwinds the path to
-// depth d−1, so base and path are then exactly that entry's proper
-// ancestors. A depth-d chain or comb therefore costs O(1) per node,
-// with no per-entry ancestor copies. Path membership is a hash probe
-// confirmed by equality (configSet); no configuration key is built.
+// The ancestor set of the stop condition is the CURRENT PATH: anc.path
+// holds the configurations of the expanded nodes above the newest
+// frontier entries, the one at index i at depth baseDepth+i+1. Stepping
+// an entry at depth d first unwinds the path to depth d−1, so the path
+// is then exactly that entry's ancestors. A depth-d chain or comb
+// therefore costs O(1) per node, with no per-entry ancestor copies.
+// Path membership is a hash probe confirmed by equality (configSet).
 //
 // Entries given to RestoreStepRun (seeds) carry their ancestors
-// explicitly, as ConfigKey strings, because incremental repair restores
-// entries from unrelated branches: stepping one unwinds the whole path
-// and makes its list the new base. Only a non-empty base costs a
-// ConfigKey per step. Seeds lie below the frontier, so a seed is
-// stepped only once every entry pushed after it is done.
+// explicitly, because incremental repair restores entries from
+// unrelated branches: stepping one drops the whole path and pushes its
+// list in its place, with baseDepth set so that the list ends just
+// above the seed. Seeds lie below the frontier, so a seed is stepped
+// only once every entry pushed after it is done.
 type driver struct {
 	*run
 	frontier  []entry
 	seeds     []PendingConfig
 	anc       configSet
-	baseAnc   []string
-	baseKeys  map[string]bool // baseAnc as a set; empty when baseAnc is
 	baseDepth int
 	observe   func(StepEvent)
 	tally
@@ -142,8 +138,8 @@ func (d *driver) step() error {
 		return nil
 	}
 	// Stop condition (1): an ancestor repeats state, tag and register.
-	c := newConfig(state, n.Tag, n.Reg)
-	if d.anc.contains(c) || len(d.baseKeys) > 0 && d.baseKeys[ConfigKey(state, n.Tag, n.Reg)] {
+	c := NewConfig(state, n.Tag, n.Reg)
+	if d.anc.contains(c) {
 		d.stops++
 		d.commit(e, state, true)
 		return nil
@@ -188,7 +184,7 @@ func (d *driver) commit(e entry, state string, stopped bool) {
 // push puts n, just expanded at depth in configuration c, on the path
 // and its children on the frontier, last child first so they are
 // stepped in document order.
-func (d *driver) push(n *xmltree.Node, c config, depth int) {
+func (d *driver) push(n *xmltree.Node, c Config, depth int) {
 	d.anc.push(c)
 	for i := len(n.Children) - 1; i >= 0; i-- {
 		d.frontier = append(d.frontier, entry{n.Children[i], depth + 1})
@@ -203,43 +199,28 @@ func (d *driver) unwind(depth int) {
 }
 
 // reseed moves the next seed onto the empty frontier. Every node on the
-// path is done, so the path is dropped, and the seed's explicit
-// ancestors become the base below the new path.
+// path is done, so the path is replaced by the seed's ancestors.
 func (d *driver) reseed() {
 	s := d.seeds[len(d.seeds)-1]
 	d.seeds = d.seeds[:len(d.seeds)-1]
 	d.anc.reset()
-	clear(d.baseKeys)
-	if len(s.Ancestors) > 0 && d.baseKeys == nil {
-		d.baseKeys = make(map[string]bool, len(s.Ancestors))
+	for _, a := range s.Ancestors {
+		d.anc.push(a)
 	}
-	for _, k := range s.Ancestors {
-		d.baseKeys[k] = true
-	}
-	d.baseAnc, d.baseDepth = s.Ancestors, s.Depth-1
+	d.baseDepth = s.Depth - 1 - len(s.Ancestors)
 	d.frontier = append(d.frontier, entry{s.Node, s.Depth})
 }
 
 // pending is the serializable frontier, bottom first: the seeds with
 // their own ancestors, then the frontier entries, whose ancestors are
-// the base plus the path above their depth. Each path configuration's
-// ConfigKey is built once per call.
+// the path above their depth. One copy of the path backs every frontier
+// entry's list, each capped at its length.
 func (d *driver) pending() []PendingConfig {
-	path := make([]string, len(d.anc.path))
-	for i, c := range d.anc.path {
-		path[i] = ConfigKey(c.state, c.tag, c.reg)
-	}
-	out := make([]PendingConfig, 0, len(d.seeds)+len(d.frontier))
-	for _, s := range d.seeds {
-		keys := slices.Clone(s.Ancestors)
-		sort.Strings(keys)
-		out = append(out, PendingConfig{Node: s.Node, Ancestors: keys, Depth: s.Depth})
-	}
+	path := slices.Clone(d.anc.path)
+	out := append(make([]PendingConfig, 0, len(d.seeds)+len(d.frontier)), d.seeds...)
 	for _, e := range d.frontier {
-		keys := append(make([]string, 0, len(d.baseAnc)+e.depth), d.baseAnc...)
-		keys = append(keys, path[:e.depth-1-d.baseDepth]...)
-		sort.Strings(keys)
-		out = append(out, PendingConfig{Node: e.node, Ancestors: keys, Depth: e.depth})
+		k := e.depth - 1 - d.baseDepth
+		out = append(out, PendingConfig{Node: e.node, Ancestors: path[:k:k], Depth: e.depth})
 	}
 	return out
 }

@@ -119,21 +119,6 @@ type Result struct {
 // from either package with errors.As.
 type ErrBudget = runctl.ErrBudget
 
-// ConfigKey identifies a (state, tag, register) configuration: the
-// persisted form of the ancestor stop condition's key, which checkpoints
-// (PendingConfig.Ancestors) use. relation.Key is order-insensitive
-// (registers are sets); sibling order is fixed earlier, at grouping
-// time. By determinism (Proposition 1(1)) the key identifies the
-// subtree a configuration generates over a fixed database. Runs test
-// identity in memory by hash and equality instead (configSet), and so
-// does incremental repair (internal/incr) when it matches a dirty
-// node's old children; ConfigKey is built only for a checkpoint, a
-// restored entry's ancestors, and the ancestors incr hands
-// RestoreStepRun with a fresh child.
-func ConfigKey(state, tag string, reg *relation.Relation) string {
-	return state + "\x00" + tag + "\x00" + reg.Key()
-}
-
 // Run executes the τ-transformation on inst and returns the final tree
 // ξ with registers and states still attached, plus statistics. It is
 // RunContext with a background context.
@@ -222,7 +207,7 @@ func (t *Transducer) OutputRelationContext(ctx context.Context, inst *relation.I
 	out = relation.New(a)
 	level := []ChildSpec{{State: t.Start, Tag: t.RootTag, Reg: relation.New(0)}}
 	seen := newConfigSet() // pushed, never popped
-	seen.push(newConfig(t.Start, t.RootTag, level[0].Reg))
+	seen.push(NewConfig(t.Start, t.RootTag, level[0].Reg))
 	for depth := 1; len(level) > 0; depth++ {
 		var next []ChildSpec
 		for _, c := range level {
@@ -249,7 +234,7 @@ func (t *Transducer) OutputRelationContext(ctx context.Context, inst *relation.I
 			}
 			fresh := 0
 			for _, s := range specs {
-				if k := newConfig(s.State, s.Tag, s.Reg); !seen.contains(k) {
+				if k := NewConfig(s.State, s.Tag, s.Reg); !seen.contains(k) {
 					seen.push(k)
 					next = append(next, s)
 					fresh++

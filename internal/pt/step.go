@@ -30,10 +30,11 @@ type StepRun struct {
 
 // PendingConfig is the serializable view of one frontier entry, exposed
 // for checkpointing. Node points into the partial tree returned by
-// Tree(); Ancestors holds the ancestor configuration keys sorted.
+// Tree(); Ancestors holds the configurations of its ancestors in no
+// particular order, in a list other entries may share (do not modify).
 type PendingConfig struct {
 	Node      *xmltree.Node
-	Ancestors []string
+	Ancestors []Config
 	Depth     int
 }
 

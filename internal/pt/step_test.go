@@ -391,9 +391,9 @@ func TestStepRunObserver(t *testing.T) {
 }
 
 // TestRestoredSeedStopsOnBaseAncestor: a restored entry's ancestors
-// arrive as ConfigKey strings, not on the driver's path. An entry whose
-// list holds its own key stops at once; the same entry restored
-// without it expands.
+// arrive as an explicit list, not on the driver's path. An entry whose
+// list holds its own configuration stops at once; the same entry
+// restored without it expands.
 func TestRestoredSeedStopsOnBaseAncestor(t *testing.T) {
 	tr, inst := registrar.Tau1(), registrar.SampleInstance()
 	restored := func(withSelf bool) (*pt.StepRun, *xmltree.Node) {
@@ -409,7 +409,7 @@ func TestRestoredSeedStopsOnBaseAncestor(t *testing.T) {
 		pending := sr.Pending()
 		p := pending[len(pending)-1] // the next entry to step
 		if withSelf {
-			p.Ancestors = append(p.Ancestors, pt.ConfigKey(p.Node.State, p.Node.Tag, p.Node.Reg))
+			p.Ancestors = append(p.Ancestors, pt.NewConfig(p.Node.State, p.Node.Tag, p.Node.Reg))
 		}
 		rs, err := tr.RestoreStepRun(context.Background(), inst, pt.Options{}, sr.Tree().Root, []pt.PendingConfig{p}, sr.StatsSoFar())
 		if err != nil {

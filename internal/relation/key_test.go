@@ -12,7 +12,7 @@ import (
 // tuples — insertion order must never show through. (Sibling order in
 // the transducer is a separate mechanism: it is fixed by the domain
 // order on group prefixes when children are created, before register
-// fingerprints are ever compared; see pt.ConfigKey.)
+// fingerprints are ever compared; see pt.Config.)
 func TestKeyOrderInsensitive(t *testing.T) {
 	rows := [][]string{{"b", "2"}, {"a", "1"}, {"c", "3"}, {"a", "2"}}
 	rng := rand.New(rand.NewSource(7))

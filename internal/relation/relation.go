@@ -257,11 +257,10 @@ func (r *Relation) indexDelete(t value.Tuple) {
 // regardless of insertion order. Two relations r, o of any arities
 // satisfy r.Key() == o.Key() iff r.Equal(o).
 //
-// This is the string register fingerprint: checkpoints key
-// configurations with it (pt.ConfigKey), as does incremental repair,
-// but only for a fresh child's ancestors, and the query memo keys
-// results with it; a run, and repair when it matches old children,
-// test configuration identity in memory with Hash and Equal. It
+// This is the string register fingerprint: the checkpoint file spells
+// a configuration with it (supervise's configKey), and the query memo
+// keys results with it. In memory, runs and incremental repair test
+// configuration identity with Hash and Equal (pt.Config). It
 // deliberately forgets insertion order (registers are SETS — Section 2 of the paper),
 // while sibling order in the output tree is fixed separately by the
 // domain order ≤ on tuples at grouping time (see GroupByPrefix).

@@ -332,7 +332,6 @@ type publishRequest struct {
 	DB        string         `json:"db"`
 	Canonical bool           `json:"canonical,omitempty"`
 	Cache     string         `json:"cache,omitempty"`
-	Workers   int            `json:"workers,omitempty"` // ignored: runs are serial; negative is rejected
 	Retries   int            `json:"retries,omitempty"`
 	Limits    limitsRequest  `json:"limits,omitempty"`
 	Inject    *injectRequest `json:"inject,omitempty"`
@@ -402,9 +401,6 @@ func (s *Server) validate(req publishRequest) (*admitted, error) {
 			return nil, Validationf("cache", "%v", err)
 		}
 		cacheMode = m
-	}
-	if req.Workers < 0 {
-		return nil, Validationf("workers", "negative")
 	}
 	if req.Retries < 0 {
 		return nil, Validationf("retries", "negative")

@@ -72,7 +72,7 @@ func TestPublishValidation(t *testing.T) {
 		{"unknown spec", `{"spec":"nope","db":"tinydb"}`, KindValidation, `unknown spec "nope"`},
 		{"unknown db", `{"spec":"tiny","db":"nope"}`, KindValidation, `unknown database "nope"`},
 		{"bad cache mode", `{"spec":"tiny","db":"tinydb","cache":"warp"}`, KindValidation, "cache"},
-		{"negative workers", `{"spec":"tiny","db":"tinydb","workers":-1}`, KindValidation, "workers"},
+		{"negative workers", `{"spec":"tiny","db":"tinydb","workers":-1}`, KindValidation, "workers"}, // not a request field
 		{"negative retries", `{"spec":"tiny","db":"tinydb","retries":-2}`, KindValidation, "retries"},
 		{"negative budget", `{"spec":"tiny","db":"tinydb","limits":{"max_depth":-1}}`, KindValidation, "budget"},
 		{"inject disabled", `{"spec":"tiny","db":"tinydb","inject":{"seed":1,"probs":{"query":1}}}`, KindValidation, "inject"},
@@ -374,30 +374,6 @@ func TestPublishDedup(t *testing.T) {
 	}
 	if m.Succeeded != n {
 		t.Fatalf("Succeeded = %d, want %d", m.Succeeded, n)
-	}
-
-	// workers is accepted and ignored, and cache "subtree" is an alias of
-	// the default "query": such requests share one run with the default
-	// and return its bytes.
-	base, err := s.validate(publishRequest{Spec: "tiny", DB: "tinydb"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, req := range []publishRequest{
-		{Spec: "tiny", DB: "tinydb", Workers: 4},
-		{Spec: "tiny", DB: "tinydb", Cache: "subtree", Workers: 4},
-	} {
-		adm, err := s.validate(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if adm.key != base.key {
-			t.Errorf("%+v: dedup key %q, want the default's %q", req, adm.key, base.key)
-		}
-	}
-	status, _, body := post(t, ts, `{"spec":"tiny","db":"tinydb","cache":"subtree","workers":4}`)
-	if status != http.StatusOK || !bytes.Equal(body, want) {
-		t.Errorf("cache=subtree workers=4: status %d, bytes differ from golden: %s", status, body)
 	}
 }
 

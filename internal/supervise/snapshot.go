@@ -23,6 +23,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -54,6 +55,13 @@ type SnapshotError struct {
 }
 
 func (e *SnapshotError) Error() string { return "supervise: corrupt snapshot: " + e.Msg }
+
+// configKey is the checkpoint file's spelling of a configuration: its
+// state, tag and register key, NUL-separated. relation.Key is injective
+// and order-insensitive (registers are sets), so two configurations
+// share a key exactly when they are the same. States are identifiers,
+// free of NUL bytes, so a key's state ends at its first NUL.
+func configKey(c pt.Config) string { return c.State + "\x00" + c.Tag + "\x00" + c.Reg.Key() }
 
 // snapErrf builds a *SnapshotError.
 func snapErrf(format string, args ...any) *SnapshotError {
@@ -128,34 +136,13 @@ func (s *Snapshot) Verify(tr *pt.Transducer, inst *relation.Instance) error {
 	return nil
 }
 
-// sumWriter tees everything written into a running checksum; Encode
-// writes the payload through it so the trailing "sum" line commits to
-// the exact bytes a decoder will verify.
-type sumWriter struct {
-	w *bufio.Writer
-	h io.Writer // hash.Hash as a sink
-}
-
-func (s *sumWriter) Write(p []byte) (int, error) {
-	_, _ = s.h.Write(p)
-	return s.w.Write(p)
-}
-
-func (s *sumWriter) WriteString(str string) (int, error) {
-	_, _ = io.WriteString(s.h, str)
-	return s.w.WriteString(str)
-}
-
-func (s *sumWriter) WriteByte(b byte) error {
-	_, _ = s.h.Write([]byte{b})
-	return s.w.WriteByte(b)
-}
-
 // Encode writes the snapshot in the versioned text format.
 func (s *Snapshot) Encode(w io.Writer) error {
+	// The payload goes through bw into the checksum too; the trailing
+	// "sum" line, written to raw only, commits to exactly those bytes.
 	raw := bufio.NewWriter(w)
 	h := sha256.New()
-	bw := &sumWriter{w: raw, h: h}
+	bw := bufio.NewWriter(io.MultiWriter(raw, h))
 	fmt.Fprintln(bw, snapshotMagic)
 	fmt.Fprintf(bw, "transducer %s %s\n", strconv.Quote(s.TransducerName), s.TransducerFP)
 	fmt.Fprintf(bw, "instance %s\n", s.InstanceFP)
@@ -194,20 +181,27 @@ func (s *Snapshot) Encode(w io.Writer) error {
 	}
 
 	fmt.Fprintf(bw, "pending %d\n", len(s.Pending))
+	var keys []string
 	for _, p := range s.Pending {
 		id, ok := ids[p.Node]
 		if !ok {
 			return fmt.Errorf("supervise: pending node (%s,%s) is not in the snapshot tree", p.Node.State, p.Node.Tag)
 		}
 		fmt.Fprintf(bw, "p %d %d %d", id, p.Depth, len(p.Ancestors))
+		keys = keys[:0]
 		for _, a := range p.Ancestors {
+			keys = append(keys, configKey(a))
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
 			bw.WriteByte(' ')
-			bw.WriteString(strconv.Quote(a))
+			bw.WriteString(strconv.Quote(k))
 		}
 		bw.WriteByte('\n')
 	}
-	// The checksum covers every payload byte above; it is written to the
-	// raw writer only, so the sum commits to exactly what was hashed.
+	if err := bw.Flush(); err != nil {
+		return err
+	}
 	fmt.Fprintf(raw, "sum %s\n", hex.EncodeToString(h.Sum(nil)))
 	fmt.Fprintln(raw, "end")
 	return raw.Flush()
@@ -245,9 +239,9 @@ func postOrder(root *xmltree.Node) (map[*xmltree.Node]int, []*xmltree.Node, erro
 
 // DecodeSnapshot reads and validates a snapshot. Structural guarantees
 // on success: node references are acyclic by construction, no node has
-// two parents, every
-// pending entry points at a reachable, unfinalized, register-carrying
-// node of the decoded tree, the counters are non-negative, and the
+// two parents, every pending entry points at a reachable, unfinalized,
+// register-carrying node of the decoded tree, each of its ancestor keys
+// names a node on its root path, the counters are non-negative, and the
 // payload checksum matches — so truncation or bit flips anywhere in
 // the file surface as a typed *SnapshotError, never as a panic and
 // never as a silently-wrong resume. Callers still must Verify against
@@ -276,6 +270,15 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 		_, _ = h.Write([]byte{'\n'})
 		return l, nil
 	}
+	// field reads the next payload line, which must start with word.
+	field := func(word string) (*tok, error) {
+		l, err := line()
+		if err != nil {
+			return nil, err
+		}
+		tk := newTok(l)
+		return tk, tk.literal(word)
+	}
 
 	l, err := line()
 	if err != nil {
@@ -286,11 +289,8 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	}
 	s := &Snapshot{}
 
-	if l, err = line(); err != nil {
-		return nil, err
-	}
-	tk := newTok(l)
-	if err := tk.literal("transducer"); err != nil {
+	tk, err := field("transducer")
+	if err != nil {
 		return nil, err
 	}
 	if s.TransducerName, err = tk.quoted(); err != nil {
@@ -300,22 +300,14 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 		return nil, err
 	}
 
-	if l, err = line(); err != nil {
-		return nil, err
-	}
-	tk = newTok(l)
-	if err := tk.literal("instance"); err != nil {
+	if tk, err = field("instance"); err != nil {
 		return nil, err
 	}
 	if s.InstanceFP, err = tk.bare(); err != nil {
 		return nil, err
 	}
 
-	if l, err = line(); err != nil {
-		return nil, err
-	}
-	tk = newTok(l)
-	if err := tk.literal("stats"); err != nil {
+	if tk, err = field("stats"); err != nil {
 		return nil, err
 	}
 	for _, dst := range []*int{&s.Stats.Nodes, &s.Stats.QueriesRun, &s.Stats.StopsApplied, &s.Stats.MaxDepth} {
@@ -327,11 +319,7 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 		}
 	}
 
-	if l, err = line(); err != nil {
-		return nil, err
-	}
-	tk = newTok(l)
-	if err := tk.literal("nodes"); err != nil {
+	if tk, err = field("nodes"); err != nil {
 		return nil, err
 	}
 	nNodes, err := tk.integer()
@@ -358,17 +346,8 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	}
 	// Post-order emission puts the root last.
 	s.Tree = &xmltree.Tree{Root: nodes[nNodes-1]}
-	reach := make(map[*xmltree.Node]bool, nNodes)
-	s.Tree.Walk(func(n *xmltree.Node) bool {
-		reach[n] = true
-		return true
-	})
 
-	if l, err = line(); err != nil {
-		return nil, err
-	}
-	tk = newTok(l)
-	if err := tk.literal("pending"); err != nil {
+	if tk, err = field("pending"); err != nil {
 		return nil, err
 	}
 	nPend, err := tk.integer()
@@ -379,15 +358,19 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 		return nil, snapErrf("negative pending count")
 	}
 	s.Pending = make([]pt.PendingConfig, 0, min(nPend, 4096))
+	keys := make([][]string, 0, min(nPend, 4096))
 	for i := 0; i < nPend; i++ {
 		if l, err = line(); err != nil {
 			return nil, err
 		}
-		p, err := decodePending(l, i, nodes, reach)
+		p, k, err := decodePending(l, i, nodes)
 		if err != nil {
 			return nil, snapErrf("%v", err)
 		}
-		s.Pending = append(s.Pending, p)
+		s.Pending, keys = append(s.Pending, p), append(keys, k)
+	}
+	if err := resolveAncestors(s.Tree.Root, s.Pending, keys); err != nil {
+		return nil, err
 	}
 
 	// Payload complete: the next line commits to its checksum.
@@ -493,53 +476,103 @@ func decodeNode(l string, i int, defined []*xmltree.Node, parented []bool) (*xml
 	return n, nil
 }
 
-func decodePending(l string, i int, nodes []*xmltree.Node, reach map[*xmltree.Node]bool) (pt.PendingConfig, error) {
-	var p pt.PendingConfig
+// decodePending decodes pending entry i and its ancestor keys, which
+// resolveAncestors turns into configurations.
+func decodePending(l string, i int, nodes []*xmltree.Node) (p pt.PendingConfig, keys []string, err error) {
 	tk := newTok(l)
 	if err := tk.literal("p"); err != nil {
-		return p, fmt.Errorf("pending %d: %w", i, err)
+		return p, nil, fmt.Errorf("pending %d: %w", i, err)
 	}
 	id, err := tk.integer()
 	if err != nil {
-		return p, fmt.Errorf("pending %d node id: %w", i, err)
+		return p, nil, fmt.Errorf("pending %d node id: %w", i, err)
 	}
 	if id < 0 || id >= len(nodes) {
-		return p, fmt.Errorf("pending %d references undefined node %d", i, id)
+		return p, nil, fmt.Errorf("pending %d references undefined node %d", i, id)
 	}
 	p.Node = nodes[id]
-	if !reach[p.Node] {
-		return p, fmt.Errorf("pending %d: node %d is not reachable from the root", i, id)
-	}
 	if p.Node.State == "" {
-		return p, fmt.Errorf("pending %d: node %d (%s) is already finalized", i, id, p.Node.Tag)
+		return p, nil, fmt.Errorf("pending %d: node %d (%s) is already finalized", i, id, p.Node.Tag)
 	}
 	if p.Node.Reg == nil {
-		return p, fmt.Errorf("pending %d: node %d has no register", i, id)
+		return p, nil, fmt.Errorf("pending %d: node %d has no register", i, id)
 	}
 	if p.Depth, err = tk.integer(); err != nil {
-		return p, fmt.Errorf("pending %d depth: %w", i, err)
+		return p, nil, fmt.Errorf("pending %d depth: %w", i, err)
 	}
 	if p.Depth < 1 {
-		return p, fmt.Errorf("pending %d: depth %d < 1", i, p.Depth)
+		return p, nil, fmt.Errorf("pending %d: depth %d < 1", i, p.Depth)
 	}
 	nAnc, err := tk.integer()
 	if err != nil {
-		return p, fmt.Errorf("pending %d ancestor count: %w", i, err)
+		return p, nil, fmt.Errorf("pending %d ancestor count: %w", i, err)
 	}
 	if nAnc < 0 {
-		return p, fmt.Errorf("pending %d: negative ancestor count", i)
+		return p, nil, fmt.Errorf("pending %d: negative ancestor count", i)
 	}
 	for a := 0; a < nAnc; a++ {
 		key, err := tk.quoted()
 		if err != nil {
-			return p, fmt.Errorf("pending %d ancestor %d: %w", i, a, err)
+			return p, nil, fmt.Errorf("pending %d ancestor %d: %w", i, a, err)
 		}
-		p.Ancestors = append(p.Ancestors, key)
+		keys = append(keys, key)
 	}
 	if err := tk.end(); err != nil {
-		return p, fmt.Errorf("pending %d: %w", i, err)
+		return p, nil, fmt.Errorf("pending %d: %w", i, err)
 	}
-	return p, nil
+	return p, keys, nil
+}
+
+// resolveAncestors checks that every pending node is reachable and turns
+// each entry's ancestor keys into configurations: a key must name a node
+// on the entry's root path (itself included), which gives it its tag and
+// register. One walk keeps the path's nodes by their key with an empty
+// state, so decoding stays linear in the file's size.
+func resolveAncestors(root *xmltree.Node, pending []pt.PendingConfig, keys [][]string) error {
+	at := map[*xmltree.Node][]int{}
+	for i, p := range pending {
+		at[p.Node] = append(at[p.Node], i)
+	}
+	path := map[string]*xmltree.Node{}
+	type frame struct {
+		n, prev *xmltree.Node // prev: what n's key named above n
+		key     string
+		next    int
+	}
+	// The walk starts from a frame whose one child is the root.
+	stack := []frame{{n: &xmltree.Node{Children: []*xmltree.Node{root}}}}
+	for len(stack) > 0 {
+		f := &stack[len(stack)-1]
+		if f.next == len(f.n.Children) {
+			if path[f.key] = f.prev; f.prev == nil {
+				delete(path, f.key)
+			}
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		f.next++
+		c := frame{n: f.n.Children[f.next-1]}
+		if n := c.n; n.Reg != nil {
+			c.key = configKey(pt.Config{Tag: n.Tag, Reg: n.Reg})
+			c.prev, path[c.key] = path[c.key], n
+		}
+		stack = append(stack, c)
+		for _, i := range at[c.n] {
+			for a, k := range keys[i] {
+				cut := max(strings.IndexByte(k, 0), 0) // where the state ends
+				o, ok := path[k[cut:]]
+				if !ok {
+					return snapErrf("pending %d ancestor %d (%q) names no node on its root path", i, a, k)
+				}
+				pending[i].Ancestors = append(pending[i].Ancestors, pt.NewConfig(k[:cut], o.Tag, o.Reg))
+			}
+		}
+		delete(at, c.n)
+	}
+	if len(at) > 0 {
+		return snapErrf("%d pending nodes are not reachable from the root", len(at))
+	}
+	return nil
 }
 
 // tok consumes one space-separated line of bare and Quote-d tokens.
