@@ -49,6 +49,7 @@ import (
 	"ptx/internal/pt"
 	"ptx/internal/relation"
 	"ptx/internal/runctl"
+	"ptx/internal/value"
 	"ptx/internal/xmltree"
 )
 
@@ -65,7 +66,8 @@ const (
 )
 
 // ErrBroken is returned by Snapshot when a failed repair (and failed
-// rebuild) left the view unusable; the next successful Apply heals it.
+// rebuild) left the view unusable; the next successful Apply or
+// Reconcile heals it.
 var ErrBroken = errors.New("incr: view broken by a failed repair; next Apply rebuilds")
 
 // Options configures a View.
@@ -117,11 +119,14 @@ type ViewStats struct {
 	Broken       bool
 }
 
-// View is a published tree kept consistent with a mutable database
-// instance. The View OWNS both its instance and its memo: callers must
-// mutate the database only through Apply. All methods are safe for
-// concurrent use; Apply serializes against readers, so a render never
-// observes a half-repaired tree.
+// View is a published tree kept consistent with a database instance.
+// The view owns its memo and reads its instance: the one NewView was
+// given, or the last target of Reconcile. Apply writes the view's
+// instance in place, so only a caller that owns that instance may call
+// it; a caller whose instances are shared (a registry's versions) moves
+// the view with Reconcile, which never writes one. All methods are safe
+// for concurrent use; Apply and Reconcile serialize against readers, so
+// a render never observes a half-repaired tree.
 type View struct {
 	mu   sync.RWMutex
 	tr   *pt.Transducer
@@ -145,8 +150,7 @@ type View struct {
 }
 
 // NewView builds the initial tree for tr over inst and returns the live
-// view. Ownership of inst transfers to the view — clone before calling
-// if the caller keeps mutating its copy.
+// view, which reads inst from then on (see View for who may write it).
 func NewView(ctx context.Context, tr *pt.Transducer, inst *relation.Instance, opts Options) (*View, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
@@ -223,8 +227,8 @@ func (v *View) rebuild(ctx context.Context) error {
 	return nil
 }
 
-// Apply validates and applies d to the view's instance, then repairs
-// the tree. It returns the report describing what changed. On an
+// Apply validates and applies d to the view's instance in place, then
+// repairs the tree. It returns the report describing what changed. On an
 // ineffective delta (every op a no-op) the version does not move and
 // watchers are not woken. If repair AND the rebuild fallback both fail
 // (cancellation, budget), the view is flagged broken and the error is
@@ -232,14 +236,21 @@ func (v *View) rebuild(ctx context.Context) error {
 func (v *View) Apply(ctx context.Context, d *relation.Delta) (*Report, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.applyLocked(ctx, d)
+	eff, err := v.inst.Apply(d)
+	if err != nil {
+		return nil, err
+	}
+	return v.advance(ctx, eff, d)
 }
 
-// Reconcile moves the view to target's contents, which it only reads:
-// under the view's lock it applies, as one Apply, the delta that turns
-// the view's own instance into target. It catches a view up when its
-// history was rewritten rather than extended. An equal target emits no
-// report and leaves the version unchanged.
+// Reconcile repairs the view to target's contents, as one Apply of the
+// delta from the view's instance to target (deletes first, relation by
+// relation in name order), and from then on reads target itself, which
+// it never writes; a failed repair leaves the view broken, as Apply
+// does. Only the relations target does not share by pointer with the
+// view's instance are compared, so a target Derived from it by one delta
+// costs the touched relations. A target with the view's contents is
+// adopted with no report and no version change.
 func (v *View) Reconcile(ctx context.Context, target *relation.Instance) (*Report, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -247,43 +258,51 @@ func (v *View) Reconcile(ctx context.Context, target *relation.Instance) (*Repor
 	names := append(v.inst.Schema().Names(), target.Schema().Names()...)
 	sort.Strings(names)
 	for i, n := range names {
-		if i == 0 || names[i-1] != n {
-			missing(d, false, n, v.inst, target)
-			missing(d, true, n, target, v.inst)
+		shared := v.inst.Has(n) && target.Has(n) && v.inst.Rel(n) == target.Rel(n)
+		if shared || i > 0 && names[i-1] == n {
+			continue
 		}
+		missing(d, false, n, v.inst, target)
+		missing(d, true, n, target, v.inst)
 	}
-	return v.applyLocked(ctx, d)
+	v.inst = target
+	return v.advance(ctx, d, d)
 }
 
-// missing appends to d, as inserts or deletes, the tuples of from's
-// relation n that other lacks (a relation absent from a schema reads as
-// empty).
+// missing appends to d, as inserts or deletes in tuple order, the
+// tuples of from's relation n that other lacks (a relation absent from a
+// schema reads as empty). It reads the relations in their stored order
+// and sorts only what it appends, so a fresh version's relation is
+// never sorted for the diff.
 func missing(d *relation.Delta, insert bool, n string, from, other *relation.Instance) {
 	if !from.Has(n) {
 		return
 	}
-	for _, t := range from.Rel(n).Sorted() {
-		if !other.Has(n) || !other.Rel(n).Contains(t) {
+	var o *relation.Relation
+	if other.Has(n) {
+		o = other.Rel(n)
+	}
+	start := len(d.Ops)
+	from.Rel(n).EachUnordered(func(t value.Tuple) bool {
+		if o == nil || !o.Contains(t) {
 			d.Ops = append(d.Ops, relation.DeltaOp{Insert: insert, Rel: n, Tuple: t})
 		}
-	}
+		return true
+	})
+	slices.SortFunc(d.Ops[start:], func(a, b relation.DeltaOp) int { return value.CompareTuples(a.Tuple, b.Tuple) })
 }
 
-// applyLocked is Apply's body; the caller holds v.mu.
-func (v *View) applyLocked(ctx context.Context, d *relation.Delta) (*Report, error) {
-	eff, err := v.inst.Apply(d)
-	if err != nil {
-		return nil, err
-	}
-	if eff.Empty() && !v.broken {
-		return &Report{Version: v.version, Delta: d.String(), Nodes: len(v.meta)}, nil
-	}
-
+// advance repairs the tree after eff, the effective part of the delta d,
+// moved the view's instance. The caller holds v.mu.
+func (v *View) advance(ctx context.Context, eff, d *relation.Delta) (*Report, error) {
 	// Reconcile the memo: drop results whose query reads a mutated
 	// relation, then re-pin to the new instance version so the staleness
 	// guard keeps the survivors.
 	v.memo.InvalidateRelations(eff.Rels())
 	v.memo.BindInstance(v.inst)
+	if eff.Empty() && !v.broken {
+		return &Report{Version: v.version, Delta: d.String(), Nodes: len(v.meta)}, nil
+	}
 
 	rep := &Report{Delta: eff.String(), Effective: eff.Len()}
 	var dirty []*pt.Rule
@@ -586,32 +605,33 @@ func (v *View) Stats() ViewStats {
 // a concurrent Apply.
 func (v *View) Snapshot(canonical bool) ([]byte, uint64, error) {
 	var buf bytes.Buffer
-	version, _, err := v.Render(&buf, canonical)
+	version, _, _, err := v.Render(&buf, canonical)
 	if err != nil {
 		return nil, version, err
 	}
 	return buf.Bytes(), version, nil
 }
 
-// Render writes what Snapshot returns to w and reports the version and
-// the node count (pt.Stats.Nodes of a run over the view's instance) of
-// the tree it wrote, all read under one hold of the read lock. The lock
-// is held while w is written, blocking Apply, so w should be a buffer,
-// not a network connection.
-func (v *View) Render(w io.Writer, canonical bool) (version uint64, nodes int, err error) {
+// Render writes what Snapshot returns to w and reports the version, the
+// node count (pt.Stats.Nodes of a run over the view's instance) and the
+// instance of the tree it wrote, all read under one hold of the read
+// lock. A broken view writes nothing and still reports its instance. The
+// lock is held while w is written, blocking Apply, so w should be a
+// buffer, not a network connection.
+func (v *View) Render(w io.Writer, canonical bool) (version uint64, nodes int, inst *relation.Instance, err error) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	if v.broken {
-		return v.version, 0, ErrBroken
+		return v.version, 0, v.inst, ErrBroken
 	}
 	write := v.tree.WriteXMLVirtual
 	if canonical {
 		write = v.tree.WriteCanonicalVirtual
 	}
 	if err := write(w, v.tr.Virtual); err != nil {
-		return v.version, 0, err
+		return v.version, 0, v.inst, err
 	}
-	return v.version, len(v.meta), nil
+	return v.version, len(v.meta), v.inst, nil
 }
 
 // Changes returns the buffered reports with Version > after, a channel

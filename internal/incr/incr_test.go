@@ -6,6 +6,7 @@ package incr_test
 
 import (
 	"context"
+	"io"
 	"strings"
 	"testing"
 
@@ -409,5 +410,82 @@ func TestReconcile(t *testing.T) {
 	}
 	if reports, _, _ := v.Changes(before + 1); len(reports) != 0 {
 		t.Fatalf("equal target emitted %d reports", len(reports))
+	}
+}
+
+// TestReconcileDerivedVersions: a view built over a version and
+// reconciled along a chain of versions, each Derived from the last by
+// one τ1 delta, renders what a fresh view over each version does and
+// never writes one: every relation of every version hashes as it did
+// before the view read it. A new instance with the view's contents is
+// adopted with no report and no version change.
+func TestReconcileDerivedVersions(t *testing.T) {
+	tr := registrar.Tau1()
+	cur := registrar.SampleInstance()
+	v, err := incr.NewView(context.Background(), tr, cur, incr.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashes := func(inst *relation.Instance) map[string]uint64 {
+		h := map[string]uint64{}
+		for _, n := range inst.Schema().Names() {
+			h[n] = inst.Rel(n).Hash()
+		}
+		return h
+	}
+	type version struct {
+		inst   *relation.Instance
+		hashes map[string]uint64
+	}
+	seen := []version{{cur, hashes(cur)}}
+	for i, d := range []*relation.Delta{
+		(&relation.Delta{}).Insert("course", "CS500", "Distributed Systems", "CS"),
+		(&relation.Delta{}).Insert("prereq", "CS500", "CS401").Delete("prereq", "CS401", "CS301"),
+		(&relation.Delta{}).Insert("prereq", "CS301", "CS500"),
+		(&relation.Delta{}).Delete("course", "CS500", "Distributed Systems", "CS"),
+	} {
+		next, eff, err := cur.Derive(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen = append(seen, version{next, hashes(next)})
+		before := v.Version()
+		rep, err := v.Reconcile(context.Background(), next)
+		if err != nil {
+			t.Fatalf("delta %d: Reconcile: %v", i, err)
+		}
+		if rep.Effective != eff.Len() || v.Version() != before+1 {
+			t.Fatalf("delta %d: %d effective ops, version %d -> %d; want %d ops and one step", i, rep.Effective, before, v.Version(), eff.Len())
+		}
+		if got, want := viewCanonical(t, v), viewCanonical(t, newView(t, tr, next, incr.Options{})); got != want {
+			t.Fatalf("delta %d: reconciled view differs from a fresh view over the target\ngot:  %s\nwant: %s", i, got, want)
+		}
+		cur = next
+	}
+	for i, ver := range seen {
+		for n, h := range hashes(ver.inst) {
+			if h != ver.hashes[n] {
+				t.Fatalf("version %d: relation %s changed after the view read it", i, n)
+			}
+		}
+	}
+
+	same, _, err := cur.Derive((&relation.Delta{}).Insert("course", "CS401", "Compilers", "CS"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := v.Version()
+	rep, err := v.Reconcile(context.Background(), same)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Effective != 0 || v.Version() != before {
+		t.Fatalf("equal target: effective=%d version %d -> %d", rep.Effective, before, v.Version())
+	}
+	if reports, _, _ := v.Changes(before); len(reports) != 0 {
+		t.Fatalf("equal target emitted %d reports", len(reports))
+	}
+	if _, _, inst, err := v.Render(io.Discard, true); err != nil || inst != same {
+		t.Fatalf("equal target: the view reads it %v, render error %v", inst == same, err)
 	}
 }

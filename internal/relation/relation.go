@@ -338,7 +338,8 @@ func foldHash(h, x uint64) uint64 {
 // hash set is built, a binary search of the sorted slice otherwise.
 func (r *Relation) Contains(t value.Tuple) bool {
 	if r.tuples != nil {
-		_, ok := r.tuples[t.Key()]
+		var buf [64]byte // the key of a short tuple is built without allocating
+		_, ok := r.tuples[string(t.AppendKey(buf[:0]))]
 		return ok
 	}
 	s := *r.sorted.Load()

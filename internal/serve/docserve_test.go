@@ -430,3 +430,61 @@ func TestDocServedFlightRendersOnce(t *testing.T) {
 		t.Fatal("the shared document was not stored on the version")
 	}
 }
+
+// TestDocServedReadAfterWrite: with live views open on τ1, τ2v and τ3,
+// the first publish after each /mutate is served from the view and
+// stores its render on the new version, so the second is served from
+// that document; both in XML and canonical form return the post-delta
+// golden with a forced run's node count and no queries.
+func TestDocServedReadAfterWrite(t *testing.T) {
+	s, ts := newMutateServer(t)
+	defer ts.Close()
+	defer s.Close()
+	_, dbSrc := exampleSources(t)
+	specs := []string{"tau1", "tau2v", "tau3"}
+	for _, spec := range specs {
+		openView(t, ts, spec, "registrar")
+	}
+	for step, op := range []string{"insert", "delete", "insert"} {
+		mutateOK(t, ts, mutateBody(op))
+		db := dbSrc
+		if op == "insert" {
+			db = withStormTuple(dbSrc)
+		}
+		for _, spec := range specs {
+			src, err := os.ReadFile("../../examples/specs/" + spec + ".pt")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, canonical := range []bool{false, true} {
+				want := goldenXML(t, string(src), db, canonical)
+				body := fmt.Sprintf(`{"spec":%q,"db":"registrar","canonical":%v}`, spec, canonical)
+				docs := docServed(t, ts)
+				vh, got, fromView := publishVia(t, ts, body)
+				if !fromView || docServed(t, ts) != docs || !bytes.Equal(got, want) {
+					t.Fatalf("step %d %s canonical=%v: first publish from view %v, doc_served moved %v, golden match %v",
+						step, spec, canonical, fromView, docServed(t, ts) != docs, bytes.Equal(got, want))
+				}
+				views := viewServed(t, ts)
+				dh, got, fromDoc := publishDocBody(t, ts, body)
+				if !fromDoc || viewServed(t, ts) != views || !bytes.Equal(got, want) {
+					t.Fatalf("step %d %s canonical=%v: second publish from doc %v, view_served moved %v, golden match %v",
+						step, spec, canonical, fromDoc, viewServed(t, ts) != views, bytes.Equal(got, want))
+				}
+				forced := fmt.Sprintf(`{"spec":%q,"db":"registrar","canonical":%v,"limits":{"max_depth":1000}}`, spec, canonical)
+				fh, fgot, fromDoc := publishDocBody(t, ts, forced)
+				if fromDoc || !bytes.Equal(fgot, want) {
+					t.Fatalf("step %d %s canonical=%v: forced run from doc %v, golden match %v", step, spec, canonical, fromDoc, bytes.Equal(fgot, want))
+				}
+				for i, h := range []http.Header{vh, dh} {
+					if n, fn := h.Get("X-Ptserve-Nodes"), fh.Get("X-Ptserve-Nodes"); n != fn {
+						t.Errorf("step %d %s canonical=%v publish %d: X-Ptserve-Nodes %s, a run's %s", step, spec, canonical, i+1, n, fn)
+					}
+					if q := h.Get("X-Ptserve-Queries"); q != "0" {
+						t.Errorf("step %d %s canonical=%v publish %d: X-Ptserve-Queries %q, want 0", step, spec, canonical, i+1, q)
+					}
+				}
+			}
+		}
+	}
+}

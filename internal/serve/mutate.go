@@ -3,8 +3,9 @@
 // it; GET /watch exposes the resulting change feed as a long-poll or an
 // SSE stream. The coherence contract is before-or-after, never torn:
 // publishes resolve an immutable (instance, memo) version (a commit
-// derives the next, see Registry.MutateDB), views repair under their
-// own write lock, and watchers only see committed repair reports.
+// derives the next, see Registry.MutateDB), each live view reads those
+// same versions and is reconciled to its pair's next one under its own
+// write lock, and watchers only see committed repair reports.
 package serve
 
 import (
@@ -15,7 +16,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"ptx/internal/incr"
@@ -24,22 +24,15 @@ import (
 	"ptx/internal/runctl"
 )
 
-// liveView pairs a spec name with the incr.View maintaining its tree.
-// The view owns a clone of the pair's instance, whose schema decides,
-// as for the pair, which deltas apply; repairs are serialized by the
-// server's liveMu, so mutation order IS the version order watchers see.
-//
-// mirror is the registry's instance version of the pair whose tree the
-// view holds, or nil while that is in doubt: during a repair, after a
-// failed one, or after a delta the view's schema rejected. It is
-// written only under liveMu — cleared before the view changes, set once
-// it has — and read without any lock by publishes (see serveView).
+// liveView pairs a (spec, db) with the incr.View maintaining its tree.
+// The view holds no instance of its own: it is built over the pair's
+// registry version and reconciled to each next one (repairViews), under
+// the server's liveMu, so mutation order IS the version order watchers
+// see.
 type liveView struct {
-	spec   string
-	db     string
-	view   *incr.View
-	schema *relation.Schema
-	mirror atomic.Pointer[relation.Instance]
+	spec string
+	db   string
+	view *incr.View
 }
 
 // pairKey indexes the live views by (spec, db).
@@ -242,49 +235,40 @@ func (s *Server) mutate(db string, d *relation.Delta, epoch uint64) (*mutateResp
 	if err != nil {
 		return nil, err
 	}
-	return &mutateResponse{DB: db, Seq: seq, Delta: d.String(), PairsDropped: moved, Views: s.repairViews(db, d)}, nil
+	return &mutateResponse{DB: db, Seq: seq, Delta: d.String(), PairsDropped: moved, Views: s.repairViews(db)}, nil
 }
 
-// repairViews applies d to every live view over db and returns the
-// per-view reports. A view mirrors the pair's new version only after a
-// successful repair. Caller holds liveMu.
-func (s *Server) repairViews(db string, d *relation.Delta) []viewRepair {
+// repairViews reconciles every live view over db to its pair's current
+// version and returns the per-view reports. It serves a commit, after
+// which the view's relations differ from the version's only where the
+// delta touched them, and a supersede, after which the pair re-resolves
+// from the reconciled log and the view catches up in one report. A pair
+// whose schema rejected the delta kept its version, so its view's
+// report is empty. Caller holds liveMu.
+func (s *Server) repairViews(db string) []viewRepair {
 	views := []viewRepair{}
 	for _, lv := range *s.views.Load() {
 		if lv.db != db {
 			continue
 		}
 		vr := viewRepair{Spec: lv.spec}
-		lv.mirror.Store(nil)
-		// A schema that rejects the delta is untouched by it (the
-		// registry's pair skips it for the same reason).
-		if d.Validate(lv.schema) == nil {
-			rep, aerr := lv.view.Apply(s.baseCtx, d)
-			if aerr != nil {
-				s.failed.Add(1)
-				vr.Error = aerr.Error()
-			} else {
-				s.repaired.Add(1)
-				vr.Report = rep
-				s.remirror(lv)
-			}
+		_, cur, _, err := s.reg.Pair(lv.spec, db)
+		if err == nil {
+			vr.Report, err = lv.view.Reconcile(s.baseCtx, cur)
+		}
+		if err != nil {
+			s.failed.Add(1)
+			vr.Error = err.Error()
+		} else {
+			s.repaired.Add(1)
 		}
 		views = append(views, vr)
 	}
 	return views
 }
 
-// remirror points lv's mirror at its pair's current version, which the
-// view was just repaired to: under liveMu no commit can move the pair
-// in between. Caller holds liveMu.
-func (s *Server) remirror(lv *liveView) {
-	if _, cur, _, err := s.reg.Pair(lv.spec, lv.db); err == nil {
-		lv.mirror.Store(cur)
-	}
-}
-
 // liveViewFor returns the live view for (spec, db), creating it on
-// first use from the registry's CURRENT pair version. Creation runs
+// first use over the registry's CURRENT pair version. Creation runs
 // under liveMu: a concurrent mutation either precedes it (the version
 // already carries the delta) or follows it (the repair pass covers this
 // view) — no window where a fresh view silently misses a delta.
@@ -298,51 +282,19 @@ func (s *Server) liveViewFor(spec, db string) (*liveView, error) {
 	if err != nil {
 		return nil, err
 	}
-	v, err := incr.NewView(s.baseCtx, tr, inst.Clone(), incr.Options{
+	v, err := incr.NewView(s.baseCtx, tr, inst, incr.Options{
 		Run: pt.Options{MaxNodes: defaultMaxNodes},
 	})
 	if err != nil {
 		return nil, err
 	}
-	lv := &liveView{spec: spec, db: db, view: v, schema: inst.Schema()}
-	lv.mirror.Store(inst)
+	lv := &liveView{spec: spec, db: db, view: v}
 	// Copy on write: a publish reading the old index misses the view and
 	// runs, which is what it would have done a moment earlier.
 	views := maps.Clone(*s.views.Load())
 	views[pairKey{spec, db}] = lv
 	s.views.Store(&views)
 	return lv, nil
-}
-
-// resyncViews reconciles every live view over db with the registry
-// after a supersede rewrote the log's tail: the view applied deltas
-// that are no longer history, so the per-delta repair stream can't get
-// it there. Each view re-resolves its pair (the supersede deleted the
-// cached versions, so this replays the reconciled log) and reconciles
-// to it with one compensating delta — watchers see a single coherent
-// repair, never a torn intermediate. A view mirrors the re-resolved
-// version only once it is reconciled to it. Caller holds liveMu.
-func (s *Server) resyncViews(db string) {
-	for _, lv := range *s.views.Load() {
-		if lv.db != db {
-			continue
-		}
-		lv.mirror.Store(nil)
-		_, target, _, err := s.reg.Pair(lv.spec, db)
-		if err != nil {
-			s.failed.Add(1)
-			continue
-		}
-		rep, err := lv.view.Reconcile(s.baseCtx, target)
-		if err != nil {
-			s.failed.Add(1)
-			continue
-		}
-		if rep.Effective > 0 {
-			s.repaired.Add(1)
-		}
-		lv.mirror.Store(target)
-	}
 }
 
 // watchResponse is the long-poll reply: the view's current version, the

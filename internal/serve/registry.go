@@ -452,37 +452,36 @@ func (r *Registry) MutateDB(db string, d *relation.Delta, epoch uint64) (int, ui
 // acknowledged (an acknowledged record reaches every up member before
 // its ack, so its sequence number is never reassigned) — the new
 // regime's history wins: once the record is durable, the stale suffix
-// is truncated, the database's cached pairs are deleted (their versions
-// carry the stale records, so the next Pair re-resolves them from the
-// reconciled log), and superseded reports true so the caller can
-// reconcile live views against those re-resolved versions.
-func (r *Registry) ApplyAt(db string, rec DeltaRecord) (applied, superseded bool, err error) {
+// is truncated and the database's cached pairs are deleted: their
+// versions carry the stale records, so the next Pair re-resolves them
+// from the reconciled log.
+func (r *Registry) ApplyAt(db string, rec DeltaRecord) (applied bool, err error) {
 	if rec.Delta == nil || rec.Delta.Empty() {
-		return false, false, Validationf("delta", "empty delta")
+		return false, Validationf("delta", "empty delta")
 	}
 	r.wmu.Lock()
 	defer r.wmu.Unlock()
 	head, err := r.logHead(db)
 	if err != nil {
-		return false, false, err
+		return false, err
 	}
 	if rec.Epoch > 0 && rec.Epoch < head.epoch {
-		return false, false, &supervise.ErrFenced{Key: "mutate\x00" + db, Epoch: rec.Epoch, Stored: head.epoch}
+		return false, &supervise.ErrFenced{Key: "mutate\x00" + db, Epoch: rec.Epoch, Stored: head.epoch}
 	}
-	idx := 0
+	idx, superseded := 0, false
 	switch {
 	case rec.Seq <= head.seq:
 		var ok bool
 		idx, ok = head.indexOf(rec.Seq)
 		if !ok || rec.Epoch <= head.recs[idx].Epoch {
-			return false, false, nil
+			return false, nil
 		}
 		superseded = true
 	case rec.Seq > head.seq+1:
-		return false, false, &GapError{DB: db, Have: head.seq, Got: rec.Seq}
+		return false, &GapError{DB: db, Have: head.seq, Got: rec.Seq}
 	}
 	if err := r.appendWAL(db, rec); err != nil {
-		return false, false, err
+		return false, err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -493,7 +492,7 @@ func (r *Registry) ApplyAt(db string, rec DeltaRecord) (applied, superseded bool
 		clear(r.pairs[db])
 	}
 	r.commitLocked(db, rec)
-	return true, superseded, nil
+	return true, nil
 }
 
 // logHead returns a copy of db's log header, or a typed validation error

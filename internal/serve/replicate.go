@@ -140,27 +140,19 @@ func (s *Server) hasDB(db string) bool {
 
 // applyRecords commits a batch of replicated records under liveMu:
 // duplicates are skipped, the contiguous tail is committed (durably
-// first when a WAL is attached) with live views repaired per record,
-// and a gap stops the batch with the current high-water mark for the
-// sender to resume from. A record that SUPERSEDES local history (same
-// seq, newer epoch — see Registry.ApplyAt) invalidates the per-delta
-// repair stream, so views are reconciled with the re-resolved pairs
-// once the batch settles, whatever exit path it takes.
+// first when a WAL is attached) with live views reconciled to their
+// pairs' versions after each record, a supersede included (see
+// Registry.ApplyAt), and a gap stops the batch with the current
+// high-water mark for the sender to resume from.
 func (s *Server) applyRecords(db string, recs []wireRecord) (applied int, have uint64, gap bool, err error) {
 	s.liveMu.Lock()
 	defer s.liveMu.Unlock()
-	resync := false
-	defer func() {
-		if resync {
-			s.resyncViews(db)
-		}
-	}()
 	for _, wr := range recs {
 		d, derr := decodeDelta(wr.Ops)
 		if derr != nil {
 			return applied, s.reg.Seq(db), false, derr
 		}
-		ok, superseded, aerr := s.reg.ApplyAt(db, DeltaRecord{Seq: wr.Seq, Epoch: wr.Epoch, Delta: d})
+		ok, aerr := s.reg.ApplyAt(db, DeltaRecord{Seq: wr.Seq, Epoch: wr.Epoch, Delta: d})
 		if aerr != nil {
 			var ge *GapError
 			if errors.As(aerr, &ge) {
@@ -169,11 +161,7 @@ func (s *Server) applyRecords(db string, recs []wireRecord) (applied int, have u
 			return applied, s.reg.Seq(db), false, aerr
 		}
 		if ok {
-			if superseded {
-				resync = true
-			} else if !resync {
-				s.repairViews(db, d)
-			}
+			s.repairViews(db)
 			s.replicated.Add(1)
 			applied++
 		}

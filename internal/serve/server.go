@@ -160,8 +160,8 @@ type Metrics struct {
 	Watched   int64 `json:"watched"`  // /watch requests served (poll + SSE)
 
 	// ViewServed counts the Succeeded publishes answered from a live
-	// view's tree instead of a run (see serveView); DocServed those
-	// answered from their pair version's stored document.
+	// view's tree instead of a run, DocServed those answered from their
+	// pair version's stored document (see answer).
 	ViewServed int64 `json:"view_served"`
 	DocServed  int64 `json:"doc_served"`
 
@@ -204,10 +204,11 @@ type Server struct {
 	// full replication timeout.
 	repBreakers *breaker.Set
 
-	// liveMu serializes mutations and live-view creation (mutate.go).
-	// views indexes the live views by (spec, db); it is replaced, never
-	// changed, under liveMu, so a publish reads it without the lock,
-	// which a mutation holds across its WAL fsync.
+	// liveMu serializes mutations, the live-view repairs that follow
+	// them and live-view creation (mutate.go). views indexes the live
+	// views by (spec, db), each reading its pair's registry versions; the
+	// index is replaced, never changed, under liveMu, so a publish reads
+	// it without the lock, which a mutation holds across its WAL fsync.
 	liveMu sync.Mutex
 	views  atomic.Pointer[map[pairKey]*liveView]
 
@@ -593,12 +594,8 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	s.admitted.Add(1)
 	servable := adm.servable()
 	if servable {
-		if doc := ver.docs[docForm(adm.req.Canonical)]; doc != nil {
-			s.docServed.Add(1)
+		if doc := s.answer(adm, ver); doc != nil {
 			s.writeServed(w, adm, doc.nodes, doc.body)
-			return
-		}
-		if s.serveView(w, adm, ver.inst) {
 			return
 		}
 	}
@@ -657,9 +654,9 @@ func (adm *admitted) servable() bool {
 		l.MaxNodes == 0 && l.MaxDepth == 0 && l.MaxQueries == 0
 }
 
-// renderBufs recycles the render buffers of serveView and fill; one
+// renderBufs recycles the render buffers of answer and fill; one
 // that grew past maxPooledRender is left to the collector. A document
-// longer than maxPooledRender is not kept either (see fill).
+// longer than maxPooledRender is not kept either (see keep).
 var renderBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledRender = 1 << 20
@@ -671,14 +668,41 @@ func putRenderBuf(buf *bytes.Buffer) {
 	}
 }
 
+// answer returns the document of τ(ver.inst) that answers a servable
+// publish without a run of its own, or nil when the publish must run.
+// It is ver's stored document in the request's form if there is one.
+// Otherwise it is a render of the live view over the pair, when the
+// view's tree reflects ver.inst: by Proposition 1(1) τ(inst) is a
+// function of inst, so the bytes are the run's bytes, and they are kept
+// on ver like a run's (see keep). The render goes to a buffer, and the
+// network write happens after the view's read lock is released, so a
+// slow client never stalls a repair.
+func (s *Server) answer(adm *admitted, ver pairVersion) *document {
+	if doc := ver.docs[docForm(adm.req.Canonical)]; doc != nil {
+		s.docServed.Add(1)
+		return doc
+	}
+	lv := s.liveView(adm.req.Spec, adm.req.DB)
+	if lv == nil {
+		return nil
+	}
+	buf := renderBufs.Get().(*bytes.Buffer)
+	_, nodes, inst, err := lv.view.Render(buf, adm.req.Canonical)
+	if err != nil || inst != ver.inst {
+		putRenderBuf(buf)
+		return nil
+	}
+	if adm.req.Canonical {
+		buf.WriteByte('\n')
+	}
+	s.viewServed.Add(1)
+	return s.keep(adm, inst, buf, nodes)
+}
+
 // fill returns the document of f's successful run in the request's
 // output form, rendering it once per flight: every servable member of
-// the flight shares the bytes. A document of at most maxPooledRender
-// bytes is kept, as an exact-size copy, on the pair version the run
-// resolved (Registry.keepDocument, which also releases that version's
-// memo), so later publishes of the version are served from it. A
-// longer one, or a failed render, is only shared within the flight,
-// and its version keeps its memo.
+// the flight shares the bytes, and keep stores them on the pair version
+// the run resolved. A failed render is only shared within the flight.
 func (s *Server) fill(tr *pt.Transducer, f *flight, adm *admitted) *document {
 	slot := &f.docs[docForm(adm.req.Canonical)]
 	slot.once.Do(func() {
@@ -691,18 +715,30 @@ func (s *Server) fill(tr *pt.Transducer, f *flight, adm *admitted) *document {
 		} else {
 			err = f.res.Xi.WriteXMLVirtual(buf, tr.Virtual)
 		}
-		doc := &document{nodes: f.res.Stats.Nodes}
-		if err != nil || buf.Len() > maxPooledRender {
-			doc.body = buf.Bytes()
-			slot.doc = doc
+		if err != nil {
+			slot.doc = &document{body: buf.Bytes(), nodes: f.res.Stats.Nodes}
 			return
 		}
-		doc.body = bytes.Clone(buf.Bytes())
-		putRenderBuf(buf)
-		s.reg.keepDocument(adm.req.Spec, adm.req.DB, f.inst, adm.req.Canonical, doc)
-		slot.doc = doc
+		slot.doc = s.keep(adm, f.inst, buf, f.res.Stats.Nodes)
 	})
 	return slot.doc
+}
+
+// keep makes a document of buf, a rendering of τ(inst) in the request's
+// form whose tree has the given node count. A document of at most
+// maxPooledRender bytes is kept, as an exact-size copy, on the pair
+// version inst (Registry.keepDocument, which also releases that
+// version's memo), so later publishes of the version are served from
+// it, and buf returns to the pool. A longer one is not kept, and its
+// version keeps its memo.
+func (s *Server) keep(adm *admitted, inst *relation.Instance, buf *bytes.Buffer, nodes int) *document {
+	doc := &document{body: buf.Bytes(), nodes: nodes}
+	if buf.Len() <= maxPooledRender {
+		doc.body = bytes.Clone(doc.body)
+		putRenderBuf(buf)
+		s.reg.keepDocument(adm.req.Spec, adm.req.DB, inst, adm.req.Canonical, doc)
+	}
+	return doc
 }
 
 // writeServed answers an admitted publish that needed no run of its own
@@ -718,40 +754,6 @@ func (s *Server) writeServed(w http.ResponseWriter, adm *admitted, nodes int, bo
 	h.Set("X-Ptserve-Queries", "0")
 	h.Set("X-Ptserve-Cache", adm.opts.Cache.String())
 	_, _ = w.Write(body)
-}
-
-// serveView answers a publish from the live view over its pair when the
-// view mirrors inst, the instance version the request resolved, and
-// reports whether it did; on false nothing has been written and the
-// caller runs the publish. By Proposition 1(1) τ(inst) is a function of
-// inst, and a view mirroring inst holds τ(inst), so the bytes are the
-// run's bytes.
-//
-// The mirror is read before and after the render, seqlock-style. A
-// repair clears it before touching the view and sets it to the new
-// version only after the repair, and the render holds the view's read
-// lock, which excludes the repair: if both reads still see inst, no
-// repair overlapped the render. Versions are fresh pointers, so a
-// mirror cannot leave inst and come back to it. The render goes to a
-// buffer, and the network write happens after the lock is released, so
-// a slow client never stalls a repair.
-func (s *Server) serveView(w http.ResponseWriter, adm *admitted, inst *relation.Instance) bool {
-	lv := s.liveView(adm.req.Spec, adm.req.DB)
-	if lv == nil || lv.mirror.Load() != inst {
-		return false
-	}
-	buf := renderBufs.Get().(*bytes.Buffer)
-	defer putRenderBuf(buf)
-	_, nodes, err := lv.view.Render(buf, adm.req.Canonical)
-	if err != nil || lv.mirror.Load() != inst {
-		return false
-	}
-	if adm.req.Canonical {
-		buf.WriteByte('\n')
-	}
-	s.viewServed.Add(1)
-	s.writeServed(w, adm, nodes, buf.Bytes())
-	return true
 }
 
 // execute runs one admitted publish under supervision and the server's

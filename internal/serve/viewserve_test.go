@@ -1,6 +1,7 @@
-// View-served publishes: a publish whose (spec, db) has a live view
-// mirroring the instance version it resolved is answered from the
-// view's tree; every other publish runs. These tests read the
+// View-served publishes: a servable publish whose version has no stored
+// document, and whose (spec, db) has a live view reading the instance
+// version it resolved, is answered from the view's tree; every other
+// publish without a document runs. These tests read the
 // view_served counter on /healthz to tell which path answered.
 package serve
 
@@ -8,7 +9,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -185,8 +188,9 @@ func TestViewServedFallbacks(t *testing.T) {
 			t.Errorf("%s: from view %v, golden match %v", c.name, fromView, bytes.Equal(got, want))
 		}
 	}
-	// A timeout alone keeps the view path.
-	if _, _, fromView := publishVia(t, ts, `{"spec":"tiny","db":"tinydb","limits":{"timeout_ms":5000}}`); !fromView {
+	// A timeout alone keeps the view path. The plain publish stored the
+	// XML document its render made, so this one asks for canonical form.
+	if _, _, fromView := publishVia(t, ts, `{"spec":"tiny","db":"tinydb","canonical":true,"limits":{"timeout_ms":5000}}`); !fromView {
 		t.Error("a request setting only a timeout ran instead of reading the view")
 	}
 
@@ -201,19 +205,30 @@ func TestViewServedFallbacks(t *testing.T) {
 		t.Errorf("run key: from view %v, golden match %v, resumed header %q", fromView, bytes.Equal(got, want), h.Get("X-Ptserve-Resumed"))
 	}
 
-	// A delta tiny's schema rejects leaves its view in doubt: the view is
-	// not repaired, so it mirrors nothing and the publish runs. The
-	// view over tinys, whose schema takes the delta, keeps serving.
+	// A delta tiny's schema rejects leaves tiny's version, and the view
+	// reading it, where they were: the view still holds τ(inst), and the
+	// document its first render stored answers the publish. The view
+	// over tinys, whose schema takes the delta, keeps serving.
 	openView(t, ts, "tinys", "tinydb")
 	mutateOK(t, ts, `{"spec":"tinys","db":"tinydb","ops":[{"op":"insert","rel":"S","tuple":["z"]}]}`)
-	if _, got, fromView := publishVia(t, ts, plain); fromView || !bytes.Equal(got, want) {
-		t.Errorf("schema-rejected delta: from view %v, golden match %v", fromView, bytes.Equal(got, want))
+	_, cur, _, err := s.reg.Pair("tiny", "tinydb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, vinst, rerr := s.liveView("tiny", "tinydb").view.Render(io.Discard, false); rerr != nil || vinst != cur {
+		t.Errorf("schema-rejected delta: the view reads the current version %v, render error %v", vinst == cur, rerr)
+	}
+	docs := docServed(t, ts)
+	if _, got, fromView := publishVia(t, ts, plain); fromView || docServed(t, ts) != docs+1 || !bytes.Equal(got, want) {
+		t.Errorf("schema-rejected delta: from view %v, doc-served %v, golden match %v",
+			fromView, docServed(t, ts) == docs+1, bytes.Equal(got, want))
 	}
 	wantS := goldenXML(t, tinySSpec, tinyDB+"S(z)\n", false)
 	if _, got, fromView := publishVia(t, ts, `{"spec":"tinys","db":"tinydb"}`); !fromView || !bytes.Equal(got, wantS) {
 		t.Errorf("tinys after its delta: from view %v, golden match %v", fromView, bytes.Equal(got, wantS))
 	}
-	// The next delta tiny takes repairs its view, which mirrors again.
+	// The next delta tiny takes moves its version, and the view repaired
+	// to it serves it.
 	mutateOK(t, ts, tinyMutate("insert", "d"))
 	want = goldenXML(t, tinySpec, tinyDB+"R(d)\n", false)
 	if _, got, fromView := publishVia(t, ts, plain); !fromView || !bytes.Equal(got, want) {
@@ -221,9 +236,9 @@ func TestViewServedFallbacks(t *testing.T) {
 	}
 }
 
-// TestViewServedBrokenView: a view whose repair failed mirrors nothing,
-// and even a mirror pointing at the resolved version cannot serve a
-// broken tree: both publishes run and return the post-delta golden.
+// TestViewServedBrokenView: a view whose repair failed is broken, and
+// it cannot serve even though it reads the very version the publish
+// resolved: the publish runs and returns the post-delta golden.
 func TestViewServedBrokenView(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	tr, inst, _, err := s.reg.Pair("tiny", "tinydb")
@@ -236,17 +251,15 @@ func TestViewServedBrokenView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := incr.NewView(context.Background(), tr, inst.Clone(), incr.Options{
+	v, err := incr.NewView(context.Background(), tr, inst, incr.Options{
 		RebuildThreshold: 1e-9,
 		Run:              pt.Options{MaxNodes: base.Stats.Nodes},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv := &liveView{spec: "tiny", db: "tinydb", view: v, schema: inst.Schema()}
-	lv.mirror.Store(inst)
 	s.liveMu.Lock()
-	s.views.Store(&map[pairKey]*liveView{{"tiny", "tinydb"}: lv})
+	s.views.Store(&map[pairKey]*liveView{{"tiny", "tinydb"}: {spec: "tiny", db: "tinydb", view: v}})
 	s.liveMu.Unlock()
 	plain := `{"spec":"tiny","db":"tinydb"}`
 	if _, _, fromView := publishVia(t, ts, plain); !fromView {
@@ -257,17 +270,16 @@ func TestViewServedBrokenView(t *testing.T) {
 	if len(mr.Views) != 1 || mr.Views[0].Error == "" {
 		t.Fatalf("view reports %+v, want one failed repair", mr.Views)
 	}
-	want := goldenXML(t, tinySpec, tinyDB+"R(d)\n", false)
-	if _, got, fromView := publishVia(t, ts, plain); fromView || !bytes.Equal(got, want) {
-		t.Errorf("broken view: from view %v, golden match %v", fromView, bytes.Equal(got, want))
-	}
 	_, cur, _, err := s.reg.Pair("tiny", "tinydb")
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv.mirror.Store(cur)
+	if _, _, vinst, rerr := v.Render(io.Discard, false); !errors.Is(rerr, incr.ErrBroken) || vinst != cur {
+		t.Fatalf("after the failed repair: render error %v, reads the resolved version %v", rerr, vinst == cur)
+	}
+	want := goldenXML(t, tinySpec, tinyDB+"R(d)\n", false)
 	if _, got, fromView := publishVia(t, ts, plain); fromView || !bytes.Equal(got, want) {
-		t.Errorf("broken view with a mirror: from view %v, golden match %v", fromView, bytes.Equal(got, want))
+		t.Errorf("broken view: from view %v, golden match %v", fromView, bytes.Equal(got, want))
 	}
 }
 
@@ -337,4 +349,43 @@ func TestViewServedDomainDependent(t *testing.T) {
 	if _, got, fromView := publishVia(t, ts, `{"spec":"dom","db":"domdb","limits":{"max_depth":1000}}`); fromView || !bytes.Equal(got, want) {
 		t.Fatalf("forced run: from view %v, golden match %v", fromView, bytes.Equal(got, want))
 	}
+}
+
+// TestViewServedReadsPairVersions: a live view keeps no instance of its
+// own. After the views open, after each /mutate and after a supersede
+// over /replicate, the instance each view's tree reflects is the pair's
+// current registry version itself.
+func TestViewServedReadsPairVersions(t *testing.T) {
+	s, ts := newMutateServer(t)
+	defer ts.Close()
+	defer s.Close()
+	specs := []string{"tau1", "tau2v", "tau3"}
+	for _, spec := range specs {
+		openView(t, ts, spec, "registrar")
+	}
+	check := func(stage string) {
+		t.Helper()
+		for _, spec := range specs {
+			_, cur, _, err := s.reg.Pair(spec, "registrar")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, inst, err := s.liveView(spec, "registrar").view.Render(io.Discard, false); err != nil || inst != cur {
+				t.Fatalf("%s %s: the view reads the registry's version %v, render error %v", stage, spec, inst == cur, err)
+			}
+		}
+	}
+	check("opened")
+	var seq uint64
+	for step, op := range []string{"insert", "delete", "insert"} {
+		seq = mutateOK(t, ts, mutateBody(op)).Seq
+		check(fmt.Sprintf("mutate %d", step))
+	}
+	body := fmt.Sprintf(`{"db":"registrar","records":[{"seq":%d,"epoch":1,"ops":[{"op":"insert","rel":"course","tuple":["CS998","Superseding","CS"]}]}]}`, seq)
+	resp, raw := postJSON(t, ts.Client(), ts.URL+"/replicate", body)
+	var rr replicateResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(raw, &rr) != nil || rr.Applied != 1 {
+		t.Fatalf("replicate: status %d: %s", resp.StatusCode, raw)
+	}
+	check("supersede")
 }
