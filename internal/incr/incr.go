@@ -101,7 +101,7 @@ type Report struct {
 	Delta       string   `json:"delta"`
 	Effective   int      `json:"effective_ops"`
 	FullRebuild bool     `json:"full_rebuild"`
-	Dirty       int      `json:"dirty"`   // nodes re-expanded in place
+	Dirty       int      `json:"dirty"`   // nodes a dirty rule governs, each re-expanded or skipped (see walk.visit)
 	Fresh       int      `json:"fresh"`   // nodes newly built
 	Dropped     int      `json:"dropped"` // nodes discarded
 	Nodes       int      `json:"nodes"`   // live nodes after the apply
@@ -142,6 +142,10 @@ type View struct {
 	relRules map[string][]*pt.Rule // base relation → rules whose queries read it
 	domRules []*pt.Rule            // rules with a query that reads the active domain
 
+	// same holds one repair walk's unchanged re-expansions (see visit);
+	// it is emptied after each walk and kept, so its buckets are reused.
+	same map[sameKey]*relation.Relation
+
 	version uint64
 	queries int64
 	history []*Report
@@ -161,6 +165,7 @@ func NewView(ctx context.Context, tr *pt.Transducer, inst *relation.Instance, op
 		memo:     eval.NewMemo(opts.CacheSize),
 		opts:     opts,
 		relRules: make(map[string][]*pt.Rule),
+		same:     make(map[sameKey]*relation.Relation),
 		notify:   make(chan struct{}),
 	}
 	v.memo.BindInstance(inst)
@@ -383,6 +388,12 @@ type walk struct {
 	slot    []int32 // hash bucket → first unused old index, or -1
 }
 
+// sameKey is a configuration: a rule fixes its state and tag.
+type sameKey struct {
+	rule *pt.Rule
+	h    uint64 // register hash
+}
+
 type oldChild struct {
 	n     *xmltree.Node
 	state string
@@ -401,6 +412,7 @@ func (v *View) repair(ctx context.Context, dirty []*pt.Rule, rep *Report) error 
 		base = base.WithoutPlanner()
 	}
 	w := &walk{v: v, dirty: dirty, x: v.tr.NewExpander(base, v.memo), rep: rep}
+	defer clear(v.same)
 	if err := w.visit(v.tree.Root); err != nil {
 		return err
 	}
@@ -444,6 +456,9 @@ func (v *View) repair(ctx context.Context, dirty []*pt.Rule, rep *Report) error 
 // visit re-expands n if a dirty rule governs it and pushes it if it has
 // children (a stopped node has neither). It skips text leaves and fresh
 // children, the only nodes still carrying a State (finalizing clears it).
+// A dirty node whose configuration an earlier node re-expanded without
+// change is counted but not re-expanded: by Proposition 1(1) the two
+// had the same children before the delta and get the same ones after.
 func (w *walk) visit(n *xmltree.Node) error {
 	if n.Tag == xmltree.TextTag || n.State != "" {
 		return nil
@@ -453,13 +468,16 @@ func (w *walk) visit(n *xmltree.Node) error {
 		return fmt.Errorf("incr: node <%s> at %s has no metadata", n.Tag, w.pathTo())
 	}
 	if m.rule != nil && slices.Contains(w.dirty, m.rule) {
-		changed, err := w.reexpand(n, m)
-		if err != nil {
+		k := sameKey{m.rule, n.Reg.Hash()}
+		if reg, ok := w.v.same[k]; ok && reg.Equal(n.Reg) {
+			w.rep.Dirty++
+		} else if changed, err := w.reexpand(n, m); err != nil {
 			return err
-		}
-		if changed && len(w.rep.Paths) < maxReportPaths {
+		} else if !changed {
+			w.v.same[k] = n.Reg
+		} else if len(w.rep.Paths) < maxReportPaths {
 			w.rep.Paths = append(w.rep.Paths, w.pathTo())
-		} else if changed {
+		} else {
 			w.rep.Truncated = true
 		}
 	}

@@ -10,6 +10,7 @@ package relation
 import (
 	"fmt"
 	"hash/maphash"
+	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -58,14 +59,15 @@ type Relation struct {
 	// idx holds the per-column secondary indexes that have been built
 	// (nil slots = column not indexed yet). Readers build missing
 	// columns copy-on-write and publish with CompareAndSwap; mutators
-	// update built columns in place (mutation excludes readers).
+	// update built columns they own in place (ownIndex).
 	idx atomic.Pointer[colIndex]
 }
 
 // colIndex is the secondary-index set: one value→tuples map per
-// indexed column.
+// indexed column. A shared set (see Clone) is never written.
 type colIndex struct {
-	cols []map[value.V][]value.Tuple
+	cols            []map[value.V][]value.Tuple
+	shared, clipped bool
 }
 
 // grouping is one cached GroupByPrefix result: the groups for prefix
@@ -215,7 +217,7 @@ func (r *Relation) Add(t value.Tuple) {
 
 // indexInsert appends t to every built column index.
 func (r *Relation) indexInsert(t value.Tuple) {
-	ix := r.idx.Load()
+	ix := r.ownIndex()
 	if ix == nil {
 		return
 	}
@@ -226,9 +228,10 @@ func (r *Relation) indexInsert(t value.Tuple) {
 	}
 }
 
-// indexDelete removes t from every built column index.
+// indexDelete removes t from every built column index, replacing a
+// bucket that may share its array (see ownIndex) by a fresh one.
 func (r *Relation) indexDelete(t value.Tuple) {
-	ix := r.idx.Load()
+	ix := r.ownIndex()
 	if ix == nil {
 		return
 	}
@@ -237,19 +240,41 @@ func (r *Relation) indexDelete(t value.Tuple) {
 			continue
 		}
 		bucket := m[t[c]]
-		for i, bt := range bucket {
-			if value.Equal(bt, t) {
-				bucket[i] = bucket[len(bucket)-1]
-				bucket = bucket[:len(bucket)-1]
-				break
-			}
-		}
-		if len(bucket) == 0 {
+		i := slices.IndexFunc(bucket, func(bt value.Tuple) bool { return value.Equal(bt, t) })
+		switch {
+		case i < 0:
+		case len(bucket) == 1:
 			delete(m, t[c])
-		} else {
-			m[t[c]] = bucket
+		case !ix.clipped || cap(bucket) > len(bucket):
+			bucket[i] = bucket[len(bucket)-1]
+			m[t[c]] = bucket[:len(bucket)-1]
+		default:
+			m[t[c]] = slices.Concat(bucket[:i], bucket[i+1:])
 		}
 	}
+}
+
+// ownIndex returns the built column indexes for a mutator to write,
+// first replacing a shared set by a clipped copy, whose buckets keep
+// their arrays without spare capacity, so appending reallocates: a
+// bucket may share its array only if its set is clipped and it is full.
+func (r *Relation) ownIndex() *colIndex {
+	ix := r.idx.Load()
+	if ix == nil || !ix.shared {
+		return ix
+	}
+	own := &colIndex{cols: make([]map[value.V][]value.Tuple, len(ix.cols)), clipped: true}
+	for c, m := range ix.cols {
+		if m == nil {
+			continue
+		}
+		own.cols[c] = make(map[value.V][]value.Tuple, len(m))
+		for v, b := range m {
+			own.cols[c][v] = slices.Clip(b)
+		}
+	}
+	r.idx.Store(own)
+	return own
 }
 
 // Key returns a canonical fingerprint of the relation: an injective
@@ -491,9 +516,9 @@ func samePrefix(a, b value.Tuple, k int) bool {
 // secondary column→tuples index. The index for col is built on first
 // use and maintained incrementally by every mutator (Add, Remove,
 // Insert, Delete, UnionWith — and therefore by deltas applied through
-// Instance.Apply), so repeated lookups after small deltas never
-// re-scan the relation. The returned slice is shared with the index
-// and must not be modified; its order is unspecified.
+// Instance.Apply) and carried through Clone, so repeated lookups after
+// small deltas never re-scan the relation. The returned slice is shared
+// with the index and must not be modified; its order is unspecified.
 func (r *Relation) Lookup(col int, v value.V) []value.Tuple {
 	if col < 0 || col >= r.arity {
 		panic(fmt.Sprintf("relation: lookup column %d out of range for arity %d", col, r.arity))
@@ -509,6 +534,7 @@ func (r *Relation) Lookup(col int, v value.V) []value.Tuple {
 		ni := &colIndex{cols: make([]map[value.V][]value.Tuple, r.arity)}
 		if ix != nil {
 			copy(ni.cols, ix.cols)
+			ni.shared, ni.clipped = ix.shared, ix.clipped
 		}
 		m := make(map[value.V][]value.Tuple, r.Len())
 		r.each(func(t value.Tuple) bool {
@@ -526,13 +552,22 @@ func (r *Relation) Lookup(col int, v value.V) []value.Tuple {
 // in order-insensitive hot paths such as joins and grouping.
 func (r *Relation) EachUnordered(f func(value.Tuple) bool) { r.each(f) }
 
-// Clone returns an independent deep copy.
+// Clone returns an independent copy. Stored tuples are never written in
+// place (mutators store clones, Build owns its rows), so the copy shares
+// them: maps.Clone copies a hash set, and the sorted slice and the
+// built column indexes are shared, the indexes copy-on-write. Clone
+// only reads r: a concurrent Lookup's publish fails against the shared
+// mark, or is replaced and loses its column.
 func (r *Relation) Clone() *Relation {
-	c := New(r.arity)
-	r.each(func(t value.Tuple) bool {
-		c.tuples[t.Key()] = t.Clone()
-		return true
-	})
+	c := &Relation{arity: r.arity, tuples: maps.Clone(r.tuples)}
+	c.sorted.Store(r.sorted.Load())
+	if ix := r.idx.Load(); ix != nil {
+		if !ix.shared {
+			ix = &colIndex{cols: ix.cols, shared: true}
+			r.idx.Store(ix)
+		}
+		c.idx.Store(ix)
+	}
 	return c
 }
 
@@ -811,7 +846,7 @@ func (i *Instance) Add(name string, vals ...string) {
 	i.version.Add(1)
 }
 
-// Clone returns a deep copy sharing the schema.
+// Clone returns an independent copy sharing the schema.
 func (i *Instance) Clone() *Instance {
 	c := &Instance{schema: i.schema, rels: make(map[string]*Relation, len(i.rels))}
 	for n, r := range i.rels {

@@ -4,15 +4,14 @@
 // SSE stream. The coherence contract is before-or-after, never torn:
 // publishes resolve an immutable (instance, memo) version (a commit
 // derives the next, see Registry.MutateDB), each live view reads those
-// same versions and is reconciled to its pair's next one under its own
-// write lock, and watchers only see committed repair reports.
+// same versions and is reconciled to its pair's next one under its
+// database's writer lock, and watchers only see committed reports.
 package serve
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"maps"
 	"net/http"
 	"strconv"
 	"strings"
@@ -27,8 +26,8 @@ import (
 // liveView pairs a (spec, db) with the incr.View maintaining its tree.
 // The view holds no instance of its own: it is built over the pair's
 // registry version and reconciled to each next one (repairViews), under
-// the server's liveMu, so mutation order IS the version order watchers
-// see.
+// the database's writer lock, so mutation order IS the version order
+// watchers see.
 type liveView struct {
 	spec string
 	db   string
@@ -38,10 +37,12 @@ type liveView struct {
 // pairKey indexes the live views by (spec, db).
 type pairKey struct{ spec, db string }
 
-// liveView returns the live view for (spec, db), or nil. It reads the
-// copy-on-write index and never waits on liveMu.
+// liveView returns the live view for (spec, db), or nil. It never
+// waits on a writer lock.
 func (s *Server) liveView(spec, db string) *liveView {
-	return (*s.views.Load())[pairKey{spec, db}]
+	v, _ := s.views.Load(pairKey{spec, db})
+	lv, _ := v.(*liveView)
+	return lv
 }
 
 // mutateRequest is the wire schema of POST /mutate. Unknown fields are
@@ -190,7 +191,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Synchronous replication happens AFTER the local commit released
-	// liveMu (holding a lock across peer HTTP would let two owners
+	// the writer lock (holding a lock across peer HTTP would let two owners
 	// deadlock each other) and BEFORE the ack: when the client hears 200
 	// the delta is durable here and on EVERY named successor. A replica
 	// that fails to confirm withholds the ack entirely — acknowledging a
@@ -223,15 +224,18 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
-// mutate is the serialized mutation path: liveMu makes (registry commit,
-// view repairs) atomic with respect to view creation, so a view can
-// never be born pre-delta yet miss the repair pass. The registry commit
-// inside is durable-first — when MutateDB returns nil the delta is
-// already fsynced to the WAL (if one is attached).
+// mutate is the mutation path, serialized per database: db's writer
+// lock makes (registry commit, view repairs) atomic with respect to view
+// creation, so a view can never be born pre-delta yet miss the repair
+// pass. The registry commit inside is durable-first — when it returns
+// nil the delta is already fsynced to the WAL (if one is attached).
 func (s *Server) mutate(db string, d *relation.Delta, epoch uint64) (*mutateResponse, error) {
-	s.liveMu.Lock()
-	defer s.liveMu.Unlock()
-	moved, seq, err := s.reg.MutateDB(db, d, epoch)
+	w, err := s.reg.lockDB(db)
+	if err != nil {
+		return nil, err
+	}
+	defer w.Unlock()
+	moved, seq, err := s.reg.mutateLocked(db, d, epoch)
 	if err != nil {
 		return nil, err
 	}
@@ -244,12 +248,13 @@ func (s *Server) mutate(db string, d *relation.Delta, epoch uint64) (*mutateResp
 // delta touched them, and a supersede, after which the pair re-resolves
 // from the reconciled log and the view catches up in one report. A pair
 // whose schema rejected the delta kept its version, so its view's
-// report is empty. Caller holds liveMu.
+// report is empty. Caller holds db's writer lock.
 func (s *Server) repairViews(db string) []viewRepair {
 	views := []viewRepair{}
-	for _, lv := range *s.views.Load() {
+	s.views.Range(func(_, v any) bool {
+		lv := v.(*liveView)
 		if lv.db != db {
-			continue
+			return true
 		}
 		vr := viewRepair{Spec: lv.spec}
 		_, cur, _, err := s.reg.Pair(lv.spec, db)
@@ -263,18 +268,22 @@ func (s *Server) repairViews(db string) []viewRepair {
 			s.repaired.Add(1)
 		}
 		views = append(views, vr)
-	}
+		return true
+	})
 	return views
 }
 
 // liveViewFor returns the live view for (spec, db), creating it on
 // first use over the registry's CURRENT pair version. Creation runs
-// under liveMu: a concurrent mutation either precedes it (the version
-// already carries the delta) or follows it (the repair pass covers this
-// view) — no window where a fresh view silently misses a delta.
+// under db's writer lock: a concurrent mutation either precedes it (the
+// version already carries the delta) or follows it (the repair pass
+// covers this view) — no window where a fresh view misses a delta.
 func (s *Server) liveViewFor(spec, db string) (*liveView, error) {
-	s.liveMu.Lock()
-	defer s.liveMu.Unlock()
+	w, err := s.reg.lockDB(db)
+	if err != nil {
+		return nil, err
+	}
+	defer w.Unlock()
 	if lv := s.liveView(spec, db); lv != nil {
 		return lv, nil
 	}
@@ -289,11 +298,7 @@ func (s *Server) liveViewFor(spec, db string) (*liveView, error) {
 		return nil, err
 	}
 	lv := &liveView{spec: spec, db: db, view: v}
-	// Copy on write: a publish reading the old index misses the view and
-	// runs, which is what it would have done a moment earlier.
-	views := maps.Clone(*s.views.Load())
-	views[pairKey{spec, db}] = lv
-	s.views.Store(&views)
+	s.views.Store(pairKey{spec, db}, lv)
 	return lv, nil
 }
 

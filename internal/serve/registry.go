@@ -30,14 +30,13 @@ import (
 //
 // All methods are safe for concurrent use.
 type Registry struct {
-	// wmu sequences the writers (MutateDB, ApplyAt, AttachWAL): it is
-	// held across the WAL append and fsync, so mu is held only for the
-	// in-memory commit and a publish's Pair never waits on the disk.
-	// Every change to the logs and to log happens under both.
-	wmu   sync.Mutex
 	mu    sync.RWMutex
 	specs map[string]*pt.Transducer
 	dbs   map[string]string // name → source text
+
+	// writers holds each database's writer lock (see lockDB); mu is
+	// held only for the in-memory commit. A log changes under both.
+	writers map[string]*sync.Mutex
 
 	pairs map[string]map[string]*pairEntry // db → spec → current version
 
@@ -156,10 +155,11 @@ func docForm(canonical bool) int {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		specs: make(map[string]*pt.Transducer),
-		dbs:   make(map[string]string),
-		pairs: make(map[string]map[string]*pairEntry),
-		logs:  make(map[string]*dbLog),
+		specs:   make(map[string]*pt.Transducer),
+		dbs:     make(map[string]string),
+		writers: make(map[string]*sync.Mutex),
+		pairs:   make(map[string]map[string]*pairEntry),
+		logs:    make(map[string]*dbLog),
 	}
 }
 
@@ -170,8 +170,10 @@ func NewRegistry() *Registry {
 // ack-after-durable contract. Returns the number of records replayed.
 func (r *Registry) AttachWAL(l *wal.Log) int {
 	recs := l.Records()
-	r.wmu.Lock()
-	defer r.wmu.Unlock()
+	for _, n := range r.DBNames() {
+		w, _ := r.lockDB(n)
+		defer w.Unlock()
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.log = l
@@ -258,8 +260,22 @@ func (r *Registry) RegisterDB(name, src string) error {
 		return Validationf("db", "duplicate registration of %q", name)
 	}
 	r.dbs[name] = src
+	r.writers[name] = new(sync.Mutex)
 	r.pairs[name] = make(map[string]*pairEntry)
 	return nil
+}
+
+// lockDB locks and returns db's writer lock (unknown db: a validation
+// error). It orders db's writes, view repairs and view creation.
+func (r *Registry) lockDB(db string) (*sync.Mutex, error) {
+	r.mu.RLock()
+	w, ok := r.writers[db]
+	r.mu.RUnlock()
+	if !ok {
+		return nil, Validationf("db", "unknown database %q (have: %s)", db, strings.Join(r.DBNames(), ", "))
+	}
+	w.Lock()
+	return w, nil
 }
 
 // Spec returns the registered transducer, or a typed *ValidationError
@@ -392,11 +408,12 @@ func parseInstance(spec, db, src string, tr *pt.Transducer) (inst *relation.Inst
 // fsynced BEFORE anything in memory changes, so an acknowledged delta
 // survives a crash) to the database's mutation log, and every resolved
 // (spec, db) pair over it moves to its next instance version with a
-// fresh memo and no documents. Writers are sequenced by wmu, and mu is
-// taken only after the append, for the in-memory commit, so the fsync
-// never blocks a publish's Pair. The next version shares every
-// relation the delta does not touch with the previous one and clones
-// the touched ones before applying the delta (relation.Instance.Derive).
+// fresh memo and no documents. It holds db's writer lock, and takes mu
+// only after the append, for the in-memory commit, so the fsync never
+// blocks a publish's Pair or a write to another database. The next
+// version shares every relation the delta does not touch with the
+// previous one and clones the touched ones before applying the delta
+// (relation.Instance.Derive).
 // A pair whose schema rejects the delta, or on which it has no effect,
 // keeps its version, its memo and its documents.
 //
@@ -420,17 +437,22 @@ func (r *Registry) MutateDB(db string, d *relation.Delta, epoch uint64) (int, ui
 	if d == nil || d.Empty() {
 		return 0, 0, Validationf("delta", "empty delta")
 	}
-	r.wmu.Lock()
-	defer r.wmu.Unlock()
-	head, err := r.logHead(db)
+	w, err := r.lockDB(db)
 	if err != nil {
 		return 0, 0, err
 	}
+	defer w.Unlock()
+	return r.mutateLocked(db, d, epoch)
+}
+
+// mutateLocked is MutateDB under db's writer lock, for a non-empty d.
+func (r *Registry) mutateLocked(db string, d *relation.Delta, epoch uint64) (int, uint64, error) {
+	head, l := r.logHead(db)
 	if epoch > 0 && epoch < head.epoch {
 		return 0, 0, &supervise.ErrFenced{Key: "mutate\x00" + db, Epoch: epoch, Stored: head.epoch}
 	}
 	rec := DeltaRecord{Seq: head.seq + 1, Epoch: epoch, Delta: d}
-	if err := r.appendWAL(db, rec); err != nil {
+	if err := appendWAL(l, db, rec); err != nil {
 		return 0, 0, err
 	}
 	r.mu.Lock()
@@ -459,12 +481,17 @@ func (r *Registry) ApplyAt(db string, rec DeltaRecord) (applied bool, err error)
 	if rec.Delta == nil || rec.Delta.Empty() {
 		return false, Validationf("delta", "empty delta")
 	}
-	r.wmu.Lock()
-	defer r.wmu.Unlock()
-	head, err := r.logHead(db)
+	w, err := r.lockDB(db)
 	if err != nil {
 		return false, err
 	}
+	defer w.Unlock()
+	return r.applyAtLocked(db, rec)
+}
+
+// applyAtLocked is ApplyAt under db's writer lock, for a non-empty delta.
+func (r *Registry) applyAtLocked(db string, rec DeltaRecord) (applied bool, err error) {
+	head, l := r.logHead(db)
 	if rec.Epoch > 0 && rec.Epoch < head.epoch {
 		return false, &supervise.ErrFenced{Key: "mutate\x00" + db, Epoch: rec.Epoch, Stored: head.epoch}
 	}
@@ -480,7 +507,7 @@ func (r *Registry) ApplyAt(db string, rec DeltaRecord) (applied bool, err error)
 	case rec.Seq > head.seq+1:
 		return false, &GapError{DB: db, Have: head.seq, Got: rec.Seq}
 	}
-	if err := r.appendWAL(db, rec); err != nil {
+	if err := appendWAL(l, db, rec); err != nil {
 		return false, err
 	}
 	r.mu.Lock()
@@ -495,34 +522,31 @@ func (r *Registry) ApplyAt(db string, rec DeltaRecord) (applied bool, err error)
 	return true, nil
 }
 
-// logHead returns a copy of db's log header, or a typed validation error
-// for an unknown database. Its recs share the log's storage. Under wmu
+// logHead returns a copy of db's log header and the attached WAL (nil
+// if none). Its recs share the log's storage. Under db's writer lock
 // the log cannot change until the caller commits.
-func (r *Registry) logHead(db string) (dbLog, error) {
+func (r *Registry) logHead(db string) (dbLog, *wal.Log) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if _, ok := r.dbs[db]; !ok {
-		return dbLog{}, Validationf("db", "unknown database %q (have: %s)", db, strings.Join(r.dbNamesLocked(), ", "))
-	}
 	if lg := r.logs[db]; lg != nil {
-		return *lg, nil
+		return *lg, r.log
 	}
-	return dbLog{}, nil
+	return dbLog{}, r.log
 }
 
 // appendWAL makes one fenced, sequenced record durable (append and
-// fsync) when a log is attached. Caller holds wmu and not mu, so
-// publishes keep resolving pairs while the disk works.
-func (r *Registry) appendWAL(db string, rec DeltaRecord) error {
-	if r.log == nil {
+// fsync) when a log l is attached. Caller holds db's writer lock and not
+// mu, so publishes keep resolving pairs while the disk works.
+func appendWAL(l *wal.Log, db string, rec DeltaRecord) error {
+	if l == nil {
 		return nil
 	}
-	return r.log.Append(wal.Record{DB: db, Seq: rec.Seq, Epoch: rec.Epoch, Delta: rec.Delta})
+	return l.Append(wal.Record{DB: db, Seq: rec.Seq, Epoch: rec.Epoch, Delta: rec.Delta})
 }
 
 // commitLocked commits one durable record in memory and moves every
 // resolved pair over db to its next version. It returns how many pairs
-// moved. Caller holds wmu and mu.
+// moved. Caller holds db's writer lock and mu.
 func (r *Registry) commitLocked(db string, rec DeltaRecord) int {
 	lg := r.logsLocked(db)
 	lg.recs = append(lg.recs, rec)

@@ -138,21 +138,25 @@ func (s *Server) hasDB(db string) bool {
 	return false
 }
 
-// applyRecords commits a batch of replicated records under liveMu:
-// duplicates are skipped, the contiguous tail is committed (durably
-// first when a WAL is attached) with live views reconciled to their
-// pairs' versions after each record, a supersede included (see
-// Registry.ApplyAt), and a gap stops the batch with the current
-// high-water mark for the sender to resume from.
+// applyRecords commits a batch of replicated records under db's writer
+// lock (an unknown db is a validation error): duplicates are skipped,
+// the contiguous tail is committed (durably first when a WAL is
+// attached) with live views reconciled to their pairs' versions after
+// each record, a supersede included (see Registry.ApplyAt), and a gap
+// stops the batch with the current high-water mark for the sender to
+// resume from.
 func (s *Server) applyRecords(db string, recs []wireRecord) (applied int, have uint64, gap bool, err error) {
-	s.liveMu.Lock()
-	defer s.liveMu.Unlock()
+	w, err := s.reg.lockDB(db)
+	if err != nil {
+		return 0, 0, false, err
+	}
+	defer w.Unlock()
 	for _, wr := range recs {
 		d, derr := decodeDelta(wr.Ops)
 		if derr != nil {
 			return applied, s.reg.Seq(db), false, derr
 		}
-		ok, aerr := s.reg.ApplyAt(db, DeltaRecord{Seq: wr.Seq, Epoch: wr.Epoch, Delta: d})
+		ok, aerr := s.reg.applyAtLocked(db, DeltaRecord{Seq: wr.Seq, Epoch: wr.Epoch, Delta: d})
 		if aerr != nil {
 			var ge *GapError
 			if errors.As(aerr, &ge) {
@@ -193,11 +197,6 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if req.DB == "" {
 		s.rejected.Add(1)
 		WriteError(w, Validationf("db", "missing"))
-		return
-	}
-	if !s.hasDB(req.DB) {
-		s.rejected.Add(1)
-		WriteError(w, Validationf("db", "unknown database %q", req.DB))
 		return
 	}
 	applied, have, gap, err := s.applyRecords(req.DB, req.Records)
@@ -301,8 +300,8 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 }
 
 // syncWith runs one pull+push round against peer. HTTP happens OUTSIDE
-// liveMu (applyRecords takes it per batch) — same lock discipline as
-// replicateOut.
+// db's writer lock (applyRecords takes it per batch) — same lock
+// discipline as replicateOut.
 func (s *Server) syncWith(ctx context.Context, db, peer string) (pulled, pushed int, err error) {
 	have := s.reg.Seq(db)
 	u := fmt.Sprintf("%s/deltalog?db=%s&from=%d", strings.TrimSuffix(peer, "/"), db, have)
@@ -376,8 +375,8 @@ func (s *Server) pushRecords(ctx context.Context, peer, db string, recs []DeltaR
 // replica synchronously, repairing holes via the gap protocol: a
 // receiver that is behind answers with its high-water mark and the
 // sender resends the tail from there. A replica counts as confirmed
-// only when its mark reaches seq. Runs AFTER liveMu is released —
-// never hold a local lock across a peer round-trip.
+// only when its mark reaches seq. Runs AFTER db's writer lock is
+// released — never hold a local lock across a peer round-trip.
 //
 // Each replica sits behind a circuit breaker: once a replica fails
 // Threshold consecutive pushes (a partition, not just a crash), new

@@ -204,13 +204,11 @@ type Server struct {
 	// full replication timeout.
 	repBreakers *breaker.Set
 
-	// liveMu serializes mutations, the live-view repairs that follow
-	// them and live-view creation (mutate.go). views indexes the live
-	// views by (spec, db), each reading its pair's registry versions; the
-	// index is replaced, never changed, under liveMu, so a publish reads
-	// it without the lock, which a mutation holds across its WAL fsync.
-	liveMu sync.Mutex
-	views  atomic.Pointer[map[pairKey]*liveView]
+	// views maps a (spec, db) pairKey to its *liveView, which reads the
+	// pair's registry versions. A view is added under its database's
+	// writer lock (mutate.go); a publish reads the map without it, so it
+	// never waits on a mutation's WAL fsync.
+	views sync.Map
 
 	admitted   atomic.Int64
 	shed       atomic.Int64
@@ -245,7 +243,6 @@ func New(cfg Config) (*Server, error) {
 		baseCancel:  cancel,
 		repBreakers: breaker.NewSet(breaker.Config{}),
 	}
-	s.views.Store(&map[pairKey]*liveView{})
 	return s, nil
 }
 

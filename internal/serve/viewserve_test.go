@@ -258,9 +258,12 @@ func TestViewServedBrokenView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.liveMu.Lock()
-	s.views.Store(&map[pairKey]*liveView{{"tiny", "tinydb"}: {spec: "tiny", db: "tinydb", view: v}})
-	s.liveMu.Unlock()
+	w, err := s.reg.lockDB("tinydb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.views.Store(pairKey{"tiny", "tinydb"}, &liveView{spec: "tiny", db: "tinydb", view: v})
+	w.Unlock()
 	plain := `{"spec":"tiny","db":"tinydb"}`
 	if _, _, fromView := publishVia(t, ts, plain); !fromView {
 		t.Fatal("the installed view did not serve before the delta")
