@@ -12,11 +12,12 @@ import (
 	"ptx/internal/testutil"
 )
 
-// randomView builds a random two-level nonrecursive PT(CQ, tuple,
-// normal) transducer over E(2): the root spawns an a-child per result
-// of a level-1 query; a-nodes optionally spawn c-children via a level-2
-// query over the register.
-func randomView(rng *rand.Rand) *pt.Transducer {
+// randomView builds a random two-level PT(CQ, tuple, normal)
+// transducer over E(2): the root spawns an a-child per result of a
+// level-1 query; a-nodes optionally spawn c-children via a level-2
+// query over the register. It is nonrecursive unless recursive is set,
+// which gives (q, a) a last item unfolding a-nodes along E.
+func randomView(rng *rand.Rand, recursive bool) *pt.Transducer {
 	x, y, z := logic.Var("x"), logic.Var("y"), logic.Var("z")
 	level1 := []logic.Formula{
 		logic.Ex([]logic.Var{y}, logic.R("E", x, y)),
@@ -36,14 +37,19 @@ func randomView(rng *rand.Rand) *pt.Transducer {
 	t.DeclareTag("a", 1)
 	t.AddRule("q0", "r", pt.Item("q", "a",
 		logic.MustQuery([]logic.Var{x}, nil, level1[rng.Intn(len(level1))])))
+	var items []pt.RHS
 	if rng.Intn(2) == 0 {
 		t.DeclareTag("c", 1)
-		t.AddRule("q", "a", pt.Item("qc", "c",
+		items = append(items, pt.Item("qc", "c",
 			logic.MustQuery([]logic.Var{z}, nil, level2[rng.Intn(len(level2))])))
 		t.AddRule("qc", "c")
-	} else {
-		t.AddRule("q", "a")
 	}
+	if recursive {
+		// (q, a) unfolds itself along E: a's successors are a's again.
+		items = append(items, pt.Item("q", "a", logic.MustQuery([]logic.Var{x}, nil,
+			logic.Ex([]logic.Var{y}, logic.Conj(logic.R(pt.RegRel, y), logic.R("E", y, x))))))
+	}
+	t.AddRule("q", "a", items...)
 	return t
 }
 
@@ -99,7 +105,7 @@ func TestEquivalenceFuzzAgainstBruteForce(t *testing.T) {
 	var medium []*relation.Instance // built lazily: 512 instances
 
 	for trial := 0; trial < 120; trial++ {
-		t1, t2 := randomView(rng), randomView(rng)
+		t1, t2 := randomView(rng, false), randomView(rng, false)
 		decided, err := Equivalence(t1, t2)
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s\n%s", trial, err, t1, t2)
@@ -131,7 +137,7 @@ func TestMembershipFuzzAgainstExecution(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	insts := allInstances([]string{"0", "1"})
 	for trial := 0; trial < 25; trial++ {
-		tr := randomView(rng)
+		tr := randomView(rng, false)
 		inst := insts[rng.Intn(len(insts))]
 		produced, err := tr.Output(inst, pt.Options{MaxNodes: 10000})
 		if err != nil {
@@ -158,7 +164,7 @@ func TestOutputUCQFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	insts := allInstances([]string{"0", "1"})
 	for trial := 0; trial < 40; trial++ {
-		tr := randomView(rng)
+		tr := randomView(rng, false)
 		label := "a"
 		if _, ok := tr.Arities["c"]; ok && rng.Intn(2) == 0 {
 			label = "c"
@@ -200,15 +206,8 @@ func FuzzOutputRelation(f *testing.F) {
 		f.Add(i, uint16(i*61), i%2 == 0, i%3 == 0)
 	}
 	insts := allInstances([]string{"0", "1", "2"})
-	x, y := logic.Var("x"), logic.Var("y")
-	succ := logic.MustQuery([]logic.Var{x}, nil,
-		logic.Ex([]logic.Var{y}, logic.Conj(logic.R(pt.RegRel, y), logic.R("E", y, x))))
 	f.Fuzz(func(t *testing.T, seed int64, pick uint16, recursive, useC bool) {
-		tr := randomView(rand.New(rand.NewSource(seed)))
-		if recursive {
-			r, _ := tr.Rule("q", "a")
-			r.Items = append(r.Items, pt.Item("q", "a", succ))
-		}
+		tr := randomView(rand.New(rand.NewSource(seed)), recursive)
 		label := "a"
 		if _, ok := tr.Arities["c"]; ok && useC {
 			label = "c"

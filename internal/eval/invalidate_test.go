@@ -74,8 +74,10 @@ func TestMemoDropsRacingPut(t *testing.T) {
 	}
 }
 
-// Selective invalidation drops exactly the entries whose queries mention
-// a mutated relation; re-binding afterwards keeps the survivors live.
+// Selective invalidation drops exactly the entries of the named
+// queries (the ones that read a mutated relation, which pt's table
+// names; see pt.Transducer.Readers); re-binding afterwards keeps the
+// survivors live.
 func TestMemoInvalidateRelationsSelective(t *testing.T) {
 	inst := graphInstance([2]string{"a", "b"})
 	inst.Schema().MustDeclare("A", 1)
@@ -94,11 +96,10 @@ func TestMemoInvalidateRelationsSelective(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eff, err := inst.Apply((&relation.Delta{}).Insert("E", "b", "c"))
-	if err != nil {
+	if _, err := inst.Apply((&relation.Delta{}).Insert("E", "b", "c")); err != nil {
 		t.Fatal(err)
 	}
-	if n := m.InvalidateRelations(eff.Rels()); n != 1 {
+	if n := m.InvalidateQueries([]*logic.Query{qe}); n != 1 {
 		t.Fatalf("invalidated %d entries, want exactly the E query", n)
 	}
 	m.BindInstance(inst) // reconcile: survivors stay valid
@@ -121,7 +122,9 @@ func TestMemoInvalidateRelationsSelective(t *testing.T) {
 
 // A query that ranges over the active domain reads every relation: ¬A(x)
 // names only A, yet an insert into E adds c to the domain and so to its
-// answer, and the entry must not survive the E delta.
+// answer. pt lists it among E's readers (TestReadersDomainQuery); once
+// named, its entry is dropped and recomputed after the re-bind, while
+// the A query, which E's delta cannot change, keeps its entry.
 func TestMemoInvalidateDomainReader(t *testing.T) {
 	inst := graphInstance([2]string{"a", "b"})
 	inst.Schema().MustDeclare("A", 1)
@@ -129,26 +132,32 @@ func TestMemoInvalidateDomainReader(t *testing.T) {
 	inst.Add("A", "a")
 
 	qn := logic.MustQuery(nil, []logic.Var{x}, &logic.Not{F: logic.R("A", x)})
+	qa := logic.MustQuery(nil, []logic.Var{x}, logic.R("A", x))
 	m := NewMemo(0)
 	m.BindInstance(inst)
 	if r, err := EvalQueryMemo(qn, NewEnv(inst), m); err != nil || r.Len() != 1 {
 		t.Fatalf("pre-delta: %v, err %v; want {b}", r, err)
 	}
-	eff, err := inst.Apply((&relation.Delta{}).Insert("E", "b", "c"))
-	if err != nil {
+	if _, err := EvalQueryMemo(qa, NewEnv(inst), m); err != nil {
 		t.Fatal(err)
 	}
-	if n := m.InvalidateRelations(eff.Rels()); n != 1 {
+	if _, err := inst.Apply((&relation.Delta{}).Insert("E", "b", "c")); err != nil {
+		t.Fatal(err)
+	}
+	if n := m.InvalidateQueries([]*logic.Query{qn}); n != 1 {
 		t.Fatalf("invalidated %d entries, want the domain reader", n)
 	}
 	m.BindInstance(inst)
 	if r, err := EvalQueryMemo(qn, NewEnv(inst), m); err != nil || r.Len() != 2 {
 		t.Fatalf("post-delta: %v, err %v; want {b, c}", r, err)
 	}
+	if _, ok := m.Get(qa, ""); !ok {
+		t.Fatal("the A query's entry did not survive")
+	}
 }
 
-// Invalidation matches a key's whole query id, not a prefix of it: with
-// ids 1 and 11 both live, dropping query 1 keeps every 11|… entry.
+// Invalidation matches a key's whole query identity: dropping one query
+// keeps every entry of the others, under the same register fingerprints.
 func TestMemoInvalidateWholeIDs(t *testing.T) {
 	m := NewMemo(0)
 	qs := make([]*logic.Query, 11)
@@ -159,18 +168,20 @@ func TestMemoInvalidateWholeIDs(t *testing.T) {
 		}
 		qs[i] = logic.MustQuery(nil, []logic.Var{x}, logic.R(rel, x))
 		for _, fp := range []string{"", "r1", "r2"} {
-			m.Put(qs[i], fp, relation.New(1)) // query i gets id i+1
+			m.Put(qs[i], fp, relation.New(1))
 		}
 	}
-	if n := m.InvalidateRelations([]string{"A"}); n != 3 {
-		t.Fatalf("invalidated %d entries, want the 3 of id 1", n)
+	if n := m.InvalidateQueries(qs[:1]); n != 3 {
+		t.Fatalf("invalidated %d entries, want the 3 of query 0", n)
 	}
 	for _, fp := range []string{"", "r1", "r2"} {
 		if _, ok := m.Get(qs[0], fp); ok {
-			t.Errorf("id 1 entry %q survived", fp)
+			t.Errorf("query 0 entry %q survived", fp)
 		}
-		if _, ok := m.Get(qs[10], fp); !ok {
-			t.Errorf("id 11 entry %q was dropped", fp)
+		for _, q := range qs[1:] {
+			if _, ok := m.Get(q, fp); !ok {
+				t.Errorf("entry %q of %s was dropped", fp, q)
+			}
 		}
 	}
 }

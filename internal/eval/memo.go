@@ -35,12 +35,7 @@ import (
 type Memo struct {
 	mu  sync.Mutex
 	lru *lru.Cache[memoKey, *relation.Relation]
-	ids map[*logic.Query]int64
-	// reads[id-1] is what the result of the query with that id depends
-	// on, recorded once when key assigns the id, so invalidation never
-	// re-walks a formula.
-	reads []queryReads
-	cap   int
+	cap int
 
 	// Staleness guard (see BindInstance): when bound, any version drift
 	// of the instance flushes the table before the next Get or Put, so a
@@ -68,7 +63,7 @@ func NewMemo(capacity int) *Memo {
 	if capacity <= 0 {
 		capacity = DefaultMemoSize
 	}
-	m := &Memo{ids: make(map[*logic.Query]int64), cap: capacity}
+	m := &Memo{cap: capacity}
 	m.lru = lru.New[memoKey, *relation.Relation](capacity, func(memoKey, *relation.Relation) {
 		m.evictions.Add(1)
 	})
@@ -109,64 +104,26 @@ func (m *Memo) syncLocked() bool {
 	return false
 }
 
-// queryReads is what a query's result depends on besides its register:
-// the relations it names and, if domain is set, the whole instance's
-// active domain, which a write to any relation can change
-// (logic.Query.ReadsDomain).
-type queryReads struct {
-	rels   []string
-	domain bool
-}
-
-// InvalidateRelations drops every entry whose query reads one of the
-// named relations (the sound over-approximation of "result may have
-// changed" for a delta touching exactly those relations) and returns
-// how many entries were dropped. A query that reads the active domain
-// reads every relation. Entries for untouched queries survive and keep
-// their hit rate.
-func (m *Memo) InvalidateRelations(names []string) int {
-	if len(names) == 0 {
+// InvalidateQueries drops every entry of the given queries (those a
+// delta can change; see pt.Transducer.Readers) and returns how many it
+// dropped. Entries of other queries survive and keep their hit rate.
+func (m *Memo) InvalidateQueries(qs []*logic.Query) int {
+	if len(qs) == 0 {
 		return 0
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var dirty []bool // dirty[id-1]: the query with that id reads a named relation
-	for i, rd := range m.reads {
-		if rd.domain || slices.ContainsFunc(rd.rels, func(r string) bool { return slices.Contains(names, r) }) {
-			if dirty == nil {
-				dirty = make([]bool, len(m.reads))
-			}
-			dirty[i] = true
-		}
-	}
-	if dirty == nil {
-		return 0
-	}
-	n := m.lru.RemoveIf(func(k memoKey) bool { return dirty[k.id-1] })
+	n := m.lru.RemoveIf(func(k memoKey) bool { return slices.Contains(qs, k.q) })
 	m.invalidated.Add(int64(n))
 	return n
 }
 
-// memoKey is a cache key: a query's identity and a register
-// fingerprint, compared field by field, so building one allocates
-// nothing.
+// memoKey is a cache key: a query's pointer (a validated transducer's
+// queries are fixed objects) and a register fingerprint, compared field
+// by field, so building one allocates nothing.
 type memoKey struct {
-	id  int64
+	q   *logic.Query
 	reg string
-}
-
-// key builds the cache key for (query identity, register fingerprint).
-// Queries are identified by pointer: within one run the rule set is
-// fixed, so pointer identity is stable and cheaper than hashing the
-// formula rendering. Must be called with mu held.
-func (m *Memo) key(q *logic.Query, regFP string) memoKey {
-	id, ok := m.ids[q]
-	if !ok {
-		m.reads = append(m.reads, queryReads{logic.Relations(q.F), q.ReadsDomain()})
-		id = int64(len(m.reads))
-		m.ids[q] = id
-	}
-	return memoKey{id, regFP}
 }
 
 // Get returns the cached result of q against a register with the given
@@ -178,7 +135,7 @@ func (m *Memo) Get(q *logic.Query, regFP string) (*relation.Relation, bool) {
 		ok  bool
 	)
 	if m.syncLocked() {
-		rel, ok = m.lru.Get(m.key(q, regFP))
+		rel, ok = m.lru.Get(memoKey{q, regFP})
 	}
 	m.mu.Unlock()
 	if ok {
@@ -197,7 +154,7 @@ func (m *Memo) Put(q *logic.Query, regFP string, rel *relation.Relation) {
 	// A Put that races a mutation of the bound instance was computed
 	// against a database state we can no longer identify — drop it.
 	if m.syncLocked() {
-		m.lru.Put(m.key(q, regFP), rel)
+		m.lru.Put(memoKey{q, regFP}, rel)
 	}
 	m.mu.Unlock()
 }
@@ -207,8 +164,8 @@ func (m *Memo) Stats() (hits, misses, evictions int64) {
 	return m.hits.Load(), m.misses.Load(), m.evictions.Load()
 }
 
-// InvalidationStats reports how many entries Invalidate and version-drift
-// flushes have dropped, and how many whole-table flushes occurred.
+// InvalidationStats reports the entries dropped by invalidation and by
+// version-drift flushes, and how many whole-table flushes occurred.
 func (m *Memo) InvalidationStats() (entries, flushes int64) {
 	return m.invalidated.Load(), m.flushes.Load()
 }

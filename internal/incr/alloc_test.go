@@ -42,8 +42,10 @@ func toggleAllocs(t *testing.T, v *incr.View, on, off *relation.Delta) float64 {
 // and invalidating the memo from relation sets recorded once per query
 // cost 442, nearly all of them the dirty nodes' rule queries. Handing
 // fresh children their ancestors as configurations, not key strings,
-// cost 434. The bound sits between 576 and these counts, so a walk
-// that builds its rule step per node again fails it.
+// cost 434. Validating τ1 once, so a repair's RestoreStepRun reads the
+// seal instead of re-checking every rule, cost 410. The bound sits
+// between 576 and these counts, so a walk that builds its rule step per
+// node again fails it.
 func TestViewApplyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")

@@ -16,15 +16,17 @@
 // every ancestor configuration on its path is also unchanged, so the
 // ancestor stop condition resolves identically too. Repair therefore:
 //
-//  1. computes the DIRTY RULES — (state, tag) pairs whose item queries
-//     read a relation the effective delta touched, or the domain;
+//  1. takes from the transducer's seal (pt.Transducer.Readers) the
+//     DIRTY RULES — (state, tag) pairs whose item queries read a
+//     relation the effective delta touched, or the domain — and those
+//     queries;
 //  2. walks the tree top-down, re-expanding only nodes governed by
 //     dirty rules, matching the new child specs against the old
 //     children by configuration (state, tag, register hash, confirmed
 //     by equality) to reuse surviving subtrees;
 //  3. expands genuinely new children through pt.RestoreStepRun with the
 //     view's memo, which still holds every result whose query the
-//     delta could not have changed (eval.Memo.InvalidateRelations).
+//     delta could not have changed (eval.Memo.InvalidateQueries).
 //
 // When the damage estimate (live nodes governed by dirty rules) exceeds
 // a configurable fraction of the tree, repair degenerates to walking
@@ -45,7 +47,6 @@ import (
 	"sync"
 
 	"ptx/internal/eval"
-	"ptx/internal/logic"
 	"ptx/internal/pt"
 	"ptx/internal/relation"
 	"ptx/internal/runctl"
@@ -139,9 +140,6 @@ type View struct {
 	counts map[*pt.Rule]int // live expandable nodes per rule
 	total  int              // Σ counts
 
-	relRules map[string][]*pt.Rule // base relation → rules whose queries read it
-	domRules []*pt.Rule            // rules with a query that reads the active domain
-
 	// same holds one repair walk's unchanged re-expansions (see visit);
 	// it is emptied after each walk and kept, so its buckets are reused.
 	same map[sameKey]*relation.Relation
@@ -160,27 +158,14 @@ func NewView(ctx context.Context, tr *pt.Transducer, inst *relation.Instance, op
 		return nil, err
 	}
 	v := &View{
-		tr:       tr,
-		inst:     inst,
-		memo:     eval.NewMemo(opts.CacheSize),
-		opts:     opts,
-		relRules: make(map[string][]*pt.Rule),
-		same:     make(map[sameKey]*relation.Relation),
-		notify:   make(chan struct{}),
+		tr:     tr,
+		inst:   inst,
+		memo:   eval.NewMemo(opts.CacheSize),
+		opts:   opts,
+		same:   make(map[sameKey]*relation.Relation),
+		notify: make(chan struct{}),
 	}
 	v.memo.BindInstance(inst)
-	for _, r := range tr.Rules() {
-		for _, it := range r.Items {
-			if it.Query.ReadsDomain() && !slices.Contains(v.domRules, r) {
-				v.domRules = append(v.domRules, r)
-			}
-			for _, rel := range logic.Relations(it.Query.F) {
-				if rel != pt.RegRel && !slices.Contains(v.relRules[rel], r) {
-					v.relRules[rel] = append(v.relRules[rel], r)
-				}
-			}
-		}
-	}
 	if err := v.rebuild(ctx); err != nil {
 		return nil, err
 	}
@@ -300,34 +285,20 @@ func missing(d *relation.Delta, insert bool, n string, from, other *relation.Ins
 // advance repairs the tree after eff, the effective part of the delta d,
 // moved the view's instance. The caller holds v.mu.
 func (v *View) advance(ctx context.Context, eff, d *relation.Delta) (*Report, error) {
-	// Reconcile the memo: drop results whose query reads a mutated
-	// relation, then re-pin to the new instance version so the staleness
-	// guard keeps the survivors.
-	v.memo.InvalidateRelations(eff.Rels())
+	// Reconcile the memo: drop the results of the queries that read a
+	// mutated relation, then re-pin to the new instance version so the
+	// staleness guard keeps the survivors.
+	dirty, stale := v.tr.Readers(eff.Rels())
+	v.memo.InvalidateQueries(stale)
 	v.memo.BindInstance(v.inst)
 	if eff.Empty() && !v.broken {
 		return &Report{Version: v.version, Delta: d.String(), Nodes: len(v.meta)}, nil
 	}
 
 	rep := &Report{Delta: eff.String(), Effective: eff.Len()}
-	var dirty []*pt.Rule
 	est := 0
-	mark := func(r *pt.Rule) {
-		if !slices.Contains(dirty, r) {
-			dirty = append(dirty, r)
-			est += v.counts[r]
-		}
-	}
-	if !eff.Empty() {
-		// A write to any relation can move the active domain.
-		for _, r := range v.domRules {
-			mark(r)
-		}
-	}
-	for _, rel := range eff.Rels() {
-		for _, r := range v.relRules[rel] {
-			mark(r)
-		}
+	for _, r := range dirty {
+		est += v.counts[r]
 	}
 	th := v.opts.RebuildThreshold
 	if th == 0 {

@@ -59,7 +59,7 @@ func TestDeepChainMillion(t *testing.T) {
 		t.Fatalf("Nodes = %d, want %d", res.Stats.Nodes, n+1)
 	}
 
-	out := res.Xi.Publish(tr.Virtual)
+	out := res.Xi.SpliceVirtual(tr.Virtual)
 	if d := out.Depth(); d != n+1 {
 		t.Fatalf("output depth = %d, want %d", d, n+1)
 	}
@@ -101,7 +101,7 @@ func TestDeepChainCacheModesAgree(t *testing.T) {
 			t.Fatalf("%v: output relation size = %d, want 1", mode, rel.Len())
 		}
 		o := &outcome{
-			canon: res.Xi.Publish(tr.Virtual).Canonical(),
+			canon: res.Xi.SpliceVirtual(tr.Virtual).Canonical(),
 			nodes: res.Stats.Nodes,
 			depth: res.Stats.MaxDepth,
 		}
@@ -235,7 +235,7 @@ func TestStepRunCombLinear(t *testing.T) {
 		if res.Stats != golden.Stats {
 			t.Fatalf("d=%d: StepRun stats %+v, Run stats %+v", n, res.Stats, golden.Stats)
 		}
-		if got, want := res.Xi.Publish(tr.Virtual).Canonical(), golden.Xi.Publish(tr.Virtual).Canonical(); got != want {
+		if got, want := res.Xi.SpliceVirtual(tr.Virtual).Canonical(), golden.Xi.SpliceVirtual(tr.Virtual).Canonical(); got != want {
 			t.Fatalf("d=%d: StepRun output differs from Run", n)
 		}
 		return float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Stats.Nodes)

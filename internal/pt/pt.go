@@ -22,6 +22,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"ptx/internal/logic"
 	"ptx/internal/relation"
@@ -40,7 +41,8 @@ type RHS struct {
 	Query *logic.Query
 }
 
-// Rule is the unique transduction rule for a (state, tag) pair.
+// Rule is the unique transduction rule for a (state, tag) pair. Its
+// Items are AddRule's copy, queries interned; nothing writes them after.
 type Rule struct {
 	State string
 	Tag   string
@@ -61,6 +63,27 @@ type Transducer struct {
 	rules   map[ruleKey]*Rule
 	tags    []string
 	queries map[string]*logic.Query // interned rule queries, by logic.Query.Key
+	seal    atomic.Pointer[seal]    // set by the first successful Validate
+}
+
+// seal is what the first successful Validate fixes about a transducer:
+// the rule items whose query reads each base relation, and those whose
+// query reads the active domain. Nothing writes it once it is stored.
+type seal struct {
+	reads  map[string][]reader
+	domain []reader
+}
+
+type reader struct {
+	rule *Rule
+	q    *logic.Query
+}
+
+// open panics if Validate has sealed t: runs rely on τ being fixed.
+func (t *Transducer) open(op string) {
+	if t.seal.Load() != nil {
+		panic(fmt.Sprintf("pt %s: %s on a validated transducer", t.Name, op))
+	}
 }
 
 // New returns an empty transducer skeleton for schema, with start state
@@ -81,8 +104,9 @@ func New(name string, schema *relation.Schema, start, rootTag string) *Transduce
 }
 
 // DeclareTag records the register arity Θ(tag). Redeclaring with a
-// different arity panics (Θ is a function).
+// different arity panics (Θ is a function), as does a sealed t.
 func (t *Transducer) DeclareTag(tag string, arity int) *Transducer {
+	t.open("DeclareTag")
 	if a, ok := t.Arities[tag]; ok {
 		if a != arity {
 			panic(fmt.Sprintf("pt: tag %q redeclared with arity %d (was %d)", tag, arity, a))
@@ -96,8 +120,9 @@ func (t *Transducer) DeclareTag(tag string, arity int) *Transducer {
 }
 
 // MarkVirtual designates tags as virtual (members of Σe). The root tag
-// may not be virtual.
+// may not be virtual. It panics on a sealed t (see Validate).
 func (t *Transducer) MarkVirtual(tags ...string) *Transducer {
+	t.open("MarkVirtual")
 	for _, tag := range tags {
 		if tag == t.RootTag {
 			panic("pt: root tag cannot be virtual")
@@ -108,12 +133,14 @@ func (t *Transducer) MarkVirtual(tags ...string) *Transducer {
 }
 
 // AddRule installs the unique rule for (state, tag); duplicate
-// installation panics (δ is a function). Each item's query is replaced
-// by the transducer's canonical copy of an identical query (same x̄;ȳ,
-// same formula; see logic.Query.Key), so one query has one compiled
-// plan, one memo identity, and one evaluation per rule step (see
-// Expander) wherever it occurs.
+// installation panics (δ is a function), as does a sealed t (see
+// Validate). Each item's query is replaced by the transducer's
+// canonical copy of an identical query (same x̄;ȳ, same formula; see
+// logic.Query.Key), so one query has one compiled plan, one memo
+// identity, and one evaluation per rule step (see Expander) wherever
+// it occurs.
 func (t *Transducer) AddRule(state, tag string, items ...RHS) *Transducer {
+	t.open("AddRule")
 	k := ruleKey{state, tag}
 	if _, ok := t.rules[k]; ok {
 		panic(fmt.Sprintf("pt: duplicate rule for (%s,%s)", state, tag))
@@ -209,6 +236,12 @@ func (e *GroupArityError) Error() string {
 //   - every relation mentioned by a query is in the schema or is Reg;
 //   - virtual tags exclude the root.
 //
+// The first Validate that succeeds seals t and records what each rule
+// query reads (see Readers). Later calls return nil after one atomic
+// load, and DeclareTag, MarkVirtual and AddRule panic; nor may Arities,
+// Virtual or Rule.Items be written. A failed Validate seals nothing.
+// Concurrent first calls only read t, and one of them stores the seal.
+//
 // The paper's simplifying assumption that tags within one rule are
 // pairwise distinct is NOT enforced: several of the paper's own
 // reduction constructions (e.g. the 2RM equivalence reduction of
@@ -217,6 +250,9 @@ func (e *GroupArityError) Error() string {
 // distinctness (membership, equivalence) detect them via
 // HasDuplicateTags and refuse.
 func (t *Transducer) Validate() error {
+	if t.seal.Load() != nil {
+		return nil
+	}
 	if _, ok := t.rules[ruleKey{t.Start, t.RootTag}]; !ok {
 		return fmt.Errorf("pt %s: missing start rule (%s,%s)", t.Name, t.Start, t.RootTag)
 	}
@@ -226,40 +262,41 @@ func (t *Transducer) Validate() error {
 	if t.Virtual[t.RootTag] {
 		return fmt.Errorf("pt %s: root tag %q is virtual", t.Name, t.RootTag)
 	}
-	for k, r := range t.rules {
-		if k.tag == t.RootTag && k.state != t.Start {
-			return fmt.Errorf("pt %s: rule (%s,%s) uses root tag with non-start state", t.Name, k.state, k.tag)
+	s := &seal{reads: make(map[string][]reader)}
+	for _, r := range t.Rules() {
+		if r.Tag == t.RootTag && r.State != t.Start {
+			return fmt.Errorf("pt %s: rule (%s,%s) uses root tag with non-start state", t.Name, r.State, r.Tag)
 		}
-		if k.state == t.Start && k.tag != t.RootTag {
-			return fmt.Errorf("pt %s: rule (%s,%s) reuses start state", t.Name, k.state, k.tag)
+		if r.State == t.Start && r.Tag != t.RootTag {
+			return fmt.Errorf("pt %s: rule (%s,%s) reuses start state", t.Name, r.State, r.Tag)
 		}
-		if k.tag == xmltree.TextTag && len(r.Items) != 0 {
-			return fmt.Errorf("pt %s: text rule (%s,text) must have empty rhs", t.Name, k.state)
+		if r.Tag == xmltree.TextTag && len(r.Items) != 0 {
+			return fmt.Errorf("pt %s: text rule (%s,text) must have empty rhs", t.Name, r.State)
 		}
 		for _, it := range r.Items {
 			if it.Tag == t.RootTag {
-				return fmt.Errorf("pt %s: rule (%s,%s) spawns the root tag", t.Name, k.state, k.tag)
+				return fmt.Errorf("pt %s: rule (%s,%s) spawns the root tag", t.Name, r.State, r.Tag)
 			}
 			if it.State == t.Start {
-				return fmt.Errorf("pt %s: rule (%s,%s) spawns the start state", t.Name, k.state, k.tag)
+				return fmt.Errorf("pt %s: rule (%s,%s) spawns the start state", t.Name, r.State, r.Tag)
 			}
 			a, ok := t.Arities[it.Tag]
 			if !ok {
-				return fmt.Errorf("pt %s: rule (%s,%s) spawns undeclared tag %q", t.Name, k.state, k.tag, it.Tag)
+				return fmt.Errorf("pt %s: rule (%s,%s) spawns undeclared tag %q", t.Name, r.State, r.Tag, it.Tag)
 			}
 			if it.Query == nil {
-				return fmt.Errorf("pt %s: rule (%s,%s) item (%s,%s) has no query", t.Name, k.state, k.tag, it.State, it.Tag)
+				return fmt.Errorf("pt %s: rule (%s,%s) item (%s,%s) has no query", t.Name, r.State, r.Tag, it.State, it.Tag)
 			}
 			if err := it.Query.Validate(); err != nil {
-				return fmt.Errorf("pt %s: rule (%s,%s): %v", t.Name, k.state, k.tag, err)
+				return fmt.Errorf("pt %s: rule (%s,%s): %v", t.Name, r.State, r.Tag, err)
 			}
 			if g := len(it.Query.GroupVars); g > a {
 				return fmt.Errorf("pt %s: rule (%s,%s) item %q: %w",
-					t.Name, k.state, k.tag, it.Tag, &GroupArityError{GroupVars: g, Arity: a})
+					t.Name, r.State, r.Tag, it.Tag, &GroupArityError{GroupVars: g, Arity: a})
 			}
 			if it.Query.Arity() != a {
 				return fmt.Errorf("pt %s: rule (%s,%s) item %q: query arity %d ≠ Θ(%s)=%d",
-					t.Name, k.state, k.tag, it.Tag, it.Query.Arity(), it.Tag, a)
+					t.Name, r.State, r.Tag, it.Tag, it.Query.Arity(), it.Tag, a)
 			}
 			for _, rel := range logic.Relations(it.Query.F) {
 				if rel == RegRel {
@@ -267,12 +304,46 @@ func (t *Transducer) Validate() error {
 				}
 				if _, ok := t.Schema.Arity(rel); !ok {
 					return fmt.Errorf("pt %s: rule (%s,%s) item %q references unknown relation %q",
-						t.Name, k.state, k.tag, it.Tag, rel)
+						t.Name, r.State, r.Tag, it.Tag, rel)
 				}
+				s.reads[rel] = append(s.reads[rel], reader{r, it.Query})
+			}
+			if it.Query.ReadsDomain() {
+				s.domain = append(s.domain, reader{r, it.Query})
 			}
 		}
 	}
+	t.seal.CompareAndSwap(nil, s)
 	return nil
+}
+
+// Readers returns the rules and the distinct rule queries whose results
+// can change when the relations rels do: those naming one of them and,
+// unless rels is empty, every query reading the active domain
+// (logic.Query.ReadsDomain), which a write to any relation can move.
+// It panics on a transducer Validate has not sealed.
+func (t *Transducer) Readers(rels []string) (rules []*Rule, queries []*logic.Query) {
+	s := t.seal.Load()
+	if s == nil {
+		panic(fmt.Sprintf("pt %s: Readers before Validate", t.Name))
+	}
+	add := func(rds []reader) {
+		for _, rd := range rds {
+			if !slices.Contains(rules, rd.rule) {
+				rules = append(rules, rd.rule)
+			}
+			if !slices.Contains(queries, rd.q) {
+				queries = append(queries, rd.q)
+			}
+		}
+	}
+	if len(rels) > 0 {
+		add(s.domain)
+	}
+	for _, rel := range rels {
+		add(s.reads[rel])
+	}
+	return rules, queries
 }
 
 // String gives a compact multi-line rendering of the transducer.

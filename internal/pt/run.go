@@ -155,15 +155,16 @@ func (t *Transducer) Output(inst *relation.Instance, opts Options) (*xmltree.Tre
 	return t.OutputContext(context.Background(), inst, opts)
 }
 
-// OutputContext is Output under a context (see RunContext). Use
-// Tree.WriteXMLVirtual/WriteCanonicalVirtual on Result.Xi directly to
-// skip the publish copy.
+// OutputContext is Output under a context (see RunContext). It strips
+// and splices the run's own ξ in place: ξ's nodes belong to this call,
+// and Strip drops register pointers, never a shared register. To only
+// serialize, splice at emission with Tree.WriteXMLVirtual on Result.Xi.
 func (t *Transducer) OutputContext(ctx context.Context, inst *relation.Instance, opts Options) (*xmltree.Tree, error) {
 	res, err := t.RunContext(ctx, inst, opts)
 	if err != nil {
 		return nil, err
 	}
-	return res.Xi.Publish(t.Virtual), nil
+	return res.Xi.Strip().SpliceVirtual(t.Virtual), nil
 }
 
 // OutputRelation treats τ as a relational query (Section 6.1): it

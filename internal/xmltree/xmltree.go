@@ -200,8 +200,7 @@ func (t *Tree) Strip() *Tree {
 // SpliceVirtual removes every node whose tag is in virtual, replacing
 // it by its children, repeatedly until no virtual tags remain. The root
 // is never virtual (enforced by the transducer definition). The splice
-// is in place; Publish performs the same splice on a copy, preserving
-// the original.
+// is in place.
 func (t *Tree) SpliceVirtual(virtual map[string]bool) *Tree {
 	if len(virtual) == 0 {
 		return t
@@ -243,38 +242,6 @@ func (t *Tree) SpliceVirtual(virtual map[string]bool) *Tree {
 		n.Children = out
 	}
 	return t
-}
-
-// Publish returns the output Σ-tree of a transformation: a copy of t
-// with registers and states stripped and virtual tags spliced out
-// (splice-at-copy, the original is untouched).
-func (t *Tree) Publish(virtual map[string]bool) *Tree {
-	// Each frame copies the children of src into dst. A virtual child
-	// gets a frame of its own whose dst is its parent's copy, so its
-	// children land in its place, in order.
-	type frame struct {
-		src *Node
-		dst *Node
-		i   int
-	}
-	root := &Node{Tag: t.Root.Tag, Text: t.Root.Text}
-	stack := []frame{{t.Root, root, 0}}
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.i >= len(f.src.Children) {
-			stack = stack[:len(stack)-1]
-			continue
-		}
-		c := f.src.Children[f.i]
-		f.i++
-		dst := f.dst
-		if !virtual[c.Tag] {
-			dst = &Node{Tag: c.Tag, Text: c.Text}
-			f.dst.Children = append(f.dst.Children, dst)
-		}
-		stack = append(stack, frame{c, dst, 0})
-	}
-	return &Tree{Root: root}
 }
 
 // Equal reports structural equality of two trees: same tags, same text,

@@ -87,17 +87,13 @@ func TestSpliceVirtual(t *testing.T) {
 	if tr2.Canonical() != "r" {
 		t.Fatalf("spliced = %s", tr2.Canonical())
 	}
-	// Deeply nested virtual chains splice iteratively, through Publish
-	// and in place.
+	// Deeply nested virtual chains splice iteratively, in place.
 	deep := New("r")
 	cur := deep.Root
 	for i := 0; i < 50_000; i++ {
 		cur = cur.AddChild("v")
 	}
 	cur.AddChild("leaf")
-	if got := deep.Publish(map[string]bool{"v": true}).Canonical(); got != "r(leaf)" {
-		t.Fatalf("published deep virtual chain = %q", got)
-	}
 	if got := deep.SpliceVirtual(map[string]bool{"v": true}).Canonical(); got != "r(leaf)" {
 		t.Fatalf("spliced deep virtual chain = %q", got)
 	}
