@@ -522,22 +522,6 @@ func (nf *NF) UsesRel(rel string) bool {
 	return false
 }
 
-// DropRel removes every atom over rel (used when the register of the
-// root is empty by definition: a Reg atom at the root can never hold,
-// so callers typically check UsesRel first and treat the query as
-// unsatisfiable instead).
-func (nf *NF) DropRel(rel string) *NF {
-	out := nf.Clone()
-	kept := out.Atoms[:0]
-	for _, a := range out.Atoms {
-		if a.Rel != rel {
-			kept = append(kept, a)
-		}
-	}
-	out.Atoms = kept
-	return out
-}
-
 // HeadDeterminedBy reports whether every head variable of the query is
 // forced to a single value once the atoms over rel are fixed to one
 // tuple: each head variable's equality class contains a constant or a

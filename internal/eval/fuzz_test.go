@@ -115,8 +115,9 @@ func (d *fuzzDecoder) formula(depth int) logic.Formula {
 // every decoded (instance, formula) pair, the compiled-plan evaluator
 // (EvalQuery, and Eval/EvalSentence at the formula level), the textbook
 // active-domain evaluator (EvalQueryNaive and EvalNaive, ¬ via
-// complement, ∀ via ¬∃¬) and the memoized evaluator (EvalQueryMemo,
-// twice — the second call exercising the hit path) must agree exactly.
+// complement, ∀ via ¬∃¬) and the memoized evaluator (Memo Get/Put as
+// pt's Expander drives them, twice — the second call exercising the hit
+// path) must agree exactly.
 // The grammar includes fixpoints and one decode path yields an entirely
 // empty instance.
 func FuzzDifferentialEval(f *testing.F) {
@@ -157,14 +158,9 @@ func FuzzDifferentialEval(f *testing.F) {
 		formulaArm(t, fla, env)
 
 		m := NewMemo(0)
-		cold, err := EvalQueryMemo(q, env, m)
-		if err != nil {
-			t.Fatalf("memo (cold): %v on %s", err, fla)
-		}
-		warm, err := EvalQueryMemo(q, env, m)
-		if err != nil {
-			t.Fatalf("memo (warm): %v on %s", err, fla)
-		}
+		reg := relation.New(0)
+		cold := evalMemo(t, q, env, reg, m)
+		warm := evalMemo(t, q, env, reg, m)
 		if !cold.Equal(opt) || !warm.Equal(opt) {
 			t.Fatalf("memoized evaluation disagrees on %s", fla)
 		}

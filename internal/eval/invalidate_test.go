@@ -13,19 +13,14 @@ func TestMemoStaleHitAfterInsertImpossible(t *testing.T) {
 	inst := graphInstance([2]string{"a", "b"})
 	q := logic.MustQuery(nil, []logic.Var{x, y}, logic.R("E", x, y))
 
+	reg := relation.New(0)
 	m := NewMemo(0)
 	m.BindInstance(inst)
 
-	r1, err := EvalQueryMemo(q, NewEnv(inst), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Len() != 1 {
+	if r1 := evalMemo(t, q, NewEnv(inst), reg, m); r1.Len() != 1 {
 		t.Fatalf("pre-delta result has %d tuples, want 1", r1.Len())
 	}
-	if _, err := EvalQueryMemo(q, NewEnv(inst), m); err != nil {
-		t.Fatal(err)
-	}
+	evalMemo(t, q, NewEnv(inst), reg, m)
 	if hits, _, _ := m.Stats(); hits != 1 {
 		t.Fatalf("warm-up: hits = %d, want 1", hits)
 	}
@@ -37,11 +32,7 @@ func TestMemoStaleHitAfterInsertImpossible(t *testing.T) {
 
 	// Fresh Env (the Env caches the active domain); the memo must MISS
 	// and recompute against the mutated instance.
-	r2, err := EvalQueryMemo(q, NewEnv(inst), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Len() != 2 {
+	if r2 := evalMemo(t, q, NewEnv(inst), reg, m); r2.Len() != 2 {
 		t.Fatalf("post-delta result has %d tuples, want 2 — stale memo hit", r2.Len())
 	}
 	if hits, _, _ := m.Stats(); hits != 1 {
@@ -68,8 +59,9 @@ func TestMemoDropsRacingPut(t *testing.T) {
 	if _, err := inst.Apply((&relation.Delta{}).Insert("E", "b", "c")); err != nil {
 		t.Fatal(err)
 	}
-	m.Put(q, "", stale) // simulates an in-flight run finishing post-delta
-	if rel, ok := m.Get(q, ""); ok && rel.Len() != 2 {
+	reg := relation.New(0)
+	m.Put(q, reg, stale) // simulates an in-flight run finishing post-delta
+	if rel, ok := m.Get(q, reg); ok && rel.Len() != 2 {
 		t.Fatalf("stale racing Put was served: %v", rel)
 	}
 }
@@ -87,14 +79,11 @@ func TestMemoInvalidateRelationsSelective(t *testing.T) {
 	qe := logic.MustQuery(nil, []logic.Var{x, y}, logic.R("E", x, y))
 	qa := logic.MustQuery(nil, []logic.Var{x}, logic.R("A", x))
 
+	reg := relation.New(0)
 	m := NewMemo(0)
 	m.BindInstance(inst)
-	if _, err := EvalQueryMemo(qe, NewEnv(inst), m); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := EvalQueryMemo(qa, NewEnv(inst), m); err != nil {
-		t.Fatal(err)
-	}
+	evalMemo(t, qe, NewEnv(inst), reg, m)
+	evalMemo(t, qa, NewEnv(inst), reg, m)
 
 	if _, err := inst.Apply((&relation.Delta{}).Insert("E", "b", "c")); err != nil {
 		t.Fatal(err)
@@ -104,18 +93,12 @@ func TestMemoInvalidateRelationsSelective(t *testing.T) {
 	}
 	m.BindInstance(inst) // reconcile: survivors stay valid
 
-	if _, err := EvalQueryMemo(qa, NewEnv(inst), m); err != nil {
-		t.Fatal(err)
-	}
+	evalMemo(t, qa, NewEnv(inst), reg, m)
 	hits, misses, _ := m.Stats()
 	if hits != 1 {
 		t.Fatalf("A-query should survive invalidation (hits=%d misses=%d)", hits, misses)
 	}
-	r, err := EvalQueryMemo(qe, NewEnv(inst), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 2 {
+	if r := evalMemo(t, qe, NewEnv(inst), reg, m); r.Len() != 2 {
 		t.Fatalf("E-query result has %d tuples after invalidation, want 2", r.Len())
 	}
 }
@@ -133,14 +116,13 @@ func TestMemoInvalidateDomainReader(t *testing.T) {
 
 	qn := logic.MustQuery(nil, []logic.Var{x}, &logic.Not{F: logic.R("A", x)})
 	qa := logic.MustQuery(nil, []logic.Var{x}, logic.R("A", x))
+	reg := relation.New(0)
 	m := NewMemo(0)
 	m.BindInstance(inst)
-	if r, err := EvalQueryMemo(qn, NewEnv(inst), m); err != nil || r.Len() != 1 {
-		t.Fatalf("pre-delta: %v, err %v; want {b}", r, err)
+	if r := evalMemo(t, qn, NewEnv(inst), reg, m); r.Len() != 1 {
+		t.Fatalf("pre-delta: %v; want {b}", r)
 	}
-	if _, err := EvalQueryMemo(qa, NewEnv(inst), m); err != nil {
-		t.Fatal(err)
-	}
+	evalMemo(t, qa, NewEnv(inst), reg, m)
 	if _, err := inst.Apply((&relation.Delta{}).Insert("E", "b", "c")); err != nil {
 		t.Fatal(err)
 	}
@@ -148,18 +130,19 @@ func TestMemoInvalidateDomainReader(t *testing.T) {
 		t.Fatalf("invalidated %d entries, want the domain reader", n)
 	}
 	m.BindInstance(inst)
-	if r, err := EvalQueryMemo(qn, NewEnv(inst), m); err != nil || r.Len() != 2 {
-		t.Fatalf("post-delta: %v, err %v; want {b, c}", r, err)
+	if r := evalMemo(t, qn, NewEnv(inst), reg, m); r.Len() != 2 {
+		t.Fatalf("post-delta: %v; want {b, c}", r)
 	}
-	if _, ok := m.Get(qa, ""); !ok {
+	if _, ok := m.Get(qa, reg); !ok {
 		t.Fatal("the A query's entry did not survive")
 	}
 }
 
 // Invalidation matches a key's whole query identity: dropping one query
-// keeps every entry of the others, under the same register fingerprints.
+// keeps every entry of the others, under the same registers.
 func TestMemoInvalidateWholeIDs(t *testing.T) {
 	m := NewMemo(0)
+	regs := []*relation.Relation{relation.New(0), relation.FromRows([]string{"r1"}), relation.FromRows([]string{"r2"})}
 	qs := make([]*logic.Query, 11)
 	for i := range qs {
 		rel := "B"
@@ -167,20 +150,20 @@ func TestMemoInvalidateWholeIDs(t *testing.T) {
 			rel = "A"
 		}
 		qs[i] = logic.MustQuery(nil, []logic.Var{x}, logic.R(rel, x))
-		for _, fp := range []string{"", "r1", "r2"} {
-			m.Put(qs[i], fp, relation.New(1))
+		for _, reg := range regs {
+			m.Put(qs[i], reg, relation.New(1))
 		}
 	}
 	if n := m.InvalidateQueries(qs[:1]); n != 3 {
 		t.Fatalf("invalidated %d entries, want the 3 of query 0", n)
 	}
-	for _, fp := range []string{"", "r1", "r2"} {
-		if _, ok := m.Get(qs[0], fp); ok {
-			t.Errorf("query 0 entry %q survived", fp)
+	for _, reg := range regs {
+		if _, ok := m.Get(qs[0], reg); ok {
+			t.Errorf("query 0 entry %v survived", reg)
 		}
 		for _, q := range qs[1:] {
-			if _, ok := m.Get(q, fp); !ok {
-				t.Errorf("entry %q of %s was dropped", fp, q)
+			if _, ok := m.Get(q, reg); !ok {
+				t.Errorf("entry %v of %s was dropped", reg, q)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -15,26 +14,33 @@ import (
 // results. A publishing transducer is deterministic: the result of a
 // rule query at a node is a function of only (query, register, database)
 // — the same argument Proposition 1 uses to bound tree sizes — so over a
-// fixed database the pair (query identity, register fingerprint) is a
+// fixed database the pair (query identity, register contents) is a
 // sound cache key. The relation-store families of Proposition 1 revisit
 // the same configuration at exponentially many nodes, which is exactly
 // where the memo pays off.
 //
+// An entry is filed under the query's pointer and the register's Hash
+// and keeps its register; a lookup hits only when the stored register
+// is Equal to the probe's, so a hash collision is a miss, never a wrong
+// answer.
+//
 // Contract:
 //
 //   - one Memo serves evaluations over ONE immutable database instance
-//     (in pt, the memo is per-run and dropped with the run);
+//     (pt makes one per run unless Options.Memo shares one; serve shares
+//     one per pair version and incr one per view, each dropped or
+//     reconciled when its database changes);
 //   - cached relations are returned by reference and must be treated as
 //     immutable by every caller, and so must everything derived and
-//     cached on them: pt regroups a hit through
-//     relation.GroupByPrefix, so every hit hands out the same child
-//     register objects;
-//   - failed evaluations are never stored (see EvalQueryMemo), so a
-//     canceled, budget-exhausted or fault-injected run cannot poison
-//     the cache for concurrently running siblings.
+//     cached on them and the registers they are keyed by: pt regroups a
+//     hit through relation.GroupByPrefix, so every hit hands out the
+//     same child register objects;
+//   - callers Put only successful evaluations, so a canceled,
+//     budget-exhausted or fault-injected run cannot poison the cache
+//     for concurrently running siblings.
 type Memo struct {
 	mu  sync.Mutex
-	lru *lru.Cache[memoKey, *relation.Relation]
+	lru *lru.Cache[memoKey, memoEntry]
 	cap int
 
 	// Staleness guard (see BindInstance): when bound, any version drift
@@ -64,10 +70,14 @@ func NewMemo(capacity int) *Memo {
 		capacity = DefaultMemoSize
 	}
 	m := &Memo{cap: capacity}
-	m.lru = lru.New[memoKey, *relation.Relation](capacity, func(memoKey, *relation.Relation) {
-		m.evictions.Add(1)
-	})
+	m.lru = m.newTable()
 	return m
+}
+
+// newTable returns an empty table of the memo's capacity whose
+// evictions the memo counts.
+func (m *Memo) newTable() *lru.Cache[memoKey, memoEntry] {
+	return lru.New(m.cap, func(memoKey, memoEntry) { m.evictions.Add(1) })
 }
 
 // BindInstance pins the memo to inst at its CURRENT version. From then
@@ -97,9 +107,7 @@ func (m *Memo) syncLocked() bool {
 	}
 	m.invalidated.Add(int64(m.lru.Len()))
 	m.flushes.Add(1)
-	m.lru = lru.New[memoKey, *relation.Relation](m.cap, func(memoKey, *relation.Relation) {
-		m.evictions.Add(1)
-	})
+	m.lru = m.newTable()
 	m.instVer = v
 	return false
 }
@@ -118,43 +126,54 @@ func (m *Memo) InvalidateQueries(qs []*logic.Query) int {
 	return n
 }
 
-// memoKey is a cache key: a query's pointer (a validated transducer's
-// queries are fixed objects) and a register fingerprint, compared field
-// by field, so building one allocates nothing.
+// memoKey files an entry: a query's pointer (a validated transducer's
+// queries are fixed objects) and its register's Hash. Building one
+// allocates nothing once the register's hash is cached.
 type memoKey struct {
-	q   *logic.Query
-	reg string
+	q *logic.Query
+	h uint64
 }
 
-// Get returns the cached result of q against a register with the given
-// fingerprint, counting a hit or miss.
-func (m *Memo) Get(q *logic.Query, regFP string) (*relation.Relation, bool) {
+// memoEntry is a stored result and the register it was computed for,
+// which confirms a hit.
+type memoEntry struct {
+	reg, rel *relation.Relation
+}
+
+// Get returns the cached result of q against reg, counting a hit or
+// miss. A stored register that shares reg's hash but not its contents
+// is a miss.
+func (m *Memo) Get(q *logic.Query, reg *relation.Relation) (*relation.Relation, bool) {
+	k := memoKey{q, reg.Hash()}
 	m.mu.Lock()
 	var (
-		rel *relation.Relation
-		ok  bool
+		e  memoEntry
+		ok bool
 	)
 	if m.syncLocked() {
-		rel, ok = m.lru.Get(memoKey{q, regFP})
+		e, ok = m.lru.Get(k)
 	}
 	m.mu.Unlock()
+	ok = ok && e.reg.Equal(reg)
 	if ok {
 		m.hits.Add(1)
 	} else {
 		m.misses.Add(1)
 	}
-	return rel, ok
+	return e.rel, ok
 }
 
-// Put stores a successful result. Callers must never store a result
-// produced by a failed (canceled, budget-exhausted, fault-injected)
-// evaluation.
-func (m *Memo) Put(q *logic.Query, regFP string, rel *relation.Relation) {
+// Put stores the successful result rel of q against reg, replacing
+// whatever is filed under the same query and hash. Callers must never
+// store a result produced by a failed (canceled, budget-exhausted,
+// fault-injected) evaluation.
+func (m *Memo) Put(q *logic.Query, reg, rel *relation.Relation) {
+	k := memoKey{q, reg.Hash()}
 	m.mu.Lock()
 	// A Put that races a mutation of the bound instance was computed
 	// against a database state we can no longer identify — drop it.
 	if m.syncLocked() {
-		m.lru.Put(memoKey{q, regFP}, rel)
+		m.lru.Put(k, memoEntry{reg, rel})
 	}
 	m.mu.Unlock()
 }
@@ -168,44 +187,4 @@ func (m *Memo) Stats() (hits, misses, evictions int64) {
 // version-drift flushes, and how many whole-table flushes occurred.
 func (m *Memo) InvalidationStats() (entries, flushes int64) {
 	return m.invalidated.Load(), m.flushes.Load()
-}
-
-// extraFingerprint canonically fingerprints the environment's extra
-// relations (registers, fixpoint stages) — the only evaluation inputs
-// that vary across nodes of one run. The extras are kept sorted by
-// name, so the encoding is deterministic; each component is
-// self-delimiting.
-func (e *Env) extraFingerprint() string {
-	if len(e.extra) == 0 {
-		return ""
-	}
-	var b []byte
-	for _, x := range e.extra {
-		b = strconv.AppendInt(b, int64(len(x.name)), 10)
-		b = append(b, ':')
-		b = append(b, x.name...)
-		k := x.rel.Key()
-		b = strconv.AppendInt(b, int64(len(k)), 10)
-		b = append(b, ':')
-		b = append(b, k...)
-	}
-	return string(b)
-}
-
-// EvalQueryMemo is EvalQuery through a memo: it returns the cached
-// result when the (query, extra-relation fingerprint) pair has been
-// evaluated before, and evaluates-then-stores otherwise. Errors are
-// returned without caching. The returned relation is shared with the
-// memo and must not be mutated.
-func EvalQueryMemo(q *logic.Query, env *Env, m *Memo) (*relation.Relation, error) {
-	fp := env.extraFingerprint()
-	if rel, ok := m.Get(q, fp); ok {
-		return rel, nil
-	}
-	rel, err := EvalQuery(q, env)
-	if err != nil {
-		return nil, err
-	}
-	m.Put(q, fp, rel)
-	return rel, nil
 }

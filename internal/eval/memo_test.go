@@ -1,35 +1,42 @@
 package eval
 
 import (
-	"context"
-	"errors"
+	"slices"
 	"testing"
 
 	"ptx/internal/logic"
 	"ptx/internal/relation"
-	"ptx/internal/runctl"
 	"ptx/internal/value"
 )
+
+// evalMemo follows the memo protocol of pt's Expander: a hit is
+// returned as stored, and a miss evaluates q with reg bound as Reg and
+// stores the result.
+func evalMemo(t *testing.T, q *logic.Query, env *Env, reg *relation.Relation, m *Memo) *relation.Relation {
+	t.Helper()
+	if rel, ok := m.Get(q, reg); ok {
+		return rel
+	}
+	rel, err := EvalQuery(q, env.WithRelation("Reg", reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Put(q, reg, rel)
+	return rel
+}
 
 func TestMemoHitMissEvict(t *testing.T) {
 	inst := graphInstance([2]string{"a", "b"}, [2]string{"b", "c"})
 	env := NewEnv(inst)
+	reg := relation.New(0)
 	q1 := logic.MustQuery(nil, []logic.Var{x, y}, logic.R("E", x, y))
 	q2 := logic.MustQuery(nil, []logic.Var{x}, logic.Ex([]logic.Var{y}, logic.R("E", x, y)))
 
 	m := NewMemo(1) // capacity 1 forces eviction between q1 and q2
-	r1a, err := EvalQueryMemo(q1, env, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := EvalQueryMemo(q2, env, m); err != nil {
-		t.Fatal(err)
-	}
+	r1a := evalMemo(t, q1, env, reg, m)
+	evalMemo(t, q2, env, reg, m)
 	// q1 was evicted by q2; re-evaluating is a miss that re-stores.
-	r1b, err := EvalQueryMemo(q1, env, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1b := evalMemo(t, q1, env, reg, m)
 	if !r1a.Equal(r1b) {
 		t.Fatal("re-evaluated result differs")
 	}
@@ -41,12 +48,8 @@ func TestMemoHitMissEvict(t *testing.T) {
 	// With room for both, the second round is all hits — and returns the
 	// identical relation by reference.
 	m = NewMemo(0)
-	first, _ := EvalQueryMemo(q1, env, m)
-	second, err := EvalQueryMemo(q1, env, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != second {
+	first := evalMemo(t, q1, env, reg, m)
+	if second := evalMemo(t, q1, env, reg, m); first != second {
 		t.Error("hit should return the cached relation by reference")
 	}
 	if hits, misses, _ := m.Stats(); hits != 1 || misses != 1 {
@@ -54,28 +57,21 @@ func TestMemoHitMissEvict(t *testing.T) {
 	}
 }
 
-// TestMemoDistinguishesRegisters: the fingerprint must separate
-// environments whose extra relations differ, and identify ones whose
-// extra relations are Equal regardless of insertion order.
+// TestMemoDistinguishesRegisters: the memo must separate registers
+// whose contents differ, and identify ones whose contents are Equal
+// regardless of object identity and insertion order.
 func TestMemoDistinguishesRegisters(t *testing.T) {
 	inst := graphInstance([2]string{"a", "b"}, [2]string{"b", "c"})
+	env := NewEnv(inst)
 	q := logic.MustQuery(nil, []logic.Var{x},
 		logic.Ex([]logic.Var{y}, logic.Conj(logic.R("Reg", y), logic.R("E", y, x))))
 
-	regA := relation.New(1)
-	regA.Add(value.Tuple{"a"})
-	regB := relation.New(1)
-	regB.Add(value.Tuple{"b"})
+	regA := relation.FromRows([]string{"a"}, []string{"c"})
+	regB := relation.FromRows([]string{"b"})
 	m := NewMemo(0)
 
-	ra, err := EvalQueryMemo(q, NewEnv(inst).WithRelation("Reg", regA), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := EvalQueryMemo(q, NewEnv(inst).WithRelation("Reg", regB), m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ra := evalMemo(t, q, env, regA, m)
+	rb := evalMemo(t, q, env, regB, m)
 	if ra.Equal(rb) {
 		t.Fatal("different registers must not collide in the memo")
 	}
@@ -83,59 +79,64 @@ func TestMemoDistinguishesRegisters(t *testing.T) {
 		t.Errorf("stats = %d/%d, want 0 hits, 2 misses", hits, misses)
 	}
 
-	// Same register contents built in a different insertion order: hit.
-	regA2 := relation.New(1)
-	regA2.Add(value.Tuple{"a"})
-	if _, err := EvalQueryMemo(q, NewEnv(inst).WithRelation("Reg", regA2), m); err != nil {
-		t.Fatal(err)
+	// Same register contents in another object, built in the other
+	// insertion order: a hit on the stored result.
+	regA2 := relation.FromRows([]string{"c"}, []string{"a"})
+	if got := evalMemo(t, q, env, regA2, m); got != ra {
+		t.Error("equal register contents must hit regardless of relation identity")
 	}
 	if hits, _, _ := m.Stats(); hits != 1 {
-		t.Error("equal register contents must hit regardless of relation identity")
+		t.Errorf("hits = %d, want 1", hits)
 	}
 }
 
-// TestMemoErrorNotCached: a failed evaluation (here: fixpoint budget
-// exhaustion) must leave no entry behind; the same key evaluated later
-// under a healthy environment succeeds and stores normally.
-func TestMemoErrorNotCached(t *testing.T) {
-	u, v, w := logic.Var("u"), logic.Var("v"), logic.Var("w")
-	body := logic.Disj(
-		logic.R("E", u, v),
-		logic.Ex([]logic.Var{w}, logic.Conj(logic.R("S", u, w), logic.R("E", w, v))),
-	)
-	fp := &logic.Fixpoint{Rel: "S", Vars: []logic.Var{u, v}, Body: body, Args: []logic.Term{x, y}}
-	q := logic.MustQuery(nil, []logic.Var{x, y}, fp)
-	inst := graphInstance(chainN(6)...)
-
+// TestMemoHashCollision: an entry filed under the probe's (query,
+// hash) but computed for a different register is a miss, and Put
+// replaces it.
+func TestMemoHashCollision(t *testing.T) {
+	q := logic.MustQuery(nil, []logic.Var{x}, logic.R("Reg", x))
+	probe := relation.FromRows([]string{"a"})
+	other := relation.FromRows([]string{"b"})
 	m := NewMemo(0)
-	capped := NewEnv(inst).WithControl(runctl.New(context.Background(), runctl.Limits{MaxFixpointIters: 2}))
-	_, err := EvalQueryMemo(q, capped, m)
-	var be *runctl.ErrBudget
-	if !errors.As(err, &be) {
-		t.Fatalf("capped fixpoint: got %v, want budget error", err)
-	}
+	m.lru.Put(memoKey{q, probe.Hash()}, memoEntry{reg: other, rel: other})
 
-	healthy := NewEnv(inst)
-	got, err := EvalQueryMemo(q, healthy, m)
-	if err != nil {
-		t.Fatalf("healthy run after failed one: %v", err)
+	if rel, ok := m.Get(q, probe); ok {
+		t.Fatalf("colliding entry served as a hit: %v", rel)
 	}
-	want, err := EvalQuery(q, healthy)
-	if err != nil {
-		t.Fatal(err)
+	want := relation.FromRows([]string{"a"})
+	m.Put(q, probe, want)
+	if n := m.lru.Len(); n != 1 {
+		t.Fatalf("%d entries after Put, want the colliding one replaced", n)
 	}
-	if !got.Equal(want) {
-		t.Fatal("result after failed attempt differs from direct evaluation")
+	if got, ok := m.Get(q, probe); !ok || got != want {
+		t.Fatalf("Get after Put = %v, %v; want the stored result", got, ok)
 	}
-	// Both attempts were misses (the failure stored nothing), and the
-	// successful one is now retrievable.
-	if hits, misses, _ := m.Stats(); hits != 0 || misses != 2 {
-		t.Errorf("stats = %d/%d, want 0 hits, 2 misses", hits, misses)
+	if hits, misses, _ := m.Stats(); hits != 1 || misses != 1 {
+		t.Errorf("stats = %d/%d, want 1 hit, 1 miss", hits, misses)
 	}
-	if _, err := EvalQueryMemo(q, healthy, m); err != nil {
-		t.Fatal(err)
+}
+
+// TestMemoHitAllocs: a hit on a sealed register allocates nothing,
+// whether the probe is the stored register object or an equal copy.
+func TestMemoHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
 	}
-	if hits, _, _ := m.Stats(); hits != 1 {
-		t.Error("successful result should now hit")
+	rows := make([]value.Tuple, 50)
+	for i := range rows {
+		rows[i] = value.Tuple{value.Of(i), value.V("v")}
+	}
+	reg, same := relation.Build(2, rows), relation.Build(2, slices.Clone(rows))
+	q := logic.MustQuery(nil, []logic.Var{x, y}, logic.R("Reg", x, y))
+	m := NewMemo(0)
+	m.Put(q, reg, reg)
+	for _, probe := range []*relation.Relation{reg, same} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, ok := m.Get(q, probe); !ok {
+				t.Fatal("miss on a stored register")
+			}
+		}); allocs != 0 {
+			t.Errorf("%.0f allocations per hit, want 0", allocs)
+		}
 	}
 }

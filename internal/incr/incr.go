@@ -77,8 +77,6 @@ type Options struct {
 	// 0 selects DefaultRebuildThreshold, negative disables the fallback
 	// (always repair surgically), values ≥ 1 effectively disable it too.
 	RebuildThreshold float64
-	// CacheSize bounds the view's memo (0 = eval.DefaultMemoSize).
-	CacheSize int
 	// Run supplies budgets (MaxNodes, MaxDepth, Limits, Faults) for the
 	// initial build, repairs, and rebuilds. Cache, CacheSize, Memo and
 	// Workers are owned by the view and ignored.
@@ -160,7 +158,7 @@ func NewView(ctx context.Context, tr *pt.Transducer, inst *relation.Instance, op
 	v := &View{
 		tr:     tr,
 		inst:   inst,
-		memo:   eval.NewMemo(opts.CacheSize),
+		memo:   eval.NewMemo(0),
 		opts:   opts,
 		same:   make(map[sameKey]*relation.Relation),
 		notify: make(chan struct{}),
@@ -190,7 +188,6 @@ func (v *View) record(meta map[*xmltree.Node]nodeMeta, counts map[*pt.Rule]int, 
 func (v *View) runOpts() pt.Options {
 	o := v.opts.Run
 	o.Cache = pt.CacheQueries
-	o.CacheSize = 0
 	o.Memo = v.memo
 	return o
 }

@@ -15,9 +15,9 @@ const (
 	// zero value): nothing is cached across nodes, and items of one rule
 	// carrying the same query share its result (see Expander).
 	CacheOff CacheMode = iota
-	// CacheQueries memoizes rule-query results on (query, register
-	// fingerprint): each distinct configuration evaluates its queries
-	// once, but the tree is still expanded node by node.
+	// CacheQueries memoizes rule-query results on (query, register)
+	// (see eval.Memo): each distinct configuration evaluates its
+	// queries once, but the tree is still expanded node by node.
 	CacheQueries
 )
 
@@ -41,8 +41,3 @@ func ParseCacheMode(s string) (CacheMode, error) {
 	}
 	return CacheOff, fmt.Errorf("pt: unknown cache mode %q (want off or query)", s)
 }
-
-// DefaultCacheSize bounds the query memo (entries) when Options
-// specifies none, keeping memory proportional to distinct
-// configurations rather than tree size.
-const DefaultCacheSize = 1 << 16

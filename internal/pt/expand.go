@@ -61,10 +61,6 @@ func (x *Expander) Expand(state, tag string, reg *relation.Relation) ([]ChildSpe
 		return nil, 0, nil
 	}
 	bound := false // x.env binds RegRel to reg
-	var regFP string
-	if x.memo != nil {
-		regFP = reg.Key()
-	}
 	specs := x.specs[:0]
 	var buf [8]*relation.Relation
 	results := buf[:0] // results[i]: item i's query result
@@ -74,7 +70,7 @@ func (x *Expander) Expand(state, tag string, reg *relation.Relation) ([]ChildSpe
 		if j := slices.IndexFunc(rule.Items[:i], func(p RHS) bool { return p.Query == it.Query }); j >= 0 {
 			result = results[j]
 		} else if x.memo != nil {
-			if rel, ok := x.memo.Get(it.Query, regFP); ok {
+			if rel, ok := x.memo.Get(it.Query, reg); ok {
 				result = rel
 			}
 		}
@@ -98,7 +94,7 @@ func (x *Expander) Expand(state, tag string, reg *relation.Relation) ([]ChildSpe
 			// entries are stored only after a successful evaluation, and
 			// determinism makes them valid whether or not it commits.
 			if x.memo != nil {
-				x.memo.Put(it.Query, regFP, rel)
+				x.memo.Put(it.Query, reg, rel)
 			}
 			result = rel
 		}

@@ -73,12 +73,6 @@ func (g *Graph) Succ(n GraphNode) []GraphNode {
 	return out
 }
 
-// SuccWithItems returns the successors of n paired with the rule-item
-// index that spawns them.
-func (g *Graph) SuccWithItems(n GraphNode) ([]GraphNode, []int) {
-	return g.Succ(n), append([]int{}, g.edgeIdx[n]...)
-}
-
 // HasCycle reports whether Gτ contains a cycle, i.e. whether the
 // transducer is recursive.
 func (g *Graph) HasCycle() bool {

@@ -46,7 +46,7 @@ type Options struct {
 	// itself is always a tree.
 	Cache CacheMode
 	// CacheSize bounds the query memo in entries; 0 selects
-	// DefaultCacheSize.
+	// eval.DefaultMemoSize.
 	CacheSize int
 	// Memo, when non-nil and Cache ≥ CacheQueries, is used as the
 	// query-result memo instead of a fresh per-run table, so concurrent

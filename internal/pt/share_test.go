@@ -265,7 +265,7 @@ func TestRegistersOutliveDeltas(t *testing.T) {
 		return out
 	}
 	root, _ := tr.Rule("q0", "r")
-	memoized, ok := memo.Get(root.Items[0].Query, relation.New(0).Key())
+	memoized, ok := memo.Get(root.Items[0].Query, relation.New(0))
 	if !ok {
 		t.Fatal("the root query's result was not memoized")
 	}

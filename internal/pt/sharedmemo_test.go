@@ -6,13 +6,16 @@
 package pt_test
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
 
 	"ptx/internal/eval"
 	"ptx/internal/families"
+	"ptx/internal/logic"
 	"ptx/internal/pt"
+	"ptx/internal/relation"
 	"ptx/internal/runctl"
 )
 
@@ -120,6 +123,73 @@ func TestSharedMemoConcurrent(t *testing.T) {
 	}
 	if succeeded == 0 {
 		t.Fatal("no run succeeded; the fixture is miscalibrated")
+	}
+}
+
+// TestMemoErrorNotCached: a run that fails mid-step (here its second
+// root query exhausts the fixpoint budget) leaves the step's earlier,
+// successful result in the shared memo and nothing for the failed
+// query, so an unlimited run over the same memo evaluates exactly that
+// query and matches a fresh run.
+func TestMemoErrorNotCached(t *testing.T) {
+	x, y, w := logic.Var("x"), logic.Var("y"), logic.Var("w")
+	s := relation.NewSchema().MustDeclare("E", 2)
+	tr := pt.New("tc", s, "q0", "r")
+	tr.DeclareTag("a", 2)
+	tr.DeclareTag("b", 2)
+	tc := &logic.Fixpoint{
+		Rel:  "S",
+		Vars: []logic.Var{x, y},
+		Body: logic.Disj(
+			logic.R("E", x, y),
+			logic.Ex([]logic.Var{w}, logic.Conj(logic.R("S", x, w), logic.R("E", w, y))),
+		),
+		Args: []logic.Term{x, y},
+	}
+	tr.AddRule("q0", "r",
+		pt.Item("q", "a", logic.MustQuery([]logic.Var{x}, []logic.Var{y}, logic.R("E", x, y))),
+		pt.Item("q", "b", logic.MustQuery(nil, []logic.Var{x, y}, tc)))
+	tr.AddRule("q", "a")
+	tr.AddRule("q", "b")
+	inst := relation.NewInstance(s)
+	for _, e := range [][2]string{{"a", "b"}, {"b", "c"}, {"c", "d"}, {"d", "e"}, {"e", "f"}, {"f", "g"}} {
+		inst.Add("E", e[0], e[1])
+	}
+
+	fresh, err := tr.Run(inst, pt.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := eval.NewMemo(0)
+	_, err = tr.Run(inst, pt.Options{Cache: pt.CacheQueries, Memo: memo,
+		Limits: &runctl.Limits{MaxFixpointIters: 2}})
+	var be *runctl.ErrBudget
+	if !errors.As(err, &be) {
+		t.Fatalf("capped run: got %v, want a budget error", err)
+	}
+	if hits, misses, _ := memo.Stats(); hits != 0 || misses != 2 {
+		t.Fatalf("capped run: stats = %d/%d, want 0 hits, 2 misses", hits, misses)
+	}
+
+	got, err := tr.Run(inst, pt.Options{Cache: pt.CacheQueries, Memo: memo})
+	if err != nil {
+		t.Fatalf("unlimited run after the failed one: %v", err)
+	}
+	if renderXi(t, got, tr) != renderXi(t, fresh, tr) {
+		t.Fatal("run after the failed one differs from a fresh run")
+	}
+	// The E query hit; the fixpoint query, which stored nothing when it
+	// failed, was evaluated.
+	if got.Stats.QueriesRun != 1 || got.Stats.CacheHits != 1 {
+		t.Errorf("unlimited run: %d queries, %d hits; want 1 and 1",
+			got.Stats.QueriesRun, got.Stats.CacheHits)
+	}
+	again, err := tr.Run(inst, pt.Options{Cache: pt.CacheQueries, Memo: memo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Stats.QueriesRun != 0 {
+		t.Errorf("the successful result was not stored: %d queries evaluated", again.Stats.QueriesRun)
 	}
 }
 

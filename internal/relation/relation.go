@@ -283,9 +283,9 @@ func (r *Relation) ownIndex() *colIndex {
 // satisfy r.Key() == o.Key() iff r.Equal(o).
 //
 // This is the string register fingerprint: the checkpoint file spells
-// a configuration with it (supervise's configKey), and the query memo
-// keys results with it. In memory, runs and incremental repair test
-// configuration identity with Hash and Equal (pt.Config). It
+// a configuration with it (supervise's configKey). In memory, runs,
+// incremental repair and the query memo test register identity with
+// Hash confirmed by Equal (pt.Config, eval.Memo). It
 // deliberately forgets insertion order (registers are SETS — Section 2 of the paper),
 // while sibling order in the output tree is fixed separately by the
 // domain order ≤ on tuples at grouping time (see GroupByPrefix).
@@ -448,7 +448,7 @@ func (r *Relation) Columns() [][]value.V {
 // groups included: the slice and every group must be treated as
 // immutable. Callers that group the same relation repeatedly — the
 // transducer regrouping a memoized rule-query result — therefore get
-// the same group objects, fingerprints already cached, every time.
+// the same group objects, hashes already cached, every time.
 func (r *Relation) GroupByPrefix(k int) []*Relation {
 	if k < 0 || k > r.arity {
 		panic(fmt.Sprintf("relation: group prefix %d out of range for arity %d", k, r.arity))

@@ -349,7 +349,7 @@ func TestDocServedRacingMutates(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDocServedDroppedWithHistory: a supersede (ApplyAt) and AttachWAL
+// TestDocServedDroppedWithHistory: a supersede (applyAtLocked) and AttachWAL
 // replace the pair's versions, so the documents stored on them are never
 // served again.
 func TestDocServedDroppedWithHistory(t *testing.T) {

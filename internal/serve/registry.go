@@ -41,7 +41,7 @@ type Registry struct {
 	pairs map[string]map[string]*pairEntry // db → spec → current version
 
 	// logs is the per-database mutation log: every delta accepted by
-	// MutateDB (or replicated in via ApplyAt), in sequence order. A pair
+	// MutateDB (or replicated in via applyAtLocked), in sequence order. A pair
 	// resolved AFTER mutations replays the log once, so all pairs over
 	// one database agree on its current contents. Each log carries the
 	// database's sequence counter and its epoch high-water mark — the
@@ -293,7 +293,7 @@ func (r *Registry) Spec(name string) (*pt.Transducer, error) {
 // Pair resolves a (spec, db) pair to the transducer, the pair's current
 // instance version and that version's shared query memo. A resolved
 // pair costs one read lock. The first resolution — and the first after
-// AttachWAL or a supersede (see ApplyAt) — parses the source and
+// AttachWAL or a supersede (see applyAtLocked) — parses the source and
 // replays the database's log. Unknown names are typed validation
 // errors; a database that does not parse against the spec's schema
 // likewise (cached, so a hopeless pair fails fast forever).
@@ -460,7 +460,9 @@ func (r *Registry) mutateLocked(db string, d *relation.Delta, epoch uint64) (int
 	return r.commitLocked(db, rec), rec.Seq, nil
 }
 
-// ApplyAt installs a REPLICATED record at its original sequence number.
+// applyAtLocked installs a non-empty REPLICATED record at its original
+// sequence number; the caller holds db's writer lock (see lockDB), as
+// /replicate and /sync do through Server.applyRecords.
 // The acceptance rule is what makes duplicate and out-of-order delivery
 // safe: a record at or below the current sequence is a duplicate and is
 // skipped (applied=false, nil error — deltas are idempotent, so the
@@ -477,19 +479,6 @@ func (r *Registry) mutateLocked(db string, d *relation.Delta, epoch uint64) (int
 // is truncated and the database's cached pairs are deleted: their
 // versions carry the stale records, so the next Pair re-resolves them
 // from the reconciled log.
-func (r *Registry) ApplyAt(db string, rec DeltaRecord) (applied bool, err error) {
-	if rec.Delta == nil || rec.Delta.Empty() {
-		return false, Validationf("delta", "empty delta")
-	}
-	w, err := r.lockDB(db)
-	if err != nil {
-		return false, err
-	}
-	defer w.Unlock()
-	return r.applyAtLocked(db, rec)
-}
-
-// applyAtLocked is ApplyAt under db's writer lock, for a non-empty delta.
 func (r *Registry) applyAtLocked(db string, rec DeltaRecord) (applied bool, err error) {
 	head, l := r.logHead(db)
 	if rec.Epoch > 0 && rec.Epoch < head.epoch {

@@ -142,7 +142,7 @@ func (s *Server) hasDB(db string) bool {
 // lock (an unknown db is a validation error): duplicates are skipped,
 // the contiguous tail is committed (durably first when a WAL is
 // attached) with live views reconciled to their pairs' versions after
-// each record, a supersede included (see Registry.ApplyAt), and a gap
+// each record, a supersede included (see Registry.applyAtLocked), and a gap
 // stops the batch with the current high-water mark for the sender to
 // resume from.
 func (s *Server) applyRecords(db string, recs []wireRecord) (applied int, have uint64, gap bool, err error) {

@@ -287,7 +287,7 @@ func TestViewServedBrokenView(t *testing.T) {
 }
 
 // TestViewServedAfterSupersede: after a replicated record supersedes
-// local history (Registry.ApplyAt), the resynced view mirrors the
+// local history (Registry.applyAtLocked), the resynced view mirrors the
 // re-resolved pair and serves the reconciled bytes.
 func TestViewServedAfterSupersede(t *testing.T) {
 	_, ts := newTestServer(t, Config{})

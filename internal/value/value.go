@@ -156,9 +156,8 @@ func (t Tuple) Key() string {
 }
 
 // AppendKey appends the Key encoding of t to dst and returns the
-// extended slice; it is the allocation-free form used by the register
-// fingerprinting hot path (relation.Key, the transducer stop condition
-// and the memoization caches).
+// extended slice; it is the allocation-free form behind relation.Key
+// and the hash-set probe of Relation.Contains.
 func (t Tuple) AppendKey(dst []byte) []byte {
 	for _, v := range t {
 		dst = strconv.AppendInt(dst, int64(len(v)), 10)

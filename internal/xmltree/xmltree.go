@@ -9,8 +9,8 @@
 // and doubly-exponentially large outputs. Every traversal in this
 // package is therefore ITERATIVE (explicit stacks, no recursion), and
 // the serializers stream to an io.Writer instead of materializing whole
-// documents; see stream.go. Clone, Publish, Strip and SpliceVirtual
-// assume a tree: no node is the child of two parents.
+// documents; see stream.go. Clone, Strip and SpliceVirtual assume a
+// tree: no node is the child of two parents.
 package xmltree
 
 import (
