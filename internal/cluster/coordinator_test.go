@@ -348,6 +348,41 @@ func TestClusterDedup(t *testing.T) {
 	}
 }
 
+// TestClusterDocServed: behind the coordinator, which stamps a run key
+// on every forwarded publish, nodes sharing a checkpoint store answer a
+// repeat publish of an unchanged version from the document the first
+// one stored on its owner.
+func TestClusterDocServed(t *testing.T) {
+	_, cts, nodes := newTestCluster(t, 3, Config{ProbeInterval: -1})
+	want := goldenXML(t)
+	const body = `{"spec":"tiny","db":"tinydb"}`
+	owner := func(hdr http.Header) *testNode {
+		for _, n := range nodes {
+			if n.id == hdr.Get("X-Ptserve-Node") {
+				return n
+			}
+		}
+		t.Fatalf("no node named %q answered", hdr.Get("X-Ptserve-Node"))
+		return nil
+	}
+	status, hdr, got := postCluster(t, cts, body)
+	if status != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("first publish: status %d, golden match %v", status, bytes.Equal(got, want))
+	}
+	first := owner(hdr)
+	served := first.srv.Metrics().DocServed
+	status, hdr, got = postCluster(t, cts, body)
+	if status != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("second publish: status %d, golden match %v", status, bytes.Equal(got, want))
+	}
+	if n := owner(hdr); n != first {
+		t.Fatalf("the second publish went to %s, not the owner %s", n.id, first.id)
+	}
+	if d := first.srv.Metrics().DocServed - served; d != 1 {
+		t.Fatalf("the second publish moved the owner's doc_served by %d, want 1", d)
+	}
+}
+
 // TestCoordinatorDrain: drain flips readiness, refuses publishes with
 // the draining kind, stops the prober, and leaks nothing.
 func TestCoordinatorDrain(t *testing.T) {

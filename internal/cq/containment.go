@@ -44,16 +44,6 @@ func Equivalent(q1, q2 *NF) (bool, error) {
 // UCQ is a union of conjunctive queries (all with the same head width).
 type UCQ []*NF
 
-// Satisfiable reports whether some disjunct is satisfiable.
-func (u UCQ) Satisfiable() bool {
-	for _, q := range u {
-		if q.Satisfiable() {
-			return true
-		}
-	}
-	return false
-}
-
 // ContainedUCQ decides Q ⊆ ∪u.
 func ContainedUCQ(q *NF, u UCQ) (bool, error) {
 	if !q.Satisfiable() {

@@ -66,13 +66,6 @@ func (g *Graph) Nodes() []GraphNode {
 	return out
 }
 
-// Succ returns the successors of n in rule order.
-func (g *Graph) Succ(n GraphNode) []GraphNode {
-	out := make([]GraphNode, len(g.edges[n]))
-	copy(out, g.edges[n])
-	return out
-}
-
 // HasCycle reports whether Gτ contains a cycle, i.e. whether the
 // transducer is recursive.
 func (g *Graph) HasCycle() bool {

@@ -11,9 +11,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ptx/internal/relation"
 	"ptx/internal/supervise"
@@ -149,9 +151,9 @@ func TestDocServedAfterMutate(t *testing.T) {
 	}
 }
 
-// TestDocServedIneligible: inject, each non-timeout limit, cache off and
-// a run key on a server with a store neither fill a document nor read
-// the one a plain publish stored; a timeout alone does read it.
+// TestDocServedIneligible: inject, each non-timeout limit and cache off
+// neither fill a document nor read the one a plain publish stored; a
+// timeout alone does read it.
 func TestDocServedIneligible(t *testing.T) {
 	store, err := supervise.NewDirStore(t.TempDir())
 	if err != nil {
@@ -168,17 +170,8 @@ func TestDocServedIneligible(t *testing.T) {
 			{"max_depth", `{"spec":"tiny","db":"tinydb","limits":{"max_depth":100}}`},
 			{"max_queries", `{"spec":"tiny","db":"tinydb","limits":{"max_queries":100}}`},
 			{"cache off", `{"spec":"tiny","db":"tinydb","cache":"off"}`},
-			{"run key", plain},
 		} {
-			req, err := http.NewRequest(http.MethodPost, ts.URL+"/publish", strings.NewReader(c.body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c.name == "run key" {
-				req.Header.Set(HeaderRunKey, "doc-"+pass)
-				req.Header.Set(HeaderEpoch, "1")
-			}
-			if _, got, fromDoc := publishDoc(t, ts, req); fromDoc || !bytes.Equal(got, want) {
+			if _, got, fromDoc := publishDocBody(t, ts, c.body); fromDoc || !bytes.Equal(got, want) {
 				t.Errorf("%s %s: from doc %v, golden match %v", pass, c.name, fromDoc, bytes.Equal(got, want))
 			}
 		}
@@ -376,14 +369,21 @@ func TestDocServedDroppedWithHistory(t *testing.T) {
 	sendRec(1, 2, "e")
 	repeat("after the supersede", tinyDB+"R(e)\n")
 
-	l, err := wal.Open(t.TempDir(), wal.Options{NoSync: true})
+	dir := t.TempDir()
+	w, err := wal.Open(dir, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(wal.Record{DB: "tinydb", Seq: 2, Epoch: 2, Delta: (&relation.Delta{}).Insert("R", "f")}); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	// AttachWAL replays what Open recovered.
+	l, err := wal.Open(dir, wal.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.Append(wal.Record{DB: "tinydb", Seq: 2, Epoch: 2, Delta: (&relation.Delta{}).Insert("R", "f")}); err != nil {
-		t.Fatal(err)
-	}
 	s.reg.AttachWAL(l)
 	repeat("after AttachWAL", tinyDB+"R(e)\nR(f)\n")
 }
@@ -486,5 +486,222 @@ func TestDocServedReadAfterWrite(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// runKeyed is a publish of body stamped with the handoff headers, the
+// way a coordinator forwards it.
+func runKeyed(t *testing.T, ts *httptest.Server, body, runKey string, epoch uint64) *http.Request {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/publish", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(HeaderRunKey, runKey)
+	req.Header.Set(HeaderEpoch, strconv.FormatUint(epoch, 10))
+	return req
+}
+
+// TestDocServedRunKey: on a server with a store, a run key changes
+// nothing for a publish its version answers. Such a publish is served
+// from the document a plain publish stored, and leaves the checkpoint a
+// failed run left under its key in place. On a fresh version it runs
+// and fills the document that then answers a plain publish.
+func TestDocServedRunKey(t *testing.T) {
+	store, err := supervise.NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Store: store, CheckpointEvery: 1})
+	plain := `{"spec":"tiny","db":"tinydb"}`
+	status, _, body := postAs(t, ts, `{"spec":"tiny","db":"tinydb","limits":{"max_nodes":3}}`, "left", 1)
+	if info := decodeError(t, status, body); info.Kind != KindBudget {
+		t.Fatalf("budgeted run: kind %q, want %q", info.Kind, KindBudget)
+	}
+
+	want := goldenXML(t, tinySpec, tinyDB, false)
+	if _, got, fromDoc := publishDocBody(t, ts, plain); fromDoc || !bytes.Equal(got, want) {
+		t.Fatalf("plain publish: from doc %v, golden match %v", fromDoc, bytes.Equal(got, want))
+	}
+	h, got, fromDoc := publishDoc(t, ts, runKeyed(t, ts, plain, "left", 2))
+	if !fromDoc || !bytes.Equal(got, want) || h.Get("X-Ptserve-Resumed") != "" {
+		t.Fatalf("run-key publish of a stored version: from doc %v, golden match %v, resumed header %q",
+			fromDoc, bytes.Equal(got, want), h.Get("X-Ptserve-Resumed"))
+	}
+	if snap, epoch, err := store.Load("left"); err != nil || snap == nil || epoch != 1 {
+		t.Fatalf("a document answer changed the checkpoint under its key: snapshot %v, epoch %d, err %v", snap != nil, epoch, err)
+	}
+
+	mutateOK(t, ts, tinyMutate("insert", "d"))
+	want = goldenXML(t, tinySpec, tinyDB+"R(d)\n", false)
+	h, got, fromDoc = publishDoc(t, ts, runKeyed(t, ts, plain, "fresh", 1))
+	if fromDoc || !bytes.Equal(got, want) || h.Get("X-Ptserve-Resumed") != "false" {
+		t.Fatalf("run-key publish of a fresh version: from doc %v, golden match %v, resumed header %q",
+			fromDoc, bytes.Equal(got, want), h.Get("X-Ptserve-Resumed"))
+	}
+	if _, got, fromDoc := publishDocBody(t, ts, plain); !fromDoc || !bytes.Equal(got, want) {
+		t.Fatalf("plain publish after the run-key run: from doc %v, golden match %v", fromDoc, bytes.Equal(got, want))
+	}
+}
+
+// TestDocServedResumedRun: a run-key publish of τ1 over registrar that
+// resumes a predecessor's checkpoint keeps the same document, in bytes
+// and in X-Ptserve-Nodes, as a fresh run keeps, in XML and canonical
+// form.
+func TestDocServedResumedRun(t *testing.T) {
+	newServer := func(store supervise.CheckpointStore) *httptest.Server {
+		reg := NewRegistry()
+		if err := reg.LoadDir("../../examples/specs"); err != nil {
+			t.Fatal(err)
+		}
+		_, ts := newTestServer(t, Config{Registry: reg, Store: store, CheckpointEvery: 1})
+		return ts
+	}
+	for _, canonical := range []bool{false, true} {
+		body := fmt.Sprintf(`{"spec":"tau1","db":"registrar","canonical":%v}`, canonical)
+		fresh := newServer(nil)
+		publishDocBody(t, fresh, body)
+		fh, want, fromDoc := publishDocBody(t, fresh, body)
+		if !fromDoc {
+			t.Fatalf("canonical=%v: the fresh run kept no document", canonical)
+		}
+
+		store, err := supervise.NewDirStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := newServer(store)
+		budgeted := fmt.Sprintf(`{"spec":"tau1","db":"registrar","canonical":%v,"limits":{"max_nodes":40}}`, canonical)
+		status, _, raw := postAs(t, ts, budgeted, "resume", 1)
+		if info := decodeError(t, status, raw); info.Kind != KindBudget {
+			t.Fatalf("canonical=%v: budgeted run: kind %q, want %q", canonical, info.Kind, KindBudget)
+		}
+		rh, got, fromDoc := publishDoc(t, ts, runKeyed(t, ts, body, "resume", 2))
+		if fromDoc || rh.Get("X-Ptserve-Resumed") != "true" || !bytes.Equal(got, want) {
+			t.Fatalf("canonical=%v: run-key publish: from doc %v, resumed header %q, fresh bytes %v",
+				canonical, fromDoc, rh.Get("X-Ptserve-Resumed"), bytes.Equal(got, want))
+		}
+		dh, got, fromDoc := publishDocBody(t, ts, body)
+		if !fromDoc || !bytes.Equal(got, want) {
+			t.Fatalf("canonical=%v: publish after the resumed run: from doc %v, fresh bytes %v", canonical, fromDoc, bytes.Equal(got, want))
+		}
+		for name, h := range map[string]http.Header{"resumed run": rh, "its document": dh} {
+			if n, fn := h.Get("X-Ptserve-Nodes"), fh.Get("X-Ptserve-Nodes"); n != fn {
+				t.Errorf("canonical=%v: %s: X-Ptserve-Nodes %s, a fresh run's document %s", canonical, name, n, fn)
+			}
+		}
+	}
+}
+
+// TestDocServedUnderOverload: with the only worker held by a diverging
+// run and no queue, a publish its version's document answers gets the
+// golden bytes without taking a worker, while a publish of a version
+// with no document is still shed.
+func TestDocServedUnderOverload(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, Queue: 0})
+	if err := s.reg.RegisterSpec("counter", counterSpec); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.reg.RegisterDB("counterdb", counterDB(6)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.reg.RegisterDB("otherdb", tinyDB+"R(z)\n"); err != nil {
+		t.Fatal(err)
+	}
+	plain := `{"spec":"tiny","db":"tinydb"}`
+	want := goldenXML(t, tinySpec, tinyDB, false)
+	publishDocBody(t, ts, plain)
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if status, _, body := post(t, ts, `{"spec":"counter","db":"counterdb","limits":{"timeout_ms":1000}}`); status == http.StatusOK {
+			t.Errorf("the divergent publish succeeded: %.80s", body)
+		}
+	}()
+	for s.adm.Active() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	m := s.Metrics()
+	if _, got, fromDoc := publishDocBody(t, ts, plain); !fromDoc || !bytes.Equal(got, want) {
+		t.Errorf("stored version under overload: from doc %v, golden match %v", fromDoc, bytes.Equal(got, want))
+	}
+	status, _, body := post(t, ts, `{"spec":"tiny","db":"otherdb"}`)
+	if info := decodeError(t, status, body); info.Kind != KindOverloaded {
+		t.Errorf("version without a document under overload: kind %q, want %q", info.Kind, KindOverloaded)
+	}
+	after := s.Metrics()
+	if after.Admitted != m.Admitted || after.Succeeded != m.Succeeded+1 || after.Shed != m.Shed+1 {
+		t.Errorf("admitted %d → %d, succeeded %d → %d, shed %d → %d; want unchanged, +1, +1",
+			m.Admitted, after.Admitted, m.Succeeded, after.Succeeded, m.Shed, after.Shed)
+	}
+	<-done
+}
+
+// TestDocServedDraining: a draining server refuses a publish its
+// version's document would answer.
+func TestDocServedDraining(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	plain := `{"spec":"tiny","db":"tinydb"}`
+	publishDocBody(t, ts, plain)
+	if v := currentVersion(t, s, "tiny", "tinydb"); v.docs[0] == nil {
+		t.Fatal("the plain publish stored no document")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	status, _, body := post(t, ts, plain)
+	if info := decodeError(t, status, body); info.Kind != KindDraining {
+		t.Fatalf("draining server: kind %q, want %q", info.Kind, KindDraining)
+	}
+}
+
+// TestDocServedRunKeyAllocs: on a server with a store, a doc-served
+// publish of τ1 over registrar that carries a run key and an epoch
+// allocates at most 1.5× what a plain doc-served one does. The same
+// publish run in full allocates about thirty times as many.
+func TestDocServedRunKeyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	store, err := supervise.NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	if err := reg.LoadDir("../../examples/specs"); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Registry: reg, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	publish := func(runKey string) {
+		req := httptest.NewRequest(http.MethodPost, "/publish", strings.NewReader(`{"spec":"tau1","db":"registrar"}`))
+		if runKey != "" {
+			req.Header.Set(HeaderRunKey, runKey)
+			req.Header.Set(HeaderEpoch, "1")
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("publish: status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	publish("")
+	served := s.Metrics().DocServed
+	const runs = 50
+	plain := testing.AllocsPerRun(runs, func() { publish("") })
+	keyed := testing.AllocsPerRun(runs, func() { publish("allocs") })
+	if got := s.Metrics().DocServed - served; got != 2*(runs+1) {
+		t.Fatalf("%d of %d publishes were doc-served", got, 2*(runs+1))
+	}
+	t.Logf("doc-served publish: %.0f allocations plain, %.0f with a run key", plain, keyed)
+	if keyed > 1.5*plain {
+		t.Errorf("a doc-served run-key publish allocates %.0f, over 1.5× a plain one's %.0f", keyed, plain)
 	}
 }

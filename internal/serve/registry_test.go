@@ -292,17 +292,24 @@ func TestPairAdvancesOnWrite(t *testing.T) {
 // a compacted WAL base leaves.
 func walRegistry(t testing.TB, first, last uint64) *Registry {
 	t.Helper()
-	l, err := wal.Open(t.TempDir(), wal.Options{NoSync: true})
+	dir := t.TempDir()
+	w, err := wal.Open(dir, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := first; seq <= last; seq++ {
+		d := (&relation.Delta{}).Insert("R", fmt.Sprint(seq))
+		if err := w.Append(wal.Record{DB: "tinydb", Seq: seq, Epoch: 1, Delta: d}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	// AttachWAL replays what Open recovered.
+	l, err := wal.Open(dir, wal.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	for seq := first; seq <= last; seq++ {
-		d := (&relation.Delta{}).Insert("R", fmt.Sprint(seq))
-		if err := l.Append(wal.Record{DB: "tinydb", Seq: seq, Epoch: 1, Delta: d}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	reg := NewRegistry()
 	if err := reg.RegisterSpec("tiny", tinySpec); err != nil {
 		t.Fatal(err)

@@ -146,7 +146,7 @@ func (c Config) withDefaults() Config {
 
 // Metrics is a point-in-time snapshot of the server's counters.
 type Metrics struct {
-	Admitted  int64 `json:"admitted"`
+	Admitted  int64 `json:"admitted"` // publishes that took a worker; doc- and view-served ones take none
 	Shed      int64 `json:"shed"`
 	Rejected  int64 `json:"rejected"` // validation and draining rejections
 	Succeeded int64 `json:"succeeded"`
@@ -359,6 +359,15 @@ type admitted struct {
 	retries int
 	key     string
 
+	// servable reports whether the publish may be answered without a
+	// run of its own, from its version's document or a live view: it
+	// injects no faults, uses the default cache mode and sets no budget
+	// but its timeout. Under those options a successful run returns
+	// exactly τ(inst), so only its node and query counts could tell the
+	// answers apart. The handoff coordinates below play no part: they
+	// matter only to a publish that runs.
+	servable bool
+
 	// runKey/epoch are the cluster handoff coordinates (the
 	// X-Ptx-Run-Key and X-Ptx-Epoch headers): the shared-store key this
 	// run checkpoints under and the ownership epoch its writes carry.
@@ -479,7 +488,8 @@ func (s *Server) validate(req publishRequest) (*admitted, error) {
 		Cache:  cacheMode,
 		Faults: faults,
 	}
-	return &admitted{req: req, opts: opts, limits: limits, retries: retries, key: string(key)}, nil
+	servable := faults == nil && cacheMode == pt.CacheQueries && l.MaxNodes == 0 && l.MaxDepth == 0 && l.MaxQueries == 0
+	return &admitted{req: req, opts: opts, limits: limits, retries: retries, key: string(key), servable: servable}, nil
 }
 
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
@@ -560,6 +570,14 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, err)
 		return
 	}
+	// A publish its version answers takes no worker: it is never queued
+	// or shed behind runs, whatever its run key.
+	if adm.servable {
+		if doc := s.answer(adm, ver); doc != nil {
+			s.writeServed(w, adm, doc.nodes, doc.body)
+			return
+		}
+	}
 	if adm.opts.Cache >= pt.CacheQueries && adm.opts.Faults == nil {
 		// Warm-path sharing: the registry's per-(spec,db) memo. Faulted
 		// runs keep private memos, so a fault schedule never depends on
@@ -589,13 +607,6 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	s.admitted.Add(1)
-	servable := adm.servable()
-	if servable {
-		if doc := s.answer(adm, ver); doc != nil {
-			s.writeServed(w, adm, doc.nodes, doc.body)
-			return
-		}
-	}
 
 	f, shared, err := s.flights.do(reqCtx, adm.key, func(f *flight) {
 		f.inst = ver.inst
@@ -622,7 +633,7 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	h.Set("X-Ptserve-Nodes", strconv.Itoa(res.Stats.Nodes))
 	h.Set("X-Ptserve-Queries", strconv.Itoa(res.Stats.QueriesRun))
 	h.Set("X-Ptserve-Cache", res.Stats.CacheMode.String())
-	if servable {
+	if adm.servable {
 		_, _ = w.Write(s.fill(tr, f, adm).body)
 		return
 	}
@@ -637,18 +648,6 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	} else {
 		_ = res.Xi.WriteXMLVirtual(w, tr.Virtual)
 	}
-}
-
-// servable reports whether the request may be answered without a run
-// of its own, from its version's document or a live view: it injects
-// no faults, carries no handoff run key, uses the default cache mode
-// and sets no budget but its timeout. Under those options a successful
-// run returns exactly τ(inst), so only its node and query counts could
-// tell the answers apart.
-func (adm *admitted) servable() bool {
-	l := adm.req.Limits
-	return adm.opts.Faults == nil && adm.runKey == "" && adm.opts.Cache == pt.CacheQueries &&
-		l.MaxNodes == 0 && l.MaxDepth == 0 && l.MaxQueries == 0
 }
 
 // renderBufs recycles the render buffers of answer and fill; one
@@ -738,9 +737,9 @@ func (s *Server) keep(adm *admitted, inst *relation.Instance, buf *bytes.Buffer,
 	return doc
 }
 
-// writeServed answers an admitted publish that needed no run of its own
-// with body, the bytes of τ(inst) for the version it resolved, and the
-// node count of the tree they render.
+// writeServed answers a publish that needed no run of its own, and took
+// no worker, with body, the bytes of τ(inst) for the version it
+// resolved, and the node count of the tree they render.
 func (s *Server) writeServed(w http.ResponseWriter, adm *admitted, nodes int, body []byte) {
 	s.succeeded.Add(1)
 	h := w.Header()

@@ -194,15 +194,19 @@ func TestViewServedFallbacks(t *testing.T) {
 		t.Error("a request setting only a timeout ran instead of reading the view")
 	}
 
-	// A run key on a server with a store makes the publish a handoff run.
+	// A run key changes nothing for a publish its version answers: the
+	// document the plain publish's render stored answers it, and no
+	// handoff run starts.
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/publish", strings.NewReader(plain))
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Header.Set(HeaderRunKey, "view-fallback")
 	req.Header.Set(HeaderEpoch, "1")
-	if h, got, fromView := doPublish(t, ts, req, viewServed(t, ts)); fromView || !bytes.Equal(got, want) || h.Get("X-Ptserve-Resumed") == "" {
-		t.Errorf("run key: from view %v, golden match %v, resumed header %q", fromView, bytes.Equal(got, want), h.Get("X-Ptserve-Resumed"))
+	stored := docServed(t, ts)
+	if h, got, fromView := doPublish(t, ts, req, viewServed(t, ts)); fromView || docServed(t, ts) != stored+1 || !bytes.Equal(got, want) || h.Get("X-Ptserve-Resumed") != "" {
+		t.Errorf("run key: from view %v, doc-served %v, golden match %v, resumed header %q",
+			fromView, docServed(t, ts) == stored+1, bytes.Equal(got, want), h.Get("X-Ptserve-Resumed"))
 	}
 
 	// A delta tiny's schema rejects leaves tiny's version, and the view

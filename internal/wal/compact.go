@@ -8,21 +8,30 @@ import (
 	"ptx/internal/relation"
 )
 
-// Compact collapses the log's history into a base snapshot: one net
-// record per database whose delta is the last op for every touched
-// (relation, tuple) — sound because deltas are set-membership
-// assignments, so the final membership of a tuple is its last op,
-// independent of the intermediate history. The net record keeps the
-// database's sequence and epoch high-water marks, so replication and
-// fencing arithmetic survive compaction. Older segments (and any older
-// base) are deleted once the new base is durable; a crash mid-compact
-// leaves the old files in place and the new base unreferenced or
-// newest-wins — either way recovery is consistent.
+// Compact collapses the log's history, replayed from disk, into a base
+// snapshot: one net record per database whose delta is the last op for
+// every touched (relation, tuple) — sound because deltas are
+// set-membership assignments, so the final membership of a tuple is its
+// last op, independent of the intermediate history. The net record
+// keeps the database's sequence and epoch high-water marks, so
+// replication and fencing arithmetic survive compaction. Older segments
+// (and any older base) are deleted once the new base is durable; a
+// crash mid-compact leaves the old files in place and the new base
+// unreferenced or newest-wins — either way recovery is consistent.
 func (l *Log) Compact() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return &StorageError{Op: "compact", Err: os.ErrClosed}
+	}
+	// Recovery healed the replay set and every failed append rolled
+	// itself back, so damage here is new: fold nothing over it.
+	records, rep, err := ReadDir(l.dir)
+	if err == nil && len(rep.Corruptions) > 0 {
+		err = &StorageError{Op: "compact", Err: rep.Corruptions[0]}
+	}
+	if err != nil {
+		return err
 	}
 
 	// Net membership per database, preserving a deterministic op order
@@ -35,7 +44,7 @@ func (l *Log) Compact() error {
 	seq := make(map[string]uint64)
 	epoch := make(map[string]uint64)
 	var dbs []string
-	for _, rec := range l.records {
+	for _, rec := range records {
 		m, ok := net[rec.DB]
 		if !ok {
 			m = make(map[string]lastOp)
@@ -122,7 +131,6 @@ func (l *Log) Compact() error {
 			_ = os.Remove(filepath.Join(l.dir, e.Name()))
 		}
 	}
-	l.records = compacted
 	l.nextIdx = baseIdx + 1
 	l.compactions++
 	return nil

@@ -75,7 +75,7 @@ type Log struct {
 	f       *os.File // active segment (nil until the first append)
 	size    int64    // bytes in the active segment
 	nextIdx int      // file index for the NEXT segment created
-	records []Record // full surviving history, file order
+	records []Record // what Open recovered, until Records hands it over
 	closed  bool
 
 	appended    int64
@@ -239,9 +239,6 @@ func (l *Log) Report() RecoveryReport {
 	return l.report
 }
 
-// Dir returns the log's root directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Metrics snapshots the counters.
 func (l *Log) Metrics() Metrics {
 	l.mu.Lock()
@@ -254,11 +251,16 @@ func (l *Log) Metrics() Metrics {
 	}
 }
 
-// Records returns the surviving history in replay order.
+// Records hands over the history Open recovered, in replay order, and
+// drops the log's reference: only the first call (AttachWAL's) gets it,
+// and records appended since Open are not in it. The log keeps no
+// in-memory copy of its history.
 func (l *Log) Records() []Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]Record(nil), l.records...)
+	recs := l.records
+	l.records = nil
+	return recs
 }
 
 // syncDir fsyncs a directory so a freshly created file name is durable.
@@ -351,7 +353,6 @@ func (l *Log) Append(rec Record) error {
 		}
 		l.fsyncs++
 	}
-	l.records = append(l.records, rec)
 	l.appended++
 	return nil
 }

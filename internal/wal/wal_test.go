@@ -277,17 +277,6 @@ func TestCompaction(t *testing.T) {
 	if m := l.Metrics(); m.Compactions != 1 {
 		t.Fatalf("compactions = %d, want 1", m.Compactions)
 	}
-	recs := l.Records()
-	if len(recs) != 1 {
-		t.Fatalf("post-compact records = %d, want 1 net record", len(recs))
-	}
-	net := recs[0]
-	if net.Seq != 5 || net.Epoch != 4 {
-		t.Fatalf("net record seq/epoch = %d/%d, want high-water 5/4", net.Seq, net.Epoch)
-	}
-	if s := net.Delta.String(); s != "-R(a) +R(b) +R(c)" {
-		t.Fatalf("net delta = %q, want deterministic last-op-wins %q", s, "-R(a) +R(b) +R(c)")
-	}
 
 	// Appends continue after compaction and recovery sees base + tail.
 	if err := l.Append(Record{DB: "db", Seq: 6, Epoch: 9, Delta: ins("R", "tail")}); err != nil {
@@ -303,8 +292,15 @@ func TestCompaction(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("recovered %d records, want net + tail", len(got))
 	}
-	if got[0].Delta.String() != "-R(a) +R(b) +R(c)" || got[1].Delta.String() != "+R(tail)" {
-		t.Fatalf("recovered wrong history: %v then %v", got[0].Delta, got[1].Delta)
+	net := got[0]
+	if net.Seq != 5 || net.Epoch != 4 {
+		t.Fatalf("net record seq/epoch = %d/%d, want high-water 5/4", net.Seq, net.Epoch)
+	}
+	if s := net.Delta.String(); s != "-R(a) +R(b) +R(c)" {
+		t.Fatalf("net delta = %q, want deterministic last-op-wins %q", s, "-R(a) +R(b) +R(c)")
+	}
+	if got[1].Delta.String() != "+R(tail)" {
+		t.Fatalf("recovered wrong tail: %v", got[1].Delta)
 	}
 	baseIdx := -1
 	for _, name := range walFiles(t, dir) {
@@ -419,6 +415,79 @@ func TestReadDirIsReadOnly(t *testing.T) {
 	post, _ := os.Stat(path)
 	if post.Size() != pre.Size() {
 		t.Fatal("ReadDir repaired the file; it must be read-only")
+	}
+}
+
+// TestRecordsHandedOverOnce: Records returns what Open recovered, once,
+// and nothing appended since; Compact still folds the whole history,
+// which it reads from disk.
+func TestRecordsHandedOverOnce(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range []string{"a", "b"} {
+		if err := l.Append(Record{DB: "db", Seq: uint64(i + 1), Delta: ins("R", v)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	l, err = Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Append(Record{DB: "db", Seq: 3, Delta: ins("R", "c")}); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Records(); len(got) != 2 || got[1].Seq != 2 {
+		t.Fatalf("first Records: %d records, want the 2 Open recovered", len(got))
+	}
+	if got := l.Records(); got != nil {
+		t.Fatalf("second Records: %d records, want none", len(got))
+	}
+	if err := l.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if got := l2.Records(); len(got) != 1 || got[0].Seq != 3 || got[0].Delta.String() != "+R(a) +R(b) +R(c)" {
+		t.Fatalf("after Compact: %v, want one net record through seq 3", got)
+	}
+}
+
+// TestCompactRefusesDamage: damage that appears on disk after Open is
+// never folded into a base; Compact fails typed and writes none.
+func TestCompactRefusesDamage(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendN(t, l, "db", 3, 1)
+	seg := filepath.Join(dir, segName(1))
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-2] ^= 0xff
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var se *StorageError
+	var ce *CorruptError
+	if err := l.Compact(); !errors.As(err, &se) || !errors.As(err, &ce) {
+		t.Fatalf("compact over damage: %v, want a StorageError wrapping a CorruptError", err)
+	}
+	for _, name := range walFiles(t, dir) {
+		if wf, _ := parseName(name); wf.base {
+			t.Fatalf("compact over damage wrote %s", name)
+		}
 	}
 }
 
