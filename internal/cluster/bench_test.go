@@ -36,8 +36,9 @@ func benchCluster(b *testing.B, n int) (*Coordinator, *httptest.Server, []*testN
 // at fixed client concurrency for N=1 vs N=3 workers, reporting req/s
 // and p99 latency. Every request body is distinct (a rotating
 // timeout_ms) so the coordinator's dedup never collapses the load —
-// this measures routing, not flight sharing. The CI bench-cluster job
-// pins these numbers into BENCH_pr6.json.
+// this measures routing, not flight sharing. Run it with go test -bench
+// ClusterThroughput ./internal/cluster; perfbench's cluster workload is
+// the tracked end-to-end number.
 func BenchmarkClusterThroughput(b *testing.B) {
 	const concurrency = 8
 	for _, n := range []int{1, 3} {

@@ -666,7 +666,8 @@ func (c *Coordinator) reply(w http.ResponseWriter, f *coordFlight, shared bool) 
 // the worker's checksum trailer — corruption or truncation surfaces
 // here as a transport error, which is precisely what lets the caller
 // fail over instead of relaying wrong bytes. A draining node's 503
-// comes back as errDraining.
+// comes back as errDraining. The body is read into a pooled buffer and
+// kept as one exact-length copy, which is what the flight relays.
 func (c *Coordinator) attempt(ctx context.Context, m MemberStatus, path string, body []byte, budgetDeadline time.Time, hdr http.Header) (upstream, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, m.URL+path, bytes.NewReader(body))
 	if err != nil {
@@ -684,7 +685,13 @@ func (c *Coordinator) attempt(ctx context.Context, m MemberStatus, path string, 
 		return upstream{}, err
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(resp.Body)
+	buf := readBufs.Get().(*bytes.Buffer)
+	_, err = buf.ReadFrom(resp.Body)
+	respBody := bytes.Clone(buf.Bytes())
+	if buf.Cap() <= maxPooledRead {
+		buf.Reset()
+		readBufs.Put(buf)
+	}
 	if err != nil {
 		return upstream{}, err
 	}
@@ -696,6 +703,12 @@ func (c *Coordinator) attempt(ctx context.Context, m MemberStatus, path string, 
 	}
 	return upstream{resp.StatusCode, resp.Header, respBody}, nil
 }
+
+// readBufs recycles attempt's read buffers; one that grew past
+// maxPooledRead is left to the collector.
+var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledRead = 1 << 20
 
 // rlockWithin acquires the membership write barrier's read side, but
 // gives up when ctx dies first: a mutation that cannot get past a

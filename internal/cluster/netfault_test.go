@@ -619,8 +619,9 @@ func TestReplicaPartitionWithholdsAck(t *testing.T) {
 
 // BenchmarkHedgedPublish measures publish latency through a coordinator
 // whose primary link is degraded (100ms injected latency), hedged vs
-// unhedged. The CI bench-hedge job pins p50/p99 into BENCH_pr10.json:
-// the hedged p99 should sit near the hedge delay, not the degradation.
+// unhedged, reporting p50/p99 (go test -bench HedgedPublish
+// ./internal/cluster): the hedged p99 should sit near the hedge delay,
+// not the degradation.
 func BenchmarkHedgedPublish(b *testing.B) {
 	run := func(b *testing.B, hedge time.Duration) {
 		mesh := netchaos.NewMesh(99)

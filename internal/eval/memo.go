@@ -26,9 +26,11 @@ import (
 //
 // Contract:
 //
-//   - one Memo serves evaluations over ONE immutable database instance
-//     (pt makes one per run unless Options.Memo shares one; serve shares
-//     one per pair version and incr one per view, each dropped or
+//   - one Memo serves evaluations over immutable database instances
+//     that agree on every relation its queries read, and on the active
+//     domain if one of them reads it (pt makes one per run unless
+//     Options.Memo shares one; serve shares one across the versions of a
+//     pair between deltas its spec reads, and incr one per view,
 //     reconciled when its database changes);
 //   - cached relations are returned by reference and must be treated as
 //     immutable by every caller, and so must everything derived and

@@ -14,7 +14,8 @@ import (
 // BenchmarkServeThroughput drives the full HTTP publish path (decode,
 // validate, admit, dedup, run, stream) at a fixed client concurrency
 // against the example specs, reporting requests/second and p99 latency.
-// The CI bench-serve job pins these numbers into BENCH_pr5.json.
+// Run it with go test -bench ServeThroughput ./internal/serve; the
+// end-to-end numbers the project tracks come from perfbench.
 func BenchmarkServeThroughput(b *testing.B) {
 	const concurrency = 8
 	for _, spec := range []string{"tau1", "tau2v"} {

@@ -8,6 +8,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"net/http"
 	"strconv"
 	"strings"
@@ -110,23 +111,25 @@ func sumResponses(next http.Handler) http.Handler {
 			return
 		}
 		w.Header().Set("Trailer", HeaderBodySum)
-		sw := &sumWriter{ResponseWriter: w, sum: sha256.New()}
+		sw := &sumWriter{ResponseWriter: w, h: sha256.New()}
 		next.ServeHTTP(sw, r)
-		w.Header().Set(HeaderBodySum, hex.EncodeToString(sw.sum.Sum(nil)))
+		if sw.sum == "" {
+			sw.sum = hex.EncodeToString(sw.h.Sum(nil))
+		}
+		w.Header().Set(HeaderBodySum, sw.sum)
 	})
 }
 
-// sumWriter tees every body write through the running checksum.
+// sumWriter tees every body write through the running checksum, unless
+// writeDocument handed it the whole body's sum.
 type sumWriter struct {
 	http.ResponseWriter
-	sum interface {
-		Write(p []byte) (int, error)
-		Sum(b []byte) []byte
-	}
+	h   hash.Hash
+	sum string
 }
 
 func (sw *sumWriter) Write(p []byte) (int, error) {
-	_, _ = sw.sum.Write(p)
+	_, _ = sw.h.Write(p)
 	return sw.ResponseWriter.Write(p)
 }
 
@@ -134,4 +137,15 @@ func (sw *sumWriter) Flush() {
 	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
+}
+
+// writeDocument writes doc's bytes as the whole response body. Behind
+// sumResponses the trailer takes the document's own sum, computed once
+// per document, so a hop that asks for it does not hash the bytes again.
+func writeDocument(w http.ResponseWriter, doc *document) {
+	if sw, ok := w.(*sumWriter); ok {
+		sw.sum = doc.sum()
+		w = sw.ResponseWriter
+	}
+	_, _ = w.Write(doc.body)
 }

@@ -126,11 +126,14 @@ type pairEntry struct {
 }
 
 // pairVersion is one instance version of a pair (immutable once served)
-// with what is cached for it: the query memo (concurrency-safe; sound
-// because it is scoped to exactly this instance) and, per output form,
-// the rendered document of τ(inst) once an eligible run has produced it
-// (see keepDocument). A commit replaces the whole version, so a memo or
-// document never outlives the instance it was computed from.
+// with what is cached for it: the query memo (concurrency-safe) and, per
+// output form, the rendered document of τ(inst) once an eligible run has
+// produced it (see keepDocument). A commit replaces the whole version.
+// The next version inherits the memo and the documents when the delta
+// changed no relation a rule query of the spec reads (see commitLocked):
+// every query result, and so τ by Proposition 1(1), is then the same on
+// both instances. Otherwise it starts cold, so a memo or document never
+// serves an instance whose relations it did not read.
 type pairVersion struct {
 	inst *relation.Instance
 	memo *eval.Memo
@@ -138,10 +141,21 @@ type pairVersion struct {
 }
 
 // document is τ(inst) rendered in one output form, with the node count
-// of the run that built it. Its bytes are never modified.
+// of the run that built it. Its bytes are never modified, so their
+// integrity sum is computed at most once, for the first hop that asks
+// for it (see writeDocument).
 type document struct {
 	body  []byte
 	nodes int
+
+	sumOnce sync.Once
+	bodySum string
+}
+
+// sum returns BodySum(d.body), computing it on first use.
+func (d *document) sum() string {
+	d.sumOnce.Do(func() { d.bodySum = BodySum(d.body) })
+	return d.bodySum
 }
 
 // docForm indexes pairVersion.docs: 0 for XML, 1 for canonical form.
@@ -407,13 +421,14 @@ func parseInstance(spec, db, src string, tr *pt.Transducer) (inst *relation.Inst
 // appended (durably first, when a WAL is attached — the record is
 // fsynced BEFORE anything in memory changes, so an acknowledged delta
 // survives a crash) to the database's mutation log, and every resolved
-// (spec, db) pair over it moves to its next instance version with a
-// fresh memo and no documents. It holds db's writer lock, and takes mu
-// only after the append, for the in-memory commit, so the fsync never
-// blocks a publish's Pair or a write to another database. The next
-// version shares every relation the delta does not touch with the
-// previous one and clones the touched ones before applying the delta
-// (relation.Instance.Derive).
+// (spec, db) pair over it moves to its next instance version, with a
+// fresh memo and no documents unless its spec reads none of the
+// relations the delta changed (see commitLocked). It holds db's writer
+// lock, and takes mu only after the append, for the in-memory commit, so
+// the fsync never blocks a publish's Pair or a write to another
+// database. The next version shares every relation the delta does not
+// touch with the previous one and clones the touched ones before
+// applying the delta (relation.Instance.Derive).
 // A pair whose schema rejects the delta, or on which it has no effect,
 // keeps its version, its memo and its documents.
 //
@@ -534,8 +549,11 @@ func appendWAL(l *wal.Log, db string, rec DeltaRecord) error {
 }
 
 // commitLocked commits one durable record in memory and moves every
-// resolved pair over db to its next version. It returns how many pairs
-// moved. Caller holds db's writer lock and mu.
+// resolved pair over db to its next version. A version whose spec has no
+// rule reading a relation the effective delta changed (pt's Readers,
+// which count a domain-reading query as a reader of every relation)
+// inherits its predecessor's memo and documents; any other starts cold.
+// It returns how many pairs moved. Caller holds db's writer lock and mu.
 func (r *Registry) commitLocked(db string, rec DeltaRecord) int {
 	lg := r.logsLocked(db)
 	lg.recs = append(lg.recs, rec)
@@ -544,7 +562,7 @@ func (r *Registry) commitLocked(db string, rec DeltaRecord) int {
 		lg.epoch = rec.Epoch
 	}
 	moved := 0
-	for _, e := range r.pairs[db] {
+	for spec, e := range r.pairs[db] {
 		if e.inst == nil {
 			continue // unresolved: resolve catches up under this lock
 		}
@@ -552,7 +570,11 @@ func (r *Registry) commitLocked(db string, rec DeltaRecord) int {
 		if err != nil || eff.Empty() {
 			continue
 		}
-		e.pairVersion = pairVersion{inst: next, memo: eval.NewMemo(0)}
+		if rules, _ := r.specs[spec].Readers(eff.Rels()); len(rules) == 0 {
+			e.pairVersion.inst = next
+		} else {
+			e.pairVersion = pairVersion{inst: next, memo: eval.NewMemo(0)}
+		}
 		moved++
 	}
 	return moved

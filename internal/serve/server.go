@@ -574,7 +574,7 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	// or shed behind runs, whatever its run key.
 	if adm.servable {
 		if doc := s.answer(adm, ver); doc != nil {
-			s.writeServed(w, adm, doc.nodes, doc.body)
+			s.writeServed(w, adm, doc)
 			return
 		}
 	}
@@ -634,7 +634,7 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	h.Set("X-Ptserve-Queries", strconv.Itoa(res.Stats.QueriesRun))
 	h.Set("X-Ptserve-Cache", res.Stats.CacheMode.String())
 	if adm.servable {
-		_, _ = w.Write(s.fill(tr, f, adm).body)
+		writeDocument(w, s.fill(tr, f, adm))
 		return
 	}
 	// Stream straight from ξ: the writers splice virtual tags at
@@ -738,18 +738,17 @@ func (s *Server) keep(adm *admitted, inst *relation.Instance, buf *bytes.Buffer,
 }
 
 // writeServed answers a publish that needed no run of its own, and took
-// no worker, with body, the bytes of τ(inst) for the version it
-// resolved, and the node count of the tree they render.
-func (s *Server) writeServed(w http.ResponseWriter, adm *admitted, nodes int, body []byte) {
+// no worker, with doc, τ(inst) for the version it resolved.
+func (s *Server) writeServed(w http.ResponseWriter, adm *admitted, doc *document) {
 	s.succeeded.Add(1)
 	h := w.Header()
 	h.Set("Content-Type", "application/xml; charset=utf-8")
 	h.Set("X-Ptserve-Attempts", "1")
 	h.Set("X-Ptserve-Shared", "false")
-	h.Set("X-Ptserve-Nodes", strconv.Itoa(nodes))
+	h.Set("X-Ptserve-Nodes", strconv.Itoa(doc.nodes))
 	h.Set("X-Ptserve-Queries", "0")
 	h.Set("X-Ptserve-Cache", adm.opts.Cache.String())
-	_, _ = w.Write(body)
+	writeDocument(w, doc)
 }
 
 // execute runs one admitted publish under supervision and the server's

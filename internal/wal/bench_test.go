@@ -10,8 +10,8 @@ import (
 
 // BenchmarkWALRecovery measures cold-start replay: how long Open takes
 // to verify checksums and decode a log of N committed records — the
-// restart-to-serving latency a durable node pays. The CI bench-wal job
-// pins recovery-ms into BENCH_pr9.json.
+// restart-to-serving latency a durable node pays. It reports
+// recovery-ms (go test -bench WALRecovery ./internal/wal).
 func BenchmarkWALRecovery(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("records-%d", n), func(b *testing.B) {
