@@ -24,22 +24,20 @@ type deltaWorkload struct {
 	inst *relation.Instance
 	ins  *relation.Delta // applied on even iterations
 	del  *relation.Delta // applied on odd iterations (the inverse)
-	opts incr.Options
 }
 
 func deltaWorkloads() []deltaWorkload {
 	// diamond-10: the Proposition 1(3) blowup family. Every rule reads
-	// R, so a 1-tuple R delta dirties 100% of rules and forces the
-	// surgical path (threshold -1) to re-derive every node's children —
-	// the memo still collapses that to one query per distinct
-	// configuration, versus one query per NODE for the uncached rebuild.
+	// R, so a 1-tuple R delta dirties 100% of rules and the repair
+	// re-derives every node's children — the memo still collapses that
+	// to one query per distinct configuration, versus one query per NODE
+	// for the uncached rebuild.
 	d10 := deltaWorkload{
 		name: "diamond-10",
 		tr:   families.UnfoldTransducer(),
 		inst: families.DiamondChain(10),
 		ins:  (&relation.Delta{}).Insert("R", "a000", "w_bench"),
 		del:  (&relation.Delta{}).Delete("R", "a000", "w_bench"),
-		opts: incr.Options{RebuildThreshold: -1},
 	}
 	// catalog-wide: 120 products. A 1-tuple product delta dirties only
 	// the root rule; every untouched product subtree is reused by
@@ -73,7 +71,7 @@ func fullRebuildQueries(tb testing.TB, w deltaWorkload) int {
 // view and returns total queries run and the worst single delta.
 func incrToggle(tb testing.TB, w deltaWorkload, n int) (total, worst int) {
 	tb.Helper()
-	v, err := incr.NewView(context.Background(), w.tr, w.inst.Clone(), w.opts)
+	v, err := incr.NewView(context.Background(), w.tr, w.inst.Clone(), incr.Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}

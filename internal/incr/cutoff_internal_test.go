@@ -34,7 +34,7 @@ func TestReconcileReexpandsConfigOnce(t *testing.T) {
 		registrar.AddPrereq(inst, p, "S")
 	}
 	ctx := context.Background()
-	v, err := NewView(ctx, registrar.Tau1(), inst, Options{RebuildThreshold: -1})
+	v, err := NewView(ctx, registrar.Tau1(), inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -191,12 +191,8 @@ func FuzzIncrementalEval(f *testing.F) {
 		oracle := d.instance(s)
 		tr := d.transducer(s)
 		steps := d.deltas()
-		// Alternate the fallback policy so surgical repair and rebuild
-		// are both exercised by the corpus.
 		opts := incr.Options{Run: pt.Options{MaxNodes: fuzzBudget}}
-		if d.byte()%2 == 0 {
-			opts.RebuildThreshold = -1
-		}
+		d.byte() // this byte chose a repair policy once; kept so the corpus decodes as before
 		// Cross-evaluator oracle: alternate which side runs on compiled
 		// plans and which on the naive reference evaluator, so plan ≡
 		// naive is asserted through the whole repair pipeline (not just
@@ -223,7 +219,8 @@ func FuzzIncrementalEval(f *testing.F) {
 				return // both sides outgrew the budget
 			}
 			if oerr != nil {
-				return
+				// A repaired tree is bounded as a run's is.
+				t.Fatalf("step %d: oracle failed (%v) but the view repaired %s", i, oerr, dl)
 			}
 			var sb strings.Builder
 			if err := ores.Xi.WriteCanonicalVirtual(&sb, tr.Virtual); err != nil {

@@ -24,15 +24,15 @@
 //     dirty rules, matching the new child specs against the old
 //     children by configuration (state, tag, register hash, confirmed
 //     by equality) to reuse surviving subtrees;
-//  3. expands genuinely new children through pt.RestoreStepRun with the
-//     view's memo, which still holds every result whose query the
-//     delta could not have changed (eval.Memo.InvalidateQueries).
+//  3. expands genuinely new children on the frontier of the same run,
+//     with the view's memo, which still holds every result whose query
+//     the delta could not have changed (eval.Memo.InvalidateQueries).
 //
-// When the damage estimate (live nodes governed by dirty rules) exceeds
-// a configurable fraction of the tree, repair degenerates to walking
-// everything and the View falls back to a full rebuild — still through
-// the selectively-invalidated memo, so even the fallback is far cheaper
-// than a cold run.
+// Repair is sound whatever share of the tree a delta dirties, so it is
+// the only way a view follows a delta. The walk and the fresh expansion
+// are one pt run under the view's options, whose budgets, fault plan
+// and NoPlan bound it as they bound a run. A full rebuild builds the
+// view and heals one whose repair failed.
 package incr
 
 import (
@@ -49,15 +49,9 @@ import (
 	"ptx/internal/eval"
 	"ptx/internal/pt"
 	"ptx/internal/relation"
-	"ptx/internal/runctl"
 	"ptx/internal/value"
 	"ptx/internal/xmltree"
 )
-
-// DefaultRebuildThreshold is the damage fraction above which Apply
-// abandons surgical repair for a full rebuild: walking a mostly-dirty
-// tree costs more bookkeeping than re-deriving it through the memo.
-const DefaultRebuildThreshold = 0.5
 
 // historyCap bounds the change-report ring buffer a View keeps for
 // watchers; maxReportPaths bounds the damage paths in one report.
@@ -73,25 +67,22 @@ var ErrBroken = errors.New("incr: view broken by a failed repair; next Apply reb
 
 // Options configures a View.
 type Options struct {
-	// RebuildThreshold is the damage fraction triggering full rebuild:
-	// 0 selects DefaultRebuildThreshold, negative disables the fallback
-	// (always repair surgically), values ≥ 1 effectively disable it too.
-	RebuildThreshold float64
-	// Run supplies budgets (MaxNodes, MaxDepth, Limits, Faults) for the
-	// initial build, repairs, and rebuilds. Cache, CacheSize, Memo and
-	// Workers are owned by the view and ignored.
+	// Run supplies the budgets (MaxNodes, MaxDepth, Limits), the fault
+	// plan and NoPlan of the initial build, of each repair and of each
+	// healing rebuild, each one run. A repaired tree is bounded by
+	// MaxNodes as a run's tree is. Cache, CacheSize, Memo and Workers
+	// are owned by the view and ignored.
 	Run pt.Options
 }
 
 // nodeMeta is the per-node bookkeeping the tree itself cannot carry:
 // finalization erases State, and the stop condition's verdict is not
-// recorded anywhere else. stopped nodes never re-expand (their verdict
-// depends only on path configurations, which reuse preserves). rule is
-// an expandable node's rule (nil if none).
+// recorded anywhere else. rule is an expandable node's rule; it is nil
+// for a text leaf and for a stopped node, which never re-expands (its
+// verdict depends only on path configurations, which reuse preserves).
 type nodeMeta struct {
-	state   string
-	rule    *pt.Rule
-	stopped bool
+	state string
+	rule  *pt.Rule
 }
 
 // Report describes what one Apply did; watchers receive these.
@@ -113,7 +104,6 @@ type Report struct {
 type ViewStats struct {
 	Version      uint64
 	Nodes        int   // live nodes in the tree
-	Expandable   int   // non-text, non-stopped nodes (damage-estimate base)
 	QueriesTotal int64 // rule queries evaluated across build + all applies
 	Broken       bool
 }
@@ -133,10 +123,8 @@ type View struct {
 	memo *eval.Memo
 	opts Options
 
-	tree   *xmltree.Tree
-	meta   map[*xmltree.Node]nodeMeta
-	counts map[*pt.Rule]int // live expandable nodes per rule
-	total  int              // Σ counts
+	tree *xmltree.Tree
+	meta map[*xmltree.Node]nodeMeta
 
 	// same holds one repair walk's unchanged re-expansions (see visit);
 	// it is emptied after each walk and kept, so its buckets are reused.
@@ -164,27 +152,25 @@ func NewView(ctx context.Context, tr *pt.Transducer, inst *relation.Instance, op
 		notify: make(chan struct{}),
 	}
 	v.memo.BindInstance(inst)
-	if err := v.rebuild(ctx); err != nil {
+	q, err := v.rebuild(ctx)
+	if err != nil {
 		return nil, err
 	}
-	v.version = 1
+	v.version, v.queries = 1, int64(q)
 	return v, nil
 }
 
-// record enters a node a run just finalized into meta and, if the node
-// is expandable, into counts and total.
-func (v *View) record(meta map[*xmltree.Node]nodeMeta, counts map[*pt.Rule]int, total *int, ev pt.StepEvent) {
-	m := nodeMeta{state: ev.State, stopped: ev.Stopped}
+// record enters a node a run just finalized into meta.
+func (v *View) record(meta map[*xmltree.Node]nodeMeta, ev pt.StepEvent) {
+	m := nodeMeta{state: ev.State}
 	if ev.Node.Tag != xmltree.TextTag && !ev.Stopped {
 		m.rule, _ = v.tr.Rule(ev.State, ev.Node.Tag)
-		counts[m.rule]++
-		*total++
 	}
 	meta[ev.Node] = m
 }
 
-// runOpts derives the pt options for builds and frontier expansions:
-// caller budgets, view-owned cache.
+// runOpts derives the pt options for builds and repairs: caller
+// budgets, view-owned cache.
 func (v *View) runOpts() pt.Options {
 	o := v.opts.Run
 	o.Cache = pt.CacheQueries
@@ -192,34 +178,32 @@ func (v *View) runOpts() pt.Options {
 	return o
 }
 
-// rebuild re-derives the whole tree from the current instance. The new
-// tree and bookkeeping are committed only on success, so a failed
-// rebuild leaves the previous (possibly broken) state for the caller to
-// flag.
-func (v *View) rebuild(ctx context.Context) error {
+// rebuild re-derives the whole tree from the current instance and
+// returns the queries it ran. The new tree and bookkeeping are committed
+// only on success, so a failed rebuild leaves the previous (possibly
+// broken) state for the caller to flag.
+func (v *View) rebuild(ctx context.Context) (int, error) {
 	sr, err := v.tr.NewStepRun(ctx, v.inst, v.runOpts())
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer sr.Close()
-	meta, counts, total := make(map[*xmltree.Node]nodeMeta), make(map[*pt.Rule]int), 0
-	sr.Observe(func(ev pt.StepEvent) { v.record(meta, counts, &total, ev) })
+	meta := make(map[*xmltree.Node]nodeMeta)
+	sr.Observe(func(ev pt.StepEvent) { v.record(meta, ev) })
 	res, err := sr.Run()
 	if err != nil {
-		return err
+		return 0, err
 	}
-	v.tree, v.meta, v.counts, v.total = res.Xi, meta, counts, total
-	v.queries += int64(res.Stats.QueriesRun)
-	v.broken = false
-	return nil
+	v.tree, v.meta, v.broken = res.Xi, meta, false
+	return res.Stats.QueriesRun, nil
 }
 
 // Apply validates and applies d to the view's instance in place, then
 // repairs the tree. It returns the report describing what changed. On an
 // ineffective delta (every op a no-op) the version does not move and
-// watchers are not woken. If repair AND the rebuild fallback both fail
-// (cancellation, budget), the view is flagged broken and the error is
-// returned; the next successful Apply heals it.
+// watchers are not woken. If the repair fails (cancellation, budget,
+// fault), the view is flagged broken and the error is returned; the
+// next Apply rebuilds it, and heals it if the rebuild succeeds.
 func (v *View) Apply(ctx context.Context, d *relation.Delta) (*Report, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -293,34 +277,20 @@ func (v *View) advance(ctx context.Context, eff, d *relation.Delta) (*Report, er
 	}
 
 	rep := &Report{Delta: eff.String(), Effective: eff.Len()}
-	est := 0
-	for _, r := range dirty {
-		est += v.counts[r]
+	var err error
+	switch {
+	case v.broken:
+		rep.FullRebuild, rep.Paths = true, []string{"/" + v.tr.RootTag + "[1]"}
+		rep.QueriesRun, err = v.rebuild(ctx)
+	case len(dirty) > 0:
+		err = v.repair(ctx, dirty, rep)
 	}
-	th := v.opts.RebuildThreshold
-	if th == 0 {
-		th = DefaultRebuildThreshold
-	}
-	full := v.broken ||
-		(th >= 0 && v.total > 0 && float64(est) > th*float64(v.total))
-	if !full && len(dirty) > 0 {
-		if err := v.repair(ctx, dirty, rep); err != nil {
-			// The tree may be half-repaired; only a rebuild restores the
-			// invariant.
-			v.broken = true
-			full = true
-		}
-	}
-	if full {
-		before := v.queries
-		if err := v.rebuild(ctx); err != nil {
-			v.broken = true
-			return nil, fmt.Errorf("incr: rebuild after delta %s: %w", eff, err)
-		}
-		*rep = Report{Delta: rep.Delta, Effective: rep.Effective, FullRebuild: true,
-			QueriesRun: int(v.queries - before), Paths: []string{"/" + v.tree.Root.Tag + "[1]"}}
-	} else {
-		v.queries += int64(rep.QueriesRun)
+	v.queries += int64(rep.QueriesRun)
+	if err != nil {
+		// A failed repair may leave the tree half-repaired; only a
+		// rebuild restores the invariant.
+		v.broken = true
+		return nil, fmt.Errorf("incr: after delta %s: %w", eff, err)
 	}
 	v.version++
 	rep.Version = v.version
@@ -343,8 +313,9 @@ type frame struct {
 }
 
 // walk is one repair's state. path is the DFS stack itself: the visited
-// node's ancestors. x is the rule step every dirty node re-expands
-// through; old and slot are reexpand's reused matching buffers.
+// node's ancestors. x is the repair run's rule step, which every dirty
+// node re-expands through; old and slot are reexpand's reused matching
+// buffers.
 type walk struct {
 	v       *View
 	dirty   []*pt.Rule // a handful at most: scanned, not hashed
@@ -369,17 +340,17 @@ type oldChild struct {
 	next  int32  // next unused old index in the bucket, or -1
 }
 
-// repair is the surgical path: a top-down walk that re-expands exactly
-// the nodes governed by dirty rules, reusing every child whose
-// configuration survives and collecting genuinely new children as a
-// frontier for RestoreStepRun. A clean node costs a metadata lookup.
+// repair is a top-down walk that re-expands exactly the nodes governed
+// by dirty rules, reusing every child whose configuration survives and
+// seeding genuinely new children on the frontier of the run it
+// re-expands through. A clean node costs a metadata lookup.
 func (v *View) repair(ctx context.Context, dirty []*pt.Rule, rep *Report) error {
-	ctl := runctl.New(ctx, runctl.Limits{})
-	base := eval.NewEnv(v.inst).WithControl(ctl)
-	if v.opts.Run.NoPlan {
-		base = base.WithoutPlanner()
+	sr, err := v.tr.RestoreStepRun(ctx, v.inst, v.runOpts(), v.tree.Root, nil, pt.Stats{})
+	if err != nil {
+		return err
 	}
-	w := &walk{v: v, dirty: dirty, x: v.tr.NewExpander(base, v.memo), rep: rep}
+	defer sr.Close()
+	w := &walk{v: v, dirty: dirty, x: sr.Expander(), rep: rep}
 	defer clear(v.same)
 	if err := w.visit(v.tree.Root); err != nil {
 		return err
@@ -393,7 +364,7 @@ func (v *View) repair(ctx context.Context, dirty []*pt.Rule, rep *Report) error 
 		}
 		top.next++
 		if steps%1024 == 0 {
-			if err := ctl.Canceled(); err != nil {
+			if err := sr.Canceled(); err != nil {
 				return err
 			}
 		}
@@ -404,13 +375,12 @@ func (v *View) repair(ctx context.Context, dirty []*pt.Rule, rep *Report) error 
 	if len(w.pending) == 0 {
 		return nil
 	}
-	sr, err := v.tr.RestoreStepRun(ctx, v.inst, v.runOpts(), v.tree.Root, w.pending, pt.Stats{})
-	if err != nil {
+	// Besides the fresh nodes, the tree holds the finalized ones in meta.
+	if err := sr.Seed(w.pending, len(v.meta)+len(w.pending)); err != nil {
 		return err
 	}
-	defer sr.Close()
 	sr.Observe(func(ev pt.StepEvent) {
-		v.record(v.meta, v.counts, &v.total, ev)
+		v.record(v.meta, ev)
 		rep.Fresh++
 	})
 	res, err := sr.Run()
@@ -552,13 +522,7 @@ func (v *View) dropSubtree(root *xmltree.Node, rep *Report) {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if m, ok := v.meta[n]; ok {
-			if n.Tag != xmltree.TextTag && !m.stopped {
-				v.counts[m.rule]--
-				v.total--
-			}
-			delete(v.meta, n)
-		}
+		delete(v.meta, n)
 		rep.Dropped++
 		stack = append(stack, n.Children...)
 	}
@@ -579,7 +543,6 @@ func (v *View) Stats() ViewStats {
 	return ViewStats{
 		Version:      v.version,
 		Nodes:        len(v.meta),
-		Expandable:   v.total,
 		QueriesTotal: v.queries,
 		Broken:       v.broken,
 	}

@@ -1,11 +1,12 @@
 // Core incremental-repair tests: every Apply must leave the view
 // byte-identical to a from-scratch run over the mutated database (the
-// determinism oracle), bookkeeping must not leak, and the rebuild
-// fallback plus broken-view recovery must behave.
+// determinism oracle), bookkeeping must not leak, a repair must run
+// under the view's options, and broken-view recovery must behave.
 package incr_test
 
 import (
 	"context"
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"ptx/internal/pt"
 	"ptx/internal/registrar"
 	"ptx/internal/relation"
+	"ptx/internal/runctl"
 )
 
 // catalogSchema/catalogTransducer model the wide-catalog workload: a
@@ -137,8 +139,8 @@ func TestViewMatchesFullRunUnfold(t *testing.T) {
 	tr := families.UnfoldTransducer()
 	oracle := families.DiamondChain(4)
 	// The unfold rule reads R at every node, so any R-delta dirties the
-	// whole tree; disable the fallback to exercise the surgical path.
-	v := newView(t, tr, oracle, incr.Options{RebuildThreshold: -1})
+	// whole tree.
+	v := newView(t, tr, oracle, incr.Options{})
 	for _, d := range []*relation.Delta{
 		(&relation.Delta{}).Insert("R", "a004", "z001"),
 		(&relation.Delta{}).Insert("R", "z001", "a000"), // creates a cycle → stop condition
@@ -147,7 +149,7 @@ func TestViewMatchesFullRunUnfold(t *testing.T) {
 	} {
 		rep := applyBoth(t, v, tr, oracle, d)
 		if rep.FullRebuild {
-			t.Fatalf("delta %s: fell back to rebuild with threshold -1", d)
+			t.Fatalf("delta %s: rebuilt a healthy view", d)
 		}
 	}
 }
@@ -172,7 +174,7 @@ func TestRepairMatchesStateAndTag(t *testing.T) {
 	oracle := relation.NewInstance(schema)
 	oracle.Add("A", "v")
 	oracle.Add("B", "w")
-	v := newView(t, tr, oracle, incr.Options{RebuildThreshold: -1})
+	v := newView(t, tr, oracle, incr.Options{})
 	for _, d := range []*relation.Delta{
 		(&relation.Delta{}).Delete("A", "v").Insert("B", "v"),
 		(&relation.Delta{}).Delete("B", "v").Insert("C", "v"),
@@ -256,19 +258,94 @@ func TestInvalidDeltaRejected(t *testing.T) {
 	}
 }
 
-// The unfold family dirties 100% of the tree on any R-delta, so the
-// default threshold must route it to a full rebuild — and the rebuild
-// goes through the memo, so it is still cheap.
-func TestRebuildFallbackTriggers(t *testing.T) {
+// TestRepairFullDamageInPlace: the unfold family dirties 100% of the
+// tree on any R-delta, and the view still repairs it in place: by
+// Proposition 1(1) reuse is sound whatever share of the tree is dirty.
+// The new edge leaves the root's children as they were, so the report
+// names only changed subtrees below the root: the a003 nodes.
+func TestRepairFullDamageInPlace(t *testing.T) {
 	tr := families.UnfoldTransducer()
 	oracle := families.DiamondChain(4)
 	v := newView(t, tr, oracle, incr.Options{})
-	rep := applyBoth(t, v, tr, oracle, (&relation.Delta{}).Insert("R", "a004", "z001"))
-	if !rep.FullRebuild {
-		t.Fatal("100% damage should exceed the default threshold")
+	rep := applyBoth(t, v, tr, oracle, (&relation.Delta{}).Insert("R", "a003", "z001"))
+	if rep.FullRebuild || len(rep.Paths) == 0 {
+		t.Fatalf("FullRebuild=%v paths=%v, want a repair in place", rep.FullRebuild, rep.Paths)
 	}
-	if len(rep.Paths) != 1 || rep.Paths[0] != "/r[1]" {
-		t.Fatalf("rebuild paths = %v", rep.Paths)
+	for _, p := range rep.Paths {
+		if !strings.HasPrefix(p, "/r[1]/") {
+			t.Fatalf("repair path %s is not below the root", p)
+		}
+	}
+}
+
+// TestRepairHonoursRunOptions: a repair's re-expansions run under the
+// view's options. A product delete re-expands only the catalog root and
+// creates no node, so the walk runs the repair's one query, and a fault
+// plan failing that query stops it: the view reports broken, and the
+// next Apply rebuilds it.
+func TestRepairHonoursRunOptions(t *testing.T) {
+	tr := catalogTransducer()
+	oracle := catalogInstance(8, 1)
+	built := newView(t, tr, oracle, incr.Options{}).Stats().QueriesTotal
+	injected := errors.New("injected fault")
+	plan := &runctl.FaultPlan{Op: runctl.OpQuery, N: built + 1, Err: injected}
+	v := newView(t, tr, oracle, incr.Options{Run: pt.Options{Faults: plan}})
+
+	d := (&relation.Delta{}).Delete("product", "sku003", "Item 003", "cat003")
+	if _, err := v.Apply(context.Background(), d); !errors.Is(err, injected) {
+		t.Fatalf("Apply under a fault on the repair's first query: %v, want the injected fault", err)
+	}
+	if _, _, err := v.Snapshot(true); err != incr.ErrBroken {
+		t.Fatalf("Snapshot after the failed repair: %v, want ErrBroken", err)
+	}
+	if _, err := oracle.Apply(d); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := v.Apply(context.Background(), &relation.Delta{})
+	if err != nil || !rep.FullRebuild {
+		t.Fatalf("healing Apply: %v, report %+v", err, rep)
+	}
+	if got, want := viewCanonical(t, v), fullCanonical(t, tr, oracle); got != want {
+		t.Fatal("healed view diverged from oracle")
+	}
+}
+
+// TestRepairBoundedByMaxNodes: a repaired tree is bounded by MaxNodes
+// as a run's tree is, so a repair fails, and breaks its view, exactly
+// when a run over the new instance exceeds the budget. The budget is
+// the base tree's size; each product insert adds two nodes.
+func TestRepairBoundedByMaxNodes(t *testing.T) {
+	tr := catalogTransducer()
+	oracle := catalogInstance(10, 1)
+	base, err := tr.Run(oracle, pt.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := pt.Options{MaxNodes: base.Stats.Nodes}
+	v := newView(t, tr, oracle, incr.Options{Run: opts})
+	for i, d := range []*relation.Delta{
+		(&relation.Delta{}).Delete("product", "sku000", "Item 000", "cat000"),
+		(&relation.Delta{}).Insert("product", "skuA", "Item A", "cat000"),
+		(&relation.Delta{}).Insert("product", "skuB", "Item B", "cat000"),
+		(&relation.Delta{}).Insert("product", "skuC", "Item C", "cat000"),
+	} {
+		_, applyErr := v.Apply(context.Background(), d)
+		if _, err := oracle.Apply(d); err != nil {
+			t.Fatal(err)
+		}
+		_, runErr := tr.Run(oracle, opts)
+		if (applyErr == nil) != (runErr == nil) {
+			t.Fatalf("step %d: repair error %v, run error %v", i, applyErr, runErr)
+		}
+		if runErr != nil {
+			if i != 3 {
+				t.Fatalf("step %d: %v before the budget is full", i, runErr)
+			}
+			var be *runctl.ErrBudget
+			if !errors.As(applyErr, &be) || be.Kind != runctl.BudgetNodes || !v.Stats().Broken {
+				t.Fatalf("step %d: repair error %v, broken %v; want a nodes budget error and a broken view", i, applyErr, v.Stats().Broken)
+			}
+		}
 	}
 }
 
@@ -308,7 +385,7 @@ func TestBrokenViewRecovers(t *testing.T) {
 	v := newView(t, tr, oracle, incr.Options{})
 
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // the repair AND the rebuild fallback both die instantly
+	cancel() // the repair dies instantly
 	if _, err := v.Apply(ctx, (&relation.Delta{}).Insert("product", "skuZ", "Doomed", "cat000")); err == nil {
 		t.Fatal("canceled Apply reported success")
 	}

@@ -163,7 +163,7 @@ func TestRepairReportsUnchanged(t *testing.T) {
 	var sb strings.Builder
 	for _, c := range reportCases() {
 		v, err := incr.NewView(context.Background(), c.tr, c.inst.Clone(),
-			incr.Options{RebuildThreshold: -1, Run: pt.Options{MaxNodes: caseBudget}})
+			incr.Options{Run: pt.Options{MaxNodes: caseBudget}})
 		if err != nil {
 			t.Fatalf("%s: NewView: %v", c.name, err)
 		}

@@ -36,20 +36,14 @@ type ChildSpec struct {
 // register in place (eval.Env.Rebind; the Expander owns it alone), and
 // the specs buffer is reused, so the specs Expand returns are valid
 // only until its next call and callers copy them out. An Expander is
-// not safe for concurrent use. The run driver, OutputRelation's
-// configuration walk and incremental repair each keep one.
+// not safe for concurrent use. Each run keeps one (newRun); incremental
+// repair's walk steps through its run's, from StepRun.Expander.
 type Expander struct {
 	t     *Transducer
 	base  *eval.Env
 	memo  *eval.Memo
 	env   *eval.Env
 	specs []ChildSpec
-}
-
-// NewExpander returns an Expander stepping t's rules against base,
-// through memo when it is non-nil.
-func (t *Transducer) NewExpander(base *eval.Env, memo *eval.Memo) *Expander {
-	return &Expander{t: t, base: base, memo: memo}
 }
 
 // Expand performs the rule step for (state, tag) with register reg.

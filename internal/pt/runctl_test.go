@@ -102,8 +102,8 @@ func TestSequentialFaultTyped(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("got %v, want injected fault", err)
 	}
-	if got := plan.ObservedOp(runctl.OpQuery); got != 5 {
-		t.Errorf("ObservedOp(query) = %d, want 5 (fault fires on the 5th)", got)
+	if got := plan.Observed(); got != 5 {
+		t.Errorf("Observed() = %d, want 5 (fault fires on the 5th)", got)
 	}
 	settledGoroutines(t, base)
 }

@@ -4,6 +4,7 @@
 package pt_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -144,8 +145,7 @@ func TestExpanderMatchesPerItemNaive(t *testing.T) {
 	for _, f := range fixtures {
 		adom := append(f.inst.ActiveDomain(), "zz")
 		base := eval.NewEnv(f.inst)
-		memo := eval.NewMemo(0)
-		plain, memoized := f.tr.NewExpander(base, nil), f.tr.NewExpander(base, memo)
+		plain, memoized := runExpander(t, f, pt.Options{}), runExpander(t, f, pt.Options{Cache: pt.CacheQueries})
 		for _, rule := range f.tr.Rules() {
 			distinct := map[string]bool{}
 			for _, it := range rule.Items {
@@ -171,6 +171,18 @@ func TestExpanderMatchesPerItemNaive(t *testing.T) {
 			}
 		}
 	}
+}
+
+// runExpander returns the rule step of a run of f's transducer over
+// its instance under opts.
+func runExpander(t *testing.T, f fixture, opts pt.Options) *pt.Expander {
+	t.Helper()
+	sr, err := f.tr.NewStepRun(context.Background(), f.inst, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sr.Close)
+	return sr.Expander()
 }
 
 // randomRegister draws up to four tuples of the given arity over adom.

@@ -83,6 +83,29 @@ func (t *Transducer) RestoreStepRun(ctx context.Context, inst *relation.Instance
 	return &StepRun{d: d, root: root}, nil
 }
 
+// Expander returns the run's rule step, for a caller that re-expands
+// nodes outside the frontier (incremental repair's walk). It uses the
+// run's memo, charges the run's controller (timeout, query and fixpoint
+// budgets, fault plan), and neither attaches nor counts children.
+func (s *StepRun) Expander() *Expander { return &s.d.x }
+
+// Canceled reports, as a typed *runctl.ErrCanceled, whether the run's
+// context is done or its timeout has passed.
+func (s *StepRun) Canceled() error { return s.d.ctl.Canceled() }
+
+// Seed adds pending to the frontier as RestoreStepRun adds its pending,
+// unchecked, and charges the node budget for the tree the run is to
+// complete, nodes in all (the pending ones included), as a run that
+// built that tree is charged: the tree is bounded as a run's is.
+func (s *StepRun) Seed(pending []PendingConfig, nodes int) error {
+	// A run charges every node but the root it starts from.
+	if err := s.d.ctl.AddNodes(nodes - 1); err != nil {
+		return err
+	}
+	s.d.seeds = append(s.d.seeds, pending...)
+	return nil
+}
+
 // Close releases the run's timeout resources. It is safe to call more
 // than once and must be called even after a completed or failed run.
 func (s *StepRun) Close() { s.d.cancel() }

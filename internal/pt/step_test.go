@@ -286,7 +286,7 @@ func TestDriversCountQueriesAlike(t *testing.T) {
 			if err := drive(pt.Options{Workers: 1, Cache: pt.CacheOff, Faults: plan}); !errors.Is(err, boom) {
 				t.Fatalf("n=%d driver %d: fault did not stop the run: %v", n, i, err)
 			}
-			observed[i] = plan.ObservedOp(runctl.OpQuery)
+			observed[i] = plan.Observed()
 		}
 		if observed[0] != observed[1] {
 			t.Fatalf("n=%d: OpQuery observed Run %d, StepRun %d", n, observed[0], observed[1])

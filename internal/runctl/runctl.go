@@ -217,9 +217,7 @@ func Ops() []Op {
 //     probability, driven by a PRNG seeded with Seed, so a whole family
 //     of "randomized" fault schedules is reproducible from one integer.
 //
-// Independent of injection, the plan counts every operation it observes
-// per kind (ObservedOp), which measures how much work ran before — and
-// concurrently with — a fault. The zero value (and nil) injects nothing.
+// The zero value (and nil) injects nothing.
 type FaultPlan struct {
 	Op  Op
 	N   int64 // 1-based index of the operation to fail; 0 disables
@@ -234,9 +232,8 @@ type FaultPlan struct {
 
 	count atomic.Int64
 
-	mu       sync.Mutex
-	rng      *rand.Rand
-	observed map[Op]int64
+	mu  sync.Mutex // guards rng
+	rng *rand.Rand
 }
 
 // SeededPlan builds a probabilistic plan failing each op of a listed
@@ -254,21 +251,16 @@ func (p *FaultPlan) Check(op Op) error {
 	if p == nil {
 		return nil
 	}
-	p.mu.Lock()
-	if p.observed == nil {
-		p.observed = make(map[Op]int64, 4)
-	}
-	p.observed[op]++
-	var hit bool
 	if prob := p.Probs[op]; prob > 0 {
+		p.mu.Lock()
 		if p.rng == nil {
 			p.rng = rand.New(rand.NewSource(p.Seed))
 		}
-		hit = p.rng.Float64() < prob
-	}
-	p.mu.Unlock()
-	if hit {
-		return p.Err
+		hit := p.rng.Float64() < prob
+		p.mu.Unlock()
+		if hit {
+			return p.Err
+		}
 	}
 	if p.N > 0 && p.Op == op && p.count.Add(1) == p.N {
 		return p.Err
@@ -281,24 +273,12 @@ func (p *FaultPlan) check(op Op) error { return p.Check(op) }
 
 // Observed reports how many operations of the Nth-op planned kind have
 // been counted so far — a direct measure of how much work ran before
-// (and concurrently with) the injected fault. For per-kind counts
-// across both modes use ObservedOp.
+// (and concurrently with) the injected fault.
 func (p *FaultPlan) Observed() int64 {
 	if p == nil {
 		return 0
 	}
 	return p.count.Load()
-}
-
-// ObservedOp reports how many operations of the given kind the plan has
-// seen, regardless of mode.
-func (p *FaultPlan) ObservedOp(op Op) int64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.observed[op]
 }
 
 // planKey carries a *FaultPlan through a context (see WithPlan).

@@ -27,6 +27,10 @@ func TestNilControllerIsUnlimited(t *testing.T) {
 	if err := c.FixpointIter(1 << 30); err != nil {
 		t.Fatalf("nil FixpointIter: %v", err)
 	}
+	var p *FaultPlan
+	if p.Observed() != 0 || p.Check(OpQuery) != nil {
+		t.Fatal("nil plan must observe nothing and inject nothing")
+	}
 }
 
 func TestNodeBudget(t *testing.T) {
@@ -203,39 +207,6 @@ func TestSeededPlanDeterministic(t *testing.T) {
 		if same {
 			t.Fatal("different seeds produced identical schedules")
 		}
-	}
-}
-
-// TestObservedOpCounts: the plan counts every op it sees per kind,
-// across both modes, while Observed() tracks only the Nth-op kind.
-func TestObservedOpCounts(t *testing.T) {
-	p := &FaultPlan{Op: OpQuery, N: 100, Err: errors.New("x"),
-		Probs: map[Op]float64{OpSerialize: 0}, Seed: 1}
-	for i := 0; i < 3; i++ {
-		p.Check(OpQuery)
-	}
-	for i := 0; i < 5; i++ {
-		p.Check(OpNode)
-	}
-	p.Check(OpSerialize)
-	if got := p.ObservedOp(OpQuery); got != 3 {
-		t.Errorf("ObservedOp(query) = %d, want 3", got)
-	}
-	if got := p.ObservedOp(OpNode); got != 5 {
-		t.Errorf("ObservedOp(node) = %d, want 5", got)
-	}
-	if got := p.ObservedOp(OpSerialize); got != 1 {
-		t.Errorf("ObservedOp(serialize) = %d, want 1", got)
-	}
-	if got := p.ObservedOp(OpEval); got != 0 {
-		t.Errorf("ObservedOp(eval) = %d, want 0", got)
-	}
-	if got := p.Observed(); got != 3 {
-		t.Errorf("Observed() = %d, want 3 (query-kind only)", got)
-	}
-	var nilPlan *FaultPlan
-	if nilPlan.Observed() != 0 || nilPlan.ObservedOp(OpQuery) != 0 || nilPlan.Check(OpQuery) != nil {
-		t.Error("nil plan must observe nothing and inject nothing")
 	}
 }
 

@@ -353,25 +353,39 @@ type injectRequest struct {
 
 // admitted bundles everything validation produced for one request.
 type admitted struct {
-	req     publishRequest
-	opts    pt.Options
-	limits  runctl.Limits
-	retries int
-	key     string
+	req  publishRequest
+	opts pt.Options
+	key  flightKey
 
 	// servable reports whether the publish may be answered without a
 	// run of its own, from its version's document or a live view: it
 	// injects no faults, uses the default cache mode and sets no budget
 	// but its timeout. Under those options a successful run returns
 	// exactly τ(inst), so only its node and query counts could tell the
-	// answers apart. The handoff coordinates below play no part: they
+	// answers apart. The handoff coordinates in key play no part: they
 	// matter only to a publish that runs.
 	servable bool
+}
+
+// flightKey identifies a publish run for dedup (see flightGroup): it
+// holds every run-relevant option, so two keys are equal only if the
+// runs are. Canonical-vs-XML rendering is per-request and deliberately
+// excluded.
+type flightKey struct {
+	spec, db string
+	cache    pt.CacheMode
+	retries  int
+	limits   runctl.Limits
+	// faults is the fault schedule: its seed, then each op with its
+	// probability, in op-name order; "" without injection.
+	faults string
 
 	// runKey/epoch are the cluster handoff coordinates (the
 	// X-Ptx-Run-Key and X-Ptx-Epoch headers): the shared-store key this
 	// run checkpoints under and the ownership epoch its writes carry.
-	// Zero values outside a cluster.
+	// Zero values outside a cluster. Keying by the epoch keeps a flight
+	// fenced under an old epoch from handing its failure to a request
+	// routed under a newer one.
 	runKey string
 	epoch  uint64
 }
@@ -383,14 +397,6 @@ const (
 	HeaderRunKey = "X-Ptx-Run-Key"
 	HeaderEpoch  = "X-Ptx-Epoch"
 )
-
-// appendField appends s to a dedup key, length-prefixed so that no
-// field can run into the next.
-func appendField(b []byte, s string) []byte {
-	b = strconv.AppendInt(b, int64(len(s)), 10)
-	b = append(b, ':')
-	return append(b, s...)
-}
 
 // validate turns the wire request into run options, or a typed
 // *ValidationError. No evaluation work happens here.
@@ -436,19 +442,7 @@ func (s *Server) validate(req publishRequest) (*admitted, error) {
 		MaxQueries: l.MaxQueries,
 	}
 
-	// The dedup key covers every run-relevant option — canonical-vs-XML
-	// rendering is per-request and deliberately excluded. Names are
-	// length-prefixed and every number ends in ';', so two keys are
-	// equal only if every field is.
-	key := make([]byte, 0, 64+len(req.Spec)+len(req.DB))
-	key = appendField(key, req.Spec)
-	key = appendField(key, req.DB)
-	for _, n := range [...]int64{int64(cacheMode), int64(retries), int64(limits.Timeout),
-		int64(limits.MaxNodes), int64(limits.MaxDepth), int64(limits.MaxQueries)} {
-		key = strconv.AppendInt(key, n, 10)
-		key = append(key, ';')
-	}
-
+	key := flightKey{spec: req.Spec, db: req.DB, cache: cacheMode, retries: retries, limits: limits}
 	var faults *runctl.FaultPlan
 	if req.Inject != nil {
 		if !s.cfg.AllowInject {
@@ -468,17 +462,16 @@ func (s *Server) validate(req publishRequest) (*admitted, error) {
 			names = append(names, name)
 		}
 		sort.Strings(names)
-		// The fault schedule: its seed, then each op (a fixed vocabulary
-		// of plain names) with its probability, in name order.
-		key = append(key, "i="...)
-		key = strconv.AppendInt(key, req.Inject.Seed, 10)
+		// Ops are a fixed vocabulary of plain names, so ';' and '='
+		// delimit the schedule unambiguously.
+		sched := strconv.AppendInt(nil, req.Inject.Seed, 10)
 		for _, n := range names {
-			key = append(key, ';')
-			key = append(key, n...)
-			key = append(key, '=')
-			key = strconv.AppendFloat(key, probs[runctl.Op(n)], 'g', -1, 64)
+			sched = append(sched, ';')
+			sched = append(sched, n...)
+			sched = append(sched, '=')
+			sched = strconv.AppendFloat(sched, probs[runctl.Op(n)], 'g', -1, 64)
 		}
-		key = append(key, ';')
+		key.faults = string(sched)
 		faults = runctl.SeededPlan(req.Inject.Seed,
 			runctl.Transient(fmt.Errorf("injected fault (seed %d)", req.Inject.Seed)), probs)
 	}
@@ -489,7 +482,7 @@ func (s *Server) validate(req publishRequest) (*admitted, error) {
 		Faults: faults,
 	}
 	servable := faults == nil && cacheMode == pt.CacheQueries && l.MaxNodes == 0 && l.MaxDepth == 0 && l.MaxQueries == 0
-	return &admitted{req: req, opts: opts, limits: limits, retries: retries, key: string(key), servable: servable}, nil
+	return &admitted{req: req, opts: opts, key: key, servable: servable}, nil
 }
 
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
@@ -546,22 +539,15 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	// standalone server ignores them rather than promising checkpoint
 	// durability it cannot deliver.
 	if s.cfg.Store != nil {
-		adm.runKey = r.Header.Get(HeaderRunKey)
-		if e := r.Header.Get(HeaderEpoch); adm.runKey != "" && e != "" {
+		adm.key.runKey = r.Header.Get(HeaderRunKey)
+		if e := r.Header.Get(HeaderEpoch); adm.key.runKey != "" && e != "" {
 			epoch, perr := strconv.ParseUint(e, 10, 64)
 			if perr != nil {
 				s.rejected.Add(1)
 				WriteError(w, Validationf("epoch", "malformed %s header %q", HeaderEpoch, e))
 				return
 			}
-			adm.epoch = epoch
-		}
-		if adm.runKey != "" {
-			// Epoch-scoped dedup: a flight fenced under an old epoch must
-			// not hand its failure to a request routed under a newer one.
-			key := append([]byte(adm.key), "rk="...)
-			key = strconv.AppendUint(key, adm.epoch, 10)
-			adm.key = string(appendField(key, adm.runKey))
+			adm.key.epoch = epoch
 		}
 	}
 	tr, ver, err := s.reg.version(req.Spec, req.DB)
@@ -588,7 +574,7 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	// The request's wall clock starts now and covers queue time: a
 	// request that would begin evaluation after its deadline is
 	// rejected while waiting, never run.
-	reqCtx, cancelReq := context.WithTimeout(r.Context(), adm.limits.Timeout)
+	reqCtx, cancelReq := context.WithTimeout(r.Context(), adm.key.limits.Timeout)
 	defer cancelReq()
 
 	release, err := s.adm.Acquire(reqCtx)
@@ -627,7 +613,7 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	h.Set("Content-Type", "application/xml; charset=utf-8")
 	h.Set("X-Ptserve-Attempts", strconv.Itoa(f.attempts))
 	h.Set("X-Ptserve-Shared", strconv.FormatBool(shared))
-	if adm.runKey != "" {
+	if adm.key.runKey != "" {
 		h.Set("X-Ptserve-Resumed", strconv.FormatBool(f.resumed))
 	}
 	h.Set("X-Ptserve-Nodes", strconv.Itoa(res.Stats.Nodes))
@@ -754,34 +740,34 @@ func (s *Server) writeServed(w http.ResponseWriter, adm *admitted, doc *document
 // execute runs one admitted publish under supervision and the server's
 // lifecycle context — detached from the leader's own request so a
 // client disconnect cannot poison the shared result. Transient failures
-// are retried with fresh budgets up to adm.retries times. A run with a
-// handoff key (adm.runKey, set only when a Store exists) also
-// checkpoints into the store under it, every write fenced by adm.epoch:
+// are retried with fresh budgets up to adm.key.retries times. A run with a
+// handoff key (adm.key.runKey, set only when a Store exists) also
+// checkpoints into the store under it, every write fenced by adm.key.epoch:
 // it resumes a predecessor's snapshot when one exists, deletes the
 // entry on success, and leaves its own last checkpoint on failure so
 // the run's NEXT owner picks up where this one stopped.
 func (s *Server) execute(tr *pt.Transducer, inst *relation.Instance, adm *admitted) (*pt.Result, int, bool, error) {
 	sopts := supervise.Options{
 		Run:     adm.opts,
-		Retries: adm.retries,
+		Retries: adm.key.retries,
 		Backoff: supervise.Backoff{Base: 2 * time.Millisecond, Max: 250 * time.Millisecond},
 	}
 	var snap *supervise.Snapshot
-	if adm.runKey != "" {
+	if adm.key.runKey != "" {
 		// A predecessor stored at a HIGHER epoch means this request was
 		// routed with stale ownership — a successor is already past us.
 		// Refuse before doing any work; the coordinator re-routes.
 		var storedEpoch uint64
 		var err error
-		snap, storedEpoch, err = s.cfg.Store.Load(adm.runKey)
+		snap, storedEpoch, err = s.cfg.Store.Load(adm.key.runKey)
 		switch {
 		case err != nil:
 			// A corrupt entry is never resumed from — and never trusted
 			// again. Start fresh; our first fenced Save overwrites it.
 			snap = nil
-		case snap != nil && storedEpoch > adm.epoch:
+		case snap != nil && storedEpoch > adm.key.epoch:
 			s.fenced.Add(1)
-			return nil, 0, false, &supervise.ErrFenced{Key: adm.runKey, Epoch: adm.epoch, Stored: storedEpoch}
+			return nil, 0, false, &supervise.ErrFenced{Key: adm.key.runKey, Epoch: adm.key.epoch, Stored: storedEpoch}
 		case snap != nil && snap.Verify(tr, inst) != nil:
 			// Snapshot from a different (spec, db) under a colliding key:
 			// resuming it would splice someone else's tree into ours.
@@ -790,7 +776,7 @@ func (s *Server) execute(tr *pt.Transducer, inst *relation.Instance, adm *admitt
 		sopts.Checkpoint = true
 		sopts.CheckpointEvery = s.cfg.CheckpointEvery
 		sopts.OnCheckpoint = func(ck *supervise.Snapshot) error {
-			err := s.cfg.Store.Save(adm.runKey, adm.epoch, ck)
+			err := s.cfg.Store.Save(adm.key.runKey, adm.key.epoch, ck)
 			var fe *supervise.ErrFenced
 			if errors.As(err, &fe) {
 				// Ownership moved while we ran: abort — a successor is
@@ -813,16 +799,16 @@ func (s *Server) execute(tr *pt.Transducer, inst *relation.Instance, adm *admitt
 	} else {
 		res, rep, err = supervise.Run(s.baseCtx, tr, inst, sopts)
 	}
-	if adm.runKey != "" {
+	if adm.key.runKey != "" {
 		if err == nil {
 			// Fenced: a zombie finishing late must not erase its
 			// successor's progress.
-			_ = s.cfg.Store.Delete(adm.runKey, adm.epoch)
+			_ = s.cfg.Store.Delete(adm.key.runKey, adm.key.epoch)
 		} else if rep.Snapshot != nil {
 			// The failure-time frontier is exactly the remaining work;
 			// leave it for the next owner (fenced — a successor may
 			// already have written past us, in which case theirs wins).
-			_ = s.cfg.Store.Save(adm.runKey, adm.epoch, rep.Snapshot)
+			_ = s.cfg.Store.Save(adm.key.runKey, adm.key.epoch, rep.Snapshot)
 		}
 	}
 	return res, rep.Attempts, snap != nil, err

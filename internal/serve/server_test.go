@@ -311,7 +311,7 @@ func TestDrainCancelsStragglers(t *testing.T) {
 	}
 	flightDone := make(chan error, 1)
 	go func() {
-		_, _, err := s.flights.do(context.Background(), "stuck", func(f *flight) {
+		_, _, err := s.flights.do(context.Background(), flightKey{spec: "stuck"}, func(f *flight) {
 			<-s.baseCtx.Done()
 			f.attempts, f.err = 1, &runctl.ErrCanceled{Cause: s.baseCtx.Err()}
 		})

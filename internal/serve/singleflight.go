@@ -24,7 +24,7 @@ import (
 // while waiting.
 type flightGroup struct {
 	mu sync.Mutex
-	m  map[string]*flight
+	m  map[flightKey]*flight
 }
 
 // flight is one execution. The leader's fn sets every field but done
@@ -44,7 +44,7 @@ type flight struct {
 }
 
 func newFlightGroup() *flightGroup {
-	return &flightGroup{m: make(map[string]*flight)}
+	return &flightGroup{m: make(map[flightKey]*flight)}
 }
 
 // do runs fn for key, or waits for the in-flight execution of the same
@@ -52,7 +52,7 @@ func newFlightGroup() *flightGroup {
 // this caller was a follower. A follower whose ctx expires stops
 // waiting with a nil flight and a typed *runctl.ErrCanceled; the
 // leader's run is unaffected.
-func (g *flightGroup) do(ctx context.Context, key string, fn func(f *flight)) (f *flight, shared bool, err error) {
+func (g *flightGroup) do(ctx context.Context, key flightKey, fn func(f *flight)) (f *flight, shared bool, err error) {
 	g.mu.Lock()
 	if f, ok := g.m[key]; ok {
 		g.mu.Unlock()

@@ -249,15 +249,14 @@ func TestViewServedBrokenView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every delta rebuilds (threshold ~0) under a node budget the base
-	// tree just meets, so an insert breaks the view.
+	// A repaired tree is bounded by the node budget as a run's is, and
+	// the base tree just meets this one, so an insert breaks the view.
 	base, err := tr.Run(inst, pt.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	v, err := incr.NewView(context.Background(), tr, inst, incr.Options{
-		RebuildThreshold: 1e-9,
-		Run:              pt.Options{MaxNodes: base.Stats.Nodes},
+		Run: pt.Options{MaxNodes: base.Stats.Nodes},
 	})
 	if err != nil {
 		t.Fatal(err)
