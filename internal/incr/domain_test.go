@@ -5,6 +5,7 @@ import (
 
 	"ptx/internal/incr"
 	"ptx/internal/parser"
+	"ptx/internal/pt"
 	"ptx/internal/relation"
 )
 
@@ -23,17 +24,29 @@ func TestRepairDomainDependentQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := parser.ParseInstance("R(a)\nS(b)\n", tr.Schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := newView(t, tr, oracle, incr.Options{})
-	for _, d := range []*relation.Delta{
-		(&relation.Delta{}).Insert("R", "c"),
-		(&relation.Delta{}).Delete("R", "a"),
-		(&relation.Delta{}).Insert("S", "c"),
-		(&relation.Delta{}).Delete("R", "c").Insert("R", "d"),
+	// default repairs through compiled plans; repair runs every repair
+	// under the reference evaluator the view's own NoPlan selects.
+	for _, tc := range []struct {
+		name string
+		opts incr.Options
+	}{
+		{"repair", incr.Options{Run: pt.Options{NoPlan: true}}},
+		{"default", incr.Options{}},
 	} {
-		applyBoth(t, v, tr, oracle, d)
+		t.Run(tc.name, func(t *testing.T) {
+			oracle, err := parser.ParseInstance("R(a)\nS(b)\n", tr.Schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := newView(t, tr, oracle, tc.opts)
+			for _, d := range []*relation.Delta{
+				(&relation.Delta{}).Insert("R", "c"),
+				(&relation.Delta{}).Delete("R", "a"),
+				(&relation.Delta{}).Insert("S", "c"),
+				(&relation.Delta{}).Delete("R", "c").Insert("R", "d"),
+			} {
+				applyBoth(t, v, tr, oracle, d)
+			}
+		})
 	}
 }
