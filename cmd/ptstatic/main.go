@@ -192,16 +192,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 }
 
 // retry runs one analysis under the supervision retry policy
-// (UNDECIDED outcomes are transient: a retry gets a fresh deadline and
-// may pick a different search order) and reports the final error.
+// (UNDECIDED outcomes are transient: a retry may pick a different search
+// order, within what is left of -timeout, which bounds the whole
+// command) and reports the final error.
 func (a *app) retry(name string, f func() error) {
-	attempts, err := supervise.Retry(a.ctx, a.retries, a.backoff, nil, func(attempt int) error {
-		err := f()
-		if err != nil && attempt <= a.retries && supervise.Retryable(err) {
-			fmt.Fprintf(a.stderr, "ptstatic: %s attempt %d failed (%v); retrying\n", name, attempt, err)
-		}
-		return err
-	})
+	attempts, err := supervise.Retry(a.ctx, a.retries, a.backoff, nil, func(attempt int, err error) {
+		fmt.Fprintf(a.stderr, "ptstatic: %s attempt %d failed (%v); retrying\n", name, attempt, err)
+	}, func(int) error { return f() })
 	if err != nil && attempts > 1 {
 		fmt.Fprintf(a.stderr, "ptstatic: %s failed after %d attempts\n", name, attempts)
 	}

@@ -131,7 +131,7 @@ type blockFailure struct{ err error }
 // policy: a block that fails transiently (deadline, budget, contained
 // panic) restarts from its beginning.
 func runBlock(name string, retries int, b supervise.Backoff, f func()) error {
-	attempt := func() (err error) {
+	attempt := func(int) (err error) {
 		defer func() {
 			if p := recover(); p != nil {
 				bf, ok := p.(blockFailure)
@@ -144,13 +144,9 @@ func runBlock(name string, retries int, b supervise.Backoff, f func()) error {
 		f()
 		return nil
 	}
-	_, err := supervise.Retry(tablesCtx, retries, b, nil, func(n int) error {
-		err := attempt()
-		if err != nil && n <= retries && supervise.Retryable(err) {
-			fmt.Fprintf(stderrW, "pttables: block %s attempt %d failed (%v); retrying from the top of the block\n", name, n, err)
-		}
-		return err
-	})
+	_, err := supervise.Retry(tablesCtx, retries, b, nil, func(n int, err error) {
+		fmt.Fprintf(stderrW, "pttables: block %s attempt %d failed (%v); retrying from the top of the block\n", name, n, err)
+	}, attempt)
 	return err
 }
 

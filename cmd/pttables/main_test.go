@@ -53,4 +53,7 @@ func TestTimeoutNotRetried(t *testing.T) {
 	if strings.Contains(errBuf.String(), "attempt 2") {
 		t.Errorf("dead deadline should not be retried repeatedly: %s", errBuf.String())
 	}
+	if strings.Contains(errBuf.String(), "retrying") {
+		t.Errorf("a retry was announced for a dead deadline: %s", errBuf.String())
+	}
 }

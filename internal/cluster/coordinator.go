@@ -468,24 +468,30 @@ func (c *Coordinator) Close() {
 // POST /mutate (routed to the database's owner, which replicates to
 // its successors before acking — see mutate.go),
 // GET /watch (stream-proxied to the pair's owner),
-// POST /join ({"id":…,"url":…}), GET /healthz, GET /readyz.
+// POST /join ({"id":…,"url":…}), /healthz and /readyz. Each route but
+// the last two declares its method, so net/http answers a wrong one
+// with 405 and Allow; the three routed ones sit behind one drain gate.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/publish", c.handlePublish)
-	mux.HandleFunc("/mutate", c.handleMutate)
-	mux.HandleFunc("/watch", c.handleWatch)
-	mux.HandleFunc("/join", c.handleJoin)
+	gated := func(pattern string, h http.HandlerFunc) {
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			if c.draining.Load() {
+				serve.WriteError(w, serve.ErrDraining)
+				return
+			}
+			h(w, r)
+		})
+	}
+	gated("POST /publish", c.handlePublish)
+	gated("POST /mutate", c.handleMutate)
+	gated("GET /watch", c.handleWatch)
+	mux.HandleFunc("POST /join", c.handleJoin)
 	mux.HandleFunc("/healthz", c.handleHealthz)
 	mux.HandleFunc("/readyz", c.handleReadyz)
 	return mux
 }
 
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 	dec.DisallowUnknownFields()
 	var req struct {
@@ -563,20 +569,10 @@ type coordFlight struct {
 	upstream
 }
 
-// readPost admits one proxied POST: the method, the drain state, the
-// size-capped body and the budget an upstream hop's X-Ptx-Deadline
-// propagated (0: none; we are mid-chain and must only ever shrink it).
-// On failure it has already answered.
+// readPost reads one proxied POST: the size-capped body and the budget
+// an upstream hop's X-Ptx-Deadline propagated (0: none; we are mid-chain
+// and must only ever shrink it). On failure it has already answered.
 func (c *Coordinator) readPost(w http.ResponseWriter, r *http.Request) ([]byte, time.Duration, bool) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return nil, 0, false
-	}
-	if c.draining.Load() {
-		serve.WriteError(w, serve.ErrDraining)
-		return nil, 0, false
-	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
 	if err != nil {
 		serve.WriteError(w, serve.BodyError(err))

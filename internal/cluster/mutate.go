@@ -145,15 +145,6 @@ func (c *Coordinator) handleMutate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleWatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	if c.draining.Load() {
-		serve.WriteError(w, serve.ErrDraining)
-		return
-	}
 	q := r.URL.Query()
 	prefs := c.preference(q.Get("spec") + "\x00" + q.Get("db"))
 	if len(prefs) == 0 {

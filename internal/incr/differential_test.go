@@ -34,16 +34,25 @@ func diffSeeds() int {
 // the suite's business is equivalence, not size.
 const caseBudget = 50_000
 
+// Every tightEvery-th seed caps both sides instead at tightSlack nodes
+// over its initial tree, so growing deltas reach the bound: there a
+// repair must fail exactly when a run over the same instance does.
+const (
+	tightEvery = 3
+	tightSlack = 3
+)
+
 // incrCase is one seeded scenario, derived entirely from its seed.
 type incrCase struct {
 	Seed     int64
 	Workload string
+	Tight    bool // budget tightSlack nodes over the initial tree, not caseBudget
 	Steps    []*relation.Delta
 }
 
 func (c incrCase) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "seed=%d workload=%s\n", c.Seed, c.Workload)
+	fmt.Fprintf(&sb, "seed=%d workload=%s tight=%v\n", c.Seed, c.Workload, c.Tight)
 	for i, d := range c.Steps {
 		fmt.Fprintf(&sb, "step %d: %s\n", i, d)
 	}
@@ -85,6 +94,7 @@ func newIncrCase(seed int64) incrCase {
 	c := incrCase{
 		Seed:     seed,
 		Workload: []string{"tau1", "tau3", "catalog", "unfold", "counter"}[rng.Intn(5)],
+		Tight:    seed%tightEvery == 0,
 	}
 	rng.Intn(2) // this draw chose a repair policy once; kept so each seed keeps its deltas
 	_, inst := workloadFor(c.Workload)
@@ -143,61 +153,80 @@ func dumpIncrArtifact(t *testing.T, c incrCase, violation string) {
 }
 
 // runIncrCase drives one seeded scenario; it returns a violation
-// description or "" when the case holds.
-func runIncrCase(t *testing.T, c incrCase) string {
+// description or "" when the case holds, and whether the case ended
+// because both sides outgrew the budget.
+func runIncrCase(t *testing.T, c incrCase) (outgrew bool, violation string) {
 	tr, oracle := workloadFor(c.Workload)
-	v, err := incr.NewView(context.Background(), tr, oracle.Clone(), incr.Options{Run: pt.Options{MaxNodes: caseBudget}})
+	budget := caseBudget
+	if c.Tight {
+		base, err := tr.Run(oracle, pt.Options{MaxNodes: caseBudget})
+		if err != nil {
+			return false, fmt.Sprintf("initial run: %v", err)
+		}
+		budget = base.Stats.Nodes + tightSlack
+	}
+	v, err := incr.NewView(context.Background(), tr, oracle.Clone(), incr.Options{Run: pt.Options{MaxNodes: budget}})
 	if err != nil {
-		return fmt.Sprintf("initial build: %v", err)
+		return false, fmt.Sprintf("initial build: %v", err)
 	}
 	for i, d := range c.Steps {
 		_, applyErr := v.Apply(context.Background(), d)
 		if _, err := oracle.Apply(d); err != nil {
-			return fmt.Sprintf("step %d: oracle apply: %v", i, err)
+			return false, fmt.Sprintf("step %d: oracle apply: %v", i, err)
 		}
-		ores, oerr := tr.Run(oracle, pt.Options{MaxNodes: caseBudget, Cache: pt.CacheQueries})
+		ores, oerr := tr.Run(oracle, pt.Options{MaxNodes: budget, Cache: pt.CacheQueries})
 		if applyErr != nil {
 			// A budget-killed repair is legitimate only if the scenario
 			// actually outgrew the budget — which the oracle confirms —
 			// and the view must KNOW it is broken, not serve stale bytes.
 			if oerr == nil {
-				return fmt.Sprintf("step %d: view failed (%v) but oracle ran fine", i, applyErr)
+				return false, fmt.Sprintf("step %d: view failed (%v) but oracle ran fine", i, applyErr)
 			}
 			if _, _, serr := v.Snapshot(true); serr == nil {
-				return fmt.Sprintf("step %d: broken view served a snapshot", i)
+				return false, fmt.Sprintf("step %d: broken view served a snapshot", i)
 			}
-			return "" // both sides outgrew the budget: case ends here
+			return true, "" // both sides outgrew the budget: case ends here
 		}
 		if oerr != nil {
 			// A repaired tree is bounded as a run's is.
-			return fmt.Sprintf("step %d: oracle failed (%v) but the view repaired", i, oerr)
+			return false, fmt.Sprintf("step %d: oracle failed (%v) but the view repaired", i, oerr)
 		}
 		var sb strings.Builder
 		if err := ores.Xi.WriteCanonicalVirtual(&sb, tr.Virtual); err != nil {
-			return fmt.Sprintf("step %d: oracle serialize: %v", i, err)
+			return false, fmt.Sprintf("step %d: oracle serialize: %v", i, err)
 		}
 		got, _, err := v.Snapshot(true)
 		if err != nil {
-			return fmt.Sprintf("step %d: snapshot: %v", i, err)
+			return false, fmt.Sprintf("step %d: snapshot: %v", i, err)
 		}
 		if string(got) != sb.String() {
-			return fmt.Sprintf("step %d (%s): view != rebuild\nview:    %s\nrebuild: %s", i, d, got, sb.String())
+			return false, fmt.Sprintf("step %d (%s): view != rebuild\nview:    %s\nrebuild: %s", i, d, got, sb.String())
 		}
 		if nodes := v.Stats().Nodes; nodes != ores.Stats.Nodes {
-			return fmt.Sprintf("step %d: meta tracks %d nodes, oracle tree has %d", i, nodes, ores.Stats.Nodes)
+			return false, fmt.Sprintf("step %d: meta tracks %d nodes, oracle tree has %d", i, nodes, ores.Stats.Nodes)
 		}
 	}
-	return ""
+	return false, ""
 }
 
 func TestIncrementalDifferential(t *testing.T) {
+	ran, outgrew := 0, 0
 	for seed := int64(1); seed <= int64(diffSeeds()); seed++ {
 		c := newIncrCase(seed)
 		t.Run(fmt.Sprintf("seed-%d-%s", seed, c.Workload), func(t *testing.T) {
-			if v := runIncrCase(t, c); v != "" {
+			ran++
+			out, v := runIncrCase(t, c)
+			if v != "" {
 				dumpIncrArtifact(t, c, v)
 				t.Fatalf("differential violation:\n%s\n%s", c, v)
 			}
+			if out {
+				outgrew++
+			}
 		})
+	}
+	t.Logf("%d of %d seeds ended when both sides outgrew the budget, %d ran every step", outgrew, ran, ran-outgrew)
+	if ran == diffSeeds() && outgrew == 0 {
+		t.Error("no seed reached its node budget: the broken-view branch never ran")
 	}
 }

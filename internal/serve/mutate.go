@@ -103,71 +103,46 @@ func decodeDelta(ops []mutateOp) (*relation.Delta, error) {
 }
 
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.NodeID != "" {
-		w.Header().Set("X-Ptserve-Node", s.cfg.NodeID)
-	}
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.adm.Draining() {
-		s.rejected.Add(1)
-		WriteError(w, ErrDraining)
-		return
-	}
 	var req mutateRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
-		s.rejected.Add(1)
-		WriteError(w, err)
+		s.reject(w, err)
 		return
 	}
 	if req.Spec == "" {
-		s.rejected.Add(1)
-		WriteError(w, Validationf("spec", "missing"))
+		s.reject(w, Validationf("spec", "missing"))
 		return
 	}
 	if req.DB == "" {
-		s.rejected.Add(1)
-		WriteError(w, Validationf("db", "missing"))
+		s.reject(w, Validationf("db", "missing"))
 		return
 	}
 	d, err := decodeDelta(req.Ops)
 	if err != nil {
-		s.rejected.Add(1)
-		WriteError(w, err)
+		s.reject(w, err)
 		return
 	}
 	// The caller's spec anchors schema validation, so a bad delta is a
 	// typed 400 naming the violation before anything is touched.
 	tr, err := s.reg.Spec(req.Spec)
 	if err != nil {
-		s.rejected.Add(1)
-		WriteError(w, err)
+		s.reject(w, err)
 		return
 	}
 	if verr := d.Validate(tr.Schema); verr != nil {
-		s.rejected.Add(1)
-		WriteError(w, Validationf("ops", "%v", verr))
+		s.reject(w, Validationf("ops", "%v", verr))
 		return
 	}
 	// Cluster headers: the ownership epoch fencing this write (0 when
 	// absent — standalone servers bypass fencing) and the successor set
 	// the delta must reach before the ack.
-	epoch := uint64(0)
-	if e := r.Header.Get(HeaderEpoch); e != "" {
-		n, perr := strconv.ParseUint(e, 10, 64)
-		if perr != nil {
-			s.rejected.Add(1)
-			WriteError(w, Validationf("epoch", "malformed %s header %q", HeaderEpoch, e))
-			return
-		}
-		epoch = n
+	epoch, err := parseEpoch(r.Header)
+	if err != nil {
+		s.reject(w, err)
+		return
 	}
 	replicas, err := parseReplicas(r.Header.Get(HeaderReplicas))
 	if err != nil {
-		s.rejected.Add(1)
-		WriteError(w, err)
+		s.reject(w, err)
 		return
 	}
 	// Deadline propagation: the replication fan-out below must finish
@@ -175,8 +150,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	// replication client's own flat timeout.
 	repCtx := r.Context()
 	if budget, ok, derr := ParseDeadline(r.Header); derr != nil {
-		s.rejected.Add(1)
-		WriteError(w, derr)
+		s.reject(w, derr)
 		return
 	} else if ok {
 		var cancel context.CancelFunc
@@ -186,8 +160,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 
 	resp, err := s.mutate(req.DB, d, epoch)
 	if err != nil {
-		s.rejected.Add(1)
-		WriteError(w, err)
+		s.reject(w, err)
 		return
 	}
 	// Synchronous replication happens AFTER the local commit released
@@ -204,8 +177,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		resp.Replicated, failed = s.replicateOut(repCtx, req.DB, resp.Seq, replicas)
 		if len(failed) > 0 {
 			w.Header().Set(HeaderReplicaFailed, strings.Join(failed, ","))
-			s.rejected.Add(1)
-			WriteError(w, runctl.Transient(fmt.Errorf(
+			s.reject(w, runctl.Transient(fmt.Errorf(
 				"serve: delta %s/%d is durable locally but unconfirmed on %d of %d replicas; retry to re-replicate",
 				req.DB, resp.Seq, len(failed), len(replicas))))
 			return
@@ -215,8 +187,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	// not heard yet. A crash here is the at-least-once window — the
 	// client retries, the set-semantics delta makes the retry a no-op.
 	if err := s.cfg.MutateFaults.Check(runctl.OpMutateAck); err != nil {
-		s.rejected.Add(1)
-		WriteError(w, err)
+		s.reject(w, err)
 		return
 	}
 	s.mutated.Add(1)
@@ -324,32 +295,17 @@ type watchResponse struct {
 // `change` event per repair report (data: the report JSON) and a
 // `resync` event when the client's cursor fell off the history ring.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.NodeID != "" {
-		w.Header().Set("X-Ptserve-Node", s.cfg.NodeID)
-	}
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.adm.Draining() {
-		s.rejected.Add(1)
-		WriteError(w, ErrDraining)
-		return
-	}
 	q := r.URL.Query()
 	spec, db := q.Get("spec"), q.Get("db")
 	if spec == "" || db == "" {
-		s.rejected.Add(1)
-		WriteError(w, Validationf("watch", "spec and db query parameters are required"))
+		s.reject(w, Validationf("watch", "spec and db query parameters are required"))
 		return
 	}
 	after := uint64(0)
 	if a := q.Get("after"); a != "" {
 		n, err := strconv.ParseUint(a, 10, 64)
 		if err != nil {
-			s.rejected.Add(1)
-			WriteError(w, Validationf("after", "malformed cursor %q", a))
+			s.reject(w, Validationf("after", "malformed cursor %q", a))
 			return
 		}
 		after = n
@@ -358,16 +314,14 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	if ms := q.Get("wait_ms"); ms != "" {
 		n, err := strconv.ParseInt(ms, 10, 64)
 		if err != nil || n < 0 {
-			s.rejected.Add(1)
-			WriteError(w, Validationf("wait_ms", "malformed wait %q", ms))
+			s.reject(w, Validationf("wait_ms", "malformed wait %q", ms))
 			return
 		}
 		wait = min(time.Duration(n)*time.Millisecond, s.cfg.MaxTimeout)
 	}
 	lv, err := s.liveViewFor(spec, db)
 	if err != nil {
-		s.rejected.Add(1)
-		WriteError(w, err)
+		s.reject(w, err)
 		return
 	}
 	s.watched.Add(1)

@@ -100,12 +100,16 @@ func VerifySum(resp *http.Response, body []byte) error {
 	return nil
 }
 
-// sumResponses wraps a handler so requests carrying HeaderWantSum get
-// the SHA-256 of their response body as the HeaderBodySum trailer.
-// Declaring the trailer up front forces chunked encoding, which is
-// what lets the sum ride after the last body byte.
-func sumResponses(next http.Handler) http.Handler {
+// sumResponses wraps a node's handler: every response names the node
+// as X-Ptserve-Node (when it has an id), and requests carrying
+// HeaderWantSum get the SHA-256 of their response body as the
+// HeaderBodySum trailer. Declaring the trailer up front forces chunked
+// encoding, which is what lets the sum ride after the last body byte.
+func sumResponses(node string, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if node != "" {
+			w.Header().Set("X-Ptserve-Node", node)
+		}
 		if r.Header.Get(HeaderWantSum) == "" {
 			next.ServeHTTP(w, r)
 			return

@@ -292,6 +292,14 @@ func (r *Registry) lockDB(db string) (*sync.Mutex, error) {
 	return w, nil
 }
 
+// hasDB reports whether db is registered.
+func (r *Registry) hasDB(db string) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	_, ok := r.dbs[db]
+	return ok
+}
+
 // Spec returns the registered transducer, or a typed *ValidationError
 // naming the unknown spec and the available ones.
 func (r *Registry) Spec(name string) (*pt.Transducer, error) {

@@ -129,15 +129,6 @@ func encodeRecords(recs []DeltaRecord) []wireRecord {
 	return out
 }
 
-func (s *Server) hasDB(db string) bool {
-	for _, n := range s.reg.DBNames() {
-		if n == db {
-			return true
-		}
-	}
-	return false
-}
-
 // applyRecords commits a batch of replicated records under db's writer
 // lock (an unknown db is a validation error): duplicates are skipped,
 // the contiguous tail is committed (durably first when a WAL is
@@ -175,34 +166,18 @@ func (s *Server) applyRecords(db string, recs []wireRecord) (applied int, have u
 
 // handleReplicate is the receiver side of synchronous replication.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.NodeID != "" {
-		w.Header().Set("X-Ptserve-Node", s.cfg.NodeID)
-	}
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.adm.Draining() {
-		s.rejected.Add(1)
-		WriteError(w, ErrDraining)
-		return
-	}
 	var req replicateRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
-		s.rejected.Add(1)
-		WriteError(w, err)
+		s.reject(w, err)
 		return
 	}
 	if req.DB == "" {
-		s.rejected.Add(1)
-		WriteError(w, Validationf("db", "missing"))
+		s.reject(w, Validationf("db", "missing"))
 		return
 	}
 	applied, have, gap, err := s.applyRecords(req.DB, req.Records)
 	if err != nil {
-		s.rejected.Add(1)
-		WriteError(w, err)
+		s.reject(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -212,32 +187,21 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 // handleDeltaLog serves the local mutation log for catch-up:
 // GET /deltalog?db=D&from=N returns the records with seq > N.
 func (s *Server) handleDeltaLog(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.NodeID != "" {
-		w.Header().Set("X-Ptserve-Node", s.cfg.NodeID)
-	}
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	q := r.URL.Query()
 	db := q.Get("db")
 	if db == "" {
-		s.rejected.Add(1)
-		WriteError(w, Validationf("db", "missing"))
+		s.reject(w, Validationf("db", "missing"))
 		return
 	}
-	if !s.hasDB(db) {
-		s.rejected.Add(1)
-		WriteError(w, Validationf("db", "unknown database %q", db))
+	if !s.reg.hasDB(db) {
+		s.reject(w, Validationf("db", "unknown database %q", db))
 		return
 	}
 	from := uint64(0)
 	if f := q.Get("from"); f != "" {
 		n, err := strconv.ParseUint(f, 10, 64)
 		if err != nil {
-			s.rejected.Add(1)
-			WriteError(w, Validationf("from", "malformed cursor %q", f))
+			s.reject(w, Validationf("from", "malformed cursor %q", f))
 			return
 		}
 		from = n
@@ -258,39 +222,22 @@ func (s *Server) handleDeltaLog(w http.ResponseWriter, r *http.Request) {
 // copies hold the same contiguous record prefix — the invariant the
 // coordinator needs before routing mutations at a rejoined node.
 func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.NodeID != "" {
-		w.Header().Set("X-Ptserve-Node", s.cfg.NodeID)
-	}
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.adm.Draining() {
-		s.rejected.Add(1)
-		WriteError(w, ErrDraining)
-		return
-	}
 	var req syncRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
-		s.rejected.Add(1)
-		WriteError(w, err)
+		s.reject(w, err)
 		return
 	}
 	if req.DB == "" || req.Peer == "" {
-		s.rejected.Add(1)
-		WriteError(w, Validationf("sync", "db and peer are required"))
+		s.reject(w, Validationf("sync", "db and peer are required"))
 		return
 	}
-	if !s.hasDB(req.DB) {
-		s.rejected.Add(1)
-		WriteError(w, Validationf("db", "unknown database %q", req.DB))
+	if !s.reg.hasDB(req.DB) {
+		s.reject(w, Validationf("db", "unknown database %q", req.DB))
 		return
 	}
 	pulled, pushed, err := s.syncWith(r.Context(), req.DB, req.Peer)
 	if err != nil {
-		s.rejected.Add(1)
-		WriteError(w, err)
+		s.reject(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -246,23 +246,39 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Handler returns the server's routes: POST /publish, POST /mutate,
-// POST /warm, GET /watch, GET /healthz, GET /readyz.
+// Handler returns the server's routes. Each declares its method, so
+// net/http answers a wrong one with 405 and Allow. The routes that start
+// work sit behind one drain gate, and one wrapper names this node on
+// every response (X-Ptserve-Node) and adds the body-integrity trailer a
+// buffering caller (the coordinator) asks for with HeaderWantSum.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/publish", s.handlePublish)
-	mux.HandleFunc("/mutate", s.handleMutate)
-	mux.HandleFunc("/replicate", s.handleReplicate)
-	mux.HandleFunc("/deltalog", s.handleDeltaLog)
-	mux.HandleFunc("/sync", s.handleSync)
-	mux.HandleFunc("/watch", s.handleWatch)
-	mux.HandleFunc("/warm", s.handleWarm)
+	gated := func(pattern string, h http.HandlerFunc) {
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			if s.adm.Draining() {
+				s.reject(w, ErrDraining)
+				return
+			}
+			h(w, r)
+		})
+	}
+	gated("POST /publish", s.handlePublish)
+	gated("POST /mutate", s.handleMutate)
+	gated("POST /replicate", s.handleReplicate)
+	gated("POST /sync", s.handleSync)
+	gated("GET /watch", s.handleWatch)
+	mux.HandleFunc("GET /deltalog", s.handleDeltaLog)
+	mux.HandleFunc("POST /warm", s.handleWarm)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
-	// Callers that buffer responses (the coordinator) ask for the
-	// body-integrity trailer via HeaderWantSum; everyone else pays
-	// nothing.
-	return sumResponses(mux)
+	return sumResponses(s.cfg.NodeID, mux)
+}
+
+// reject answers a refused request with its typed error and counts it
+// under rejected: a validation failure, a drain, or a write that failed.
+func (s *Server) reject(w http.ResponseWriter, err error) {
+	s.rejected.Add(1)
+	WriteError(w, err)
 }
 
 // Metrics snapshots the counters.
@@ -486,26 +502,11 @@ func (s *Server) validate(req publishRequest) (*admitted, error) {
 }
 
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.NodeID != "" {
-		w.Header().Set("X-Ptserve-Node", s.cfg.NodeID)
-	}
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.adm.Draining() {
-		s.rejected.Add(1)
-		WriteError(w, ErrDraining)
-		return
-	}
-
 	// Untrusted input path: size cap, strict JSON, full validation —
 	// all before any admission or evaluation work.
 	var req publishRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
-		s.rejected.Add(1)
-		WriteError(w, err)
+		s.reject(w, err)
 		return
 	}
 	// Deadline propagation: an upstream hop's remaining budget clamps
@@ -513,8 +514,7 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	// validate — the dedup key bakes in the effective timeout, so two
 	// requests with different budgets are different flights.
 	if budget, ok, derr := ParseDeadline(r.Header); derr != nil {
-		s.rejected.Add(1)
-		WriteError(w, derr)
+		s.reject(w, derr)
 		return
 	} else if ok {
 		ms := int64(budget / time.Millisecond)
@@ -531,29 +531,23 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	}
 	adm, err := s.validate(req)
 	if err != nil {
-		s.rejected.Add(1)
-		WriteError(w, err)
+		s.reject(w, err)
 		return
 	}
 	// Handoff coordinates: honored only when this node has a store; a
 	// standalone server ignores them rather than promising checkpoint
 	// durability it cannot deliver.
 	if s.cfg.Store != nil {
-		adm.key.runKey = r.Header.Get(HeaderRunKey)
-		if e := r.Header.Get(HeaderEpoch); adm.key.runKey != "" && e != "" {
-			epoch, perr := strconv.ParseUint(e, 10, 64)
-			if perr != nil {
-				s.rejected.Add(1)
-				WriteError(w, Validationf("epoch", "malformed %s header %q", HeaderEpoch, e))
+		if adm.key.runKey = r.Header.Get(HeaderRunKey); adm.key.runKey != "" {
+			if adm.key.epoch, err = parseEpoch(r.Header); err != nil {
+				s.reject(w, err)
 				return
 			}
-			adm.key.epoch = epoch
 		}
 	}
 	tr, ver, err := s.reg.version(req.Spec, req.DB)
 	if err != nil {
-		s.rejected.Add(1)
-		WriteError(w, err)
+		s.reject(w, err)
 		return
 	}
 	// A publish its version answers takes no worker: it is never queued
@@ -580,15 +574,12 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	release, err := s.adm.Acquire(reqCtx)
 	if err != nil {
 		var oe *ErrOverloaded
-		switch {
-		case errors.As(err, &oe):
+		if errors.As(err, &oe) {
 			s.shed.Add(1)
-		case errors.Is(err, ErrDraining):
-			s.rejected.Add(1)
-		default:
-			s.rejected.Add(1)
+			WriteError(w, err)
+		} else {
+			s.reject(w, err)
 		}
-		WriteError(w, err)
 		return
 	}
 	defer release()
@@ -609,16 +600,10 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	s.succeeded.Add(1)
 
 	res := f.res
-	h := w.Header()
-	h.Set("Content-Type", "application/xml; charset=utf-8")
-	h.Set("X-Ptserve-Attempts", strconv.Itoa(f.attempts))
-	h.Set("X-Ptserve-Shared", strconv.FormatBool(shared))
+	replyHeaders(w.Header(), f.attempts, shared, res.Stats)
 	if adm.key.runKey != "" {
-		h.Set("X-Ptserve-Resumed", strconv.FormatBool(f.resumed))
+		w.Header().Set("X-Ptserve-Resumed", strconv.FormatBool(f.resumed))
 	}
-	h.Set("X-Ptserve-Nodes", strconv.Itoa(res.Stats.Nodes))
-	h.Set("X-Ptserve-Queries", strconv.Itoa(res.Stats.QueriesRun))
-	h.Set("X-Ptserve-Cache", res.Stats.CacheMode.String())
 	if adm.servable {
 		writeDocument(w, s.fill(tr, f, adm))
 		return
@@ -727,14 +712,34 @@ func (s *Server) keep(adm *admitted, inst *relation.Instance, buf *bytes.Buffer,
 // no worker, with doc, τ(inst) for the version it resolved.
 func (s *Server) writeServed(w http.ResponseWriter, adm *admitted, doc *document) {
 	s.succeeded.Add(1)
-	h := w.Header()
-	h.Set("Content-Type", "application/xml; charset=utf-8")
-	h.Set("X-Ptserve-Attempts", "1")
-	h.Set("X-Ptserve-Shared", "false")
-	h.Set("X-Ptserve-Nodes", strconv.Itoa(doc.nodes))
-	h.Set("X-Ptserve-Queries", "0")
-	h.Set("X-Ptserve-Cache", adm.opts.Cache.String())
+	replyHeaders(w.Header(), 1, false, pt.Stats{Nodes: doc.nodes, CacheMode: adm.opts.Cache})
 	writeDocument(w, doc)
+}
+
+// replyHeaders stamps a successful publish's headers: the attempts it
+// took, whether it shared a flight, and the node, query and cache
+// figures of the run that produced it (no queries for a served one).
+func replyHeaders(h http.Header, attempts int, shared bool, st pt.Stats) {
+	h.Set("Content-Type", "application/xml; charset=utf-8")
+	h.Set("X-Ptserve-Attempts", strconv.Itoa(attempts))
+	h.Set("X-Ptserve-Shared", strconv.FormatBool(shared))
+	h.Set("X-Ptserve-Nodes", strconv.Itoa(st.Nodes))
+	h.Set("X-Ptserve-Queries", strconv.Itoa(st.QueriesRun))
+	h.Set("X-Ptserve-Cache", st.CacheMode.String())
+}
+
+// parseEpoch reads the ownership epoch of X-Ptx-Epoch: 0 when absent, a
+// validation error when malformed.
+func parseEpoch(h http.Header) (uint64, error) {
+	e := h.Get(HeaderEpoch)
+	if e == "" {
+		return 0, nil
+	}
+	n, err := strconv.ParseUint(e, 10, 64)
+	if err != nil {
+		return 0, Validationf("epoch", "malformed %s header %q", HeaderEpoch, e)
+	}
+	return n, nil
 }
 
 // execute runs one admitted publish under supervision and the server's
@@ -837,14 +842,9 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error
 // are skipped, not errors: a hint can outlive a registry change, and a
 // stale hint must never fail a rebalance.
 func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var req warmRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
-		WriteError(w, err)
+		s.reject(w, err)
 		return
 	}
 	n := 0

@@ -182,11 +182,13 @@ func Resume(ctx context.Context, tr *pt.Transducer, inst *relation.Instance, sna
 }
 
 // Retry applies the supervision retry policy — transient
-// classification, capped seeded backoff — to an operation that is
-// cheap to restart from scratch and has no checkpointable state (the
-// CLI decision procedures). f receives the 1-based attempt number; the
-// returned attempt count is how many times f ran.
-func Retry(ctx context.Context, retries int, b Backoff, sleep func(time.Duration), f func(attempt int) error) (int, error) {
+// classification, capped seeded backoff — to f, which receives the
+// 1-based attempt number; the returned attempt count is how many times
+// f ran. A failed attempt is retried only while retries remain, its
+// error is Retryable and ctx is live, and onRetry (when set) observes
+// exactly those decisions, with the failed attempt and its error,
+// before the backoff.
+func Retry(ctx context.Context, retries int, b Backoff, sleep func(time.Duration), onRetry func(attempt int, err error), f func(attempt int) error) (int, error) {
 	if sleep == nil {
 		sleep = time.Sleep
 	}
@@ -199,22 +201,19 @@ func Retry(ctx context.Context, retries int, b Backoff, sleep func(time.Duration
 		if attempt > retries || !Retryable(err) || (ctx != nil && ctx.Err() != nil) {
 			return attempt, err
 		}
+		if onRetry != nil {
+			onRetry(attempt, err)
+		}
 		rng = b.rng(rng)
 		sleep(b.delay(attempt, rng))
 	}
 }
 
-// loop is the supervision engine shared by Run and Resume.
+// loop is the supervision engine shared by Run and Resume: each Retry
+// attempt steps one run, and a failed attempt's frontier becomes the
+// next attempt's starting point.
 func loop(ctx context.Context, tr *pt.Transducer, inst *relation.Instance, o Options, snap *Snapshot) (*pt.Result, *Report, error) {
 	rep := &Report{}
-	sleep := o.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	var rng *rand.Rand
-
-	// Progress state threaded between attempts. A failed attempt's
-	// frontier becomes the next attempt's starting point.
 	var root *xmltree.Node
 	var pending []pt.PendingConfig
 	var prior pt.Stats
@@ -222,10 +221,9 @@ func loop(ctx context.Context, tr *pt.Transducer, inst *relation.Instance, o Opt
 	if restored {
 		root, pending, prior = snap.Tree.Root, snap.Pending, snap.Stats
 	}
-
-	for attempt := 1; ; attempt++ {
-		rep.Attempts = attempt
-
+	var res *pt.Result
+	var err error
+	rep.Attempts, err = Retry(ctx, o.Retries, o.Backoff, o.Sleep, o.OnRetry, func(int) error {
 		var sr *pt.StepRun
 		var err error
 		if restored {
@@ -235,15 +233,15 @@ func loop(ctx context.Context, tr *pt.Transducer, inst *relation.Instance, o Opt
 		}
 		if err != nil {
 			// Setup failures (invalid spec, malformed frontier) are
-			// permanent: retrying cannot change them.
-			return nil, rep, err
+			// permanent: untyped, so Retry does not retry them.
+			return err
 		}
-
-		res, runErr := drive(ctx, tr, inst, sr, o, rep)
+		var runErr error
+		res, runErr = drive(ctx, tr, inst, sr, o, rep)
 		rep.Ops += sr.Ops()
 		if runErr == nil {
 			sr.Close()
-			return res, rep, nil
+			return nil
 		}
 		rep.Errs = append(rep.Errs, runErr)
 
@@ -257,16 +255,12 @@ func loop(ctx context.Context, tr *pt.Transducer, inst *relation.Instance, o Opt
 			rep.Snapshot = Capture(tr, inst, sr)
 		}
 		sr.Close()
-
-		if attempt > o.Retries || !Retryable(runErr) || ctx.Err() != nil {
-			return nil, rep, runErr
-		}
-		if o.OnRetry != nil {
-			o.OnRetry(attempt, runErr)
-		}
-		rng = o.Backoff.rng(rng)
-		sleep(o.Backoff.delay(attempt, rng))
+		return runErr
+	})
+	if err != nil {
+		return nil, rep, err
 	}
+	return res, rep, nil
 }
 
 // drive steps one attempt to completion, taking periodic checkpoints.

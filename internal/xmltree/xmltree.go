@@ -15,6 +15,7 @@ package xmltree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -200,48 +201,34 @@ func (t *Tree) Strip() *Tree {
 // SpliceVirtual removes every node whose tag is in virtual, replacing
 // it by its children, repeatedly until no virtual tags remain. The root
 // is never virtual (enforced by the transducer definition). The splice
-// is in place.
+// is in place: it follows the emission order of the *Virtual writers,
+// and each element that closes takes the children emitted inside it.
 func (t *Tree) SpliceVirtual(virtual map[string]bool) *Tree {
 	if len(virtual) == 0 {
 		return t
 	}
-	type frame struct {
-		n *Node
-		i int
-	}
-	stack := []frame{{t.Root, 0}}
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.i < len(f.n.Children) {
-			c := f.n.Children[f.i]
-			f.i++
-			stack = append(stack, frame{c, 0})
-			continue
-		}
-		// All descendants are spliced; rebuild this node's child list.
-		n := f.n
-		stack = stack[:len(stack)-1]
-		splice := false
-		for _, c := range n.Children {
-			if virtual[c.Tag] {
-				splice = true
-				break
+	em := newEmitter(t.Root, virtual)
+	var kids []*Node // the children emitted so far inside each open element, in order
+	var starts []int // starts[i]: where the i-th open element's children begin in kids
+	for {
+		kind, n, _ := em.next()
+		switch kind {
+		case 0:
+			return t
+		case 'o':
+			kids = append(kids, n)
+			starts = append(starts, len(kids))
+		case 't':
+			kids = append(kids, n)
+		case 'c':
+			i := starts[len(starts)-1]
+			starts = starts[:len(starts)-1]
+			if !slices.Equal(kids[i:], n.Children) {
+				n.Children = slices.Clone(kids[i:])
 			}
+			kids = kids[:i]
 		}
-		if !splice {
-			continue
-		}
-		out := make([]*Node, 0, len(n.Children))
-		for _, c := range n.Children {
-			if virtual[c.Tag] {
-				out = append(out, c.Children...)
-			} else {
-				out = append(out, c)
-			}
-		}
-		n.Children = out
 	}
-	return t
 }
 
 // Equal reports structural equality of two trees: same tags, same text,
