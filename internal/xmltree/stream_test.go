@@ -95,6 +95,52 @@ func oracleSortStrings(ss []string) {
 	}
 }
 
+// oracleSplice is the post-order splice SpliceVirtual ran before it
+// moved onto the writers' emitter: once a node's descendants are
+// spliced, each virtual child is replaced by its children.
+func oracleSplice(t *Tree, virtual map[string]bool) *Tree {
+	if len(virtual) == 0 {
+		return t
+	}
+	type frame struct {
+		n *Node
+		i int
+	}
+	stack := []frame{{t.Root, 0}}
+	for len(stack) > 0 {
+		f := &stack[len(stack)-1]
+		if f.i < len(f.n.Children) {
+			c := f.n.Children[f.i]
+			f.i++
+			stack = append(stack, frame{c, 0})
+			continue
+		}
+		// All descendants are spliced; rebuild this node's child list.
+		n := f.n
+		stack = stack[:len(stack)-1]
+		splice := false
+		for _, c := range n.Children {
+			if virtual[c.Tag] {
+				splice = true
+				break
+			}
+		}
+		if !splice {
+			continue
+		}
+		out := make([]*Node, 0, len(n.Children))
+		for _, c := range n.Children {
+			if virtual[c.Tag] {
+				out = append(out, c.Children...)
+			} else {
+				out = append(out, c)
+			}
+		}
+		n.Children = out
+	}
+	return t
+}
+
 // randomTree builds a deterministic pseudo-random tree with occasional
 // text leaves (whose payloads include XML metacharacters) and tags
 // drawn from tags.
@@ -154,6 +200,30 @@ func TestVirtualWritersMatchSpliceOracle(t *testing.T) {
 		}
 		if got, want := sb.String(), oracleXML(spliced); got != want {
 			t.Fatalf("tree %d: XML splice\n got %q\nwant %q", i, got, want)
+		}
+	}
+}
+
+// TestSpliceVirtualMatchesOracle checks SpliceVirtual against the
+// independent post-order splice on the trees of
+// TestVirtualWritersMatchSpliceOracle, which checks the writers against
+// SpliceVirtual: since both run the emitter, this is what ties its
+// splice rule to one it does not share.
+func TestSpliceVirtualMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	tags := []string{"a", "b", "v", "w"}
+	virtual := map[string]bool{"v": true, "w": true}
+	for i := 0; i < 200; i++ {
+		tr := &Tree{Root: randomTree(r, 5, 4, tags)}
+		tr.Root.Tag = "root"
+		tr.Root.Text = ""
+		want := oracleSplice(tr.Clone(), virtual)
+		got := tr.Clone()
+		if got.SpliceVirtual(virtual) != got {
+			t.Fatalf("tree %d: SpliceVirtual did not return its receiver", i)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("tree %d: splice\n got %s\nwant %s", i, got.Canonical(), want.Canonical())
 		}
 	}
 }
