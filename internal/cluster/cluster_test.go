@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,8 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"ptx/internal/parser"
-	"ptx/internal/pt"
 	"ptx/internal/serve"
 	"ptx/internal/supervise"
 )
@@ -152,26 +149,30 @@ func decodeClusterError(t *testing.T, status int, body []byte) string {
 	return eb.Error.Kind
 }
 
-// goldenXML is the byte-exact expected output of tiny/tinydb.
-func goldenXML(t *testing.T) []byte {
+// getJSON decodes the body of a GET to url into out.
+func getJSON(t *testing.T, url string, out any) {
 	t.Helper()
-	tr, err := parser.ParseTransducer(tinySpec)
+	resp, err := http.Get(url)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("GET %s: %v", url, err)
 	}
-	inst, err := parser.ParseInstance(tinyDB, tr.Schema)
-	if err != nil {
-		t.Fatal(err)
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
 	}
-	res, err := tr.Run(inst, pt.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := res.Xi.WriteXMLVirtual(&buf, tr.Virtual); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+}
+
+// waitReady waits for the coordinator's /readyz to answer 200.
+func waitReady(t *testing.T, what string, cts *httptest.Server) {
+	t.Helper()
+	waitFor(t, what, func() bool {
+		resp, err := http.Get(cts.URL + "/readyz")
+		if err != nil {
+			return false
+		}
+		resp.Body.Close()
+		return resp.StatusCode == http.StatusOK
+	})
 }
 
 // waitFor polls cond up to 2s — used only for probe-driven transitions

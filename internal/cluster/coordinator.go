@@ -152,6 +152,7 @@ type Metrics struct {
 	Warms     int64          `json:"warms"`     // warm-hint batches sent
 	Mutations int64          `json:"mutations"` // mutations routed to a pair's owner
 	Watches   int64          `json:"watches"`   // watch requests proxied
+	Rejected  int64          `json:"rejected"`  // drains, malformed bodies, bad deadlines and joins refused
 
 	Hedges       int64    `json:"hedges"`                 // hedged second attempts fired
 	HedgeWins    int64    `json:"hedge_wins"`             // requests won by the hedged attempt
@@ -213,6 +214,7 @@ type Coordinator struct {
 	warms     atomic.Int64
 	mutations atomic.Int64
 	watches   atomic.Int64
+	rejected  atomic.Int64
 	hedges    atomic.Int64
 	hedgeWins atomic.Int64
 }
@@ -425,6 +427,7 @@ func (c *Coordinator) Metrics() Metrics {
 		Warms:        c.warms.Load(),
 		Mutations:    c.mutations.Load(),
 		Watches:      c.watches.Load(),
+		Rejected:     c.rejected.Load(),
 		Hedges:       c.hedges.Load(),
 		HedgeWins:    c.hedgeWins.Load(),
 		BreakerOpens: c.breakers.Opens(),
@@ -476,7 +479,7 @@ func (c *Coordinator) Handler() http.Handler {
 	gated := func(pattern string, h http.HandlerFunc) {
 		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 			if c.draining.Load() {
-				serve.WriteError(w, serve.ErrDraining)
+				c.reject(w, serve.ErrDraining)
 				return
 			}
 			h(w, r)
@@ -485,10 +488,19 @@ func (c *Coordinator) Handler() http.Handler {
 	gated("POST /publish", c.handlePublish)
 	gated("POST /mutate", c.handleMutate)
 	gated("GET /watch", c.handleWatch)
+	mux.HandleFunc("HEAD /watch", serve.RefuseHead)
 	mux.HandleFunc("POST /join", c.handleJoin)
 	mux.HandleFunc("/healthz", c.handleHealthz)
 	mux.HandleFunc("/readyz", c.handleReadyz)
 	return mux
+}
+
+// reject answers a refused request with its typed error and counts it
+// under rejected: a drain, a malformed or oversized body, a bad
+// X-Ptx-Deadline, or a malformed join.
+func (c *Coordinator) reject(w http.ResponseWriter, err error) {
+	c.rejected.Add(1)
+	serve.WriteError(w, err)
 }
 
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
@@ -499,11 +511,11 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 		URL string `json:"url"`
 	}
 	if err := dec.Decode(&req); err != nil {
-		serve.WriteError(w, serve.BodyError(err))
+		c.reject(w, serve.BodyError(err))
 		return
 	}
 	if err := c.Join(req.ID, req.URL); err != nil {
-		serve.WriteError(w, err)
+		c.reject(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -575,12 +587,12 @@ type coordFlight struct {
 func (c *Coordinator) readPost(w http.ResponseWriter, r *http.Request) ([]byte, time.Duration, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
 	if err != nil {
-		serve.WriteError(w, serve.BodyError(err))
+		c.reject(w, serve.BodyError(err))
 		return nil, 0, false
 	}
 	budget, _, err := serve.ParseDeadline(r.Header)
 	if err != nil {
-		serve.WriteError(w, err)
+		c.reject(w, err)
 		return nil, 0, false
 	}
 	return body, budget, true

@@ -23,7 +23,7 @@ import (
 // on the SAME node (stable routing → cache locality).
 func TestClusterRoutesGolden(t *testing.T) {
 	coord, cts, nodes := newTestCluster(t, 3, Config{ProbeInterval: -1})
-	want := goldenXML(t)
+	want := testutil.Golden(t, tinySpec, tinyDB, false)
 
 	status, hdr, body := postCluster(t, cts, `{"spec":"tiny","db":"tinydb"}`)
 	if status != http.StatusOK {
@@ -85,7 +85,7 @@ func TestClusterErrorPassthrough(t *testing.T) {
 // the dead node's writes.
 func TestClusterFailover(t *testing.T) {
 	coord, cts, nodes := newTestCluster(t, 3, Config{ProbeInterval: -1})
-	want := goldenXML(t)
+	want := testutil.Golden(t, tinySpec, tinyDB, false)
 
 	owner := coord.ring.Owner("tiny\x00tinydb")
 	var victim *testNode
@@ -141,7 +141,7 @@ func TestClusterFailover(t *testing.T) {
 // successor and still gets a real answer (golden bytes, a live stream),
 // not the draining error.
 func TestClusterDrainingNodeFailsOver(t *testing.T) {
-	want := goldenXML(t)
+	want := testutil.Golden(t, tinySpec, tinyDB, false)
 	for _, path := range []string{"/publish", "/watch"} {
 		t.Run(strings.TrimPrefix(path, "/"), func(t *testing.T) {
 			coord, cts, nodes := newTestCluster(t, 3, Config{ProbeInterval: -1})
@@ -312,7 +312,7 @@ func TestClusterJoinHTTP(t *testing.T) {
 // Deduped counter agree, and every caller gets golden bytes.
 func TestClusterDedup(t *testing.T) {
 	coord, cts, nodes := newTestCluster(t, 2, Config{ProbeInterval: -1})
-	want := goldenXML(t)
+	want := testutil.Golden(t, tinySpec, tinyDB, false)
 
 	const n = 8
 	var wg sync.WaitGroup
@@ -354,7 +354,7 @@ func TestClusterDedup(t *testing.T) {
 // one stored on its owner.
 func TestClusterDocServed(t *testing.T) {
 	_, cts, nodes := newTestCluster(t, 3, Config{ProbeInterval: -1})
-	want := goldenXML(t)
+	want := testutil.Golden(t, tinySpec, tinyDB, false)
 	const body = `{"spec":"tiny","db":"tinydb"}`
 	owner := func(hdr http.Header) *testNode {
 		for _, n := range nodes {

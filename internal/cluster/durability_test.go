@@ -16,14 +16,11 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -32,7 +29,7 @@ import (
 
 	"ptx/internal/runctl"
 	"ptx/internal/serve"
-	"ptx/internal/testutil"
+	"ptx/internal/testutil/storm"
 	"ptx/internal/wal"
 )
 
@@ -56,7 +53,7 @@ type durNode struct {
 // records are already there) with seeded pre-durable crash points. A
 // faultSeed of 0 disables injection — that is the recovery
 // configuration.
-func openDurNode(t *testing.T, id, dir string, faultSeed int64) *durNode {
+func openDurNode(t testing.TB, id, dir string, faultSeed int64) *durNode {
 	t.Helper()
 	var plan *runctl.FaultPlan
 	if faultSeed != 0 {
@@ -90,7 +87,7 @@ func (d *durNode) kill() {
 // durSeed is one logical delta: a pair of tuples inserted atomically,
 // derived from the seed alone so failures replay by number.
 type durSeed struct {
-	Seed int64 `json:"seed"`
+	Seed int64
 }
 
 func (c durSeed) pair() (string, string) {
@@ -100,22 +97,6 @@ func (c durSeed) pair() (string, string) {
 func (c durSeed) body() string {
 	a, b := c.pair()
 	return fmt.Sprintf(`{"spec":"tiny","db":"tinydb","ops":[{"op":"insert","rel":"R","tuple":[%q]},{"op":"insert","rel":"R","tuple":[%q]}]}`, a, b)
-}
-
-func dumpDurabilityArtifact(t *testing.T, c durSeed, violation string) {
-	t.Helper()
-	dir := os.Getenv("CHAOS_ARTIFACT_DIR")
-	if dir == "" {
-		return
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Logf("artifact dir: %v", err)
-		return
-	}
-	desc := fmt.Sprintf("case=%+v\nrequest=%s\nviolation=%s\n", c, c.body(), violation)
-	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("durability-storm-%d.txt", c.Seed)), []byte(desc), 0o644); err != nil {
-		t.Logf("artifact write: %v", err)
-	}
 }
 
 // pairState classifies one seed's pair inside a published document:
@@ -183,7 +164,7 @@ func TestDurabilityStorm(t *testing.T) {
 			kills++
 			gen++
 			time.Sleep(time.Duration(10+rng.Intn(15)) * time.Millisecond)
-			replacement := openDurNode(t, victim.id, victim.dir, 2000+gen)
+			replacement := openDurNode(storm.Background{TB: t}, victim.id, victim.dir, 2000+gen)
 			if err := coord.Join(replacement.id, replacement.url()); err != nil {
 				t.Errorf("re-join %s: %v", replacement.id, err)
 				return
@@ -200,97 +181,57 @@ func TestDurabilityStorm(t *testing.T) {
 	// pre-durable storage crash point — the pair must be absent.
 	// "unknown": a transport-path failure (dead owner, fence, overload)
 	// means the delta may or may not have landed; it must still be
-	// atomic.
+	// atomic. The coordinator is never killed, so a transport error is a
+	// harness bug.
+	st := storm.New(t, "durability-storm", serve.StatusForKind)
 	outcomes := make([]string, durabilitySeeds+1)
 	var omu sync.Mutex
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, 8)
 	client := &http.Client{Timeout: 10 * time.Second}
 	torn := 0
-	for seed := int64(1); seed <= durabilitySeeds; seed++ {
+	st.Start(durabilitySeeds, 8, func(seed int64) {
 		c := durSeed{Seed: seed}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			time.Sleep(time.Duration(1+c.Seed%9) * time.Millisecond)
-			outcome := "lost"
-			for attempt := 0; attempt < 5; attempt++ {
-				resp, err := client.Post(cts.URL+"/mutate", "application/json", bytes.NewReader([]byte(c.body())))
-				if err != nil {
-					// The coordinator is never killed; this is a harness bug.
-					dumpDurabilityArtifact(t, c, "coordinator transport error: "+err.Error())
-					t.Errorf("seed %d: coordinator transport error: %v", c.Seed, err)
-					outcome = "unknown"
-					break
-				}
-				body, rerr := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if rerr != nil {
-					outcome = "unknown"
-					continue
-				}
-				if resp.StatusCode == http.StatusOK {
-					outcome = "acked"
-					break
-				}
-				var eb struct {
-					Error serve.ErrorInfo `json:"error"`
-				}
-				if err := json.Unmarshal(body, &eb); err != nil {
-					dumpDurabilityArtifact(t, c, fmt.Sprintf("untyped error (status %d): %s", resp.StatusCode, body))
-					t.Errorf("seed %d: untyped error (status %d): %s", c.Seed, resp.StatusCode, body)
-					outcome = "unknown"
-					break
-				}
-				switch eb.Error.Kind {
-				case serve.KindStorage:
-					// Pre-durable crash point: the WAL rolled the write
-					// back; this attempt provably left nothing behind.
-				case serve.KindTransient, serve.KindConflict, serve.KindOverloaded, serve.KindDraining:
-					// The delta may have landed without the ack reaching
-					// us; only atomicity is assertable for this seed.
-					outcome = "unknown"
-				default:
-					dumpDurabilityArtifact(t, c, "unexpected kind "+eb.Error.Kind)
-					t.Errorf("seed %d: unexpected error kind %q: %s", c.Seed, eb.Error.Kind, body)
-					outcome = "unknown"
-				}
-				time.Sleep(time.Duration(5*(attempt+1)) * time.Millisecond)
+		time.Sleep(time.Duration(1+seed%9) * time.Millisecond)
+		outcome := "lost"
+		for attempt := 0; attempt < 5; attempt++ {
+			r, _, _ := st.Do(client, storm.Op{
+				Seed: seed, Name: "mutate", URL: cts.URL + "/mutate", Body: c.body(), Case: c,
+				Kinds: []string{serve.KindStorage, serve.KindTransient, serve.KindConflict, serve.KindOverloaded, serve.KindDraining},
+			})
+			if r.Outcome() == "mutate:ok" {
+				outcome = "acked"
+				break
 			}
-			omu.Lock()
-			outcomes[c.Seed] = outcome
-			omu.Unlock()
+			// A storage kind is a pre-durable crash point: the WAL rolled
+			// the write back, so this attempt provably left nothing behind.
+			// Any other failure may have landed without the ack reaching
+			// us; only atomicity is assertable for this seed.
+			if r.Kind != serve.KindStorage {
+				outcome = "unknown"
+			}
+			time.Sleep(time.Duration(5*(attempt+1)) * time.Millisecond)
+		}
+		omu.Lock()
+		outcomes[seed] = outcome
+		omu.Unlock()
 
-			// Every fourth seed doubles as a live reader: publish through
-			// the coordinator and scan for torn pairs mid-chaos.
-			if c.Seed%4 != 0 {
-				return
+		// Every fourth seed doubles as a live reader: publish through
+		// the coordinator and scan for torn pairs mid-chaos.
+		if seed%4 != 0 {
+			return
+		}
+		r, _, body := st.Do(client, storm.Op{Seed: seed, Name: "publish", URL: cts.URL + "/publish", Body: `{"spec":"tiny","db":"tinydb","retries":2}`})
+		if r.Outcome() != "publish:ok" {
+			return // typed failures under chaos are fine; only 200 bodies are inspected
+		}
+		omu.Lock()
+		defer omu.Unlock()
+		for s := int64(1); s <= durabilitySeeds; s++ {
+			if sc := (durSeed{Seed: s}); pairState(body, sc) == "torn" {
+				torn++
+				st.Fail(s, sc, "torn pair in live publish (reader seed %d)", seed)
 			}
-			resp, err := client.Post(cts.URL+"/publish", "application/json", bytes.NewReader([]byte(`{"spec":"tiny","db":"tinydb","retries":2}`)))
-			if err != nil {
-				t.Errorf("seed %d: publish transport error: %v", c.Seed, err)
-				return
-			}
-			body, rerr := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if rerr != nil || resp.StatusCode != http.StatusOK {
-				return // typed failures under chaos are fine; only 200 bodies are inspected
-			}
-			omu.Lock()
-			defer omu.Unlock()
-			for s := int64(1); s <= durabilitySeeds; s++ {
-				sc := durSeed{Seed: s}
-				if pairState(body, sc) == "torn" {
-					torn++
-					dumpDurabilityArtifact(t, sc, fmt.Sprintf("torn pair in live publish (reader seed %d)", c.Seed))
-					t.Errorf("seed %d: torn pair observed in live publish", s)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+		}
+	})()
 	close(stopKiller)
 	<-killerDone
 	if kills == 0 {
@@ -312,14 +253,7 @@ func TestDurabilityStorm(t *testing.T) {
 		}
 		final[i] = reborn
 	}
-	waitFor(t, "post-recovery readiness", func() bool {
-		resp, err := http.Get(cts.URL + "/readyz")
-		if err != nil {
-			return false
-		}
-		resp.Body.Close()
-		return resp.StatusCode == http.StatusOK
-	})
+	waitReady(t, "post-recovery readiness", cts)
 
 	// After the rolling faultless restart every node's log must have
 	// converged to the same sequence mark: the coordinator refuses to
@@ -327,17 +261,10 @@ func TestDurabilityStorm(t *testing.T) {
 	// divergent survivor here means the convergence gate leaked.
 	var seqs []uint64
 	for _, n := range final {
-		resp, err := http.Get(n.url() + "/deltalog?db=tinydb")
-		if err != nil {
-			t.Fatalf("deltalog %s: %v", n.id, err)
-		}
 		var dl struct {
 			Seq uint64 `json:"seq"`
 		}
-		if err := json.NewDecoder(resp.Body).Decode(&dl); err != nil {
-			t.Fatalf("deltalog %s: %v", n.id, err)
-		}
-		resp.Body.Close()
+		getJSON(t, n.url()+"/deltalog?db=tinydb", &dl)
 		seqs = append(seqs, dl.Seq)
 	}
 	for i := 1; i < len(seqs); i++ {
@@ -353,14 +280,7 @@ func TestDurabilityStorm(t *testing.T) {
 		var hz struct {
 			Metrics serve.Metrics `json:"metrics"`
 		}
-		resp, err := http.Get(n.url() + "/healthz")
-		if err != nil {
-			t.Fatalf("healthz %s: %v", n.id, err)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
-			t.Fatalf("healthz %s: %v", n.id, err)
-		}
-		resp.Body.Close()
+		getJSON(t, n.url()+"/healthz", &hz)
 		replayed += hz.Metrics.Recovered
 	}
 	if replayed == 0 {
@@ -370,16 +290,10 @@ func TestDurabilityStorm(t *testing.T) {
 	// The verdict: one publish from each node (direct, not proxied) —
 	// acked pairs present everywhere, storage-lost pairs absent
 	// everywhere, nothing torn anywhere.
-	acked, lost, unknown := 0, 0, 0
 	for _, n := range final {
-		resp, err := http.Post(n.url()+"/publish", "application/json", bytes.NewReader([]byte(`{"spec":"tiny","db":"tinydb"}`)))
-		if err != nil {
-			t.Fatalf("final publish on %s: %v", n.id, err)
-		}
-		body, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("final publish on %s: status %d: %s", n.id, resp.StatusCode, body)
+		status, _, body := postCluster(t, n.ts, `{"spec":"tiny","db":"tinydb"}`)
+		if status != http.StatusOK {
+			t.Fatalf("final publish on %s: status %d: %s", n.id, status, body)
 		}
 		for s := int64(1); s <= durabilitySeeds; s++ {
 			c := durSeed{Seed: s}
@@ -387,44 +301,34 @@ func TestDurabilityStorm(t *testing.T) {
 			switch outcomes[s] {
 			case "acked":
 				if state != "whole" {
-					dumpDurabilityArtifact(t, c, "acked delta "+state+" after recovery on "+n.id)
-					t.Errorf("seed %d: ACKED delta is %s on %s after recovery", s, state, n.id)
+					st.Fail(s, c, "ACKED delta is %s on %s after recovery", state, n.id)
 				}
 			case "lost":
 				if state != "absent" {
-					dumpDurabilityArtifact(t, c, "storage-failed delta "+state+" after recovery on "+n.id)
-					t.Errorf("seed %d: storage-failed delta is %s on %s (rollback leaked)", s, state, n.id)
+					st.Fail(s, c, "storage-failed delta is %s on %s (rollback leaked)", state, n.id)
 				}
 			default:
 				if state == "torn" {
-					dumpDurabilityArtifact(t, c, "torn delta after recovery on "+n.id)
-					t.Errorf("seed %d: torn delta on %s after recovery", s, n.id)
+					st.Fail(s, c, "torn delta on %s after recovery", n.id)
 				}
 			}
 		}
 	}
-	for s := int64(1); s <= durabilitySeeds; s++ {
-		switch outcomes[s] {
-		case "acked":
-			acked++
-		case "lost":
-			lost++
-		default:
-			unknown++
-		}
+	count := map[string]int{}
+	for _, o := range outcomes[1:] {
+		count[o]++
 	}
-	if acked == 0 {
+	if count["acked"] == 0 {
 		t.Error("no seed was ever acknowledged; the storm proved nothing about durability")
 	}
 
-	// Teardown: drain everything, then the goroutine ledger must
+	// Teardown: stop everything, then the goroutine ledger must
 	// balance.
+	closers := []func(){client.CloseIdleConnections}
 	for _, n := range final {
-		n.kill()
+		closers = append(closers, n.kill)
 	}
-	client.CloseIdleConnections()
-	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
-	testutil.SettledGoroutines(t, base)
-	t.Logf("durability storm: %d kills; %d acked, %d lost, %d unknown of %d seeds; %d torn views; %d records replayed",
-		kills, acked, lost, unknown, durabilitySeeds, torn, replayed)
+	storm.Settle(t, base, closers...)
+	t.Logf("durability storm: %d kills; seed outcomes %v; %d torn views; %d records replayed", kills, count, torn, replayed)
+	st.Finish(0, "mutate:ok")
 }

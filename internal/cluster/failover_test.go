@@ -11,6 +11,7 @@ import (
 
 	"ptx/internal/serve"
 	"ptx/internal/supervise"
+	"ptx/internal/testutil"
 )
 
 // TestFailoverSingleflightRace is the leader-election contract under
@@ -79,7 +80,7 @@ func TestFailoverSingleflightRace(t *testing.T) {
 	cts := httptest.NewServer(coord.Handler())
 	defer cts.Close()
 
-	want := goldenXML(t)
+	want := testutil.Golden(t, tinySpec, tinyDB, false)
 	epochBefore := coord.Epoch()
 
 	var wg sync.WaitGroup
@@ -131,7 +132,7 @@ func TestFailoverSingleflightRace(t *testing.T) {
 // — across enough bounded rounds — finishes with golden bytes.
 func TestClusterCheckpointHandoff(t *testing.T) {
 	coord, cts, nodes := newTestCluster(t, 3, Config{ProbeInterval: -1})
-	want := goldenXML(t)
+	want := testutil.Golden(t, tinySpec, tinyDB, false)
 
 	const body = `{"spec":"tiny","db":"tinydb","limits":{"max_nodes":3}}`
 	status, hdr, respBody := postCluster(t, cts, body)

@@ -21,8 +21,6 @@ import (
 	"testing"
 	"time"
 
-	"ptx/internal/parser"
-	"ptx/internal/pt"
 	"ptx/internal/testutil"
 )
 
@@ -30,28 +28,6 @@ const (
 	insertD = `{"spec":"tiny","db":"tinydb","ops":[{"op":"insert","rel":"R","tuple":["d"]}]}`
 	deleteD = `{"spec":"tiny","db":"tinydb","ops":[{"op":"delete","rel":"R","tuple":["d"]}]}`
 )
-
-// goldenXMLWith is goldenXML over tinyDB plus extra facts.
-func goldenXMLWith(t *testing.T, extra string) []byte {
-	t.Helper()
-	tr, err := parser.ParseTransducer(tinySpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := parser.ParseInstance(tinyDB+extra, tr.Schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := tr.Run(inst, pt.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := res.Xi.WriteXMLVirtual(&buf, tr.Virtual); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
 
 // postMutate sends a delta through the coordinator.
 func postMutate(t *testing.T, cts *httptest.Server, body string) (int, http.Header, []byte) {
@@ -136,7 +112,7 @@ func TestClusterMutateRoutesToDBOwner(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("publish status %d: %s", status, body)
 	}
-	if want := goldenXMLWith(t, "R(d)\n"); !bytes.Equal(body, want) {
+	if want := testutil.Golden(t, tinySpec, tinyDB+"R(d)\n", false); !bytes.Equal(body, want) {
 		t.Fatalf("post-delta publish:\n got %q\nwant %q", body, want)
 	}
 
@@ -147,7 +123,7 @@ func TestClusterMutateRoutesToDBOwner(t *testing.T) {
 	if status, _, body = postCluster(t, cts, `{"spec":"tiny","db":"tinydb"}`); status != http.StatusOK {
 		t.Fatalf("publish status %d: %s", status, body)
 	}
-	if want := goldenXML(t); !bytes.Equal(body, want) {
+	if want := testutil.Golden(t, tinySpec, tinyDB, false); !bytes.Equal(body, want) {
 		t.Fatalf("post-toggle publish differs from base golden:\n got %q\nwant %q", body, want)
 	}
 	if m := coord.Metrics(); m.Mutations != 2 {
@@ -291,7 +267,7 @@ func TestClusterMutateOwnerLossServesPostDelta(t *testing.T) {
 	if status, _, body = postCluster(t, cts, `{"spec":"tiny","db":"tinydb"}`); status != http.StatusOK {
 		t.Fatalf("publish status %d: %s", status, body)
 	}
-	if want := goldenXMLWith(t, "R(d)\n"); !bytes.Equal(body, want) {
+	if want := testutil.Golden(t, tinySpec, tinyDB+"R(d)\n", false); !bytes.Equal(body, want) {
 		t.Fatal("pre-crash publish is not post-delta golden")
 	}
 
@@ -319,7 +295,7 @@ func TestClusterMutateOwnerLossServesPostDelta(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("failover publish status %d: %s", status, body)
 	}
-	if want := goldenXMLWith(t, "R(d)\n"); !bytes.Equal(body, want) {
+	if want := testutil.Golden(t, tinySpec, tinyDB+"R(d)\n", false); !bytes.Equal(body, want) {
 		t.Fatalf("failed-over publish lost the acknowledged insert:\n got %q\nwant %q", body, want)
 	}
 
@@ -336,7 +312,7 @@ func TestClusterMutateOwnerLossServesPostDelta(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("post-retry publish status %d: %s", status, body)
 	}
-	if want := goldenXML(t); !bytes.Equal(body, want) {
+	if want := testutil.Golden(t, tinySpec, tinyDB, false); !bytes.Equal(body, want) {
 		t.Fatalf("post-retry publish differs from base golden:\n got %q\nwant %q", body, want)
 	}
 }

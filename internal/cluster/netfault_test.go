@@ -36,7 +36,7 @@ import (
 	"ptx/internal/netchaos"
 	"ptx/internal/serve"
 	"ptx/internal/supervise"
-	"ptx/internal/testutil"
+	"ptx/internal/testutil/storm"
 )
 
 // hostOf extracts the host:port peer name the mesh keys links by.
@@ -69,7 +69,7 @@ func meshedNode(t testing.TB, mesh *netchaos.Mesh, id string, store supervise.Ch
 // (publishes on tinydb, mutations on mutdb) through a coordinator whose
 // client — and whose nodes' replication clients — cross a fault mesh,
 // while a partitioner goroutine cuts, refuses and mangles random
-// directional links mid-traffic. Uses stormSeeds() cases (reduced under
+// directional links mid-traffic. Uses storm.Seeds() cases (reduced under
 // -race, which CI runs this under).
 func TestPartitionStorm(t *testing.T) {
 	base := runtime.NumGoroutine()
@@ -110,13 +110,7 @@ func TestPartitionStorm(t *testing.T) {
 	cts := httptest.NewServer(coord.Handler())
 	t.Cleanup(cts.Close)
 
-	// Goldens bootstrapped over a clean mesh, before the chaos starts.
-	goldens := map[bool][]byte{false: goldenXML(t)}
-	if status, _, canon := postCluster(t, cts, `{"spec":"tiny","db":"tinydb","canonical":true}`); status != http.StatusOK {
-		t.Fatalf("canonical golden bootstrap: status %d: %s", status, canon)
-	} else {
-		goldens[true] = canon
-	}
+	goldens := clusterGoldens(t, cts)
 
 	// The partitioner: seeded asymmetric link chaos driven by the
 	// request schedule, not the wall clock, so it bites however fast the
@@ -151,114 +145,34 @@ func TestPartitionStorm(t *testing.T) {
 	nextWindow()
 	var started atomic.Int64
 
-	type tally struct {
-		ok, mutOK, typed int
-	}
-	var tmu sync.Mutex
-	var tl tally
-	ackSeqs := make(map[uint64][]int64) // mutdb seq → seeds that got a 200 for it
-	var slowest atomic.Int64            // worst request latency in ms
-
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, 12)
+	// Deadline discipline: the coordinator answers within the request's
+	// budget plus its grace; the slack absorbs client scheduling under
+	// -race, nothing else. Finish's dual-ack check catches two nodes that
+	// both believed they were mutdb's sequence authority.
+	st := storm.New(t, "partition-storm", serve.StatusForKind)
+	st.Bound = budgetMS*time.Millisecond + grace + 2*time.Second
 	client := &http.Client{Timeout: 15 * time.Second}
-	for seed := int64(1); seed <= int64(stormSeeds()); seed++ {
-		seed := seed
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			time.Sleep(time.Duration(1+seed%6) * time.Millisecond)
-			if started.Add(1)%windowEvery == 0 {
-				nextWindow()
-			}
-
-			mutation := seed%3 == 0
-			var path, body string
-			if mutation {
-				path = "/mutate"
-				body = fmt.Sprintf(`{"spec":"tiny","db":"mutdb","ops":[{"op":"insert","rel":"R","tuple":["m%d"]}]}`, seed)
-			} else {
-				path = "/publish"
-				body = newStormCase(seed).body()
-			}
-			start := time.Now()
-			resp, err := client.Post(cts.URL+path, "application/json", bytes.NewReader([]byte(body)))
-			if err != nil {
-				t.Errorf("seed %d: coordinator transport error: %v", seed, err)
-				return
-			}
-			var buf bytes.Buffer
-			_, rerr := buf.ReadFrom(resp.Body)
-			resp.Body.Close()
-			elapsed := time.Since(start)
-			if ms := elapsed.Milliseconds(); ms > slowest.Load() {
-				slowest.Store(ms)
-			}
-			// Deadline discipline: the coordinator answers within the
-			// request's budget plus its grace; the slack absorbs client
-			// scheduling under -race, nothing else. The pre-mesh flat
-			// client timeout would have parked partitioned requests for
-			// 90 seconds.
-			if limit := budgetMS*time.Millisecond + grace + 2*time.Second; elapsed > limit {
-				t.Errorf("seed %d: request took %v, outlived budget+grace (%v)", seed, elapsed, limit)
-			}
-			if rerr != nil {
-				t.Errorf("seed %d: torn response body through coordinator: %v", seed, rerr)
-				return
-			}
-			respBody := buf.Bytes()
-
-			tmu.Lock()
-			defer tmu.Unlock()
-			if resp.StatusCode == http.StatusOK {
-				if mutation {
-					var ack struct {
-						Seq uint64 `json:"seq"`
-					}
-					if err := json.Unmarshal(respBody, &ack); err != nil || ack.Seq == 0 {
-						t.Errorf("seed %d: 200 mutate without a seq: %s", seed, respBody)
-						return
-					}
-					ackSeqs[ack.Seq] = append(ackSeqs[ack.Seq], seed)
-					tl.mutOK++
-					return
-				}
-				canonical := newStormCase(seed).Canonical
-				if !bytes.Equal(respBody, goldens[canonical]) {
-					t.Errorf("seed %d: 200 bytes differ from golden (canonical=%v): %q", seed, canonical, respBody)
-				}
-				tl.ok++
-				return
-			}
-			kind := decodeClusterError(t, resp.StatusCode, respBody)
-			_ = kind
-			tl.typed++
-		}()
-	}
-	wg.Wait()
-	mesh.HealAll()
-
-	// Dual-ack check: a sequence number acked twice means two nodes both
-	// believed they were the database's sequence authority — the exact
-	// anomaly the write barrier + single-owner routing must prevent.
-	for seq, seeds := range ackSeqs {
-		if len(seeds) > 1 {
-			t.Errorf("DUAL ACK: mutdb seq %d acked for %d mutations (seeds %v)", seq, len(seeds), seeds)
+	st.Start(storm.Seeds(), 12, func(seed int64) {
+		time.Sleep(time.Duration(1+seed%6) * time.Millisecond)
+		if started.Add(1)%windowEvery == 0 {
+			nextWindow()
 		}
-	}
+		if seed%3 == 0 {
+			st.Do(client, storm.Op{Seed: seed, Name: "mutate", URL: cts.URL + "/mutate",
+				Body: fmt.Sprintf(`{"spec":"tiny","db":"mutdb","ops":[{"op":"insert","rel":"R","tuple":["m%d"]}]}`, seed)})
+			return
+		}
+		c := newStormCase(seed)
+		st.Do(client, storm.Op{Seed: seed, Name: "publish", URL: cts.URL + "/publish", Body: c.Body(), Case: c, Goldens: [][]byte{goldens[c.Canonical]}})
+	})()
+	mesh.HealAll()
 
 	// The chaos must have actually bitten, and the breakers must have
 	// tripped observably. If the seeded windows happened to dodge every
 	// request, force both: a refusing link and enough distinct publishes
 	// to trip the owner's breaker and fail over.
 	inj := mesh.Injected()
-	var injected int64
-	for _, v := range inj {
-		injected += v
-	}
-	if injected == 0 {
+	if len(inj) == 0 {
 		t.Error("mesh injected no faults; storm proved nothing")
 	}
 	if coord.Metrics().BreakerOpens == 0 {
@@ -276,71 +190,41 @@ func TestPartitionStorm(t *testing.T) {
 	}
 	// Breaker state is part of the operator surface: /healthz carries
 	// the open count and per-member states.
-	func() {
-		resp, err := http.Get(cts.URL + "/healthz")
-		if err != nil {
-			t.Fatalf("healthz: %v", err)
+	var hz struct {
+		Metrics Metrics `json:"metrics"`
+	}
+	getJSON(t, cts.URL+"/healthz", &hz)
+	if hz.Metrics.BreakerOpens == 0 {
+		t.Error("/healthz does not report breaker opens")
+	}
+	for _, m := range hz.Metrics.Members {
+		if m.Breaker == "" {
+			t.Errorf("/healthz member %s missing breaker state", m.ID)
 		}
-		defer resp.Body.Close()
-		var hz struct {
-			Metrics Metrics `json:"metrics"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
-			t.Fatalf("healthz decode: %v", err)
-		}
-		if hz.Metrics.BreakerOpens == 0 {
-			t.Error("/healthz does not report breaker opens")
-		}
-		for _, m := range hz.Metrics.Members {
-			if m.Breaker == "" {
-				t.Errorf("/healthz member %s missing breaker state", m.ID)
-			}
-		}
-	}()
+	}
 
 	// Heal and converge: the probers re-admit every node through the
 	// breaker half-open schedule and the catch-up sync.
 	mesh.HealAll()
-	waitFor(t, "post-chaos readiness", func() bool {
-		resp, err := http.Get(cts.URL + "/readyz")
-		if err != nil {
-			return false
-		}
-		resp.Body.Close()
-		return resp.StatusCode == http.StatusOK
-	})
+	waitReady(t, "post-chaos readiness", cts)
 	status, _, healedBody := postCluster(t, cts, `{"spec":"tiny","db":"tinydb","limits":{"timeout_ms":4000}}`)
 	if status != http.StatusOK || !bytes.Equal(healedBody, goldens[false]) {
 		t.Errorf("post-heal publish: status %d: %s", status, healedBody)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := coord.Drain(ctx); err != nil {
-		t.Fatalf("coordinator drain: %v", err)
-	}
+	drains := []func(context.Context) error{coord.Drain}
+	closers := []func(){cts.Close, client.CloseIdleConnections}
 	for _, n := range nodes {
-		dctx, dcancel := context.WithTimeout(context.Background(), 5*time.Second)
-		if err := n.srv.Drain(dctx); err != nil {
-			t.Errorf("node %s drain: %v", n.id, err)
-		}
-		dcancel()
-		n.ts.Close()
+		drains = append(drains, n.srv.Drain)
+		closers = append(closers, n.ts.Close)
 	}
-	cts.Close()
-	client.CloseIdleConnections()
-	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
-	testutil.SettledGoroutines(t, base)
+	storm.Drain(t, drains...)
+	storm.Settle(t, base, closers...)
 
 	m := coord.Metrics()
-	t.Logf("partition storm: %d publish ok, %d mutations acked, %d typed errors; slowest %dms; injected %v; failovers %d, hedges %d (wins %d), breaker opens %d",
-		tl.ok, tl.mutOK, tl.typed, slowest.Load(), inj, m.Failovers, m.Hedges, m.HedgeWins, m.BreakerOpens)
-	if tl.ok == 0 {
-		t.Error("no publish survived the storm")
-	}
-	if total := tl.ok + tl.mutOK + tl.typed; total != stormSeeds() {
-		t.Errorf("tally %d != %d requests — some request was LOST without a typed answer", total, stormSeeds())
-	}
+	t.Logf("partition storm: injected %v; failovers %d, hedges %d (wins %d), breaker opens %d",
+		inj, m.Failovers, m.Hedges, m.HedgeWins, m.BreakerOpens)
+	st.Finish(storm.Seeds(), "publish:ok")
 }
 
 // TestSlowLorisPublishBoundedByDeadline pins satellite #1: the

@@ -3,88 +3,56 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ptx/internal/serve"
 	"ptx/internal/supervise"
 	"ptx/internal/testutil"
+	"ptx/internal/testutil/storm"
 )
 
-// stormSeeds mirrors the serve-level storm sizing: 100+ seeded
-// requests normally, a reduced per-shape batch under the race detector
-// (the CI cluster-smoke job runs exactly the reduced batch).
-func stormSeeds() int {
-	if raceEnabled {
-		return 48
-	}
-	return 120
-}
-
-// stormCase is one seeded cluster request, derived from its seed alone
-// so a CI failure replays locally with the same number. A nonce keeps
-// every case a distinct logical run — the storm measures routing and
+// newStormCase draws one cluster publish from its seed. A sixth of the
+// cases carry a starvation budget: these are the runs that exercise
+// checkpoint handoff when their node dies. The timeout's seed%7 keeps
+// every case a distinct logical run: the storm measures routing and
 // recovery, not coordinator dedup.
-type stormCase struct {
-	Seed      int64 `json:"seed"`
-	Canonical bool  `json:"canonical"`
-	Retries   int   `json:"retries"`
-	MaxNodes  int   `json:"max_nodes,omitempty"` // 0 = server default
-	TimeoutMS int64 `json:"timeout_ms"`
-}
-
-func newStormCase(seed int64) stormCase {
+func newStormCase(seed int64) storm.Publish {
 	rng := rand.New(rand.NewSource(seed))
-	c := stormCase{
+	c := storm.Publish{
 		Seed:      seed,
+		Spec:      "tiny",
+		DB:        "tinydb",
 		Canonical: rng.Intn(2) == 0,
 		Retries:   rng.Intn(3),
-		TimeoutMS: 2000,
+		TimeoutMS: 2000 + seed%7,
 	}
-	// A sixth of the cases carry a starvation budget — these are the
-	// runs that exercise checkpoint handoff when their node dies.
 	if rng.Intn(6) == 0 {
 		c.MaxNodes = 3 + rng.Intn(3)
 	}
 	return c
 }
 
-func (c stormCase) body() string {
-	req := map[string]any{
-		"spec":      "tiny",
-		"db":        "tinydb",
-		"canonical": c.Canonical,
-		"retries":   c.Retries,
-		"limits":    map[string]any{"timeout_ms": c.TimeoutMS + c.Seed%7, "max_nodes": c.MaxNodes},
+// clusterGoldens are the engine's tiny/tinydb bytes, indexed by
+// canonical rendering. A clean publish through the coordinator must equal
+// its golden before the chaos starts, or the storm's typed errors prove
+// nothing.
+func clusterGoldens(t *testing.T, cts *httptest.Server) map[bool][]byte {
+	goldens := map[bool][]byte{
+		false: testutil.Golden(t, tinySpec, tinyDB, false),
+		true:  testutil.Golden(t, tinySpec, tinyDB, true),
 	}
-	b, _ := json.Marshal(req)
-	return string(b)
-}
-
-// dumpStormArtifact ships a violating case to CHAOS_ARTIFACT_DIR so
-// the CI failure report carries the replayable scenario.
-func dumpStormArtifact(t *testing.T, c stormCase, violation string) {
-	dir := os.Getenv("CHAOS_ARTIFACT_DIR")
-	if dir == "" {
-		return
+	if status, _, body := postCluster(t, cts, `{"spec":"tiny","db":"tinydb","canonical":true}`); status != http.StatusOK || !bytes.Equal(body, goldens[true]) {
+		t.Fatalf("pre-storm control publish: status %d: %s", status, body)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Logf("artifact dir: %v", err)
-		return
-	}
-	desc := fmt.Sprintf("case=%+v\nrequest=%s\nviolation=%s\n", c, c.body(), violation)
-	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("cluster-storm-%d.txt", c.Seed)), []byte(desc), 0o644); err != nil {
-		t.Logf("artifact write: %v", err)
-	}
+	return goldens
 }
 
 // TestClusterStorm is the cluster chaos harness: a seeded request
@@ -114,14 +82,7 @@ func TestClusterStorm(t *testing.T) {
 	}
 	cts := httptest.NewServer(coord.Handler())
 
-	// Non-canonical golden straight from the engine; the canonical one
-	// bootstrapped with a single clean post before the chaos starts.
-	goldens := map[bool][]byte{false: goldenXML(t)}
-	if status, _, canon := postCluster(t, cts, `{"spec":"tiny","db":"tinydb","canonical":true}`); status != http.StatusOK {
-		t.Fatalf("canonical golden bootstrap: status %d: %s", status, canon)
-	} else {
-		goldens[true] = canon
-	}
+	goldens := clusterGoldens(t, cts)
 
 	// The killer: seeded kill/restart cycles while the storm runs. Each
 	// cycle hard-closes one node's listener (in-flight requests die with
@@ -146,7 +107,7 @@ func TestClusterStorm(t *testing.T) {
 			victim.ts.Close()
 			kills++
 			time.Sleep(time.Duration(10+rng.Intn(15)) * time.Millisecond)
-			replacement := newTestNode(t, victim.id, store, nil)
+			replacement := newTestNode(storm.Background{TB: t}, victim.id, store, nil)
 			if err := coord.Join(replacement.id, replacement.url()); err != nil {
 				t.Errorf("re-join %s: %v", replacement.id, err)
 				return
@@ -157,85 +118,25 @@ func TestClusterStorm(t *testing.T) {
 		}
 	}()
 
-	type tally struct {
-		ok, budget, canceled, overloaded, transient, conflict, resumed int
-	}
-	var tmu sync.Mutex
-	var tl tally
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, 12)
+	st := storm.New(t, "cluster-storm", serve.StatusForKind)
+	var resumed atomic.Int64
 	client := &http.Client{Timeout: 10 * time.Second}
-	for seed := int64(1); seed <= int64(stormSeeds()); seed++ {
+	st.Start(storm.Seeds(), 12, func(seed int64) {
 		c := newStormCase(seed)
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			// Seeded pacing stretches the batch across the kill windows —
-			// an unpaced batch can finish before the first kill lands.
-			time.Sleep(time.Duration(1+c.Seed%6) * time.Millisecond)
-			resp, err := client.Post(cts.URL+"/publish", "application/json", bytes.NewReader([]byte(c.body())))
-			if err != nil {
-				// The coordinator itself is never killed; a transport error
-				// here is a harness failure, not chaos.
-				dumpStormArtifact(t, c, err.Error())
-				t.Errorf("seed %d: coordinator transport error: %v", c.Seed, err)
-				return
-			}
-			defer resp.Body.Close()
-			var buf bytes.Buffer
-			if _, err := buf.ReadFrom(resp.Body); err != nil {
-				dumpStormArtifact(t, c, "torn response body")
-				t.Errorf("seed %d: reading body: %v", c.Seed, err)
-				return
-			}
-			body := buf.Bytes()
-			tmu.Lock()
-			defer tmu.Unlock()
-			if resp.StatusCode == http.StatusOK {
-				if !bytes.Equal(body, goldens[c.Canonical]) {
-					dumpStormArtifact(t, c, "200 body differs from golden")
-					t.Errorf("seed %d: served bytes differ from golden (canonical=%v)", c.Seed, c.Canonical)
-				}
-				tl.ok++
-				if resp.Header.Get("X-Ptserve-Resumed") == "true" {
-					tl.resumed++
-				}
-				return
-			}
-			var eb struct {
-				Error serve.ErrorInfo `json:"error"`
-			}
-			if err := json.Unmarshal(body, &eb); err != nil {
-				dumpStormArtifact(t, c, "untyped error body")
-				t.Errorf("seed %d: non-JSON error body (status %d): %s", c.Seed, resp.StatusCode, body)
-				return
-			}
-			want, known := serve.StatusForKind(eb.Error.Kind)
-			if !known || want != resp.StatusCode {
-				dumpStormArtifact(t, c, "kind/status mismatch")
-				t.Errorf("seed %d: kind %q with status %d (pinned %d)", c.Seed, eb.Error.Kind, resp.StatusCode, want)
-				return
-			}
-			switch eb.Error.Kind {
-			case serve.KindBudget:
-				tl.budget++
-			case serve.KindCanceled:
-				tl.canceled++
-			case serve.KindOverloaded:
-				tl.overloaded++
-			case serve.KindTransient:
-				tl.transient++
-			case serve.KindConflict:
-				tl.conflict++
-			default:
-				dumpStormArtifact(t, c, "unexpected error kind")
-				t.Errorf("seed %d: unexpected kind %q: %s", c.Seed, eb.Error.Kind, body)
-			}
-		}()
-	}
-	wg.Wait()
+		// Seeded pacing stretches the batch across the kill windows —
+		// an unpaced batch can finish before the first kill lands.
+		time.Sleep(time.Duration(1+seed%6) * time.Millisecond)
+		// The coordinator itself is never killed, so a transport error
+		// is a harness failure, not chaos.
+		r, hdr, _ := st.Do(client, storm.Op{
+			Seed: seed, Name: "publish", URL: cts.URL + "/publish", Body: c.Body(), Case: c,
+			Goldens: [][]byte{goldens[c.Canonical]},
+			Kinds:   []string{serve.KindBudget, serve.KindCanceled, serve.KindOverloaded, serve.KindTransient, serve.KindConflict},
+		})
+		if r.Outcome() == "publish:ok" && hdr.Get("X-Ptserve-Resumed") == "true" {
+			resumed.Add(1)
+		}
+	})()
 	close(stopKiller)
 	<-killerDone
 
@@ -270,45 +171,22 @@ func TestClusterStorm(t *testing.T) {
 	if m.Failovers == 0 {
 		t.Error("no failover observed even after killing the routed owner")
 	}
-	waitFor(t, "post-storm readiness", func() bool {
-		resp, err := http.Get(cts.URL + "/readyz")
-		if err != nil {
-			return false
-		}
-		resp.Body.Close()
-		return resp.StatusCode == http.StatusOK
-	})
+	waitReady(t, "post-storm readiness", cts)
 
-	// Teardown: coordinator drains clean, every node drains clean, and
-	// nothing is left running.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := coord.Drain(ctx); err != nil {
-		t.Fatalf("coordinator drain: %v", err)
-	}
+	// Teardown: coordinator and every node drain clean, and nothing is
+	// left running.
 	mu.Lock()
 	final := append([]*testNode(nil), nodes...)
 	mu.Unlock()
+	drains := []func(context.Context) error{coord.Drain}
+	closers := []func(){cts.Close, client.CloseIdleConnections}
 	for _, n := range final {
-		dctx, dcancel := context.WithTimeout(context.Background(), 5*time.Second)
-		if err := n.srv.Drain(dctx); err != nil {
-			t.Errorf("node %s drain: %v", n.id, err)
-		}
-		dcancel()
-		n.ts.Close()
+		drains = append(drains, n.srv.Drain)
+		closers = append(closers, n.ts.Close)
 	}
-	cts.Close()
-	client.CloseIdleConnections()
-	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
-	testutil.SettledGoroutines(t, base)
+	storm.Drain(t, drains...)
+	storm.Settle(t, base, closers...)
 
-	t.Logf("cluster storm: %d kills; %d ok (%d resumed), %d budget, %d canceled, %d overloaded, %d transient, %d conflict; %d failovers, epoch %d",
-		kills, tl.ok, tl.resumed, tl.budget, tl.canceled, tl.overloaded, tl.transient, tl.conflict, m.Failovers, m.Epoch)
-	if tl.ok == 0 {
-		t.Error("no storm request succeeded")
-	}
-	total := tl.ok + tl.budget + tl.canceled + tl.overloaded + tl.transient + tl.conflict
-	if total != stormSeeds() {
-		t.Errorf("tally %d != %d requests — some run was LOST without a typed answer", total, stormSeeds())
-	}
+	t.Logf("cluster storm: %d kills, %d resumed; %d failovers, epoch %d", kills, resumed.Load(), m.Failovers, m.Epoch)
+	st.Finish(storm.Seeds(), "publish:ok")
 }

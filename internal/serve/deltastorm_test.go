@@ -7,69 +7,52 @@
 package serve
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"ptx/internal/testutil"
+	"ptx/internal/testutil/storm"
 )
 
 // deltaStormCase is one seeded actor: a publisher, a mutator, or a
 // watcher, derived from the seed alone.
 type deltaStormCase struct {
-	Seed      int64  `json:"seed"`
-	Role      string `json:"role"` // publish | mutate | watch
-	Canonical bool   `json:"canonical"`
-	WaitMS    int64  `json:"wait_ms"`
+	Seed      int64
+	Role      string // publish | mutate | watch
+	Canonical bool
+	WaitMS    int64
 }
 
 func newDeltaStormCase(seed int64) deltaStormCase {
 	rng := rand.New(rand.NewSource(seed))
-	c := deltaStormCase{
+	return deltaStormCase{
 		Seed:      seed,
 		Role:      []string{"publish", "publish", "mutate", "watch"}[rng.Intn(4)],
 		Canonical: rng.Intn(2) == 0,
 		WaitMS:    int64(rng.Intn(40)),
 	}
-	return c
-}
-
-func dumpDeltaStormArtifact(t *testing.T, c deltaStormCase, violation string) {
-	t.Helper()
-	dir := os.Getenv("CHAOS_ARTIFACT_DIR")
-	if dir == "" {
-		return
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Logf("artifact dir: %v", err)
-		return
-	}
-	desc := fmt.Sprintf("case=%+v\nviolation=%s\n", c, violation)
-	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("deltastorm-%d.txt", c.Seed)), []byte(desc), 0o644); err != nil {
-		t.Logf("artifact write: %v", err)
-	}
 }
 
 // TestDeltaStorm is the live-view chaos harness: seeded concurrent
 // publishers, mutators and watchers over one toggled tuple, every
-// publish response golden-pre or golden-post, every watch response
-// well-formed with monotone versions, then a clean drain and settled
-// goroutines.
+// publish response golden-pre or golden-post, every mutate acked with
+// its views repaired, every watch response well-formed with monotone
+// versions, then a clean drain and settled goroutines.
 func TestDeltaStorm(t *testing.T) {
 	base := runtime.NumGoroutine()
 	s, ts := newMutateServer(t)
 	client := ts.Client()
 	spec, db := exampleSources(t)
-	goldens := map[string][][]byte{
-		"canonical": {goldenXML(t, spec, db, true), goldenXML(t, spec, withStormTuple(db), true)},
-		"xml":       {goldenXML(t, spec, db, false), goldenXML(t, spec, withStormTuple(db), false)},
+	goldens := map[bool][][]byte{
+		true:  {testutil.Golden(t, spec, db, true), testutil.Golden(t, spec, withStormTuple(db), true)},
+		false: {testutil.Golden(t, spec, db, false), testutil.Golden(t, spec, withStormTuple(db), false)},
 	}
 
 	// Prime the live view so watchers and mutators race over a shared
@@ -79,134 +62,74 @@ func TestDeltaStorm(t *testing.T) {
 		t.Fatalf("prime watch: %d", code)
 	}
 
-	type tally struct {
-		published, preGolden, postGolden, mutated, effective, watched, shed int
-	}
-	var mu sync.Mutex
-	var tl tally
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, 12)
+	st := storm.New(t, "deltastorm", StatusForKind)
+	var effective atomic.Int64
 	// The mutator's toggle direction alternates globally so the tuple
 	// flips state throughout the storm rather than saturating.
 	var toggle sync.Mutex
 	present := false
-
-	for seed := int64(1); seed <= int64(stormSeeds()); seed++ {
+	st.Start(storm.Seeds(), 12, func(seed int64) {
 		c := newDeltaStormCase(seed)
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			switch c.Role {
-			case "publish":
-				body := fmt.Sprintf(`{"spec":"tau1","db":"registrar","canonical":%v}`, c.Canonical)
-				resp, got := postJSON(t, client, ts.URL+"/publish", body)
-				mu.Lock()
-				defer mu.Unlock()
-				if resp.StatusCode != http.StatusOK {
-					var eb errorBody
-					if err := json.Unmarshal(got, &eb); err != nil {
-						dumpDeltaStormArtifact(t, c, "untyped publish error")
-						t.Errorf("seed %d: untyped error (status %d): %s", c.Seed, resp.StatusCode, got)
-						return
-					}
-					if eb.Error.Kind == KindOverloaded {
-						tl.shed++
-					}
-					return
+		switch c.Role {
+		case "publish":
+			st.Do(client, storm.Op{
+				Seed: seed, Name: "publish", URL: ts.URL + "/publish", Case: c,
+				Body:    fmt.Sprintf(`{"spec":"tau1","db":"registrar","canonical":%v}`, c.Canonical),
+				Goldens: goldens[c.Canonical],
+			})
+		case "mutate":
+			toggle.Lock()
+			op := "insert"
+			if present {
+				op = "delete"
+			}
+			present = !present
+			toggle.Unlock()
+			r, _, got := st.Do(client, storm.Op{Seed: seed, Name: "mutate", URL: ts.URL + "/mutate", Body: mutateBody(op), Case: c, Strict: true})
+			var mr mutateResponse
+			if r.Violation != "" {
+				return
+			} else if err := json.Unmarshal(got, &mr); err != nil {
+				st.Fail(seed, c, "mutate response: %v", err)
+				return
+			}
+			for _, v := range mr.Views {
+				if v.Error != "" {
+					st.Fail(seed, c, "view %s repair failed: %s", v.Spec, v.Error)
 				}
-				tl.published++
-				key := "xml"
-				if c.Canonical {
-					key = "canonical"
-				}
-				switch {
-				case bytes.Equal(got, goldens[key][0]):
-					tl.preGolden++
-				case bytes.Equal(got, goldens[key][1]):
-					tl.postGolden++
-				default:
-					dumpDeltaStormArtifact(t, c, "publish bytes are neither pre- nor post-delta golden")
-					t.Errorf("seed %d: torn publish: %d bytes match neither golden", c.Seed, len(got))
-				}
-			case "mutate":
-				toggle.Lock()
-				op := "insert"
-				if present {
-					op = "delete"
-				}
-				present = !present
-				toggle.Unlock()
-				resp, got := postJSON(t, client, ts.URL+"/mutate", mutateBody(op))
-				mu.Lock()
-				defer mu.Unlock()
-				if resp.StatusCode != http.StatusOK {
-					dumpDeltaStormArtifact(t, c, "mutate failed")
-					t.Errorf("seed %d: mutate %s: status %d: %s", c.Seed, op, resp.StatusCode, got)
-					return
-				}
-				var mr mutateResponse
-				if err := json.Unmarshal(got, &mr); err != nil {
-					t.Errorf("seed %d: mutate response: %v", c.Seed, err)
-					return
-				}
-				tl.mutated++
-				for _, v := range mr.Views {
-					if v.Error != "" {
-						dumpDeltaStormArtifact(t, c, "view repair failed: "+v.Error)
-						t.Errorf("seed %d: view %s repair failed: %s", c.Seed, v.Spec, v.Error)
-					}
-					if v.Report != nil && v.Report.Effective > 0 {
-						tl.effective++
-					}
-				}
-			case "watch":
-				url := fmt.Sprintf("%s/watch?spec=tau1&db=registrar&after=1&wait_ms=%d", ts.URL, c.WaitMS)
-				var wr watchResponse
-				code := getJSON(t, client, url, &wr)
-				mu.Lock()
-				defer mu.Unlock()
-				if code != http.StatusOK {
-					dumpDeltaStormArtifact(t, c, fmt.Sprintf("watch status %d", code))
-					t.Errorf("seed %d: watch status %d", c.Seed, code)
-					return
-				}
-				tl.watched++
-				last := uint64(1)
-				for _, rep := range wr.Changes {
-					if rep.Version <= last {
-						dumpDeltaStormArtifact(t, c, "non-monotone change versions")
-						t.Errorf("seed %d: change versions not strictly increasing", c.Seed)
-						return
-					}
-					last = rep.Version
-				}
-				if last > wr.Version {
-					t.Errorf("seed %d: change version %d beyond view version %d", c.Seed, last, wr.Version)
+				if v.Report != nil && v.Report.Effective > 0 {
+					effective.Add(1)
 				}
 			}
-		}()
-	}
-	wg.Wait()
+		case "watch":
+			url := fmt.Sprintf("%s/watch?spec=tau1&db=registrar&after=1&wait_ms=%d", ts.URL, c.WaitMS)
+			r, _, got := st.Do(client, storm.Op{Seed: seed, Name: "watch", URL: url, Case: c, Strict: true})
+			var wr watchResponse
+			if r.Violation != "" {
+				return
+			} else if err := json.Unmarshal(got, &wr); err != nil {
+				st.Fail(seed, c, "watch response: %v", err)
+				return
+			}
+			last := uint64(1)
+			for _, rep := range wr.Changes {
+				if rep.Version <= last {
+					st.Fail(seed, c, "change versions not strictly increasing")
+					return
+				}
+				last = rep.Version
+			}
+			if last > wr.Version {
+				st.Fail(seed, c, "change version %d beyond view version %d", last, wr.Version)
+			}
+		}
+	})()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Drain(ctx); err != nil {
-		t.Fatalf("post-storm drain: %v", err)
-	}
-	settle(t, ts, base)
-
-	t.Logf("delta storm: %d published (%d pre, %d post), %d mutated (%d effective), %d watched, %d shed",
-		tl.published, tl.preGolden, tl.postGolden, tl.mutated, tl.effective, tl.watched, tl.shed)
-	if tl.published == 0 || tl.mutated == 0 || tl.watched == 0 {
-		t.Error("storm lost coverage: a role never ran")
-	}
-	if tl.effective == 0 {
+	storm.Drain(t, s.Drain)
+	storm.Settle(t, base, ts.Close)
+	st.Finish(storm.Seeds(), "publish:ok", "mutate:ok", "watch:ok")
+	if effective.Load() == 0 {
 		t.Error("no mutation was effective; the toggle never moved")
-	}
-	if tl.preGolden == 0 && tl.postGolden == 0 {
-		t.Error("no publish landed on either golden")
 	}
 }
 
@@ -219,7 +142,7 @@ func TestDeltaStormDrainMidMutation(t *testing.T) {
 	s, ts := newMutateServer(t)
 	client := ts.Client()
 	spec, db := exampleSources(t)
-	goldens := [][]byte{goldenXML(t, spec, db, true), goldenXML(t, spec, withStormTuple(db), true)}
+	goldens := [][]byte{testutil.Golden(t, spec, db, true), testutil.Golden(t, spec, withStormTuple(db), true)}
 
 	var prime watchResponse
 	if code := getJSON(t, client, ts.URL+"/watch?spec=tau1&db=registrar", &prime); code != http.StatusOK {
@@ -230,72 +153,30 @@ func TestDeltaStormDrainMidMutation(t *testing.T) {
 	if raceEnabled {
 		n = 12
 	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	outcomes := map[string]int{}
-	record := func(k string) {
-		mu.Lock()
-		outcomes[k]++
-		mu.Unlock()
-	}
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			switch i % 3 {
-			case 0:
-				resp, got := postJSON(t, client, ts.URL+"/publish", `{"spec":"tau1","db":"registrar","canonical":true}`)
-				if resp.StatusCode != http.StatusOK {
-					var eb errorBody
-					if err := json.Unmarshal(got, &eb); err != nil {
-						t.Errorf("req %d: untyped publish error: %s", i, got)
-						return
-					}
-					record("publish:" + eb.Error.Kind)
-					return
-				}
-				if !bytes.Equal(got, goldens[0]) && !bytes.Equal(got, goldens[1]) {
-					t.Errorf("req %d: torn publish during drain", i)
-					return
-				}
-				record("publish:ok")
-			case 1:
-				op := "insert"
-				if i%2 == 0 {
-					op = "delete"
-				}
-				resp, got := postJSON(t, client, ts.URL+"/mutate", mutateBody(op))
-				if resp.StatusCode != http.StatusOK {
-					var eb errorBody
-					if err := json.Unmarshal(got, &eb); err != nil {
-						t.Errorf("req %d: untyped mutate error: %s", i, got)
-						return
-					}
-					record("mutate:" + eb.Error.Kind)
-					return
-				}
-				record("mutate:ok")
-			case 2:
-				// Long waits: these watchers are parked when the drain
-				// lands and must be released by it, not leak past it.
-				var wr watchResponse
-				code := getJSON(t, client, ts.URL+"/watch?spec=tau1&db=registrar&after=99999&wait_ms=30000", &wr)
-				record(fmt.Sprintf("watch:%d", code))
+	st := storm.New(t, "deltastorm-drain", StatusForKind)
+	wait := st.Start(n, 0, func(seed int64) {
+		switch i := seed - 1; i % 3 {
+		case 0:
+			st.Do(client, storm.Op{Seed: seed, Name: "publish", URL: ts.URL + "/publish", Body: `{"spec":"tau1","db":"registrar","canonical":true}`, Goldens: goldens})
+		case 1:
+			op := "insert"
+			if i%2 == 0 {
+				op = "delete"
 			}
-		}(i)
-	}
+			st.Do(client, storm.Op{Seed: seed, Name: "mutate", URL: ts.URL + "/mutate", Body: mutateBody(op)})
+		case 2:
+			// Long waits: these watchers are parked when the drain
+			// lands and must be released by it, not leak past it.
+			r, _, got := st.Do(client, storm.Op{Seed: seed, Name: "watch", URL: ts.URL + "/watch?spec=tau1&db=registrar&after=99999&wait_ms=30000"})
+			if r.Outcome() == "watch:ok" && json.Unmarshal(got, new(watchResponse)) != nil {
+				st.Fail(seed, nil, "watch response is not JSON: %s", got)
+			}
+		}
+	})
 
 	time.Sleep(5 * time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	start := time.Now()
-	if err := s.Drain(ctx); err != nil {
-		t.Fatalf("mid-mutation drain: %v", err)
-	}
-	if d := time.Since(start); d > 7*time.Second {
-		t.Fatalf("drain took %v, beyond deadline+grace", d)
-	}
-	wg.Wait()
-	settle(t, ts, base)
-	t.Logf("mid-mutation drain outcomes: %v", outcomes)
+	storm.Drain(t, s.Drain)
+	wait()
+	storm.Settle(t, base, ts.Close)
+	st.Finish(n)
 }

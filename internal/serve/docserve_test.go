@@ -19,6 +19,7 @@ import (
 
 	"ptx/internal/relation"
 	"ptx/internal/supervise"
+	"ptx/internal/testutil"
 	"ptx/internal/wal"
 )
 
@@ -95,7 +96,7 @@ func TestDocServedRepeatPublish(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, canonical := range []bool{false, true} {
-			want := goldenXML(t, string(src), dbSrc, canonical)
+			want := testutil.Golden(t, string(src), dbSrc, canonical)
 			body := fmt.Sprintf(`{"spec":%q,"db":"registrar","canonical":%v}`, spec, canonical)
 			if _, got, fromDoc := publishDocBody(t, ts, body); fromDoc || !bytes.Equal(got, want) {
 				t.Fatalf("%s canonical=%v: first publish from doc %v, golden match %v", spec, canonical, fromDoc, bytes.Equal(got, want))
@@ -141,7 +142,7 @@ func TestDocServedAfterMutate(t *testing.T) {
 		if op == "insert" {
 			db = withStormTuple(dbSrc)
 		}
-		want := goldenXML(t, spec, db, false)
+		want := testutil.Golden(t, spec, db, false)
 		for i, wantDoc := range []bool{false, true} {
 			if _, got, fromDoc := publishDocBody(t, ts, body); fromDoc != wantDoc || !bytes.Equal(got, want) {
 				t.Fatalf("step %d publish %d: from doc %v (want %v), post-delta golden match %v",
@@ -160,7 +161,7 @@ func TestDocServedIneligible(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, ts := newTestServer(t, Config{AllowInject: true, Store: store})
-	want := goldenXML(t, tinySpec, tinyDB, false)
+	want := testutil.Golden(t, tinySpec, tinyDB, false)
 	plain := `{"spec":"tiny","db":"tinydb"}`
 	ineligible := func(pass string) {
 		t.Helper()
@@ -249,7 +250,7 @@ func TestDocServedNotStored(t *testing.T) {
 	if err := s.reg.RegisterDB("bigdb", db.String()); err != nil {
 		t.Fatal(err)
 	}
-	want := goldenXML(t, tinySpec, db.String(), false)
+	want := testutil.Golden(t, tinySpec, db.String(), false)
 	if len(want) <= maxPooledRender {
 		t.Fatalf("the big document is %d bytes, not over the %d-byte cap", len(want), maxPooledRender)
 	}
@@ -283,7 +284,7 @@ func TestDocServedReleasesMemo(t *testing.T) {
 	}
 
 	canon := `{"spec":"tiny","db":"tinydb","canonical":true}`
-	want := goldenXML(t, tinySpec, tinyDB, true)
+	want := testutil.Golden(t, tinySpec, tinyDB, true)
 	h, got, fromDoc := publishDocBody(t, ts, canon)
 	if fromDoc || !bytes.Equal(got, want) {
 		t.Fatalf("first canonical publish: from doc %v, golden match %v", fromDoc, bytes.Equal(got, want))
@@ -307,8 +308,8 @@ func TestDocServedRacingMutates(t *testing.T) {
 	goldens := map[bool][][]byte{}
 	for _, canonical := range []bool{false, true} {
 		goldens[canonical] = [][]byte{
-			goldenXML(t, tinySpec, tinyDB, canonical),
-			goldenXML(t, tinySpec, tinyDB+"R(d)\n", canonical),
+			testutil.Golden(t, tinySpec, tinyDB, canonical),
+			testutil.Golden(t, tinySpec, tinyDB+"R(d)\n", canonical),
 		}
 	}
 	const writes, readers, reads = 20, 4, 30
@@ -350,7 +351,7 @@ func TestDocServedDroppedWithHistory(t *testing.T) {
 	plain := `{"spec":"tiny","db":"tinydb"}`
 	repeat := func(stage, db string) {
 		t.Helper()
-		want := goldenXML(t, tinySpec, db, false)
+		want := testutil.Golden(t, tinySpec, db, false)
 		for i, wantDoc := range []bool{false, true} {
 			if _, got, fromDoc := publishDocBody(t, ts, plain); fromDoc != wantDoc || !bytes.Equal(got, want) {
 				t.Fatalf("%s publish %d: from doc %v (want %v), golden match %v", stage, i, fromDoc, wantDoc, bytes.Equal(got, want))
@@ -423,7 +424,7 @@ func TestDocServedFlightRendersOnce(t *testing.T) {
 			t.Fatal("members of one flight rendered separate documents")
 		}
 	}
-	if !bytes.Equal(docs[0].body, goldenXML(t, tinySpec, tinyDB, false)) {
+	if !bytes.Equal(docs[0].body, testutil.Golden(t, tinySpec, tinyDB, false)) {
 		t.Fatal("the shared document is not the golden")
 	}
 	if got := currentVersion(t, s, "tiny", "tinydb").docs[0]; got != docs[0] {
@@ -457,7 +458,7 @@ func TestDocServedReadAfterWrite(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, canonical := range []bool{false, true} {
-				want := goldenXML(t, string(src), db, canonical)
+				want := testutil.Golden(t, string(src), db, canonical)
 				body := fmt.Sprintf(`{"spec":%q,"db":"registrar","canonical":%v}`, spec, canonical)
 				docs := docServed(t, ts)
 				vh, got, fromView := publishVia(t, ts, body)
@@ -519,7 +520,7 @@ func TestDocServedRunKey(t *testing.T) {
 		t.Fatalf("budgeted run: kind %q, want %q", info.Kind, KindBudget)
 	}
 
-	want := goldenXML(t, tinySpec, tinyDB, false)
+	want := testutil.Golden(t, tinySpec, tinyDB, false)
 	if _, got, fromDoc := publishDocBody(t, ts, plain); fromDoc || !bytes.Equal(got, want) {
 		t.Fatalf("plain publish: from doc %v, golden match %v", fromDoc, bytes.Equal(got, want))
 	}
@@ -533,7 +534,7 @@ func TestDocServedRunKey(t *testing.T) {
 	}
 
 	mutateOK(t, ts, tinyMutate("insert", "d"))
-	want = goldenXML(t, tinySpec, tinyDB+"R(d)\n", false)
+	want = testutil.Golden(t, tinySpec, tinyDB+"R(d)\n", false)
 	h, got, fromDoc = publishDoc(t, ts, runKeyed(t, ts, plain, "fresh", 1))
 	if fromDoc || !bytes.Equal(got, want) || h.Get("X-Ptserve-Resumed") != "false" {
 		t.Fatalf("run-key publish of a fresh version: from doc %v, golden match %v, resumed header %q",
@@ -609,7 +610,7 @@ func TestDocServedUnderOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain := `{"spec":"tiny","db":"tinydb"}`
-	want := goldenXML(t, tinySpec, tinyDB, false)
+	want := testutil.Golden(t, tinySpec, tinyDB, false)
 	publishDocBody(t, ts, plain)
 
 	done := make(chan struct{})

@@ -196,6 +196,13 @@ func RetryAfter(err error) (seconds int, ok bool) {
 	return 0, false
 }
 
+// RefuseHead answers 405 with Allow: GET to a HEAD, which a GET pattern
+// would serve as a full GET (a HEAD /watch would start a watch).
+func RefuseHead(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Allow", http.MethodGet)
+	w.WriteHeader(http.StatusMethodNotAllowed)
+}
+
 // WriteError serializes the stable JSON error schema. Retryable
 // rejections (shedding, draining, transient) advertise Retry-After so
 // well-behaved clients back off instead of hammering a hot server —

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ptx/internal/supervise"
+	"ptx/internal/testutil"
 )
 
 // postAs sends a /publish request stamped with the cluster handoff
@@ -52,7 +53,7 @@ func TestHandoffAcrossNodes(t *testing.T) {
 	_, tsB := newTestServer(t, Config{NodeID: "b", Store: store, CheckpointEvery: 1})
 	nodes := []*httptest.Server{tsA, tsB}
 	names := []string{"a", "b"}
-	want := goldenXML(t, tinySpec, tinyDB, false)
+	want := testutil.Golden(t, tinySpec, tinyDB, false)
 
 	// max_nodes 3 is the smallest budget that can make progress (the
 	// root expansion creates three items in one atomic step) while still
@@ -188,7 +189,7 @@ func TestHandoffHeadersIgnoredWithoutStore(t *testing.T) {
 	if got := hdr.Get("X-Ptserve-Resumed"); got != "" {
 		t.Fatalf("storeless server reported X-Ptserve-Resumed=%q; headers must be ignored", got)
 	}
-	if !bytes.Equal(body, goldenXML(t, tinySpec, tinyDB, false)) {
+	if !bytes.Equal(body, testutil.Golden(t, tinySpec, tinyDB, false)) {
 		t.Fatal("storeless output differs from golden")
 	}
 }

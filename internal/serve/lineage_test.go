@@ -14,6 +14,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"ptx/internal/testutil"
 )
 
 // prereqMutate inserts or deletes one prerequisite edge of registrar: a
@@ -64,7 +66,7 @@ func TestDocServedLineage(t *testing.T) {
 			after.inst != before.inst, after.docs == before.docs, after.memo == before.memo)
 	}
 	for _, canonical := range forms {
-		want := goldenXML(t, readSpec(t, "tau2v"), db, canonical)
+		want := testutil.Golden(t, readSpec(t, "tau2v"), db, canonical)
 		h, got, fromDoc := publishDocBody(t, ts, publishBody("tau2v", canonical))
 		if !fromDoc || h.Get("X-Ptserve-Queries") != "0" || !bytes.Equal(got, want) {
 			t.Fatalf("τ2v canonical=%v after a prereq mutate: from doc %v, queries %q, golden match %v",
@@ -77,7 +79,7 @@ func TestDocServedLineage(t *testing.T) {
 				canonical, fromDoc, bytes.Equal(fgot, got), fh.Get("X-Ptserve-Nodes"), h.Get("X-Ptserve-Nodes"))
 		}
 
-		want = goldenXML(t, readSpec(t, "tau1"), db, canonical)
+		want = testutil.Golden(t, readSpec(t, "tau1"), db, canonical)
 		h, got, fromDoc = publishDocBody(t, ts, publishBody("tau1", canonical))
 		if fromDoc || h.Get("X-Ptserve-Queries") == "0" || !bytes.Equal(got, want) {
 			t.Fatalf("τ1 canonical=%v after a prereq mutate: from doc %v, queries %q, golden match %v",
@@ -91,7 +93,7 @@ func TestDocServedLineage(t *testing.T) {
 		t.Fatalf("course mutate: documents %v, same memo %v", v.docs, v.memo == before.memo)
 	}
 	for _, canonical := range forms {
-		want := goldenXML(t, readSpec(t, "tau2v"), db, canonical)
+		want := testutil.Golden(t, readSpec(t, "tau2v"), db, canonical)
 		if _, got, fromDoc := publishDocBody(t, ts, publishBody("tau2v", canonical)); fromDoc || !bytes.Equal(got, want) {
 			t.Fatalf("τ2v canonical=%v after a course mutate: from doc %v, golden match %v", canonical, fromDoc, bytes.Equal(got, want))
 		}
@@ -159,7 +161,7 @@ func TestDocServedLineageDomainReader(t *testing.T) {
 			db = strings.Replace(db, line, "", 1)
 		}
 		for _, spec := range []string{"dom", "ronly"} {
-			want := goldenXML(t, specs[spec], db, false)
+			want := testutil.Golden(t, specs[spec], db, false)
 			wantDoc := spec == "ronly" && w.ronlyKeeps
 			for i := range 2 {
 				_, got, fromDoc := publishDocBody(t, ts, fmt.Sprintf(`{"spec":%q,"db":"domdb"}`, spec))
@@ -205,7 +207,7 @@ func TestDocServedLineageInFlight(t *testing.T) {
 		t.Fatal("a run on the previous version stored its document on the current one")
 	}
 	_, dbSrc := exampleSources(t)
-	want := goldenXML(t, readSpec(t, "tau2v"), dbSrc+prereqTuple, false)
+	want := testutil.Golden(t, readSpec(t, "tau2v"), dbSrc+prereqTuple, false)
 	if _, got, fromDoc := publishDocBody(t, ts, `{"spec":"tau2v","db":"registrar"}`); fromDoc || !bytes.Equal(got, want) || !bytes.Equal(doc.body, want) {
 		t.Fatalf("publish after the stale run: from doc %v, golden match %v, stale run's bytes match %v",
 			fromDoc, bytes.Equal(got, want), bytes.Equal(doc.body, want))

@@ -18,6 +18,8 @@ import (
 	"time"
 
 	"ptx/internal/incr"
+	"ptx/internal/testutil"
+	"ptx/internal/testutil/storm"
 )
 
 // stormTuple is the single course toggled by these tests: inserting it
@@ -107,8 +109,8 @@ func TestMutateRepairsLiveViewAndPublish(t *testing.T) {
 	s, ts := newMutateServer(t)
 	client := ts.Client()
 	spec, db := exampleSources(t)
-	goldenBase := goldenXML(t, spec, db, true)
-	goldenAlt := goldenXML(t, spec, withStormTuple(db), true)
+	goldenBase := testutil.Golden(t, spec, db, true)
+	goldenAlt := testutil.Golden(t, spec, withStormTuple(db), true)
 
 	// First /watch creates the live view at version 1 with no history.
 	var wr watchResponse
@@ -179,7 +181,7 @@ func TestMutateRepairsLiveViewAndPublish(t *testing.T) {
 	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	settle(t, ts, base)
+	storm.Settle(t, base, ts.Close)
 }
 
 // TestMutateValidation: unknown names, malformed ops and arity
@@ -235,7 +237,7 @@ func TestDeltaLogReplayForLatePair(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, db := exampleSources(t)
-	want := goldenXML(t, string(specSrc), withStormTuple(db), true)
+	want := testutil.Golden(t, string(specSrc), withStormTuple(db), true)
 	resp, body = postJSON(t, client, ts.URL+"/publish", `{"spec":"tau3","db":"registrar","canonical":true}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("late publish: %d: %s", resp.StatusCode, body)

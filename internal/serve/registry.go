@@ -70,29 +70,36 @@ func (lg *dbLog) indexOf(seq uint64) (int, bool) {
 	return idx, true
 }
 
-// absorb folds one replayed record into the log: appends fresh records,
-// skips duplicates, and reconciles a same-seq record from a NEWER epoch
-// by truncating the superseded suffix — the shape a WAL takes when an
-// owner adopted a successor's regime after divergence. Returns whether
-// the record changed the log.
-func (lg *dbLog) absorb(rec DeltaRecord) bool {
-	if idx, ok := lg.indexOf(rec.Seq); ok {
-		if rec.Epoch <= lg.recs[idx].Epoch {
-			return false // duplicate of the same (or a newer) regime
-		}
-		lg.recs = append([]DeltaRecord(nil), lg.recs[:idx]...)
-		lg.seq = rec.Seq - 1
-	} else if rec.Seq <= lg.seq {
-		return false // before the log's first record: already folded
+// admit is the log's one acceptance rule for a sequenced record, used by
+// WAL replay and replication alike. A record at a held sequence from the
+// same or an older epoch, or before the log's first record, is a
+// duplicate (ok false: deltas are idempotent, so the log already
+// reflects it). Otherwise it goes at index at: past the head it appends
+// (a caller that needs contiguity checks for a gap itself), and at a held
+// sequence with a NEWER epoch it supersedes the suffix from there on. The
+// superseded records were written by a deposed owner and never
+// acknowledged (an acknowledged record reaches every up member before its
+// ack, so its sequence number is never reassigned): the new regime's
+// history wins.
+func (lg *dbLog) admit(rec DeltaRecord) (at int, ok bool) {
+	if idx, held := lg.indexOf(rec.Seq); held {
+		return idx, rec.Epoch > lg.recs[idx].Epoch
+	}
+	return len(lg.recs), rec.Seq > lg.seq
+}
+
+// put installs a record admit placed at index at. A superseded suffix is
+// dropped by copying the kept prefix, since logHead's copies share the
+// storage.
+func (lg *dbLog) put(rec DeltaRecord, at int) {
+	if at < len(lg.recs) {
+		lg.recs = append([]DeltaRecord(nil), lg.recs[:at]...)
 	}
 	lg.recs = append(lg.recs, rec)
-	if rec.Seq > lg.seq {
-		lg.seq = rec.Seq
-	}
+	lg.seq = rec.Seq
 	if rec.Epoch > lg.epoch {
 		lg.epoch = rec.Epoch
 	}
-	return true
 }
 
 // DeltaRecord is one committed mutation: its per-database sequence
@@ -193,7 +200,9 @@ func (r *Registry) AttachWAL(l *wal.Log) int {
 	r.log = l
 	n := 0
 	for _, rec := range recs {
-		if r.logsLocked(rec.DB).absorb(DeltaRecord{Seq: rec.Seq, Epoch: rec.Epoch, Delta: rec.Delta}) {
+		lg, dr := r.logsLocked(rec.DB), DeltaRecord{Seq: rec.Seq, Epoch: rec.Epoch, Delta: rec.Delta}
+		if at, ok := lg.admit(dr); ok {
+			lg.put(dr, at)
 			n++
 		}
 	}
@@ -480,42 +489,28 @@ func (r *Registry) mutateLocked(db string, d *relation.Delta, epoch uint64) (int
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.commitLocked(db, rec), rec.Seq, nil
+	return r.commitLocked(db, rec, len(head.recs)), rec.Seq, nil
 }
 
 // applyAtLocked installs a non-empty REPLICATED record at its original
 // sequence number; the caller holds db's writer lock (see lockDB), as
-// /replicate and /sync do through Server.applyRecords.
-// The acceptance rule is what makes duplicate and out-of-order delivery
-// safe: a record at or below the current sequence is a duplicate and is
-// skipped (applied=false, nil error — deltas are idempotent, so the
-// state already reflects it); the successor record commits exactly like
-// MutateDB; anything further ahead is a *GapError telling the sender
-// where to resume. Epoch fencing applies before any of it.
-//
-// One exception to the duplicate rule: a same-seq record carrying a
-// NEWER epoch supersedes the local suffix from that sequence on. Those
-// local records were written by a deposed owner and were never
-// acknowledged (an acknowledged record reaches every up member before
-// its ack, so its sequence number is never reassigned) — the new
-// regime's history wins: once the record is durable, the stale suffix
-// is truncated and the database's cached pairs are deleted: their
-// versions carry the stale records, so the next Pair re-resolves them
-// from the reconciled log.
+// /replicate and /sync do through Server.applyRecords. Epoch fencing
+// applies first; then dbLog.admit's rule makes duplicate and out-of-order
+// delivery safe: a duplicate is skipped (applied=false, nil error), the
+// successor record commits exactly like MutateDB, and anything further
+// ahead is a *GapError telling the sender where to resume. A supersede
+// truncates the stale suffix once the record is durable and deletes the
+// database's cached pairs: their versions carry the stale records, so
+// the next Pair re-resolves them from the reconciled log.
 func (r *Registry) applyAtLocked(db string, rec DeltaRecord) (applied bool, err error) {
 	head, l := r.logHead(db)
 	if rec.Epoch > 0 && rec.Epoch < head.epoch {
 		return false, &supervise.ErrFenced{Key: "mutate\x00" + db, Epoch: rec.Epoch, Stored: head.epoch}
 	}
-	idx, superseded := 0, false
+	at, ok := head.admit(rec)
 	switch {
-	case rec.Seq <= head.seq:
-		var ok bool
-		idx, ok = head.indexOf(rec.Seq)
-		if !ok || rec.Epoch <= head.recs[idx].Epoch {
-			return false, nil
-		}
-		superseded = true
+	case !ok:
+		return false, nil
 	case rec.Seq > head.seq+1:
 		return false, &GapError{DB: db, Have: head.seq, Got: rec.Seq}
 	}
@@ -524,13 +519,10 @@ func (r *Registry) applyAtLocked(db string, rec DeltaRecord) (applied bool, err 
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if superseded {
-		lg := r.logs[db]
-		lg.recs = append([]DeltaRecord(nil), lg.recs[:idx]...)
-		lg.seq = rec.Seq - 1
+	if at < len(head.recs) {
 		clear(r.pairs[db])
 	}
-	r.commitLocked(db, rec)
+	r.commitLocked(db, rec, at)
 	return true, nil
 }
 
@@ -556,19 +548,15 @@ func appendWAL(l *wal.Log, db string, rec DeltaRecord) error {
 	return l.Append(wal.Record{DB: db, Seq: rec.Seq, Epoch: rec.Epoch, Delta: rec.Delta})
 }
 
-// commitLocked commits one durable record in memory and moves every
-// resolved pair over db to its next version. A version whose spec has no
-// rule reading a relation the effective delta changed (pt's Readers,
-// which count a domain-reading query as a reader of every relation)
-// inherits its predecessor's memo and documents; any other starts cold.
-// It returns how many pairs moved. Caller holds db's writer lock and mu.
-func (r *Registry) commitLocked(db string, rec DeltaRecord) int {
-	lg := r.logsLocked(db)
-	lg.recs = append(lg.recs, rec)
-	lg.seq = rec.Seq
-	if rec.Epoch > lg.epoch {
-		lg.epoch = rec.Epoch
-	}
+// commitLocked commits one durable record in memory at index at (see
+// dbLog.admit) and moves every resolved pair over db to its next
+// version. A version whose spec has no rule reading a relation the
+// effective delta changed (pt's Readers, which count a domain-reading
+// query as a reader of every relation) inherits its predecessor's memo
+// and documents; any other starts cold. It returns how many pairs moved.
+// Caller holds db's writer lock and mu.
+func (r *Registry) commitLocked(db string, rec DeltaRecord, at int) int {
+	r.logsLocked(db).put(rec, at)
 	moved := 0
 	for spec, e := range r.pairs[db] {
 		if e.inst == nil {
@@ -590,23 +578,15 @@ func (r *Registry) commitLocked(db string, rec DeltaRecord) int {
 
 // Seq returns the database's last committed sequence number.
 func (r *Registry) Seq(db string) uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if lg, ok := r.logs[db]; ok {
-		return lg.seq
-	}
-	return 0
+	head, _ := r.logHead(db)
+	return head.seq
 }
 
 // EpochHighWater returns the highest epoch observed on an accepted
 // write to the database.
 func (r *Registry) EpochHighWater(db string) uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if lg, ok := r.logs[db]; ok {
-		return lg.epoch
-	}
-	return 0
+	head, _ := r.logHead(db)
+	return head.epoch
 }
 
 // RecordsSince returns the records with sequence numbers strictly

@@ -473,3 +473,70 @@ func TestLoadDir(t *testing.T) {
 		}
 	}
 }
+
+// TestDBLogAdmit pins the one acceptance rule WAL replay (AttachWAL) and
+// replication (applyAtLocked) share, on a log holding seqs 5..7 at epoch
+// 2, the shape a compacted WAL base leaves.
+func TestDBLogAdmit(t *testing.T) {
+	held := func() *dbLog {
+		lg := &dbLog{seq: 4}
+		for seq := uint64(5); seq <= 7; seq++ {
+			lg.put(DeltaRecord{Seq: seq, Epoch: 2}, len(lg.recs))
+		}
+		return lg
+	}
+	for _, tc := range []struct {
+		name       string
+		seq, epoch uint64
+		at         int
+		ok         bool
+	}{
+		{"duplicate", 6, 2, 0, false},
+		{"older regime", 6, 1, 0, false},
+		{"before the first record", 3, 9, 0, false},
+		{"newer regime supersedes", 6, 3, 1, true},
+		{"successor appends", 8, 2, 3, true},
+		{"gap appends; the caller checks contiguity", 10, 2, 3, true},
+	} {
+		lg := held()
+		at, ok := lg.admit(DeltaRecord{Seq: tc.seq, Epoch: tc.epoch})
+		if ok != tc.ok || ok && at != tc.at {
+			t.Errorf("%s: admit = (%d, %v), want (%d, %v)", tc.name, at, ok, tc.at, tc.ok)
+		}
+	}
+	lg := held()
+	lg.put(DeltaRecord{Seq: 6, Epoch: 3}, 1)
+	if len(lg.recs) != 2 || lg.recs[1].Epoch != 3 || lg.seq != 6 || lg.epoch != 3 {
+		t.Fatalf("after a supersede at 6: %d records, seq %d, epoch %d; want 2, 6, 3", len(lg.recs), lg.seq, lg.epoch)
+	}
+
+	// Replay takes the same rule: a WAL whose owner adopted a newer
+	// regime at seq 2 recovers to the superseding record alone.
+	dir := t.TempDir()
+	w, err := wal.Open(dir, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct{ seq, epoch uint64 }{{1, 1}, {2, 1}, {3, 1}, {2, 2}, {2, 2}} {
+		d := (&relation.Delta{}).Insert("R", fmt.Sprint(r.seq, "e", r.epoch))
+		if err := w.Append(wal.Record{DB: "tinydb", Seq: r.seq, Epoch: r.epoch, Delta: d}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	l, err := wal.Open(dir, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	reg := NewRegistry()
+	if err := reg.RegisterDB("tinydb", tinyDB); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.AttachWAL(l); n != 4 {
+		t.Errorf("AttachWAL replayed %d records, want 4 (the duplicate skipped)", n)
+	}
+	if recs := reg.RecordsSince("tinydb", 0); len(recs) != 2 || recs[1].Epoch != 2 || reg.Seq("tinydb") != 2 {
+		t.Fatalf("recovered log: %d records, seq %d; want 2 ending in the epoch-2 record at seq 2", len(recs), reg.Seq("tinydb"))
+	}
+}

@@ -13,7 +13,8 @@ import (
 // 405 with the route's Allow header; /healthz and /readyz answer any
 // method; while the server drains, each gated route answers 503
 // draining and counts it under rejected, and no other route is gated;
-// and every response, a 405 included, names the node.
+// HEAD /watch gets 405 with Allow: GET; and every response, a 405
+// included, names the node.
 func TestServeRouteTable(t *testing.T) {
 	routes := []struct {
 		path, method, allow string // method "" answers any
@@ -58,6 +59,16 @@ func TestServeRouteTable(t *testing.T) {
 		if rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != rt.allow {
 			t.Errorf("%s %s = %d with Allow %q, want 405 with Allow %q", m, rt.path, rec.Code, rec.Header().Get("Allow"), rt.allow)
 		}
+	}
+
+	// HEAD /watch is refused too: served as a GET it would build the
+	// pair's live view and count a watch for a body that is thrown away.
+	rec := do(http.MethodHead, "/watch?spec=tiny&db=tinydb")
+	views := 0
+	s.views.Range(func(any, any) bool { views++; return true })
+	if rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != "GET" || s.Metrics().Watched != 0 || views != 0 {
+		t.Errorf("HEAD /watch = %d with Allow %q, %d watched, %d views; want 405 with Allow \"GET\", none watched or built",
+			rec.Code, rec.Header().Get("Allow"), s.Metrics().Watched, views)
 	}
 
 	if err := s.Drain(context.Background()); err != nil {

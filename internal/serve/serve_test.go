@@ -1,16 +1,12 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"ptx/internal/parser"
-	"ptx/internal/pt"
 )
 
 // tinySpec/tinyDB: a two-level publish small enough that goldens are
@@ -93,34 +89,4 @@ func decodeError(t *testing.T, status int, body []byte) ErrorInfo {
 		t.Fatalf("kind %q arrived with status %d, pinned mapping says %d", eb.Error.Kind, status, want)
 	}
 	return eb.Error
-}
-
-// goldenXML runs the spec directly (no server) and renders the XML the
-// HTTP path must reproduce byte for byte.
-func goldenXML(t *testing.T, spec, db string, canonical bool) []byte {
-	t.Helper()
-	tr, err := parser.ParseTransducer(spec)
-	if err != nil {
-		t.Fatalf("parsing golden spec: %v", err)
-	}
-	inst, err := parser.ParseInstance(db, tr.Schema)
-	if err != nil {
-		t.Fatalf("parsing golden db: %v", err)
-	}
-	res, err := tr.Run(inst, pt.Options{})
-	if err != nil {
-		t.Fatalf("golden run: %v", err)
-	}
-	var buf bytes.Buffer
-	if canonical {
-		if err := res.Xi.WriteCanonicalVirtual(&buf, tr.Virtual); err != nil {
-			t.Fatalf("golden canonical: %v", err)
-		}
-		buf.WriteByte('\n')
-	} else {
-		if err := res.Xi.WriteXMLVirtual(&buf, tr.Virtual); err != nil {
-			t.Fatalf("golden xml: %v", err)
-		}
-	}
-	return buf.Bytes()
 }

@@ -267,6 +267,7 @@ func (s *Server) Handler() http.Handler {
 	gated("POST /replicate", s.handleReplicate)
 	gated("POST /sync", s.handleSync)
 	gated("GET /watch", s.handleWatch)
+	mux.HandleFunc("HEAD /watch", RefuseHead)
 	mux.HandleFunc("GET /deltalog", s.handleDeltaLog)
 	mux.HandleFunc("POST /warm", s.handleWarm)
 	mux.HandleFunc("/healthz", s.handleHealthz)

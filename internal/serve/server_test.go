@@ -18,13 +18,14 @@ import (
 	"ptx/internal/runctl"
 	"ptx/internal/supervise"
 	"ptx/internal/testutil"
+	"ptx/internal/testutil/storm"
 	"ptx/internal/wal"
 )
 
 func TestPublishGolden(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, canonical := range []bool{false, true} {
-		want := goldenXML(t, tinySpec, tinyDB, canonical)
+		want := testutil.Golden(t, tinySpec, tinyDB, canonical)
 		status, hdr, body := post(t, ts, fmt.Sprintf(`{"spec":"tiny","db":"tinydb","canonical":%v}`, canonical))
 		if status != http.StatusOK {
 			t.Fatalf("canonical=%v: status %d: %s", canonical, status, body)
@@ -166,7 +167,7 @@ func TestPublishRetrySucceeds(t *testing.T) {
 	// seed, so once found the test is stable; assert the two-sided
 	// contract instead of a fixed seed's fate.
 	_, ts := newTestServer(t, Config{AllowInject: true})
-	want := goldenXML(t, tinySpec, tinyDB, false)
+	want := testutil.Golden(t, tinySpec, tinyDB, false)
 	sawRetrySuccess := false
 	for seed := int64(0); seed < 30 && !sawRetrySuccess; seed++ {
 		req := fmt.Sprintf(`{"spec":"tiny","db":"tinydb","retries":4,"inject":{"seed":%d,"probs":{"query":0.3}}}`, seed)
@@ -283,17 +284,7 @@ func TestDrainProtocol(t *testing.T) {
 	if !health.Draining || health.Metrics.Rejected == 0 {
 		t.Fatalf("healthz after drain: %+v", health)
 	}
-	settle(t, ts, base)
-}
-
-// settle tears down the HTTP plumbing (keep-alive connections, the
-// test listener) so SettledGoroutines measures only the server's own
-// goroutines.
-func settle(t *testing.T, ts *httptest.Server, base int) {
-	t.Helper()
-	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
-	ts.Close()
-	testutil.SettledGoroutines(t, base)
+	storm.Settle(t, base, ts.Close)
 }
 
 // TestDrainCancelsStragglers: drain with a hung in-flight run cancels
@@ -331,7 +322,7 @@ func TestDrainCancelsStragglers(t *testing.T) {
 	if err := <-flightDone; !errors.As(err, &ce) {
 		t.Fatalf("straggler error: want *runctl.ErrCanceled, got %v", err)
 	}
-	settle(t, ts, base)
+	storm.Settle(t, base, ts.Close)
 }
 
 // TestPublishDedup: concurrent identical requests share one run. The
@@ -340,7 +331,7 @@ func TestDrainCancelsStragglers(t *testing.T) {
 // the followers.
 func TestPublishDedup(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 8, Queue: 8})
-	want := goldenXML(t, tinySpec, tinyDB, false)
+	want := testutil.Golden(t, tinySpec, tinyDB, false)
 
 	const n = 6
 	var wg sync.WaitGroup

@@ -1,56 +1,31 @@
 package serve
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
-	"fmt"
 	"math/rand"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
+
+	"ptx/internal/testutil"
+	"ptx/internal/testutil/storm"
 )
 
-// stormSeeds is the acceptance-criterion batch: 100+ seeded requests
-// against the real example specs, every one ending in golden bytes or a
-// typed error, followed by a clean drain with zero goroutine leaks.
-// Under the race detector the batch shrinks (coverage is per-shape, not
-// per-seed; the CI serve-smoke job runs exactly this reduced batch).
-func stormSeeds() int {
-	if raceEnabled {
-		return 48
-	}
-	return 120
-}
-
-// stormCase is one seeded request, derived from its seed alone so a CI
-// failure replays locally with the same number.
-type stormCase struct {
-	Seed      int64   `json:"seed"`
-	Spec      string  `json:"spec"`
-	Canonical bool    `json:"canonical"`
-	Retries   int     `json:"retries"`
-	MaxNodes  int     `json:"max_nodes,omitempty"` // 0 = server default
-	QueryP    float64 `json:"query_p"`             // injected query fault rate
-	TimeoutMS int64   `json:"timeout_ms"`
-}
-
-func newStormCase(seed int64) stormCase {
+// newStormCase draws one request of the serve storm from its seed: a
+// third of the cases inject query faults (sometimes hot enough to
+// exhaust the retries), a sixth carry a starvation node budget.
+func newStormCase(seed int64) storm.Publish {
 	rng := rand.New(rand.NewSource(seed))
-	c := stormCase{
+	c := storm.Publish{
 		Seed:      seed,
 		Spec:      []string{"tau1", "tau2v"}[rng.Intn(2)],
+		DB:        "registrar",
 		Canonical: rng.Intn(2) == 0,
 		Retries:   rng.Intn(3),
 		TimeoutMS: 2000,
 	}
-	// A third of the cases inject query faults (sometimes hot enough to
-	// exhaust the retries), a sixth carry a starvation node budget.
 	switch rng.Intn(6) {
 	case 0, 1:
 		c.QueryP = []float64{0.1, 0.3, 0.9}[rng.Intn(3)]
@@ -58,38 +33,6 @@ func newStormCase(seed int64) stormCase {
 		c.MaxNodes = 1 + rng.Intn(3)
 	}
 	return c
-}
-
-func (c stormCase) body() string {
-	req := map[string]any{
-		"spec":      c.Spec,
-		"db":        "registrar",
-		"canonical": c.Canonical,
-		"retries":   c.Retries,
-		"limits":    map[string]any{"timeout_ms": c.TimeoutMS, "max_nodes": c.MaxNodes},
-	}
-	if c.QueryP > 0 {
-		req["inject"] = map[string]any{"seed": c.Seed, "probs": map[string]float64{"query": c.QueryP}}
-	}
-	b, _ := json.Marshal(req)
-	return string(b)
-}
-
-// dumpStormArtifact ships a violating case to CHAOS_ARTIFACT_DIR so the
-// CI failure report carries the replayable scenario.
-func dumpStormArtifact(t *testing.T, c stormCase, violation string) {
-	dir := os.Getenv("CHAOS_ARTIFACT_DIR")
-	if dir == "" {
-		return
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Logf("artifact dir: %v", err)
-		return
-	}
-	desc := fmt.Sprintf("case=%+v\nrequest=%s\nviolation=%s\n", c, c.body(), violation)
-	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("storm-%d.txt", c.Seed)), []byte(desc), 0o644); err != nil {
-		t.Logf("artifact write: %v", err)
-	}
 }
 
 // TestServeStorm is the server-level chaos harness: a seeded request
@@ -116,113 +59,37 @@ func TestServeStorm(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 
 	// Goldens straight from the engine, once per (spec, rendering).
-	golden := map[string][]byte{}
+	golden := map[bool]map[string][]byte{false: {}, true: {}}
+	db, err := os.ReadFile("../../examples/specs/registrar.db")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, spec := range []string{"tau1", "tau2v"} {
 		src, err := os.ReadFile(filepath.Join("../../examples/specs", spec+".pt"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		db, err := os.ReadFile("../../examples/specs/registrar.db")
-		if err != nil {
-			t.Fatal(err)
-		}
-		golden[spec+"/xml"] = goldenXML(t, string(src), string(db), false)
-		golden[spec+"/canonical"] = goldenXML(t, string(src), string(db), true)
+		golden[false][spec] = testutil.Golden(t, string(src), string(db), false)
+		golden[true][spec] = testutil.Golden(t, string(src), string(db), true)
 	}
 
-	type tally struct {
-		ok, budget, transient, canceled, overloaded int
-	}
-	var mu sync.Mutex
-	var tl tally
-	var wg sync.WaitGroup
+	st := storm.New(t, "storm", StatusForKind)
 	client := ts.Client()
-	sem := make(chan struct{}, 12) // storm width: keeps the queue busy
-	for seed := int64(1); seed <= int64(stormSeeds()); seed++ {
+	st.Start(storm.Seeds(), 12, func(seed int64) {
 		c := newStormCase(seed)
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			resp, err := client.Post(ts.URL+"/publish", "application/json", bytes.NewReader([]byte(c.body())))
-			if err != nil {
-				dumpStormArtifact(t, c, err.Error())
-				t.Errorf("seed %d: transport error: %v", c.Seed, err)
-				return
-			}
-			defer resp.Body.Close()
-			var buf bytes.Buffer
-			if _, err := buf.ReadFrom(resp.Body); err != nil {
-				t.Errorf("seed %d: reading body: %v", c.Seed, err)
-				return
-			}
-			body := buf.Bytes()
-			mu.Lock()
-			defer mu.Unlock()
-			if resp.StatusCode == http.StatusOK {
-				key := c.Spec + "/xml"
-				if c.Canonical {
-					key = c.Spec + "/canonical"
-				}
-				if !bytes.Equal(body, golden[key]) {
-					dumpStormArtifact(t, c, "200 body differs from golden")
-					t.Errorf("seed %d: served bytes differ from golden %s", c.Seed, key)
-				}
-				tl.ok++
-				return
-			}
-			var eb errorBody
-			if err := json.Unmarshal(body, &eb); err != nil {
-				dumpStormArtifact(t, c, "untyped error body")
-				t.Errorf("seed %d: non-JSON error body (status %d): %s", c.Seed, resp.StatusCode, body)
-				return
-			}
-			want, known := StatusForKind(eb.Error.Kind)
-			if !known || want != resp.StatusCode {
-				dumpStormArtifact(t, c, "kind/status mismatch")
-				t.Errorf("seed %d: kind %q with status %d (pinned %d)", c.Seed, eb.Error.Kind, resp.StatusCode, want)
-				return
-			}
-			switch eb.Error.Kind {
-			case KindBudget:
-				tl.budget++
-			case KindTransient:
-				tl.transient++
-			case KindCanceled:
-				tl.canceled++
-			case KindOverloaded:
-				tl.overloaded++
-			default:
-				dumpStormArtifact(t, c, "unexpected error kind")
-				t.Errorf("seed %d: unexpected kind %q: %s", c.Seed, eb.Error.Kind, body)
-			}
-		}()
-	}
-	wg.Wait()
+		st.Do(client, storm.Op{
+			Seed: seed, Name: "publish", URL: ts.URL + "/publish", Body: c.Body(), Case: c,
+			Goldens: [][]byte{golden[c.Canonical][c.Spec]},
+			Kinds:   []string{KindBudget, KindTransient, KindCanceled, KindOverloaded},
+		})
+	})()
 
-	// Clean drain within its deadline, then nothing left running.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Drain(ctx); err != nil {
-		t.Fatalf("post-storm drain: %v", err)
-	}
-	settle(t, ts, base)
-
-	t.Logf("storm: %d ok, %d budget, %d transient, %d canceled, %d overloaded",
-		tl.ok, tl.budget, tl.transient, tl.canceled, tl.overloaded)
+	storm.Drain(t, s.Drain)
+	storm.Settle(t, base, ts.Close)
 	// The case distribution is tuned so success, budget exhaustion and
 	// injected-fault failure all occur — a storm that never reaches one
 	// of those states has lost its coverage.
-	if tl.ok == 0 {
-		t.Error("no storm request succeeded; fault rates too hot")
-	}
-	if tl.budget == 0 {
-		t.Error("no storm request tripped a budget; starvation cases missing")
-	}
-	if tl.transient == 0 {
-		t.Error("no storm request failed transiently; injection not reaching the run")
-	}
+	st.Finish(storm.Seeds(), "publish:ok", "publish:budget", "publish:transient")
 }
 
 // TestStormDrainUnderLoad fires a storm and drains MID-flight: every
@@ -240,58 +107,22 @@ func TestStormDrainUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
-	client := ts.Client()
+	spec, db := exampleSources(t)
+	golden := [][]byte{testutil.Golden(t, spec, db, false)}
 
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	kinds := map[string]int{}
 	n := 24
 	if raceEnabled {
 		n = 12
 	}
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			body := `{"spec":"tau1","db":"registrar"}`
-			resp, err := client.Post(ts.URL+"/publish", "application/json", bytes.NewReader([]byte(body)))
-			if err != nil {
-				t.Errorf("req %d: %v", i, err)
-				return
-			}
-			defer resp.Body.Close()
-			var buf bytes.Buffer
-			_, _ = buf.ReadFrom(resp.Body)
-			mu.Lock()
-			defer mu.Unlock()
-			if resp.StatusCode == http.StatusOK {
-				kinds["ok"]++
-				return
-			}
-			var eb errorBody
-			if err := json.Unmarshal(buf.Bytes(), &eb); err != nil {
-				t.Errorf("req %d: untyped error (status %d): %s", i, resp.StatusCode, buf.Bytes())
-				return
-			}
-			if want, known := StatusForKind(eb.Error.Kind); !known || want != resp.StatusCode {
-				t.Errorf("req %d: kind %q with status %d", i, eb.Error.Kind, resp.StatusCode)
-				return
-			}
-			kinds[eb.Error.Kind]++
-		}(i)
-	}
+	st := storm.New(t, "storm-drain", StatusForKind)
+	client := ts.Client()
+	wait := st.Start(n, 0, func(seed int64) {
+		st.Do(client, storm.Op{Seed: seed, Name: "publish", URL: ts.URL + "/publish", Body: `{"spec":"tau1","db":"registrar"}`, Goldens: golden})
+	})
 	// Let some requests in, then pull the plug while others are queued.
 	time.Sleep(5 * time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	start := time.Now()
-	if err := s.Drain(ctx); err != nil {
-		t.Fatalf("mid-storm drain: %v", err)
-	}
-	if d := time.Since(start); d > 7*time.Second {
-		t.Fatalf("drain took %v, beyond deadline+grace", d)
-	}
-	wg.Wait()
-	settle(t, ts, base)
-	t.Logf("mid-drain storm outcomes: %v", kinds)
+	storm.Drain(t, s.Drain)
+	wait()
+	storm.Settle(t, base, ts.Close)
+	st.Finish(n)
 }

@@ -22,6 +22,7 @@ import (
 	"ptx/internal/incr"
 	"ptx/internal/pt"
 	"ptx/internal/supervise"
+	"ptx/internal/testutil"
 )
 
 // viewServed reads the view_served counter from /healthz.
@@ -123,7 +124,7 @@ func TestViewServedReadYourWrite(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, canonical := range []bool{false, true} {
-				want := goldenXML(t, string(src), db, canonical)
+				want := testutil.Golden(t, string(src), db, canonical)
 				body := fmt.Sprintf(`{"spec":%q,"db":"registrar","canonical":%v}`, spec, canonical)
 				h, got, fromView := publishVia(t, ts, body)
 				if !fromView {
@@ -171,7 +172,7 @@ func TestViewServedFallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	openView(t, ts, "tiny", "tinydb")
-	want := goldenXML(t, tinySpec, tinyDB, false)
+	want := testutil.Golden(t, tinySpec, tinyDB, false)
 	plain := `{"spec":"tiny","db":"tinydb"}`
 	if _, got, fromView := publishVia(t, ts, plain); !fromView || !bytes.Equal(got, want) {
 		t.Fatalf("plain publish: from view %v, golden match %v", fromView, bytes.Equal(got, want))
@@ -227,14 +228,14 @@ func TestViewServedFallbacks(t *testing.T) {
 		t.Errorf("schema-rejected delta: from view %v, doc-served %v, golden match %v",
 			fromView, docServed(t, ts) == docs+1, bytes.Equal(got, want))
 	}
-	wantS := goldenXML(t, tinySSpec, tinyDB+"S(z)\n", false)
+	wantS := testutil.Golden(t, tinySSpec, tinyDB+"S(z)\n", false)
 	if _, got, fromView := publishVia(t, ts, `{"spec":"tinys","db":"tinydb"}`); !fromView || !bytes.Equal(got, wantS) {
 		t.Errorf("tinys after its delta: from view %v, golden match %v", fromView, bytes.Equal(got, wantS))
 	}
 	// The next delta tiny takes moves its version, and the view repaired
 	// to it serves it.
 	mutateOK(t, ts, tinyMutate("insert", "d"))
-	want = goldenXML(t, tinySpec, tinyDB+"R(d)\n", false)
+	want = testutil.Golden(t, tinySpec, tinyDB+"R(d)\n", false)
 	if _, got, fromView := publishVia(t, ts, plain); !fromView || !bytes.Equal(got, want) {
 		t.Errorf("after a repair: from view %v, golden match %v", fromView, bytes.Equal(got, want))
 	}
@@ -283,7 +284,7 @@ func TestViewServedBrokenView(t *testing.T) {
 	if _, _, vinst, rerr := v.Render(io.Discard, false); !errors.Is(rerr, incr.ErrBroken) || vinst != cur {
 		t.Fatalf("after the failed repair: render error %v, reads the resolved version %v", rerr, vinst == cur)
 	}
-	want := goldenXML(t, tinySpec, tinyDB+"R(d)\n", false)
+	want := testutil.Golden(t, tinySpec, tinyDB+"R(d)\n", false)
 	if _, got, fromView := publishVia(t, ts, plain); fromView || !bytes.Equal(got, want) {
 		t.Errorf("broken view: from view %v, golden match %v", fromView, bytes.Equal(got, want))
 	}
@@ -306,7 +307,7 @@ func TestViewServedAfterSupersede(t *testing.T) {
 	sendRec(1, 1, "d")
 	sendRec(2, 1, "e")
 	for _, canonical := range []bool{false, true} {
-		want := goldenXML(t, tinySpec, tinyDB+"R(d)\nR(e)\n", canonical)
+		want := testutil.Golden(t, tinySpec, tinyDB+"R(d)\nR(e)\n", canonical)
 		body := `{"spec":"tiny","db":"tinydb","canonical":` + strconv.FormatBool(canonical) + `}`
 		if _, got, fromView := publishVia(t, ts, body); !fromView || !bytes.Equal(got, want) {
 			t.Fatalf("before the supersede: from view %v, golden match %v", fromView, bytes.Equal(got, want))
@@ -314,7 +315,7 @@ func TestViewServedAfterSupersede(t *testing.T) {
 	}
 	sendRec(2, 2, "f")
 	for _, canonical := range []bool{false, true} {
-		want := goldenXML(t, tinySpec, tinyDB+"R(d)\nR(f)\n", canonical)
+		want := testutil.Golden(t, tinySpec, tinyDB+"R(d)\nR(f)\n", canonical)
 		body := `{"spec":"tiny","db":"tinydb","canonical":` + strconv.FormatBool(canonical) + `}`
 		if _, got, fromView := publishVia(t, ts, body); !fromView || !bytes.Equal(got, want) {
 			t.Fatalf("after the supersede canonical=%v: from view %v, golden match %v\n got %q\nwant %q",
@@ -348,7 +349,7 @@ func TestViewServedDomainDependent(t *testing.T) {
 	}
 	openView(t, ts, "dom", "domdb")
 	mutateOK(t, ts, `{"spec":"dom","db":"domdb","ops":[{"op":"insert","rel":"R","tuple":["c"]}]}`)
-	want := goldenXML(t, domSpec, db+"R(c)\n", false)
+	want := testutil.Golden(t, domSpec, db+"R(c)\n", false)
 	if _, got, fromView := publishVia(t, ts, `{"spec":"dom","db":"domdb"}`); !fromView || !bytes.Equal(got, want) {
 		t.Fatalf("view-served publish: from view %v, golden match %v\n got %q\nwant %q", fromView, bytes.Equal(got, want), got, want)
 	}

@@ -19,6 +19,7 @@ import (
 
 	"ptx/internal/breaker"
 	"ptx/internal/runctl"
+	"ptx/internal/testutil"
 	"ptx/internal/wal"
 )
 
@@ -65,7 +66,7 @@ func TestMutateRestartServesPostDelta(t *testing.T) {
 	if mr.Seq != 1 {
 		t.Fatalf("first delta committed at seq %d, want 1", mr.Seq)
 	}
-	want := goldenXML(t, tinySpec, tinyDB+"R(d)\n", false)
+	want := testutil.Golden(t, tinySpec, tinyDB+"R(d)\n", false)
 	status, _, got := post(t, ts, `{"spec":"tiny","db":"tinydb"}`)
 	if status != http.StatusOK || string(got) != string(want) {
 		t.Fatalf("pre-restart publish: status %d\n got %q\nwant %q", status, got, want)
@@ -124,7 +125,7 @@ func TestMutateCrashBeforeDurable(t *testing.T) {
 				t.Fatal("storage rejection must advertise Retry-After")
 			}
 			// Atomically absent: live publish serves pre-delta bytes...
-			want := goldenXML(t, tinySpec, tinyDB, false)
+			want := testutil.Golden(t, tinySpec, tinyDB, false)
 			status, _, got := post(t, ts, `{"spec":"tiny","db":"tinydb"}`)
 			if status != http.StatusOK || string(got) != string(want) {
 				t.Fatalf("publish after failed mutate: status %d\n got %q\nwant %q", status, got, want)
@@ -168,7 +169,7 @@ func TestMutateCrashAfterDurable(t *testing.T) {
 		t.Fatalf("lost ack = (%d, %q), want (503, transient)", resp.StatusCode, info.Kind)
 	}
 	// The delta is live despite the lost ack.
-	want := goldenXML(t, tinySpec, tinyDB+"R(d)\n", false)
+	want := testutil.Golden(t, tinySpec, tinyDB+"R(d)\n", false)
 	status, _, got := post(t, ts, `{"spec":"tiny","db":"tinydb"}`)
 	if status != http.StatusOK || string(got) != string(want) {
 		t.Fatalf("publish after lost ack: status %d\n got %q\nwant %q", status, got, want)
@@ -217,7 +218,7 @@ func TestMutateZombieEpochFenced(t *testing.T) {
 		t.Fatalf("zombie epoch = (%d, %q), want (409, conflict)", resp.StatusCode, info.Kind)
 	}
 	// The fenced write left no trace.
-	want := goldenXML(t, tinySpec, tinyDB+"R(d)\n", false)
+	want := testutil.Golden(t, tinySpec, tinyDB+"R(d)\n", false)
 	status, _, got := post(t, ts, `{"spec":"tiny","db":"tinydb"}`)
 	if status != http.StatusOK || string(got) != string(want) {
 		t.Fatalf("publish after fenced write: status %d\n got %q\nwant %q", status, got, want)
@@ -264,7 +265,7 @@ func TestReplicateProtocol(t *testing.T) {
 		t.Fatalf("gapped record: %+v, want gap=true have=1", rr)
 	}
 	// The replicated (not gapped) delta is serving.
-	want := goldenXML(t, tinySpec, tinyDB+"R(d)\n", false)
+	want := testutil.Golden(t, tinySpec, tinyDB+"R(d)\n", false)
 	status, _, got := post(t, ts, `{"spec":"tiny","db":"tinydb"}`)
 	if status != http.StatusOK || string(got) != string(want) {
 		t.Fatalf("publish after replicate: status %d\n got %q\nwant %q", status, got, want)
@@ -282,7 +283,7 @@ func TestReplicateProtocol(t *testing.T) {
 	if rr := sendRec(2, 2, "f"); rr.Applied != 1 || rr.Have != 2 || rr.Gap {
 		t.Fatalf("superseding seq 2: %+v, want applied=1 have=2", rr)
 	}
-	want = goldenXML(t, tinySpec, tinyDB+"R(d)\nR(f)\n", true)
+	want = testutil.Golden(t, tinySpec, tinyDB+"R(d)\nR(f)\n", true)
 	status, _, got = post(t, ts, `{"spec":"tiny","db":"tinydb","canonical":true}`)
 	if status != http.StatusOK || string(got) != string(want) {
 		t.Fatalf("publish after supersede: status %d\n got %q\nwant %q", status, got, want)
@@ -323,7 +324,7 @@ func TestSyncBidirectional(t *testing.T) {
 	if sr.Pulled != 2 || sr.Pushed != 0 || sr.Seq != 2 {
 		t.Fatalf("sync = %+v, want pulled=2 pushed=0 seq=2", sr)
 	}
-	want := goldenXML(t, tinySpec, tinyDB+"R(d)\nR(e)\n", false)
+	want := testutil.Golden(t, tinySpec, tinyDB+"R(d)\nR(e)\n", false)
 	for name, ts := range map[string]*httptest.Server{"A": tsA, "B": tsB} {
 		status, _, got := post(t, ts, `{"spec":"tiny","db":"tinydb"}`)
 		if status != http.StatusOK || string(got) != string(want) {
@@ -344,7 +345,7 @@ func TestSyncBidirectional(t *testing.T) {
 	if sr.Pulled != 0 || sr.Pushed != 1 {
 		t.Fatalf("sync 2 = %+v, want pulled=0 pushed=1", sr)
 	}
-	want = goldenXML(t, tinySpec, tinyDB+"R(d)\nR(e)\nR(f)\n", false)
+	want = testutil.Golden(t, tinySpec, tinyDB+"R(d)\nR(e)\nR(f)\n", false)
 	for name, ts := range map[string]*httptest.Server{"A": tsA, "B": tsB} {
 		status, _, got := post(t, ts, `{"spec":"tiny","db":"tinydb"}`)
 		if status != http.StatusOK || string(got) != string(want) {
@@ -481,7 +482,7 @@ func TestMutateReplicasHeader(t *testing.T) {
 	}
 	// The live replica heard the delta even though the client heard no
 	// ack — at-least-once, never at-most-once.
-	want := goldenXML(t, tinySpec, tinyDB+"R(d)\n", false)
+	want := testutil.Golden(t, tinySpec, tinyDB+"R(d)\n", false)
 	status, _, got := post(t, tsB, `{"spec":"tiny","db":"tinydb"}`)
 	if status != http.StatusOK || string(got) != string(want) {
 		t.Fatalf("replica publish: status %d\n got %q\nwant %q", status, got, want)

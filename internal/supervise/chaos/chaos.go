@@ -93,7 +93,7 @@ func NewCase(seed int64, workloads []Workload) Case {
 		Seed:     seed,
 		Workload: workloads[rng.Intn(len(workloads))].Name,
 		Probs:    map[runctl.Op]float64{},
-		Cache:    pt.CacheMode(rng.Intn(3)),
+		Cache:    pt.CacheMode(rng.Intn(2)), // CacheOff or CacheQueries
 		Retries:  4 + rng.Intn(8),
 	}
 	for _, op := range runctl.Ops() {

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 
+	"ptx/internal/pt"
 	"ptx/internal/supervise/chaos"
-	"ptx/internal/testutil"
+	"ptx/internal/testutil/storm"
 )
 
 // chaosSeeds is the acceptance-criterion batch size: at least 100
@@ -18,64 +18,43 @@ import (
 // error with zero goroutine leaks.
 const chaosSeeds = 120
 
-// dumpArtifact writes the failing case's checkpoint and description to
-// CHAOS_ARTIFACT_DIR (set by the CI job) so the scenario ships with the
-// failure report and replays from its seed.
-func dumpArtifact(t *testing.T, out *chaos.Outcome, violation error) {
-	dir := os.Getenv("CHAOS_ARTIFACT_DIR")
-	if dir == "" || out == nil {
-		return
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Logf("artifact dir: %v", err)
-		return
-	}
-	desc := fmt.Sprintf("seed=%d workload=%s case=%+v\nviolation=%v\nterminal=%v\nattempts=%d ops=%d\n",
-		out.Case.Seed, out.Case.Workload, out.Case, violation, out.Err, out.Attempts, out.Ops)
-	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("case-%d.txt", out.Case.Seed)), []byte(desc), 0o644); err != nil {
-		t.Logf("artifact write: %v", err)
-	}
-	if out.Snapshot != nil {
-		var buf bytes.Buffer
-		if err := out.Snapshot.Encode(&buf); err == nil {
-			if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("case-%d.checkpoint", out.Case.Seed)), buf.Bytes(), 0o644); err != nil {
-				t.Logf("artifact write: %v", err)
-			}
-		}
-	}
-}
-
 // TestChaosBatch runs the full seeded batch and enforces the three
 // invariants (termination with typed errors, golden-equal output on
-// success, no goroutine leaks).
+// success, no goroutine leaks). A violating case's outcome and last
+// checkpoint go to CHAOS_ARTIFACT_DIR, so the scenario ships with the
+// failure report and replays from its seed.
 func TestChaosBatch(t *testing.T) {
 	workloads := chaos.Workloads()
 	base := runtime.NumGoroutine()
-	succeeded, failedTyped := 0, 0
+	st := storm.New(t, "case", nil)
+	modes := map[pt.CacheMode]int{}
 	for seed := int64(1); seed <= chaosSeeds; seed++ {
 		c := chaos.NewCase(seed, workloads)
+		modes[c.Cache]++
+		r := storm.Record{Seed: seed, Op: "run", Golden: -1, Invoke: time.Now()}
 		out, violation := chaos.Execute(context.Background(), c)
-		if violation != nil {
-			dumpArtifact(t, out, violation)
-			t.Errorf("seed %d: %v", seed, violation)
-			continue
+		r.Return = time.Now()
+		switch {
+		case violation != nil:
+			r.Violation = violation.Error()
+			var buf bytes.Buffer
+			if out != nil && out.Snapshot != nil && out.Snapshot.Encode(&buf) == nil {
+				storm.Artifact(t, fmt.Sprintf("case-%d.checkpoint", seed), buf.Bytes())
+			}
+		case out.Success:
+			r.Golden = 0
+		default:
+			r.Kind = "typed"
 		}
-		if out.Success {
-			succeeded++
-		} else {
-			failedTyped++
-		}
+		st.Add(r, out, "")
 	}
-	testutil.SettledGoroutines(t, base)
-	t.Logf("chaos batch: %d succeeded, %d ended in typed errors", succeeded, failedTyped)
+	storm.Settle(t, base)
 	// The probabilities in NewCase are tuned so both terminal states
 	// actually occur; a batch that never exercises one of them has lost
-	// its coverage.
-	if succeeded == 0 {
-		t.Error("no chaos case succeeded; fault rates are too hot to test recovery")
-	}
-	if failedTyped == 0 {
-		t.Error("no chaos case exhausted its retries; fault rates too cold to test typed failure")
+	// its coverage. Likewise both cache modes must run.
+	st.Finish(chaosSeeds, "run:ok", "run:typed")
+	if modes[pt.CacheOff] == 0 || modes[pt.CacheQueries] == 0 {
+		t.Errorf("cache modes drawn %v: the batch must run both", modes)
 	}
 }
 
