@@ -188,5 +188,13 @@ func TestClusterStorm(t *testing.T) {
 	storm.Settle(t, base, closers...)
 
 	t.Logf("cluster storm: %d kills, %d resumed; %d failovers, epoch %d", kills, resumed.Load(), m.Failovers, m.Epoch)
-	st.Finish(storm.Seeds(), "publish:ok")
+	tally := st.Finish(storm.Seeds(), "publish:ok")
+	// Kills and starvation budgets fail some publishes, but a cluster
+	// that heals answers most of them: 112–114 of 120 (46 of 48
+	// under -race) were ok when this floor was set. A coordinator that
+	// refuses nearly everything (a body-sum check failing every reply)
+	// passes every per-request check, and only this share catches it.
+	if ok := tally["publish:ok"]; 2*ok < storm.Seeds() {
+		t.Errorf("only %d of %d publishes ok, want at least half", ok, storm.Seeds())
+	}
 }

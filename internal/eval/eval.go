@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 
 	"ptx/internal/logic"
@@ -37,9 +36,9 @@ import (
 // the quantifiers range over.
 type Env struct {
 	inst *relation.Instance
-	// extra holds the extra relations sorted by name. WithRelation
-	// copies it; only Rebind, on an Env its caller owns, writes it in
-	// place.
+	// extra holds the extra relations, at most a register and a
+	// fixpoint stage or two, so lookups scan it. WithRelation copies it;
+	// only Rebind, on an Env its caller owns, writes it in place.
 	extra []namedRel
 	// ctl carries the run-control checkpoints (cancellation, fixpoint
 	// iteration budget) down into the evaluator; nil means unlimited.
@@ -62,7 +61,15 @@ type namedRel struct {
 	rel  *relation.Relation
 }
 
-func cmpNamed(n namedRel, name string) int { return strings.Compare(n.name, name) }
+// find returns the index of the extra relation named name, or -1.
+func (e *Env) find(name string) int {
+	for i := range e.extra {
+		if e.extra[i].name == name {
+			return i
+		}
+	}
+	return -1
+}
 
 type adomCache struct {
 	once sync.Once
@@ -105,10 +112,10 @@ type derivedEnv struct {
 func (e *Env) WithRelation(name string, rel *relation.Relation) *Env {
 	d := &derivedEnv{}
 	extra := append(d.extra[:0], e.extra...)
-	if i, ok := slices.BinarySearchFunc(extra, name, cmpNamed); ok {
+	if i := e.find(name); i >= 0 {
 		extra[i].rel = rel
 	} else {
-		extra = slices.Insert(extra, i, namedRel{name, rel})
+		extra = append(extra, namedRel{name, rel})
 	}
 	d.env = Env{inst: e.inst, extra: extra, ctl: e.ctl, instAdom: e.instAdom, dom: &d.dom, noPlan: e.noPlan}
 	return &d.env
@@ -123,8 +130,8 @@ func (e *Env) WithRelation(name string, rel *relation.Relation) *Env {
 // cache revalidates by the identity of each source's active-domain
 // slice, so a register with a different domain forces a re-merge.
 func (e *Env) Rebind(name string, rel *relation.Relation) {
-	i, ok := slices.BinarySearchFunc(e.extra, name, cmpNamed)
-	if !ok {
+	i := e.find(name)
+	if i < 0 {
 		panic("eval: Rebind of unbound relation " + name)
 	}
 	e.extra[i].rel = rel
@@ -152,11 +159,11 @@ func (e *Env) Control() *runctl.Controller { return e.ctl }
 
 // Lookup resolves a relation name: extra relations shadow the instance.
 func (e *Env) Lookup(name string) (*relation.Relation, bool) {
-	if i, ok := slices.BinarySearchFunc(e.extra, name, cmpNamed); ok {
+	if i := e.find(name); i >= 0 {
 		return e.extra[i].rel, true
 	}
-	if e.inst != nil && e.inst.Has(name) {
-		return e.inst.Rel(name), true
+	if e.inst != nil {
+		return e.inst.Lookup(name)
 	}
 	return nil, false
 }

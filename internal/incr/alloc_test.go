@@ -44,9 +44,11 @@ func toggleAllocs(t *testing.T, v *incr.View, on, off *relation.Delta) float64 {
 // fresh children their ancestors as configurations, not key strings,
 // cost 434. Validating τ1 once, so a repair's RestoreStepRun reads the
 // seal instead of re-checking every rule, cost 410. Keying the memo by
-// the register's hash instead of its Key string cost 395. The bound sits
-// between 576 and these counts, so a walk that builds its rule step per
-// node again fails it.
+// the register's hash instead of its Key string cost 395 (390 on later
+// trees). Making a one-row query result, and an only child with its
+// Children array, one object each cost 371. The bound sits between 576
+// and these counts, so a walk that builds its rule step per node again
+// fails it.
 func TestViewApplyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")

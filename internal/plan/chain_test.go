@@ -195,7 +195,7 @@ func TestChainCancel(t *testing.T) {
 
 // TestChainAllocsConstant: a register-anchored 3-atom chain works in
 // pooled scratch, so its steady-state allocations do not grow with the
-// register.
+// register, and a one-row result is a single object.
 func TestChainAllocsConstant(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -230,9 +230,13 @@ func TestChainAllocsConstant(t *testing.T) {
 			}
 		})
 	}
-	one, thousand := allocs(1), allocs(1000)
-	t.Logf("chain Eval: %.0f allocs at n=1, %.0f at n=1000", one, thousand)
-	if one != thousand {
-		t.Errorf("chain Eval allocates %.0f objects at n=1 but %.0f at n=1000", one, thousand)
+	one, two, thousand := allocs(1), allocs(2), allocs(1000)
+	t.Logf("chain Eval: %.0f allocs at n=1, %.0f at n=2, %.0f at n=1000", one, two, thousand)
+	if two != thousand {
+		t.Errorf("chain Eval allocates %.0f objects at n=2 but %.0f at n=1000", two, thousand)
+	}
+	// A one-row result is one object: relation, tuple header and cells.
+	if one != 1 {
+		t.Errorf("chain Eval allocates %.0f objects at n=1, want 1", one)
 	}
 }

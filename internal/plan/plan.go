@@ -146,8 +146,8 @@ func Compile(q *logic.Query) (*Plan, error) {
 // slab — is all an evaluation allocates once the pool is warm.
 func (p *Plan) Eval(env Env) (*relation.Relation, error) {
 	ctl := env.Control()
-	// Tick sampling means short evaluations may never probe the
-	// context; check once up front so a canceled run aborts promptly.
+	// An evaluation over empty relations may never tick; check once
+	// up front so a canceled run aborts promptly.
 	if err := ctl.Canceled(); err != nil {
 		return nil, err
 	}
@@ -173,9 +173,20 @@ func (p *Plan) Eval(env Env) (*relation.Relation, error) {
 }
 
 // result copies the cols of rows into one exact-size slab and seals
-// them as a relation.
+// them as a relation. A one-row result of width ≤ 3 is one object
+// (relation.BuildOne).
 func result(ctl *runctl.Controller, rows []value.Tuple, cols []int) (*relation.Relation, error) {
 	w := len(cols)
+	if len(rows) == 1 && w <= 3 {
+		if err := ctl.Tick(); err != nil {
+			return nil, err
+		}
+		var row [3]value.V
+		for i, c := range cols {
+			row[i] = rows[0][c]
+		}
+		return relation.BuildOne(row[:w]), nil
+	}
 	slab := make([]value.V, len(rows)*w)
 	out := make([]value.Tuple, len(rows))
 	for j, t := range rows {

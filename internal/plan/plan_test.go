@@ -436,7 +436,7 @@ func TestSingleAtomCopiesRelation(t *testing.T) {
 
 // TestSingleAtomAllocsConstant: the single-atom operator copies the
 // register's columns into one slab, so its allocations do not grow
-// with the register.
+// with the register, and a one-row result is a single object.
 func TestSingleAtomAllocsConstant(t *testing.T) {
 	q := logic.MustQuery(vs("x"), nil, &logic.Exists{Bound: vs("y"), F: logic.R("Reg2", x(), y())})
 	p, err := plan.Compile(q)
@@ -462,10 +462,14 @@ func TestSingleAtomAllocsConstant(t *testing.T) {
 			}
 		})
 	}
-	one, thousand := allocs(1), allocs(1000)
-	t.Logf("single-atom Eval: %.0f allocs at n=1, %.0f at n=1000", one, thousand)
-	if one != thousand {
-		t.Errorf("single-atom Eval allocates %.0f objects at n=1 but %.0f at n=1000", one, thousand)
+	one, two, thousand := allocs(1), allocs(2), allocs(1000)
+	t.Logf("single-atom Eval: %.0f allocs at n=1, %.0f at n=2, %.0f at n=1000", one, two, thousand)
+	if two != thousand {
+		t.Errorf("single-atom Eval allocates %.0f objects at n=2 but %.0f at n=1000", two, thousand)
+	}
+	// A one-row result is one object: relation, tuple header and cells.
+	if one != 1 {
+		t.Errorf("single-atom Eval allocates %.0f objects at n=1, want 1", one)
 	}
 }
 

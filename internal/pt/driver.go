@@ -158,12 +158,22 @@ func (d *driver) step() error {
 	}
 	d.queries += queries
 	d.nodes += len(specs)
-	// One allocation for all the children, not one per child.
-	slab := make([]xmltree.Node, len(specs))
-	n.Children = make([]*xmltree.Node, len(specs))
-	for i, s := range specs {
-		slab[i] = xmltree.Node{Tag: s.Tag, State: s.State, Reg: s.Reg}
-		n.Children[i] = &slab[i]
+	if len(specs) == 1 {
+		// An only child and its Children backing array are one object.
+		one := &struct {
+			node xmltree.Node
+			ptr  [1]*xmltree.Node
+		}{node: xmltree.Node{Tag: specs[0].Tag, State: specs[0].State, Reg: specs[0].Reg}}
+		one.ptr[0] = &one.node
+		n.Children = one.ptr[:]
+	} else {
+		// One allocation for all the children, not one per child.
+		slab := make([]xmltree.Node, len(specs))
+		n.Children = make([]*xmltree.Node, len(specs))
+		for i, s := range specs {
+			slab[i] = xmltree.Node{Tag: s.Tag, State: s.State, Reg: s.Reg}
+			n.Children[i] = &slab[i]
+		}
 	}
 	d.commit(e, state, false)
 	d.push(n, c, e.depth)

@@ -44,6 +44,7 @@ type Expander struct {
 	memo  *eval.Memo
 	env   *eval.Env
 	specs []ChildSpec
+	one   [1]*relation.Relation // the groups of a one-group result
 }
 
 // Expand performs the rule step for (state, tag) with register reg.
@@ -93,10 +94,17 @@ func (x *Expander) Expand(state, tag string, reg *relation.Relation) ([]ChildSpe
 			result = rel
 		}
 		results = append(results, result)
-		groups, err := groupByPrefix(result, len(it.Query.GroupVars))
-		if err != nil {
-			return nil, queries, fmt.Errorf("pt %s: rule (%s,%s) item (%s,%s): %w",
-				t.Name, rule.State, rule.Tag, it.State, it.Tag, err)
+		// A result whose tuples share one prefix is its own only
+		// group, so it needs no grouping built or cached.
+		k := len(it.Query.GroupVars)
+		x.one[0] = result
+		groups := x.one[:]
+		if !result.OneGroup(k) {
+			var err error
+			if groups, err = groupByPrefix(result, k); err != nil {
+				return nil, queries, fmt.Errorf("pt %s: rule (%s,%s) item (%s,%s): %w",
+					t.Name, rule.State, rule.Tag, it.State, it.Tag, err)
+			}
 		}
 		if specs == nil && len(groups) > 0 {
 			specs = make([]ChildSpec, 0, len(groups)*(len(rule.Items)-i))
@@ -114,6 +122,9 @@ func (x *Expander) Expand(state, tag string, reg *relation.Relation) ([]ChildSpe
 // holding {d̄}×{ē | φ(d̄,ē)}, ordered by d̄ in the domain order (see
 // relation.GroupByPrefix, which caches the grouping on the result, so
 // a memoized result yields the same child registers at every hit).
+// Expand calls it only when the result is not its own only group: a
+// result whose tuples share one prefix is its own child register, the
+// same object at every hit, with no grouping built.
 //
 // k > result.Arity() — a grouping prefix wider than the tuples it would
 // be sliced from — returns a *GroupArityError. Transducer.Validate

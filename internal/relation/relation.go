@@ -71,12 +71,10 @@ type colIndex struct {
 }
 
 // grouping is one cached GroupByPrefix result: the groups for prefix
-// width k. When r is its own only group, groups is one[:], so the
-// grouping is a single object.
+// width k.
 type grouping struct {
 	k      int
 	groups []*Relation
-	one    [1]*Relation
 }
 
 // touch invalidates every derived structure after a mutation except
@@ -165,6 +163,29 @@ func Build(arity int, rows []value.Tuple) *Relation {
 type sealed struct {
 	Relation
 	rows []value.Tuple
+}
+
+// BuildOne returns the sealed relation holding one tuple, a copy of t,
+// which must have width at most 3. The relation, its one-tuple sorted
+// slice and the tuple's cells are one allocation.
+func BuildOne(t value.Tuple) *Relation {
+	if len(t) > 3 {
+		panic(fmt.Sprintf("relation: BuildOne of a width-%d tuple", len(t)))
+	}
+	s := &sealedOne{}
+	n := copy(s.cells[:], t)
+	s.row[0] = s.cells[:n:n]
+	s.rows = s.row[:]
+	s.arity = n
+	s.sorted.Store(&s.rows)
+	return &s.Relation
+}
+
+// sealedOne is the allocation behind a BuildOne relation.
+type sealedOne struct {
+	sealed
+	row   [1]value.Tuple
+	cells [3]value.V
 }
 
 // FromTuples builds a relation of the given arity containing ts.
@@ -459,18 +480,27 @@ func (r *Relation) GroupByPrefix(k int) []*Relation {
 	if g := r.groups.Load(); g != nil && g.k == k {
 		return g.groups
 	}
-	// The sorted order is lexicographic, so when the first and last
-	// tuples share the prefix every tuple does: r is its only group.
-	s := r.Sorted()
 	g := &grouping{k: k}
-	if samePrefix(s[0], s[len(s)-1], k) {
-		g.one[0] = r
-		g.groups = g.one[:]
+	if r.OneGroup(k) {
+		g.groups = []*Relation{r}
 	} else {
-		g.groups = prefixRuns(s, r.arity, k)
+		g.groups = prefixRuns(r.Sorted(), r.arity, k)
 	}
 	r.groups.Store(g)
 	return g.groups
+}
+
+// OneGroup reports whether r is non-empty and all its tuples share one
+// k-prefix (always when k = 0), that is, whether GroupByPrefix(k) is
+// [r]. It builds and caches no grouping. k beyond the arity is false.
+func (r *Relation) OneGroup(k int) bool {
+	if k > r.arity || r.Empty() {
+		return false
+	}
+	// The sorted order is lexicographic, so when the first and last
+	// tuples share the prefix every tuple does.
+	s := r.Sorted()
+	return samePrefix(s[0], s[len(s)-1], k)
 }
 
 // prefixRuns splits sorted tuples into one sealed relation per run of
@@ -814,6 +844,13 @@ func (i *Instance) Rel(name string) *Relation {
 		panic(fmt.Sprintf("instance: relation %q not in schema", name))
 	}
 	return r
+}
+
+// Lookup returns the relation for name and whether name is a relation
+// of this instance, in one map probe.
+func (i *Instance) Lookup(name string) (*Relation, bool) {
+	r, ok := i.rels[name]
+	return r, ok
 }
 
 // Has reports whether name is a relation of this instance.

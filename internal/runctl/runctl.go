@@ -352,19 +352,23 @@ func ParseInject(s string) (*FaultPlan, error) {
 // imposes no limits.
 type Controller struct {
 	ctx    context.Context
+	done   <-chan struct{} // ctx.Done(), cached: a receive takes no lock
 	limits Limits
 	faults *FaultPlan
 
 	nodes   atomic.Int64
 	queries atomic.Int64
-	ticks   atomic.Uint64
 }
 
 // New builds a controller for one run. ctx carries cancellation and the
 // wall-clock deadline (see Limits.WithTimeout); a fault plan attached
 // with WithPlan is adopted automatically (overridable via WithFaults).
 func New(ctx context.Context, limits Limits) *Controller {
-	return &Controller{ctx: ctx, limits: limits, faults: PlanFromContext(ctx)}
+	c := &Controller{ctx: ctx, limits: limits, faults: PlanFromContext(ctx)}
+	if ctx != nil {
+		c.done = ctx.Done()
+	}
+	return c
 }
 
 // WithFaults attaches a fault-injection plan and returns the receiver.
@@ -378,27 +382,25 @@ func (c *Controller) WithFaults(p *FaultPlan) *Controller {
 }
 
 // Canceled returns a typed *ErrCanceled when the run's context is done.
+// It polls the context's Done channel, cached at New, with a
+// non-blocking receive, so a live run pays no lock and no allocation.
+// A context that is never canceled has a nil Done channel, which the
+// poll never receives from.
 func (c *Controller) Canceled() error {
-	if c == nil || c.ctx == nil {
-		return nil
-	}
-	if err := c.ctx.Err(); err != nil {
-		return &ErrCanceled{Cause: err}
-	}
-	return nil
-}
-
-// Tick is a cheap cancellation probe for tight inner loops: it checks
-// the context only every few hundred calls.
-func (c *Controller) Tick() error {
 	if c == nil {
 		return nil
 	}
-	if c.ticks.Add(1)&0xFF != 0 {
+	select {
+	case <-c.done:
+		return &ErrCanceled{Cause: c.ctx.Err()}
+	default:
 		return nil
 	}
-	return c.Canceled()
 }
+
+// Tick is the cancellation probe of tight inner loops. It is the same
+// poll as Canceled, so a canceled run stops at its next tick.
+func (c *Controller) Tick() error { return c.Canceled() }
 
 // AddNodes charges n generated nodes against the node budget.
 func (c *Controller) AddNodes(n int) error {

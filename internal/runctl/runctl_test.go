@@ -151,6 +151,47 @@ func TestTickEventuallySeesCancellation(t *testing.T) {
 	}
 }
 
+// TestCancelSeenAtNextTick: a cancellation is seen by the very next
+// Tick and the very next Canceled, both with the typed *ErrCanceled
+// carrying the context's error.
+func TestCancelSeenAtNextTick(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	c := New(ctx, Limits{})
+	if err := c.Tick(); err != nil {
+		t.Fatalf("live Tick: %v", err)
+	}
+	if err := c.Canceled(); err != nil {
+		t.Fatalf("live Canceled: %v", err)
+	}
+	cancel()
+	for name, probe := range map[string]func() error{"Tick": c.Tick, "Canceled": c.Canceled} {
+		var ce *ErrCanceled
+		if err := probe(); !errors.As(err, &ce) || !errors.Is(ce.Cause, context.Canceled) {
+			t.Errorf("%s after cancel: got %T %v, want *ErrCanceled wrapping context.Canceled", name, err, err)
+		}
+	}
+}
+
+// TestTickCanceledAllocs: on a live context the probes allocate
+// nothing, whether or not the context can ever be canceled.
+func TestTickCanceledAllocs(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for name, c := range map[string]*Controller{
+		"cancelable": New(ctx, Limits{}),
+		"background": New(context.Background(), Limits{}),
+	} {
+		got := testing.AllocsPerRun(100, func() {
+			if c.Tick() != nil || c.Canceled() != nil {
+				t.Fatal("live context reported canceled")
+			}
+		})
+		if got != 0 {
+			t.Errorf("%s: Tick+Canceled allocate %.1f objects, want 0", name, got)
+		}
+	}
+}
+
 func TestTransientMarking(t *testing.T) {
 	if Transient(nil) != nil {
 		t.Fatal("Transient(nil) should be nil")

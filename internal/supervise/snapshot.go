@@ -105,15 +105,31 @@ func Fingerprint(s string) string {
 // deep-copied so the snapshot stays valid while the run keeps
 // mutating, which is what periodic checkpoints need.
 func Capture(tr *pt.Transducer, inst *relation.Instance, sr *pt.StepRun) *Snapshot {
+	return (&capturer{tr: tr, inst: inst}).capture(sr)
+}
+
+// capturer takes the snapshots of one run. It fingerprints the
+// transducer and the instance at its first capture and reuses both, as
+// neither changes during a run.
+type capturer struct {
+	tr       *pt.Transducer
+	inst     *relation.Instance
+	tfp, ifp string
+}
+
+func (c *capturer) capture(sr *pt.StepRun) *Snapshot {
+	if c.tfp == "" {
+		c.tfp, c.ifp = Fingerprint(c.tr.String()), Fingerprint(c.inst.String())
+	}
 	tree, remap := sr.Tree().CloneShared()
 	pending := sr.Pending()
 	for i := range pending {
 		pending[i].Node = remap[pending[i].Node]
 	}
 	return &Snapshot{
-		TransducerName: tr.Name,
-		TransducerFP:   Fingerprint(tr.String()),
-		InstanceFP:     Fingerprint(inst.String()),
+		TransducerName: c.tr.Name,
+		TransducerFP:   c.tfp,
+		InstanceFP:     c.ifp,
 		Stats:          sr.StatsSoFar(),
 		Tree:           tree,
 		Pending:        pending,

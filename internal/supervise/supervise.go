@@ -92,9 +92,11 @@ type Options struct {
 	// it and Resume later (possibly in another process).
 	Checkpoint bool
 
-	// CheckpointEvery additionally captures a snapshot every N completed
-	// steps (0 disables). Periodic snapshots deep-copy the tree, so
-	// small values are expensive on large outputs.
+	// CheckpointEvery additionally captures a snapshot after N completed
+	// steps of an attempt, then after 2N, 4N and so on (0 disables).
+	// Each snapshot deep-copies the tree, so the doubling cadence keeps
+	// their total cost within about twice the final tree's, and a kill
+	// loses at most half of an attempt's steps.
 	CheckpointEvery int64
 
 	// OnCheckpoint, when set, observes every periodic snapshot as it is
@@ -223,6 +225,7 @@ func loop(ctx context.Context, tr *pt.Transducer, inst *relation.Instance, o Opt
 	}
 	var res *pt.Result
 	var err error
+	c := &capturer{tr: tr, inst: inst}
 	rep.Attempts, err = Retry(ctx, o.Retries, o.Backoff, o.Sleep, o.OnRetry, func(int) error {
 		var sr *pt.StepRun
 		var err error
@@ -237,7 +240,7 @@ func loop(ctx context.Context, tr *pt.Transducer, inst *relation.Instance, o Opt
 			return err
 		}
 		var runErr error
-		res, runErr = drive(ctx, tr, inst, sr, o, rep)
+		res, runErr = drive(sr, o, rep, c)
 		rep.Ops += sr.Ops()
 		if runErr == nil {
 			sr.Close()
@@ -252,7 +255,7 @@ func loop(ctx context.Context, tr *pt.Transducer, inst *relation.Instance, o Opt
 		prior = sr.StatsSoFar()
 		restored = true
 		if o.Checkpoint {
-			rep.Snapshot = Capture(tr, inst, sr)
+			rep.Snapshot = c.capture(sr)
 		}
 		sr.Close()
 		return runErr
@@ -263,14 +266,17 @@ func loop(ctx context.Context, tr *pt.Transducer, inst *relation.Instance, o Opt
 	return res, rep, nil
 }
 
-// drive steps one attempt to completion, taking periodic checkpoints.
-func drive(ctx context.Context, tr *pt.Transducer, inst *relation.Instance, sr *pt.StepRun, o Options, rep *Report) (*pt.Result, error) {
+// drive steps one attempt to completion, taking periodic checkpoints
+// at a doubling cadence (Options.CheckpointEvery).
+func drive(sr *pt.StepRun, o Options, rep *Report, c *capturer) (*pt.Result, error) {
+	next := o.CheckpointEvery
 	for !sr.Done() {
 		if _, err := sr.Step(); err != nil {
 			return nil, err
 		}
-		if o.CheckpointEvery > 0 && sr.Ops()%o.CheckpointEvery == 0 {
-			rep.Snapshot = Capture(tr, inst, sr)
+		if next > 0 && sr.Ops() >= next {
+			next *= 2
+			rep.Snapshot = c.capture(sr)
 			if o.OnCheckpoint != nil {
 				if err := o.OnCheckpoint(rep.Snapshot); err != nil {
 					return nil, err

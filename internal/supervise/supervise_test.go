@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"math/bits"
 	"runtime"
 	"strings"
 	"testing"
@@ -504,6 +505,28 @@ func TestPeriodicCheckpoints(t *testing.T) {
 	}
 	if err := rep.Snapshot.Verify(tr, inst); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCheckpointCadenceDoubles: periodic snapshots come after
+// CheckpointEvery steps, then 2×, 4× and so on, so a run of ops steps
+// takes ⌊log₂(ops/every)⌋+1 of them, not ops/every.
+func TestCheckpointCadenceDoubles(t *testing.T) {
+	tr := families.UnfoldTransducer()
+	inst := families.DiamondChain(6)
+	for _, every := range []int64{1, 3, 5, 64} {
+		var calls int
+		_, rep, err := supervise.Run(context.Background(), tr, inst, supervise.Options{
+			CheckpointEvery: every,
+			OnCheckpoint:    func(*supervise.Snapshot) error { calls++; return nil },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bits.Len64(uint64(rep.Ops / every))
+		if calls != want {
+			t.Errorf("every %d over %d steps: %d checkpoints, want %d", every, rep.Ops, calls, want)
+		}
 	}
 }
 

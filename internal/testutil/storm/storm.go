@@ -244,9 +244,10 @@ func (s *Storm) fail(seed int64, scenario, violation string) {
 // Finish makes the cross-record checks and logs the tally:
 // no seq is acked twice (a storm mutates one database), there are n
 // records when n > 0 (no operation was lost without an answer), and each
-// floor outcome occurred (the storm kept its coverage). Call it on the
+// floor outcome occurred (the storm kept its coverage). It returns the
+// tally by outcome, for floors on an outcome's share. Call it on the
 // test goroutine once every operation has returned.
-func (s *Storm) Finish(n int, floors ...string) {
+func (s *Storm) Finish(n int, floors ...string) map[string]int {
 	s.t.Helper()
 	tally := map[string]int{}
 	acked := map[uint64][]int64{}
@@ -272,6 +273,7 @@ func (s *Storm) Finish(n int, floors ...string) {
 			s.t.Errorf("%s lost coverage: no %s outcome", s.name, f)
 		}
 	}
+	return tally
 }
 
 // Artifact appends data to the file name in CHAOS_ARTIFACT_DIR, when that

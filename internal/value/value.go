@@ -35,7 +35,15 @@ func Of(n int) V { return V(strconv.Itoa(n)) }
 // tuples sharing a prefix are adjacent (pt's grouping relies on it).
 // Numeric comparison is done on the digit strings directly (arbitrary
 // precision), avoiding integer parsing in this extremely hot path.
+// Equal values, and pairs of which neither starts with a digit or '-'
+// and so neither is numeric, are decided without parsing.
 func Compare(a, b V) int {
+	if a == b {
+		return 0
+	}
+	if !numLead(a) && !numLead(b) {
+		return strings.Compare(string(a), string(b))
+	}
 	aneg, adig, aok := numParts(string(a))
 	bneg, bdig, bok := numParts(string(b))
 	switch {
@@ -60,6 +68,12 @@ func Compare(a, b V) int {
 		return +1
 	}
 	return strings.Compare(string(a), string(b))
+}
+
+// numLead reports whether v starts with a digit or '-', as every
+// decimal integer does.
+func numLead(v V) bool {
+	return len(v) > 0 && (v[0] == '-' || '0' <= v[0] && v[0] <= '9')
 }
 
 // numParts splits s into sign and digits when s is a decimal integer

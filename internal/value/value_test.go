@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -192,6 +193,68 @@ func TestUnionMatchesSetAndSort(t *testing.T) {
 		SortValues(want)
 		if got := Union(lists...); !slices.Equal(got, want) {
 			t.Fatalf("Union(%q) = %q, want %q", lists, got, want)
+		}
+	}
+}
+
+// compareOracle is Compare before its byte-order fast path: it parses
+// both values every time. TestCompareMatchesOracle checks the fast path
+// against it.
+func compareOracle(a, b V) int {
+	aneg, adig, aok := numParts(string(a))
+	bneg, bdig, bok := numParts(string(b))
+	switch {
+	case aok && bok:
+		if aneg != bneg {
+			if aneg {
+				return -1
+			}
+			return +1
+		}
+		c := compareDigits(adig, bdig)
+		if aneg {
+			c = -c
+		}
+		if c == 0 {
+			return strings.Compare(string(a), string(b))
+		}
+		return c
+	case aok:
+		return -1
+	case bok:
+		return +1
+	}
+	return strings.Compare(string(a), string(b))
+}
+
+// TestCompareMatchesOracle: on seeded random values, edge spellings
+// included, Compare returns exactly what compareOracle does.
+func TestCompareMatchesOracle(t *testing.T) {
+	edges := []V{"", "-", "--", "-0", "0", "00", "007", "7", "-007", "10", "9", "-10", "-9",
+		"a", "A", "-a", "0a", "a0", " 1", "é", "ü1", "1é", "-é", "日本", "\x00", "\xff"}
+	alphabet := []byte("-0123456789aZ é\x00\xff")
+	rng := rand.New(rand.NewSource(42))
+	random := func() V {
+		if rng.Intn(3) == 0 {
+			return edges[rng.Intn(len(edges))]
+		}
+		b := make([]byte, rng.Intn(5))
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return V(b)
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			if got, want := Compare(a, b), compareOracle(a, b); got != want {
+				t.Fatalf("Compare(%q, %q) = %d, oracle %d", a, b, got, want)
+			}
+		}
+	}
+	for i := 0; i < 200000; i++ {
+		a, b := random(), random()
+		if got, want := Compare(a, b), compareOracle(a, b); got != want {
+			t.Fatalf("Compare(%q, %q) = %d, oracle %d", a, b, got, want)
 		}
 	}
 }
