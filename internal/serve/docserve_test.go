@@ -343,7 +343,7 @@ func TestDocServedRacingMutates(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDocServedDroppedWithHistory: a supersede (applyAtLocked) and AttachWAL
+// TestDocServedDroppedWithHistory: a supersede (database.apply) and AttachWAL
 // replace the pair's versions, so the documents stored on them are never
 // served again.
 func TestDocServedDroppedWithHistory(t *testing.T) {

@@ -158,7 +158,12 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	resp, err := s.mutate(req.DB, d, epoch)
+	db, err := s.reg.db(req.DB)
+	if err != nil {
+		s.reject(w, err)
+		return
+	}
+	resp, err := s.mutate(db, d, epoch)
 	if err != nil {
 		s.reject(w, err)
 		return
@@ -174,7 +179,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	// stands (at-least-once); the client's retry re-replicates it.
 	var failed []string
 	if len(replicas) > 0 {
-		resp.Replicated, failed = s.replicateOut(repCtx, req.DB, resp.Seq, replicas)
+		resp.Replicated, failed = s.replicateOut(repCtx, db, resp.Seq, replicas)
 		if len(failed) > 0 {
 			w.Header().Set(HeaderReplicaFailed, strings.Join(failed, ","))
 			s.reject(w, runctl.Transient(fmt.Errorf(
@@ -200,17 +205,14 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 // creation, so a view can never be born pre-delta yet miss the repair
 // pass. The registry commit inside is durable-first — when it returns
 // nil the delta is already fsynced to the WAL (if one is attached).
-func (s *Server) mutate(db string, d *relation.Delta, epoch uint64) (*mutateResponse, error) {
-	w, err := s.reg.lockDB(db)
+func (s *Server) mutate(db *database, d *relation.Delta, epoch uint64) (*mutateResponse, error) {
+	db.w.Lock()
+	defer db.w.Unlock()
+	moved, seq, err := db.mutate(d, epoch)
 	if err != nil {
 		return nil, err
 	}
-	defer w.Unlock()
-	moved, seq, err := s.reg.mutateLocked(db, d, epoch)
-	if err != nil {
-		return nil, err
-	}
-	return &mutateResponse{DB: db, Seq: seq, Delta: d.String(), PairsDropped: moved, Views: s.repairViews(db)}, nil
+	return &mutateResponse{DB: db.name, Seq: seq, Delta: d.String(), PairsDropped: moved, Views: s.repairViews(db.name)}, nil
 }
 
 // repairViews reconciles every live view over db to its pair's current
@@ -250,19 +252,24 @@ func (s *Server) repairViews(db string) []viewRepair {
 // version already carries the delta) or follows it (the repair pass
 // covers this view) — no window where a fresh view misses a delta.
 func (s *Server) liveViewFor(spec, db string) (*liveView, error) {
-	w, err := s.reg.lockDB(db)
+	d, err := s.reg.db(db)
 	if err != nil {
 		return nil, err
 	}
-	defer w.Unlock()
+	d.w.Lock()
+	defer d.w.Unlock()
 	if lv := s.liveView(spec, db); lv != nil {
 		return lv, nil
 	}
-	tr, inst, _, err := s.reg.Pair(spec, db)
+	tr, err := s.reg.Spec(spec)
 	if err != nil {
 		return nil, err
 	}
-	v, err := incr.NewView(s.baseCtx, tr, inst, incr.Options{
+	cur, err := d.version(spec, tr)
+	if err != nil {
+		return nil, err
+	}
+	v, err := incr.NewView(s.baseCtx, tr, cur.inst, incr.Options{
 		Run: pt.Options{MaxNodes: defaultMaxNodes},
 	})
 	if err != nil {

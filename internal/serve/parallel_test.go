@@ -81,14 +81,15 @@ func TestParallelMutateOtherDatabase(t *testing.T) {
 		mutateOK(t, ts, courseMutate(db, "insert", "CS900"))
 	}
 
-	w, err := s.reg.lockDB("dba")
+	a, err := s.reg.db("dba")
 	if err != nil {
 		t.Fatal(err)
 	}
+	a.w.Lock()
 	released := false
 	defer func() {
 		if !released {
-			w.Unlock()
+			a.w.Unlock()
 		}
 	}()
 	client := &http.Client{Timeout: 5 * time.Second}
@@ -127,7 +128,7 @@ func TestParallelMutateOtherDatabase(t *testing.T) {
 	}
 
 	released = true
-	w.Unlock()
+	a.w.Unlock()
 	select {
 	case ma := <-doneA:
 		if ma.Seq != 2 || len(ma.Views) != 1 || ma.Views[0].Report == nil {

@@ -17,88 +17,89 @@ import (
 	"ptx/internal/wal"
 )
 
-// Registry holds the compiled transducer specs and database sources a
+// Registry holds the compiled transducer specs and the databases a
 // server publishes from. Specs are parsed and validated at registration
 // time (behind panic containment — the parser sees untrusted text), so
-// a request can never be the first thing to discover a bad spec.
-// Database sources are stored as text and parsed lazily per (spec, db)
-// pair, because an instance is only meaningful against a concrete
-// spec's schema. Each resolved pair caches its current instance version
-// with that version's query memo and rendered documents, so repeated
-// publishes share warm state; a committed delta moves every resolved
-// pair over its database to the next version (see MutateDB).
+// a request can never be the first thing to discover a bad spec. Each
+// database owns its source, its mutation history and its resolved pairs
+// (see database); mu guards only the name maps and the attached WAL, so
+// a commit on one database never waits on a publish or a write to
+// another.
 //
 // All methods are safe for concurrent use.
 type Registry struct {
 	mu    sync.RWMutex
 	specs map[string]*pt.Transducer
-	dbs   map[string]string // name → source text
-
-	// writers holds each database's writer lock (see lockDB); mu is
-	// held only for the in-memory commit. A log changes under both.
-	writers map[string]*sync.Mutex
-
-	pairs map[string]map[string]*pairEntry // db → spec → current version
-
-	// logs is the per-database mutation log: every delta accepted by
-	// MutateDB (or replicated in via applyAtLocked), in sequence order. A pair
-	// resolved AFTER mutations replays the log once, so all pairs over
-	// one database agree on its current contents. Each log carries the
-	// database's sequence counter and its epoch high-water mark — the
-	// fencing state that rejects a zombie owner's stale writes.
-	log  *wal.Log
-	logs map[string]*dbLog
+	dbs   map[string]*database
+	log   *wal.Log // set by AttachWAL; RegisterDB is refused from then on
 }
 
-// dbLog is one database's sequenced mutation history.
-type dbLog struct {
-	seq   uint64 // last assigned sequence number (0 = pristine)
-	epoch uint64 // highest epoch observed on an accepted write
-	recs  []DeltaRecord
+// database is one registered database: its source text, its sequenced
+// mutation history and the (spec, db) pair versions derived from them.
+// The source is parsed lazily per pair, because an instance is only
+// meaningful against a concrete spec's schema, and a pair resolved after
+// mutations replays the history once, so all pairs over one database
+// agree on its contents. Each pair caches its current version with that
+// version's memo and documents, which repeated publishes share; a commit
+// moves every resolved pair to its next version (see database.commit).
+//
+// w, the writer lock, orders the database's writes, its live views'
+// repairs and their creation; mu guards the history and the pairs. The
+// history (seq, epoch, recs, log) changes only under both, so a writer
+// reads it under w alone.
+type database struct {
+	name, src string
+	w         sync.Mutex
+	mu        sync.RWMutex
+	seq       uint64                // last assigned sequence number (0 = pristine)
+	epoch     uint64                // highest epoch on an accepted write: fences zombie owners
+	recs      []DeltaRecord         // every accepted delta, in sequence order
+	log       *wal.Log              // the attached WAL, nil without one
+	pairs     map[string]*pairEntry // spec → current version
 }
 
 // indexOf locates the in-memory record holding seq (records are
 // contiguous, so the offset from the first record's seq is the index).
-func (lg *dbLog) indexOf(seq uint64) (int, bool) {
-	if len(lg.recs) == 0 || seq < lg.recs[0].Seq {
+func (d *database) indexOf(seq uint64) (int, bool) {
+	if len(d.recs) == 0 || seq < d.recs[0].Seq {
 		return 0, false
 	}
-	idx := int(seq - lg.recs[0].Seq)
-	if idx >= len(lg.recs) {
+	idx := int(seq - d.recs[0].Seq)
+	if idx >= len(d.recs) {
 		return 0, false
 	}
 	return idx, true
 }
 
-// admit is the log's one acceptance rule for a sequenced record, used by
-// WAL replay and replication alike. A record at a held sequence from the
-// same or an older epoch, or before the log's first record, is a
-// duplicate (ok false: deltas are idempotent, so the log already
-// reflects it). Otherwise it goes at index at: past the head it appends
-// (a caller that needs contiguity checks for a gap itself), and at a held
-// sequence with a NEWER epoch it supersedes the suffix from there on. The
-// superseded records were written by a deposed owner and never
-// acknowledged (an acknowledged record reaches every up member before its
-// ack, so its sequence number is never reassigned): the new regime's
-// history wins.
-func (lg *dbLog) admit(rec DeltaRecord) (at int, ok bool) {
-	if idx, held := lg.indexOf(rec.Seq); held {
-		return idx, rec.Epoch > lg.recs[idx].Epoch
+// admit is the history's one acceptance rule for a sequenced record,
+// used by WAL replay, writes and replication alike. A record at a held
+// sequence from the same or an older epoch, or before the first record,
+// is a duplicate (ok false: deltas are idempotent, so the history
+// already reflects it). Otherwise it goes at index at: past the head it
+// appends (a caller that needs contiguity checks for a gap itself), and
+// at a held sequence with a NEWER epoch it supersedes the suffix from
+// there on. The superseded records were written by a deposed owner and
+// never acknowledged (an acknowledged record reaches every up member
+// before its ack, so its sequence number is never reassigned): the new
+// regime's history wins.
+func (d *database) admit(rec DeltaRecord) (at int, ok bool) {
+	if idx, held := d.indexOf(rec.Seq); held {
+		return idx, rec.Epoch > d.recs[idx].Epoch
 	}
-	return len(lg.recs), rec.Seq > lg.seq
+	return len(d.recs), rec.Seq > d.seq
 }
 
 // put installs a record admit placed at index at. A superseded suffix is
-// dropped by copying the kept prefix, since logHead's copies share the
-// storage.
-func (lg *dbLog) put(rec DeltaRecord, at int) {
-	if at < len(lg.recs) {
-		lg.recs = append([]DeltaRecord(nil), lg.recs[:at]...)
+// dropped by copying the kept prefix, since RecordsSince's results and a
+// resolving pair share the storage.
+func (d *database) put(rec DeltaRecord, at int) {
+	if at < len(d.recs) {
+		d.recs = append([]DeltaRecord(nil), d.recs[:at]...)
 	}
-	lg.recs = append(lg.recs, rec)
-	lg.seq = rec.Seq
-	if rec.Epoch > lg.epoch {
-		lg.epoch = rec.Epoch
+	d.recs = append(d.recs, rec)
+	d.seq = rec.Seq
+	if rec.Epoch > d.epoch {
+		d.epoch = rec.Epoch
 	}
 }
 
@@ -123,12 +124,14 @@ func (e *GapError) Error() string {
 	return fmt.Sprintf("serve: replication gap on %q: have seq %d, got %d", e.DB, e.Have, e.Got)
 }
 
-// pairEntry caches what one (spec, db) pair shares across requests: its
-// current version, zero until once's first resolution succeeds, and
-// read and replaced under Registry.mu.
+// pairEntry caches what one (spec, db) pair shares across requests: the
+// transducer it resolves against and its current version, zero until
+// once's first resolution succeeds, read and replaced under the
+// database's mu.
 type pairEntry struct {
 	once sync.Once
 	err  error
+	tr   *pt.Transducer
 	pairVersion
 }
 
@@ -137,7 +140,7 @@ type pairEntry struct {
 // output form, the rendered document of τ(inst) once an eligible run has
 // produced it (see keepDocument). A commit replaces the whole version.
 // The next version inherits the memo and the documents when the delta
-// changed no relation a rule query of the spec reads (see commitLocked):
+// changed no relation a rule query of the spec reads (see database.commit):
 // every query result, and so τ by Proposition 1(1), is then the same on
 // both instances. Otherwise it starts cold, so a memo or document never
 // serves an instance whose relations it did not read.
@@ -175,41 +178,43 @@ func docForm(canonical bool) int {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		specs:   make(map[string]*pt.Transducer),
-		dbs:     make(map[string]string),
-		writers: make(map[string]*sync.Mutex),
-		pairs:   make(map[string]map[string]*pairEntry),
-		logs:    make(map[string]*dbLog),
-	}
+	return &Registry{specs: make(map[string]*pt.Transducer), dbs: make(map[string]*database)}
 }
 
 // AttachWAL binds a durable log to the registry and replays its
-// recovered records into the in-memory mutation logs, so every pair
-// resolved afterwards serves post-delta bytes. From here on MutateDB
-// appends (and fsyncs) to the log BEFORE committing in memory — the
-// ack-after-durable contract. Returns the number of records replayed.
+// recovered records into the registered databases' histories, so every
+// pair resolved afterwards serves post-delta bytes; a record of any
+// other name is skipped. From here on a write appends (and fsyncs) to
+// the log BEFORE committing in memory — the ack-after-durable contract —
+// and RegisterDB is refused. Returns the number of records replayed.
 func (r *Registry) AttachWAL(l *wal.Log) int {
 	recs := l.Records()
-	for _, n := range r.DBNames() {
-		w, _ := r.lockDB(n)
-		defer w.Unlock()
-	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.log = l
+	r.mu.Unlock()
 	n := 0
-	for _, rec := range recs {
-		lg, dr := r.logsLocked(rec.DB), DeltaRecord{Seq: rec.Seq, Epoch: rec.Epoch, Delta: rec.Delta}
-		if at, ok := lg.admit(dr); ok {
-			lg.put(dr, at)
+	for _, d := range r.dbs { // unlocked: with r.log set, r.dbs no longer changes
+		n += d.attach(l, recs)
+	}
+	return n
+}
+
+// attach makes l d's WAL and replays d's records among recs by admit's
+// rule. Replayed history invalidates the pairs resolved before it.
+func (d *database) attach(l *wal.Log, recs []wal.Record) (n int) {
+	d.w.Lock()
+	defer d.w.Unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.log = l
+	for _, wr := range recs {
+		rec := DeltaRecord{Seq: wr.Seq, Epoch: wr.Epoch, Delta: wr.Delta}
+		if at, ok := d.admit(rec); wr.DB == d.name && ok {
+			d.put(rec, at)
 			n++
 		}
 	}
-	// Replayed history invalidates anything resolved pre-attach.
-	for _, specs := range r.pairs {
-		clear(specs)
-	}
+	clear(d.pairs)
 	return n
 }
 
@@ -222,15 +227,6 @@ func (r *Registry) WALMetrics() wal.Metrics {
 		return wal.Metrics{}
 	}
 	return l.Metrics()
-}
-
-func (r *Registry) logsLocked(db string) *dbLog {
-	lg, ok := r.logs[db]
-	if !ok {
-		lg = &dbLog{}
-		r.logs[db] = lg
-	}
-	return lg
 }
 
 // RegisterSpec parses, validates and installs a transducer spec under
@@ -272,7 +268,9 @@ func parseSpec(name, src string) (tr *pt.Transducer, err error) {
 // RegisterDB installs a database source under name. The text is parsed
 // lazily against each spec's schema at publish time; registration only
 // rejects duplicates and empty names so one database can serve any
-// spec whose schema accepts it.
+// spec whose schema accepts it. It is refused after AttachWAL: the new
+// database's history would restart at seq 1 over records already on
+// disk.
 func (r *Registry) RegisterDB(name, src string) error {
 	if name == "" {
 		return Validationf("db", "empty name")
@@ -282,31 +280,23 @@ func (r *Registry) RegisterDB(name, src string) error {
 	if _, dup := r.dbs[name]; dup {
 		return Validationf("db", "duplicate registration of %q", name)
 	}
-	r.dbs[name] = src
-	r.writers[name] = new(sync.Mutex)
-	r.pairs[name] = make(map[string]*pairEntry)
+	if r.log != nil {
+		return Validationf("db", "%q registered after AttachWAL", name)
+	}
+	r.dbs[name] = &database{name: name, src: src, pairs: make(map[string]*pairEntry)}
 	return nil
 }
 
-// lockDB locks and returns db's writer lock (unknown db: a validation
-// error). It orders db's writes, view repairs and view creation.
-func (r *Registry) lockDB(db string) (*sync.Mutex, error) {
+// db returns the database registered under name, or a typed
+// *ValidationError naming the unknown database and the available ones.
+func (r *Registry) db(name string) (*database, error) {
 	r.mu.RLock()
-	w, ok := r.writers[db]
+	d := r.dbs[name]
 	r.mu.RUnlock()
-	if !ok {
-		return nil, Validationf("db", "unknown database %q (have: %s)", db, strings.Join(r.DBNames(), ", "))
+	if d == nil {
+		return nil, Validationf("db", "unknown database %q (have: %s)", name, strings.Join(r.DBNames(), ", "))
 	}
-	w.Lock()
-	return w, nil
-}
-
-// hasDB reports whether db is registered.
-func (r *Registry) hasDB(db string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.dbs[db]
-	return ok
+	return d, nil
 }
 
 // Spec returns the registered transducer, or a typed *ValidationError
@@ -323,47 +313,58 @@ func (r *Registry) Spec(name string) (*pt.Transducer, error) {
 
 // Pair resolves a (spec, db) pair to the transducer, the pair's current
 // instance version and that version's shared query memo. A resolved
-// pair costs one read lock. The first resolution — and the first after
-// AttachWAL or a supersede (see applyAtLocked) — parses the source and
-// replays the database's log. Unknown names are typed validation
-// errors; a database that does not parse against the spec's schema
-// likewise (cached, so a hopeless pair fails fast forever).
+// pair costs two read locks, the registry's and the database's. The
+// first resolution — and the first after AttachWAL or a supersede (see
+// database.apply) — parses the source and replays the database's
+// history. Unknown names are typed validation errors; a database that
+// does not parse against the spec's schema likewise (cached, so a
+// hopeless pair fails fast forever).
 func (r *Registry) Pair(spec, db string) (*pt.Transducer, *relation.Instance, *eval.Memo, error) {
 	tr, v, err := r.version(spec, db)
 	return tr, v.inst, v.memo, err
 }
 
 // version is Pair returning the whole current version, documents
-// included, read under one lock.
+// included.
 func (r *Registry) version(spec, db string) (*pt.Transducer, pairVersion, error) {
 	r.mu.RLock()
-	tr, e := r.specs[spec], r.pairs[db][spec]
-	src, dbOK := r.dbs[db]
-	if e != nil && e.inst != nil {
-		defer r.mu.RUnlock()
-		return tr, e.pairVersion, nil
-	}
+	tr, d := r.specs[spec], r.dbs[db]
 	r.mu.RUnlock()
 	if tr == nil {
 		_, err := r.Spec(spec)
 		return nil, pairVersion{}, err
 	}
-	if !dbOK {
-		return nil, pairVersion{}, Validationf("db", "unknown database %q (have: %s)", db, strings.Join(r.DBNames(), ", "))
+	if d == nil {
+		_, err := r.db(db)
+		return nil, pairVersion{}, err
 	}
-	r.mu.Lock()
-	if e = r.pairs[db][spec]; e == nil {
-		e = &pairEntry{}
-		r.pairs[db][spec] = e
+	v, err := d.version(spec, tr)
+	return tr, v, err
+}
+
+// version returns the current version of the pair (spec, d), resolving
+// it against tr first if needed, read under one lock.
+func (d *database) version(spec string, tr *pt.Transducer) (pairVersion, error) {
+	d.mu.RLock()
+	e := d.pairs[spec]
+	if e != nil && e.inst != nil {
+		defer d.mu.RUnlock()
+		return e.pairVersion, nil
 	}
-	r.mu.Unlock()
-	e.once.Do(func() { e.err = r.resolve(e, tr, spec, db, src) })
+	d.mu.RUnlock()
+	d.mu.Lock()
+	if e = d.pairs[spec]; e == nil {
+		e = &pairEntry{tr: tr}
+		d.pairs[spec] = e
+	}
+	d.mu.Unlock()
+	e.once.Do(func() { e.err = d.resolve(e, spec) })
 	if e.err != nil {
-		return nil, pairVersion{}, e.err
+		return pairVersion{}, e.err
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return tr, e.pairVersion, nil
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return e.pairVersion, nil
 }
 
 // keepDocument stores doc as the rendered document, in the given form,
@@ -375,23 +376,27 @@ func (r *Registry) version(spec, db string) (*pt.Transducer, pairVersion, error)
 // is no longer the pair's current version (versions are fresh
 // pointers, so an instance cannot come back).
 func (r *Registry) keepDocument(spec, db string, inst *relation.Instance, canonical bool, doc *document) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e := r.pairs[db][spec]; e != nil && e.inst == inst {
+	d, err := r.db(db)
+	if err != nil {
+		return
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if e := d.pairs[spec]; e != nil && e.inst == inst {
 		e.docs[docForm(canonical)] = doc
 		e.memo = eval.NewMemo(0)
 	}
 }
 
-// resolve builds e's first version. The parse and the replay of the log
-// run outside the lock; records committed meanwhile (a commit skips an
-// entry still resolving) are replayed under it before the version is
-// installed. If AttachWAL or a supersede removed e meanwhile, its
-// version only serves the requests already waiting on it. Apply skips
-// the deltas the pair's schema rejects: they concern relations this
-// pair does not hold.
-func (r *Registry) resolve(e *pairEntry, tr *pt.Transducer, spec, db, src string) error {
-	inst, err := parseInstance(spec, db, src, tr)
+// resolve builds e's first version. The parse and the replay of the
+// history run outside the lock; records committed meanwhile (a commit
+// skips an entry still resolving) are replayed under it before the
+// version is installed. If AttachWAL or a supersede removed e
+// meanwhile, its version only serves the requests already waiting on
+// it. Apply skips the deltas the pair's schema rejects: they concern
+// relations this pair does not hold.
+func (d *database) resolve(e *pairEntry, spec string) error {
+	inst, err := parseInstance(spec, d.name, d.src, e.tr)
 	if err != nil {
 		return err
 	}
@@ -400,17 +405,14 @@ func (r *Registry) resolve(e *pairEntry, tr *pt.Transducer, spec, db, src string
 			_, _ = inst.Apply(rec.Delta)
 		}
 	}
-	var done []DeltaRecord
-	r.mu.RLock()
-	if lg := r.logs[db]; lg != nil {
-		done = lg.recs
-	}
-	r.mu.RUnlock()
+	d.mu.RLock()
+	done := d.recs
+	d.mu.RUnlock()
 	replay(done)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if lg := r.logs[db]; lg != nil && r.pairs[db][spec] == e {
-		replay(lg.recs[len(done):])
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.pairs[spec] == e {
+		replay(d.recs[len(done):])
 	}
 	e.pairVersion = pairVersion{inst: inst, memo: eval.NewMemo(0)}
 	return nil
@@ -434,25 +436,13 @@ func parseInstance(spec, db, src string, tr *pt.Transducer) (inst *relation.Inst
 	return inst, nil
 }
 
-// MutateDB applies a delta to a registered database: the delta is
-// appended (durably first, when a WAL is attached — the record is
-// fsynced BEFORE anything in memory changes, so an acknowledged delta
-// survives a crash) to the database's mutation log, and every resolved
-// (spec, db) pair over it moves to its next instance version, with a
-// fresh memo and no documents unless its spec reads none of the
-// relations the delta changed (see commitLocked). It holds db's writer
-// lock, and takes mu only after the append, for the in-memory commit, so
-// the fsync never blocks a publish's Pair or a write to another
-// database. The next version shares every relation the delta does not
-// touch with the previous one and clones the touched ones before
-// applying the delta (relation.Instance.Derive).
-// A pair whose schema rejects the delta, or on which it has no effect,
-// keeps its version, its memo and its documents.
-//
-// Deriving instead of mutating in place is the concurrency contract:
-// a publish in flight keeps the (instance, memo) version it resolved —
-// internally consistent, pre-delta — while every later resolution sees
-// post-delta state. Readers observe before-or-after, never torn.
+// MutateDB appends a delta to a registered database's history (see
+// database.apply: durably first when a WAL is attached, so an
+// acknowledged delta survives a crash) and moves every resolved pair
+// over it to its next version (see database.commit), taking only that
+// database's locks. A publish in flight keeps the (instance, memo)
+// version it resolved — internally consistent, pre-delta — while every
+// later resolution sees post-delta state: before-or-after, never torn.
 //
 // epoch is the cluster ownership epoch the write carries (0 outside a
 // cluster, which bypasses fencing): a write whose epoch is BELOW the
@@ -465,109 +455,84 @@ func parseInstance(spec, db, src string, tr *pt.Transducer) (inst *relation.Inst
 // and the delta is atomically absent. Per-schema validation happens per
 // pair (and, for the caller's schema, before calling — see
 // Server.handleMutate).
-func (r *Registry) MutateDB(db string, d *relation.Delta, epoch uint64) (int, uint64, error) {
-	if d == nil || d.Empty() {
+func (r *Registry) MutateDB(db string, delta *relation.Delta, epoch uint64) (int, uint64, error) {
+	if delta == nil || delta.Empty() {
 		return 0, 0, Validationf("delta", "empty delta")
 	}
-	w, err := r.lockDB(db)
+	d, err := r.db(db)
 	if err != nil {
 		return 0, 0, err
 	}
-	defer w.Unlock()
-	return r.mutateLocked(db, d, epoch)
+	d.w.Lock()
+	defer d.w.Unlock()
+	return d.mutate(delta, epoch)
 }
 
-// mutateLocked is MutateDB under db's writer lock, for a non-empty d.
-func (r *Registry) mutateLocked(db string, d *relation.Delta, epoch uint64) (int, uint64, error) {
-	head, l := r.logHead(db)
-	if epoch > 0 && epoch < head.epoch {
-		return 0, 0, &supervise.ErrFenced{Key: "mutate\x00" + db, Epoch: epoch, Stored: head.epoch}
-	}
-	rec := DeltaRecord{Seq: head.seq + 1, Epoch: epoch, Delta: d}
-	if err := appendWAL(l, db, rec); err != nil {
-		return 0, 0, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.commitLocked(db, rec, len(head.recs)), rec.Seq, nil
+// mutate is MutateDB under the writer lock w, for a non-empty delta.
+func (d *database) mutate(delta *relation.Delta, epoch uint64) (moved int, seq uint64, err error) {
+	seq = d.seq + 1
+	moved, _, err = d.apply(DeltaRecord{Seq: seq, Epoch: epoch, Delta: delta})
+	return moved, seq, err
 }
 
-// applyAtLocked installs a non-empty REPLICATED record at its original
-// sequence number; the caller holds db's writer lock (see lockDB), as
-// /replicate and /sync do through Server.applyRecords. Epoch fencing
-// applies first; then dbLog.admit's rule makes duplicate and out-of-order
-// delivery safe: a duplicate is skipped (applied=false, nil error), the
-// successor record commits exactly like MutateDB, and anything further
-// ahead is a *GapError telling the sender where to resume. A supersede
-// truncates the stale suffix once the record is durable and deletes the
-// database's cached pairs: their versions carry the stale records, so
-// the next Pair re-resolves them from the reconciled log.
-func (r *Registry) applyAtLocked(db string, rec DeltaRecord) (applied bool, err error) {
-	head, l := r.logHead(db)
-	if rec.Epoch > 0 && rec.Epoch < head.epoch {
-		return false, &supervise.ErrFenced{Key: "mutate\x00" + db, Epoch: rec.Epoch, Stored: head.epoch}
+// apply installs a non-empty record, a write's or a replicated one at
+// its original sequence number, under the writer lock w (Server.mutate
+// and Server.applyRecords take it). Epoch fencing applies first; then
+// admit's rule makes duplicate and out-of-order delivery safe: a
+// duplicate is skipped (applied false, nil error), the successor record
+// commits, and anything further ahead is a *GapError telling the sender
+// where to resume. The record is durable (appended to the attached WAL
+// and fsynced) before commit changes anything in memory, and only w is
+// held meanwhile, so publishes keep resolving pairs while the disk
+// works. It returns how many pairs moved.
+func (d *database) apply(rec DeltaRecord) (moved int, applied bool, err error) {
+	if rec.Epoch > 0 && rec.Epoch < d.epoch {
+		return 0, false, &supervise.ErrFenced{Key: "mutate\x00" + d.name, Epoch: rec.Epoch, Stored: d.epoch}
 	}
-	at, ok := head.admit(rec)
+	at, ok := d.admit(rec)
 	switch {
 	case !ok:
-		return false, nil
-	case rec.Seq > head.seq+1:
-		return false, &GapError{DB: db, Have: head.seq, Got: rec.Seq}
+		return 0, false, nil
+	case rec.Seq > d.seq+1:
+		return 0, false, &GapError{DB: d.name, Have: d.seq, Got: rec.Seq}
 	}
-	if err := appendWAL(l, db, rec); err != nil {
-		return false, err
+	if d.log != nil {
+		if err := d.log.Append(wal.Record{DB: d.name, Seq: rec.Seq, Epoch: rec.Epoch, Delta: rec.Delta}); err != nil {
+			return 0, false, err
+		}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if at < len(head.recs) {
-		clear(r.pairs[db])
-	}
-	r.commitLocked(db, rec, at)
-	return true, nil
+	return d.commit(rec, at), true, nil
 }
 
-// logHead returns a copy of db's log header and the attached WAL (nil
-// if none). Its recs share the log's storage. Under db's writer lock
-// the log cannot change until the caller commits.
-func (r *Registry) logHead(db string) (dbLog, *wal.Log) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if lg := r.logs[db]; lg != nil {
-		return *lg, r.log
+// commit commits one durable record in memory at index at (see admit)
+// and moves every resolved pair to its next version. A version whose
+// spec has no rule reading a relation the effective delta changed (pt's
+// Readers, which count a domain-reading query as a reader of every
+// relation) inherits its predecessor's memo and documents; any other
+// starts cold; a pair whose schema rejects the delta, or on which it
+// has no effect, keeps its version. A supersede (at inside the history)
+// deletes the cached pairs: their versions carry the stale records, so
+// the next Pair re-resolves them from the reconciled history. It returns
+// how many pairs moved. The caller holds w; commit takes mu, which no
+// other database shares.
+func (d *database) commit(rec DeltaRecord, at int) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if at < len(d.recs) {
+		clear(d.pairs)
 	}
-	return dbLog{}, r.log
-}
-
-// appendWAL makes one fenced, sequenced record durable (append and
-// fsync) when a log l is attached. Caller holds db's writer lock and not
-// mu, so publishes keep resolving pairs while the disk works.
-func appendWAL(l *wal.Log, db string, rec DeltaRecord) error {
-	if l == nil {
-		return nil
-	}
-	return l.Append(wal.Record{DB: db, Seq: rec.Seq, Epoch: rec.Epoch, Delta: rec.Delta})
-}
-
-// commitLocked commits one durable record in memory at index at (see
-// dbLog.admit) and moves every resolved pair over db to its next
-// version. A version whose spec has no rule reading a relation the
-// effective delta changed (pt's Readers, which count a domain-reading
-// query as a reader of every relation) inherits its predecessor's memo
-// and documents; any other starts cold. It returns how many pairs moved.
-// Caller holds db's writer lock and mu.
-func (r *Registry) commitLocked(db string, rec DeltaRecord, at int) int {
-	r.logsLocked(db).put(rec, at)
+	d.put(rec, at)
 	moved := 0
-	for spec, e := range r.pairs[db] {
+	for _, e := range d.pairs {
 		if e.inst == nil {
-			continue // unresolved: resolve catches up under this lock
+			continue // unresolved: resolve catches up under mu
 		}
 		next, eff, err := e.inst.Derive(rec.Delta)
 		if err != nil || eff.Empty() {
 			continue
 		}
-		if rules, _ := r.specs[spec].Readers(eff.Rels()); len(rules) == 0 {
-			e.pairVersion.inst = next
+		if rules, _ := e.tr.Readers(eff.Rels()); len(rules) == 0 {
+			e.inst = next
 		} else {
 			e.pairVersion = pairVersion{inst: next, memo: eval.NewMemo(0)}
 		}
@@ -576,39 +541,67 @@ func (r *Registry) commitLocked(db string, rec DeltaRecord, at int) int {
 	return moved
 }
 
-// Seq returns the database's last committed sequence number.
-func (r *Registry) Seq(db string) uint64 {
-	head, _ := r.logHead(db)
-	return head.seq
+// Seq returns the last committed sequence number.
+func (d *database) Seq() uint64 {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.seq
 }
 
 // EpochHighWater returns the highest epoch observed on an accepted
-// write to the database.
-func (r *Registry) EpochHighWater(db string) uint64 {
-	head, _ := r.logHead(db)
-	return head.epoch
+// write.
+func (d *database) EpochHighWater() uint64 {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.epoch
 }
 
 // RecordsSince returns the records with sequence numbers strictly
 // after `after` — the resend tail for replication gap repair. The
-// result shares the log's storage (records are only ever appended, and
-// a truncation copies), so it costs no copy; callers must not modify it.
-func (r *Registry) RecordsSince(db string, after uint64) []DeltaRecord {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	lg, ok := r.logs[db]
-	if !ok || len(lg.recs) == 0 {
+// result shares the history's storage (records are only ever appended,
+// and a truncation copies), so it costs no copy; callers must not
+// modify it.
+func (d *database) RecordsSince(after uint64) []DeltaRecord {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if len(d.recs) == 0 {
 		return nil
 	}
 	from := 0
-	if after >= lg.recs[0].Seq {
-		idx, ok := lg.indexOf(after + 1)
+	if after >= d.recs[0].Seq {
+		idx, ok := d.indexOf(after + 1)
 		if !ok {
 			return nil
 		}
 		from = idx
 	}
-	return lg.recs[from:len(lg.recs):len(lg.recs)]
+	return d.recs[from:len(d.recs):len(d.recs)]
+}
+
+// Seq returns the database's last committed sequence number (0 for an
+// unknown database).
+func (r *Registry) Seq(db string) uint64 {
+	if d, err := r.db(db); err == nil {
+		return d.Seq()
+	}
+	return 0
+}
+
+// EpochHighWater returns the highest epoch observed on an accepted
+// write to the database (0 for an unknown database).
+func (r *Registry) EpochHighWater(db string) uint64 {
+	if d, err := r.db(db); err == nil {
+		return d.EpochHighWater()
+	}
+	return 0
+}
+
+// RecordsSince is database.RecordsSince by name (nil for an unknown db).
+func (r *Registry) RecordsSince(db string, after uint64) []DeltaRecord {
+	if d, err := r.db(db); err == nil {
+		return d.RecordsSince(after)
+	}
+	return nil
 }
 
 // SpecNames lists the registered specs, sorted.
@@ -627,10 +620,6 @@ func (r *Registry) SpecNames() []string {
 func (r *Registry) DBNames() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.dbNamesLocked()
-}
-
-func (r *Registry) dbNamesLocked() []string {
 	names := make([]string, 0, len(r.dbs))
 	for n := range r.dbs {
 		names = append(names, n)

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ptx/internal/relation"
 	"ptx/internal/runctl"
@@ -475,11 +476,11 @@ func TestLoadDir(t *testing.T) {
 }
 
 // TestDBLogAdmit pins the one acceptance rule WAL replay (AttachWAL) and
-// replication (applyAtLocked) share, on a log holding seqs 5..7 at epoch
-// 2, the shape a compacted WAL base leaves.
+// replication (database.apply) share, on a history holding seqs 5..7 at
+// epoch 2, the shape a compacted WAL base leaves.
 func TestDBLogAdmit(t *testing.T) {
-	held := func() *dbLog {
-		lg := &dbLog{seq: 4}
+	held := func() *database {
+		lg := &database{seq: 4}
 		for seq := uint64(5); seq <= 7; seq++ {
 			lg.put(DeltaRecord{Seq: seq, Epoch: 2}, len(lg.recs))
 		}
@@ -538,5 +539,146 @@ func TestDBLogAdmit(t *testing.T) {
 	}
 	if recs := reg.RecordsSince("tinydb", 0); len(recs) != 2 || recs[1].Epoch != 2 || reg.Seq("tinydb") != 2 {
 		t.Fatalf("recovered log: %d records, seq %d; want 2 ending in the epoch-2 record at seq 2", len(recs), reg.Seq("tinydb"))
+	}
+}
+
+// TestCommitLocksOneDatabase: a commit takes only its own database's
+// lock. While database A's mu is held, as a commit holds it across every
+// pair's Derive, with a write on A waiting behind it, Pair on database B
+// resolves and returns, a write on B commits, and A's own Pair waits for
+// the release.
+func TestCommitLocksOneDatabase(t *testing.T) {
+	reg := NewRegistry()
+	if err := reg.RegisterSpec("tiny", tinySpec); err != nil {
+		t.Fatal(err)
+	}
+	for _, db := range []string{"dba", "dbb"} {
+		if err := reg.RegisterDB(db, tinyDB); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, _, err := reg.Pair("tiny", "dba"); err != nil {
+		t.Fatal(err)
+	}
+	a, err := reg.db("dba")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.mu.Lock()
+	locked := true
+	defer func() {
+		if locked {
+			a.mu.Unlock()
+		}
+	}()
+	writeA := make(chan error, 1)
+	go func() {
+		_, _, err := reg.MutateDB("dba", (&relation.Delta{}).Insert("R", "d"), 0)
+		writeA <- err
+	}()
+	within := func(what string, f func() error) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- f() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s blocked while database A's mu was held", what)
+		}
+	}
+	pairB := func() error {
+		_, _, _, err := reg.Pair("tiny", "dbb")
+		return err
+	}
+	within("resolving Pair on B", pairB)
+	within("MutateDB on B", func() error {
+		_, seq, err := reg.MutateDB("dbb", (&relation.Delta{}).Insert("R", "e"), 0)
+		if err == nil && seq != 1 {
+			err = fmt.Errorf("acked seq %d, want 1", seq)
+		}
+		return err
+	})
+	within("resolved Pair on B", pairB)
+
+	pairA := make(chan error, 1)
+	go func() {
+		_, _, _, err := reg.Pair("tiny", "dba")
+		pairA <- err
+	}()
+	select {
+	case <-pairA:
+		t.Fatal("Pair on A returned while A's mu was held")
+	case err := <-writeA:
+		t.Fatalf("MutateDB on A returned (%v) while A's mu was held", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	locked = false
+	a.mu.Unlock()
+	for _, ch := range []chan error{writeA, pairA} {
+		if err := <-ch; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if reg.Seq("dba") != 1 || reg.Seq("dbb") != 1 {
+		t.Fatalf("seqs after the writes: A %d, B %d; want 1 and 1", reg.Seq("dba"), reg.Seq("dbb"))
+	}
+}
+
+// TestAttachWALRegisteredOnly: AttachWAL replays only the records of
+// registered databases and counts only those, and a database registered
+// after it is refused, so no history restarts at seq 1 over records on
+// disk.
+func TestAttachWALRegisteredOnly(t *testing.T) {
+	dir := t.TempDir()
+	w, err := wal.Open(dir, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		db  string
+		seq uint64
+	}{{"tinydb", 1}, {"ghost", 1}, {"ghost", 2}, {"tinydb", 2}, {"ghost", 3}} {
+		d := (&relation.Delta{}).Insert("R", fmt.Sprint(r.db, r.seq))
+		if err := w.Append(wal.Record{DB: r.db, Seq: r.seq, Epoch: 1, Delta: d}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	l, err := wal.Open(dir, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	reg := NewRegistry()
+	if err := reg.RegisterSpec("tiny", tinySpec); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.RegisterDB("tinydb", tinyDB); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.AttachWAL(l); n != 2 {
+		t.Errorf("AttachWAL replayed %d records, want 2 (ghost's 3 skipped)", n)
+	}
+	if reg.Seq("tinydb") != 2 || reg.Seq("ghost") != 0 || reg.RecordsSince("ghost", 0) != nil {
+		t.Fatalf("after AttachWAL: tinydb at seq %d, ghost at %d with %d records; want 2, 0 and none",
+			reg.Seq("tinydb"), reg.Seq("ghost"), len(reg.RecordsSince("ghost", 0)))
+	}
+	_, inst, _, err := reg.Pair("tiny", "tinydb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := inst.Rel("R"); r.Len() != 5 {
+		t.Errorf("tinydb's R holds %d tuples after replay, want 5 (3 + tinydb1, tinydb2)", r.Len())
+	}
+
+	var ve *ValidationError
+	if err := reg.RegisterDB("ghost", tinyDB); !errors.As(err, &ve) {
+		t.Fatalf("RegisterDB after AttachWAL = %v, want a *ValidationError", err)
+	}
+	if _, err := reg.db("ghost"); err == nil {
+		t.Fatal("the refused database was registered")
 	}
 }

@@ -130,38 +130,34 @@ func encodeRecords(recs []DeltaRecord) []wireRecord {
 }
 
 // applyRecords commits a batch of replicated records under db's writer
-// lock (an unknown db is a validation error): duplicates are skipped,
-// the contiguous tail is committed (durably first when a WAL is
-// attached) with live views reconciled to their pairs' versions after
-// each record, a supersede included (see Registry.applyAtLocked), and a gap
-// stops the batch with the current high-water mark for the sender to
-// resume from.
-func (s *Server) applyRecords(db string, recs []wireRecord) (applied int, have uint64, gap bool, err error) {
-	w, err := s.reg.lockDB(db)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	defer w.Unlock()
+// lock: duplicates are skipped, the contiguous tail is committed
+// (durably first when a WAL is attached) with live views reconciled to
+// their pairs' versions after each record, a supersede included (see
+// database.apply), and a gap stops the batch with the current
+// high-water mark for the sender to resume from.
+func (s *Server) applyRecords(db *database, recs []wireRecord) (applied int, have uint64, gap bool, err error) {
+	db.w.Lock()
+	defer db.w.Unlock()
 	for _, wr := range recs {
 		d, derr := decodeDelta(wr.Ops)
 		if derr != nil {
-			return applied, s.reg.Seq(db), false, derr
+			return applied, db.seq, false, derr
 		}
-		ok, aerr := s.reg.applyAtLocked(db, DeltaRecord{Seq: wr.Seq, Epoch: wr.Epoch, Delta: d})
+		_, ok, aerr := db.apply(DeltaRecord{Seq: wr.Seq, Epoch: wr.Epoch, Delta: d})
 		if aerr != nil {
 			var ge *GapError
 			if errors.As(aerr, &ge) {
 				return applied, ge.Have, true, nil
 			}
-			return applied, s.reg.Seq(db), false, aerr
+			return applied, db.seq, false, aerr
 		}
 		if ok {
-			s.repairViews(db)
+			s.repairViews(db.name)
 			s.replicated.Add(1)
 			applied++
 		}
 	}
-	return applied, s.reg.Seq(db), false, nil
+	return applied, db.seq, false, nil
 }
 
 // handleReplicate is the receiver side of synchronous replication.
@@ -175,7 +171,12 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, Validationf("db", "missing"))
 		return
 	}
-	applied, have, gap, err := s.applyRecords(req.DB, req.Records)
+	db, err := s.reg.db(req.DB)
+	if err != nil {
+		s.reject(w, err)
+		return
+	}
+	applied, have, gap, err := s.applyRecords(db, req.Records)
 	if err != nil {
 		s.reject(w, err)
 		return
@@ -188,13 +189,13 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 // GET /deltalog?db=D&from=N returns the records with seq > N.
 func (s *Server) handleDeltaLog(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	db := q.Get("db")
-	if db == "" {
+	if q.Get("db") == "" {
 		s.reject(w, Validationf("db", "missing"))
 		return
 	}
-	if !s.reg.hasDB(db) {
-		s.reject(w, Validationf("db", "unknown database %q", db))
+	db, err := s.reg.db(q.Get("db"))
+	if err != nil {
+		s.reject(w, err)
 		return
 	}
 	from := uint64(0)
@@ -207,10 +208,10 @@ func (s *Server) handleDeltaLog(w http.ResponseWriter, r *http.Request) {
 		from = n
 	}
 	resp := deltaLogResponse{
-		DB:      db,
-		Seq:     s.reg.Seq(db),
-		Epoch:   s.reg.EpochHighWater(db),
-		Records: encodeRecords(s.reg.RecordsSince(db, from)),
+		DB:      db.name,
+		Seq:     db.Seq(),
+		Epoch:   db.EpochHighWater(),
+		Records: encodeRecords(db.RecordsSince(from)),
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(resp)
@@ -231,27 +232,27 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, Validationf("sync", "db and peer are required"))
 		return
 	}
-	if !s.reg.hasDB(req.DB) {
-		s.reject(w, Validationf("db", "unknown database %q", req.DB))
+	db, err := s.reg.db(req.DB)
+	if err != nil {
+		s.reject(w, err)
 		return
 	}
-	pulled, pushed, err := s.syncWith(r.Context(), req.DB, req.Peer)
+	pulled, pushed, err := s.syncWith(r.Context(), db, req.Peer)
 	if err != nil {
 		s.reject(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(syncResponse{
-		DB: req.DB, Pulled: pulled, Pushed: pushed, Seq: s.reg.Seq(req.DB),
+		DB: req.DB, Pulled: pulled, Pushed: pushed, Seq: db.Seq(),
 	})
 }
 
 // syncWith runs one pull+push round against peer. HTTP happens OUTSIDE
 // db's writer lock (applyRecords takes it per batch) — same lock
 // discipline as replicateOut.
-func (s *Server) syncWith(ctx context.Context, db, peer string) (pulled, pushed int, err error) {
-	have := s.reg.Seq(db)
-	u := fmt.Sprintf("%s/deltalog?db=%s&from=%d", strings.TrimSuffix(peer, "/"), db, have)
+func (s *Server) syncWith(ctx context.Context, db *database, peer string) (pulled, pushed int, err error) {
+	u := fmt.Sprintf("%s/deltalog?db=%s&from=%d", strings.TrimSuffix(peer, "/"), db.name, db.Seq())
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return 0, 0, Validationf("peer", "%v", err)
@@ -273,16 +274,16 @@ func (s *Server) syncWith(ctx context.Context, db, peer string) (pulled, pushed 
 		return pulled, 0, err
 	}
 	// Push back anything the peer lacks (it answered with its seq mark).
-	ours := s.reg.RecordsSince(db, tail.Seq)
+	ours := db.RecordsSince(tail.Seq)
 	if len(ours) == 0 {
 		return pulled, 0, nil
 	}
-	resp, err := s.pushRecords(ctx, peer, db, ours)
+	resp, err := s.pushRecords(ctx, peer, db.name, ours)
 	if err != nil {
 		return pulled, 0, err
 	}
 	if resp.Gap {
-		resp, err = s.pushRecords(ctx, peer, db, s.reg.RecordsSince(db, resp.Have))
+		resp, err = s.pushRecords(ctx, peer, db.name, db.RecordsSince(resp.Have))
 		if err != nil {
 			return pulled, 0, err
 		}
@@ -331,15 +332,15 @@ func (s *Server) pushRecords(ctx context.Context, peer, db string, recs []DeltaR
 // timeout — the ack is still withheld, so safety is untouched; only
 // the latency of learning "this replica is gone" changes. The breaker
 // re-admits the replica through its half-open probe schedule.
-func (s *Server) replicateOut(ctx context.Context, db string, seq uint64, replicas []replica) (ok int, failed []string) {
+func (s *Server) replicateOut(ctx context.Context, db *database, seq uint64, replicas []replica) (ok int, failed []string) {
 	for _, rep := range replicas {
 		if !s.repBreakers.Allow(rep.id) {
 			failed = append(failed, rep.id)
 			continue
 		}
-		resp, err := s.pushRecords(ctx, rep.url, db, s.reg.RecordsSince(db, seq-1))
+		resp, err := s.pushRecords(ctx, rep.url, db.name, db.RecordsSince(seq-1))
 		if err == nil && resp.Gap {
-			resp, err = s.pushRecords(ctx, rep.url, db, s.reg.RecordsSince(db, resp.Have))
+			resp, err = s.pushRecords(ctx, rep.url, db.name, db.RecordsSince(resp.Have))
 		}
 		if err == nil && resp.Have < seq {
 			err = fmt.Errorf("serve: replica %s holds seq %d, want %d", rep.id, resp.Have, seq)

@@ -262,12 +262,13 @@ func TestViewServedBrokenView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := s.reg.lockDB("tinydb")
+	d, err := s.reg.db("tinydb")
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.w.Lock()
 	s.views.Store(pairKey{"tiny", "tinydb"}, &liveView{spec: "tiny", db: "tinydb", view: v})
-	w.Unlock()
+	d.w.Unlock()
 	plain := `{"spec":"tiny","db":"tinydb"}`
 	if _, _, fromView := publishVia(t, ts, plain); !fromView {
 		t.Fatal("the installed view did not serve before the delta")
@@ -291,7 +292,7 @@ func TestViewServedBrokenView(t *testing.T) {
 }
 
 // TestViewServedAfterSupersede: after a replicated record supersedes
-// local history (Registry.applyAtLocked), the resynced view mirrors the
+// local history (database.apply), the resynced view mirrors the
 // re-resolved pair and serves the reconciled bytes.
 func TestViewServedAfterSupersede(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
