@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -139,7 +140,17 @@ func TestDeltaStorm(t *testing.T) {
 // are released by the drain; and nothing leaks.
 func TestDeltaStormDrainMidMutation(t *testing.T) {
 	base := runtime.NumGoroutine()
-	s, ts := newMutateServer(t)
+	reg := NewRegistry()
+	if err := reg.LoadDir("../../examples/specs"); err != nil {
+		t.Fatal(err)
+	}
+	// newMutateServer's configuration, plus injection for the slow
+	// publishes below.
+	s, err := New(Config{Registry: reg, Workers: 4, Queue: 8, DrainGrace: 2 * time.Second, AllowInject: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
 	client := ts.Client()
 	spec, db := exampleSources(t)
 	goldens := [][]byte{testutil.Golden(t, spec, db, true), testutil.Golden(t, spec, withStormTuple(db), true)}
@@ -153,8 +164,17 @@ func TestDeltaStormDrainMidMutation(t *testing.T) {
 	if raceEnabled {
 		n = 12
 	}
+	// The last `slow` seeds are publishes no document answers: every
+	// query faults, so each holds a worker through five retries (about
+	// 60 ms of backoff), and the drain meets them running or queued.
+	const slow = 12
 	st := storm.New(t, "deltastorm-drain", StatusForKind)
-	wait := st.Start(n, 0, func(seed int64) {
+	wait := st.Start(n+slow, 0, func(seed int64) {
+		if seed > int64(n) {
+			body := fmt.Sprintf(`{"spec":"tau1","db":"registrar","canonical":true,"retries":5,"inject":{"seed":%d,"probs":{"query":1}}}`, seed)
+			st.Do(client, storm.Op{Seed: seed, Name: "publish", URL: ts.URL + "/publish", Body: body, Goldens: goldens})
+			return
+		}
 		switch i := seed - 1; i % 3 {
 		case 0:
 			st.Do(client, storm.Op{Seed: seed, Name: "publish", URL: ts.URL + "/publish", Body: `{"spec":"tau1","db":"registrar","canonical":true}`, Goldens: goldens})
@@ -178,5 +198,5 @@ func TestDeltaStormDrainMidMutation(t *testing.T) {
 	storm.Drain(t, s.Drain)
 	wait()
 	storm.Settle(t, base, ts.Close)
-	st.Finish(n)
+	st.Finish(n+slow, "publish:draining")
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math/rand"
 	"net/http/httptest"
 	"os"
@@ -114,15 +115,23 @@ func TestStormDrainUnderLoad(t *testing.T) {
 	if raceEnabled {
 		n = 12
 	}
+	// The last `slow` seeds are publishes no document answers: every
+	// query faults, so each holds a worker through five retries (about
+	// 60 ms of backoff), and the drain meets them running or queued.
+	const slow = 8
 	st := storm.New(t, "storm-drain", StatusForKind)
 	client := ts.Client()
-	wait := st.Start(n, 0, func(seed int64) {
-		st.Do(client, storm.Op{Seed: seed, Name: "publish", URL: ts.URL + "/publish", Body: `{"spec":"tau1","db":"registrar"}`, Goldens: golden})
+	wait := st.Start(n+slow, 0, func(seed int64) {
+		body := `{"spec":"tau1","db":"registrar"}`
+		if seed > int64(n) {
+			body = fmt.Sprintf(`{"spec":"tau1","db":"registrar","retries":5,"inject":{"seed":%d,"probs":{"query":1}}}`, seed)
+		}
+		st.Do(client, storm.Op{Seed: seed, Name: "publish", URL: ts.URL + "/publish", Body: body, Goldens: golden})
 	})
 	// Let some requests in, then pull the plug while others are queued.
 	time.Sleep(5 * time.Millisecond)
 	storm.Drain(t, s.Drain)
 	wait()
 	storm.Settle(t, base, ts.Close)
-	st.Finish(n)
+	st.Finish(n+slow, "publish:draining")
 }
