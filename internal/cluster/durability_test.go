@@ -62,6 +62,12 @@ func openDurNode(t testing.TB, id, dir string, faultSeed int64) *durNode {
 			runctl.OpWALSync:   0.08,
 		})
 	}
+	return openDurNodePlan(t, id, dir, plan)
+}
+
+// openDurNodePlan is openDurNode with the WAL's fault plan given.
+func openDurNodePlan(t testing.TB, id, dir string, plan *runctl.FaultPlan) *durNode {
+	t.Helper()
 	var l *wal.Log
 	n := newTestNode(t, id, nil, func(cfg *serve.Config) {
 		var err error
@@ -331,4 +337,99 @@ func TestDurabilityStorm(t *testing.T) {
 	storm.Settle(t, base, closers...)
 	t.Logf("durability storm: %d kills; seed outcomes %v; %d torn views; %d records replayed", kills, count, torn, replayed)
 	st.Finish(0, "mutate:ok")
+	t.Run("refused-appends", testDurabilityRefused)
+}
+
+// testDurabilityRefused is the storm's second configuration, the guard
+// on append-then-commit: while every node's WAL refuses every append,
+// the first `refused` seeds fail with `storage` on every attempt, and
+// their deltas must be absent from every node, live (a delta committed
+// in memory before its append would show here) and after a faultless
+// rolling restart. The remaining seeds then run on healthy WALs and
+// must be acked and present.
+func testDurabilityRefused(t *testing.T) {
+	const nNodes, seeds, refused = 3, 24, 8
+	base := runtime.NumGoroutine()
+	root := t.TempDir()
+	nodes := make([]*durNode, nNodes)
+	coord := New(Config{ProbeInterval: 20 * time.Millisecond, ProbeSeed: 7})
+	t.Cleanup(coord.Close)
+	for i := range nodes {
+		refuse := runctl.SeededPlan(int64(3000+i), errInjectedMedia, map[runctl.Op]float64{runctl.OpWALAppend: 1})
+		nodes[i] = openDurNodePlan(t, fmt.Sprintf("ref-%d", i+1), filepath.Join(root, fmt.Sprintf("wal-%d", i+1)), refuse)
+		if err := coord.Join(nodes[i].id, nodes[i].url()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cts := httptest.NewServer(coord.Handler())
+	t.Cleanup(cts.Close)
+
+	st := storm.New(t, "durability-refused", serve.StatusForKind)
+	outcomes := make([]string, seeds+1)
+	client := &http.Client{Timeout: 10 * time.Second}
+	mutate := func(seed int64) {
+		c := durSeed{Seed: seed}
+		outcomes[seed] = "lost"
+		for attempt := 0; attempt < 5; attempt++ {
+			r, _, _ := st.Do(client, storm.Op{
+				Seed: seed, Name: "mutate", URL: cts.URL + "/mutate", Body: c.body(), Case: c,
+				Kinds: []string{serve.KindStorage, serve.KindTransient, serve.KindConflict, serve.KindOverloaded, serve.KindDraining},
+			})
+			if r.Outcome() == "mutate:ok" {
+				outcomes[seed] = "acked"
+				return
+			}
+			if r.Kind != serve.KindStorage {
+				outcomes[seed] = "unknown"
+			}
+		}
+	}
+	verdict := func(stage string) {
+		t.Helper()
+		for _, n := range nodes {
+			status, _, body := postCluster(t, n.ts, `{"spec":"tiny","db":"tinydb"}`)
+			if status != http.StatusOK {
+				t.Fatalf("%s publish on %s: status %d: %s", stage, n.id, status, body)
+			}
+			for s := int64(1); s <= seeds; s++ {
+				c := durSeed{Seed: s}
+				switch state := pairState(body, c); {
+				case outcomes[s] == "lost" && state != "absent":
+					st.Fail(s, c, "%s: storage-failed delta is %s on %s (rollback leaked)", stage, state, n.id)
+				case outcomes[s] == "acked" && state != "whole":
+					st.Fail(s, c, "%s: ACKED delta is %s on %s", stage, state, n.id)
+				}
+			}
+		}
+	}
+	for seed := int64(1); seed <= refused; seed++ {
+		mutate(seed)
+	}
+	verdict("live, WALs refusing")
+	for i, n := range nodes {
+		n.kill()
+		nodes[i] = openDurNode(t, n.id, n.dir, 0)
+		if err := coord.Join(nodes[i].id, nodes[i].url()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitReady(t, "readiness after the faultless restart", cts)
+	for seed := int64(refused + 1); seed <= seeds; seed++ {
+		mutate(seed)
+	}
+	verdict("after the faultless restart")
+	count := map[string]int{}
+	for _, o := range outcomes[1:] {
+		count[o]++
+	}
+	if count["lost"] < refused || count["acked"] != seeds-refused {
+		t.Errorf("seed outcomes %v, want %d lost and %d acked", count, refused, seeds-refused)
+	}
+	closers := []func(){client.CloseIdleConnections, cts.Close}
+	for _, n := range nodes {
+		closers = append(closers, n.kill)
+	}
+	storm.Settle(t, base, closers...)
+	t.Logf("refused-appends: seed outcomes %v", count)
+	st.Finish(0, "mutate:ok", "mutate:storage")
 }
