@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -140,17 +139,7 @@ func TestDeltaStorm(t *testing.T) {
 // are released by the drain; and nothing leaks.
 func TestDeltaStormDrainMidMutation(t *testing.T) {
 	base := runtime.NumGoroutine()
-	reg := NewRegistry()
-	if err := reg.LoadDir("../../examples/specs"); err != nil {
-		t.Fatal(err)
-	}
-	// newMutateServer's configuration, plus injection for the slow
-	// publishes below.
-	s, err := New(Config{Registry: reg, Workers: 4, Queue: 8, DrainGrace: 2 * time.Second, AllowInject: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
+	s, ts := newMutateServer(t)
 	client := ts.Client()
 	spec, db := exampleSources(t)
 	goldens := [][]byte{testutil.Golden(t, spec, db, true), testutil.Golden(t, spec, withStormTuple(db), true)}

@@ -261,11 +261,7 @@ func (s *Server) liveViewFor(spec, db string) (*liveView, error) {
 	if lv := s.liveView(spec, db); lv != nil {
 		return lv, nil
 	}
-	tr, err := s.reg.Spec(spec)
-	if err != nil {
-		return nil, err
-	}
-	cur, err := d.version(spec, tr)
+	tr, cur, err := s.reg.version(spec, db)
 	if err != nil {
 		return nil, err
 	}

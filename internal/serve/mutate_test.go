@@ -97,7 +97,7 @@ func newMutateServer(t *testing.T) (*Server, *httptest.Server) {
 	if err := reg.LoadDir("../../examples/specs"); err != nil {
 		t.Fatalf("loading example specs: %v", err)
 	}
-	s, err := New(Config{Registry: reg, Workers: 4, Queue: 8, DrainGrace: 2 * time.Second})
+	s, err := New(Config{Registry: reg, Workers: 4, Queue: 8, DrainGrace: 2 * time.Second, AllowInject: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -186,35 +186,47 @@ func NewRegistry() *Registry {
 // pair resolved afterwards serves post-delta bytes; a record of any
 // other name is skipped. From here on a write appends (and fsyncs) to
 // the log BEFORE committing in memory — the ack-after-durable contract —
-// and RegisterDB is refused. Returns the number of records replayed.
-func (r *Registry) AttachWAL(l *wal.Log) int {
-	recs := l.Records()
-	r.mu.Lock()
-	r.log = l
-	r.mu.Unlock()
-	n := 0
-	for _, d := range r.dbs { // unlocked: with r.log set, r.dbs no longer changes
-		n += d.attach(l, recs)
-	}
-	return n
-}
-
-// attach makes l d's WAL and replays d's records among recs by admit's
-// rule. Replayed history invalidates the pairs resolved before it.
-func (d *database) attach(l *wal.Log, recs []wal.Record) (n int) {
-	d.w.Lock()
-	defer d.w.Unlock()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.log = l
-	for _, wr := range recs {
-		rec := DeltaRecord{Seq: wr.Seq, Epoch: wr.Epoch, Delta: wr.Delta}
-		if at, ok := d.admit(rec); wr.DB == d.name && ok {
-			d.put(rec, at)
-			n++
+// and RegisterDB is refused. Every database's writer lock is taken
+// before the log is set and released after that database's replay, so
+// no write sees the registry attached and its own database not.
+// Replayed history invalidates the pairs resolved before it. Returns
+// the number of records replayed.
+func (r *Registry) AttachWAL(l *wal.Log) (n int) {
+	var dbs []*database
+	for set := false; !set; {
+		for _, d := range dbs { // a database was registered meanwhile
+			d.w.Unlock()
 		}
+		dbs = dbs[:0]
+		for _, name := range r.DBNames() { // sorted: one lock order
+			d, _ := r.db(name)
+			d.w.Lock()
+			dbs = append(dbs, d)
+		}
+		r.mu.Lock()
+		if set = len(dbs) == len(r.dbs); set {
+			r.log = l
+		}
+		r.mu.Unlock()
 	}
-	clear(d.pairs)
+	recs := l.Records()
+	for _, d := range dbs {
+		d.mu.Lock()
+		d.log = l
+		for _, wr := range recs {
+			if wr.DB != d.name {
+				continue
+			}
+			rec := DeltaRecord{Seq: wr.Seq, Epoch: wr.Epoch, Delta: wr.Delta}
+			if at, ok := d.admit(rec); ok {
+				d.put(rec, at)
+				n++
+			}
+		}
+		clear(d.pairs)
+		d.mu.Unlock()
+		d.w.Unlock()
+	}
 	return n
 }
 
@@ -330,12 +342,11 @@ func (r *Registry) version(spec, db string) (*pt.Transducer, pairVersion, error)
 	r.mu.RLock()
 	tr, d := r.specs[spec], r.dbs[db]
 	r.mu.RUnlock()
-	if tr == nil {
+	if tr == nil || d == nil { // the typed error naming what is registered
 		_, err := r.Spec(spec)
-		return nil, pairVersion{}, err
-	}
-	if d == nil {
-		_, err := r.db(db)
+		if err == nil {
+			_, err = r.db(db)
+		}
 		return nil, pairVersion{}, err
 	}
 	v, err := d.version(spec, tr)
@@ -605,23 +616,17 @@ func (r *Registry) RecordsSince(db string, after uint64) []DeltaRecord {
 }
 
 // SpecNames lists the registered specs, sorted.
-func (r *Registry) SpecNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.specs))
-	for n := range r.specs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func (r *Registry) SpecNames() []string { return sortedNames(&r.mu, r.specs) }
 
 // DBNames lists the registered databases, sorted.
-func (r *Registry) DBNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.dbs))
-	for n := range r.dbs {
+func (r *Registry) DBNames() []string { return sortedNames(&r.mu, r.dbs) }
+
+// sortedNames lists m's keys, sorted, read under mu.
+func sortedNames[V any](mu *sync.RWMutex, m map[string]V) []string {
+	mu.RLock()
+	defer mu.RUnlock()
+	names := make([]string, 0, len(m))
+	for n := range m {
 		names = append(names, n)
 	}
 	sort.Strings(names)

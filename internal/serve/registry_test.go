@@ -682,3 +682,53 @@ func TestAttachWALRegisteredOnly(t *testing.T) {
 		t.Fatal("the refused database was registered")
 	}
 }
+
+// TestAttachWALHoldsEveryWriter: AttachWAL sets the registry's log only
+// once it holds every database's writer lock, so no write finds the
+// registry attached and its own database not. The test holds "a"'s
+// writer lock in place of a write in flight: meanwhile the registry
+// reports no log and still registers "c", and the attach that follows
+// takes "c" in too, so a write to it is durable.
+func TestAttachWALHoldsEveryWriter(t *testing.T) {
+	dir := t.TempDir()
+	w, err := wal.Open(dir, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(wal.Record{DB: "b", Seq: 1, Epoch: 1, Delta: (&relation.Delta{}).Insert("R", "b1")}); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	l, err := wal.Open(dir, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	reg := NewRegistry()
+	for _, name := range []string{"a", "b"} {
+		if err := reg.RegisterDB(name, tinyDB); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, _ := reg.db("a")
+	a.w.Lock()
+	attached := make(chan int)
+	go func() { attached <- reg.AttachWAL(l) }()
+	time.Sleep(50 * time.Millisecond) // AttachWAL now waits on a's writer lock
+	if reg.WALMetrics().Recovered != 0 {
+		t.Error("the registry reports its log while a's writer lock is out")
+	}
+	if err := reg.RegisterDB("c", tinyDB); err != nil {
+		t.Fatalf("RegisterDB before the log is set: %v", err)
+	}
+	a.w.Unlock()
+	if n := <-attached; n != 1 {
+		t.Errorf("AttachWAL replayed %d records, want 1", n)
+	}
+	if _, _, err := reg.MutateDB("c", (&relation.Delta{}).Insert("R", "c1"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Metrics().Appended; got != 1 || reg.Seq("b") != 1 || reg.Seq("c") != 1 {
+		t.Fatalf("%d records appended, b at seq %d, c at seq %d; want 1, 1 and 1", got, reg.Seq("b"), reg.Seq("c"))
+	}
+}
